@@ -14,7 +14,7 @@ import argparse
 
 from qck.ambient import (AmbientSpace, admissibility, family_from_json,
                          potential_metric, radial_frame, radial_unit_field)
-from qck.curvature import curvature_bundle
+from qck.curvature import curvature_bundle, point_jet
 from qck.errors import QckError
 from qck.qch import build_basis_tensors, decompose, extract_shape_data
 from qck.sampling import timelike_point
@@ -29,10 +29,11 @@ def decomposition_at(space, family, r, seed=0):
         reason = "outside domain" if not report.in_domain else "inadmissible"
         raise QckError(f"{reason} (f'={report.f_prime:.3g}, "
                        f"f'+wf''={report.f_prime_plus_wf2:.3g})")
-    bundle = curvature_bundle(metric, x)
-    frame = radial_frame(space, x, metric)
+    jet = point_jet(metric, x)
+    bundle = curvature_bundle(metric, x, jet=jet)
+    frame = radial_frame(space, x, metric, jet=jet)
     xi_field = radial_unit_field(space, metric, "outward")
-    shape = extract_shape_data(metric, xi_field, x)
+    shape = extract_shape_data(metric, xi_field, x, jet=jet)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     return decompose(bundle, basis, shape)
 

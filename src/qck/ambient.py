@@ -114,6 +114,12 @@ class PotentialFamily:
         return self.kind
 
 
+def _require_finite(family: str, **params) -> None:
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{family} requires a finite {name}, got {v}")
+
+
 @dataclass(frozen=True)
 class LogFamily(PotentialFamily):
     """f(w) = (2/a) log(-w - r0^2) on w < -r0^2, with a < 0.
@@ -128,6 +134,7 @@ class LogFamily(PotentialFamily):
     kind = "log"
 
     def __post_init__(self):
+        _require_finite("log family", a=self.a, r0=self.r0)
         if not self.a < 0:
             raise ValueError("log family requires a < 0")
         if not self.r0 > 0:
@@ -165,6 +172,7 @@ class DefiniteLogFamily(PotentialFamily):
     kind = "dlog"
 
     def __post_init__(self):
+        _require_finite("definite log family", a=self.a, r0=self.r0)
         if not self.a > 0:
             raise ValueError("definite log family requires a > 0")
         if not self.r0 > 0:
@@ -412,10 +420,12 @@ class RadialFrame:
 
 
 def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
-                 orientation: str = "outward") -> RadialFrame:
+                 orientation: str = "outward", jet=None) -> RadialFrame:
     """Radial unit frame at x, normalized in the flat form or in ``metric``.
 
-    The Lorentz flat form gives eta(xi) = -1 (time-like unit); a supplied
+    ``jet`` is the ``curvature.PointJet`` of the metric at x when the caller
+    has it; its G then stands in for an evaluation of ``metric``.  The
+    Lorentz flat form gives eta(xi) = -1 (time-like unit); a supplied
     positive definite metric gives eta(xi) = +1.
     """
     if orientation not in ("outward", "inward"):
@@ -423,11 +433,11 @@ def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
     xv = np.asarray([float(c) for c in x])
     r = float(space.radius(xv))
     xi = xv / r
-    if metric is None:
+    if metric is None and jet is None:
         G = space.flat_real()
         tag = "ambient"
     else:
-        G = metric.matrix(xv)
+        G = jet.G if jet is not None else metric.matrix(xv)
         nrm2 = float(xi @ G @ xi)
         if nrm2 <= 0:
             raise FrameError(f"radial direction has non-positive square norm {nrm2:.3e}")

@@ -12,13 +12,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .ambient import admissibility, potential_metric, radial_frame, radial_unit_field
-from .config import (RunConfig, apply_overrides, load_config, worker_count)
-from .curvature import curvature_bundle, kahler_defect
+from .config import RunConfig, apply_overrides, load_config, pmap
+from .curvature import curvature_bundle, kahler_defect, point_jet
 from .errors import QckError
 from .qch import build_basis_tensors, decompose, extract_shape_data
 from .rotational import bochner_meridian, const_hsc_profile
@@ -34,15 +33,6 @@ CSV_HEADER = "s,t,q,tp,tpp,a,b,c,k,a_plus_k2"
 
 def _emit(obj, stream=None) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    cap = worker_count()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -78,6 +68,23 @@ def _points(cfg: RunConfig):
                          cfg.points.rmax, seed=cfg.points.seed)
 
 
+def _per_point(body, pts) -> list[dict]:
+    """Report entries of ``body(x)`` over the points, each tagged with its
+    index and coordinates; a point whose body raises a QckError gets an
+    "error" entry instead of aborting the report."""
+
+    def one(item):
+        index, x = item
+        entry = {"index": index, "point": [float(c) for c in x]}
+        try:
+            entry.update(body(x))
+        except QckError as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        return entry
+
+    return pmap(one, enumerate(pts))
+
+
 # -- subcommand bodies -----------------------------------------------------------
 
 
@@ -98,17 +105,18 @@ def cmd_check_potential(args) -> int:
                  "admissible": bool(report.ok)}
         ok = report.ok
         try:
-            bundle = curvature_bundle(metric, x)
+            jet = point_jet(metric, x)
+            bundle = curvature_bundle(metric, x, jet=jet)
             eigs = np.linalg.eigvalsh(bundle.G)
-            kd = kahler_defect(metric, x)
+            kd = kahler_defect(metric, x, jet=jet)
             entry.update(min_eigenvalue=float(eigs.min()), kahler_defect=kd)
             checks = {"admissible": bool(report.ok),
                       "positive": bool(eigs.min() > 0),
                       "kahler": bool(kd < cfg.tolerance("kahler"))}
-            frame = radial_frame(space, x, metric)
+            frame = radial_frame(space, x, metric, jet=jet)
             basis = build_basis_tensors(bundle.G, bundle.J, frame)
             try:
-                shape = extract_shape_data(metric, xi_field, x)
+                shape = extract_shape_data(metric, xi_field, x, jet=jet)
                 dec = decompose(bundle, basis, shape)
                 entry["decomposition"] = dec.to_json()
                 residual = dec.residual
@@ -129,7 +137,7 @@ def cmd_check_potential(args) -> int:
             ok = False
         return entry, ok
 
-    rows = _pmap(one, list(enumerate(pts)))
+    rows = pmap(one, enumerate(pts))
     entries = [row[0] for row in rows]
     all_ok = all(row[1] for row in rows)
     _emit({"schema_version": SCHEMA_VERSION, "command": "check-potential",
@@ -144,23 +152,26 @@ def cmd_curvature(args) -> int:
     metric = potential_metric(space, family)
     pts = _points(cfg)
 
-    def one(item):
-        index, x = item
-        bundle = curvature_bundle(metric, x)
-        frame = radial_frame(space, x, metric)
+    def one(x):
+        jet = point_jet(metric, x)
+        bundle = curvature_bundle(metric, x, jet=jet)
+        frame = radial_frame(space, x, metric, jet=jet)
         scale = max(1.0, bundle.R.scale())
-        return {"index": index, "point": [float(c) for c in x],
-                "tau": bundle.scalar_curvature(),
+        return {"tau": bundle.scalar_curvature(),
                 "sigma_radial": bundle.sigma_radial(frame.xi),
                 "kappa_radial": bundle.kappa_radial(frame.xi),
                 "hsc_radial": bundle.hsc(frame.xi),
                 "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
                 "bianchi_defect": bundle.R.first_bianchi_defect() / scale}
 
-    entries = _pmap(one, list(enumerate(pts)))
-    _emit({"schema_version": SCHEMA_VERSION, "command": "curvature",
-           "config": cfg.to_json(), "points": entries})
-    return 0
+    entries = _per_point(one, pts)
+    report = {"schema_version": SCHEMA_VERSION, "command": "curvature",
+              "config": cfg.to_json(), "points": entries}
+    all_ok = all("error" not in e for e in entries)
+    if not all_ok:
+        report["pass"] = False
+    _emit(report)
+    return 0 if all_ok else 1
 
 
 def cmd_decompose(args) -> int:
@@ -171,22 +182,19 @@ def cmd_decompose(args) -> int:
     xi_field = radial_unit_field(space, metric, "outward")
     pts = _points(cfg)
 
-    def one(item):
-        index, x = item
-        bundle = curvature_bundle(metric, x)
-        frame = radial_frame(space, x, metric)
-        shape = extract_shape_data(metric, xi_field, x)
+    def one(x):
+        jet = point_jet(metric, x)
+        bundle = curvature_bundle(metric, x, jet=jet)
+        frame = radial_frame(space, x, metric, jet=jet)
+        shape = extract_shape_data(metric, xi_field, x, jet=jet)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
-        entry = {"index": index, "point": [float(c) for c in x],
-                 "decomposition": dec.to_json()}
-        return entry, dec.residual < cfg.tolerance("residual")
+        return {"decomposition": decompose(bundle, basis, shape).to_json()}
 
-    rows = _pmap(one, list(enumerate(pts)))
-    all_ok = all(row[1] for row in rows)
+    entries = _per_point(one, pts)
+    all_ok = all("error" not in e and e["decomposition"]["residual"]
+                 < cfg.tolerance("residual") for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "decompose",
-           "config": cfg.to_json(), "points": [row[0] for row in rows],
-           "pass": all_ok})
+           "config": cfg.to_json(), "points": entries, "pass": all_ok})
     return 0 if all_ok else 1
 
 

@@ -6,6 +6,15 @@ d2G[k, l, i, j].  The jet comes from dual-number evaluation by default; a
 finite-difference path with the same downstream assembly acts as an
 independent oracle in the tests.
 
+Each dual jet costs one evaluation of the metric: the coordinates carry one
+payload column per direction the jet needs (d columns for a first jet,
+d(d+1)/2 index pairs for a second jet), see ``qck.duals``.  A ``PointJet``
+holds the second jet of the metric and the first jet of the complex structure
+at one point, so a per-point pipeline builds it once and hands it to
+``curvature_bundle``, ``kahler_defect``, ``covariant_vector_derivative``,
+``qch.extract_shape_data`` and ``ambient.radial_frame`` instead of each of
+them evaluating the metric again.
+
 Conventions.  Connection coefficients are the usual Christoffel symbols of
 the second kind.  The curvature tensor is
 
@@ -22,59 +31,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import MultiDual, eval_with_partials, generator
+from .duals import MultiDual, coefficients, eval_with_partials
 from .errors import DegenerateMetric, DomainError, NumericalBreakdown
 from .tensors import Tensor4
 
 
-def _part(e, mask: int) -> float:
-    if isinstance(e, MultiDual):
-        return e.coeff(mask)
-    return float(e) if mask == 0 else 0.0
+def _seeded_coordinates(x, m: int, p: int) -> np.ndarray:
+    """Payloads (d, 2**m, p) holding the coordinates of x in every column
+    and no derivative part yet."""
+    xf = np.array([float(c) for c in x])
+    seeds = np.zeros((len(xf), 1 << m, p))
+    seeds[:, 0, :] = xf[:, None]
+    return seeds
+
+
+def _first_jet(field, x, d):
+    """Values and first partials of a matrix field in one evaluation:
+    coordinate k carries the generator in column k."""
+    seeds = _seeded_coordinates(x, 1, d)
+    seeds[np.arange(d), 1, np.arange(d)] = 1.0
+    out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d)
+    return out[:, :, 0, 0], np.moveaxis(out[:, :, 1, :], 2, 0)
 
 
 def metric_first_jet(metric, x):
-    """(G, dG) by dual numbers: one 1-generator pass per coordinate."""
-    d = metric.dim
-    xf = [float(c) for c in x]
-    G = np.empty((d, d))
-    dG = np.empty((d, d, d))
-    for k in range(d):
-        coords = list(xf)
-        coords[k] = xf[k] + generator(0, 1)
-        out = metric(coords)
-        for i in range(d):
-            for j in range(d):
-                e = out[i][j]
-                if k == 0:
-                    G[i, j] = _part(e, 0)
-                dG[k, i, j] = _part(e, 1)
-    return G, dG
+    """(G, dG) by dual numbers: one evaluation with d direction columns."""
+    return _first_jet(metric, x, metric.dim)
 
 
 def metric_second_jet(metric, x):
-    """(G, dG, d2G) by dual numbers: one 2-generator pass per index pair."""
+    """(G, dG, d2G) by dual numbers: one 2-generator evaluation.
+
+    Column p stands for the index pair (k, l), k <= l: coordinate k carries
+    e1 and coordinate l carries e2 there (both on k when k == l), so the
+    e1 e2 coefficient of the column is d_k d_l G and its e1 coefficient d_k G.
+    """
     d = metric.dim
-    xf = [float(c) for c in x]
-    G = np.empty((d, d))
-    dG = np.empty((d, d, d))
+    ks, ls = np.triu_indices(d)
+    cols = np.arange(len(ks))
+    seeds = _seeded_coordinates(x, 2, len(ks))
+    seeds[ks, 1, cols] = 1.0
+    seeds[ls, 2, cols] = 1.0
+    out = coefficients(metric([MultiDual(s, 2) for s in seeds]), 2, len(ks))
+    G = out[:, :, 0, 0]
+    dG = np.moveaxis(out[:, :, 1, cols[ks == ls]], 2, 0)
     d2G = np.empty((d, d, d, d))
-    for k in range(d):
-        for l in range(k, d):
-            coords = list(xf)
-            if k == l:
-                coords[k] = xf[k] + generator(0, 2) + generator(1, 2)
-            else:
-                coords[k] = xf[k] + generator(0, 2)
-                coords[l] = xf[l] + generator(1, 2)
-            out = metric(coords)
-            for i in range(d):
-                for j in range(d):
-                    e = out[i][j]
-                    d2G[k, l, i, j] = d2G[l, k, i, j] = _part(e, 3)
-                    if k == l:
-                        G[i, j] = _part(e, 0)
-                        dG[k, i, j] = _part(e, 1)
+    d2G[ks, ls] = d2G[ls, ks] = np.moveaxis(out[:, :, 3, :], 2, 0)
     if not np.all(np.isfinite(G)) or not np.all(np.isfinite(d2G)):
         raise NumericalBreakdown("metric jet produced non-finite entries")
     return G, dG, d2G
@@ -185,20 +187,48 @@ class CurvatureBundle:
         return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
 
 
+@dataclass(frozen=True)
+class PointJet:
+    """Jets of a metric field at one point: the metric G with its first and
+    second partials dG[k, i, j] and d2G[k, l, i, j], and the complex
+    structure J with its first partials dJ[k, i, j]."""
+
+    point: np.ndarray
+    G: np.ndarray
+    dG: np.ndarray
+    d2G: np.ndarray
+    J: np.ndarray
+    dJ: np.ndarray
+    method: str  # how the metric jet was taken: "dual" | "fd"
+
+
+def point_jet(metric, x, method: str = "dual") -> PointJet:
+    """The PointJet of ``metric`` at ``x``; one metric evaluation by duals."""
+    if method == "dual":
+        G, dG, d2G = metric_second_jet(metric, x)
+    elif method == "fd":
+        G, dG, d2G = metric_second_jet_fd(metric, x)
+    else:
+        raise ValueError(f"unknown jet method {method!r}")
+    J, dJ = structure_jet(metric, x)
+    return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ, method)
+
+
 def curvature_bundle(metric, x, jets: str = "dual",
-                     symmetry_gate: float = 1e-6) -> CurvatureBundle:
+                     symmetry_gate: float = 1e-6,
+                     jet: PointJet | None = None) -> CurvatureBundle:
     """Assemble the curvature tensor of ``metric`` at ``x``.
+
+    ``jet`` is the PointJet at x when the caller has built it already;
+    otherwise one is built by the ``jets`` method ("dual" or "fd").
 
     The algebraic curvature identities hold exactly in exact arithmetic, so
     their numerical violation is a direct error estimate; past the gate the
     result is garbage and NumericalBreakdown is raised rather than returned.
     """
-    if jets == "dual":
-        G, dG, d2G = metric_second_jet(metric, x)
-    elif jets == "fd":
-        G, dG, d2G = metric_second_jet_fd(metric, x)
-    else:
-        raise ValueError(f"unknown jet method {jets!r}")
+    if jet is None:
+        jet = point_jet(metric, x, jets)
+    G, dG, d2G = jet.G, jet.dG, jet.d2G
     gamma, Ginv = christoffel(G, dG)
     # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
     dGinv = -np.einsum("ma,iab,bl->iml", Ginv, dG, Ginv)
@@ -217,9 +247,8 @@ def curvature_bundle(metric, x, jets: str = "dual",
     if defect > symmetry_gate * max(1.0, T.scale()):
         raise NumericalBreakdown(
             f"curvature symmetry defect {defect:.3e} exceeds the gate")
-    J = metric.structure_matrix(x)
-    return CurvatureBundle(np.asarray([float(c) for c in x]), G, Ginv, gamma,
-                           T, J, method=jets)
+    return CurvatureBundle(jet.point, G, Ginv, gamma, T, jet.J,
+                           method=jet.method)
 
 
 def vector_jet(vfield, x):
@@ -230,9 +259,12 @@ def vector_jet(vfield, x):
     return V, dV
 
 
-def covariant_vector_derivative(metric, vfield, x):
-    """(nabla_i V)^m as a matrix D[i, m], plus the values V^m."""
-    G, dG = metric_first_jet(metric, x)
+def covariant_vector_derivative(metric, vfield, x, jet: PointJet | None = None):
+    """(nabla_i V)^m as a matrix D[i, m], plus the values V^m.
+
+    The metric jet comes from ``jet`` when given, else from a first jet at x.
+    """
+    G, dG = (jet.G, jet.dG) if jet is not None else metric_first_jet(metric, x)
     gamma, _ = christoffel(G, dG)
     V, dV = vector_jet(vfield, x)
     D = dV + np.einsum("mia,a->im", gamma, V)
@@ -240,32 +272,27 @@ def covariant_vector_derivative(metric, vfield, x):
 
 
 def structure_jet(metric, x):
-    """Values and partials of the complex structure field: (J, dJ)."""
+    """Values and partials of the complex structure field: (J, dJ), with one
+    evaluation of a varying structure and none of the constant one."""
     d = metric.dim
-    xf = [float(c) for c in x]
-    J = metric.structure_matrix(xf)
-    dJ = np.zeros((d, d, d))
     if metric.complex_structure is None:
-        return J, dJ
-    for k in range(d):
-        coords = list(xf)
-        coords[k] = xf[k] + generator(0, 1)
-        out = metric.complex_structure(coords)
-        for i in range(d):
-            for j in range(d):
-                dJ[k, i, j] = _part(out[i][j], 1)
-    return J, dJ
+        return metric.structure_matrix(x), np.zeros((d, d, d))
+    return _first_jet(metric.complex_structure, x, d)
 
 
-def kahler_defect(metric, x) -> float:
+def kahler_defect(metric, x, jet: PointJet | None = None) -> float:
     """Max component of the exterior derivative of the fundamental 2-form.
 
     Omega(X, Y) = g(JX, Y); the metric is Kaehler at x exactly when dOmega
     vanishes there (for the integrable structures handled here), so this is
-    the closedness test in coordinate components.
+    the closedness test in coordinate components.  The jets come from
+    ``jet`` when given, else from first jets at x.
     """
-    G, dG = metric_first_jet(metric, x)
-    J, dJ = structure_jet(metric, x)
+    if jet is None:
+        G, dG = metric_first_jet(metric, x)
+        J, dJ = structure_jet(metric, x)
+    else:
+        G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
     dOm = np.einsum("kai,aj->kij", dJ, G) + np.einsum("ai,kaj->kij", J, dG)
     ext = dOm - np.einsum("ikj->kij", dOm) + np.einsum("jki->kij", dOm)
     return float(np.max(np.abs(ext)))

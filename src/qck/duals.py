@@ -2,20 +2,30 @@
 
 A ``MultiDual`` carries a truncated Taylor expansion in ``m`` anticommuting-free
 nilpotent generators e_1, ..., e_m with e_k**2 = 0.  Coefficients are indexed by
-subset bitmask, so a value with ``m`` generators stores ``2**m`` floats.  Seeding
-generator ``k`` on coordinate ``j`` and reading the coefficient of the full mask
-``e_1 e_2 ... e_m`` after evaluating a composite function yields the exact mixed
-partial derivative of order ``m`` (up to floating point roundoff, with no step
-size to tune).  Repeating a coordinate across slots yields repeated partials,
-e.g. two slots on the same coordinate give the second pure partial.
+subset bitmask, so a value with ``m`` generators stores ``2**m`` coefficients.
+Seeding generator ``k`` on coordinate ``j`` and reading the coefficient of the
+full mask ``e_1 e_2 ... e_m`` after evaluating a composite function yields the
+exact mixed partial derivative of order ``m`` (up to floating point roundoff,
+with no step size to tune).  Repeating a coordinate across slots yields
+repeated partials, e.g. two slots on the same coordinate give the second pure
+partial.
+
+The payload is an array of shape ``(2**m, P)``: P direction columns that share
+one value part (row 0 is the same in every column).  Each column is seeded
+with its own choice of coordinates, so a single evaluation of a function
+carries P directional derivatives at once (vector forward mode, after
+Griewank & Walther, *Evaluating Derivatives*; with m = 2 a column is a
+hyper-dual number of Fike & Alonso).  P = 1 is the plain scalar dual, and
+operands with one column broadcast against operands with P.  The metric jets
+of ``qck.curvature`` and ``eval_with_partials`` below seed every direction
+they need in one evaluation this way.
 
 Orders up to 4 are exercised heavily here (metric second derivatives through a
-pulled-back chart Jacobian); the implementation is generic in ``m``.
+pulled-back chart Jacobian); the implementation is generic in ``m`` and P.
 
-The module also provides a small truncated univariate Taylor series type used
-for Taylor-stepping autonomous ODE jets, plus scalar-generic helpers (``gsqrt``,
-``gexp``, ...) and a scalar-generic linear solver so that the same evaluator
-code runs on floats and on dual numbers.
+The module also provides scalar-generic helpers (``gsqrt``, ``gexp``, ...)
+and a scalar-generic linear solver so that the same evaluator code runs on
+floats and on dual numbers.
 """
 
 from __future__ import annotations
@@ -24,75 +34,87 @@ import math
 
 import numpy as np
 
-_MUL_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
+class _MulTables(dict):
+    """Multiplication tables by generator count m, built on first use.
 
-def _mul_table(m: int):
-    """Index arrays (ia, ib, iout) over disjoint subset pairs of {1..m}."""
-    tab = _MUL_TABLES.get(m)
-    if tab is None:
+    The entry for m is (ia, ib, summed) over the disjoint subset pairs
+    (a, b) of {1..m}: the product of payloads A and B has the coefficient
+    rows ``summed @ (A[ia] * B[ib])``, where the 0/1 matrix ``summed`` adds up
+    the pairs whose union is each output mask.  This is ``np.bincount`` by
+    output mask, on 2-D payloads.
+    """
+
+    def __missing__(self, m: int):
         size = 1 << m
-        ia, ib, io = [], [], []
-        for a in range(size):
-            for b in range(size):
-                if a & b == 0:
-                    ia.append(a)
-                    ib.append(b)
-                    io.append(a | b)
-        tab = (np.array(ia), np.array(ib), np.array(io))
-        _MUL_TABLES[m] = tab
-    return tab
+        pairs = [(a, b) for a in range(size) for b in range(size) if a & b == 0]
+        ia, ib = (np.array(col) for col in zip(*pairs))
+        summed = np.zeros((size, len(pairs)))
+        summed[ia | ib, np.arange(len(pairs))] = 1.0
+        self[m] = (ia, ib, summed)
+        return self[m]
+
+
+_MUL_TABLES = _MulTables()
 
 
 class MultiDual:
-    """Scalar with nilpotent generators; value part plus derivative payload."""
+    """Scalar with nilpotent generators: a value part plus P derivative
+    columns, stored as a ``(2**m, P)`` payload."""
 
     __slots__ = ("c", "m")
 
     def __init__(self, coeffs, m: int):
-        self.c = np.asarray(coeffs, dtype=float)
+        self.c = np.asarray(coeffs, dtype=float)  # shape (2**m, P)
         self.m = m
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def constant(value: float, m: int) -> "MultiDual":
-        c = np.zeros(1 << m)
+        c = np.zeros((1 << m, 1))
         c[0] = value
         return MultiDual(c, m)
 
     @property
     def value(self) -> float:
-        return float(self.c[0])
+        return float(self.c[0, 0])
 
     def coeff(self, mask: int) -> float:
-        return float(self.c[mask])
+        """Coefficient of a subset mask in the first direction column."""
+        return float(self.c[mask, 0])
 
     def __repr__(self):
         return f"MultiDual(m={self.m}, c={self.c!r})"
 
     # -- ring operations ---------------------------------------------------
 
-    def _wrap(self, other):
-        if isinstance(other, MultiDual):
-            if other.m != self.m:
-                raise ValueError(f"generator count mismatch: {self.m} vs {other.m}")
-            return other
-        return MultiDual.constant(float(other), self.m)
+    def _check(self, other: "MultiDual") -> None:
+        if other.m != self.m:
+            raise ValueError(f"generator count mismatch: {self.m} vs {other.m}")
 
     def __add__(self, other):
-        o = self._wrap(other)
-        return MultiDual(self.c + o.c, self.m)
+        if isinstance(other, MultiDual):
+            self._check(other)
+            return MultiDual(self.c + other.c, self.m)
+        c = self.c.copy()
+        c[0] += float(other)
+        return MultiDual(c, self.m)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._wrap(other)
-        return MultiDual(self.c - o.c, self.m)
+        if isinstance(other, MultiDual):
+            self._check(other)
+            return MultiDual(self.c - other.c, self.m)
+        c = self.c.copy()
+        c[0] -= float(other)
+        return MultiDual(c, self.m)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
-        return MultiDual(o.c - self.c, self.m)
+        c = -self.c
+        c[0] += float(other)
+        return MultiDual(c, self.m)
 
     def __neg__(self):
         return MultiDual(-self.c, self.m)
@@ -100,11 +122,10 @@ class MultiDual:
     def __mul__(self, other):
         if not isinstance(other, MultiDual):
             return MultiDual(self.c * float(other), self.m)
-        if other.m != self.m:
-            raise ValueError(f"generator count mismatch: {self.m} vs {other.m}")
-        ia, ib, io = _mul_table(self.m)
-        prod = self.c[ia] * other.c[ib]
-        return MultiDual(np.bincount(io, weights=prod, minlength=1 << self.m), self.m)
+        self._check(other)
+        ia, ib, summed = _MUL_TABLES[self.m]
+        prod = self.c.take(ia, 0) * other.c.take(ib, 0)
+        return MultiDual(np.dot(summed, prod), self.m)
 
     __rmul__ = __mul__
 
@@ -146,14 +167,18 @@ class MultiDual:
     # -- analytic functions -------------------------------------------------
 
     def apply_series(self, ders) -> "MultiDual":
-        """Compose with f given f, f', f'', ... evaluated at the value part."""
-        nil = MultiDual(self.c.copy(), self.m)
-        nil.c = nil.c.copy()
-        nil.c[0] = 0.0
-        out = MultiDual.constant(ders[self.m] / math.factorial(self.m), self.m)
-        for k in range(self.m - 1, -1, -1):
-            out = out * nil + ders[k] / math.factorial(k)
-        return out
+        """Compose with f given f, f', f'', ... evaluated at the value part.
+
+        Horner in the nilpotent part n: f(v + n) = sum(ders[k] n^k / k!) for
+        k <= m, since n^(m+1) = 0; m - 1 dual products in all.
+        """
+        nil = self.c.copy()
+        nil[0] = 0.0
+        nil = MultiDual(nil, self.m)
+        out = nil * (ders[self.m] / math.factorial(self.m))
+        for k in range(self.m - 1, 0, -1):
+            out = (out + ders[k] / math.factorial(k)) * nil
+        return out + ders[0]
 
     # -- comparisons on the value part --------------------------------------
 
@@ -175,7 +200,7 @@ class MultiDual:
 
 def generator(slot: int, m: int) -> MultiDual:
     """The nilpotent generator e_{slot+1} as a MultiDual with m generators."""
-    c = np.zeros(1 << m)
+    c = np.zeros((1 << m, 1))
     c[1 << slot] = 1.0
     return MultiDual(c, m)
 
@@ -193,7 +218,7 @@ def lift(x, m: int):
         return x
     if x.m > m:
         raise ValueError("cannot lower generator count by lifting")
-    c = np.zeros(1 << m)
+    c = np.zeros((1 << m, x.c.shape[1]))
     c[: 1 << x.m] = x.c
     return MultiDual(c, m)
 
@@ -201,15 +226,34 @@ def lift(x, m: int):
 def split_last(y, m: int):
     """Split off the last generator: y = lo + e_m * hi, both with m-1 generators.
 
-    Floats split as (y, 0).  When m == 1 the parts demote to plain floats.
+    Floats split as (y, 0).  When m == 1 the parts demote to plain floats
+    (taken from the first direction column).
     """
     if not isinstance(y, MultiDual):
         return (float(y), 0.0)
     half = 1 << (m - 1)
     lo, hi = y.c[:half], y.c[half:]
     if m == 1:
-        return (float(lo[0]), float(hi[0]))
+        return (float(lo[0, 0]), float(hi[0, 0]))
     return (MultiDual(lo.copy(), m - 1), MultiDual(hi.copy(), m - 1))
+
+
+def coefficients(ys, m: int, p: int) -> np.ndarray:
+    """Payloads of a (nested) list or array of floats and MultiDuals.
+
+    Returns an array of shape ``shape(ys) + (2**m, p)``: MultiDuals with fewer
+    generators are lifted, one-column payloads and floats are broadcast to
+    all p columns (a float only has a value part).
+    """
+    objs = np.asarray(ys, dtype=object)
+    out = np.zeros(objs.shape + (1 << m, p))
+    flat = out.reshape(-1, 1 << m, p)
+    for k, y in enumerate(objs.flat):
+        if isinstance(y, MultiDual):
+            flat[k, : y.c.shape[0]] = y.c
+        else:
+            flat[k, 0] = y
+    return out
 
 
 def _common_order(xs) -> int:
@@ -222,26 +266,31 @@ def _common_order(xs) -> int:
 def eval_with_partials(fn, xs):
     """Evaluate fn(list of scalars) -> list of scalars together with all partials.
 
-    Works when xs already carry dual payloads: one extra generator is appended
-    per input slot in turn, so the returned values and partial derivatives are
-    themselves scalars of the incoming order.  Returns (values, cols) with
-    cols[j][i] = d fn_i / d x_j.
+    One evaluation: a generator is appended to the incoming order m0 and
+    seeded on input slot j in direction column j, so every partial comes out
+    of the same call.  Inputs may already carry dual payloads (order m0 >= 1,
+    P0 columns); each slot then gets a block of P0 columns, and the returned
+    values and partial derivatives are themselves scalars of the incoming
+    order.  Returns (values, cols) with cols[j][i] = d fn_i / d x_j.
     """
     m0 = _common_order(xs)
-    m1 = m0 + 1
-    vals = None
-    cols = []
-    for j in range(len(xs)):
-        args = [lift(x, m1) for x in xs]
-        args[j] = args[j] + generator(m0, m1)
-        out = fn(args)
-        lows, highs = [], []
-        for y in out:
-            lo, hi = split_last(lift(y, m1) if isinstance(y, MultiDual) else y, m1)
-            lows.append(lo)
-            highs.append(hi)
-        vals = lows
-        cols.append(highs)
+    half = 1 << m0
+    p0 = max((x.c.shape[1] for x in xs if isinstance(x, MultiDual)), default=1)
+    d = len(xs)
+    args = []
+    for j, x in enumerate(xs):
+        c = np.zeros((2 * half, d * p0))
+        c[:half] = np.tile(coefficients(x, m0, p0), d)
+        c[half, j * p0:(j + 1) * p0] = 1.0
+        args.append(MultiDual(c, m0 + 1))
+    out = coefficients(fn(args), m0 + 1, d * p0)
+
+    def scalar(block):
+        return float(block[0, 0]) if m0 == 0 else MultiDual(block, m0)
+
+    vals = [scalar(y[:half, :p0]) for y in out]
+    cols = [[scalar(y[half:, j * p0:(j + 1) * p0]) for y in out]
+            for j in range(d)]
     return vals, cols
 
 
@@ -350,82 +399,3 @@ def solve_generic(A, b):
     if single:
         return [row[0] for row in out]
     return out
-
-
-# -- truncated univariate Taylor series ---------------------------------------
-
-
-class Taylor1:
-    """Truncated Taylor series in one step variable, for ODE jets.
-
-    Coefficients are plain Taylor coefficients (not derivatives): the series
-    represents sum(c[k] * h**k).  Only the ring operations plus sqrt are
-    needed by the meridian jet code.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = [float(x) for x in coeffs]
-
-    @property
-    def order(self):
-        return len(self.c) - 1
-
-    def _wrap(self, other):
-        if isinstance(other, Taylor1):
-            return other
-        out = [0.0] * len(self.c)
-        out[0] = float(other)
-        return Taylor1(out)
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        return Taylor1([a + b for a, b in zip(self.c, o.c)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        return Taylor1([a - b for a, b in zip(self.c, o.c)])
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        return Taylor1([b - a for a, b in zip(self.c, o.c)])
-
-    def __neg__(self):
-        return Taylor1([-a for a in self.c])
-
-    def __mul__(self, other):
-        if not isinstance(other, Taylor1):
-            return Taylor1([a * float(other) for a in self.c])
-        n = len(self.c)
-        out = [0.0] * n
-        for i, a in enumerate(self.c):
-            if a == 0.0:
-                continue
-            for j in range(n - i):
-                out[i + j] += a * other.c[j]
-        return Taylor1(out)
-
-    __rmul__ = __mul__
-
-    def sqrt(self):
-        v = self.c[0]
-        if v <= 0.0:
-            raise ValueError("Taylor1.sqrt requires positive leading coefficient")
-        n = len(self.c)
-        out = [0.0] * n
-        out[0] = math.sqrt(v)
-        # (sum out[k] h^k)^2 = self: solve coefficientwise
-        for k in range(1, n):
-            acc = sum(out[i] * out[k - i] for i in range(1, k))
-            out[k] = (self.c[k] - acc) / (2.0 * out[0])
-        return Taylor1(out)
-
-    def eval_poly(self, h):
-        """Evaluate the polynomial at h, which may be a float or MultiDual."""
-        out = self.c[-1]
-        for k in range(len(self.c) - 2, -1, -1):
-            out = out * h + self.c[k]
-        return out

@@ -22,7 +22,8 @@ import numpy as np
 
 from .ambient import MetricField, RadialFrame
 from .core import adapted_complex_frame
-from .curvature import CurvatureBundle, covariant_vector_derivative, curvature_bundle, kahler_defect
+from .curvature import (CurvatureBundle, PointJet, covariant_vector_derivative,
+                        curvature_bundle, kahler_defect)
 from .errors import FrameError, NotKahler, ShapeUniformityError
 from .tensors import Tensor4, tensor4_fit
 
@@ -76,17 +77,23 @@ def _complement_basis(G, xi, jxi, sq_sign):
 
 
 def extract_shape_data(metric: MetricField, xi_field, x, variant: str = "auto",
-                       spread_gate: float = 1e-6) -> ShapeData:
+                       spread_gate: float = 1e-6,
+                       jet: PointJet | None = None) -> ShapeData:
     """Measure (k, p_star) of a unit field xi from its covariant derivative.
+
+    G and J come from ``jet`` when the caller has the PointJet at x, else
+    from the metric field.
 
     k is averaged over a full orthonormal basis of the complement
     distribution; the per-direction spread is itself the test that the field
     has the required shape, and exceeding ``spread_gate`` raises
     ShapeUniformityError instead of returning an average of unlike things.
     """
-    D, xi = covariant_vector_derivative(metric, xi_field, x)
-    G = metric.matrix(x)
-    J = metric.structure_matrix(x)
+    D, xi = covariant_vector_derivative(metric, xi_field, x, jet=jet)
+    if jet is None:
+        G, J = metric.matrix(x), metric.structure_matrix(x)
+    else:
+        G, J = jet.G, jet.J
     jxi = J @ xi
     sq = float(xi @ G @ xi)
     if variant == "auto":
@@ -277,7 +284,7 @@ def holomorphic_components(T, J):
     arr = T.a if isinstance(T, Tensor4) else np.asarray(T, float)
     V, A = adapted_complex_frame(np.asarray(J, float))
     Vc = V.conj()
-    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc)
+    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc, optimize=True)
     return C, A
 
 
@@ -285,8 +292,8 @@ def real_from_holomorphic(C, A):
     """Real components of the curvature-type tensor with holomorphic
     components C in the frame with coefficient matrix A."""
     Ac = A.conj()
-    s1 = np.einsum("abcd,ia,jb,kc,ld->ijkl", C, A, Ac, A, Ac)
-    s2 = np.einsum("abdc,ia,jb,kc,ld->ijkl", C, A, Ac, Ac, A)
+    s1 = np.einsum("abcd,ia,jb,kc,ld->ijkl", C, A, Ac, A, Ac, optimize=True)
+    s2 = np.einsum("abdc,ia,jb,kc,ld->ijkl", C, A, Ac, Ac, A, optimize=True)
     return 2.0 * np.real(s1 - s2)
 
 
@@ -306,7 +313,7 @@ def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
     V, A = adapted_complex_frame(np.asarray(J, float))
     Vc = V.conj()
     n = V.shape[0]
-    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc)
+    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc, optimize=True)
     gh = V @ G @ Vc.T
     rh = V @ rho @ Vc.T
 

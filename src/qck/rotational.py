@@ -30,7 +30,7 @@ from scipy.interpolate import CubicSpline
 from .ambient import MetricField
 from .charts import LorentzGraphChart, SphereGraphChart
 from .core import apply_j0
-from .curvature import curvature_bundle, kahler_defect
+from .curvature import curvature_bundle, kahler_defect, point_jet
 from .duals import eval_with_partials, gatan, glog, gsqrt, solve_generic, value
 from .errors import (ChartError, DomainError, NumericalBreakdown,
                      TypeConstraintError)
@@ -638,10 +638,11 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
 
 
 def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
-    bundle = curvature_bundle(metric, u0)
+    jet = point_jet(metric, u0)
+    bundle = curvature_bundle(metric, u0, jet=jet)
     eigs = np.linalg.eigvalsh(bundle.G)
-    kd = kahler_defect(metric, u0)
-    shape = extract_shape_data(metric, xi_field, u0)
+    kd = kahler_defect(metric, u0, jet=jet)
+    shape = extract_shape_data(metric, xi_field, u0, jet=jet)
     xi0 = np.array([value(c) for c in xi_field(list(u0))])
     frame = SimpleNamespace(xi=xi0)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)

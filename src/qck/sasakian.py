@@ -24,7 +24,7 @@ from .ambient import (AmbientSpace, MetricField, flat_metric, potential_metric,
                       radial_frame, radial_unit_field)
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
 from .core import apply_j0, j0_matrix
-from .curvature import covariant_vector_derivative, curvature_bundle
+from .curvature import covariant_vector_derivative, curvature_bundle, point_jet
 from .duals import gsqrt
 from .errors import DomainError, NotSasakian, NotSpaceForm
 from .qch import (QCDecomposition, ShapeData, _complement_basis,
@@ -75,15 +75,16 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
     """
     xv = np.asarray([float(c) for c in x])
     tags = ("outward", "inward") if orientation == "auto" else (orientation,)
+    jet = point_jet(metric, xv)
     shape = None
     tag = tags[0]
     for tag in tags:
         field = radial_unit_field(space, metric, orientation=tag)
-        shape = extract_shape_data(metric, field, xv)
+        shape = extract_shape_data(metric, field, xv, jet=jet)
         if shape.k > 0:
             break
-    frame = radial_frame(space, xv, metric=metric, orientation=tag)
-    bundle = curvature_bundle(metric, xv)
+    frame = radial_frame(space, xv, metric=metric, orientation=tag, jet=jet)
+    bundle = curvature_bundle(metric, xv, jet=jet)
     G, J = bundle.G, bundle.J
     xi = frame.xi
     xit = frame.jxi

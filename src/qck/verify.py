@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ import numpy as np
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric, radial_frame,
                       radial_unit_field)
-from .config import worker_count
-from .curvature import curvature_bundle, kahler_defect
+from .config import pmap
+from .curvature import curvature_bundle, kahler_defect, point_jet
 from .qch import (bochner_flat, bochner_of_tensor, build_basis_tensors,
                   decompose, extract_shape_data)
 from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
@@ -46,19 +45,12 @@ class CriterionResult:
                 "failures": list(self.failures)}
 
 
-def _pmap(fn, items):
-    items = list(items)
-    cap = worker_count()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _decompose_at(space, metric, xi_field, x):
-    bundle = curvature_bundle(metric, x)
-    frame = radial_frame(space, x, metric)
-    shape = extract_shape_data(metric, xi_field, x)
+def _decompose_at(space, metric, xi_field, x, jet=None):
+    if jet is None:
+        jet = point_jet(metric, x)
+    bundle = curvature_bundle(metric, x, jet=jet)
+    frame = radial_frame(space, x, metric, jet=jet)
+    shape = extract_shape_data(metric, xi_field, x, jet=jet)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     return decompose(bundle, basis, shape), bundle, frame
 
@@ -118,7 +110,7 @@ def _crit_disc_model():
             out.append(f"point {i}: Bochner norm {bnorm:.3e}")
         return coeff, dec.residual, hsc_err, bnorm, out
 
-    rows = _pmap(one, list(enumerate(pts)))
+    rows = pmap(one, enumerate(pts))
     failures = [msg for row in rows for msg in row[4]]
     details = {"max_coefficient_delta": max(r[0] for r in rows),
                "max_residual": max(r[1] for r in rows),
@@ -146,8 +138,9 @@ def _crit_negative_class():
         kmax = rmax = 0.0
         margin = -math.inf
         for x in pts:
-            kd = kahler_defect(metric, x)
-            dec, _, _ = _decompose_at(space, metric, xi_field, x)
+            jet = point_jet(metric, x)
+            kd = kahler_defect(metric, x, jet=jet)
+            dec, _, _ = _decompose_at(space, metric, xi_field, x, jet)
             kmax = max(kmax, kd)
             rmax = max(rmax, dec.residual)
             margin = max(margin, dec.a_plus_k2)
@@ -159,7 +152,7 @@ def _crit_negative_class():
                            f"with a+k^2 = {dec.a_plus_k2:.3e}")
         return kmax, rmax, margin, out
 
-    for kmax, rmax, margin, out in _pmap(run_case, cases):
+    for kmax, rmax, margin, out in pmap(run_case, cases):
         failures.extend(out)
         worst["kahler"] = max(worst["kahler"], kmax)
         worst["residual"] = max(worst["residual"], rmax)

@@ -86,6 +86,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             LogFamily(a=-1.0, r0=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LogFamily(a=-math.inf, r0=1.0),
+        lambda: LogFamily(a=-1.0, r0=math.inf),
+        lambda: DefiniteLogFamily(a=math.inf, r0=1.0),
+        lambda: DefiniteLogFamily(a=2.0, r0=math.inf)])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_dlog_family(self):
         # a=2, r0=1 is the classical log(1 + r^2) potential
         f = DefiniteLogFamily(a=2.0, r0=1.0)

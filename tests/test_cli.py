@@ -9,7 +9,10 @@ import json
 
 import pytest
 
+from qck import cli
+from qck.ambient import potential_metric
 from qck.cli import CSV_HEADER, main
+from qck.config import worker_count
 
 
 def run_cli(capsys, argv):
@@ -80,6 +83,40 @@ class TestCurvatureAndDecompose:
                 assert key in p
             assert p["symmetry_defect"] < 1e-9
             assert p["bianchi_defect"] < 1e-9
+
+    @pytest.mark.parametrize("command", ["decompose", "curvature"])
+    def test_boundary_points_get_error_entries(self, capsys, command):
+        # r = r0 = 1 is the boundary of the log family's domain
+        code, out, _ = run_cli(capsys, [command, "--r0", "1", "--rmin", "1",
+                                        "--rmax", "1", "--count", "2"])
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["pass"] is False
+        assert [p["index"] for p in rep["points"]] == [0, 1]
+        for p in rep["points"]:
+            assert p["error"].startswith("DomainError")
+
+    @pytest.mark.parametrize("command", ["decompose", "curvature"])
+    def test_one_bad_point_keeps_the_others(self, capsys, tmp_path, command):
+        cfgfile = tmp_path / "pts.json"
+        cfgfile.write_text(json.dumps({
+            "points": [[0.0, 0.0, 0.0, 1.5], [0.0, 0.0, 0.0, 1.0]]}))
+        code, out, _ = run_cli(capsys, [command, "--config", str(cfgfile)])
+        assert code == 1
+        good, bad = json.loads(out)["points"]
+        assert "error" not in good
+        assert ("tau" if command == "curvature" else "decomposition") in good
+        assert bad["error"].startswith("DomainError")
+
+    @pytest.mark.parametrize("flags", [
+        ["--r0", "inf"], ["--a=-inf"],
+        ["--space", "definite", "--family", "dlog", "--a", "inf"],
+        ["--space", "definite", "--family", "dlog", "--a", "2", "--r0", "inf"]])
+    def test_non_finite_family_parameters_are_usage_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["decompose", *flags])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_decompose_residuals(self, capsys):
         code, out, _ = run_cli(capsys, ["decompose", "--count", "2",
@@ -270,7 +307,41 @@ class TestDeterminism:
 
     def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
         argv = ["decompose", "--count", "4", "--seed", "6"]
-        _, base, _ = run_cli(capsys, argv)
         monkeypatch.setenv("QCK_THREADS", "1")
-        _, capped, _ = run_cli(capsys, argv)
-        assert capped == base
+        _, base, _ = run_cli(capsys, argv)
+        monkeypatch.setenv("QCK_THREADS", "2")
+        _, pooled, _ = run_cli(capsys, argv)
+        assert pooled == base
+
+    def test_serial_by_default(self, monkeypatch):
+        monkeypatch.delenv("QCK_THREADS", raising=False)
+        assert worker_count() == 1
+        monkeypatch.setenv("QCK_THREADS", "3")
+        assert worker_count() == 3
+
+
+class TestMetricEvaluations:
+    @pytest.mark.parametrize("command", ["decompose", "check-potential"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_per_point_evaluations(self, capsys, monkeypatch, command, n):
+        # one evaluation for the point's jet and one for the jet of the
+        # radial unit field, whatever the dimension
+        calls = []
+
+        def counting_metric(space, family, checked=True):
+            metric = potential_metric(space, family, checked)
+            evaluate = metric.fn
+
+            def fn(x):
+                calls.append(1)
+                return evaluate(x)
+
+            metric.fn = fn
+            return metric
+
+        monkeypatch.setattr(cli, "potential_metric", counting_metric)
+        code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count", "3",
+                                        "--seed", "1"])
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 3
+        assert 0 < len(calls) <= 2 * 3

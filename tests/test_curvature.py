@@ -8,12 +8,14 @@ from qck.ambient import (
     LogFamily,
     UserSeries,
     ConformalPair,
+    conformal_pair_from_family,
     flat_metric,
     metric_from_conformal_pair,
     potential_metric,
     radial_frame,
     radial_unit_field,
 )
+from qck.charts import LorentzGraphChart, SphereGraphChart, pullback_metric
 from qck.core import complex_to_real
 from qck.curvature import (
     CurvatureBundle,
@@ -24,10 +26,13 @@ from qck.curvature import (
     metric_first_jet,
     metric_second_jet,
     metric_second_jet_fd,
+    point_jet,
     structure_covariant_defect,
 )
 from qck.ambient import MetricField
+from qck.duals import MultiDual, generator, value
 from qck.errors import DegenerateMetric, DomainError, NumericalBreakdown
+from qck.sampling import point_at_radius
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -75,6 +80,95 @@ class TestJets:
         assert np.allclose(G, Gf, atol=1e-12)
         assert np.allclose(dG, dGf, atol=1e-8)
         assert np.allclose(d2G, d2Gf, atol=1e-7)
+
+
+def _part(e, mask):
+    if isinstance(e, MultiDual):
+        return e.coeff(mask)
+    return value(e) if mask == 0 else 0.0
+
+
+def per_direction_second_jet(metric, x):
+    """Reference for the batched jet: one scalar 2-generator evaluation per
+    index pair (k, l)."""
+    d = metric.dim
+    G = np.empty((d, d))
+    dG = np.empty((d, d, d))
+    d2G = np.empty((d, d, d, d))
+    for k in range(d):
+        for l in range(k, d):
+            coords = [float(c) for c in x]
+            coords[k] = coords[k] + generator(0, 2)
+            coords[l] = coords[l] + generator(1, 2)
+            out = metric(coords)
+            for i in range(d):
+                for j in range(d):
+                    e = out[i][j]
+                    d2G[k, l, i, j] = d2G[l, k, i, j] = _part(e, 3)
+                    if k == l:
+                        G[i, j] = _part(e, 0)
+                        dG[k, i, j] = _part(e, 1)
+    return G, dG, d2G
+
+
+def jet_cases():
+    """(id, metric, point) over n = 2..4, both signatures, every family,
+    a conformal-pair metric and pulled-back chart metrics."""
+    cases = []
+    for n in (2, 3, 4):
+        L, D = AmbientSpace(n, "lorentz"), AmbientSpace(n, "definite")
+        for space, family, r in (
+                (L, LogFamily(-1.0, 1.0), 2.0), (L, LogFamily(-2.0, 1.5), 2.2),
+                (L, InverseFamily(), 0.9), (L, UserSeries((0.0, 1.0, 1.0)), 0.6),
+                (D, DefiniteLogFamily(2.0, 1.0), 1.2),
+                (D, DefiniteLogFamily(1.0, 1.5), 0.8),
+                (D, UserSeries((0.0, 1.0, 0.1)), 1.1)):
+            metric = potential_metric(space, family, checked=False)
+            cases.append((f"{metric.name}-n{n}", metric,
+                          point_at_radius(space, r, seed=n)))
+        pair = metric_from_conformal_pair(
+            L, conformal_pair_from_family(LogFamily(-1.0, 1.0)))
+        cases.append((f"conformal-n{n}", pair, point_at_radius(L, 2.0, seed=n)))
+        u = 0.2 * np.random.default_rng(n).normal(size=2 * n - 1)
+        sphere = pullback_metric(SphereGraphChart(2.0, 2 * n),
+                                 potential_metric(D, DefiniteLogFamily(2.0, 1.0)))
+        cases.append((f"sphere-chart-n{n}", sphere, u))
+        hyper = pullback_metric(LorentzGraphChart(2.0, 2 * n),
+                                potential_metric(L, LogFamily(-1.0, 1.0)))
+        cases.append((f"lorentz-chart-n{n}", hyper, u))
+    return cases
+
+
+JET_CASES = jet_cases()
+
+
+class TestBatchedJets:
+    @pytest.mark.parametrize("metric,x", [c[1:] for c in JET_CASES],
+                             ids=[c[0] for c in JET_CASES])
+    def test_second_jet_matches_oracles(self, metric, x):
+        G, dG, d2G = metric_second_jet(metric, x)
+        # one scalar dual evaluation per index pair is the reference
+        Gr, dGr, d2Gr = per_direction_second_jet(metric, x)
+        for got, ref in ((G, Gr), (dG, dGr), (d2G, d2Gr)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        # finite differences are independent of the dual arithmetic
+        Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
+        for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
+            assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+        G1, dG1 = metric_first_jet(metric, x)
+        assert np.max(np.abs(G1 - G)) <= 1e-14 * max(1.0, np.max(np.abs(G)))
+        assert np.max(np.abs(dG1 - dG)) <= 1e-13 * max(1.0, np.max(np.abs(dG)))
+
+    def test_point_jet_feeds_the_same_bundle(self):
+        g = potential_metric(L3, LogFamily(-1.0, 1.0))
+        x = timelike_point(L3, 2.0, seed=6)
+        jet = point_jet(g, x)
+        assert np.array_equal(curvature_bundle(g, x, jet=jet).R.a,
+                              curvature_bundle(g, x).R.a)
+        assert kahler_defect(g, x, jet=jet) == pytest.approx(
+            kahler_defect(g, x), abs=1e-15)
+        with pytest.raises(ValueError):
+            point_jet(g, x, method="magic")
 
 
 class TestChristoffel:

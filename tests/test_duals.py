@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qck.charts import SphereGraphChart
 from qck.duals import (
     MultiDual,
-    Taylor1,
     eval_with_partials,
     gatan,
     gcos,
@@ -119,6 +119,55 @@ class TestHelpers:
                          [-0.4 * math.cos(-0.28), 0.7 * math.cos(-0.28)]])
         assert np.allclose(J, want, atol=1e-12)
 
+    @pytest.mark.parametrize("m0,p0", [(1, 1), (2, 3)])
+    def test_eval_with_partials_on_dual_inputs(self, m0, p0):
+        # inputs that already carry m0 generators in p0 columns, as chart
+        # maps receive them inside a metric jet; each partial is checked
+        # against a central difference in its own input slot, taken on the
+        # dual payloads themselves
+        rng = np.random.default_rng(10 * m0 + p0)
+
+        def fn(xs):
+            x, y, z = xs
+            return [x * y + gsqrt(1.0 + z * z), glog(2.0 + x * x) / (1.5 + y * y),
+                    gexp(0.5 * x) * gsin(z)]
+
+        def payload(v):
+            rest = rng.normal(size=((1 << m0) - 1, p0))
+            return np.vstack([np.full((1, p0), v), rest])
+
+        xs = [MultiDual(payload(v), m0) for v in (0.3, -0.7, 1.1)]
+        vals, cols = eval_with_partials(fn, xs)
+        for v, want in zip(vals, fn(xs)):
+            assert v.m == m0
+            assert np.allclose(v.c, want.c, rtol=0, atol=1e-14)
+        h = 1e-5
+        for j in range(3):
+            up = [x + h if k == j else x for k, x in enumerate(xs)]
+            down = [x - h if k == j else x for k, x in enumerate(xs)]
+            for i, (a, b) in enumerate(zip(fn(up), fn(down))):
+                want = (a.c - b.c) / (2 * h)
+                assert cols[j][i].m == m0
+                assert np.allclose(cols[j][i].c, want, rtol=0, atol=1e-8)
+
+    def test_eval_with_partials_of_a_chart_on_dual_inputs(self):
+        ch = SphereGraphChart(2.0, 5)
+        u = [0.3, -0.4, 0.25, 0.1]
+        us = [c + generator(0, 1) if k == 2 else c for k, c in enumerate(u)]
+        _, cols = eval_with_partials(ch.fn, us)
+        jc = ch.jac(u)
+        h = 1e-6
+        up = list(u)
+        up[2] += h
+        down = list(u)
+        down[2] -= h
+        jup, jdown = ch.jac(up), ch.jac(down)
+        for j in range(4):
+            for i in range(5):
+                assert cols[j][i].value == pytest.approx(jc[i][j], abs=1e-13)
+                slope = (jup[i][j] - jdown[i][j]) / (2 * h)
+                assert cols[j][i].coeff(1) == pytest.approx(slope, abs=1e-8)
+
     def test_lift_and_split(self):
         x = 2.0 + generator(0, 1)
         y = lift(x, 2)
@@ -143,30 +192,6 @@ class TestHelpers:
         x = solve_generic([[2.0 + eps]], [4.0])[0]
         assert value(x) == pytest.approx(2.0)
         assert x.coeff(1) == pytest.approx(-1.0)
-
-
-class TestTaylor1:
-    def test_polynomial_jet(self):
-        t = Taylor1([1.0, 2.0, 3.0])  # 1 + 2s + 3s^2
-        sq = t * t
-        assert sq.c[0] == pytest.approx(1.0)
-        assert sq.c[1] == pytest.approx(4.0)
-        assert sq.c[2] == pytest.approx(10.0)
-
-    def test_sqrt_jet(self):
-        t = Taylor1([4.0, 1.0, 0.5])
-        r = t.sqrt()
-        # sqrt(4 + s + s^2/2): r0=2, r1=1/4, r2 = (1/2 - r1^2)/(2 r0)
-        assert r.c[0] == pytest.approx(2.0)
-        assert r.c[1] == pytest.approx(0.25)
-        assert r.c[2] == pytest.approx((0.5 - 0.0625) / 4.0)
-
-    def test_eval_poly_on_dual(self):
-        t = Taylor1([1.0, -2.0, 0.5])
-        h = 0.1 + generator(0, 1)
-        y = t.eval_poly(h)
-        assert value(y) == pytest.approx(1.0 - 0.2 + 0.005)
-        assert y.coeff(1) == pytest.approx(-2.0 + 0.1)
 
 
 class TestAgainstFiniteDifferences:
