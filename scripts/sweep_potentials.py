@@ -30,10 +30,10 @@ def decomposition_at(space, family, r, seed=0):
         raise QckError(f"{reason} (f'={report.f_prime:.3g}, "
                        f"f'+wf''={report.f_prime_plus_wf2:.3g})")
     jet = point_jet(metric, x)
-    bundle = curvature_bundle(metric, x, jet=jet)
+    bundle = curvature_bundle(jet)
     frame = radial_frame(space, x, metric, jet=jet)
     xi_field = radial_unit_field(space, metric, "outward")
-    shape = extract_shape_data(metric, xi_field, x, jet=jet)
+    shape = extract_shape_data(jet, xi_field)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     return decompose(bundle, basis, shape)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -69,15 +68,16 @@ def _points(cfg: RunConfig):
 
 
 def _per_point(body, pts) -> list[dict]:
-    """Report entries of ``body(x)`` over the points, each tagged with its
-    index and coordinates; a point whose body raises a QckError gets an
-    "error" entry instead of aborting the report."""
+    """Report entries over the points, each tagged with its index and
+    coordinates and filled in by ``body(x, entry)``; a point whose body
+    raises a QckError keeps what the body filled in so far plus an "error"
+    entry, instead of aborting the report."""
 
     def one(item):
         index, x = item
         entry = {"index": index, "point": [float(c) for c in x]}
         try:
-            entry.update(body(x))
+            body(x, entry)
         except QckError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
@@ -96,50 +96,41 @@ def cmd_check_potential(args) -> int:
     xi_field = radial_unit_field(space, metric, "outward")
     pts = _points(cfg)
 
-    def one(item):
-        index, x = item
+    def one(x, entry):
         w = float(space.square_norm(x))
         report = admissibility(space, family, w)
-        entry = {"index": index, "point": [float(c) for c in x], "w": w,
-                 "in_domain": bool(report.in_domain),
-                 "admissible": bool(report.ok)}
-        ok = report.ok
+        entry.update(w=w, in_domain=bool(report.in_domain),
+                     admissible=bool(report.ok))
+        jet = point_jet(metric, x)
+        bundle = curvature_bundle(jet)
+        eigs = np.linalg.eigvalsh(bundle.G)
+        kd = kahler_defect(jet)
+        entry.update(min_eigenvalue=float(eigs.min()), kahler_defect=kd)
+        checks = {"admissible": bool(report.ok),
+                  "positive": bool(eigs.min() > 0),
+                  "kahler": bool(kd < cfg.tolerance("kahler"))}
+        frame = radial_frame(space, x, metric, jet=jet)
+        basis = build_basis_tensors(bundle.G, bundle.J, frame)
         try:
-            jet = point_jet(metric, x)
-            bundle = curvature_bundle(metric, x, jet=jet)
-            eigs = np.linalg.eigvalsh(bundle.G)
-            kd = kahler_defect(metric, x, jet=jet)
-            entry.update(min_eigenvalue=float(eigs.min()), kahler_defect=kd)
-            checks = {"admissible": bool(report.ok),
-                      "positive": bool(eigs.min() > 0),
-                      "kahler": bool(kd < cfg.tolerance("kahler"))}
-            frame = radial_frame(space, x, metric, jet=jet)
-            basis = build_basis_tensors(bundle.G, bundle.J, frame)
-            try:
-                shape = extract_shape_data(metric, xi_field, x, jet=jet)
-                dec = decompose(bundle, basis, shape)
-                entry["decomposition"] = dec.to_json()
-                residual = dec.residual
-            except QckError as exc:
-                # The shape frame need not exist (the sign-flipped flat form
-                # has an indefinite complement, say) but the curvature fit
-                # against the three structural tensors is still well posed.
-                entry["shape_error"] = f"{type(exc).__name__}: {exc}"
-                coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
-                entry["decomposition"] = {
-                    "a": float(coeffs[0]), "b": float(coeffs[1]),
-                    "c": float(coeffs[2]), "residual": residual}
-            checks["residual"] = bool(residual < cfg.tolerance("residual"))
-            entry["checks"] = checks
-            ok = all(checks.values())
+            shape = extract_shape_data(jet, xi_field)
+            dec = decompose(bundle, basis, shape)
+            entry["decomposition"] = dec.to_json()
+            residual = dec.residual
         except QckError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            ok = False
-        return entry, ok
+            # The shape frame need not exist (the sign-flipped flat form
+            # has an indefinite complement, say) but the curvature fit
+            # against the three structural tensors is still well posed.
+            entry["shape_error"] = f"{type(exc).__name__}: {exc}"
+            coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
+            entry["decomposition"] = {
+                "a": float(coeffs[0]), "b": float(coeffs[1]),
+                "c": float(coeffs[2]), "residual": residual}
+        checks["residual"] = bool(residual < cfg.tolerance("residual"))
+        entry["checks"] = checks
 
-    rows = pmap(one, enumerate(pts))
-    entries = [row[0] for row in rows]
-    all_ok = all(row[1] for row in rows)
+    entries = _per_point(one, pts)
+    all_ok = all("error" not in e and all(e["checks"].values())
+                 for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "check-potential",
            "config": cfg.to_json(), "points": entries, "pass": all_ok})
     return 0 if all_ok else 1
@@ -152,17 +143,18 @@ def cmd_curvature(args) -> int:
     metric = potential_metric(space, family)
     pts = _points(cfg)
 
-    def one(x):
+    def one(x, entry):
         jet = point_jet(metric, x)
-        bundle = curvature_bundle(metric, x, jet=jet)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(space, x, metric, jet=jet)
         scale = max(1.0, bundle.R.scale())
-        return {"tau": bundle.scalar_curvature(),
-                "sigma_radial": bundle.sigma_radial(frame.xi),
-                "kappa_radial": bundle.kappa_radial(frame.xi),
-                "hsc_radial": bundle.hsc(frame.xi),
-                "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
-                "bianchi_defect": bundle.R.first_bianchi_defect() / scale}
+        entry.update({
+            "tau": bundle.scalar_curvature(),
+            "sigma_radial": bundle.sigma_radial(frame.xi),
+            "kappa_radial": bundle.kappa_radial(frame.xi),
+            "hsc_radial": bundle.hsc(frame.xi),
+            "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
+            "bianchi_defect": bundle.R.first_bianchi_defect() / scale})
 
     entries = _per_point(one, pts)
     report = {"schema_version": SCHEMA_VERSION, "command": "curvature",
@@ -182,13 +174,13 @@ def cmd_decompose(args) -> int:
     xi_field = radial_unit_field(space, metric, "outward")
     pts = _points(cfg)
 
-    def one(x):
+    def one(x, entry):
         jet = point_jet(metric, x)
-        bundle = curvature_bundle(metric, x, jet=jet)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(space, x, metric, jet=jet)
-        shape = extract_shape_data(metric, xi_field, x, jet=jet)
+        shape = extract_shape_data(jet, xi_field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        return {"decomposition": decompose(bundle, basis, shape).to_json()}
+        entry["decomposition"] = decompose(bundle, basis, shape).to_json()
 
     entries = _per_point(one, pts)
     all_ok = all("error" not in e and e["decomposition"]["residual"]

@@ -1,19 +1,18 @@
 """Curvature of metric fields.
 
-Everything is computed pointwise from a second-order jet of the metric: the
-values G_ij, the first partials dG[k, i, j] and the second partials
-d2G[k, l, i, j].  The jet comes from dual-number evaluation by default; a
-finite-difference path with the same downstream assembly acts as an
-independent oracle in the tests.
+Everything is computed pointwise from a ``PointJet``: the metric values
+G_ij with their first partials dG[k, i, j] and second partials
+d2G[k, l, i, j], and the complex structure J with its first partials, all at
+one point.  ``point_jet(metric, x)`` is the one place that evaluates a metric
+for this work; ``curvature_bundle``, ``kahler_defect``,
+``structure_covariant_defect``, ``covariant_vector_derivative`` and
+``qch.extract_shape_data`` all take the jet, so a per-point pipeline builds
+it once.  The jet comes from dual numbers by default; ``method="fd"`` takes
+it by finite differences instead, with the same downstream assembly, as an
+independent oracle.
 
-Each dual jet costs one evaluation of the metric: the coordinates carry one
-payload column per direction the jet needs (d columns for a first jet,
-d(d+1)/2 index pairs for a second jet), see ``qck.duals``.  A ``PointJet``
-holds the second jet of the metric and the first jet of the complex structure
-at one point, so a per-point pipeline builds it once and hands it to
-``curvature_bundle``, ``kahler_defect``, ``covariant_vector_derivative``,
-``qch.extract_shape_data`` and ``ambient.radial_frame`` instead of each of
-them evaluating the metric again.
+A dual jet costs one evaluation of the metric: the coordinates carry one
+payload column per index pair (k, l) of the second jet, see ``qck.duals``.
 
 Conventions.  Connection coefficients are the usual Christoffel symbols of
 the second kind.  The curvature tensor is
@@ -52,11 +51,6 @@ def _first_jet(field, x, d):
     seeds[np.arange(d), 1, np.arange(d)] = 1.0
     out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d)
     return out[:, :, 0, 0], np.moveaxis(out[:, :, 1, :], 2, 0)
-
-
-def metric_first_jet(metric, x):
-    """(G, dG) by dual numbers: one evaluation with d direction columns."""
-    return _first_jet(metric, x, metric.dim)
 
 
 def metric_second_jet(metric, x):
@@ -203,7 +197,8 @@ class PointJet:
 
 
 def point_jet(metric, x, method: str = "dual") -> PointJet:
-    """The PointJet of ``metric`` at ``x``; one metric evaluation by duals."""
+    """The PointJet of ``metric`` at ``x``: one metric evaluation by duals
+    (``method="dual"``), or the finite-difference oracle (``method="fd"``)."""
     if method == "dual":
         G, dG, d2G = metric_second_jet(metric, x)
     elif method == "fd":
@@ -214,20 +209,14 @@ def point_jet(metric, x, method: str = "dual") -> PointJet:
     return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ, method)
 
 
-def curvature_bundle(metric, x, jets: str = "dual",
-                     symmetry_gate: float = 1e-6,
-                     jet: PointJet | None = None) -> CurvatureBundle:
-    """Assemble the curvature tensor of ``metric`` at ``x``.
-
-    ``jet`` is the PointJet at x when the caller has built it already;
-    otherwise one is built by the ``jets`` method ("dual" or "fd").
+def curvature_bundle(jet: PointJet,
+                     symmetry_gate: float = 1e-6) -> CurvatureBundle:
+    """Assemble the curvature tensor at the point of ``jet``.
 
     The algebraic curvature identities hold exactly in exact arithmetic, so
     their numerical violation is a direct error estimate; past the gate the
     result is garbage and NumericalBreakdown is raised rather than returned.
     """
-    if jet is None:
-        jet = point_jet(metric, x, jets)
     G, dG, d2G = jet.G, jet.dG, jet.d2G
     gamma, Ginv = christoffel(G, dG)
     # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
@@ -242,7 +231,7 @@ def curvature_bundle(metric, x, jets: str = "dual",
     Rm = (np.einsum("imjk->mijk", dgamma) - np.einsum("jmik->mijk", dgamma)
           + quad1 - quad2)
     R = np.einsum("ml,mijk->ijkl", G, Rm)
-    T = Tensor4(R, symmetry="curvature", meta={"point": np.asarray(x, float)})
+    T = Tensor4(R)
     defect = T.curvature_symmetry_defect()
     if defect > symmetry_gate * max(1.0, T.scale()):
         raise NumericalBreakdown(
@@ -259,14 +248,11 @@ def vector_jet(vfield, x):
     return V, dV
 
 
-def covariant_vector_derivative(metric, vfield, x, jet: PointJet | None = None):
-    """(nabla_i V)^m as a matrix D[i, m], plus the values V^m.
-
-    The metric jet comes from ``jet`` when given, else from a first jet at x.
-    """
-    G, dG = (jet.G, jet.dG) if jet is not None else metric_first_jet(metric, x)
-    gamma, _ = christoffel(G, dG)
-    V, dV = vector_jet(vfield, x)
+def covariant_vector_derivative(jet: PointJet, vfield):
+    """(nabla_i V)^m as a matrix D[i, m], plus the values V^m, at the point
+    of ``jet``."""
+    gamma, _ = christoffel(jet.G, jet.dG)
+    V, dV = vector_jet(vfield, jet.point)
     D = dV + np.einsum("mia,a->im", gamma, V)
     return D, V
 
@@ -280,33 +266,27 @@ def structure_jet(metric, x):
     return _first_jet(metric.complex_structure, x, d)
 
 
-def kahler_defect(metric, x, jet: PointJet | None = None) -> float:
+def kahler_defect(jet: PointJet) -> float:
     """Max component of the exterior derivative of the fundamental 2-form.
 
     Omega(X, Y) = g(JX, Y); the metric is Kaehler at x exactly when dOmega
     vanishes there (for the integrable structures handled here), so this is
-    the closedness test in coordinate components.  The jets come from
-    ``jet`` when given, else from first jets at x.
+    the closedness test in coordinate components.
     """
-    if jet is None:
-        G, dG = metric_first_jet(metric, x)
-        J, dJ = structure_jet(metric, x)
-    else:
-        G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
+    G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
     dOm = np.einsum("kai,aj->kij", dJ, G) + np.einsum("ai,kaj->kij", J, dG)
     ext = dOm - np.einsum("ikj->kij", dOm) + np.einsum("jki->kij", dOm)
     return float(np.max(np.abs(ext)))
 
 
-def structure_covariant_defect(metric, x) -> float:
+def structure_covariant_defect(jet: PointJet) -> float:
     """Max entry of the covariant derivative of the complex structure.
 
     A stronger pointwise Kaehler test than ``kahler_defect``; used as an
     independent oracle on metrics whose structure field varies.
     """
-    G, dG = metric_first_jet(metric, x)
-    gamma, _ = christoffel(G, dG)
-    J, dJ = structure_jet(metric, x)
+    gamma, _ = christoffel(jet.G, jet.dG)
+    J, dJ = jet.J, jet.dJ
     # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
     nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
     return float(np.max(np.abs(nj)))

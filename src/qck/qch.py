@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import MetricField, RadialFrame
+from .ambient import RadialFrame
 from .core import adapted_complex_frame
 from .curvature import (CurvatureBundle, PointJet, covariant_vector_derivative,
                         curvature_bundle, kahler_defect)
@@ -76,24 +76,18 @@ def _complement_basis(G, xi, jxi, sq_sign):
     return out
 
 
-def extract_shape_data(metric: MetricField, xi_field, x, variant: str = "auto",
-                       spread_gate: float = 1e-6,
-                       jet: PointJet | None = None) -> ShapeData:
-    """Measure (k, p_star) of a unit field xi from its covariant derivative.
-
-    G and J come from ``jet`` when the caller has the PointJet at x, else
-    from the metric field.
+def extract_shape_data(jet: PointJet, xi_field, variant: str = "auto",
+                       spread_gate: float = 1e-6) -> ShapeData:
+    """Measure (k, p_star) of a unit field xi at the point of ``jet`` from
+    its covariant derivative; G and J are the jet's.
 
     k is averaged over a full orthonormal basis of the complement
     distribution; the per-direction spread is itself the test that the field
     has the required shape, and exceeding ``spread_gate`` raises
     ShapeUniformityError instead of returning an average of unlike things.
     """
-    D, xi = covariant_vector_derivative(metric, xi_field, x, jet=jet)
-    if jet is None:
-        G, J = metric.matrix(x), metric.structure_matrix(x)
-    else:
-        G, J = jet.G, jet.J
+    D, xi = covariant_vector_derivative(jet, xi_field)
+    G, J = jet.G, jet.J
     jxi = J @ xi
     sq = float(xi @ G @ xi)
     if variant == "auto":
@@ -132,7 +126,7 @@ def extract_shape_data(metric: MetricField, xi_field, x, variant: str = "auto",
     model_defect = float(np.max(np.abs(D - model)))
 
     return ShapeData(k=k, p_star=p_star, xi=xi, variant=variant, spread=spread,
-                     model_defect=model_defect, point=np.asarray([float(c) for c in x]))
+                     model_defect=model_defect, point=jet.point)
 
 
 # -- structural basis tensors ---------------------------------------------------
@@ -173,7 +167,7 @@ def build_basis_tensors(G, J, frame: RadialFrame, unit_tol: float = 1e-8) -> Bas
     pi4 = (np.einsum("jk,il->ijkl", G, G) - np.einsum("ik,jl->ijkl", G, G)
            - 2.0 * np.einsum("ij,kl->ijkl", Om, Om)
            + np.einsum("jk,il->ijkl", Om, Om) - np.einsum("ik,jl->ijkl", Om, Om))
-    pi = Tensor4(pi4 / 4.0, symmetry="curvature")
+    pi = Tensor4(pi4 / 4.0)
 
     P = np.outer(E, E) + np.outer(T, T)
     W = np.outer(E, T) - np.outer(T, E)
@@ -189,9 +183,9 @@ def build_basis_tensors(G, J, frame: RadialFrame, unit_tol: float = 1e-8) -> Bas
     # pair transpose of the other.
     phi1 = Tensor4(phi1_8 / 8.0)
     phi2 = Tensor4(phi2_8 / 8.0)
-    phi = Tensor4((phi1_8 + phi2_8) / 8.0, symmetry="curvature")
+    phi = Tensor4((phi1_8 + phi2_8) / 8.0)
 
-    psi = Tensor4(-np.einsum("ij,kl->ijkl", W, W), symmetry="curvature")
+    psi = Tensor4(-np.einsum("ij,kl->ijkl", W, W))
 
     return BasisTensors(pi=pi, phi1=phi1, phi2=phi2, phi=phi, psi=psi)
 
@@ -322,21 +316,20 @@ def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
     trace2 = np.einsum("ab,cd->abcd", gh, gh) + np.einsum("cb,ad->abcd", gh, gh)
     B = C - corr / (n + 2.0) + tau * trace2 / (2.0 * (n + 1.0) * (n + 2.0))
 
-    out = Tensor4(real_from_holomorphic(B, A), symmetry="curvature")
-    out.meta["tau"] = tau
-    return out
+    return Tensor4(real_from_holomorphic(B, A))
 
 
-def bochner_tensor(metric: MetricField, x, bundle: CurvatureBundle | None = None,
-                   jets: str = "dual", kahler_gate: float = 1e-9) -> Tensor4:
-    """Bochner tensor of a metric field at a point, gated on the metric
-    actually being Kahler there."""
-    defect = kahler_defect(metric, x)
+def bochner_tensor(jet: PointJet, bundle: CurvatureBundle | None = None,
+                   kahler_gate: float = 1e-9) -> Tensor4:
+    """Bochner tensor at the point of ``jet``, gated on the metric actually
+    being Kahler there; ``bundle`` is the curvature bundle of the same jet
+    when the caller has built it already."""
+    defect = kahler_defect(jet)
     if defect > kahler_gate:
         raise NotKahler(
             f"fundamental form closedness defect {defect:.3e} exceeds {kahler_gate:.1e}")
     if bundle is None:
-        bundle = curvature_bundle(metric, x, jets=jets)
+        bundle = curvature_bundle(jet)
     return bochner_of_tensor(bundle.R, bundle.G, bundle.J)
 
 

@@ -448,11 +448,6 @@ def tabulated_meridian(s, t, q, rotation_type: str) -> MeridianProfile:
                            source.t_samples, source.q_samples, sign=sign)
 
 
-def natural_parameter_defect(profile: MeridianProfile,
-                             samples: int = 33) -> float:
-    return profile.natural_defect(samples)
-
-
 # -- chart embeddings ----------------------------------------------------------
 
 
@@ -639,10 +634,10 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
 
 def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
     jet = point_jet(metric, u0)
-    bundle = curvature_bundle(metric, u0, jet=jet)
+    bundle = curvature_bundle(jet)
     eigs = np.linalg.eigvalsh(bundle.G)
-    kd = kahler_defect(metric, u0, jet=jet)
-    shape = extract_shape_data(metric, xi_field, u0, jet=jet)
+    kd = kahler_defect(jet)
+    shape = extract_shape_data(jet, xi_field)
     xi0 = np.array([value(c) for c in xi_field(list(u0))])
     frame = SimpleNamespace(xi=xi0)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)

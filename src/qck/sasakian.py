@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import (AmbientSpace, MetricField, flat_metric, potential_metric,
+from .ambient import (AmbientSpace, MetricField, potential_metric,
                       radial_frame, radial_unit_field)
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
-from .core import apply_j0, j0_matrix
-from .curvature import covariant_vector_derivative, curvature_bundle, point_jet
-from .duals import gsqrt
+from .core import apply_j0
+from .curvature import (PointJet, covariant_vector_derivative, curvature_bundle,
+                        point_jet)
 from .errors import DomainError, NotSasakian, NotSpaceForm
 from .qch import (QCDecomposition, ShapeData, _complement_basis,
                   build_basis_tensors, decompose, extract_shape_data)
@@ -44,9 +44,10 @@ def _type_tag(c_plus_3a2: float, band: float = ZERO_BAND) -> str:
 
 @dataclass(frozen=True)
 class ContactStructure:
-    """Induced almost contact data at a point of a hypersphere."""
+    """Induced almost contact data at a point of a hypersphere, with the
+    ambient metric's PointJet there."""
 
-    point: np.ndarray
+    jet: PointJet
     radius: float
     orientation: str
     xi: np.ndarray
@@ -54,12 +55,22 @@ class ContactStructure:
     eta_tilde: np.ndarray  # covector components of g(., xi_tilde)
     phi: np.ndarray
     tangent_basis: np.ndarray  # rows span the tangent space, g-orthonormal
-    G: np.ndarray
-    J: np.ndarray
     k: float
     alpha: float
     shape: ShapeData
     identity_defect: float
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.jet.point
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.jet.G
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.jet.J
 
     def eta_t(self, v) -> float:
         return float(self.eta_tilde @ np.asarray(v, float))
@@ -73,19 +84,17 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
     k comes out positive, which matches the classical sphere structures on
     both signatures.
     """
-    xv = np.asarray([float(c) for c in x])
     tags = ("outward", "inward") if orientation == "auto" else (orientation,)
-    jet = point_jet(metric, xv)
+    jet = point_jet(metric, x)
     shape = None
     tag = tags[0]
     for tag in tags:
         field = radial_unit_field(space, metric, orientation=tag)
-        shape = extract_shape_data(metric, field, xv, jet=jet)
+        shape = extract_shape_data(jet, field)
         if shape.k > 0:
             break
-    frame = radial_frame(space, xv, metric=metric, orientation=tag, jet=jet)
-    bundle = curvature_bundle(metric, xv, jet=jet)
-    G, J = bundle.G, bundle.J
+    frame = radial_frame(space, jet.point, orientation=tag, jet=jet)
+    G, J = jet.G, jet.J
     xi = frame.xi
     xit = frame.jxi
     eta_t = G @ xit
@@ -102,9 +111,9 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
                                + (eta_t @ u) * (eta_t @ v)))
 
     return ContactStructure(
-        point=xv, radius=frame.r, orientation=tag, xi=xi, xi_tilde=xit,
-        eta_tilde=eta_t, phi=phi, tangent_basis=basis, G=G, J=J,
-        k=shape.k, alpha=0.5 * shape.k, shape=shape,
+        jet, radius=frame.r, orientation=tag, xi=xi, xi_tilde=xit,
+        eta_tilde=eta_t, phi=phi, tangent_basis=basis, k=shape.k,
+        alpha=0.5 * shape.k, shape=shape,
         identity_defect=float(max(defects)))
 
 
@@ -128,19 +137,17 @@ def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
                          gate: float = 1e-5) -> AlphaCheck:
     """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative laws.
 
-    The covariant derivatives are taken in the ambient metric and projected
-    onto the tangent space.  Raises NotSasakian when the fitted law leaves a
-    residual above ``gate``.
+    The covariant derivatives are taken with the structure's jet of the
+    ambient metric and projected onto the tangent space.  Raises NotSasakian
+    when the fitted law leaves a residual above ``gate``.
     """
-    Z = structure.point
     G, xi, phi = structure.G, structure.xi, structure.phi
-    sigma = -1.0 if structure.orientation == "inward" else 1.0
     unit = radial_unit_field(space, metric, orientation=structure.orientation)
 
     def xit_field(x):
         return apply_j0(unit(x))
 
-    D, _ = covariant_vector_derivative(metric, xit_field, Z)
+    D, _ = covariant_vector_derivative(structure.jet, xit_field)
     num = den = 0.0
     residual = []
     for u in structure.tangent_basis:
@@ -162,10 +169,10 @@ def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
 
 def _phi_structure_defect(metric, structure, unit_field, alpha) -> float:
     """Residual of (D_x phi)(y) = alpha (eta_t(y) x - g(x,y) xi_tilde)."""
-    Z = structure.point
+    jet = structure.jet
     G, xi, xit, phi = structure.G, structure.xi, structure.xi_tilde, structure.phi
     eta_t = structure.eta_tilde
-    d = len(Z)
+    d = len(jet.point)
 
     def proj_field(x, y):
         g = metric(x)
@@ -193,8 +200,8 @@ def _phi_structure_defect(metric, structure, unit_field, alpha) -> float:
         def y_field(x, yl=yl):
             return proj_field(x, yl)
 
-        Dp, _ = covariant_vector_derivative(metric, phiy_field, Z)
-        Dy, _ = covariant_vector_derivative(metric, y_field, Z)
+        Dp, _ = covariant_vector_derivative(jet, phiy_field)
+        Dy, _ = covariant_vector_derivative(jet, y_field)
         for u in structure.tangent_basis:
             lhs = _tangential(G, xi, u @ Dp) - phi @ _tangential(G, xi, u @ Dy)
             rhs = alpha * (float(eta_t @ y) * u - float(u @ G @ y) * xit)
@@ -214,13 +221,13 @@ def gauss_curvature_fn(metric: MetricField, structure: ContactStructure,
     """Curvature quadruple (x,y,z,u) -> K(x,y,z,u) of the hypersphere.
 
     Uses the Gauss equation with the second fundamental form
-    h(x,y) = -g(nabla_x xi, y) of the unit normal xi.
+    h(x,y) = -g(nabla_x xi, y) of the unit normal xi.  The ambient
+    curvature and connection come from the structure's jet.
     """
-    Z = structure.point
-    bundle = curvature_bundle(metric, Z)
+    bundle = curvature_bundle(structure.jet)
     G = structure.G
     unit = radial_unit_field(space, metric, orientation=structure.orientation)
-    D, _ = covariant_vector_derivative(metric, unit, Z)
+    D, _ = covariant_vector_derivative(structure.jet, unit)
 
     def h(x, y):
         return -float((x @ D) @ G @ y)
@@ -308,8 +315,7 @@ def gauss_consistency(space: AmbientSpace, metric: MetricField,
     else:
         raise DomainError("chart cross-check is wired for the Lorentz signature")
     u0 = chart.params_of(Z)
-    g = pullback_metric(chart, metric)
-    bundle = curvature_bundle(g, u0)
+    bundle = curvature_bundle(point_jet(pullback_metric(chart, metric), u0))
     K = gauss_curvature_fn(metric, structure, space)
     basis = structure.tangent_basis
     rng = np.random.default_rng(seed)
@@ -389,8 +395,9 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
     model = space_form_model_defect(structure, K, phis.c, check.alpha)
     c3 = phis.c + 3.0 * check.alpha ** 2
 
-    frame = radial_frame(space, Z, metric=metric, orientation=structure.orientation)
-    bundle = curvature_bundle(metric, Z)
+    frame = radial_frame(space, structure.point,
+                         orientation=structure.orientation, jet=structure.jet)
+    bundle = curvature_bundle(structure.jet)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     dec = decompose(bundle, basis, structure.shape)
     delta = max(abs(c3 - dec.a_plus_k2), abs(phis.c - check.alpha ** 2 - dec.a))
@@ -508,12 +515,13 @@ def family_h1_report(n: int, q: float, seed: int = 0,
     u0 = 0.25 * rng.normal(size=m)
     u0[-1] *= 0.5
 
-    G = metric.matrix(u0)
+    jet = point_jet(metric, u0)
+    G = jet.G
     xb = np.array([float(c) for c in fields["reeb"](list(u0))])
     phi = np.array([[float(e) for e in row] for row in fields["phi"](list(u0))])
     eta_bar = G @ xb
 
-    D, _ = covariant_vector_derivative(metric, fields["reeb"], u0)
+    D, _ = covariant_vector_derivative(jet, fields["reeb"])
     basis = _family_tangent_basis(G, xb)
     num = den = 0.0
     pairs = []
@@ -529,10 +537,10 @@ def family_h1_report(n: int, q: float, seed: int = 0,
         raise NotSasakian(
             f"family derivative law residual {alpha_defect:.3e}")
 
-    phi_defect = _family_phi_defect(metric, fields, u0, G, phi, xb, eta_bar,
-                                    alpha, basis)
+    phi_defect = _family_phi_defect(jet, fields, phi, xb, eta_bar, alpha,
+                                    basis)
 
-    bundle = curvature_bundle(metric, u0)
+    bundle = curvature_bundle(jet)
     vals = []
     for _ in range(samples):
         x = rng.normal(size=len(basis)) @ basis
@@ -547,11 +555,10 @@ def family_h1_report(n: int, q: float, seed: int = 0,
         raise NotSpaceForm(f"family phi-sectional spread {spread:.3e}")
 
     struct = ContactStructure(
-        point=u0, radius=1.0, orientation="outward", xi=np.zeros(m),
+        jet, radius=1.0, orientation="outward", xi=np.zeros(m),
         xi_tilde=xb, eta_tilde=eta_bar, phi=phi,
-        tangent_basis=np.vstack([xb] + list(basis[1:])), G=G,
-        J=np.zeros((m, m)), k=2.0 * alpha, alpha=alpha,
-        shape=None, identity_defect=0.0)
+        tangent_basis=np.vstack([xb] + list(basis[1:])), k=2.0 * alpha,
+        alpha=alpha, shape=None, identity_defect=0.0)
 
     def K(x, y, z, u):
         return float(np.einsum("ijkl,i,j,k,l->", bundle.R.a, x, y, z, u))
@@ -583,10 +590,10 @@ def _family_tangent_basis(G, reeb):
     return np.vstack(vecs)
 
 
-def _family_phi_defect(metric, fields, u0, G, phi, reeb, eta_bar, alpha,
-                       basis) -> float:
+def _family_phi_defect(jet, fields, phi, reeb, eta_bar, alpha, basis) -> float:
     """Residual of (D_x phi)(y) = alpha (eta(y) x - g(x,y) reeb), intrinsically."""
-    m = len(u0)
+    G = jet.G
+    m = len(jet.point)
     worst = 0.0
     for y in basis:
         yl = [float(c) for c in y]
@@ -598,8 +605,8 @@ def _family_phi_defect(metric, fields, u0, G, phi, reeb, eta_bar, alpha,
         def y_field(u, yl=yl):
             return list(yl)
 
-        Dp, _ = covariant_vector_derivative(metric, phiy_field, u0)
-        Dy, _ = covariant_vector_derivative(metric, y_field, u0)
+        Dp, _ = covariant_vector_derivative(jet, phiy_field)
+        Dy, _ = covariant_vector_derivative(jet, y_field)
         for x in basis:
             lhs = x @ Dp - phi @ (x @ Dy)
             rhs = alpha * (float(eta_bar @ y) * x - float(x @ G @ y) * reeb)

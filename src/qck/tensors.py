@@ -8,7 +8,7 @@ its complexity at this scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +17,9 @@ from .errors import DegenerateBasis
 
 @dataclass
 class Tensor4:
-    """Covariant 4-tensor with optional symmetry bookkeeping."""
+    """Covariant 4-tensor as a dense (d, d, d, d) array."""
 
     a: np.ndarray
-    symmetry: str = "generic"  # "generic" | "curvature"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -51,19 +49,14 @@ class Tensor4:
         cyc = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
         return float(np.max(np.abs(cyc)))
 
-    def check_symmetry(self, rel: float = 1e-12) -> bool:
-        if self.symmetry != "curvature":
-            return True
-        return self.curvature_symmetry_defect() <= rel * max(1.0, self.scale())
-
     def __add__(self, other):
-        return Tensor4(self.a + other.a, self.symmetry)
+        return Tensor4(self.a + other.a)
 
     def __sub__(self, other):
-        return Tensor4(self.a - other.a, self.symmetry)
+        return Tensor4(self.a - other.a)
 
     def __mul__(self, s: float):
-        return Tensor4(self.a * float(s), self.symmetry)
+        return Tensor4(self.a * float(s))
 
     __rmul__ = __mul__
 

@@ -45,12 +45,10 @@ class CriterionResult:
                 "failures": list(self.failures)}
 
 
-def _decompose_at(space, metric, xi_field, x, jet=None):
-    if jet is None:
-        jet = point_jet(metric, x)
-    bundle = curvature_bundle(metric, x, jet=jet)
-    frame = radial_frame(space, x, metric, jet=jet)
-    shape = extract_shape_data(metric, xi_field, x, jet=jet)
+def _decompose_at(space, jet, xi_field):
+    bundle = curvature_bundle(jet)
+    frame = radial_frame(space, jet.point, jet=jet)
+    shape = extract_shape_data(jet, xi_field)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     return decompose(bundle, basis, shape), bundle, frame
 
@@ -67,7 +65,7 @@ def _crit_flat_baselines():
         metric = flat_metric(space)
         for seed in (0, 1):
             x = point_at_radius(space, 1.7, seed=seed)
-            bundle = curvature_bundle(metric, x)
+            bundle = curvature_bundle(point_jet(metric, x))
             r = abs(float(space.square_norm(x))) ** 0.5
             u = np.asarray(x, float) / r
             vals = {"curvature": bundle.R.scale(),
@@ -92,7 +90,7 @@ def _crit_disc_model():
     def one(item):
         i, x = item
         out = []
-        dec, bundle, _ = _decompose_at(space, metric, xi_field, x)
+        dec, bundle, _ = _decompose_at(space, point_jet(metric, x), xi_field)
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
             out.append(f"point {i}: decomposition off by {coeff:.3e}, "
@@ -139,8 +137,8 @@ def _crit_negative_class():
         margin = -math.inf
         for x in pts:
             jet = point_jet(metric, x)
-            kd = kahler_defect(metric, x, jet=jet)
-            dec, _, _ = _decompose_at(space, metric, xi_field, x, jet)
+            kd = kahler_defect(jet)
+            dec, _, _ = _decompose_at(space, jet, xi_field)
             kmax = max(kmax, kd)
             rmax = max(rmax, dec.residual)
             margin = max(margin, dec.a_plus_k2)
@@ -172,7 +170,7 @@ def _crit_definite_class():
         xi_field = radial_unit_field(space, metric, "outward")
         pts = radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
         for x in pts:
-            dec, _, _ = _decompose_at(space, metric, xi_field, x)
+            dec, _, _ = _decompose_at(space, point_jet(metric, x), xi_field)
             details["max_residual"] = max(details["max_residual"], dec.residual)
             details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
                                            dec.a_plus_k2)
@@ -196,13 +194,13 @@ def _crit_radial_law():
         xi_field = radial_unit_field(space, metric, "outward")
 
         def a_at(r):
-            dec, _, _ = _decompose_at(space, metric, xi_field, r * u)
-            return dec
+            return _decompose_at(space, point_jet(metric, r * u), xi_field)[0].a
 
         for r in (1.4, 1.7, 2.0, 2.4, 2.8):
             h = 1e-3 * r
-            da_dr = (a_at(r + h).a - a_at(r - h).a) / (2.0 * h)
-            dec, bundle, frame = _decompose_at(space, metric, xi_field, r * u)
+            da_dr = (a_at(r + h) - a_at(r - h)) / (2.0 * h)
+            dec, bundle, frame = _decompose_at(space, point_jet(metric, r * u),
+                                               xi_field)
             eta_dr = float(frame.xi @ bundle.G @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
@@ -233,8 +231,7 @@ def _crit_bochner_equivalence():
             c = 0.0
         else:
             c = float(rng.uniform(0.01, 2.0) * rng.choice([-1.0, 1.0]))
-        T = Tensor4(a * basis.pi.a + b * basis.phi.a + c * basis.psi.a,
-                    symmetry="curvature")
+        T = Tensor4(a * basis.pi.a + b * basis.phi.a + c * basis.psi.a)
         B = bochner_of_tensor(T, G, J)
         flat = bochner_flat(B)
         if flat != (abs(c) < 1e-6):
@@ -352,8 +349,8 @@ def _crit_numerical_hygiene():
     failures = []
     worst_rel = worst_sym = worst_bia = 0.0
     for x in pts:
-        bd = curvature_bundle(metric, x, jets="dual")
-        bf = curvature_bundle(metric, x, jets="fd")
+        bd = curvature_bundle(point_jet(metric, x))
+        bf = curvature_bundle(point_jet(metric, x, method="fd"))
         scale = max(1.0, bd.R.scale())
         rel = float(np.max(np.abs(bd.R.a - bf.R.a))) / scale
         sym = bd.R.curvature_symmetry_defect() / scale

@@ -6,7 +6,7 @@ import pytest
 from qck.ambient import AmbientSpace, MetricField, flat_metric
 from qck.charts import (LorentzGraphChart, SphereGraphChart, pullback_metric,
                         tangent_params)
-from qck.curvature import curvature_bundle
+from qck.curvature import curvature_bundle, point_jet
 from qck.duals import eval_with_partials
 from qck.errors import ChartError
 
@@ -106,7 +106,7 @@ class TestPullback:
             ch = SphereGraphChart(r, 3)
             g = pullback_metric(ch, np.eye(3))
             u0 = np.array([0.25 * r, -0.3 * r])
-            bundle = curvature_bundle(g, u0)
+            bundle = curvature_bundle(point_jet(g, u0))
             e1 = np.array([1.0, 0.0])
             e2 = np.array([0.0, 1.0])
             assert abs(bundle.sectional(e1, e2) - 1.0 / r**2) < 1e-9
@@ -117,7 +117,7 @@ class TestPullback:
             ch = LorentzGraphChart(r, 4)
             g = pullback_metric(ch, lorentz_form(4))
             u0 = np.array([0.3 * r, -0.2 * r, 0.1 * r])
-            bundle = curvature_bundle(g, u0)
+            bundle = curvature_bundle(point_jet(g, u0))
             rng = np.random.default_rng(7)
             checked = 0
             while checked < 6:
@@ -167,7 +167,7 @@ class TestPullback:
         ch = LorentzGraphChart(2.0, 4)
         g = pullback_metric(ch, flat_metric(L2))
         u0 = np.array([0.1, 0.2, -0.1])
-        bundle = curvature_bundle(g, u0)
+        bundle = curvature_bundle(point_jet(g, u0))
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
         assert abs(bundle.sectional(e1, e2) + 0.25) < 1e-8

@@ -84,7 +84,8 @@ class TestCurvatureAndDecompose:
             assert p["symmetry_defect"] < 1e-9
             assert p["bianchi_defect"] < 1e-9
 
-    @pytest.mark.parametrize("command", ["decompose", "curvature"])
+    @pytest.mark.parametrize("command",
+                             ["decompose", "curvature", "check-potential"])
     def test_boundary_points_get_error_entries(self, capsys, command):
         # r = r0 = 1 is the boundary of the log family's domain
         code, out, _ = run_cli(capsys, [command, "--r0", "1", "--rmin", "1",
@@ -95,6 +96,11 @@ class TestCurvatureAndDecompose:
         assert [p["index"] for p in rep["points"]] == [0, 1]
         for p in rep["points"]:
             assert p["error"].startswith("DomainError")
+            if command == "check-potential":
+                # what was known before the failure stays in the entry
+                assert p["w"] == pytest.approx(-1.0)
+                assert p["in_domain"] is False
+                assert p["admissible"] is False
 
     @pytest.mark.parametrize("command", ["decompose", "curvature"])
     def test_one_bad_point_keeps_the_others(self, capsys, tmp_path, command):

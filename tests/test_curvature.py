@@ -19,11 +19,11 @@ from qck.charts import LorentzGraphChart, SphereGraphChart, pullback_metric
 from qck.core import complex_to_real
 from qck.curvature import (
     CurvatureBundle,
+    _first_jet,
     christoffel,
     covariant_vector_derivative,
     curvature_bundle,
     kahler_defect,
-    metric_first_jet,
     metric_second_jet,
     metric_second_jet_fd,
     point_jet,
@@ -67,7 +67,7 @@ class TestJets:
     def test_first_vs_second_jet(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.0, seed=3)
-        G1, dG1 = metric_first_jet(g, x)
+        G1, dG1 = _first_jet(g, x, g.dim)
         G2, dG2, _ = metric_second_jet(g, x)
         assert np.allclose(G1, G2, atol=1e-14)
         assert np.allclose(dG1, dG2, atol=1e-14)
@@ -155,33 +155,24 @@ class TestBatchedJets:
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
         for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
             assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
-        G1, dG1 = metric_first_jet(metric, x)
+        G1, dG1 = _first_jet(metric, x, metric.dim)
         assert np.max(np.abs(G1 - G)) <= 1e-14 * max(1.0, np.max(np.abs(G)))
         assert np.max(np.abs(dG1 - dG)) <= 1e-13 * max(1.0, np.max(np.abs(dG)))
-
-    def test_point_jet_feeds_the_same_bundle(self):
-        g = potential_metric(L3, LogFamily(-1.0, 1.0))
-        x = timelike_point(L3, 2.0, seed=6)
-        jet = point_jet(g, x)
-        assert np.array_equal(curvature_bundle(g, x, jet=jet).R.a,
-                              curvature_bundle(g, x).R.a)
-        assert kahler_defect(g, x, jet=jet) == pytest.approx(
-            kahler_defect(g, x), abs=1e-15)
-        with pytest.raises(ValueError):
-            point_jet(g, x, method="magic")
 
 
 class TestChristoffel:
     def test_flat_is_zero(self):
         g = flat_metric(L3)
-        G, dG = metric_first_jet(g, np.zeros(6))
+        jet = point_jet(g, np.zeros(6))
+        G, dG = jet.G, jet.dG
         gamma, _ = christoffel(G, dG)
         assert np.max(np.abs(gamma)) == 0.0
 
     def test_lower_symmetry_and_compatibility(self):
         g = potential_metric(L3, LogFamily(-1.0, 1.0))
         x = complex_to_real([0, 0, 2j])
-        G, dG = metric_first_jet(g, x)
+        jet = point_jet(g, x)
+        G, dG = jet.G, jet.dG
         gamma, _ = christoffel(G, dG)
         assert np.allclose(gamma, np.transpose(gamma, (0, 2, 1)), atol=1e-12)
         # nabla_k g_ij = d_k g_ij - gamma^a_{ki} g_aj - gamma^a_{kj} g_ia = 0
@@ -191,9 +182,9 @@ class TestChristoffel:
     def test_scale_invariance(self):
         g = potential_metric(L2, InverseFamily())
         x = timelike_point(L2, 0.9, seed=5)
-        G, dG = metric_first_jet(g, x)
-        gamma, _ = christoffel(G, dG)
-        gamma7, _ = christoffel(7.0 * G, 7.0 * dG)
+        jet = point_jet(g, x)
+        gamma, _ = christoffel(jet.G, jet.dG)
+        gamma7, _ = christoffel(7.0 * jet.G, 7.0 * jet.dG)
         assert np.allclose(gamma, gamma7, atol=1e-12)
 
     def test_degenerate_metric(self):
@@ -206,18 +197,18 @@ class TestHalfPlaneOracle:
     """Hand-checked curvature of the hyperbolic plane pins the conventions."""
 
     def test_riemann_component(self):
-        b = curvature_bundle(halfplane_metric(), [0.3, 2.0])
+        b = curvature_bundle(point_jet(halfplane_metric(), [0.3, 2.0]))
         # R(e_x, e_y, e_y, e_x) = -1/y^4
         assert b.R.a[0, 1, 1, 0] == pytest.approx(-1.0 / 16.0, rel=1e-10)
 
     def test_sectional(self):
-        b = curvature_bundle(halfplane_metric(), [-1.2, 0.7])
+        b = curvature_bundle(point_jet(halfplane_metric(), [-1.2, 0.7]))
         assert b.sectional([1.0, 0.0], [0.0, 1.0]) == pytest.approx(-1.0, rel=1e-10)
         # sectional curvature is basis-independent
         assert b.sectional([1.0, 2.0], [-1.0, 1.0]) == pytest.approx(-1.0, rel=1e-9)
 
     def test_ricci_and_scalar(self):
-        b = curvature_bundle(halfplane_metric(), [0.0, 0.5])
+        b = curvature_bundle(point_jet(halfplane_metric(), [0.0, 0.5]))
         assert np.allclose(b.ricci(), -b.G, atol=1e-10)
         assert b.scalar_curvature() == pytest.approx(-2.0, rel=1e-10)
 
@@ -227,14 +218,14 @@ class TestFlatBaselines:
     def test_zero_curvature(self, space):
         g = flat_metric(space)
         p = np.ones(space.dim)
-        b = curvature_bundle(g, p)
+        b = curvature_bundle(point_jet(g, p))
         assert b.R.norm() < 1e-12
         assert abs(b.scalar_curvature()) < 1e-12
 
     def test_radial_scalars_vanish(self):
         g = flat_metric(L3)
         x = complex_to_real([0.1, 0.2, 2j])
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         fr = radial_frame(L3, x)
         assert abs(b.sigma_radial(fr.xi)) < 1e-12
         assert abs(b.kappa_radial(fr.xi)) < 1e-12
@@ -247,7 +238,7 @@ class TestDiscModel:
     def test_hsc_minus_one(self, seed, r):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, r, seed=seed)
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         rng = np.random.default_rng(seed + 1000)
         for _ in range(20):
             X = rand_nonnull(b, rng)
@@ -256,7 +247,7 @@ class TestDiscModel:
     def test_hsc_scales_with_a(self):
         g = potential_metric(L2, LogFamily(-2.0, 1.0))
         x = timelike_point(L2, 1.8, seed=7)
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         rng = np.random.default_rng(11)
         for _ in range(5):
             X = rand_nonnull(b, rng)
@@ -266,14 +257,14 @@ class TestDiscModel:
         # constant holomorphic curvature a makes Ricci = (n+1)a/2 * g
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.2, seed=8)
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         assert np.allclose(b.ricci(), -1.5 * b.G, atol=1e-9)
         assert b.scalar_curvature() == pytest.approx(-6.0, rel=1e-9)
 
     def test_j_invariance(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 1.6, seed=9)
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         J = b.J
         RJ = np.einsum("abkl,ai,bj->ijkl", b.R.a, J, J)
         assert np.allclose(RJ, b.R.a, atol=1e-9)
@@ -281,13 +272,14 @@ class TestDiscModel:
     def test_first_bianchi_and_symmetries(self):
         g = potential_metric(L3, InverseFamily())
         x = timelike_point(L3, 0.8, seed=10)
-        b = curvature_bundle(g, x)
+        b = curvature_bundle(point_jet(g, x))
         scale = max(1.0, b.R.scale())
         assert b.R.curvature_symmetry_defect() < 1e-9 * scale
         assert b.R.first_bianchi_defect() < 1e-9 * scale
 
     def test_null_direction_rejected(self):
-        b = curvature_bundle(flat_metric(L2), complex_to_real([0, 1j]))
+        x = complex_to_real([0, 1j])
+        b = curvature_bundle(point_jet(flat_metric(L2), x))
         with pytest.raises(DomainError):
             b.hsc([1.0, 0.0, 1.0, 0.0])  # null for the flat Lorentz form
 
@@ -297,14 +289,14 @@ class TestDualVsFd:
     def test_bundles_agree(self, seed, r):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, r, seed=seed)
-        bd = curvature_bundle(g, x, jets="dual")
-        bf = curvature_bundle(g, x, jets="fd")
+        bd = curvature_bundle(point_jet(g, x))
+        bf = curvature_bundle(point_jet(g, x, method="fd"))
         scale = max(1.0, bd.R.scale())
         assert np.max(np.abs(bd.R.a - bf.R.a)) < 1e-6 * scale
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            curvature_bundle(flat_metric(L2), np.zeros(4), jets="magic")
+            point_jet(flat_metric(L2), np.zeros(4), method="magic")
 
 
 class TestKahlerDefect:
@@ -312,10 +304,10 @@ class TestKahlerDefect:
         for fam in (LogFamily(-1.0, 1.0), InverseFamily()):
             g = potential_metric(L2, fam)
             x = timelike_point(L2, 1.4 if fam.kind == "log" else 0.7, seed=12)
-            assert kahler_defect(g, x) < 1e-9
+            assert kahler_defect(point_jet(g, x)) < 1e-9
 
     def test_flat_closed(self):
-        assert kahler_defect(flat_metric(L3), np.ones(6)) < 1e-14
+        assert kahler_defect(point_jet(flat_metric(L3), np.ones(6))) < 1e-14
 
     def test_plain_conformal_pair_not_kahler(self):
         # u = v = 0 violates the closedness condition away from r where
@@ -323,12 +315,12 @@ class TestKahlerDefect:
         pair = ConformalPair(u=lambda r: 0.0 * r, v=lambda r: 0.0 * r, source="unit")
         g = metric_from_conformal_pair(L2, pair)
         x = complex_to_real([0, 2j])
-        assert kahler_defect(g, x) > 1e-3
+        assert kahler_defect(point_jet(g, x)) > 1e-3
 
     def test_structure_covariant_defect_agrees(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.0, seed=13)
-        assert structure_covariant_defect(g, x) < 1e-9
+        assert structure_covariant_defect(point_jet(g, x)) < 1e-9
 
 
 class TestVectorDerivatives:
@@ -338,7 +330,7 @@ class TestVectorDerivatives:
         g = flat_metric(L3)
         fld = radial_unit_field(L3)
         x = complex_to_real([0, 0, 2j])
-        D, V = covariant_vector_derivative(g, fld, x)
+        D, V = covariant_vector_derivative(point_jet(g, x), fld)
         assert np.allclose(V, x / 2.0)
         want = np.diag([0.5, 0.5, 0.5, 0.5, 0.5, 0.0])
         assert np.allclose(D, want, atol=1e-12)
@@ -349,7 +341,7 @@ class TestVectorDerivatives:
         g = flat_metric(L3)
         fld = radial_unit_field(L3)
         x = complex_to_real([0, 0, 2j])
-        D, _ = covariant_vector_derivative(g, fld, x)
+        D, _ = covariant_vector_derivative(point_jet(g, x), fld)
         H = L3.flat_real()
         x0 = np.zeros(6)
         x0[0] = 1.0
@@ -362,4 +354,4 @@ def test_symmetry_gate_wiring():
     g = potential_metric(L2, LogFamily(-1.0, 1.0))
     x = timelike_point(L2, 2.0, seed=14)
     with pytest.raises(NumericalBreakdown):
-        curvature_bundle(g, x, symmetry_gate=0.0)
+        curvature_bundle(point_jet(g, x), symmetry_gate=0.0)

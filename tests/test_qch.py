@@ -14,7 +14,7 @@ from qck.ambient import (
     radial_unit_field,
 )
 from qck.core import complex_to_real, j0_matrix
-from qck.curvature import curvature_bundle
+from qck.curvature import curvature_bundle, point_jet
 from qck.errors import FrameError, NotKahler, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
@@ -62,10 +62,11 @@ def standard_basis(space, x):
 
 def disc_pipeline(x, orientation="outward"):
     g = potential_metric(L3, DISC)
-    bundle = curvature_bundle(g, x)
+    jet = point_jet(g, x)
+    bundle = curvature_bundle(jet)
     frame = radial_frame(L3, x, metric=g, orientation=orientation)
     field = radial_unit_field(L3, metric=g, orientation=orientation)
-    shape = extract_shape_data(g, field, x)
+    shape = extract_shape_data(jet, field)
     basis = build_basis_tensors(bundle.G, bundle.J, frame)
     return g, bundle, frame, shape, basis
 
@@ -230,7 +231,7 @@ class TestShapeData:
         g = flat_metric(L3)
         field = radial_unit_field(L3)
         x = timelike_point(L3, 2.0, seed=11)
-        sd = extract_shape_data(g, field, x)
+        sd = extract_shape_data(point_jet(g, x), field)
         assert sd.variant == "lorentz"
         assert sd.k == pytest.approx(-1.0, abs=1e-10)
         assert sd.p_star == pytest.approx(0.5, abs=1e-10)
@@ -241,7 +242,7 @@ class TestShapeData:
         g = flat_metric(D2)
         field = radial_unit_field(D2)
         x = definite_point(D2, 2.0, seed=3)
-        sd = extract_shape_data(g, field, x)
+        sd = extract_shape_data(point_jet(g, x), field)
         assert sd.variant == "riemannian"
         assert sd.k == pytest.approx(1.0, abs=1e-10)
         assert sd.p_star == pytest.approx(-0.5, abs=1e-10)
@@ -263,9 +264,9 @@ class TestShapeData:
         h = 1e-5
 
         def k_at(scale):
-            return extract_shape_data(g, field, x * scale).k
+            return extract_shape_data(point_jet(g, x * scale), field).k
 
-        sd = extract_shape_data(g, field, x)
+        sd = extract_shape_data(point_jet(g, x), field)
         dk_dsigma = (k_at(1.0 + h) - k_at(1.0 - h)) / (2.0 * h * 1.0)
         # unit of arc length along xi: xi = xhat / sqrt(g(xhat, xhat))
         xhat = x / L3.radius(x)
@@ -281,9 +282,9 @@ class TestShapeData:
         h = 1e-5
 
         def k_at(scale):
-            return extract_shape_data(g, field, x * scale).k
+            return extract_shape_data(point_jet(g, x * scale), field).k
 
-        sd = extract_shape_data(g, field, x)
+        sd = extract_shape_data(point_jet(g, x), field)
         r = L3.radius(x)
         dk_dr = (k_at(1.0 + h) - k_at(1.0 - h)) / (2.0 * h * r)
         xi_k = dk_dr  # xi'(r) = 1 for the outward unit field
@@ -293,8 +294,9 @@ class TestShapeData:
         g = potential_metric(L3, DISC)
         # ambient-normalized field is not unit for the potential metric
         field = radial_unit_field(L3)
+        jet = point_jet(g, timelike_point(L3, 2.0, seed=1))
         with pytest.raises(FrameError):
-            extract_shape_data(g, field, timelike_point(L3, 2.0, seed=1))
+            extract_shape_data(jet, field)
 
     def test_uniformity_gate(self):
         g = flat_metric(D2)
@@ -309,7 +311,7 @@ class TestShapeData:
             return [c / s for c in v]
 
         with pytest.raises(ShapeUniformityError):
-            extract_shape_data(g, skewed, [1.3, 0.4, -0.8, 0.6])
+            extract_shape_data(point_jet(g, [1.3, 0.4, -0.8, 0.6]), skewed)
 
     def test_inward_orientation_flips_k(self):
         x = timelike_point(L3, 2.0, seed=21)
@@ -336,10 +338,11 @@ class TestDecompose:
     def test_flat_decomposes_to_zero(self):
         g = flat_metric(D2)
         x = definite_point(D2, 2.0, seed=8)
-        bundle = curvature_bundle(g, x)
+        jet = point_jet(g, x)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(D2, x)
         field = radial_unit_field(D2)
-        shape = extract_shape_data(g, field, x)
+        shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, basis, shape)
         assert abs(dec.a) < 1e-12 and abs(dec.b) < 1e-12 and abs(dec.c) < 1e-12
@@ -352,9 +355,10 @@ class TestDecompose:
         field = radial_unit_field(L2, metric=g)
         for seed in (3, 4):
             x = timelike_point(L2, 1.4 + 0.3 * seed, seed=seed)
-            bundle = curvature_bundle(g, x)
+            jet = point_jet(g, x)
+            bundle = curvature_bundle(jet)
             frame = radial_frame(L2, x, metric=g)
-            shape = extract_shape_data(g, field, x)
+            shape = extract_shape_data(jet, field)
             basis = build_basis_tensors(bundle.G, bundle.J, frame)
             dec = decompose(bundle, basis, shape)
             assert dec.residual < 1e-6
@@ -366,9 +370,10 @@ class TestDecompose:
         g = potential_metric(D2, fam)
         field = radial_unit_field(D2, metric=g)
         x = definite_point(D2, 1.5, seed=6)
-        bundle = curvature_bundle(g, x)
+        jet = point_jet(g, x)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(D2, x, metric=g)
-        shape = extract_shape_data(g, field, x)
+        shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, basis, shape)
         assert dec.residual < 1e-6
@@ -415,10 +420,11 @@ class TestAngleProfile:
         fam = LogFamily(-2.0, 1.5)
         g = potential_metric(L3, fam)
         x = timelike_point(L3, 2.4, seed=15)
-        bundle = curvature_bundle(g, x)
+        jet = point_jet(g, x)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
         field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(g, field, x)
+        shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, basis, shape)
 
@@ -434,10 +440,11 @@ class TestAngleProfile:
         fam = LogFamily(-2.0, 1.5)
         g = potential_metric(L3, fam)
         x = timelike_point(L3, 2.4, seed=16)
-        bundle = curvature_bundle(g, x)
+        jet = point_jet(g, x)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
         field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(g, field, x)
+        shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, basis, shape)
 
@@ -458,7 +465,7 @@ class TestAngleProfile:
         x = timelike_point(L3, 2.0, seed=17)
         fam = LogFamily(-1.0, 1.5)
         g = potential_metric(L3, fam)
-        bundle = curvature_bundle(g, x)
+        bundle = curvature_bundle(point_jet(g, x))
         frame = radial_frame(L3, x, metric=g)
         from qck.qch import _complement_basis
 
@@ -538,20 +545,21 @@ class TestBochner:
     def test_disc_metric_bochner_flat(self):
         x = timelike_point(L3, 2.0, seed=19)
         g = potential_metric(L3, DISC)
-        B = bochner_tensor(g, x)
+        B = bochner_tensor(point_jet(g, x))
         assert B.scale() < 1e-8
 
     def test_qch_metric_bochner_matches_c(self):
         fam = LogFamily(-2.0, 1.5)
         g = potential_metric(L3, fam)
         x = timelike_point(L3, 2.2, seed=20)
-        bundle = curvature_bundle(g, x)
+        jet = point_jet(g, x)
+        bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
         field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(g, field, x)
+        shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, basis, shape)
-        B = bochner_tensor(g, x, bundle=bundle)
+        B = bochner_tensor(jet, bundle=bundle)
         n = 3
         image = ((2.0 / ((n + 1) * (n + 2))) * basis.pi
                  + (-4.0 / (n + 2)) * basis.phi + basis.psi)
@@ -563,7 +571,7 @@ class TestBochner:
         pair = ConformalPair(u=lambda r: 0.0 * r, v=lambda r: 0.0 * r)
         g = metric_from_conformal_pair(L2, pair)
         with pytest.raises(NotKahler):
-            bochner_tensor(g, timelike_point(L2, 2.0, seed=2))
+            bochner_tensor(point_jet(g, timelike_point(L2, 2.0, seed=2)))
 
     def test_bochner_flat_predicate(self):
         Bz = bochner_of_tensor(self.basis.pi, self.G, self.J)

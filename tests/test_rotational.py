@@ -10,8 +10,8 @@ from qck.errors import ChartError, DomainError, TypeConstraintError
 from qck.rotational import (BochnerFamily, ConstHSC, bochner_meridian,
                             check_rotation_type, const_hsc_meridian,
                             const_hsc_profile, embed_and_verify,
-                            natural_parameter_defect, qc_coefficients,
-                            rotation_metric, tabulated_meridian)
+                            qc_coefficients, rotation_metric,
+                            tabulated_meridian)
 
 Q2_ORACLE = 1.3905620875658997  # type II, a = -1, t = 1
 Q3_ORACLE = 0.07270478199838769  # type III, a = -1, t = 3
@@ -155,7 +155,7 @@ class TestConstHSCClosedForm:
 class TestBochnerMeridian:
     def test_natural_parameter(self):
         prof = bochner_meridian(1.0, 0.0, 0.5, 1.5)
-        assert natural_parameter_defect(prof) < 1e-9
+        assert prof.natural_defect() < 1e-9
         assert np.all(np.diff(prof.s_grid) > 0)
 
     def test_arc_length_slope(self):
@@ -174,7 +174,7 @@ class TestBochnerMeridian:
     def test_type_one_window(self):
         prof = bochner_meridian(1.0, -2.0, 0.35, 0.75, rotation_type="I")
         assert prof.rotation_type == "I"
-        assert natural_parameter_defect(prof) < 1e-9
+        assert prof.natural_defect() < 1e-9
         # q' = + sqrt(1 - t'^2) > 0 by default orientation
         assert np.all(np.diff(prof.q_grid) > 0)
 
@@ -214,8 +214,8 @@ class TestConstHSCProfile:
         # t' from the profile formula, q' from differentiating the closed q
         prof2 = const_hsc_profile("II", -1.0, 0.5, 3.0)
         prof3 = const_hsc_profile("III", -1.0, 3.0, 5.0)
-        assert natural_parameter_defect(prof2) < 1e-9
-        assert natural_parameter_defect(prof3) < 1e-9
+        assert prof2.natural_defect() < 1e-9
+        assert prof3.natural_defect() < 1e-9
 
     def test_three_orientation(self):
         prof = const_hsc_profile("III", -1.0, 3.0, 5.0)
@@ -232,7 +232,7 @@ class TestConstHSCProfile:
         base = const_hsc_profile("III", -1.0, 3.0, 5.0)
         flip = const_hsc_profile("III", -1.0, 3.0, 5.0, flip_q=True)
         assert flip.q_of_t(4.0) == pytest.approx(-base.q_of_t(4.0), rel=1e-12)
-        assert natural_parameter_defect(flip) < 1e-9
+        assert flip.natural_defect() < 1e-9
 
     def test_out_of_window_queries(self):
         prof = const_hsc_profile("II", -1.0, 0.5, 3.0)
@@ -258,13 +258,13 @@ class TestTabulated:
     def test_clean_samples_have_small_defect(self):
         s, t, q = self._samples()
         tab = tabulated_meridian(s, t, q, "II")
-        assert natural_parameter_defect(tab) < 1e-6
+        assert tab.natural_defect() < 1e-6
 
     def test_noise_calibration(self):
         # a smooth 1e-3 ripple in q must surface at the matching scale
         s, t, q = self._samples()
         tab = tabulated_meridian(s, t, q + 1e-3 * np.sin(s), "II")
-        defect = natural_parameter_defect(tab)
+        defect = tab.natural_defect()
         assert 3e-4 < defect < 3e-3
 
     def test_three_sign_detected(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qck import curvature
 from qck.ambient import AmbientSpace, LogFamily, flat_metric, potential_metric
 from qck.errors import ChartError, DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
@@ -207,3 +208,34 @@ class TestFamily:
         rep = family_h1_report(2, q, seed=2)
         assert abs(rep.c + 3.0 + 4.0 / (q * q)) < 1e-10
         assert abs(rep.alpha - 1.0) < 1e-10
+
+
+class TestJetCounts:
+    """A report takes one jet per point it works at and reuses it."""
+
+    @pytest.fixture
+    def jets(self, monkeypatch):
+        counts = {"second": 0, "first": 0}
+
+        def counted(kind, build):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in ("metric_second_jet", "metric_second_jet_fd"):
+            monkeypatch.setattr(curvature, name,
+                                counted("second", getattr(curvature, name)))
+        monkeypatch.setattr(curvature, "_first_jet",
+                            counted("first", curvature._first_jet))
+        return counts
+
+    def test_sphere_report(self, jets):
+        # one jet at Z and one of the pulled-back chart metric that the
+        # intrinsic cross-check differentiates
+        sphere_report(L2, DISC, 2.0)
+        assert jets == {"second": 2, "first": 0}
+
+    def test_family_report(self, jets):
+        family_h1_report(2, 2.0)
+        assert jets == {"second": 1, "first": 0}

@@ -18,7 +18,7 @@ def curvature_like(d, seed):
 
 class TestSymmetryChecks:
     def test_defect_zero_on_curvature_like(self):
-        T = Tensor4(curvature_like(4, 0), symmetry="curvature")
+        T = Tensor4(curvature_like(4, 0))
         assert T.curvature_symmetry_defect() < 1e-14
 
     def test_defect_positive_on_generic(self):
@@ -30,17 +30,8 @@ class TestSymmetryChecks:
         # pi built from a metric g satisfies the first Bianchi identity
         g = np.diag([1.0, 2.0, 3.0, 4.0])
         pi = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-        T = Tensor4(pi, symmetry="curvature")
+        T = Tensor4(pi)
         assert T.first_bianchi_defect() < 1e-14
-
-    def test_check_symmetry_predicate(self):
-        rng = np.random.default_rng(2)
-        bad = Tensor4(rng.normal(size=(4, 4, 4, 4)), symmetry="curvature")
-        assert not bad.check_symmetry()
-        good = Tensor4(curvature_like(4, 5), symmetry="curvature")
-        assert good.check_symmetry()
-        # generic tensors carry no identities to violate
-        assert Tensor4(rng.normal(size=(4, 4, 4, 4))).check_symmetry()
 
 
 class TestArithmetic:
