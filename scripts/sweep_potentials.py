@@ -13,10 +13,10 @@ deforms.  Rejected radii are listed with the reason instead of numbers.
 import argparse
 
 from qck.ambient import (AmbientSpace, admissibility, family_from_json,
-                         potential_metric, radial_frame, radial_unit_field)
+                         potential_metric, radial_unit_field)
 from qck.curvature import curvature_bundle, point_jet
 from qck.errors import QckError
-from qck.qch import build_basis_tensors, decompose, extract_shape_data
+from qck.qch import decompose, extract_shape_data
 from qck.sampling import timelike_point
 
 
@@ -31,11 +31,8 @@ def decomposition_at(space, family, r, seed=0):
                        f"f'+wf''={report.f_prime_plus_wf2:.3g})")
     jet = point_jet(metric, x)
     bundle = curvature_bundle(jet)
-    frame = radial_frame(space, x, metric, jet=jet)
     xi_field = radial_unit_field(space, metric, "outward")
-    shape = extract_shape_data(jet, xi_field)
-    basis = build_basis_tensors(bundle.G, bundle.J, frame)
-    return decompose(bundle, basis, shape)
+    return decompose(bundle, extract_shape_data(jet, xi_field))
 
 
 def sweep(space, kind, params, radii, seed, r0=1.0):

@@ -451,23 +451,32 @@ def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
     return RadialFrame(xv, xi, jxi, eta, eta_tilde, r, tag, orientation)
 
 
+def radial_unit_vector(space: AmbientSpace, x, G, orientation: str):
+    """The radial unit vector at x on generic scalars, normalized in the
+    metric values ``G`` at x (left flat-normalized when G is None)."""
+    r = space.radius(x)
+    xi = [xi_i / r for xi_i in x]
+    if G is not None:
+        nrm2 = 0.0
+        for i in range(len(xi)):
+            for j in range(len(xi)):
+                nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
+        if value(nrm2) <= 0:
+            raise FrameError("radial direction has non-positive square norm "
+                             f"{value(nrm2):.3e}")
+        s = gsqrt(nrm2)
+        xi = [c / s for c in xi]
+    sign = -1.0 if orientation == "inward" else 1.0
+    return [sign * c for c in xi]
+
+
 def radial_unit_field(space: AmbientSpace, metric: MetricField | None = None,
                       orientation: str = "outward"):
     """The radial unit frame as a generic-scalar vector field (for derivatives)."""
-    sign = -1.0 if orientation == "inward" else 1.0
 
     def xi_field(x):
-        r = space.radius(x)
-        xi = [xi_i / r for xi_i in x]
-        if metric is not None:
-            G = metric(x)
-            nrm2 = 0.0
-            for i in range(len(xi)):
-                for j in range(len(xi)):
-                    nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
-            s = gsqrt(nrm2)
-            xi = [c / s for c in xi]
-        return [sign * c for c in xi]
+        return radial_unit_vector(space, x, None if metric is None else metric(x),
+                                  orientation)
 
     return xi_field
 

@@ -110,10 +110,8 @@ def cmd_check_potential(args) -> int:
                   "positive": bool(eigs.min() > 0),
                   "kahler": bool(kd < cfg.tolerance("kahler"))}
         frame = radial_frame(space, x, metric, jet=jet)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
         try:
-            shape = extract_shape_data(jet, xi_field)
-            dec = decompose(bundle, basis, shape)
+            dec = decompose(bundle, extract_shape_data(jet, xi_field))
             entry["decomposition"] = dec.to_json()
             residual = dec.residual
         except QckError as exc:
@@ -121,6 +119,7 @@ def cmd_check_potential(args) -> int:
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
             entry["shape_error"] = f"{type(exc).__name__}: {exc}"
+            basis = build_basis_tensors(bundle.G, bundle.J, frame)
             coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
             entry["decomposition"] = {
                 "a": float(coeffs[0]), "b": float(coeffs[1]),
@@ -177,10 +176,8 @@ def cmd_decompose(args) -> int:
     def one(x, entry):
         jet = point_jet(metric, x)
         bundle = curvature_bundle(jet)
-        frame = radial_frame(space, x, metric, jet=jet)
         shape = extract_shape_data(jet, xi_field)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        entry["decomposition"] = decompose(bundle, basis, shape).to_json()
+        entry["decomposition"] = decompose(bundle, shape).to_json()
 
     entries = _per_point(one, pts)
     all_ok = all("error" not in e and e["decomposition"]["residual"]

@@ -17,7 +17,6 @@ from .ambient import AmbientSpace, PotentialFamily, family_from_json
 DEFAULT_TOLERANCES = {
     "residual": 1e-6,
     "kahler": 1e-9,
-    "class_band": 1e-3,
 }
 
 DEFAULT_POTENTIAL = {"kind": "log", "a": -1.0, "r0": 1.0}
@@ -157,19 +156,15 @@ def load_config(path: str | None = None) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, n: int | None = None,
                     space: str | None = None, potential: dict | None = None,
-                    points: dict | None = None, tolerances: dict | None = None,
-                    output: str | None = None) -> RunConfig:
+                    points: dict | None = None) -> RunConfig:
     """Overlay command-line values on a loaded config; set values win."""
     pot = dict(cfg.potential)
     if potential:
         pot.update({k: v for k, v in potential.items() if v is not None})
-    tol = dict(cfg.tolerances)
-    if tolerances:
-        tol.update({k: v for k, v in tolerances.items() if v is not None})
     return RunConfig(
         n=cfg.n if n is None else int(n),
         space=cfg.space if space is None else str(space),
         potential=pot,
         points=cfg.points.merged(points or {}),
-        tolerances=tol,
-        output=cfg.output if output is None else str(output))
+        tolerances=dict(cfg.tolerances),
+        output=cfg.output)

@@ -20,8 +20,10 @@ operands with one column broadcast against operands with P.  The metric jets
 of ``qck.curvature`` and ``eval_with_partials`` below seed every direction
 they need in one evaluation this way.
 
-Orders up to 4 are exercised heavily here (metric second derivatives through a
-pulled-back chart Jacobian); the implementation is generic in ``m`` and P.
+The library itself builds orders 1 (first jets, vector fields) and 2 (metric
+second jets), and ``eval_with_partials`` gets float inputs there; higher
+orders and dual inputs appear only in the tests.  The implementation is
+generic in ``m`` and P.
 
 The module also provides scalar-generic helpers (``gsqrt``, ``gexp``, ...)
 and a scalar-generic linear solver so that the same evaluator code runs on
@@ -208,34 +210,6 @@ def generator(slot: int, m: int) -> MultiDual:
 def value(x) -> float:
     """Value part of a float or MultiDual."""
     return x.value if isinstance(x, MultiDual) else float(x)
-
-
-def lift(x, m: int):
-    """Embed x into arithmetic with m generators (floats pass through)."""
-    if not isinstance(x, MultiDual):
-        return x
-    if x.m == m:
-        return x
-    if x.m > m:
-        raise ValueError("cannot lower generator count by lifting")
-    c = np.zeros((1 << m, x.c.shape[1]))
-    c[: 1 << x.m] = x.c
-    return MultiDual(c, m)
-
-
-def split_last(y, m: int):
-    """Split off the last generator: y = lo + e_m * hi, both with m-1 generators.
-
-    Floats split as (y, 0).  When m == 1 the parts demote to plain floats
-    (taken from the first direction column).
-    """
-    if not isinstance(y, MultiDual):
-        return (float(y), 0.0)
-    half = 1 << (m - 1)
-    lo, hi = y.c[:half], y.c[half:]
-    if m == 1:
-        return (float(lo[0, 0]), float(hi[0, 0]))
-    return (MultiDual(lo.copy(), m - 1), MultiDual(hi.copy(), m - 1))
 
 
 def coefficients(ys, m: int, p: int) -> np.ndarray:

@@ -144,11 +144,12 @@ class BasisTensors:
         return [self.pi, self.phi, self.psi]
 
 
-def build_basis_tensors(G, J, frame: RadialFrame, unit_tol: float = 1e-8) -> BasisTensors:
+def build_basis_tensors(G, J, frame: RadialFrame | ShapeData,
+                        unit_tol: float = 1e-8) -> BasisTensors:
     """The five structural (0,4)-tensors determined by (g, J, xi) at a point.
 
-    ``frame`` must be unit with respect to G (either sign of the square norm
-    is accepted so the flat indefinite form can be probed too).
+    ``frame.xi`` must be unit with respect to G (either sign of the square
+    norm is accepted so the flat indefinite form can be probed too).
     """
     G = np.asarray(G, float)
     xi = np.asarray(frame.xi, float)
@@ -226,8 +227,10 @@ class QCDecomposition:
         }
 
 
-def decompose(bundle: CurvatureBundle, basis: BasisTensors,
-              shape: ShapeData) -> QCDecomposition:
+def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
+    """Fit the bundle's curvature against the structural basis built on the
+    unit vector of ``shape``, and classify by a + k^2 with its k."""
+    basis = build_basis_tensors(bundle.G, bundle.J, shape)
     coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
     a, b, c = (float(v) for v in coeffs)
     apk = a + shape.k ** 2

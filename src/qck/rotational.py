@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,7 +33,7 @@ from .curvature import curvature_bundle, kahler_defect, point_jet
 from .duals import eval_with_partials, gatan, glog, gsqrt, solve_generic, value
 from .errors import (ChartError, DomainError, NumericalBreakdown,
                      TypeConstraintError)
-from .qch import QCDecomposition, build_basis_tensors, decompose, extract_shape_data
+from .qch import QCDecomposition, decompose, extract_shape_data
 
 ROTATION_TYPES = ("I", "II", "III")
 
@@ -256,7 +255,6 @@ class MeridianProfile:
         self.sign = float(sign)
         order = np.argsort(self.s_grid)
         self._t_of_s = CubicSpline(self.s_grid[order], self.t_grid[order])
-        self._q_of_s = CubicSpline(self.s_grid[order], self.q_grid[order])
         tail = np.argsort(self.t_grid)
         self._s_of_t = CubicSpline(self.t_grid[tail], self.s_grid[tail])
         self._q_of_t = CubicSpline(self.t_grid[tail], self.q_grid[tail])
@@ -284,9 +282,6 @@ class MeridianProfile:
         if not (lo - 1e-9 <= s <= hi + 1e-9):
             raise DomainError(f"s = {s:.6g} outside [{lo:.6g}, {hi:.6g}]")
         return float(self._t_of_s(s))
-
-    def q_of_s(self, s: float) -> float:
-        return float(self._q_of_s(float(s)))
 
     def s_of_t(self, t: float) -> float:
         return float(self._s_of_t(self._check_t(t)))
@@ -637,11 +632,7 @@ def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
     bundle = curvature_bundle(jet)
     eigs = np.linalg.eigvalsh(bundle.G)
     kd = kahler_defect(jet)
-    shape = extract_shape_data(jet, xi_field)
-    xi0 = np.array([value(c) for c in xi_field(list(u0))])
-    frame = SimpleNamespace(xi=xi0)
-    basis = build_basis_tensors(bundle.G, bundle.J, frame)
-    dec = decompose(bundle, basis, shape)
+    dec = decompose(bundle, extract_shape_data(jet, xi_field))
     closed = profile.coefficients_at(float(u0[0]))
     delta = max(abs(dec.a - closed.a), abs(dec.b - closed.b),
                 abs(dec.c - closed.c))

@@ -10,55 +10,46 @@ the ambient quasi-constant decomposition.
 
 The intrinsic family on the unit Lorentz hypersphere rescales the flat
 induced structure into Sasakian metrics of prescribed negative
-phi-holomorphic curvature; it is handled in chart coordinates.
+phi-holomorphic curvature; it is handled in chart coordinates.  Both
+constructions go through the same checks: ``_alpha_check`` for the two
+derivative laws and ``_report`` for the phi-sectional curvature and the space
+form model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import (AmbientSpace, MetricField, potential_metric,
-                      radial_frame, radial_unit_field)
+                      radial_frame, radial_unit_field, radial_unit_vector)
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
 from .core import apply_j0
-from .curvature import (PointJet, covariant_vector_derivative, curvature_bundle,
-                        point_jet)
+from .curvature import (CurvatureBundle, PointJet, covariant_vector_derivative,
+                        curvature_bundle, point_jet)
 from .errors import DomainError, NotSasakian, NotSpaceForm
-from .qch import (QCDecomposition, ShapeData, _complement_basis,
-                  build_basis_tensors, decompose, extract_shape_data)
+from .qch import (QCDecomposition, ShapeData, _complement_basis, decompose,
+                  extract_shape_data)
 from .sampling import timelike_point
 
 ZERO_BAND = 1e-8
-
-
-def _type_tag(c_plus_3a2: float, band: float = ZERO_BAND) -> str:
-    if c_plus_3a2 > band:
-        return "I"
-    if c_plus_3a2 < -band:
-        return "III"
-    return "II"
+ALPHA_GATE = 1e-5
 
 
 @dataclass(frozen=True)
-class ContactStructure:
-    """Induced almost contact data at a point of a hypersphere, with the
-    ambient metric's PointJet there."""
+class AlmostContact:
+    """Almost contact data (phi, xi_tilde, eta_tilde) at a point, with the
+    metric's PointJet there and a g-orthonormal tangent basis whose first row
+    is xi_tilde and whose other rows span the phi-distribution."""
 
     jet: PointJet
-    radius: float
-    orientation: str
-    xi: np.ndarray
     xi_tilde: np.ndarray
     eta_tilde: np.ndarray  # covector components of g(., xi_tilde)
     phi: np.ndarray
-    tangent_basis: np.ndarray  # rows span the tangent space, g-orthonormal
-    k: float
-    alpha: float
-    shape: ShapeData
-    identity_defect: float
+    tangent_basis: np.ndarray
 
     @property
     def point(self) -> np.ndarray:
@@ -68,12 +59,26 @@ class ContactStructure:
     def G(self) -> np.ndarray:
         return self.jet.G
 
-    @property
-    def J(self) -> np.ndarray:
-        return self.jet.J
+    def tangential(self, v):
+        """Tangential part of a vector; every vector is tangent when the
+        structure is given intrinsically."""
+        return v
 
-    def eta_t(self, v) -> float:
-        return float(self.eta_tilde @ np.asarray(v, float))
+
+@dataclass(frozen=True)
+class ContactStructure(AlmostContact):
+    """Almost contact structure induced on a hypersphere with unit normal xi."""
+
+    radius: float
+    orientation: str
+    xi: np.ndarray
+    k: float
+    alpha: float
+    shape: ShapeData
+    identity_defect: float
+
+    def tangential(self, v):
+        return v - float(v @ self.G @ self.xi) * self.xi
 
 
 def induced_contact(space: AmbientSpace, metric: MetricField, x,
@@ -111,18 +116,14 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
                                + (eta_t @ u) * (eta_t @ v)))
 
     return ContactStructure(
-        jet, radius=frame.r, orientation=tag, xi=xi, xi_tilde=xit,
-        eta_tilde=eta_t, phi=phi, tangent_basis=basis, k=shape.k,
+        jet, xi_tilde=xit, eta_tilde=eta_t, phi=phi, tangent_basis=basis,
+        radius=frame.r, orientation=tag, xi=xi, k=shape.k,
         alpha=0.5 * shape.k, shape=shape,
         identity_defect=float(max(defects)))
 
 
 def _gnorm(G, v) -> float:
     return math.sqrt(abs(float(v @ G @ v)))
-
-
-def _tangential(G, xi, v):
-    return v - float(v @ G @ xi) * xi
 
 
 @dataclass(frozen=True)
@@ -132,81 +133,79 @@ class AlphaCheck:
     phi_defect: float
 
 
-def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
-                         structure: ContactStructure,
-                         gate: float = 1e-5) -> AlphaCheck:
-    """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative laws.
+def _alpha_check(structure: AlmostContact, D, phi_fields,
+                 gate: float) -> AlphaCheck:
+    """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative laws
+    over the tangent basis, with derivatives projected tangentially.
 
-    The covariant derivatives are taken with the structure's jet of the
-    ambient metric and projected onto the tangent space.  Raises NotSasakian
-    when the fitted law leaves a residual above ``gate``.
+    ``D`` is the covariant derivative of the Reeb field at the point, and
+    ``phi_fields(y)`` gives the vector fields (phi Y, Y) of a vector field Y
+    through the basis vector y, for the law
+    (D_x phi)(y) = alpha (eta_t(y) x - g(x, y) xi_tilde).  Raises NotSasakian
+    when the fitted law for xi_tilde leaves a residual above ``gate``.
     """
-    G, xi, phi = structure.G, structure.xi, structure.phi
-    unit = radial_unit_field(space, metric, orientation=structure.orientation)
-
-    def xit_field(x):
-        return apply_j0(unit(x))
-
-    D, _ = covariant_vector_derivative(structure.jet, xit_field)
-    num = den = 0.0
-    residual = []
-    for u in structure.tangent_basis:
-        dxit = _tangential(G, xi, u @ D)
-        pu = phi @ u
-        num += float(dxit @ G @ pu)
-        den += float(pu @ G @ pu)
-        residual.append((dxit, pu))
-    alpha = num / den
-    alpha_defect = max(_gnorm(G, d - alpha * p) for d, p in residual)
+    G, phi, basis = structure.G, structure.phi, structure.tangent_basis
+    pairs = [(structure.tangential(u @ D), phi @ u) for u in basis]
+    alpha = (sum(float(d @ G @ p) for d, p in pairs)
+             / sum(float(p @ G @ p) for _, p in pairs))
+    alpha_defect = max(_gnorm(G, d - alpha * p) for d, p in pairs)
     if alpha_defect > gate:
         raise NotSasakian(
             f"derivative law residual {alpha_defect:.3e} exceeds {gate:.1e}")
 
-    phi_defect = _phi_structure_defect(metric, structure, unit, alpha)
+    xit, eta_t = structure.xi_tilde, structure.eta_tilde
+    phi_defect = 0.0
+    for y in basis:
+        phiy_field, y_field = phi_fields([float(c) for c in y])
+        Dp, _ = covariant_vector_derivative(structure.jet, phiy_field)
+        Dy, _ = covariant_vector_derivative(structure.jet, y_field)
+        for u in basis:
+            lhs = (structure.tangential(u @ Dp)
+                   - phi @ structure.tangential(u @ Dy))
+            rhs = alpha * (float(eta_t @ y) * u - float(u @ G @ y) * xit)
+            phi_defect = max(phi_defect, _gnorm(G, lhs - rhs))
     return AlphaCheck(alpha=alpha, alpha_defect=alpha_defect,
                       phi_defect=phi_defect)
 
 
-def _phi_structure_defect(metric, structure, unit_field, alpha) -> float:
-    """Residual of (D_x phi)(y) = alpha (eta_t(y) x - g(x,y) xi_tilde)."""
-    jet = structure.jet
-    G, xi, xit, phi = structure.G, structure.xi, structure.xi_tilde, structure.phi
-    eta_t = structure.eta_tilde
-    d = len(jet.point)
+def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
+                         structure: ContactStructure,
+                         gate: float = ALPHA_GATE) -> AlphaCheck:
+    """The derivative laws of the hypersphere structure, with the ambient
+    connection of the structure's jet; see ``_alpha_check``."""
+    unit = radial_unit_field(space, metric, orientation=structure.orientation)
+    D, _ = covariant_vector_derivative(structure.jet,
+                                       lambda x: apply_j0(unit(x)))
+    return _alpha_check(structure, D,
+                        _sphere_phi_fields(space, metric, structure.orientation),
+                        gate)
 
-    def proj_field(x, y):
+
+def _sphere_phi_fields(space, metric, orientation):
+    """(phi Y, Y) for the tangential part Y of a constant vector y, with
+    phi v = J v + eta_t(v) xi; each field evaluation runs the metric once."""
+
+    def tangential(x, y):
         g = metric(x)
-        xf = unit_field(x)
+        xf = radial_unit_vector(space, x, g, orientation)
+        d = len(y)
         gy = [sum(g[i][j] * y[j] for j in range(d)) for i in range(d)]
         coef = sum(gy[i] * xf[i] for i in range(d))
-        return [y[i] - coef * xf[i] for i in range(d)]
+        return g, xf, [y[i] - coef * xf[i] for i in range(d)]
 
-    def phi_apply(x, v):
-        g = metric(x)
-        xf = unit_field(x)
-        jxf = apply_j0(xf)
-        gv = [sum(g[i][j] * v[j] for j in range(d)) for i in range(d)]
-        coef = sum(gv[i] * jxf[i] for i in range(d))
-        jv = apply_j0(v)
-        return [jv[i] + coef * xf[i] for i in range(d)]
+    def fields(y):
+        def phiy_field(x):
+            g, xf, v = tangential(x, y)
+            d = len(v)
+            jxf = apply_j0(xf)
+            gv = [sum(g[i][j] * v[j] for j in range(d)) for i in range(d)]
+            coef = sum(gv[i] * jxf[i] for i in range(d))
+            jv = apply_j0(v)
+            return [jv[i] + coef * xf[i] for i in range(d)]
 
-    worst = 0.0
-    for y in structure.tangent_basis:
-        yl = [float(c) for c in y]
+        return phiy_field, lambda x: tangential(x, y)[2]
 
-        def phiy_field(x, yl=yl):
-            return phi_apply(x, proj_field(x, yl))
-
-        def y_field(x, yl=yl):
-            return proj_field(x, yl)
-
-        Dp, _ = covariant_vector_derivative(jet, phiy_field)
-        Dy, _ = covariant_vector_derivative(jet, y_field)
-        for u in structure.tangent_basis:
-            lhs = _tangential(G, xi, u @ Dp) - phi @ _tangential(G, xi, u @ Dy)
-            rhs = alpha * (float(eta_t @ y) * u - float(u @ G @ y) * xit)
-            worst = max(worst, _gnorm(G, lhs - rhs))
-    return worst
+    return fields
 
 
 @dataclass(frozen=True)
@@ -216,15 +215,15 @@ class PhiSectional:
     values: tuple
 
 
-def gauss_curvature_fn(metric: MetricField, structure: ContactStructure,
-                       space: AmbientSpace):
+def gauss_curvature_fn(space: AmbientSpace, metric: MetricField,
+                       structure: ContactStructure, bundle: CurvatureBundle):
     """Curvature quadruple (x,y,z,u) -> K(x,y,z,u) of the hypersphere.
 
     Uses the Gauss equation with the second fundamental form
-    h(x,y) = -g(nabla_x xi, y) of the unit normal xi.  The ambient
-    curvature and connection come from the structure's jet.
+    h(x,y) = -g(nabla_x xi, y) of the unit normal xi.  ``bundle`` is the
+    ambient curvature bundle of the structure's jet, which also gives the
+    connection.
     """
-    bundle = curvature_bundle(structure.jet)
     G = structure.G
     unit = radial_unit_field(space, metric, orientation=structure.orientation)
     D, _ = covariant_vector_derivative(structure.jet, unit)
@@ -241,17 +240,15 @@ def gauss_curvature_fn(metric: MetricField, structure: ContactStructure,
     return K
 
 
-def phi_sectional(space: AmbientSpace, metric: MetricField,
-                  structure: ContactStructure, samples: int = 12,
-                  seed: int = 0, spread_gate: float = 1e-6) -> PhiSectional:
-    """Sample K(x, phi x, phi x, x) over unit directions in the distribution
-    orthogonal to xi_tilde.  Raises NotSpaceForm when the values disagree."""
-    K = gauss_curvature_fn(metric, structure, space)
+def phi_sectional(structure: AlmostContact, K, seed: int = 0) -> PhiSectional:
+    """Sample K(x, phi x, phi x, x) over 12 unit directions in the
+    distribution orthogonal to xi_tilde, K being the curvature of the
+    structure's manifold.  Raises NotSpaceForm when the values disagree."""
     G, phi = structure.G, structure.phi
     dbasis = structure.tangent_basis[1:]
     rng = np.random.default_rng(seed)
     vals = []
-    for _ in range(samples):
+    for _ in range(12):
         x = rng.normal(size=len(dbasis)) @ dbasis
         nrm = _gnorm(G, x)
         if nrm < 1e-6:
@@ -262,22 +259,22 @@ def phi_sectional(space: AmbientSpace, metric: MetricField,
         vals.append(K(x, px, px, x) / den)
     c = float(np.mean(vals))
     spread = float(np.max(vals) - np.min(vals))
-    if spread > spread_gate * max(1.0, abs(c)):
+    if spread > 1e-6 * max(1.0, abs(c)):
         raise NotSpaceForm(
             f"phi-sectional values spread {spread:.3e} at c ~ {c:.6g}")
     return PhiSectional(c=c, spread=spread, values=tuple(vals))
 
 
-def space_form_model_defect(structure: ContactStructure, K, c: float,
-                            alpha: float, samples: int = 30,
-                            seed: int = 1) -> float:
-    """Largest deviation of K from the alpha-Sasakian space form model
-    with coefficients (c + 3 alpha^2)/4 and (c - alpha^2)/4."""
+def space_form_model_defect(structure: AlmostContact, K, c: float,
+                            alpha: float) -> float:
+    """Largest deviation of K, over 30 sampled quadruples, from the
+    alpha-Sasakian space form model with coefficients (c + 3 alpha^2)/4 and
+    (c - alpha^2)/4."""
     G, phi, eta_t = structure.G, structure.phi, structure.eta_tilde
     A = 0.25 * (c + 3.0 * alpha * alpha)
     B = 0.25 * (c - alpha * alpha)
     basis = structure.tangent_basis
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
 
     def g(u, v):
         return float(u @ G @ v)
@@ -286,7 +283,7 @@ def space_form_model_defect(structure: ContactStructure, K, c: float,
         return float(eta_t @ u)
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(30):
         x, y, z, u = (rng.normal(size=len(basis)) @ basis for _ in range(4))
         model = A * (g(y, z) * g(x, u) - g(x, z) * g(y, u))
         model += B * (g(phi @ y, z) * g(phi @ x, u)
@@ -299,13 +296,12 @@ def space_form_model_defect(structure: ContactStructure, K, c: float,
 
 
 def gauss_consistency(space: AmbientSpace, metric: MetricField,
-                      structure: ContactStructure, samples: int = 6,
-                      seed: int = 2) -> float:
-    """Cross-check of the extrinsic curvature against the intrinsic one.
+                      structure: ContactStructure, K, seed: int = 2) -> float:
+    """Cross-check of the extrinsic curvature K against the intrinsic one.
 
     The hypersphere is realized as a graph chart, the ambient metric is
-    pulled back, and sectional curvatures of chart planes are compared with
-    the Gauss-equation values on the matching ambient planes.
+    pulled back, and sectional curvatures of 6 chart planes are compared
+    with the Gauss-equation values K on the matching ambient planes.
     """
     Z = structure.point
     r = structure.radius
@@ -316,12 +312,11 @@ def gauss_consistency(space: AmbientSpace, metric: MetricField,
         raise DomainError("chart cross-check is wired for the Lorentz signature")
     u0 = chart.params_of(Z)
     bundle = curvature_bundle(point_jet(pullback_metric(chart, metric), u0))
-    K = gauss_curvature_fn(metric, structure, space)
     basis = structure.tangent_basis
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
-    while done < samples:
+    while done < 6:
         x, y = (rng.normal(size=len(basis)) @ basis for _ in range(2))
         den = (float(x @ structure.G @ x) * float(y @ structure.G @ y)
                - float(x @ structure.G @ y) ** 2)
@@ -343,14 +338,24 @@ class SasakianReport:
     phi_defect: float
     c: float
     c_spread: float
-    c_plus_3a2: float
-    type_tag: str
     model_defect: float
     identity_defect: float
     decomposition: QCDecomposition | None = None
     decompose_delta: float | None = None
     gauss_delta: float | None = None
     q: float | None = None
+
+    @property
+    def c_plus_3a2(self) -> float:
+        return self.c + 3.0 * self.alpha ** 2
+
+    @property
+    def type_tag(self) -> str:
+        if self.c_plus_3a2 > ZERO_BAND:
+            return "I"
+        if self.c_plus_3a2 < -ZERO_BAND:
+            return "III"
+        return "II"
 
     def to_json(self) -> dict:
         out = {
@@ -376,10 +381,23 @@ class SasakianReport:
         return out
 
 
+def _report(structure: AlmostContact, check: AlphaCheck, K, seed: int,
+            **fields) -> SasakianReport:
+    """The checked derivative laws plus the phi-sectional curvature and the
+    space form model of the curvature K of the structure's manifold."""
+    phis = phi_sectional(structure, K, seed=seed)
+    return SasakianReport(
+        alpha=check.alpha, alpha_defect=check.alpha_defect,
+        phi_defect=check.phi_defect, c=phis.c, c_spread=phis.spread,
+        model_defect=space_form_model_defect(structure, K, phis.c, check.alpha),
+        **fields)
+
+
 def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
-                  orientation: str = "auto", cross_check: bool = True,
+                  orientation: str = "auto",
                   metric: MetricField | None = None) -> SasakianReport:
-    """Full alpha-Sasakian verification of the hypersphere of radius r.
+    """Full alpha-Sasakian verification of the hypersphere of radius r, with
+    the chart cross-check of the Gauss equation on the Lorentz signature.
 
     ``family`` may be None together with an explicit ``metric`` (the flat
     field gives the classical round-sphere structures).
@@ -390,29 +408,19 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
          else _definite_axis_point(space, r, seed))
     structure = induced_contact(space, metric, Z, orientation=orientation)
     check = alpha_sasakian_check(space, metric, structure)
-    phis = phi_sectional(space, metric, structure, seed=seed)
-    K = gauss_curvature_fn(metric, structure, space)
-    model = space_form_model_defect(structure, K, phis.c, check.alpha)
-    c3 = phis.c + 3.0 * check.alpha ** 2
-
-    frame = radial_frame(space, structure.point,
-                         orientation=structure.orientation, jet=structure.jet)
     bundle = curvature_bundle(structure.jet)
-    basis = build_basis_tensors(bundle.G, bundle.J, frame)
-    dec = decompose(bundle, basis, structure.shape)
-    delta = max(abs(c3 - dec.a_plus_k2), abs(phis.c - check.alpha ** 2 - dec.a))
+    K = gauss_curvature_fn(space, metric, structure, bundle)
+    rep = _report(structure, check, K, seed, radius=structure.radius,
+                  orientation=structure.orientation,
+                  identity_defect=structure.identity_defect)
 
-    gauss_delta = None
-    if cross_check and space.lorentz:
-        gauss_delta = gauss_consistency(space, metric, structure, seed=seed)
-
-    return SasakianReport(
-        radius=structure.radius, orientation=structure.orientation,
-        alpha=check.alpha, alpha_defect=check.alpha_defect,
-        phi_defect=check.phi_defect, c=phis.c, c_spread=phis.spread,
-        c_plus_3a2=c3, type_tag=_type_tag(c3), model_defect=model,
-        identity_defect=structure.identity_defect, decomposition=dec,
-        decompose_delta=delta, gauss_delta=gauss_delta)
+    dec = decompose(bundle, structure.shape)
+    delta = max(abs(rep.c_plus_3a2 - dec.a_plus_k2),
+                abs(rep.c - rep.alpha ** 2 - dec.a))
+    gauss_delta = (gauss_consistency(space, metric, structure, K, seed=seed)
+                   if space.lorentz else None)
+    return dataclasses.replace(rep, decomposition=dec, decompose_delta=delta,
+                               gauss_delta=gauss_delta)
 
 
 def _chartable_timelike_point(space, r, seed, margin=0.25, tries=64):
@@ -440,8 +448,7 @@ def family_h1_metric(n: int, q: float, sign: float = 1.0):
     form, in graph chart coordinates.
 
     Returns (metric, chart, fields) where fields carries the chart
-    expressions of the structure: the Reeb field, its covector, and the phi
-    matrix field.
+    expressions of the structure: the Reeb field and the phi matrix field.
     """
     if q <= 0:
         raise DomainError("family parameter q must be positive")
@@ -479,11 +486,6 @@ def family_h1_metric(n: int, q: float, sign: float = 1.0):
         jn = apply_j0(nv)
         return [-jn[p] / (q * q) for p in range(m)]
 
-    def xi_tilde_field(u):
-        nv = chart.fn(u)
-        jn = apply_j0(nv)
-        return [-jn[p] for p in range(m)]
-
     def phi_matrix(u):
         # phi w = J0 w + eta_f(w) normal, eta_f = -h'(., J0 normal)
         nv = chart.fn(u)
@@ -500,13 +502,10 @@ def family_h1_metric(n: int, q: float, sign: float = 1.0):
 
     metric = MetricField(metric_fn, m, name=f"sasakian-family[q={q}]",
                          meta={"chart": chart, "q": q})
-    fields = {"reeb": reeb_field, "xi_tilde": xi_tilde_field,
-              "phi": phi_matrix, "eta_chart": eta_chart}
-    return metric, chart, fields
+    return metric, chart, {"reeb": reeb_field, "phi": phi_matrix}
 
 
-def family_h1_report(n: int, q: float, seed: int = 0,
-                     samples: int = 10) -> SasakianReport:
+def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     """Verification of the family metric: alpha, the derivative laws, the
     phi-sectional value, and the space form model, all intrinsic."""
     metric, chart, fields = family_h1_metric(n, q)
@@ -516,60 +515,27 @@ def family_h1_report(n: int, q: float, seed: int = 0,
     u0[-1] *= 0.5
 
     jet = point_jet(metric, u0)
-    G = jet.G
-    xb = np.array([float(c) for c in fields["reeb"](list(u0))])
+    D, reeb = covariant_vector_derivative(jet, fields["reeb"])
     phi = np.array([[float(e) for e in row] for row in fields["phi"](list(u0))])
-    eta_bar = G @ xb
+    structure = AlmostContact(
+        jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb, phi=phi,
+        tangent_basis=_family_tangent_basis(jet.G, reeb))
 
-    D, _ = covariant_vector_derivative(jet, fields["reeb"])
-    basis = _family_tangent_basis(G, xb)
-    num = den = 0.0
-    pairs = []
-    for u in basis:
-        du = u @ D
-        pu = phi @ u
-        num += float(du @ G @ pu)
-        den += float(pu @ G @ pu)
-        pairs.append((du, pu))
-    alpha = num / den
-    alpha_defect = max(_gnorm(G, d_ - alpha * p_) for d_, p_ in pairs)
-    if alpha_defect > 1e-5:
-        raise NotSasakian(
-            f"family derivative law residual {alpha_defect:.3e}")
+    def phi_fields(y):
+        def phiy_field(u):
+            pm = fields["phi"](u)
+            return [sum(pm[i][j] * y[j] for j in range(m)) for i in range(m)]
 
-    phi_defect = _family_phi_defect(jet, fields, phi, xb, eta_bar, alpha,
-                                    basis)
+        return phiy_field, lambda u: list(y)
 
-    bundle = curvature_bundle(jet)
-    vals = []
-    for _ in range(samples):
-        x = rng.normal(size=len(basis)) @ basis
-        x = x - float(eta_bar @ x) * xb  # into the phi-distribution
-        nrm = _gnorm(G, x)
-        if nrm < 1e-6:
-            continue
-        vals.append(bundle.sectional(x / nrm, phi @ x / nrm))
-    c = float(np.mean(vals))
-    spread = float(np.max(vals) - np.min(vals))
-    if spread > 1e-6 * max(1.0, abs(c)):
-        raise NotSpaceForm(f"family phi-sectional spread {spread:.3e}")
-
-    struct = ContactStructure(
-        jet, radius=1.0, orientation="outward", xi=np.zeros(m),
-        xi_tilde=xb, eta_tilde=eta_bar, phi=phi,
-        tangent_basis=np.vstack([xb] + list(basis[1:])), k=2.0 * alpha,
-        alpha=alpha, shape=None, identity_defect=0.0)
+    check = _alpha_check(structure, D, phi_fields, ALPHA_GATE)
+    R = curvature_bundle(jet).R.a
 
     def K(x, y, z, u):
-        return float(np.einsum("ijkl,i,j,k,l->", bundle.R.a, x, y, z, u))
+        return float(np.einsum("ijkl,i,j,k,l->", R, x, y, z, u))
 
-    model = space_form_model_defect(struct, K, c, alpha)
-    c3 = c + 3.0 * alpha * alpha
-    return SasakianReport(
-        radius=1.0, orientation="outward", alpha=alpha,
-        alpha_defect=alpha_defect, phi_defect=phi_defect, c=c,
-        c_spread=spread, c_plus_3a2=c3, type_tag=_type_tag(c3),
-        model_defect=model, identity_defect=0.0, q=q)
+    return _report(structure, check, K, seed, radius=1.0,
+                   orientation="outward", identity_defect=0.0, q=q)
 
 
 def _family_tangent_basis(G, reeb):
@@ -588,27 +554,3 @@ def _family_tangent_basis(G, reeb):
         if len(vecs) == m:
             break
     return np.vstack(vecs)
-
-
-def _family_phi_defect(jet, fields, phi, reeb, eta_bar, alpha, basis) -> float:
-    """Residual of (D_x phi)(y) = alpha (eta(y) x - g(x,y) reeb), intrinsically."""
-    G = jet.G
-    m = len(jet.point)
-    worst = 0.0
-    for y in basis:
-        yl = [float(c) for c in y]
-
-        def phiy_field(u, yl=yl):
-            pm = fields["phi"](u)
-            return [sum(pm[i][j] * yl[j] for j in range(m)) for i in range(m)]
-
-        def y_field(u, yl=yl):
-            return list(yl)
-
-        Dp, _ = covariant_vector_derivative(jet, phiy_field)
-        Dy, _ = covariant_vector_derivative(jet, y_field)
-        for x in basis:
-            lhs = x @ Dp - phi @ (x @ Dy)
-            rhs = alpha * (float(eta_bar @ y) * x - float(x @ G @ y) * reeb)
-            worst = max(worst, _gnorm(G, lhs - rhs))
-    return worst

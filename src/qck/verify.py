@@ -45,12 +45,10 @@ class CriterionResult:
                 "failures": list(self.failures)}
 
 
-def _decompose_at(space, jet, xi_field):
+def _decompose_at(jet, xi_field):
     bundle = curvature_bundle(jet)
-    frame = radial_frame(space, jet.point, jet=jet)
     shape = extract_shape_data(jet, xi_field)
-    basis = build_basis_tensors(bundle.G, bundle.J, frame)
-    return decompose(bundle, basis, shape), bundle, frame
+    return decompose(bundle, shape), bundle, shape
 
 
 # -- criterion bodies ----------------------------------------------------------
@@ -90,7 +88,7 @@ def _crit_disc_model():
     def one(item):
         i, x = item
         out = []
-        dec, bundle, _ = _decompose_at(space, point_jet(metric, x), xi_field)
+        dec, bundle, _ = _decompose_at(point_jet(metric, x), xi_field)
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
             out.append(f"point {i}: decomposition off by {coeff:.3e}, "
@@ -138,7 +136,7 @@ def _crit_negative_class():
         for x in pts:
             jet = point_jet(metric, x)
             kd = kahler_defect(jet)
-            dec, _, _ = _decompose_at(space, jet, xi_field)
+            dec, _, _ = _decompose_at(jet, xi_field)
             kmax = max(kmax, kd)
             rmax = max(rmax, dec.residual)
             margin = max(margin, dec.a_plus_k2)
@@ -170,7 +168,7 @@ def _crit_definite_class():
         xi_field = radial_unit_field(space, metric, "outward")
         pts = radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
         for x in pts:
-            dec, _, _ = _decompose_at(space, point_jet(metric, x), xi_field)
+            dec, _, _ = _decompose_at(point_jet(metric, x), xi_field)
             details["max_residual"] = max(details["max_residual"], dec.residual)
             details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
                                            dec.a_plus_k2)
@@ -194,14 +192,13 @@ def _crit_radial_law():
         xi_field = radial_unit_field(space, metric, "outward")
 
         def a_at(r):
-            return _decompose_at(space, point_jet(metric, r * u), xi_field)[0].a
+            return _decompose_at(point_jet(metric, r * u), xi_field)[0].a
 
         for r in (1.4, 1.7, 2.0, 2.4, 2.8):
             h = 1e-3 * r
             da_dr = (a_at(r + h) - a_at(r - h)) / (2.0 * h)
-            dec, bundle, frame = _decompose_at(space, point_jet(metric, r * u),
-                                               xi_field)
-            eta_dr = float(frame.xi @ bundle.G @ u)
+            dec, bundle, shape = _decompose_at(point_jet(metric, r * u), xi_field)
+            eta_dr = float(shape.xi @ bundle.G @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
             worst = max(worst, err)

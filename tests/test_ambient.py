@@ -22,6 +22,7 @@ from qck.ambient import (
     radial_unit_field,
 )
 from qck.core import complex_to_real, hermitian_to_real
+from qck.curvature import point_jet
 from qck.duals import generator, value
 from qck.errors import (
     AdmissibilityError,
@@ -30,6 +31,8 @@ from qck.errors import (
     FrameError,
 )
 from qck.fields import ScalarField, differentiate
+from qck.qch import extract_shape_data
+from qck.sasakian import sphere_report
 
 L3 = AmbientSpace(3, "lorentz")
 L2 = AmbientSpace(2, "lorentz")
@@ -268,6 +271,16 @@ class TestRadialFrame:
         x = complex_to_real([0, 0, 2j])
         with pytest.raises(FrameError):
             radial_frame(L3, x, metric=flat_metric(L3))
+
+    def test_unit_field_frame_error_on_bad_normalizer(self):
+        # the unit field fails as the frame does where the radial direction
+        # is not space-like in the metric, so per-point handling catches it
+        with pytest.raises(FrameError, match="non-positive square norm"):
+            sphere_report(L2, None, 2.0, metric=flat_metric(L2))
+        g = potential_metric(L2, UserSeries((0, 1)), checked=False)
+        x = timelike_point(L2, 1.5, seed=2)
+        with pytest.raises(FrameError, match="non-positive square norm"):
+            extract_shape_data(point_jet(g, x), radial_unit_field(L2, metric=g))
 
     def test_field_matches_frame(self):
         g = potential_metric(L3, LogFamily(-1.0, 1.0))

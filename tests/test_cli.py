@@ -296,6 +296,25 @@ class TestUsageAndConfig:
         assert [p["point"] for p in rep["points"]] == [
             [0.0, 0.0, 0.0, 1.5], [0.1, 0.0, 0.0, 1.6]]
 
+    def test_class_band_tolerance_is_unknown(self, capsys, tmp_path):
+        cfgfile = tmp_path / "band.json"
+        cfgfile.write_text(json.dumps({"tolerances": {"class_band": 1e-3}}))
+        code, _, err = run_cli(capsys, ["decompose", "--config", str(cfgfile)])
+        assert code == 2
+        assert "class_band" in err
+
+    def test_config_residual_tolerance_gates_decompose(self, capsys, tmp_path):
+        argv = ["decompose", "--count", "2", "--seed", "1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+        cfgfile = tmp_path / "strict.json"
+        cfgfile.write_text(json.dumps({"tolerances": {"residual": 0.0}}))
+        code, out, _ = run_cli(capsys, argv + ["--config", str(cfgfile)])
+        rep = json.loads(out)
+        assert code == 1 and rep["pass"] is False
+        assert rep["config"]["tolerances"] == {"residual": 0.0}
+        assert all("error" not in p for p in rep["points"])
+
     def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QCK_THREADS", "lots")
         code, _, err = run_cli(capsys, ["check-potential", "--count", "2"])

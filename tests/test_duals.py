@@ -16,9 +16,7 @@ from qck.duals import (
     glog,
     gsin,
     gsqrt,
-    lift,
     solve_generic,
-    split_last,
     value,
 )
 
@@ -38,8 +36,8 @@ def fd(f, x, h=1e-5):
 class TestArithmetic:
     @given(finite, finite)
     def test_add_mul_match_floats(self, a, b):
-        ga = lift(a, 2)
-        gb = lift(b, 2)
+        ga = MultiDual.constant(a, 2)
+        gb = MultiDual.constant(b, 2)
         assert value(ga + gb) == pytest.approx(a + b)
         assert value(ga * gb) == pytest.approx(a * b)
         assert value(ga - gb) == pytest.approx(a - b)
@@ -167,15 +165,6 @@ class TestHelpers:
                 assert cols[j][i].value == pytest.approx(jc[i][j], abs=1e-13)
                 slope = (jup[i][j] - jdown[i][j]) / (2 * h)
                 assert cols[j][i].coeff(1) == pytest.approx(slope, abs=1e-8)
-
-    def test_lift_and_split(self):
-        x = 2.0 + generator(0, 1)
-        y = lift(x, 2)
-        y = y * (1.0 + generator(1, 2))
-        base, der = split_last(y, 2)
-        assert value(base) == pytest.approx(2.0)
-        assert base.coeff(1) == pytest.approx(1.0)
-        assert value(der) == pytest.approx(2.0)
 
     def test_solve_generic_matches_numpy(self):
         rng = np.random.default_rng(5)

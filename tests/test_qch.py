@@ -67,8 +67,7 @@ def disc_pipeline(x, orientation="outward"):
     frame = radial_frame(L3, x, metric=g, orientation=orientation)
     field = radial_unit_field(L3, metric=g, orientation=orientation)
     shape = extract_shape_data(jet, field)
-    basis = build_basis_tensors(bundle.G, bundle.J, frame)
-    return g, bundle, frame, shape, basis
+    return g, bundle, frame, shape
 
 
 # -- reference implementations (per-quadruple transcription) -------------------
@@ -250,7 +249,7 @@ class TestShapeData:
 
     def test_disc_metric_shape(self):
         x = timelike_point(L3, 2.0, seed=4)
-        _, _, _, sd, _ = disc_pipeline(x)
+        _, _, _, sd = disc_pipeline(x)
         assert sd.variant == "riemannian"
         assert sd.k == pytest.approx(-0.5, abs=1e-9)
         assert sd.p_star == pytest.approx(1.25, abs=1e-8)
@@ -315,8 +314,8 @@ class TestShapeData:
 
     def test_inward_orientation_flips_k(self):
         x = timelike_point(L3, 2.0, seed=21)
-        _, _, _, sd_out, _ = disc_pipeline(x)
-        _, _, _, sd_in, _ = disc_pipeline(x, orientation="inward")
+        _, _, _, sd_out = disc_pipeline(x)
+        _, _, _, sd_in = disc_pipeline(x, orientation="inward")
         assert sd_in.k == pytest.approx(-sd_out.k, abs=1e-9)
 
 
@@ -326,8 +325,8 @@ class TestDecompose:
             rng = np.random.default_rng(100 + seed)
             r = float(rng.uniform(1.2, 2.8))
             x = timelike_point(L3, r, seed=seed, theta=float(rng.uniform(0, 2 * np.pi)))
-            _, bundle, frame, shape, basis = disc_pipeline(x)
-            dec = decompose(bundle, basis, shape)
+            _, bundle, _, shape = disc_pipeline(x)
+            dec = decompose(bundle, shape)
             assert dec.a == pytest.approx(-1.0, abs=1e-8)
             assert abs(dec.b) < 1e-8
             assert abs(dec.c) < 1e-8
@@ -340,11 +339,9 @@ class TestDecompose:
         x = definite_point(D2, 2.0, seed=8)
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
-        frame = radial_frame(D2, x)
         field = radial_unit_field(D2)
         shape = extract_shape_data(jet, field)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
+        dec = decompose(bundle, shape)
         assert abs(dec.a) < 1e-12 and abs(dec.b) < 1e-12 and abs(dec.c) < 1e-12
         assert dec.klass == "positive"  # a + k^2 = 1 at r = 2
         assert dec.a_plus_k2 == pytest.approx(1.0, abs=1e-9)
@@ -357,10 +354,8 @@ class TestDecompose:
             x = timelike_point(L2, 1.4 + 0.3 * seed, seed=seed)
             jet = point_jet(g, x)
             bundle = curvature_bundle(jet)
-            frame = radial_frame(L2, x, metric=g)
             shape = extract_shape_data(jet, field)
-            basis = build_basis_tensors(bundle.G, bundle.J, frame)
-            dec = decompose(bundle, basis, shape)
+            dec = decompose(bundle, shape)
             assert dec.residual < 1e-6
             assert dec.a_plus_k2 < -1e-3
             assert dec.klass == "negative"
@@ -372,10 +367,8 @@ class TestDecompose:
         x = definite_point(D2, 1.5, seed=6)
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
-        frame = radial_frame(D2, x, metric=g)
         shape = extract_shape_data(jet, field)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
+        dec = decompose(bundle, shape)
         assert dec.residual < 1e-6
         assert dec.a_plus_k2 > 1e-3
         assert dec.klass == "positive"
@@ -409,7 +402,7 @@ class TestDecompose:
 class TestAngleProfile:
     def test_disc_profile_constant(self):
         x = timelike_point(L3, 1.8, seed=14)
-        _, bundle, frame, _, _ = disc_pipeline(x)
+        _, bundle, frame, _ = disc_pipeline(x)
         rng = np.random.default_rng(0)
         samples = rng.normal(size=(12, 6))
         prof = hsc_angle_profile(bundle, frame, samples)
@@ -425,8 +418,7 @@ class TestAngleProfile:
         frame = radial_frame(L3, x, metric=g)
         field = radial_unit_field(L3, metric=g)
         shape = extract_shape_data(jet, field)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
+        dec = decompose(bundle, shape)
 
         rng = np.random.default_rng(1)
         samples = rng.normal(size=(20, 6))
@@ -445,8 +437,7 @@ class TestAngleProfile:
         frame = radial_frame(L3, x, metric=g)
         field = radial_unit_field(L3, metric=g)
         shape = extract_shape_data(jet, field)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
+        dec = decompose(bundle, shape)
 
         # X = xi: cos theta = 1, H = a + b + c
         prof = hsc_angle_profile(bundle, frame, [frame.xi])
@@ -558,7 +549,7 @@ class TestBochner:
         field = radial_unit_field(L3, metric=g)
         shape = extract_shape_data(jet, field)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
-        dec = decompose(bundle, basis, shape)
+        dec = decompose(bundle, shape)
         B = bochner_tensor(jet, bundle=bundle)
         n = 3
         image = ((2.0 / ((n + 1) * (n + 2))) * basis.pi

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck import curvature
+from qck import ambient, curvature
 from qck.ambient import AmbientSpace, LogFamily, flat_metric, potential_metric
+from qck.curvature import curvature_bundle
 from qck.errors import ChartError, DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
                           family_h1_report, gauss_consistency,
@@ -26,6 +27,11 @@ def disc_structure(r=2.0, seed=3, orientation="auto"):
     metric = potential_metric(L2, DISC)
     Z = timelike_point(L2, r, seed=seed)
     return metric, induced_contact(L2, metric, Z, orientation=orientation)
+
+
+def gauss_K(space, metric, structure):
+    bundle = curvature_bundle(structure.jet)
+    return gauss_curvature_fn(space, metric, structure, bundle)
 
 
 class TestInducedContact:
@@ -94,7 +100,7 @@ class TestAlphaCheck:
 class TestPhiSectional:
     def test_disc_sphere_value(self):
         metric, st_ = disc_structure(2.0)
-        ps = phi_sectional(L2, metric, st_, seed=4)
+        ps = phi_sectional(st_, gauss_K(L2, metric, st_), seed=4)
         assert abs(ps.c + 15.0 / 16.0) < 1e-12
         assert ps.spread < 1e-12
         assert len(ps.values) > 5
@@ -102,8 +108,8 @@ class TestPhiSectional:
     def test_orientation_independent(self):
         metric, st_in = disc_structure(2.0)
         _, st_out = disc_structure(2.0, orientation="outward")
-        c_in = phi_sectional(L2, metric, st_in, seed=1).c
-        c_out = phi_sectional(L2, metric, st_out, seed=1).c
+        c_in = phi_sectional(st_in, gauss_K(L2, metric, st_in), seed=1).c
+        c_out = phi_sectional(st_out, gauss_K(L2, metric, st_out), seed=1).c
         assert abs(c_in - c_out) < 1e-12
 
     def test_mixed_directions_fail_space_form(self):
@@ -113,26 +119,26 @@ class TestPhiSectional:
         B[1] = 0.8 * B[1] + 0.6 * B[0]
         bad = dataclasses.replace(st_, tangent_basis=B)
         with pytest.raises(NotSpaceForm):
-            phi_sectional(L2, metric, bad, seed=2)
+            phi_sectional(bad, gauss_K(L2, metric, bad), seed=2)
 
 
 class TestSpaceFormModel:
     def test_disc_sphere_model_holds(self):
         metric, st_ = disc_structure(2.0)
-        K = gauss_curvature_fn(metric, st_, L2)
+        K = gauss_K(L2, metric, st_)
         d = space_form_model_defect(st_, K, -15.0 / 16.0, 0.25)
         assert d < 1e-12
 
     def test_wrong_coefficients_fail(self):
         metric, st_ = disc_structure(2.0)
-        K = gauss_curvature_fn(metric, st_, L2)
+        K = gauss_K(L2, metric, st_)
         assert space_form_model_defect(st_, K, -15.0 / 16.0 + 0.1, 0.25) > 1e-3
 
 
 class TestGaussConsistency:
     def test_disc_sphere_intrinsic_matches(self):
         metric, st_ = disc_structure(2.0)
-        assert gauss_consistency(L2, metric, st_) < 1e-10
+        assert gauss_consistency(L2, metric, st_, gauss_K(L2, metric, st_)) < 1e-10
 
     def test_definite_signature_unsupported(self):
         metric = flat_metric(D2)
@@ -140,7 +146,7 @@ class TestGaussConsistency:
         Z *= 2.0 / np.linalg.norm(Z)
         st_ = induced_contact(D2, metric, Z)
         with pytest.raises(DomainError):
-            gauss_consistency(D2, metric, st_)
+            gauss_consistency(D2, metric, st_, gauss_K(D2, metric, st_))
 
 
 class TestSphereReport:
@@ -239,3 +245,48 @@ class TestJetCounts:
     def test_family_report(self, jets):
         family_h1_report(2, 2.0)
         assert jets == {"second": 1, "first": 0}
+
+
+class TestEvaluationCounts:
+    """A report assembles one curvature bundle per point it works at, and
+    each field evaluation runs the metric once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"bundles": 0, "evaluations": 0}
+
+        class CountedBundle(curvature.CurvatureBundle):
+            def __init__(self, *args, **kwargs):
+                counts["bundles"] += 1
+                super().__init__(*args, **kwargs)
+
+        init = ambient.MetricField.__init__
+
+        def counted_init(field, *args, **kwargs):
+            init(field, *args, **kwargs)
+            evaluate = field.fn
+
+            def fn(x):
+                counts["evaluations"] += 1
+                return evaluate(x)
+
+            field.fn = fn
+
+        monkeypatch.setattr(curvature, "CurvatureBundle", CountedBundle)
+        monkeypatch.setattr(ambient.MetricField, "__init__", counted_init)
+        return counts
+
+    def test_sphere_report(self, counts):
+        # bundles at Z and on the pulled-back chart metric; evaluations: the
+        # jet at Z, the unit normal's jet for both orientations, the Reeb
+        # field's, the normal's for the Gauss equation, two per tangent basis
+        # vector for the phi law, and the chart metric's jet (2 with the
+        # ambient metric it pulls back)
+        sphere_report(L2, DISC, 2.0)
+        assert counts["bundles"] == 2
+        assert counts["evaluations"] <= 13
+
+    def test_family_report(self, counts):
+        # the family metric evaluates the pulled-back flat metric inside
+        family_h1_report(2, 2.0)
+        assert counts == {"bundles": 1, "evaluations": 2}

@@ -1,0 +1,46 @@
+"""Smoke runs of the scripts under ``scripts/`` on tiny inputs."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_sweep_potentials(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "sweep_potentials.py",
+                     "--family", "log", "--params=-1", "--radii", "0.5,1.5,2.0")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+            if line[:1] == " " and line.split()[0][0].isdigit()}
+    # inside r0 the radius is reported as rejected, not computed
+    assert rows["0.500"][0] == "--"
+    for r in ("1.500", "2.000"):
+        a, b, c, k, apk, klass = rows[r]
+        # the disc model: a = -1 and b = c = 0 at every radius
+        assert abs(float(a) + 1.0) < 1e-9
+        assert abs(float(b)) < 1e-9 and abs(float(c)) < 1e-9
+        assert klass == "negative"
+
+
+def test_meridian_tables(monkeypatch, capsys, tmp_path):
+    out = run_script(monkeypatch, capsys, "meridian_tables.py",
+                     "--out-dir", str(tmp_path), "--steps", "9",
+                     "--embed-count", "1")
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert len(tables) == 5
+    for path in tables:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "s,t,q,tp,tpp,a,b,c,k,a_plus_k2"
+        assert len(lines) == 1 + 9
+        assert all(len(line.split(",")) == 10 for line in lines[1:])
+    embeds = [line for line in out.splitlines() if "embedding" in line]
+    assert len(embeds) == 2
+    for line in embeds:
+        delta = float(line.split("coefficient delta ")[1].split(",")[0])
+        assert delta < 1e-4
