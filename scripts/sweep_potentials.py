@@ -13,7 +13,7 @@ deforms.  Rejected radii are listed with the reason instead of numbers.
 import argparse
 
 from qck.ambient import (AmbientSpace, admissibility, family_from_json,
-                         potential_metric, radial_unit_field)
+                         potential_metric, radial_unit_jet)
 from qck.curvature import curvature_bundle, point_jet
 from qck.errors import QckError
 from qck.qch import decompose, extract_shape_data
@@ -31,8 +31,7 @@ def decomposition_at(space, family, r, seed=0):
                        f"f'+wf''={report.f_prime_plus_wf2:.3g})")
     jet = point_jet(metric, x)
     bundle = curvature_bundle(jet)
-    xi_field = radial_unit_field(space, metric, "outward")
-    return decompose(bundle, extract_shape_data(jet, xi_field))
+    return decompose(bundle, extract_shape_data(jet, *radial_unit_jet(space, jet)))
 
 
 def sweep(space, kind, params, radii, seed, r0=1.0):

@@ -13,6 +13,11 @@ jeta its rotation by the complex structure.  The closed form keeps the
 evaluator cheap under dual numbers; an independent Hessian-by-duals oracle
 lives in the test suite.  Family derivative methods are written with generic
 arithmetic only, so f'(w) and f''(w) inherit whatever dual payload w carries.
+
+The radial unit field xi = x / |x|_g of a metric, and with it the shape data
+of the radial distribution, depends on the metric only through G and dG at
+the point: ``radial_unit_jet`` reads both off the metric's jet, so the unit
+field costs no evaluation of its own.
 """
 
 from __future__ import annotations
@@ -406,79 +411,80 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
 
 @dataclass(frozen=True)
 class RadialFrame:
-    """Unit radial frame at a point: xi, its structure rotation, and the
-    corresponding covectors of the normalizing metric."""
+    """Unit radial vector xi at a point and its structure rotation J xi."""
 
-    point: np.ndarray
     xi: np.ndarray
     jxi: np.ndarray
-    eta: np.ndarray
-    eta_tilde: np.ndarray
-    r: float
-    normalized_in: str  # "ambient" | "metric"
-    orientation: str  # "outward" | "inward"
+
+
+def _check_orientation(orientation: str) -> float:
+    """The sign of the unit radial vector for an orientation tag."""
+    if orientation not in ("outward", "inward"):
+        raise ValueError("orientation must be outward or inward")
+    return -1.0 if orientation == "inward" else 1.0
+
+
+def _metric_length(u: np.ndarray, G: np.ndarray) -> float:
+    """Length of the radial direction u in the metric values G; FrameError
+    where u is not space-like there."""
+    nrm2 = float(u @ G @ u)
+    if nrm2 <= 0:
+        raise FrameError(f"radial direction has non-positive square norm {nrm2:.3e}")
+    return math.sqrt(nrm2)
 
 
 def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
-                 orientation: str = "outward", jet=None) -> RadialFrame:
+                 orientation: str = "outward") -> RadialFrame:
     """Radial unit frame at x, normalized in the flat form or in ``metric``.
 
-    ``jet`` is the ``curvature.PointJet`` of the metric at x when the caller
-    has it; its G then stands in for an evaluation of ``metric``.  The
-    Lorentz flat form gives eta(xi) = -1 (time-like unit); a supplied
-    positive definite metric gives eta(xi) = +1.
+    The Lorentz flat form gives g(xi, xi) = -1 (time-like unit); a supplied
+    positive definite metric gives g(xi, xi) = +1.
     """
-    if orientation not in ("outward", "inward"):
-        raise ValueError("orientation must be outward or inward")
+    sign = _check_orientation(orientation)
     xv = np.asarray([float(c) for c in x])
-    r = float(space.radius(xv))
-    xi = xv / r
-    if metric is None and jet is None:
-        G = space.flat_real()
-        tag = "ambient"
-    else:
-        G = jet.G if jet is not None else metric.matrix(xv)
-        nrm2 = float(xi @ G @ xi)
-        if nrm2 <= 0:
-            raise FrameError(f"radial direction has non-positive square norm {nrm2:.3e}")
-        xi = xi / math.sqrt(nrm2)
-        tag = "metric"
-    if orientation == "inward":
-        xi = -xi
-    jxi = np.asarray(apply_j0(xi))
-    eta = G @ xi
-    eta_tilde = G @ jxi
-    return RadialFrame(xv, xi, jxi, eta, eta_tilde, r, tag, orientation)
+    xi = xv / float(space.radius(xv))
+    if metric is not None:
+        xi = xi / _metric_length(xi, metric.matrix(xv))
+    xi = sign * xi
+    return RadialFrame(xi, np.asarray(apply_j0(xi)))
+
+
+def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
+    """The metric-normalized radial unit field at the point of ``jet`` (a
+    ``curvature.PointJet``): (xi, dxi) with dxi[i, m] = d_i xi^m.
+
+    xi = x / sqrt(N) with N = x^T G x, so its partials need only G and dG:
+    d_i N = 2 (G x)_i + x^T (d_i G) x and
+    d_i xi = (e_i - x d_i N / (2 N)) / sqrt(N), up to the orientation sign.
+    Nothing is evaluated; FrameError where g(xi, xi) <= 0, as for
+    ``radial_frame``.
+    """
+    sign = _check_orientation(orientation)
+    x = jet.point
+    r = float(space.radius(x))
+    length = _metric_length(x / r, jet.G)
+    xi = sign * (x / r / length)
+    N = float(x @ jet.G @ x)
+    dN = 2.0 * (jet.G @ x) + np.einsum("a,kab,b->k", x, jet.dG, x)
+    dxi = (sign / (r * length)) * (np.eye(len(x)) - np.outer(dN, x) / (2.0 * N))
+    return xi, dxi
 
 
 def radial_unit_vector(space: AmbientSpace, x, G, orientation: str):
     """The radial unit vector at x on generic scalars, normalized in the
-    metric values ``G`` at x (left flat-normalized when G is None)."""
+    metric values ``G`` at x."""
     r = space.radius(x)
     xi = [xi_i / r for xi_i in x]
-    if G is not None:
-        nrm2 = 0.0
-        for i in range(len(xi)):
-            for j in range(len(xi)):
-                nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
-        if value(nrm2) <= 0:
-            raise FrameError("radial direction has non-positive square norm "
-                             f"{value(nrm2):.3e}")
-        s = gsqrt(nrm2)
-        xi = [c / s for c in xi]
-    sign = -1.0 if orientation == "inward" else 1.0
-    return [sign * c for c in xi]
-
-
-def radial_unit_field(space: AmbientSpace, metric: MetricField | None = None,
-                      orientation: str = "outward"):
-    """The radial unit frame as a generic-scalar vector field (for derivatives)."""
-
-    def xi_field(x):
-        return radial_unit_vector(space, x, None if metric is None else metric(x),
-                                  orientation)
-
-    return xi_field
+    nrm2 = 0.0
+    for i in range(len(xi)):
+        for j in range(len(xi)):
+            nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
+    if value(nrm2) <= 0:
+        raise FrameError("radial direction has non-positive square norm "
+                         f"{value(nrm2):.3e}")
+    s = gsqrt(nrm2)
+    sign = _check_orientation(orientation)
+    return [sign * c / s for c in xi]
 
 
 # -- conformal pairs ----------------------------------------------------------

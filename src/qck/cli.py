@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .ambient import admissibility, potential_metric, radial_frame, radial_unit_field
+from .ambient import RadialFrame, admissibility, potential_metric, radial_unit_jet
 from .config import RunConfig, apply_overrides, load_config, pmap
 from .curvature import curvature_bundle, kahler_defect, point_jet
 from .errors import QckError
@@ -93,7 +93,6 @@ def cmd_check_potential(args) -> int:
     space = cfg.ambient()
     family = cfg.family()
     metric = potential_metric(space, family, checked=False)
-    xi_field = radial_unit_field(space, metric, "outward")
     pts = _points(cfg)
 
     def one(x, entry):
@@ -109,9 +108,9 @@ def cmd_check_potential(args) -> int:
         checks = {"admissible": bool(report.ok),
                   "positive": bool(eigs.min() > 0),
                   "kahler": bool(kd < cfg.tolerance("kahler"))}
-        frame = radial_frame(space, x, metric, jet=jet)
+        xi, dxi = radial_unit_jet(space, jet)
         try:
-            dec = decompose(bundle, extract_shape_data(jet, xi_field))
+            dec = decompose(bundle, extract_shape_data(jet, xi, dxi))
             entry["decomposition"] = dec.to_json()
             residual = dec.residual
         except QckError as exc:
@@ -119,7 +118,8 @@ def cmd_check_potential(args) -> int:
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
             entry["shape_error"] = f"{type(exc).__name__}: {exc}"
-            basis = build_basis_tensors(bundle.G, bundle.J, frame)
+            basis = build_basis_tensors(bundle.G, bundle.J,
+                                        RadialFrame(xi, bundle.J @ xi))
             coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
             entry["decomposition"] = {
                 "a": float(coeffs[0]), "b": float(coeffs[1]),
@@ -145,13 +145,13 @@ def cmd_curvature(args) -> int:
     def one(x, entry):
         jet = point_jet(metric, x)
         bundle = curvature_bundle(jet)
-        frame = radial_frame(space, x, metric, jet=jet)
+        xi, _ = radial_unit_jet(space, jet)
         scale = max(1.0, bundle.R.scale())
         entry.update({
             "tau": bundle.scalar_curvature(),
-            "sigma_radial": bundle.sigma_radial(frame.xi),
-            "kappa_radial": bundle.kappa_radial(frame.xi),
-            "hsc_radial": bundle.hsc(frame.xi),
+            "sigma_radial": bundle.sigma_radial(xi),
+            "kappa_radial": bundle.kappa_radial(xi),
+            "hsc_radial": bundle.hsc(xi),
             "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
             "bianchi_defect": bundle.R.first_bianchi_defect() / scale})
 
@@ -170,13 +170,12 @@ def cmd_decompose(args) -> int:
     space = cfg.ambient()
     family = cfg.family()
     metric = potential_metric(space, family)
-    xi_field = radial_unit_field(space, metric, "outward")
     pts = _points(cfg)
 
     def one(x, entry):
         jet = point_jet(metric, x)
         bundle = curvature_bundle(jet)
-        shape = extract_shape_data(jet, xi_field)
+        shape = extract_shape_data(jet, *radial_unit_jet(space, jet))
         entry["decomposition"] = decompose(bundle, shape).to_json()
 
     entries = _per_point(one, pts)

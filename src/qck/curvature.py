@@ -5,11 +5,14 @@ G_ij with their first partials dG[k, i, j] and second partials
 d2G[k, l, i, j], and the complex structure J with its first partials, all at
 one point.  ``point_jet(metric, x)`` is the one place that evaluates a metric
 for this work; ``curvature_bundle``, ``kahler_defect``,
-``structure_covariant_defect``, ``covariant_vector_derivative`` and
-``qch.extract_shape_data`` all take the jet, so a per-point pipeline builds
-it once.  The jet comes from dual numbers by default; ``method="fd"`` takes
-it by finite differences instead, with the same downstream assembly, as an
-independent oracle.
+``structure_covariant_defect``, ``covariant_derivative``,
+``ambient.radial_unit_jet`` and ``qch.extract_shape_data`` all take the jet,
+so a per-point pipeline builds it once.  The radial unit field and its
+partials follow from G and dG in closed form, so they cost no further
+evaluation; ``vector_jet`` differentiates other vector fields by duals.  The
+jet comes from dual numbers by default; ``method="fd"`` takes it by finite
+differences instead, with the same downstream assembly, as an independent
+oracle.
 
 A dual jet costs one evaluation of the metric: the coordinates carry one
 payload column per index pair (k, l) of the second jet, see ``qck.duals``.
@@ -248,13 +251,12 @@ def vector_jet(vfield, x):
     return V, dV
 
 
-def covariant_vector_derivative(jet: PointJet, vfield):
-    """(nabla_i V)^m as a matrix D[i, m], plus the values V^m, at the point
-    of ``jet``."""
+def covariant_derivative(jet: PointJet, V, dV):
+    """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
+    vector field with values V^m and partials dV[i, m] = d_i V^m there
+    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jet``)."""
     gamma, _ = christoffel(jet.G, jet.dG)
-    V, dV = vector_jet(vfield, jet.point)
-    D = dV + np.einsum("mia,a->im", gamma, V)
-    return D, V
+    return dV + np.einsum("mia,a->im", gamma, V)
 
 
 def structure_jet(metric, x):

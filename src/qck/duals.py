@@ -21,9 +21,8 @@ of ``qck.curvature`` and ``eval_with_partials`` below seed every direction
 they need in one evaluation this way.
 
 The library itself builds orders 1 (first jets, vector fields) and 2 (metric
-second jets), and ``eval_with_partials`` gets float inputs there; higher
-orders and dual inputs appear only in the tests.  The implementation is
-generic in ``m`` and P.
+second jets) on float points; higher orders appear only in the tests.  The
+implementation is generic in ``m`` and P.
 
 The module also provides scalar-generic helpers (``gsqrt``, ``gexp``, ...)
 and a scalar-generic linear solver so that the same evaluator code runs on
@@ -230,41 +229,24 @@ def coefficients(ys, m: int, p: int) -> np.ndarray:
     return out
 
 
-def _common_order(xs) -> int:
-    ms = {x.m for x in xs if isinstance(x, MultiDual)}
-    if len(ms) > 1:
-        raise ValueError(f"mixed generator counts in argument list: {sorted(ms)}")
-    return ms.pop() if ms else 0
-
-
 def eval_with_partials(fn, xs):
-    """Evaluate fn(list of scalars) -> list of scalars together with all partials.
+    """Evaluate fn(list of scalars) -> list of scalars together with all
+    partials at the float point ``xs``.
 
-    One evaluation: a generator is appended to the incoming order m0 and
-    seeded on input slot j in direction column j, so every partial comes out
-    of the same call.  Inputs may already carry dual payloads (order m0 >= 1,
-    P0 columns); each slot then gets a block of P0 columns, and the returned
-    values and partial derivatives are themselves scalars of the incoming
-    order.  Returns (values, cols) with cols[j][i] = d fn_i / d x_j.
+    One evaluation: coordinate j carries the generator in direction column
+    j, so every partial comes out of the same call.  Returns (values, cols)
+    with cols[j][i] = d fn_i / d x_j, all floats.
     """
-    m0 = _common_order(xs)
-    half = 1 << m0
-    p0 = max((x.c.shape[1] for x in xs if isinstance(x, MultiDual)), default=1)
     d = len(xs)
     args = []
     for j, x in enumerate(xs):
-        c = np.zeros((2 * half, d * p0))
-        c[:half] = np.tile(coefficients(x, m0, p0), d)
-        c[half, j * p0:(j + 1) * p0] = 1.0
-        args.append(MultiDual(c, m0 + 1))
-    out = coefficients(fn(args), m0 + 1, d * p0)
-
-    def scalar(block):
-        return float(block[0, 0]) if m0 == 0 else MultiDual(block, m0)
-
-    vals = [scalar(y[:half, :p0]) for y in out]
-    cols = [[scalar(y[half:, j * p0:(j + 1) * p0]) for y in out]
-            for j in range(d)]
+        c = np.zeros((2, d))
+        c[0] = float(x)
+        c[1, j] = 1.0
+        args.append(MultiDual(c, 1))
+    out = coefficients(fn(args), 1, d)
+    vals = [float(y[0, 0]) for y in out]
+    cols = [[float(y[1, j]) for y in out] for j in range(d)]
     return vals, cols
 
 

@@ -6,6 +6,9 @@ fundamental 2-form and the radial frame covectors.  A curvature tensor is
 decomposed against {pi, phi, psi} by least squares; the fit residual is the
 falsifiable measure of whether the metric actually has quasi-constant
 holomorphic sectional curvatures, and the sign of a + k^2 classifies it.
+The shape data (k, p*) come from the covariant derivative of the radial unit
+field, whose values and partials at the point ``ambient.radial_unit_jet``
+reads off the metric's jet, so nothing here evaluates a metric.
 
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition: the tensor is moved to holomorphic components through an
@@ -22,12 +25,16 @@ import numpy as np
 
 from .ambient import RadialFrame
 from .core import adapted_complex_frame
-from .curvature import (CurvatureBundle, PointJet, covariant_vector_derivative,
+from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
                         curvature_bundle, kahler_defect)
 from .errors import FrameError, NotKahler, ShapeUniformityError
 from .tensors import Tensor4, tensor4_fit
 
 ZERO_BAND = 1e-8
+# largest spread of the normal curvature over the complement directions
+SPREAD_GATE = 1e-6
+# largest deviation of |g(xi, xi)| and |g(J xi, J xi)| from 1 in a basis frame
+UNIT_TOL = 1e-8
 
 
 # -- shape data of the radial distribution -------------------------------------
@@ -76,24 +83,26 @@ def _complement_basis(G, xi, jxi, sq_sign):
     return out
 
 
-def extract_shape_data(jet: PointJet, xi_field, variant: str = "auto",
-                       spread_gate: float = 1e-6) -> ShapeData:
-    """Measure (k, p_star) of a unit field xi at the point of ``jet`` from
-    its covariant derivative; G and J are the jet's.
+def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
+    """Measure (k, p_star) of a unit vector field at the point of ``jet``
+    from its values xi and partials dxi[i, m] = d_i xi^m there; G, J and the
+    connection are the jet's.  Pure linear algebra: the field's jet comes
+    from ``ambient.radial_unit_jet`` for the radial unit field, or from
+    ``curvature.vector_jet`` for any other.
 
-    k is averaged over a full orthonormal basis of the complement
-    distribution; the per-direction spread is itself the test that the field
-    has the required shape, and exceeding ``spread_gate`` raises
-    ShapeUniformityError instead of returning an average of unlike things.
+    g(xi, xi) must be +1 or -1, and its sign picks the "riemannian" or the
+    "lorentz" sign conventions.  k is averaged over a full orthonormal basis
+    of the complement distribution; the per-direction spread is itself the
+    test that the field has the required shape, and exceeding
+    ``SPREAD_GATE`` raises ShapeUniformityError instead of returning an
+    average of unlike things.
     """
-    D, xi = covariant_vector_derivative(jet, xi_field)
+    xi = np.asarray(xi, float)
+    D = covariant_derivative(jet, xi, np.asarray(dxi, float))
     G, J = jet.G, jet.J
     jxi = J @ xi
     sq = float(xi @ G @ xi)
-    if variant == "auto":
-        variant = "lorentz" if sq < 0.0 else "riemannian"
-    if variant not in ("riemannian", "lorentz"):
-        raise ValueError(f"unknown variant {variant!r}")
+    variant = "lorentz" if sq < 0.0 else "riemannian"
     sq_sign = -1.0 if variant == "lorentz" else 1.0
     if abs(sq - sq_sign) > 1e-8:
         raise FrameError(f"field is not unit: g(xi, xi) = {sq:.12g}")
@@ -106,9 +115,9 @@ def extract_shape_data(jet: PointJet, xi_field, variant: str = "auto",
         k_dirs.append(2.0 * val if variant == "riemannian" else -2.0 * val)
     k = float(np.mean(k_dirs))
     spread = float(np.max(np.abs(np.asarray(k_dirs) - k))) if k_dirs else 0.0
-    if spread > spread_gate:
+    if spread > SPREAD_GATE:
         raise ShapeUniformityError(
-            f"normal curvature spread {spread:.3e} exceeds {spread_gate:.1e}")
+            f"normal curvature spread {spread:.3e} exceeds {SPREAD_GATE:.1e}")
 
     nab_j = jxi @ D
     proj = float(jxi @ G @ nab_j) / sq_sign
@@ -144,19 +153,19 @@ class BasisTensors:
         return [self.pi, self.phi, self.psi]
 
 
-def build_basis_tensors(G, J, frame: RadialFrame | ShapeData,
-                        unit_tol: float = 1e-8) -> BasisTensors:
+def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
     """The five structural (0,4)-tensors determined by (g, J, xi) at a point.
 
-    ``frame.xi`` must be unit with respect to G (either sign of the square
-    norm is accepted so the flat indefinite form can be probed too).
+    ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``
+    (either sign of the square norm is accepted so the flat indefinite form
+    can be probed too).
     """
     G = np.asarray(G, float)
     xi = np.asarray(frame.xi, float)
     jxi = J @ xi
     sq = float(xi @ G @ xi)
     sqj = float(jxi @ G @ jxi)
-    if abs(abs(sq) - 1.0) > unit_tol or abs(abs(sqj) - 1.0) > unit_tol:
+    if abs(abs(sq) - 1.0) > UNIT_TOL or abs(abs(sqj) - 1.0) > UNIT_TOL:
         raise FrameError(
             f"frame is not unit in the supplied metric: g(xi,xi)={sq:.6g}, "
             f"g(Jxi,Jxi)={sqj:.6g}")

@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 from .ambient import MetricField
 from .charts import LorentzGraphChart, SphereGraphChart
 from .core import apply_j0
-from .curvature import curvature_bundle, kahler_defect, point_jet
+from .curvature import curvature_bundle, kahler_defect, point_jet, vector_jet
 from .duals import eval_with_partials, gatan, glog, gsqrt, solve_generic, value
 from .errors import (ChartError, DomainError, NumericalBreakdown,
                      TypeConstraintError)
@@ -632,7 +632,7 @@ def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
     bundle = curvature_bundle(jet)
     eigs = np.linalg.eigvalsh(bundle.G)
     kd = kahler_defect(jet)
-    dec = decompose(bundle, extract_shape_data(jet, xi_field))
+    dec = decompose(bundle, extract_shape_data(jet, *vector_jet(xi_field, u0)))
     closed = profile.coefficients_at(float(u0[0]))
     delta = max(abs(dec.a - closed.a), abs(dec.b - closed.b),
                 abs(dec.c - closed.c))

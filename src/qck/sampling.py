@@ -6,6 +6,8 @@ always lands on the same evaluation points.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ambient import AmbientSpace, PotentialFamily, admissibility
@@ -45,14 +47,15 @@ def point_at_radius(space: AmbientSpace, r: float, rng=None, seed: int = 0,
 def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
                   seed: int = 0, family: PotentialFamily | None = None,
                   spread: float = 0.3, max_tries: int = 200) -> list[np.ndarray]:
-    """Seeded sample of ``count`` points with radii uniform in [rmin, rmax].
+    """Seeded sample of ``count`` points with radii uniform in [rmin, rmax],
+    a finite window of positive radii.
 
     Points whose square norm falls outside the family domain, or where the
     admissibility inequalities fail, are rejected and redrawn.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if not (0 < rmin <= rmax):
+    if not (0 < rmin <= rmax < math.inf):
         raise ValueError(f"bad radial window [{rmin}, {rmax}]")
     rng = np.random.default_rng(seed)
     pts: list[np.ndarray] = []

@@ -6,7 +6,10 @@ eta_tilde(x) xi.  The derivative law D_x xi_tilde = alpha phi x makes it an
 alpha-Sasakian manifold; this module fits alpha, measures the defect of the
 law and of the structure equation for phi, samples the phi-holomorphic
 sectional curvature through the Gauss equation, and compares everything with
-the ambient quasi-constant decomposition.
+the ambient quasi-constant decomposition.  The unit normal xi, the Reeb field
+J xi and the second fundamental form all come from the ambient metric's jet
+at the point (``ambient.radial_unit_jet``); only the vector fields of the phi
+law and the chart cross-check evaluate the metric again.
 
 The intrinsic family on the unit Lorentz hypersphere rescales the flat
 induced structure into Sasakian metrics of prescribed negative
@@ -25,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import (AmbientSpace, MetricField, potential_metric,
-                      radial_frame, radial_unit_field, radial_unit_vector)
+                      radial_unit_jet, radial_unit_vector)
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
-from .core import apply_j0
-from .curvature import (CurvatureBundle, PointJet, covariant_vector_derivative,
-                        curvature_bundle, point_jet)
+from .core import apply_j0, j0_matrix
+from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
+                        curvature_bundle, point_jet, vector_jet)
 from .errors import DomainError, NotSasakian, NotSpaceForm
 from .qch import (QCDecomposition, ShapeData, _complement_basis, decompose,
                   extract_shape_data)
@@ -67,11 +70,13 @@ class AlmostContact:
 
 @dataclass(frozen=True)
 class ContactStructure(AlmostContact):
-    """Almost contact structure induced on a hypersphere with unit normal xi."""
+    """Almost contact structure induced on a hypersphere with unit normal xi,
+    whose partials at the point are dxi[i, m] = d_i xi^m."""
 
     radius: float
     orientation: str
     xi: np.ndarray
+    dxi: np.ndarray
     k: float
     alpha: float
     shape: ShapeData
@@ -87,21 +92,18 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
 
     With orientation "auto" the normal is chosen so that the normal curvature
     k comes out positive, which matches the classical sphere structures on
-    both signatures.
+    both signatures.  The unit normal and its partials come from the point's
+    jet, so the only metric evaluation is that jet's.
     """
     tags = ("outward", "inward") if orientation == "auto" else (orientation,)
     jet = point_jet(metric, x)
-    shape = None
-    tag = tags[0]
     for tag in tags:
-        field = radial_unit_field(space, metric, orientation=tag)
-        shape = extract_shape_data(jet, field)
+        xi, dxi = radial_unit_jet(space, jet, tag)
+        shape = extract_shape_data(jet, xi, dxi)
         if shape.k > 0:
             break
-    frame = radial_frame(space, jet.point, orientation=tag, jet=jet)
     G, J = jet.G, jet.J
-    xi = frame.xi
-    xit = frame.jxi
+    xit = apply_j0(xi)
     eta_t = G @ xit
     phi = J + np.outer(xi, eta_t)
     rest = _complement_basis(G, xi, xit, 1.0)
@@ -117,7 +119,8 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
 
     return ContactStructure(
         jet, xi_tilde=xit, eta_tilde=eta_t, phi=phi, tangent_basis=basis,
-        radius=frame.r, orientation=tag, xi=xi, k=shape.k,
+        radius=float(space.radius(jet.point)), orientation=tag, xi=xi,
+        dxi=dxi, k=shape.k,
         alpha=0.5 * shape.k, shape=shape,
         identity_defect=float(max(defects)))
 
@@ -157,8 +160,10 @@ def _alpha_check(structure: AlmostContact, D, phi_fields,
     phi_defect = 0.0
     for y in basis:
         phiy_field, y_field = phi_fields([float(c) for c in y])
-        Dp, _ = covariant_vector_derivative(structure.jet, phiy_field)
-        Dy, _ = covariant_vector_derivative(structure.jet, y_field)
+        Dp = covariant_derivative(structure.jet,
+                                  *vector_jet(phiy_field, structure.point))
+        Dy = covariant_derivative(structure.jet,
+                                  *vector_jet(y_field, structure.point))
         for u in basis:
             lhs = (structure.tangential(u @ Dp)
                    - phi @ structure.tangential(u @ Dy))
@@ -172,10 +177,11 @@ def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
                          structure: ContactStructure,
                          gate: float = ALPHA_GATE) -> AlphaCheck:
     """The derivative laws of the hypersphere structure, with the ambient
-    connection of the structure's jet; see ``_alpha_check``."""
-    unit = radial_unit_field(space, metric, orientation=structure.orientation)
-    D, _ = covariant_vector_derivative(structure.jet,
-                                       lambda x: apply_j0(unit(x)))
+    connection of the structure's jet; see ``_alpha_check``.  The Reeb field
+    J0 xi has the partials dxi J0^T."""
+    J0 = j0_matrix(space.n)
+    D = covariant_derivative(structure.jet, structure.xi_tilde,
+                             structure.dxi @ J0.T)
     return _alpha_check(structure, D,
                         _sphere_phi_fields(space, metric, structure.orientation),
                         gate)
@@ -215,18 +221,16 @@ class PhiSectional:
     values: tuple
 
 
-def gauss_curvature_fn(space: AmbientSpace, metric: MetricField,
-                       structure: ContactStructure, bundle: CurvatureBundle):
+def gauss_curvature_fn(structure: ContactStructure, bundle: CurvatureBundle):
     """Curvature quadruple (x,y,z,u) -> K(x,y,z,u) of the hypersphere.
 
     Uses the Gauss equation with the second fundamental form
-    h(x,y) = -g(nabla_x xi, y) of the unit normal xi.  ``bundle`` is the
-    ambient curvature bundle of the structure's jet, which also gives the
-    connection.
+    h(x,y) = -g(nabla_x xi, y) of the unit normal xi, whose covariant
+    derivative comes from the structure's jet and the partials it carries.
+    ``bundle`` is the ambient curvature bundle of the same jet.
     """
     G = structure.G
-    unit = radial_unit_field(space, metric, orientation=structure.orientation)
-    D, _ = covariant_vector_derivative(structure.jet, unit)
+    D = covariant_derivative(structure.jet, structure.xi, structure.dxi)
 
     def h(x, y):
         return -float((x @ D) @ G @ y)
@@ -409,7 +413,7 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
     structure = induced_contact(space, metric, Z, orientation=orientation)
     check = alpha_sasakian_check(space, metric, structure)
     bundle = curvature_bundle(structure.jet)
-    K = gauss_curvature_fn(space, metric, structure, bundle)
+    K = gauss_curvature_fn(structure, bundle)
     rep = _report(structure, check, K, seed, radius=structure.radius,
                   orientation=structure.orientation,
                   identity_defect=structure.identity_defect)
@@ -515,7 +519,8 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     u0[-1] *= 0.5
 
     jet = point_jet(metric, u0)
-    D, reeb = covariant_vector_derivative(jet, fields["reeb"])
+    reeb, dreeb = vector_jet(fields["reeb"], u0)
+    D = covariant_derivative(jet, reeb, dreeb)
     phi = np.array([[float(e) for e in row] for row in fields["phi"](list(u0))])
     structure = AlmostContact(
         jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb, phi=phi,

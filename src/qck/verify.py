@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric, radial_frame,
-                      radial_unit_field)
+                      radial_unit_jet)
 from .config import pmap
 from .curvature import curvature_bundle, kahler_defect, point_jet
 from .qch import (bochner_flat, bochner_of_tensor, build_basis_tensors,
@@ -45,9 +45,9 @@ class CriterionResult:
                 "failures": list(self.failures)}
 
 
-def _decompose_at(jet, xi_field):
+def _decompose_at(space, jet):
     bundle = curvature_bundle(jet)
-    shape = extract_shape_data(jet, xi_field)
+    shape = extract_shape_data(jet, *radial_unit_jet(space, jet))
     return decompose(bundle, shape), bundle, shape
 
 
@@ -82,13 +82,12 @@ def _crit_disc_model():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
     metric = potential_metric(space, family)
-    xi_field = radial_unit_field(space, metric, "outward")
     pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
 
     def one(item):
         i, x = item
         out = []
-        dec, bundle, _ = _decompose_at(point_jet(metric, x), xi_field)
+        dec, bundle, _ = _decompose_at(space, point_jet(metric, x))
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
             out.append(f"point {i}: decomposition off by {coeff:.3e}, "
@@ -126,7 +125,6 @@ def _crit_negative_class():
         n, family = case
         space = AmbientSpace(n, "lorentz")
         metric = potential_metric(space, family)
-        xi_field = radial_unit_field(space, metric, "outward")
         count = 10 if n == 2 else 3
         pts = radial_points(space, count, 1.2, 3.0, seed=11 + n,
                             family=family)
@@ -136,7 +134,7 @@ def _crit_negative_class():
         for x in pts:
             jet = point_jet(metric, x)
             kd = kahler_defect(jet)
-            dec, _, _ = _decompose_at(jet, xi_field)
+            dec, _, _ = _decompose_at(space, jet)
             kmax = max(kmax, kd)
             rmax = max(rmax, dec.residual)
             margin = max(margin, dec.a_plus_k2)
@@ -165,10 +163,9 @@ def _crit_definite_class():
     for family in (DefiniteLogFamily(2.0, 1.0), DefiniteLogFamily(1.0, 1.5)):
         space = AmbientSpace(2, "definite")
         metric = potential_metric(space, family)
-        xi_field = radial_unit_field(space, metric, "outward")
         pts = radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
         for x in pts:
-            dec, _, _ = _decompose_at(point_jet(metric, x), xi_field)
+            dec, _, _ = _decompose_at(space, point_jet(metric, x))
             details["max_residual"] = max(details["max_residual"], dec.residual)
             details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
                                            dec.a_plus_k2)
@@ -189,15 +186,14 @@ def _crit_radial_law():
     worst = 0.0
     for family in (LogFamily(-1.0, 1.0), InverseFamily()):
         metric = potential_metric(space, family)
-        xi_field = radial_unit_field(space, metric, "outward")
 
         def a_at(r):
-            return _decompose_at(point_jet(metric, r * u), xi_field)[0].a
+            return _decompose_at(space, point_jet(metric, r * u))[0].a
 
         for r in (1.4, 1.7, 2.0, 2.4, 2.8):
             h = 1e-3 * r
             da_dr = (a_at(r + h) - a_at(r - h)) / (2.0 * h)
-            dec, bundle, shape = _decompose_at(point_jet(metric, r * u), xi_field)
+            dec, bundle, shape = _decompose_at(space, point_jet(metric, r * u))
             eta_dr = float(shape.xi @ bundle.G @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))

@@ -1,9 +1,9 @@
-"""Scalar fields on R^d with exact dual-number derivatives and a
-finite-difference oracle path.
+"""Reference derivative paths the tests check the library against.
 
-The dual path is the production path; the finite-difference path exists so
-that every derivative in the package can be cross-checked against an
-independent numerical method.
+Scalar fields with exact dual-number partials and a finite-difference
+oracle for them, and the radial unit field as a generic-scalar vector field
+that evaluates the metric itself, the dual-number reference for the
+closed-form ``ambient.radial_unit_jet``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .duals import MultiDual, generator, value
-from .errors import NumericalBreakdown
+from qck.ambient import radial_unit_vector
+from qck.duals import MultiDual, generator, value
+from qck.errors import NumericalBreakdown
 
 
 @dataclass(frozen=True)
@@ -83,3 +84,19 @@ def differentiate_fd(field, p, multi_index) -> float:
     if not math.isfinite(d):
         raise NumericalBreakdown(f"non-finite finite-difference {idx} at {list(p)}")
     return d
+
+
+def radial_unit_field(space, metric=None, orientation: str = "outward"):
+    """The radial unit vector as a generic-scalar field x -> xi(x): one
+    metric evaluation per call, normalized in ``metric``, or in the flat
+    form when ``metric`` is None (g(xi, xi) = -1 on the Lorentz background).
+    Differentiate it with ``curvature.vector_jet``."""
+    sign = -1.0 if orientation == "inward" else 1.0
+
+    def xi_field(x):
+        if metric is None:
+            r = space.radius(x)
+            return [sign * c / r for c in x]
+        return radial_unit_vector(space, x, metric(x), orientation)
+
+    return xi_field

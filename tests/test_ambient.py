@@ -19,10 +19,10 @@ from qck.ambient import (
     metric_from_conformal_pair,
     potential_metric,
     radial_frame,
-    radial_unit_field,
+    radial_unit_jet,
 )
-from qck.core import complex_to_real, hermitian_to_real
-from qck.curvature import point_jet
+from qck.core import complex_to_real, hermitian_to_real, j0_matrix
+from qck.curvature import covariant_derivative, point_jet, vector_jet
 from qck.duals import generator, value
 from qck.errors import (
     AdmissibilityError,
@@ -30,9 +30,9 @@ from qck.errors import (
     DomainError,
     FrameError,
 )
-from qck.fields import ScalarField, differentiate
-from qck.qch import extract_shape_data
+from qck.sampling import point_at_radius
 from qck.sasakian import sphere_report
+from oracles import ScalarField, differentiate, radial_unit_field
 
 L3 = AmbientSpace(3, "lorentz")
 L2 = AmbientSpace(2, "lorentz")
@@ -242,12 +242,12 @@ class TestRadialFrame:
     def test_ambient_normalization(self):
         x = complex_to_real([0, 0, 2j])
         fr = radial_frame(L3, x)
-        assert fr.r == pytest.approx(2.0)
+        H = L3.flat_real()
         assert np.allclose(fr.xi, x / 2.0)
-        # eta(xi) = -1 for the Lorentz flat form
-        assert fr.eta @ fr.xi == pytest.approx(-1.0)
-        assert fr.eta_tilde @ fr.xi == pytest.approx(0.0, abs=1e-15)
-        assert fr.eta_tilde @ fr.jxi == pytest.approx(-1.0)
+        # g(xi, xi) = -1 for the Lorentz flat form
+        assert fr.xi @ H @ fr.xi == pytest.approx(-1.0)
+        assert fr.jxi @ H @ fr.xi == pytest.approx(0.0, abs=1e-15)
+        assert fr.jxi @ H @ fr.jxi == pytest.approx(-1.0)
 
     def test_metric_normalization_frozen(self):
         # g-unit radial field for the log family at distance 2 is (3/2) x/r
@@ -279,8 +279,12 @@ class TestRadialFrame:
             sphere_report(L2, None, 2.0, metric=flat_metric(L2))
         g = potential_metric(L2, UserSeries((0, 1)), checked=False)
         x = timelike_point(L2, 1.5, seed=2)
-        with pytest.raises(FrameError, match="non-positive square norm"):
-            extract_shape_data(point_jet(g, x), radial_unit_field(L2, metric=g))
+        jet = point_jet(g, x)
+        with pytest.raises(FrameError, match="non-positive square norm") as err:
+            radial_unit_jet(L2, jet)
+        with pytest.raises(FrameError) as ref:
+            radial_unit_field(L2, metric=g)(list(x))
+        assert str(err.value) == str(ref.value)
 
     def test_field_matches_frame(self):
         g = potential_metric(L3, LogFamily(-1.0, 1.0))
@@ -289,6 +293,62 @@ class TestRadialFrame:
         fld = radial_unit_field(L3, metric=g)
         got = [value(c) for c in fld(list(x))]
         assert np.allclose(got, fr.xi, atol=1e-12)
+        xi, _ = radial_unit_jet(L3, point_jet(g, x))
+        assert np.array_equal(xi, fr.xi)
+        with pytest.raises(ValueError):
+            radial_unit_jet(L3, point_jet(g, x), orientation="sideways")
+
+
+# Every potential family, at a point of its admissible region for each n.
+UNIT_JET_CASES = [
+    ("lorentz", LogFamily(-1.0, 1.0), 1.9),
+    ("lorentz", LogFamily(-2.0, 1.5), 2.3),
+    ("lorentz", InverseFamily(), 1.6),
+    ("lorentz", UserSeries((0.0, 1.0, 0.1)), 1.9),
+    ("definite", DefiniteLogFamily(2.0, 1.0), 1.3),
+    ("definite", UserSeries((0.0, 1.0, 0.1)), 0.8),
+]
+
+
+# finite-difference jets give the partials to about 4e-11 here
+FD_BOUND = 1e-9
+
+
+def _rel(got, want) -> float:
+    """Largest entry difference over the largest entry of the reference."""
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+class TestRadialUnitJet:
+    """The closed-form unit field jet against the dual reference, which
+    evaluates the metric inside the field and differentiates it by duals.
+    On a finite-difference jet xi is still exact, and its partials carry the
+    jet's own difference error."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("signature,family,r", UNIT_JET_CASES)
+    @pytest.mark.parametrize("orientation", ["outward", "inward"])
+    @pytest.mark.parametrize("method,bound", [("dual", 1e-13), ("fd", FD_BOUND)])
+    def test_matches_dual_reference(self, n, signature, family, r, orientation,
+                                    method, bound):
+        space = AmbientSpace(n, signature)
+        g = potential_metric(space, family)
+        x = point_at_radius(space, r, seed=n)
+        jet = point_jet(g, x, method=method)
+        ref = radial_unit_field(space, metric=g, orientation=orientation)
+        want_xi, want_dxi = vector_jet(ref, x)
+        xi, dxi = radial_unit_jet(space, jet, orientation)
+        assert _rel(xi, want_xi) <= 1e-13
+        assert _rel(dxi, want_dxi) <= bound
+        assert _rel(covariant_derivative(jet, xi, dxi),
+                    covariant_derivative(jet, want_xi, want_dxi)) <= bound
+        # the Reeb field J0 xi, whose partials are dxi J0^T
+        J0 = j0_matrix(n)
+        want_r, want_dr = vector_jet(
+            lambda q: list(J0 @ np.array(ref(q), dtype=object)), x)
+        assert _rel(J0 @ xi, want_r) <= 1e-13
+        assert _rel(covariant_derivative(jet, J0 @ xi, dxi @ J0.T),
+                    covariant_derivative(jet, want_r, want_dr)) <= bound
 
 
 class TestConformalPairs:

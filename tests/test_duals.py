@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck.charts import SphereGraphChart
 from qck.duals import (
     MultiDual,
     eval_with_partials,
@@ -116,55 +115,6 @@ class TestHelpers:
         want = np.array([[1.4, 1.0],
                          [-0.4 * math.cos(-0.28), 0.7 * math.cos(-0.28)]])
         assert np.allclose(J, want, atol=1e-12)
-
-    @pytest.mark.parametrize("m0,p0", [(1, 1), (2, 3)])
-    def test_eval_with_partials_on_dual_inputs(self, m0, p0):
-        # inputs that already carry m0 generators in p0 columns, as chart
-        # maps receive them inside a metric jet; each partial is checked
-        # against a central difference in its own input slot, taken on the
-        # dual payloads themselves
-        rng = np.random.default_rng(10 * m0 + p0)
-
-        def fn(xs):
-            x, y, z = xs
-            return [x * y + gsqrt(1.0 + z * z), glog(2.0 + x * x) / (1.5 + y * y),
-                    gexp(0.5 * x) * gsin(z)]
-
-        def payload(v):
-            rest = rng.normal(size=((1 << m0) - 1, p0))
-            return np.vstack([np.full((1, p0), v), rest])
-
-        xs = [MultiDual(payload(v), m0) for v in (0.3, -0.7, 1.1)]
-        vals, cols = eval_with_partials(fn, xs)
-        for v, want in zip(vals, fn(xs)):
-            assert v.m == m0
-            assert np.allclose(v.c, want.c, rtol=0, atol=1e-14)
-        h = 1e-5
-        for j in range(3):
-            up = [x + h if k == j else x for k, x in enumerate(xs)]
-            down = [x - h if k == j else x for k, x in enumerate(xs)]
-            for i, (a, b) in enumerate(zip(fn(up), fn(down))):
-                want = (a.c - b.c) / (2 * h)
-                assert cols[j][i].m == m0
-                assert np.allclose(cols[j][i].c, want, rtol=0, atol=1e-8)
-
-    def test_eval_with_partials_of_a_chart_on_dual_inputs(self):
-        ch = SphereGraphChart(2.0, 5)
-        u = [0.3, -0.4, 0.25, 0.1]
-        us = [c + generator(0, 1) if k == 2 else c for k, c in enumerate(u)]
-        _, cols = eval_with_partials(ch.fn, us)
-        jc = ch.jac(u)
-        h = 1e-6
-        up = list(u)
-        up[2] += h
-        down = list(u)
-        down[2] -= h
-        jup, jdown = ch.jac(up), ch.jac(down)
-        for j in range(4):
-            for i in range(5):
-                assert cols[j][i].value == pytest.approx(jc[i][j], abs=1e-13)
-                slope = (jup[i][j] - jdown[i][j]) / (2 * h)
-                assert cols[j][i].coeff(1) == pytest.approx(slope, abs=1e-8)
 
     def test_solve_generic_matches_numpy(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,7 @@ import pytest
 
 from qck.duals import gexp, gsin
 from qck.errors import NumericalBreakdown
-from qck.fields import ScalarField, differentiate, differentiate_fd
+from oracles import ScalarField, differentiate, differentiate_fd
 
 
 def poly_field():

@@ -11,10 +11,10 @@ from qck.ambient import (
     flat_metric,
     potential_metric,
     radial_frame,
-    radial_unit_field,
+    radial_unit_jet,
 )
 from qck.core import complex_to_real, j0_matrix
-from qck.curvature import curvature_bundle, point_jet
+from qck.curvature import curvature_bundle, point_jet, vector_jet
 from qck.errors import FrameError, NotKahler, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
@@ -30,6 +30,7 @@ from qck.qch import (
     real_from_holomorphic,
     section_angle,
 )
+from oracles import radial_unit_field
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -60,13 +61,22 @@ def standard_basis(space, x):
     return build_basis_tensors(G, J, fr), fr, G, J
 
 
+def radial_shape(space, jet, orientation="outward"):
+    """Shape data of the metric's radial unit field, from the jet alone."""
+    return extract_shape_data(jet, *radial_unit_jet(space, jet, orientation))
+
+
+def field_shape(jet, field):
+    """Shape data of a generic-scalar vector field, differentiated by duals."""
+    return extract_shape_data(jet, *vector_jet(field, jet.point))
+
+
 def disc_pipeline(x, orientation="outward"):
     g = potential_metric(L3, DISC)
     jet = point_jet(g, x)
     bundle = curvature_bundle(jet)
     frame = radial_frame(L3, x, metric=g, orientation=orientation)
-    field = radial_unit_field(L3, metric=g, orientation=orientation)
-    shape = extract_shape_data(jet, field)
+    shape = radial_shape(L3, jet, orientation)
     return g, bundle, frame, shape
 
 
@@ -210,8 +220,7 @@ class TestBasisTensors:
         G = D2.flat_real()
         J = j0_matrix(2)
         fr = radial_frame(D2, [2.0, 0.0, 0.0, 0.0])
-        bad = type(fr)(fr.point, 2.0 * fr.xi, fr.jxi, fr.eta, fr.eta_tilde,
-                       fr.r, fr.normalized_in, fr.orientation)
+        bad = type(fr)(2.0 * fr.xi, fr.jxi)
         with pytest.raises(FrameError):
             build_basis_tensors(G, J, bad)
 
@@ -230,7 +239,7 @@ class TestShapeData:
         g = flat_metric(L3)
         field = radial_unit_field(L3)
         x = timelike_point(L3, 2.0, seed=11)
-        sd = extract_shape_data(point_jet(g, x), field)
+        sd = field_shape(point_jet(g, x), field)
         assert sd.variant == "lorentz"
         assert sd.k == pytest.approx(-1.0, abs=1e-10)
         assert sd.p_star == pytest.approx(0.5, abs=1e-10)
@@ -241,7 +250,7 @@ class TestShapeData:
         g = flat_metric(D2)
         field = radial_unit_field(D2)
         x = definite_point(D2, 2.0, seed=3)
-        sd = extract_shape_data(point_jet(g, x), field)
+        sd = field_shape(point_jet(g, x), field)
         assert sd.variant == "riemannian"
         assert sd.k == pytest.approx(1.0, abs=1e-10)
         assert sd.p_star == pytest.approx(-0.5, abs=1e-10)
@@ -258,14 +267,13 @@ class TestShapeData:
     def test_derivative_relation_on_disc(self):
         # p* = -(xi(k) + k^2)/k with xi(k) finite-differenced along the ray
         g = potential_metric(L3, DISC)
-        field = radial_unit_field(L3, metric=g)
         x = np.asarray(timelike_point(L3, 2.0, seed=9))
         h = 1e-5
 
         def k_at(scale):
-            return extract_shape_data(point_jet(g, x * scale), field).k
+            return radial_shape(L3, point_jet(g, x * scale)).k
 
-        sd = extract_shape_data(point_jet(g, x), field)
+        sd = radial_shape(L3, point_jet(g, x))
         dk_dsigma = (k_at(1.0 + h) - k_at(1.0 - h)) / (2.0 * h * 1.0)
         # unit of arc length along xi: xi = xhat / sqrt(g(xhat, xhat))
         xhat = x / L3.radius(x)
@@ -281,9 +289,9 @@ class TestShapeData:
         h = 1e-5
 
         def k_at(scale):
-            return extract_shape_data(point_jet(g, x * scale), field).k
+            return field_shape(point_jet(g, x * scale), field).k
 
-        sd = extract_shape_data(point_jet(g, x), field)
+        sd = field_shape(point_jet(g, x), field)
         r = L3.radius(x)
         dk_dr = (k_at(1.0 + h) - k_at(1.0 - h)) / (2.0 * h * r)
         xi_k = dk_dr  # xi'(r) = 1 for the outward unit field
@@ -295,7 +303,7 @@ class TestShapeData:
         field = radial_unit_field(L3)
         jet = point_jet(g, timelike_point(L3, 2.0, seed=1))
         with pytest.raises(FrameError):
-            extract_shape_data(jet, field)
+            field_shape(jet, field)
 
     def test_uniformity_gate(self):
         g = flat_metric(D2)
@@ -310,7 +318,7 @@ class TestShapeData:
             return [c / s for c in v]
 
         with pytest.raises(ShapeUniformityError):
-            extract_shape_data(point_jet(g, [1.3, 0.4, -0.8, 0.6]), skewed)
+            field_shape(point_jet(g, [1.3, 0.4, -0.8, 0.6]), skewed)
 
     def test_inward_orientation_flips_k(self):
         x = timelike_point(L3, 2.0, seed=21)
@@ -340,7 +348,7 @@ class TestDecompose:
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
         field = radial_unit_field(D2)
-        shape = extract_shape_data(jet, field)
+        shape = field_shape(jet, field)
         dec = decompose(bundle, shape)
         assert abs(dec.a) < 1e-12 and abs(dec.b) < 1e-12 and abs(dec.c) < 1e-12
         assert dec.klass == "positive"  # a + k^2 = 1 at r = 2
@@ -349,12 +357,11 @@ class TestDecompose:
     def test_inverse_family_negative_class(self):
         fam = InverseFamily()
         g = potential_metric(L2, fam)
-        field = radial_unit_field(L2, metric=g)
         for seed in (3, 4):
             x = timelike_point(L2, 1.4 + 0.3 * seed, seed=seed)
             jet = point_jet(g, x)
             bundle = curvature_bundle(jet)
-            shape = extract_shape_data(jet, field)
+            shape = radial_shape(L2, jet)
             dec = decompose(bundle, shape)
             assert dec.residual < 1e-6
             assert dec.a_plus_k2 < -1e-3
@@ -363,11 +370,10 @@ class TestDecompose:
     def test_definite_log_positive_class(self):
         fam = DefiniteLogFamily(1.0, 1.0)
         g = potential_metric(D2, fam)
-        field = radial_unit_field(D2, metric=g)
         x = definite_point(D2, 1.5, seed=6)
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
-        shape = extract_shape_data(jet, field)
+        shape = radial_shape(D2, jet)
         dec = decompose(bundle, shape)
         assert dec.residual < 1e-6
         assert dec.a_plus_k2 > 1e-3
@@ -416,8 +422,7 @@ class TestAngleProfile:
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
-        field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(jet, field)
+        shape = radial_shape(L3, jet)
         dec = decompose(bundle, shape)
 
         rng = np.random.default_rng(1)
@@ -435,8 +440,7 @@ class TestAngleProfile:
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
-        field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(jet, field)
+        shape = radial_shape(L3, jet)
         dec = decompose(bundle, shape)
 
         # X = xi: cos theta = 1, H = a + b + c
@@ -546,8 +550,7 @@ class TestBochner:
         jet = point_jet(g, x)
         bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
-        field = radial_unit_field(L3, metric=g)
-        shape = extract_shape_data(jet, field)
+        shape = radial_shape(L3, jet)
         basis = build_basis_tensors(bundle.G, bundle.J, frame)
         dec = decompose(bundle, shape)
         B = bochner_tensor(jet, bundle=bundle)
