@@ -470,23 +470,6 @@ def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
     return xi, dxi
 
 
-def radial_unit_vector(space: AmbientSpace, x, G, orientation: str):
-    """The radial unit vector at x on generic scalars, normalized in the
-    metric values ``G`` at x."""
-    r = space.radius(x)
-    xi = [xi_i / r for xi_i in x]
-    nrm2 = 0.0
-    for i in range(len(xi)):
-        for j in range(len(xi)):
-            nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
-    if value(nrm2) <= 0:
-        raise FrameError("radial direction has non-positive square norm "
-                         f"{value(nrm2):.3e}")
-    s = gsqrt(nrm2)
-    sign = _check_orientation(orientation)
-    return [sign * c / s for c in xi]
-
-
 # -- conformal pairs ----------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ through the dual-number jet machinery without nesting derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -204,10 +205,15 @@ def cmd_meridian(args) -> int:
 
 def cmd_sasaki(args) -> int:
     if args.family_h1:
+        if not math.isfinite(args.q):
+            raise ValueError(f"--q must be finite, got {args.q}")
         report = family_h1_report(args.n or 2, args.q, seed=args.seed or 0)
     else:
         if args.r is None:
             raise ValueError("sasaki needs --r RADIUS (or --family-h1 --q Q)")
+        if not (0 < args.r < math.inf):
+            raise ValueError(f"--r must be a positive finite radius, "
+                             f"got {args.r}")
         cfg = _config_from_args(args)
         report = sphere_report(cfg.ambient(), cfg.family(), args.r,
                                seed=cfg.points.seed,

@@ -2,10 +2,11 @@
 
 Everything is computed pointwise from a ``PointJet``: the metric values
 G_ij with their first partials dG[k, i, j] and second partials
-d2G[k, l, i, j], and the complex structure J with its first partials, all at
-one point.  ``point_jet(metric, x)`` is the one place that evaluates a metric
-for this work; ``curvature_bundle``, ``kahler_defect``,
-``structure_covariant_defect``, ``covariant_derivative``,
+d2G[k, l, i, j], the complex structure J with its first partials, and the
+connection (Christoffel symbols and inverse metric), all at one point.
+``point_jet(metric, x)`` is the one place that evaluates a metric for this
+work, and the one place that computes its connection; ``curvature_bundle``,
+``kahler_defect``, ``structure_covariant_defect``, ``covariant_derivative``,
 ``ambient.radial_unit_jet`` and ``qch.extract_shape_data`` all take the jet,
 so a per-point pipeline builds it once.  The radial unit field and its
 partials follow from G and dG in closed form, so they cost no further
@@ -187,8 +188,9 @@ class CurvatureBundle:
 @dataclass(frozen=True)
 class PointJet:
     """Jets of a metric field at one point: the metric G with its first and
-    second partials dG[k, i, j] and d2G[k, l, i, j], and the complex
-    structure J with its first partials dJ[k, i, j]."""
+    second partials dG[k, i, j] and d2G[k, l, i, j], the complex structure J
+    with its first partials dJ[k, i, j], and the connection they fix: the
+    Christoffel symbols gamma[m, j, k] and the inverse metric Ginv."""
 
     point: np.ndarray
     G: np.ndarray
@@ -196,12 +198,16 @@ class PointJet:
     d2G: np.ndarray
     J: np.ndarray
     dJ: np.ndarray
+    gamma: np.ndarray
+    Ginv: np.ndarray
     method: str  # how the metric jet was taken: "dual" | "fd"
 
 
 def point_jet(metric, x, method: str = "dual") -> PointJet:
     """The PointJet of ``metric`` at ``x``: one metric evaluation by duals
-    (``method="dual"``), or the finite-difference oracle (``method="fd"``)."""
+    (``method="dual"``), or the finite-difference oracle (``method="fd"``).
+    The connection is computed here once; DegenerateMetric where G is too
+    ill-conditioned to invert."""
     if method == "dual":
         G, dG, d2G = metric_second_jet(metric, x)
     elif method == "fd":
@@ -209,7 +215,9 @@ def point_jet(metric, x, method: str = "dual") -> PointJet:
     else:
         raise ValueError(f"unknown jet method {method!r}")
     J, dJ = structure_jet(metric, x)
-    return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ, method)
+    gamma, Ginv = christoffel(G, dG)
+    return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ,
+                    gamma, Ginv, method)
 
 
 def curvature_bundle(jet: PointJet,
@@ -220,8 +228,7 @@ def curvature_bundle(jet: PointJet,
     their numerical violation is a direct error estimate; past the gate the
     result is garbage and NumericalBreakdown is raised rather than returned.
     """
-    G, dG, d2G = jet.G, jet.dG, jet.d2G
-    gamma, Ginv = christoffel(G, dG)
+    G, dG, d2G, gamma, Ginv = jet.G, jet.dG, jet.d2G, jet.gamma, jet.Ginv
     # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
     dGinv = -np.einsum("ma,iab,bl->iml", Ginv, dG, Ginv)
     bracket = np.einsum("jlk->ljk", dG) + np.einsum("klj->ljk", dG) - dG
@@ -254,9 +261,9 @@ def vector_jet(vfield, x):
 def covariant_derivative(jet: PointJet, V, dV):
     """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
     vector field with values V^m and partials dV[i, m] = d_i V^m there
-    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jet``)."""
-    gamma, _ = christoffel(jet.G, jet.dG)
-    return dV + np.einsum("mia,a->im", gamma, V)
+    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jet``).
+    Leading axes of V and dV, one per field, carry through to D."""
+    return dV + np.einsum("mia,...a->...im", jet.gamma, V)
 
 
 def structure_jet(metric, x):
@@ -287,8 +294,7 @@ def structure_covariant_defect(jet: PointJet) -> float:
     A stronger pointwise Kaehler test than ``kahler_defect``; used as an
     independent oracle on metrics whose structure field varies.
     """
-    gamma, _ = christoffel(jet.G, jet.dG)
-    J, dJ = jet.J, jet.dJ
+    gamma, J, dJ = jet.gamma, jet.J, jet.dJ
     # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
     nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
     return float(np.max(np.abs(nj)))

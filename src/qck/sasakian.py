@@ -7,9 +7,10 @@ alpha-Sasakian manifold; this module fits alpha, measures the defect of the
 law and of the structure equation for phi, samples the phi-holomorphic
 sectional curvature through the Gauss equation, and compares everything with
 the ambient quasi-constant decomposition.  The unit normal xi, the Reeb field
-J xi and the second fundamental form all come from the ambient metric's jet
-at the point (``ambient.radial_unit_jet``); only the vector fields of the phi
-law and the chart cross-check evaluate the metric again.
+J xi, the second fundamental form and the fields of the phi law all come from
+the ambient metric's jet at the point (``ambient.radial_unit_jet`` and the
+product rule on G and xi), and the connection is the jet's; only the chart
+cross-check evaluates the metric again.
 
 The intrinsic family on the unit Lorentz hypersphere rescales the flat
 induced structure into Sasakian metrics of prescribed negative
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import (AmbientSpace, MetricField, potential_metric,
-                      radial_unit_jet, radial_unit_vector)
+from .ambient import AmbientSpace, MetricField, potential_metric, radial_unit_jet
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
 from .core import apply_j0, j0_matrix
-from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
-                        curvature_bundle, point_jet, vector_jet)
+from .curvature import (CurvatureBundle, PointJet, _first_jet,
+                        covariant_derivative, curvature_bundle, point_jet,
+                        vector_jet)
 from .errors import DomainError, NotSasakian, NotSpaceForm
 from .qch import (QCDecomposition, ShapeData, _complement_basis, decompose,
                   extract_shape_data)
@@ -136,16 +137,17 @@ class AlphaCheck:
     phi_defect: float
 
 
-def _alpha_check(structure: AlmostContact, D, phi_fields,
+def _alpha_check(structure: AlmostContact, D, phi_law,
                  gate: float) -> AlphaCheck:
     """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative laws
     over the tangent basis, with derivatives projected tangentially.
 
     ``D`` is the covariant derivative of the Reeb field at the point, and
-    ``phi_fields(y)`` gives the vector fields (phi Y, Y) of a vector field Y
-    through the basis vector y, for the law
-    (D_x phi)(y) = alpha (eta_t(y) x - g(x, y) xi_tilde).  Raises NotSasakian
-    when the fitted law for xi_tilde leaves a residual above ``gate``.
+    ``phi_law`` holds the jets ((phi Y, d phi Y), (Y, dY)) of the vector
+    fields phi Y and Y through each basis vector y, stacked in basis order,
+    for the law (D_x phi)(y) = alpha (eta_t(y) x - g(x, y) xi_tilde).
+    Raises NotSasakian when the fitted law for xi_tilde leaves a residual
+    above ``gate``.
     """
     G, phi, basis = structure.G, structure.phi, structure.tangent_basis
     pairs = [(structure.tangential(u @ D), phi @ u) for u in basis]
@@ -157,13 +159,10 @@ def _alpha_check(structure: AlmostContact, D, phi_fields,
             f"derivative law residual {alpha_defect:.3e} exceeds {gate:.1e}")
 
     xit, eta_t = structure.xi_tilde, structure.eta_tilde
+    Dps = covariant_derivative(structure.jet, *phi_law[0])
+    Dys = covariant_derivative(structure.jet, *phi_law[1])
     phi_defect = 0.0
-    for y in basis:
-        phiy_field, y_field = phi_fields([float(c) for c in y])
-        Dp = covariant_derivative(structure.jet,
-                                  *vector_jet(phiy_field, structure.point))
-        Dy = covariant_derivative(structure.jet,
-                                  *vector_jet(y_field, structure.point))
+    for y, Dp, Dy in zip(basis, Dps, Dys):
         for u in basis:
             lhs = (structure.tangential(u @ Dp)
                    - phi @ structure.tangential(u @ Dy))
@@ -173,8 +172,7 @@ def _alpha_check(structure: AlmostContact, D, phi_fields,
                       phi_defect=phi_defect)
 
 
-def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
-                         structure: ContactStructure,
+def alpha_sasakian_check(space: AmbientSpace, structure: ContactStructure,
                          gate: float = ALPHA_GATE) -> AlphaCheck:
     """The derivative laws of the hypersphere structure, with the ambient
     connection of the structure's jet; see ``_alpha_check``.  The Reeb field
@@ -182,36 +180,34 @@ def alpha_sasakian_check(space: AmbientSpace, metric: MetricField,
     J0 = j0_matrix(space.n)
     D = covariant_derivative(structure.jet, structure.xi_tilde,
                              structure.dxi @ J0.T)
-    return _alpha_check(structure, D,
-                        _sphere_phi_fields(space, metric, structure.orientation),
-                        gate)
+    return _alpha_check(structure, D, sphere_phi_law(structure, J0), gate)
 
 
-def _sphere_phi_fields(space, metric, orientation):
-    """(phi Y, Y) for the tangential part Y of a constant vector y, with
-    phi v = J v + eta_t(v) xi; each field evaluation runs the metric once."""
+def sphere_phi_law(structure: ContactStructure, J0):
+    """Jets of the phi-law fields through the tangent basis vectors y:
+    Y = y - g(y, xi) xi and phi Y = J0 Y + g(Y, J0 xi) xi, returned as
+    ((phi Y, d phi Y), (Y, dY)) with values [b, m] and partials [b, i, m] =
+    d_i of the field through basis vector b.
 
-    def tangential(x, y):
-        g = metric(x)
-        xf = radial_unit_vector(space, x, g, orientation)
-        d = len(y)
-        gy = [sum(g[i][j] * y[j] for j in range(d)) for i in range(d)]
-        coef = sum(gy[i] * xf[i] for i in range(d))
-        return g, xf, [y[i] - coef * xf[i] for i in range(d)]
-
-    def fields(y):
-        def phiy_field(x):
-            g, xf, v = tangential(x, y)
-            d = len(v)
-            jxf = apply_j0(xf)
-            gv = [sum(g[i][j] * v[j] for j in range(d)) for i in range(d)]
-            coef = sum(gv[i] * jxf[i] for i in range(d))
-            jv = apply_j0(v)
-            return [jv[i] + coef * xf[i] for i in range(d)]
-
-        return phiy_field, lambda x: tangential(x, y)[2]
-
-    return fields
+    Both fields depend on the point only through G and xi, so the product
+    rule on the jet's dG and the structure's dxi gives their partials; no
+    field is evaluated.
+    """
+    G, dG = structure.G, structure.jet.dG
+    B, xi, dxi = structure.tangent_basis, structure.xi, structure.dxi
+    jxi, djxi = J0 @ xi, dxi @ J0.T
+    # Y = y - s xi with s = g(y, xi)
+    s = B @ G @ xi
+    ds = np.einsum("bi,kij,j->bk", B, dG, xi) + B @ G @ dxi.T
+    Y = B - np.outer(s, xi)
+    dY = -(ds[:, :, None] * xi + s[:, None, None] * dxi)
+    # phi Y = J0 Y + t xi with t = g(Y, J0 xi)
+    t = Y @ G @ jxi
+    dt = (dY @ (G @ jxi) + np.einsum("bm,kmn,n->bk", Y, dG, jxi)
+          + Y @ G @ djxi.T)
+    PY = Y @ J0.T + np.outer(t, xi)
+    dPY = dY @ J0.T + dt[:, :, None] * xi + t[:, None, None] * dxi
+    return (PY, dPY), (Y, dY)
 
 
 @dataclass(frozen=True)
@@ -411,7 +407,7 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
     Z = (_chartable_timelike_point(space, r, seed) if space.lorentz
          else _definite_axis_point(space, r, seed))
     structure = induced_contact(space, metric, Z, orientation=orientation)
-    check = alpha_sasakian_check(space, metric, structure)
+    check = alpha_sasakian_check(space, structure)
     bundle = curvature_bundle(structure.jet)
     K = gauss_curvature_fn(structure, bundle)
     rep = _report(structure, check, K, seed, radius=structure.radius,
@@ -521,19 +517,14 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     jet = point_jet(metric, u0)
     reeb, dreeb = vector_jet(fields["reeb"], u0)
     D = covariant_derivative(jet, reeb, dreeb)
-    phi = np.array([[float(e) for e in row] for row in fields["phi"](list(u0))])
-    structure = AlmostContact(
-        jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb, phi=phi,
-        tangent_basis=_family_tangent_basis(jet.G, reeb))
-
-    def phi_fields(y):
-        def phiy_field(u):
-            pm = fields["phi"](u)
-            return [sum(pm[i][j] * y[j] for j in range(m)) for i in range(m)]
-
-        return phiy_field, lambda u: list(y)
-
-    check = _alpha_check(structure, D, phi_fields, ALPHA_GATE)
+    phi, dphi = _first_jet(fields["phi"], u0, m)
+    B = _family_tangent_basis(jet.G, reeb)
+    structure = AlmostContact(jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb,
+                              phi=phi, tangent_basis=B)
+    # Y = y is constant, and phi Y = phi y has the partials (d_i phi) y
+    phi_law = ((B @ phi.T, np.einsum("kij,bj->bki", dphi, B)),
+               (B, np.zeros((len(B), m, m))))
+    check = _alpha_check(structure, D, phi_law, ALPHA_GATE)
     R = curvature_bundle(jet).R.a
 
     def K(x, y, z, u):

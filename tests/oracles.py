@@ -1,9 +1,10 @@
 """Reference derivative paths the tests check the library against.
 
 Scalar fields with exact dual-number partials and a finite-difference
-oracle for them, and the radial unit field as a generic-scalar vector field
-that evaluates the metric itself, the dual-number reference for the
-closed-form ``ambient.radial_unit_jet``.
+oracle for them.  The radial unit field, and the fields phi Y and Y of the
+hypersphere phi law, as generic-scalar vector fields that evaluate the
+metric themselves: the dual-number references for the closed-form
+``ambient.radial_unit_jet`` and the phi-law jets of ``qck.sasakian``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from qck.ambient import radial_unit_vector
-from qck.duals import MultiDual, generator, value
-from qck.errors import NumericalBreakdown
+from qck.ambient import DefiniteLogFamily, InverseFamily, LogFamily, UserSeries
+from qck.core import apply_j0
+from qck.duals import MultiDual, generator, gsqrt, value
+from qck.errors import FrameError, NumericalBreakdown
+
+# Every potential family, with a radius in its admissible region for each n:
+# (signature, family, r).
+POTENTIAL_CASES = [
+    ("lorentz", LogFamily(-1.0, 1.0), 1.9),
+    ("lorentz", LogFamily(-2.0, 1.5), 2.3),
+    ("lorentz", InverseFamily(), 1.6),
+    ("lorentz", UserSeries((0.0, 1.0, 0.1)), 1.9),
+    ("definite", DefiniteLogFamily(2.0, 1.0), 1.3),
+    ("definite", UserSeries((0.0, 1.0, 0.1)), 0.8),
+]
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,25 @@ def differentiate_fd(field, p, multi_index) -> float:
     return d
 
 
+def radial_unit_vector(space, x, G, orientation: str):
+    """The radial unit vector at x on generic scalars, normalized in the
+    metric values ``G`` at x."""
+    if orientation not in ("outward", "inward"):
+        raise ValueError("orientation must be outward or inward")
+    r = space.radius(x)
+    xi = [xi_i / r for xi_i in x]
+    nrm2 = 0.0
+    for i in range(len(xi)):
+        for j in range(len(xi)):
+            nrm2 = nrm2 + xi[i] * G[i][j] * xi[j]
+    if value(nrm2) <= 0:
+        raise FrameError("radial direction has non-positive square norm "
+                         f"{value(nrm2):.3e}")
+    s = gsqrt(nrm2)
+    sign = -1.0 if orientation == "inward" else 1.0
+    return [sign * c / s for c in xi]
+
+
 def radial_unit_field(space, metric=None, orientation: str = "outward"):
     """The radial unit vector as a generic-scalar field x -> xi(x): one
     metric evaluation per call, normalized in ``metric``, or in the flat
@@ -100,3 +132,32 @@ def radial_unit_field(space, metric=None, orientation: str = "outward"):
         return radial_unit_vector(space, x, metric(x), orientation)
 
     return xi_field
+
+
+def sphere_phi_fields(space, metric, orientation):
+    """y -> (phi Y, Y) for the tangential part Y = y - g(y, xi) xi of a
+    constant vector y, with phi v = J0 v + g(v, J0 xi) xi on the hypersphere
+    through the point; each field evaluation runs the metric once.
+    Differentiate them with ``curvature.vector_jet``."""
+
+    def tangential(x, y):
+        g = metric(x)
+        xf = radial_unit_vector(space, x, g, orientation)
+        d = len(y)
+        gy = [sum(g[i][j] * y[j] for j in range(d)) for i in range(d)]
+        coef = sum(gy[i] * xf[i] for i in range(d))
+        return g, xf, [y[i] - coef * xf[i] for i in range(d)]
+
+    def fields(y):
+        def phiy_field(x):
+            g, xf, v = tangential(x, y)
+            d = len(v)
+            jxf = apply_j0(xf)
+            gv = [sum(g[i][j] * v[j] for j in range(d)) for i in range(d)]
+            coef = sum(gv[i] * jxf[i] for i in range(d))
+            jv = apply_j0(v)
+            return [jv[i] + coef * xf[i] for i in range(d)]
+
+        return phiy_field, lambda x: tangential(x, y)[2]
+
+    return fields

@@ -32,7 +32,8 @@ from qck.errors import (
 )
 from qck.sampling import point_at_radius
 from qck.sasakian import sphere_report
-from oracles import ScalarField, differentiate, radial_unit_field
+from oracles import (POTENTIAL_CASES, ScalarField, differentiate,
+                     radial_unit_field)
 
 L3 = AmbientSpace(3, "lorentz")
 L2 = AmbientSpace(2, "lorentz")
@@ -299,17 +300,6 @@ class TestRadialFrame:
             radial_unit_jet(L3, point_jet(g, x), orientation="sideways")
 
 
-# Every potential family, at a point of its admissible region for each n.
-UNIT_JET_CASES = [
-    ("lorentz", LogFamily(-1.0, 1.0), 1.9),
-    ("lorentz", LogFamily(-2.0, 1.5), 2.3),
-    ("lorentz", InverseFamily(), 1.6),
-    ("lorentz", UserSeries((0.0, 1.0, 0.1)), 1.9),
-    ("definite", DefiniteLogFamily(2.0, 1.0), 1.3),
-    ("definite", UserSeries((0.0, 1.0, 0.1)), 0.8),
-]
-
-
 # finite-difference jets give the partials to about 4e-11 here
 FD_BOUND = 1e-9
 
@@ -326,7 +316,7 @@ class TestRadialUnitJet:
     jet's own difference error."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("signature,family,r", UNIT_JET_CASES)
+    @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
     @pytest.mark.parametrize("orientation", ["outward", "inward"])
     @pytest.mark.parametrize("method,bound", [("dual", 1e-13), ("fd", FD_BOUND)])
     def test_matches_dual_reference(self, n, signature, family, r, orientation,

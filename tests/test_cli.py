@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from qck import cli
+from qck import cli, curvature
 from qck.ambient import potential_metric
 from qck.cli import CSV_HEADER, main
 from qck.config import worker_count
@@ -228,6 +228,25 @@ class TestSasaki:
         assert code == 2
         assert "--r" in err
 
+    @pytest.mark.parametrize("r", ["-2", "0", "nan", "inf", "-inf"])
+    def test_bad_radius_is_usage_error(self, capsys, r):
+        code, out, err = run_cli(capsys, ["sasaki", f"--r={r}"])
+        assert code == 2
+        assert out == ""
+        assert "--r must be a positive finite radius" in err
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_non_finite_family_parameter_is_usage_error(self, capsys, q):
+        code, out, err = run_cli(capsys, ["sasaki", "--family-h1", f"--q={q}"])
+        assert code == 2
+        assert out == ""
+        assert "--q must be finite" in err
+
+    def test_non_positive_family_parameter_is_domain_error(self, capsys):
+        code, out, _ = run_cli(capsys, ["sasaki", "--family-h1", "--q", "-1"])
+        assert code == 1
+        assert json.loads(out)["error"] == "DomainError"
+
 
 class TestVerifyCommand:
     def test_bochner_suite_json(self, capsys):
@@ -376,6 +395,23 @@ class TestMetricEvaluations:
         monkeypatch.setattr(cli, "potential_metric", counting_metric)
         code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count", "3",
                                         "--seed", "1"])
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 3
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("command", ["decompose", "check-potential"])
+    def test_one_connection_per_point(self, capsys, monkeypatch, command):
+        # the jet carries its Christoffel symbols; the curvature bundle and
+        # the shape data both read them
+        calls = []
+        connection = curvature.christoffel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return connection(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "christoffel", counted)
+        code, out, _ = run_cli(capsys, [command, "--count", "3", "--seed", "1"])
         assert code == 0
         assert len(json.loads(out)["points"]) == 3
         assert len(calls) == 3

@@ -17,7 +17,6 @@ from qck.ambient import (
 from qck.charts import LorentzGraphChart, SphereGraphChart, pullback_metric
 from qck.core import complex_to_real
 from qck.curvature import (
-    CurvatureBundle,
     _first_jet,
     christoffel,
     covariant_derivative,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qck.duals import eval_with_partials
-from qck.errors import ChartError, DomainError, TypeConstraintError
+from qck.errors import DomainError, TypeConstraintError
 from qck.rotational import (BochnerFamily, ConstHSC, bochner_meridian,
                             check_rotation_type, const_hsc_meridian,
                             const_hsc_profile, embed_and_verify,

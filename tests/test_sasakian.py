@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck import ambient, curvature
+from qck import ambient, curvature, sasakian
 from qck.ambient import AmbientSpace, LogFamily, flat_metric, potential_metric
-from qck.curvature import curvature_bundle
-from qck.errors import ChartError, DomainError, NotSasakian, NotSpaceForm
+from qck.core import j0_matrix
+from qck.curvature import curvature_bundle, vector_jet
+from qck.errors import DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
                           family_h1_report, gauss_consistency,
                           gauss_curvature_fn, induced_contact, phi_sectional,
-                          space_form_model_defect, sphere_report)
-from qck.sampling import timelike_point
+                          space_form_model_defect, sphere_phi_law,
+                          sphere_report)
+from qck.sampling import point_at_radius, timelike_point
+from oracles import POTENTIAL_CASES, sphere_phi_fields
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -72,14 +75,14 @@ class TestInducedContact:
 class TestAlphaCheck:
     def test_disc_sphere_law(self):
         metric, st_ = disc_structure(2.0)
-        chk = alpha_sasakian_check(L2, metric, st_)
+        chk = alpha_sasakian_check(L2, st_)
         assert abs(chk.alpha - 0.25) < 1e-12
         assert chk.alpha_defect < 1e-12
         assert chk.phi_defect < 1e-12
 
     def test_outward_orientation_fits_negative_alpha(self):
         metric, st_ = disc_structure(2.0, orientation="outward")
-        chk = alpha_sasakian_check(L2, metric, st_)
+        chk = alpha_sasakian_check(L2, st_)
         assert abs(chk.alpha + 0.25) < 1e-12
         assert chk.alpha_defect < 1e-12
 
@@ -87,13 +90,42 @@ class TestAlphaCheck:
         metric, st_ = disc_structure(2.0)
         bad = dataclasses.replace(st_, phi=st_.phi + 0.01 * np.eye(4))
         with pytest.raises(NotSasakian):
-            alpha_sasakian_check(L2, metric, bad)
+            alpha_sasakian_check(L2, bad)
 
     def test_gate_override_reports_instead(self):
         metric, st_ = disc_structure(2.0)
         bad = dataclasses.replace(st_, phi=st_.phi + 0.01 * np.eye(4))
-        chk = alpha_sasakian_check(L2, metric, bad, gate=1.0)
+        chk = alpha_sasakian_check(L2, bad, gate=1.0)
         assert chk.alpha_defect > 1e-4
+
+
+def _rel(got, want) -> float:
+    """Largest entry difference over the largest entry of the reference."""
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+class TestSpherePhiLaw:
+    """The closed-form jets of the phi-law fields against the dual
+    reference, whose fields evaluate the metric and differentiate it by
+    duals, on every potential family."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
+    @pytest.mark.parametrize("orientation", ["outward", "inward"])
+    def test_matches_dual_reference(self, n, signature, family, r,
+                                    orientation):
+        space = AmbientSpace(n, signature)
+        metric = potential_metric(space, family)
+        x = point_at_radius(space, r, seed=n)
+        structure = induced_contact(space, metric, x, orientation=orientation)
+        (PY, dPY), (Y, dY) = sphere_phi_law(structure, j0_matrix(n))
+        fields = sphere_phi_fields(space, metric, orientation)
+        want = [[vector_jet(f, x) for f in fields(list(y))]
+                for y in structure.tangent_basis]
+        for got, b in ((PY, 0), (Y, 1)):
+            assert _rel(got, np.array([w[b][0] for w in want])) <= 1e-13
+        for got, b in ((dPY, 0), (dY, 1)):
+            assert _rel(got, np.array([w[b][1] for w in want])) <= 1e-13
 
 
 class TestPhiSectional:
@@ -216,11 +248,13 @@ class TestFamily:
 
 
 class TestJetCounts:
-    """A report takes one jet per point it works at and reuses it."""
+    """A report takes one jet per point it works at and reuses it, with its
+    connection; the only field it differentiates by duals is the family's
+    chart Reeb field."""
 
     @pytest.fixture
     def jets(self, monkeypatch):
-        counts = {"second": 0, "first": 0}
+        counts = {"second": 0, "first": 0, "christoffel": 0, "partials": 0}
 
         def counted(kind, build):
             def wrapper(*args, **kwargs):
@@ -231,19 +265,28 @@ class TestJetCounts:
         for name in ("metric_second_jet", "metric_second_jet_fd"):
             monkeypatch.setattr(curvature, name,
                                 counted("second", getattr(curvature, name)))
-        monkeypatch.setattr(curvature, "_first_jet",
-                            counted("first", curvature._first_jet))
+        first = counted("first", curvature._first_jet)
+        monkeypatch.setattr(curvature, "_first_jet", first)
+        monkeypatch.setattr(sasakian, "_first_jet", first)
+        monkeypatch.setattr(curvature, "christoffel",
+                            counted("christoffel", curvature.christoffel))
+        monkeypatch.setattr(curvature, "eval_with_partials",
+                            counted("partials", curvature.eval_with_partials))
         return counts
 
     def test_sphere_report(self, jets):
         # one jet at Z and one of the pulled-back chart metric that the
         # intrinsic cross-check differentiates
         sphere_report(L2, DISC, 2.0)
-        assert jets == {"second": 2, "first": 0}
+        assert jets == {"second": 2, "first": 0, "christoffel": 2,
+                        "partials": 0}
 
     def test_family_report(self, jets):
+        # the metric jet, one first jet of the chart phi field, and the
+        # Reeb field by duals
         family_h1_report(2, 2.0)
-        assert jets == {"second": 1, "first": 0}
+        assert jets == {"second": 1, "first": 1, "christoffel": 1,
+                        "partials": 1}
 
 
 class TestEvaluationCounts:
@@ -277,12 +320,11 @@ class TestEvaluationCounts:
 
     def test_sphere_report(self, counts):
         # bundles at Z and on the pulled-back chart metric; evaluations: the
-        # jet at Z (the unit normal, the Reeb field and the Gauss equation
-        # read it), two per tangent basis vector for the phi law, and the
-        # chart metric's jet (2 with the ambient metric it pulls back)
+        # jet at Z (the unit normal, the Reeb field, the phi law and the
+        # Gauss equation read it) and the chart metric's jet (2 with the
+        # ambient metric it pulls back)
         sphere_report(L2, DISC, 2.0)
-        assert counts["bundles"] == 2
-        assert counts["evaluations"] <= 9
+        assert counts == {"bundles": 2, "evaluations": 3}
 
     def test_family_report(self, counts):
         # the family metric evaluates the pulled-back flat metric inside
