@@ -103,7 +103,7 @@ def cmd_check_potential(args) -> int:
                      admissible=bool(report.ok))
         jet = point_jet(metric, x)
         bundle = curvature_bundle(jet)
-        eigs = np.linalg.eigvalsh(bundle.G)
+        eigs = np.linalg.eigvalsh(jet.G)
         kd = kahler_defect(jet)
         entry.update(min_eigenvalue=float(eigs.min()), kahler_defect=kd)
         checks = {"admissible": bool(report.ok),
@@ -119,8 +119,8 @@ def cmd_check_potential(args) -> int:
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
             entry["shape_error"] = f"{type(exc).__name__}: {exc}"
-            basis = build_basis_tensors(bundle.G, bundle.J,
-                                        RadialFrame(xi, bundle.J @ xi))
+            basis = build_basis_tensors(jet.G, jet.J,
+                                        RadialFrame(xi, jet.J @ xi))
             coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
             entry["decomposition"] = {
                 "a": float(coeffs[0]), "b": float(coeffs[1]),
@@ -207,7 +207,8 @@ def cmd_sasaki(args) -> int:
     if args.family_h1:
         if not math.isfinite(args.q):
             raise ValueError(f"--q must be finite, got {args.q}")
-        report = family_h1_report(args.n or 2, args.q, seed=args.seed or 0)
+        report = family_h1_report(2 if args.n is None else args.n, args.q,
+                                  seed=args.seed or 0)
     else:
         if args.r is None:
             raise ValueError("sasaki needs --r RADIUS (or --family-h1 --q Q)")

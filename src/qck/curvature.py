@@ -6,14 +6,15 @@ d2G[k, l, i, j], the complex structure J with its first partials, and the
 connection (Christoffel symbols and inverse metric), all at one point.
 ``point_jet(metric, x)`` is the one place that evaluates a metric for this
 work, and the one place that computes its connection; ``curvature_bundle``,
-``kahler_defect``, ``structure_covariant_defect``, ``covariant_derivative``,
-``ambient.radial_unit_jet`` and ``qch.extract_shape_data`` all take the jet,
-so a per-point pipeline builds it once.  The radial unit field and its
-partials follow from G and dG in closed form, so they cost no further
-evaluation; ``vector_jet`` differentiates other vector fields by duals.  The
-jet comes from dual numbers by default; ``method="fd"`` takes it by finite
-differences instead, with the same downstream assembly, as an independent
-oracle.
+``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jet`` and
+``qch.extract_shape_data`` all take the jet, so a per-point pipeline builds
+it once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
+R assembled from it; its invariants read G, G^-1 and J off the jet.  The
+radial unit field and its partials follow from G and dG in closed form, so
+they cost no further evaluation; ``vector_jet`` differentiates other vector
+fields by duals.  The jet comes from dual numbers by default; ``method="fd"``
+takes it by finite differences instead, with the same downstream assembly, as
+an independent oracle.
 
 A dual jet costs one evaluation of the metric: the coordinates carry one
 payload column per index pair (k, l) of the second jet, see ``qck.duals``.
@@ -135,29 +136,26 @@ def christoffel(G, dG, cond_limit: float = 1e12):
 
 @dataclass
 class CurvatureBundle:
-    """Curvature data of a metric field at one point."""
+    """Curvature tensor of a metric field at the point of ``jet``, whose
+    metric, inverse metric and complex structure the invariants use."""
 
-    point: np.ndarray
-    G: np.ndarray
-    Ginv: np.ndarray
-    gamma: np.ndarray  # gamma[m, j, k]
+    jet: PointJet
     R: Tensor4  # R[i, j, k, l], all indices down
-    J: np.ndarray  # complex structure at the point
-    method: str
 
     def ricci(self) -> np.ndarray:
-        return np.einsum("il,ijkl->jk", self.Ginv, self.R.a)
+        return np.einsum("il,ijkl->jk", self.jet.Ginv, self.R.a)
 
     def scalar_curvature(self) -> float:
-        return float(np.einsum("jk,jk->", self.Ginv, self.ricci()))
+        return float(np.einsum("jk,jk->", self.jet.Ginv, self.ricci()))
 
     def sectional(self, X, Y) -> float:
         X = np.asarray(X, float)
         Y = np.asarray(Y, float)
         num = float(np.einsum("ijkl,i,j,k,l->", self.R.a, X, Y, Y, X))
-        gXX = X @ self.G @ X
-        gYY = Y @ self.G @ Y
-        gXY = X @ self.G @ Y
+        G = self.jet.G
+        gXX = X @ G @ X
+        gYY = Y @ G @ Y
+        gXY = X @ G @ Y
         den = gXX * gYY - gXY * gXY
         if abs(den) < 1e-14:
             raise NumericalBreakdown("degenerate section")
@@ -166,9 +164,9 @@ class CurvatureBundle:
     def hsc(self, X) -> float:
         """Holomorphic sectional curvature of the section (X, JX)."""
         X = np.asarray(X, float)
-        JX = self.J @ X
+        JX = self.jet.J @ X
         num = float(np.einsum("ijkl,i,j,k,l->", self.R.a, X, JX, JX, X))
-        gXX = float(X @ self.G @ X)
+        gXX = float(X @ self.jet.G @ X)
         if abs(gXX) < 1e-14:
             raise DomainError("null direction has no holomorphic curvature")
         return num / (gXX * gXX)
@@ -181,7 +179,7 @@ class CurvatureBundle:
     def kappa_radial(self, xi) -> float:
         """Curvature value on the radial holomorphic section."""
         xi = np.asarray(xi, float)
-        jxi = self.J @ xi
+        jxi = self.jet.J @ xi
         return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
 
 
@@ -246,8 +244,7 @@ def curvature_bundle(jet: PointJet,
     if defect > symmetry_gate * max(1.0, T.scale()):
         raise NumericalBreakdown(
             f"curvature symmetry defect {defect:.3e} exceeds the gate")
-    return CurvatureBundle(jet.point, G, Ginv, gamma, T, jet.J,
-                           method=jet.method)
+    return CurvatureBundle(jet, T)
 
 
 def vector_jet(vfield, x):
@@ -287,14 +284,3 @@ def kahler_defect(jet: PointJet) -> float:
     ext = dOm - np.einsum("ikj->kij", dOm) + np.einsum("jki->kij", dOm)
     return float(np.max(np.abs(ext)))
 
-
-def structure_covariant_defect(jet: PointJet) -> float:
-    """Max entry of the covariant derivative of the complex structure.
-
-    A stronger pointwise Kaehler test than ``kahler_defect``; used as an
-    independent oracle on metrics whose structure field varies.
-    """
-    gamma, J, dJ = jet.gamma, jet.J, jet.dJ
-    # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
-    nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
-    return float(np.max(np.abs(nj)))

@@ -25,9 +25,8 @@ import numpy as np
 
 from .ambient import RadialFrame
 from .core import adapted_complex_frame
-from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
-                        curvature_bundle, kahler_defect)
-from .errors import FrameError, NotKahler, ShapeUniformityError
+from .curvature import CurvatureBundle, PointJet, covariant_derivative
+from .errors import FrameError, ShapeUniformityError
 from .tensors import Tensor4, tensor4_fit
 
 ZERO_BAND = 1e-8
@@ -239,43 +238,12 @@ class QCDecomposition:
 def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
     """Fit the bundle's curvature against the structural basis built on the
     unit vector of ``shape``, and classify by a + k^2 with its k."""
-    basis = build_basis_tensors(bundle.G, bundle.J, shape)
+    basis = build_basis_tensors(bundle.jet.G, bundle.jet.J, shape)
     coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
     a, b, c = (float(v) for v in coeffs)
     apk = a + shape.k ** 2
     return QCDecomposition(a=a, b=b, c=c, residual=residual, k=shape.k,
                            a_plus_k2=apk, klass=classify(apk))
-
-
-# -- holomorphic sectional curvature by angle ------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionAngle:
-    theta: float
-    cos2: float
-
-
-def section_angle(frame: RadialFrame, X, G) -> SectionAngle:
-    """Angle between the holomorphic plane of a unit X and the (xi, J xi) plane."""
-    X = np.asarray(X, float)
-    G = np.asarray(G, float)
-    eta = float(frame.xi @ G @ X)
-    eta_t = float(frame.jxi @ G @ X)
-    cos2 = min(1.0, max(0.0, eta * eta + eta_t * eta_t))
-    return SectionAngle(theta=float(np.arccos(np.sqrt(cos2))), cos2=cos2)
-
-
-def hsc_angle_profile(bundle: CurvatureBundle, frame: RadialFrame, samples):
-    """(theta, H) pairs for the holomorphic sections of the sample vectors."""
-    out = []
-    for X in samples:
-        X = np.asarray(X, float)
-        nrm2 = float(X @ bundle.G @ X)
-        Xu = X / np.sqrt(abs(nrm2))
-        ang = section_angle(frame, Xu, bundle.G)
-        out.append((ang.theta, bundle.hsc(Xu)))
-    return out
 
 
 # -- Bochner operator -------------------------------------------------------------
@@ -329,20 +297,6 @@ def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
     B = C - corr / (n + 2.0) + tau * trace2 / (2.0 * (n + 1.0) * (n + 2.0))
 
     return Tensor4(real_from_holomorphic(B, A))
-
-
-def bochner_tensor(jet: PointJet, bundle: CurvatureBundle | None = None,
-                   kahler_gate: float = 1e-9) -> Tensor4:
-    """Bochner tensor at the point of ``jet``, gated on the metric actually
-    being Kahler there; ``bundle`` is the curvature bundle of the same jet
-    when the caller has built it already."""
-    defect = kahler_defect(jet)
-    if defect > kahler_gate:
-        raise NotKahler(
-            f"fundamental form closedness defect {defect:.3e} exceeds {kahler_gate:.1e}")
-    if bundle is None:
-        bundle = curvature_bundle(jet)
-    return bochner_of_tensor(bundle.R, bundle.G, bundle.J)
 
 
 def bochner_flat(B: Tensor4, decomposition: QCDecomposition | None = None,

@@ -630,7 +630,7 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
 def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
     jet = point_jet(metric, u0)
     bundle = curvature_bundle(jet)
-    eigs = np.linalg.eigvalsh(bundle.G)
+    eigs = np.linalg.eigvalsh(jet.G)
     kd = kahler_defect(jet)
     dec = decompose(bundle, extract_shape_data(jet, *vector_jet(xi_field, u0)))
     closed = profile.coefficients_at(float(u0[0]))

@@ -10,7 +10,10 @@ the ambient quasi-constant decomposition.  The unit normal xi, the Reeb field
 J xi, the second fundamental form and the fields of the phi law all come from
 the ambient metric's jet at the point (``ambient.radial_unit_jet`` and the
 product rule on G and xi), and the connection is the jet's; only the chart
-cross-check evaluates the metric again.
+cross-check evaluates the metric again.  The curvature K of the hypersphere
+is a (0,4)-tensor array: the ambient R plus the Gauss-equation terms of the
+second fundamental form.  The checks contract it, and the space form model
+built as a tensor beside it, with all sampled vectors at once.
 
 The intrinsic family on the unit Lorentz hypersphere rescales the flat
 induced structure into Sasakian metrics of prescribed negative
@@ -218,86 +221,81 @@ class PhiSectional:
 
 
 def gauss_curvature_fn(structure: ContactStructure, bundle: CurvatureBundle):
-    """Curvature quadruple (x,y,z,u) -> K(x,y,z,u) of the hypersphere.
+    """Curvature tensor K[i, j, k, l] of the hypersphere, by the Gauss
+    equation K = R + h_jk h_il - h_ik h_jl.
 
-    Uses the Gauss equation with the second fundamental form
-    h(x,y) = -g(nabla_x xi, y) of the unit normal xi, whose covariant
-    derivative comes from the structure's jet and the partials it carries.
-    ``bundle`` is the ambient curvature bundle of the same jet.
+    The second fundamental form h(x, y) = -g(nabla_x xi, y) of the unit
+    normal xi has the matrix h = -D G, with D the covariant derivative of xi
+    from the structure's jet and the partials it carries.  ``bundle`` is the
+    ambient curvature bundle of the same jet.
     """
-    G = structure.G
-    D = covariant_derivative(structure.jet, structure.xi, structure.dxi)
+    h = -covariant_derivative(structure.jet, structure.xi,
+                              structure.dxi) @ structure.G
+    return (bundle.R.a + np.einsum("jk,il->ijkl", h, h)
+            - np.einsum("ik,jl->ijkl", h, h))
 
-    def h(x, y):
-        return -float((x @ D) @ G @ y)
 
-    R = bundle.R.a
-
-    def K(x, y, z, u):
-        amb = float(np.einsum("ijkl,i,j,k,l->", R, x, y, z, u))
-        return amb + h(y, z) * h(x, u) - h(x, z) * h(y, u)
-
-    return K
+def _quadruple(T, x, y, z, u):
+    """T(x, y, z, u) of a 4-tensor, per row of the stacked vectors."""
+    return np.einsum("ijkl,si,sj,sk,sl->s", T, x, y, z, u)
 
 
 def phi_sectional(structure: AlmostContact, K, seed: int = 0) -> PhiSectional:
     """Sample K(x, phi x, phi x, x) over 12 unit directions in the
-    distribution orthogonal to xi_tilde, K being the curvature of the
+    distribution orthogonal to xi_tilde, K being the curvature tensor of the
     structure's manifold.  Raises NotSpaceForm when the values disagree."""
     G, phi = structure.G, structure.phi
     dbasis = structure.tangent_basis[1:]
-    rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(12):
-        x = rng.normal(size=len(dbasis)) @ dbasis
-        nrm = _gnorm(G, x)
-        if nrm < 1e-6:
-            continue
-        x = x / nrm
-        px = phi @ x
-        den = float(x @ G @ x) * float(px @ G @ px) - float(x @ G @ px) ** 2
-        vals.append(K(x, px, px, x) / den)
+    X = np.random.default_rng(seed).normal(size=(12, len(dbasis))) @ dbasis
+    nrm = np.sqrt(np.abs(np.einsum("si,ij,sj->s", X, G, X)))
+    X = X[nrm >= 1e-6] / nrm[nrm >= 1e-6, None]
+    PX = X @ phi.T
+    den = (np.einsum("si,ij,sj->s", X, G, X) * np.einsum("si,ij,sj->s", PX, G, PX)
+           - np.einsum("si,ij,sj->s", X, G, PX) ** 2)
+    vals = _quadruple(K, X, PX, PX, X) / den
     c = float(np.mean(vals))
     spread = float(np.max(vals) - np.min(vals))
     if spread > 1e-6 * max(1.0, abs(c)):
         raise NotSpaceForm(
             f"phi-sectional values spread {spread:.3e} at c ~ {c:.6g}")
-    return PhiSectional(c=c, spread=spread, values=tuple(vals))
+    return PhiSectional(c=c, spread=spread, values=tuple(vals.tolist()))
+
+
+def space_form_model(structure: AlmostContact, c: float,
+                     alpha: float) -> np.ndarray:
+    """The alpha-Sasakian space form curvature with phi-sectional value c as
+    a (0,4)-tensor, from G, P = phi^T G (so P[a, b] = g(phi a, b)) and
+    eta_tilde, with coefficients (c + 3 alpha^2)/4 and (c - alpha^2)/4."""
+    G, eta = structure.G, structure.eta_tilde
+    P = structure.phi.T @ G
+    E = np.outer(eta, eta)
+
+    def pair(S, T):
+        # S(y, z) T(x, u) - S(x, z) T(y, u)
+        return np.einsum("jk,il->ijkl", S, T) - np.einsum("ik,jl->ijkl", S, T)
+
+    A = 0.25 * (c + 3.0 * alpha * alpha)
+    B = 0.25 * (c - alpha * alpha)
+    return A * pair(G, G) + B * (pair(P, P) - 2.0 * np.einsum("ij,kl->ijkl", P, P)
+                                 - pair(G, E) - pair(E, G))
 
 
 def space_form_model_defect(structure: AlmostContact, K, c: float,
                             alpha: float) -> float:
-    """Largest deviation of K, over 30 sampled quadruples, from the
-    alpha-Sasakian space form model with coefficients (c + 3 alpha^2)/4 and
-    (c - alpha^2)/4."""
-    G, phi, eta_t = structure.G, structure.phi, structure.eta_tilde
-    A = 0.25 * (c + 3.0 * alpha * alpha)
-    B = 0.25 * (c - alpha * alpha)
+    """Largest deviation of the curvature tensor K, over 30 sampled
+    quadruples, from the alpha-Sasakian space form model of
+    ``space_form_model``."""
     basis = structure.tangent_basis
     rng = np.random.default_rng(1)
-
-    def g(u, v):
-        return float(u @ G @ v)
-
-    def et(u):
-        return float(eta_t @ u)
-
-    worst = 0.0
-    for _ in range(30):
-        x, y, z, u = (rng.normal(size=len(basis)) @ basis for _ in range(4))
-        model = A * (g(y, z) * g(x, u) - g(x, z) * g(y, u))
-        model += B * (g(phi @ y, z) * g(phi @ x, u)
-                      - g(phi @ x, z) * g(phi @ y, u)
-                      - 2.0 * g(phi @ x, y) * g(phi @ z, u)
-                      - g(y, z) * et(x) * et(u) - g(x, u) * et(y) * et(z)
-                      + g(x, z) * et(y) * et(u) + g(y, u) * et(x) * et(z))
-        worst = max(worst, abs(K(x, y, z, u) - model))
-    return worst
+    quads = np.moveaxis(rng.normal(size=(30, 4, len(basis))) @ basis, 1, 0)
+    model = space_form_model(structure, c, alpha)
+    return float(np.max(np.abs(_quadruple(K, *quads) - _quadruple(model, *quads))))
 
 
 def gauss_consistency(space: AmbientSpace, metric: MetricField,
                       structure: ContactStructure, K, seed: int = 2) -> float:
-    """Cross-check of the extrinsic curvature K against the intrinsic one.
+    """Cross-check of the extrinsic curvature tensor K against the intrinsic
+    one.
 
     The hypersphere is realized as a graph chart, the ambient metric is
     pulled back, and sectional curvatures of 6 chart planes are compared
@@ -322,7 +320,7 @@ def gauss_consistency(space: AmbientSpace, metric: MetricField,
                - float(x @ structure.G @ y) ** 2)
         if abs(den) < 1e-3:
             continue
-        extr = K(x, y, y, x) / den
+        extr = float(np.einsum("ijkl,i,j,k,l->", K, x, y, y, x)) / den
         intr = bundle.sectional(tangent_params(chart, x), tangent_params(chart, y))
         worst = max(worst, abs(extr - intr))
         done += 1
@@ -384,7 +382,8 @@ class SasakianReport:
 def _report(structure: AlmostContact, check: AlphaCheck, K, seed: int,
             **fields) -> SasakianReport:
     """The checked derivative laws plus the phi-sectional curvature and the
-    space form model of the curvature K of the structure's manifold."""
+    space form model of the curvature tensor K of the structure's
+    manifold."""
     phis = phi_sectional(structure, K, seed=seed)
     return SasakianReport(
         alpha=check.alpha, alpha_defect=check.alpha_defect,
@@ -525,13 +524,8 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     phi_law = ((B @ phi.T, np.einsum("kij,bj->bki", dphi, B)),
                (B, np.zeros((len(B), m, m))))
     check = _alpha_check(structure, D, phi_law, ALPHA_GATE)
-    R = curvature_bundle(jet).R.a
-
-    def K(x, y, z, u):
-        return float(np.einsum("ijkl,i,j,k,l->", R, x, y, z, u))
-
-    return _report(structure, check, K, seed, radius=1.0,
-                   orientation="outward", identity_defect=0.0, q=q)
+    return _report(structure, check, curvature_bundle(jet).R.a, seed,
+                   radius=1.0, orientation="outward", identity_defect=0.0, q=q)
 
 
 def _family_tangent_basis(G, reeb):

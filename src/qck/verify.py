@@ -96,11 +96,11 @@ def _crit_disc_model():
         hsc_err = 0.0
         for _ in range(20):
             X = rng.normal(size=4)
-            X = X / math.sqrt(float(X @ bundle.G @ X))
+            X = X / math.sqrt(float(X @ bundle.jet.G @ X))
             hsc_err = max(hsc_err, abs(bundle.hsc(X) + 1.0))
         if hsc_err > 1e-7:
             out.append(f"point {i}: holomorphic curvature off by {hsc_err:.3e}")
-        bnorm = bochner_of_tensor(bundle.R, bundle.G, bundle.J).scale()
+        bnorm = bochner_of_tensor(bundle.R, bundle.jet.G, bundle.jet.J).scale()
         if bnorm > 1e-6:
             out.append(f"point {i}: Bochner norm {bnorm:.3e}")
         return coeff, dec.residual, hsc_err, bnorm, out
@@ -194,7 +194,7 @@ def _crit_radial_law():
             h = 1e-3 * r
             da_dr = (a_at(r + h) - a_at(r - h)) / (2.0 * h)
             dec, bundle, shape = _decompose_at(space, point_jet(metric, r * u))
-            eta_dr = float(shape.xi @ bundle.G @ u)
+            eta_dr = float(shape.xi @ bundle.jet.G @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
             worst = max(worst, err)

@@ -1,10 +1,16 @@
-"""Reference derivative paths the tests check the library against.
+"""Reference paths the tests check the library against.
 
 Scalar fields with exact dual-number partials and a finite-difference
 oracle for them.  The radial unit field, and the fields phi Y and Y of the
 hypersphere phi law, as generic-scalar vector fields that evaluate the
 metric themselves: the dual-number references for the closed-form
-``ambient.radial_unit_jet`` and the phi-law jets of ``qck.sasakian``.
+``ambient.radial_unit_jet`` and the phi-law jets of ``qck.sasakian``.  The
+hypersphere curvature as a scalar closure K(x, y, z, u), with the looped
+phi-sectional and space form samples that use it: the references for the
+curvature tensor and its batched contractions in ``qck.sasakian``.  And
+curvature helpers that only the tests use: the holomorphic sectional
+curvature by angle, the Kahler-gated Bochner tensor and the covariant
+derivative of the complex structure.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from qck.ambient import DefiniteLogFamily, InverseFamily, LogFamily, UserSeries
 from qck.core import apply_j0
+from qck.curvature import covariant_derivative, curvature_bundle, kahler_defect
 from qck.duals import MultiDual, generator, gsqrt, value
-from qck.errors import FrameError, NumericalBreakdown
+from qck.errors import FrameError, NotKahler, NumericalBreakdown
+from qck.qch import bochner_of_tensor
 
 # Every potential family, with a radius in its admissible region for each n:
 # (signature, family, r).
@@ -161,3 +171,137 @@ def sphere_phi_fields(space, metric, orientation):
         return phiy_field, lambda x: tangential(x, y)[2]
 
     return fields
+
+
+# -- hypersphere curvature, one quadruple at a time -----------------------------
+
+
+def tensor_closure(T):
+    """(x, y, z, u) -> T(x, y, z, u) of a 4-tensor array."""
+
+    def K(x, y, z, u):
+        return float(np.einsum("ijkl,i,j,k,l->", T, x, y, z, u))
+
+    return K
+
+
+def gauss_curvature_closure(structure, bundle):
+    """Curvature quadruple (x, y, z, u) -> K(x, y, z, u) of the hypersphere
+    by the Gauss equation, with the second fundamental form
+    h(x, y) = -g(nabla_x xi, y) evaluated per pair of vectors."""
+    G = structure.G
+    D = covariant_derivative(structure.jet, structure.xi, structure.dxi)
+
+    def h(x, y):
+        return -float((x @ D) @ G @ y)
+
+    R = tensor_closure(bundle.R.a)
+
+    def K(x, y, z, u):
+        return R(x, y, z, u) + h(y, z) * h(x, u) - h(x, z) * h(y, u)
+
+    return K
+
+
+def phi_sectional_values(structure, K, seed=0):
+    """K(x, phi x, phi x, x) / |x ^ phi x|^2 over the unit directions of the
+    seeded draws of ``sasakian.phi_sectional``, one direction at a time."""
+    G, phi = structure.G, structure.phi
+    dbasis = structure.tangent_basis[1:]
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(12):
+        x = rng.normal(size=len(dbasis)) @ dbasis
+        nrm = math.sqrt(abs(float(x @ G @ x)))
+        if nrm < 1e-6:
+            continue
+        x = x / nrm
+        px = phi @ x
+        den = float(x @ G @ x) * float(px @ G @ px) - float(x @ G @ px) ** 2
+        vals.append(K(x, px, px, x) / den)
+    return vals
+
+
+def space_form_samples(structure, K, c, alpha):
+    """The quadruples of ``sasakian.space_form_model_defect`` with, per
+    quadruple, the value of K and of the alpha-Sasakian space form model
+    from scalar products: (quads, K values, model values)."""
+    G, phi, eta_t = structure.G, structure.phi, structure.eta_tilde
+    A = 0.25 * (c + 3.0 * alpha * alpha)
+    B = 0.25 * (c - alpha * alpha)
+    basis = structure.tangent_basis
+    rng = np.random.default_rng(1)
+
+    def g(u, v):
+        return float(u @ G @ v)
+
+    def et(u):
+        return float(eta_t @ u)
+
+    quads, kvals, mvals = [], [], []
+    for _ in range(30):
+        x, y, z, u = (rng.normal(size=len(basis)) @ basis for _ in range(4))
+        model = A * (g(y, z) * g(x, u) - g(x, z) * g(y, u))
+        model += B * (g(phi @ y, z) * g(phi @ x, u)
+                      - g(phi @ x, z) * g(phi @ y, u)
+                      - 2.0 * g(phi @ x, y) * g(phi @ z, u)
+                      - g(y, z) * et(x) * et(u) - g(x, u) * et(y) * et(z)
+                      + g(x, z) * et(y) * et(u) + g(y, u) * et(x) * et(z))
+        quads.append((x, y, z, u))
+        kvals.append(K(x, y, z, u))
+        mvals.append(model)
+    return quads, kvals, mvals
+
+
+# -- curvature helpers only the tests use --------------------------------------
+
+
+@dataclass(frozen=True)
+class SectionAngle:
+    theta: float
+    cos2: float
+
+
+def section_angle(frame, X, G) -> SectionAngle:
+    """Angle between the holomorphic plane of a unit X and the (xi, J xi) plane."""
+    X = np.asarray(X, float)
+    G = np.asarray(G, float)
+    eta = float(frame.xi @ G @ X)
+    eta_t = float(frame.jxi @ G @ X)
+    cos2 = min(1.0, max(0.0, eta * eta + eta_t * eta_t))
+    return SectionAngle(theta=float(np.arccos(np.sqrt(cos2))), cos2=cos2)
+
+
+def hsc_angle_profile(bundle, frame, samples):
+    """(theta, H) pairs for the holomorphic sections of the sample vectors."""
+    G = bundle.jet.G
+    out = []
+    for X in samples:
+        X = np.asarray(X, float)
+        Xu = X / np.sqrt(abs(float(X @ G @ X)))
+        out.append((section_angle(frame, Xu, G).theta, bundle.hsc(Xu)))
+    return out
+
+
+def bochner_tensor(jet, bundle=None, kahler_gate: float = 1e-9):
+    """Bochner tensor at the point of ``jet``, gated on the metric actually
+    being Kahler there; ``bundle`` is the curvature bundle of the same jet
+    when the caller has built it already."""
+    defect = kahler_defect(jet)
+    if defect > kahler_gate:
+        raise NotKahler(
+            f"fundamental form closedness defect {defect:.3e} exceeds {kahler_gate:.1e}")
+    if bundle is None:
+        bundle = curvature_bundle(jet)
+    return bochner_of_tensor(bundle.R, jet.G, jet.J)
+
+
+def structure_covariant_defect(jet) -> float:
+    """Max entry of the covariant derivative of the complex structure.
+
+    A stronger pointwise Kahler test than ``curvature.kahler_defect``.
+    """
+    gamma, J, dJ = jet.gamma, jet.J, jet.dJ
+    # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
+    nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
+    return float(np.max(np.abs(nj)))

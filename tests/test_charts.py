@@ -122,7 +122,7 @@ class TestPullback:
             checked = 0
             while checked < 6:
                 X, Y = rng.normal(size=(2, 3))
-                gm = bundle.G
+                gm = bundle.jet.G
                 den = (X @ gm @ X) * (Y @ gm @ Y) - (X @ gm @ Y) ** 2
                 if abs(den) < 1e-3:
                     continue

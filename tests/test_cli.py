@@ -242,6 +242,13 @@ class TestSasaki:
         assert out == ""
         assert "--q must be finite" in err
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_family_dimension_below_two_is_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, ["sasaki", "--family-h1", "--n", n])
+        assert code == 2
+        assert out == ""
+        assert "complex dimension at least 2" in err
+
     def test_non_positive_family_parameter_is_domain_error(self, capsys):
         code, out, _ = run_cli(capsys, ["sasaki", "--family-h1", "--q", "-1"])
         assert code == 1

@@ -25,14 +25,13 @@ from qck.curvature import (
     metric_second_jet,
     metric_second_jet_fd,
     point_jet,
-    structure_covariant_defect,
     vector_jet,
 )
 from qck.ambient import MetricField
 from qck.duals import MultiDual, generator, value
 from qck.errors import DegenerateMetric, DomainError, NumericalBreakdown
 from qck.sampling import point_at_radius
-from oracles import radial_unit_field
+from oracles import radial_unit_field, structure_covariant_defect
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -58,8 +57,8 @@ def timelike_point(space, r, seed=0, theta=0.4):
 
 def rand_nonnull(bundle, rng):
     while True:
-        X = rng.normal(size=bundle.G.shape[0])
-        if abs(X @ bundle.G @ X) > 1e-3:
+        X = rng.normal(size=bundle.jet.G.shape[0])
+        if abs(X @ bundle.jet.G @ X) > 1e-3:
             return X
 
 
@@ -209,7 +208,7 @@ class TestHalfPlaneOracle:
 
     def test_ricci_and_scalar(self):
         b = curvature_bundle(point_jet(halfplane_metric(), [0.0, 0.5]))
-        assert np.allclose(b.ricci(), -b.G, atol=1e-10)
+        assert np.allclose(b.ricci(), -b.jet.G, atol=1e-10)
         assert b.scalar_curvature() == pytest.approx(-2.0, rel=1e-10)
 
 
@@ -258,14 +257,14 @@ class TestDiscModel:
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.2, seed=8)
         b = curvature_bundle(point_jet(g, x))
-        assert np.allclose(b.ricci(), -1.5 * b.G, atol=1e-9)
+        assert np.allclose(b.ricci(), -1.5 * b.jet.G, atol=1e-9)
         assert b.scalar_curvature() == pytest.approx(-6.0, rel=1e-9)
 
     def test_j_invariance(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 1.6, seed=9)
         b = curvature_bundle(point_jet(g, x))
-        J = b.J
+        J = b.jet.J
         RJ = np.einsum("abkl,ai,bj->ijkl", b.R.a, J, J)
         assert np.allclose(RJ, b.R.a, atol=1e-9)
 

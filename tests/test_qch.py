@@ -20,17 +20,15 @@ from qck.qch import (
     QCDecomposition,
     bochner_flat,
     bochner_of_tensor,
-    bochner_tensor,
     build_basis_tensors,
     classify,
     decompose,
     extract_shape_data,
     holomorphic_components,
-    hsc_angle_profile,
     real_from_holomorphic,
-    section_angle,
 )
-from oracles import radial_unit_field
+from oracles import (bochner_tensor, hsc_angle_profile, radial_unit_field,
+                     section_angle)
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -451,7 +449,7 @@ class TestAngleProfile:
         # X in the complement: cos theta = 0, H = a
         from qck.qch import _complement_basis
 
-        comp = _complement_basis(bundle.G, frame.xi, frame.jxi, 1.0)
+        comp = _complement_basis(bundle.jet.G, frame.xi, frame.jxi, 1.0)
         prof = hsc_angle_profile(bundle, frame, [comp[0]])
         assert prof[0][0] == pytest.approx(np.pi / 2, abs=1e-7)
         assert prof[0][1] == pytest.approx(dec.a, abs=1e-7)
@@ -464,7 +462,7 @@ class TestAngleProfile:
         frame = radial_frame(L3, x, metric=g)
         from qck.qch import _complement_basis
 
-        comp = _complement_basis(bundle.G, frame.xi, frame.jxi, 1.0)
+        comp = _complement_basis(bundle.jet.G, frame.xi, frame.jxi, 1.0)
         theta = 0.7
         X1 = np.cos(theta) * frame.xi + np.sin(theta) * comp[0]
         X2 = np.cos(theta) * frame.xi + np.sin(theta) * comp[1]
@@ -551,7 +549,7 @@ class TestBochner:
         bundle = curvature_bundle(jet)
         frame = radial_frame(L3, x, metric=g)
         shape = radial_shape(L3, jet)
-        basis = build_basis_tensors(bundle.G, bundle.J, frame)
+        basis = build_basis_tensors(jet.G, jet.J, frame)
         dec = decompose(bundle, shape)
         B = bochner_tensor(jet, bundle=bundle)
         n = 3

@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qck import ambient, curvature, sasakian
-from qck.ambient import AmbientSpace, LogFamily, flat_metric, potential_metric
+from qck.ambient import (AmbientSpace, DefiniteLogFamily, LogFamily,
+                         flat_metric, potential_metric)
 from qck.core import j0_matrix
 from qck.curvature import curvature_bundle, vector_jet
 from qck.errors import DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
                           family_h1_report, gauss_consistency,
                           gauss_curvature_fn, induced_contact, phi_sectional,
-                          space_form_model_defect, sphere_phi_law,
-                          sphere_report)
+                          space_form_model, space_form_model_defect,
+                          sphere_phi_law, sphere_report)
 from qck.sampling import point_at_radius, timelike_point
-from oracles import POTENTIAL_CASES, sphere_phi_fields
+from oracles import (POTENTIAL_CASES, gauss_curvature_closure,
+                     phi_sectional_values, space_form_samples,
+                     sphere_phi_fields, tensor_closure)
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -245,6 +248,70 @@ class TestFamily:
         rep = family_h1_report(2, q, seed=2)
         assert abs(rep.c + 3.0 + 4.0 / (q * q)) < 1e-10
         assert abs(rep.alpha - 1.0) < 1e-10
+
+
+def reported(monkeypatch, run):
+    """The structure and curvature tensor a report checks, with its checked
+    derivative laws, captured as ``run`` passes them to ``_report``."""
+    seen = {}
+    inner = sasakian._report
+
+    def capture(structure, check, K, seed, **fields):
+        seen.update(structure=structure, check=check, K=K, seed=seed)
+        return inner(structure, check, K, seed, **fields)
+
+    monkeypatch.setattr(sasakian, "_report", capture)
+    return run(), seen
+
+
+class TestTensorAgainstClosure:
+    """The curvature tensor, the space form model tensor and their batched
+    contractions against the closure references that evaluate one quadruple
+    at a time, within 1e-13 of max(1, |value|)."""
+
+    BOUND = 1e-13
+
+    def assert_close(self, got, want):
+        got, want = np.asarray(got, float), np.asarray(want, float)
+        bound = self.BOUND * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
+
+    def compare(self, rep, seen, K_ref):
+        structure, K = seen["structure"], seen["K"]
+        assert K.shape == (len(structure.G),) * 4
+        vals = phi_sectional_values(structure, K_ref, seed=seen["seed"])
+        got = phi_sectional(structure, K, seed=seen["seed"]).values
+        self.assert_close(got, vals)
+        self.assert_close(rep.c, np.mean(vals))
+        quads, kvals, mvals = space_form_samples(structure, K_ref, rep.c,
+                                                 rep.alpha)
+        x, y, z, u = (np.array(v) for v in zip(*quads))
+        self.assert_close(sasakian._quadruple(K, x, y, z, u), kvals)
+        model = space_form_model(structure, rep.c, rep.alpha)
+        self.assert_close(sasakian._quadruple(model, x, y, z, u), mvals)
+        worst = max(abs(k - m) for k, m in zip(kvals, mvals))
+        assert abs(rep.model_defect - worst) <= self.BOUND * max(
+            1.0, max(abs(k) for k in kvals))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("space_of,family,r", [
+        (lambda n: AmbientSpace(n, "lorentz"), DISC, 2.0),
+        (lambda n: AmbientSpace(n, "definite"), DefiniteLogFamily(2.0, 1.0), 0.7),
+    ], ids=["lorentz", "definite"])
+    @pytest.mark.parametrize("orientation", ["outward", "inward"])
+    def test_sphere(self, monkeypatch, n, space_of, family, r, orientation):
+        rep, seen = reported(monkeypatch, lambda: sphere_report(
+            space_of(n), family, r, seed=n, orientation=orientation))
+        structure = seen["structure"]
+        bundle = curvature_bundle(structure.jet)
+        self.compare(rep, seen, gauss_curvature_closure(structure, bundle))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("q", [0.7, 1.0, 2.0])
+    def test_family(self, monkeypatch, n, q):
+        rep, seen = reported(monkeypatch, lambda: family_h1_report(n, q))
+        R = curvature_bundle(seen["structure"].jet).R.a
+        self.compare(rep, seen, tensor_closure(R))
 
 
 class TestJetCounts:
