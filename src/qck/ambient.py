@@ -29,13 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import apply_j0, hermitian_to_real, j0_matrix
-from .duals import gexp, glog, gsqrt, value
-from .errors import (
-    AdmissibilityError,
-    ConformalDomainError,
-    DomainError,
-    FrameError,
-)
+from .duals import glog, gsqrt, value
+from .errors import AdmissibilityError, DomainError, FrameError
 
 
 @dataclass(frozen=True)
@@ -469,77 +464,3 @@ def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
     dxi = (sign / (r * length)) * (np.eye(len(x)) - np.outer(dN, x) / (2.0 * N))
     return xi, dxi
 
-
-# -- conformal pairs ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConformalPair:
-    """Radial conformal profiles (u(r), v(r)) as generic-scalar callables."""
-
-    u: Callable
-    v: Callable
-    source: str = "custom"
-
-
-def conformal_factors(family: PotentialFamily, r: float):
-    """Profile values (u(r), v(r)) matching the potential metric scales.
-
-    exp(-2u) = 2 f' and exp(-2v) + 1 = r^2 f'' / f', both at w = -r^2; the
-    second requires r^2 f''/f' > 1, which every admissible Lorentz potential
-    satisfies, but user profiles may not (ConformalDomainError).
-    """
-    w = -float(r) ** 2
-    if not family.in_domain(w):
-        raise DomainError(f"radius {r} outside the family domain")
-    fp = family.d1(w)
-    if fp <= 0:
-        raise ConformalDomainError(f"2f' = {2 * fp:.6g} not positive at r={r}")
-    ratio = r**2 * family.d2(w) / fp
-    if ratio <= 1.0:
-        raise ConformalDomainError(f"r^2 f''/f' = {ratio:.6g} <= 1 at r={r}")
-    u = -0.5 * math.log(2.0 * fp)
-    v = -0.5 * math.log(ratio - 1.0)
-    return u, v
-
-
-def conformal_pair_from_family(family: PotentialFamily) -> ConformalPair:
-    def u(r):
-        return -0.5 * glog(2.0 * family.d1(-r * r))
-
-    def v(r):
-        fp = family.d1(-r * r)
-        return -0.5 * glog(r * r * family.d2(-r * r) / fp - 1.0)
-
-    return ConformalPair(u, v, source=family.describe())
-
-
-def metric_from_conformal_pair(space: AmbientSpace, pair: ConformalPair) -> MetricField:
-    """Rotationally symmetric Hermitian metric from conformal profiles:
-
-        G = exp(-2u(r)) (H + (exp(-2v(r)) + 1) (eta (x) eta + jeta (x) jeta))
-
-    Defined on the time-like region of the Lorentz background only.
-    """
-    if not space.lorentz:
-        raise DomainError("conformal pair metrics are defined on the Lorentz background")
-    H = space.flat_real()
-    d = space.dim
-
-    def ev(x):
-        r = space.radius(x)
-        s1 = gexp(-2.0 * pair.u(r))
-        s2 = gexp(-2.0 * pair.v(r)) + 1.0
-        eta, jeta = _radial_projectors(space, x, r)
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                e = s2 * (eta[i] * eta[j] + jeta[i] * jeta[j])
-                if i == j:
-                    e = e + H[i, i]
-                row.append(s1 * e)
-            out.append(row)
-        return out
-
-    return MetricField(ev, d, name=f"conformal[{pair.source}]", meta={"space": space, "pair": pair})

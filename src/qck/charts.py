@@ -158,7 +158,7 @@ class LorentzGraphChart:
         return u
 
 
-def pullback_metric(chart, ambient, name: str | None = None) -> MetricField:
+def pullback_metric(chart, ambient) -> MetricField:
     """Induced metric of a chart inside an ambient metric.
 
     ``ambient`` is either a constant matrix or a MetricField evaluated at the
@@ -193,8 +193,8 @@ def pullback_metric(chart, ambient, name: str | None = None) -> MetricField:
                 out[q][p] = e
         return out
 
-    label = name or f"pullback[{type(chart).__name__}]"
-    return MetricField(ev, m, name=label, meta={"chart": chart})
+    return MetricField(ev, m, name=f"pullback[{type(chart).__name__}]",
+                       meta={"chart": chart})
 
 
 def tangent_params(chart, x_tangent) -> np.ndarray:

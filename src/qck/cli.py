@@ -30,9 +30,13 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = "s,t,q,tp,tpp,a,b,c,k,a_plus_k2"
 
+# sasaki flags that only the potential-metric sphere reads
+SPHERE_FLAGS = ("config", "space", "family", "a", "r0", "coeffs", "r",
+                "orientation")
 
-def _emit(obj, stream=None) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
+
+def _emit(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -205,11 +209,18 @@ def cmd_meridian(args) -> int:
 
 def cmd_sasaki(args) -> int:
     if args.family_h1:
-        if not math.isfinite(args.q):
-            raise ValueError(f"--q must be finite, got {args.q}")
-        report = family_h1_report(2 if args.n is None else args.n, args.q,
+        unread = [f"--{name}" for name in SPHERE_FLAGS
+                  if getattr(args, name) is not None]
+        if unread:
+            raise ValueError(f"--family-h1 does not read {', '.join(unread)}")
+        q = 1.0 if args.q is None else args.q
+        if not math.isfinite(q):
+            raise ValueError(f"--q must be finite, got {q}")
+        report = family_h1_report(2 if args.n is None else args.n, q,
                                   seed=args.seed or 0)
     else:
+        if args.q is not None:
+            raise ValueError("--q is read only with --family-h1")
         if args.r is None:
             raise ValueError("sasaki needs --r RADIUS (or --family-h1 --q Q)")
         if not (0 < args.r < math.inf):
@@ -218,7 +229,7 @@ def cmd_sasaki(args) -> int:
         cfg = _config_from_args(args)
         report = sphere_report(cfg.ambient(), cfg.family(), args.r,
                                seed=cfg.points.seed,
-                               orientation=args.orientation)
+                               orientation=args.orientation or "auto")
     out = {"schema_version": SCHEMA_VERSION, "command": "sasaki"}
     out.update(report.to_json())
     _emit(out)
@@ -256,8 +267,11 @@ def _add_common(sub) -> None:
     sub.add_argument("--a", type=float, help="family parameter a")
     sub.add_argument("--r0", type=float, help="family parameter r0")
     sub.add_argument("--coeffs", help="series coefficients, comma separated")
-    sub.add_argument("--count", type=int, help="sample point count")
     sub.add_argument("--seed", type=int, help="sampling seed")
+
+
+def _add_sampler(sub) -> None:
+    sub.add_argument("--count", type=int, help="sample point count")
     sub.add_argument("--rmin", type=float, help="smallest sample radius")
     sub.add_argument("--rmax", type=float, help="largest sample radius")
 
@@ -274,16 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admissibility, positivity and decomposition "
                             "checks at sample points")
     _add_common(p)
+    _add_sampler(p)
     p.set_defaults(func=cmd_check_potential)
 
     p = sub.add_parser("curvature", help="curvature invariants at sample points")
     _add_common(p)
+    _add_sampler(p)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("decompose",
                        help="coefficients of the curvature tensor against "
                             "the structural basis")
     _add_common(p)
+    _add_sampler(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("meridian", help="meridian profile tables (CSV)")
@@ -312,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--r", type=float, help="hypersphere radius")
     p.add_argument("--orientation", choices=("auto", "outward", "inward"),
-                   default="auto")
+                   help="hypersphere normal (default auto)")
     p.add_argument("--family-h1", action="store_true", dest="family_h1",
                    help="deformed unit-sphere family instead of a potential "
                         "metric sphere")
-    p.add_argument("--q", type=float, default=1.0,
-                   help="deformation parameter for --family-h1")
+    p.add_argument("--q", type=float,
+                   help="deformation parameter for --family-h1 (default 1)")
     p.set_defaults(func=cmd_sasaki)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -20,13 +20,6 @@ def complex_to_real(z) -> np.ndarray:
     return out
 
 
-def real_to_complex(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size % 2:
-        raise ValueError("real coordinate vector must have even length")
-    return x[0::2] + 1j * x[1::2]
-
-
 def j0_matrix(n: int) -> np.ndarray:
     """Standard complex structure on R^{2n}, blockwise (x, y) -> (-y, x)."""
     J = np.zeros((2 * n, 2 * n))
@@ -63,30 +56,13 @@ def hermitian_to_real(H) -> np.ndarray:
     return G
 
 
-def dz_basis(n: int) -> np.ndarray:
-    """Rows are the holomorphic coordinate vectors (d/dx - i d/dy)/2 in R^{2n}."""
-    V = np.zeros((n, 2 * n), dtype=complex)
-    for a in range(n):
-        V[a, 2 * a] = 0.5
-        V[a, 2 * a + 1] = -0.5j
-    return V
-
-
-def holomorphic_coefficients(n: int) -> np.ndarray:
-    """A[i, a]: coefficient of the a-th holomorphic vector in the (1,0)-part of e_i."""
-    A = np.zeros((2 * n, n), dtype=complex)
-    for a in range(n):
-        A[2 * a, a] = 1.0
-        A[2 * a + 1, a] = 1.0j
-    return A
-
-
 def adapted_complex_frame(J: np.ndarray):
     """Holomorphic frame rows V and coefficient matrix A adapted to a complex
     structure J (a real matrix with J @ J = -I).
 
-    For J equal to ``j0_matrix`` this reduces to ``dz_basis`` and
-    ``holomorphic_coefficients``.  Returns (V, A) with V of shape (n, 2n) and
+    For J equal to ``j0_matrix`` this reduces to the coordinate frame of
+    ``dz_basis`` and ``holomorphic_coefficients``, which live in
+    ``tests/oracles.py``.  Returns (V, A) with V of shape (n, 2n) and
     A of shape (2n, n); the (1,0)-part of a real vector x has coefficients
     (A.T @ x) in the frame spanned by the rows of V.
     """

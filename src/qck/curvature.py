@@ -39,6 +39,11 @@ from .duals import MultiDual, coefficients, eval_with_partials
 from .errors import DegenerateMetric, DomainError, NumericalBreakdown
 from .tensors import Tensor4
 
+# largest condition number of G that ``christoffel`` inverts
+COND_LIMIT = 1e12
+# coordinate step of the finite-difference jet
+FD_STEP = 1e-3
+
 
 def _seeded_coordinates(x, m: int, p: int) -> np.ndarray:
     """Payloads (d, 2**m, p) holding the coordinates of x in every column
@@ -88,14 +93,16 @@ def _central(fun, x, k, h):
             - (fun(x + 2 * h * e) - fun(x - 2 * h * e))) / (12.0 * h)
 
 
-def metric_second_jet_fd(metric, x, h: float = 1e-3):
-    """Finite-difference jet with the same layout as ``metric_second_jet``.
+def metric_second_jet_fd(metric, x):
+    """Finite-difference jet with the same layout as ``metric_second_jet``,
+    with step ``FD_STEP``.
 
     Fourth-order stencils for the first partials and the diagonal second
     partials, Richardson-extrapolated cross stencil for the mixed ones.
     Useful as an oracle; the dual path is both faster and exact to rounding.
     """
     d = metric.dim
+    h = FD_STEP
     xf = np.asarray([float(c) for c in x])
     M = metric.matrix
     G = M(xf)
@@ -123,10 +130,10 @@ def metric_second_jet_fd(metric, x, h: float = 1e-3):
     return G, dG, d2G
 
 
-def christoffel(G, dG, cond_limit: float = 1e12):
+def christoffel(G, dG):
     """Connection coefficients gamma[m, j, k] and the inverse metric."""
-    if np.linalg.cond(G) > cond_limit:
-        raise DegenerateMetric(f"metric condition number exceeds {cond_limit:.1e}")
+    if np.linalg.cond(G) > COND_LIMIT:
+        raise DegenerateMetric(f"metric condition number exceeds {COND_LIMIT:.1e}")
     Ginv = np.linalg.inv(G)
     # gamma^m_{jk} = 1/2 g^{ml} (d_j G_{lk} + d_k G_{lj} - d_l G_{jk})
     bracket = np.einsum("jlk->ljk", dG) + np.einsum("klj->ljk", dG) - dG

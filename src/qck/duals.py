@@ -24,7 +24,7 @@ The library itself builds orders 1 (first jets, vector fields) and 2 (metric
 second jets) on float points; higher orders appear only in the tests.  The
 implementation is generic in ``m`` and P.
 
-The module also provides scalar-generic helpers (``gsqrt``, ``gexp``, ...)
+The module also provides scalar-generic helpers (``gsqrt``, ``glog``, ...)
 and a scalar-generic linear solver so that the same evaluator code runs on
 floats and on dual numbers.
 """
@@ -199,13 +199,6 @@ class MultiDual:
         return self.value >= self._cmp_val(other)
 
 
-def generator(slot: int, m: int) -> MultiDual:
-    """The nilpotent generator e_{slot+1} as a MultiDual with m generators."""
-    c = np.zeros((1 << m, 1))
-    c[1 << slot] = 1.0
-    return MultiDual(c, m)
-
-
 def value(x) -> float:
     """Value part of a float or MultiDual."""
     return x.value if isinstance(x, MultiDual) else float(x)
@@ -277,29 +270,6 @@ def glog(x):
     for k in range(1, x.m + 1):
         ders.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)
     return x.apply_series(ders)
-
-
-def gexp(x):
-    if not isinstance(x, MultiDual):
-        return math.exp(x)
-    e = math.exp(x.value)
-    return x.apply_series([e] * (x.m + 1))
-
-
-def gsin(x):
-    if not isinstance(x, MultiDual):
-        return math.sin(x)
-    v = x.value
-    cyc = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
-
-
-def gcos(x):
-    if not isinstance(x, MultiDual):
-        return math.cos(x)
-    v = x.value
-    cyc = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
 
 
 def gatan(x):

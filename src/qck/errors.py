@@ -13,10 +13,6 @@ class AdmissibilityError(QckError):
     """A radial potential fails the positivity inequalities needed for a metric."""
 
 
-class ConformalDomainError(QckError):
-    """The conformal profile pair is undefined at the requested radius."""
-
-
 class DegenerateMetric(QckError):
     """Metric matrix numerically singular where an inverse is required."""
 
@@ -35,10 +31,6 @@ class FrameError(QckError):
 
 class ShapeUniformityError(QckError):
     """Directional shape coefficients on the radial distribution fail to agree."""
-
-
-class NotKahler(QckError):
-    """Metric fails the closedness test of its fundamental two-form."""
 
 
 class NotSasakian(QckError):

@@ -18,7 +18,6 @@ result is pulled back to real components.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,8 @@ from .errors import FrameError, ShapeUniformityError
 from .tensors import Tensor4, tensor4_fit
 
 ZERO_BAND = 1e-8
+# largest component of a Bochner tensor that counts as zero
+BOCHNER_FLAT_TOL = 1e-6
 # largest spread of the normal curvature over the complement directions
 SPREAD_GATE = 1e-6
 # largest deviation of |g(xi, xi)| and |g(J xi, J xi)| from 1 in a basis frame
@@ -51,7 +52,6 @@ class ShapeData:
     variant: str  # "riemannian" | "lorentz"
     spread: float
     model_defect: float
-    point: np.ndarray
 
 
 def _complement_basis(G, xi, jxi, sq_sign):
@@ -134,7 +134,7 @@ def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
     model_defect = float(np.max(np.abs(D - model)))
 
     return ShapeData(k=k, p_star=p_star, xi=xi, variant=variant, spread=spread,
-                     model_defect=model_defect, point=jet.point)
+                     model_defect=model_defect)
 
 
 # -- structural basis tensors ---------------------------------------------------
@@ -202,10 +202,10 @@ def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
 # -- decomposition ---------------------------------------------------------------
 
 
-def classify(a_plus_k2: float, band: float = ZERO_BAND) -> str:
-    if a_plus_k2 > band:
+def classify(a_plus_k2: float) -> str:
+    if a_plus_k2 > ZERO_BAND:
         return "positive"
-    if a_plus_k2 < -band:
+    if a_plus_k2 < -ZERO_BAND:
         return "negative"
     return "zero"
 
@@ -249,17 +249,17 @@ def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
 # -- Bochner operator -------------------------------------------------------------
 
 
-def holomorphic_components(T, J):
-    """Complex-bilinear components T(V_a, conj V_b, V_c, conj V_d) of a 4-tensor.
+def holomorphic_components(T: Tensor4, J):
+    """Complex-bilinear components T(V_a, conj V_b, V_c, conj V_d) of a
+    4-tensor in the frame V adapted to J.
 
-    Returns (C, A) with A the coefficient matrix of the adapted frame, kept
-    for the inverse transform.
+    Returns (C, V, A) with A the coefficient matrix of the frame, kept for
+    the inverse transform.
     """
-    arr = T.a if isinstance(T, Tensor4) else np.asarray(T, float)
     V, A = adapted_complex_frame(np.asarray(J, float))
     Vc = V.conj()
-    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc, optimize=True)
-    return C, A
+    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", T.a, V, Vc, V, Vc, optimize=True)
+    return C, V, A
 
 
 def real_from_holomorphic(C, A):
@@ -279,15 +279,13 @@ def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
     curvature tensors coming from a bundle.
     """
     G = np.asarray(G, float)
-    arr = T.a if isinstance(T, Tensor4) else np.asarray(T, float)
     Ginv = np.linalg.inv(G)
-    rho = np.einsum("il,ijkl->jk", Ginv, arr)
+    rho = np.einsum("il,ijkl->jk", Ginv, T.a)
     tau = float(np.einsum("jk,jk->", Ginv, rho))
 
-    V, A = adapted_complex_frame(np.asarray(J, float))
+    C, V, A = holomorphic_components(T, J)
     Vc = V.conj()
     n = V.shape[0]
-    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", arr, V, Vc, V, Vc, optimize=True)
     gh = V @ G @ Vc.T
     rh = V @ rho @ Vc.T
 
@@ -299,19 +297,7 @@ def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
     return Tensor4(real_from_holomorphic(B, A))
 
 
-def bochner_flat(B: Tensor4, decomposition: QCDecomposition | None = None,
-                 tol: float = 1e-6) -> bool:
-    """Whether the Bochner tensor vanishes numerically.
-
-    When a decomposition is supplied the answer is cross-checked against the
-    c-coefficient; a mismatch is reported as a warning since it means either
-    the fit or the operator left its validity regime.
-    """
-    flat = B.scale() < tol
-    if decomposition is not None:
-        c_zero = abs(decomposition.c) < tol
-        if c_zero != flat:
-            warnings.warn(
-                f"Bochner norm test ({B.scale():.3e}) disagrees with the "
-                f"c-coefficient ({decomposition.c:.3e})", stacklevel=2)
-    return flat
+def bochner_flat(B: Tensor4) -> bool:
+    """Whether the Bochner tensor vanishes numerically: no component
+    reaches ``BOCHNER_FLAT_TOL``."""
+    return B.scale() < BOCHNER_FLAT_TOL

@@ -36,25 +36,30 @@ from .errors import (ChartError, DomainError, NumericalBreakdown,
 from .qch import QCDecomposition, decompose, extract_shape_data
 
 ROTATION_TYPES = ("I", "II", "III")
+# slack on the t' band of a rotation type
+TYPE_TOL = 1e-10
+# radii at which ``MeridianProfile.natural_defect`` tests the constraint
+NATURAL_SAMPLES = 33
+# spread of the sphere chart coordinates drawn by ``embed_and_verify``
+Y_SCALE = 0.2
 
 
-def check_rotation_type(rotation_type: str, t: float, tp: float,
-                        tol: float = 1e-10) -> None:
+def check_rotation_type(rotation_type: str, t: float, tp: float) -> None:
     """Defining constraint of the rotation type at one meridian sample."""
     if rotation_type not in ROTATION_TYPES:
         raise TypeConstraintError(f"unknown rotation type {rotation_type!r}")
     if t <= 0:
         raise TypeConstraintError(f"sphere radius t = {t:.6g} must be positive")
     if rotation_type == "I":
-        if not (tol < tp <= 1.0 + tol):
+        if not (TYPE_TOL < tp <= 1.0 + TYPE_TOL):
             raise TypeConstraintError(
                 f"type I needs 0 < t' <= 1, got t' = {tp:.6g} at t = {t:.6g}")
     elif rotation_type == "II":
-        if tp < 1.0 - tol:
+        if tp < 1.0 - TYPE_TOL:
             raise TypeConstraintError(
                 f"type II needs t' >= 1, got t' = {tp:.6g} at t = {t:.6g}")
     else:
-        if tp > -1.0 + tol:
+        if tp > -1.0 + TYPE_TOL:
             raise TypeConstraintError(
                 f"type III needs t' <= -1, got t' = {tp:.6g} at t = {t:.6g}")
 
@@ -188,49 +193,6 @@ class ConstHSC:
         return f"const-hsc(a={self.a:g}, type={self.rotation_type})"
 
 
-class TabulatedMeridian:
-    """Meridian given by samples (s, t, q), interpolated with cubic splines."""
-
-    kind = "tabulated"
-
-    def __init__(self, s, t, q):
-        s = np.asarray(s, float)
-        t = np.asarray(t, float)
-        q = np.asarray(q, float)
-        if not (s.shape == t.shape == q.shape) or s.ndim != 1 or len(s) < 8:
-            raise DomainError("tabulated meridian needs matching 1-d samples, >= 8")
-        if np.any(np.diff(s) <= 0):
-            raise DomainError("natural parameter samples must increase")
-        dt = np.diff(t)
-        if not (np.all(dt > 0) or np.all(dt < 0)):
-            raise DomainError("sphere radius must be strictly monotone in s")
-        self.t_spline = CubicSpline(s, t)
-        self.q_spline = CubicSpline(s, q)
-        if dt[0] > 0:
-            self.s_of_t = CubicSpline(t, s)
-        else:
-            self.s_of_t = CubicSpline(t[::-1], s[::-1])
-        self.s_samples = s
-        self.t_samples = t
-        self.q_samples = q
-
-    def jets(self, t: float):
-        s = float(self.s_of_t(float(t)))
-        return (float(self.t_spline(s, 1)), float(self.t_spline(s, 2)),
-                float(self.t_spline(s, 3)))
-
-    def tp(self, t):
-        t0 = value(t)
-        tp0, tpp0, tppp0 = self.jets(t0)
-        d1 = tpp0 / tp0
-        d2 = (tppp0 * tp0 - tpp0 * tpp0) / tp0 ** 3
-        delta = t - t0
-        return tp0 + d1 * delta + 0.5 * d2 * delta * delta
-
-    def describe(self) -> str:
-        return f"tabulated({len(self.s_samples)} samples)"
-
-
 # -- meridian profiles ---------------------------------------------------------
 
 
@@ -253,8 +215,6 @@ class MeridianProfile:
         self.t_grid = np.asarray(t_grid, float)
         self.q_grid = np.asarray(q_grid, float)
         self.sign = float(sign)
-        order = np.argsort(self.s_grid)
-        self._t_of_s = CubicSpline(self.s_grid[order], self.t_grid[order])
         tail = np.argsort(self.t_grid)
         self._s_of_t = CubicSpline(self.t_grid[tail], self.s_grid[tail])
         self._q_of_t = CubicSpline(self.t_grid[tail], self.q_grid[tail])
@@ -262,10 +222,6 @@ class MeridianProfile:
     @property
     def t_range(self):
         return float(self.t_grid.min()), float(self.t_grid.max())
-
-    @property
-    def s_range(self):
-        return float(self.s_grid.min()), float(self.s_grid.max())
 
     def _check_t(self, t: float) -> float:
         t = float(t)
@@ -275,13 +231,6 @@ class MeridianProfile:
             raise DomainError(f"t = {t:.6g} outside the profile window "
                               f"[{lo:.6g}, {hi:.6g}]")
         return t
-
-    def t_of_s(self, s: float) -> float:
-        s = float(s)
-        lo, hi = self.s_range
-        if not (lo - 1e-9 <= s <= hi + 1e-9):
-            raise DomainError(f"s = {s:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        return float(self._t_of_s(s))
 
     def s_of_t(self, t: float) -> float:
         return float(self._s_of_t(self._check_t(t)))
@@ -305,24 +254,17 @@ class MeridianProfile:
         tp, tpp, tppp = self.jets_at(t)
         return qc_coefficients(self.rotation_type, float(t), tp, tpp, tppp)
 
-    def natural_defect(self, samples: int = 33) -> float:
-        """Largest violation of the defining constraint between t' and q'.
+    def natural_defect(self) -> float:
+        """Largest violation of the defining constraint between t' and q'
+        over ``NATURAL_SAMPLES`` radii of the window.
 
         Closed-form sources are differentiated directly (the q formula is
-        checked against the t' formula); tabulated sources use the spline
-        derivatives; the Bochner family takes q' from the constraint itself,
-        so its defect only reflects the stored grids.
+        checked against the t' formula); the Bochner family takes q' from
+        the constraint itself, so its defect only reflects the stored grids.
         """
         out = 0.0
-        if self.source.kind == "tabulated":
-            s_lo, s_hi = self.s_range
-            for s in np.linspace(s_lo, s_hi, samples):
-                tp = float(self.source.t_spline(s, 1))
-                qp = float(self.source.q_spline(s, 1))
-                out = max(out, self._constraint_defect(tp, qp))
-            return out
         lo, hi = self.t_range
-        for t in np.linspace(lo, hi, samples):
+        for t in np.linspace(lo, hi, NATURAL_SAMPLES):
             tp = self.source.jets(t)[0]
             if self.source.kind == "const-hsc":
                 _, cols = eval_with_partials(
@@ -402,20 +344,12 @@ def bochner_meridian(c1: float, c2: float, t0: float, t1: float,
     return MeridianProfile(rotation_type, source, sg, tg, qg, sign=sign)
 
 
-def const_hsc_meridian(rotation_type: str, a: float, t: float) -> float:
-    """Closed-form meridian coordinate q(t) of the constant-curvature profile."""
-    source = ConstHSC(a, rotation_type)
-    q = float(source.q_closed(float(t)))
-    check_rotation_type(rotation_type, float(t), source.jets(float(t))[0])
-    return q
-
-
 def const_hsc_profile(rotation_type: str, a: float, t0: float, t1: float,
                       steps: int = 257, flip_q: bool = False) -> MeridianProfile:
     """Profile of constant holomorphic sectional curvature a on [t0, t1].
 
     q comes from the closed formula (so the stored grid matches
-    ``const_hsc_meridian`` exactly); s from quadrature with s(t0) = 0.
+    ``ConstHSC.q_closed`` exactly); s from quadrature with s(t0) = 0.
     """
     source = ConstHSC(a, rotation_type)
     if rotation_type == "III" and t0 < source.min_radius() - 1e-12:
@@ -428,19 +362,6 @@ def const_hsc_profile(rotation_type: str, a: float, t0: float, t1: float,
     tg, sg, _ = _integrate_meridian(rotation_type, source, t0, t1, steps, sign)
     qg = np.array([flip * float(source.q_closed(t)) for t in tg])
     return MeridianProfile(rotation_type, source, sg, tg, qg, sign=sign)
-
-
-def tabulated_meridian(s, t, q, rotation_type: str) -> MeridianProfile:
-    """Profile interpolated through measured samples of (s, t, q)."""
-    source = TabulatedMeridian(s, t, q)
-    for tv in source.t_samples:
-        check_rotation_type(rotation_type, float(tv), source.jets(float(tv))[0],
-                            tol=1e-6)
-    mid = 0.5 * (source.s_samples[0] + source.s_samples[-1])
-    qp = float(source.q_spline(mid, 1))
-    sign = -1.0 if qp < 0 else 1.0
-    return MeridianProfile(rotation_type, source, source.s_samples,
-                           source.t_samples, source.q_samples, sign=sign)
 
 
 # -- chart embeddings ----------------------------------------------------------
@@ -595,24 +516,22 @@ class EmbedVerification:
 
 
 def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
-                     seed: int = 0, t_values=None,
-                     y_scale: float = 0.2) -> EmbedVerification:
+                     seed: int = 0) -> EmbedVerification:
     """Rebuild the model metric from the embedding and compare with the
-    closed formulas at ``count`` chart points.
+    closed formulas at ``count`` chart points, at radii evenly spaced inside
+    the profile window.
 
     Sphere chart draws that land outside the chart margin are redrawn.
     """
     metric, xi_field, sphere = rotation_metric(profile, n)
     lo, hi = profile.t_range
-    if t_values is None:
-        pad = 0.08 * (hi - lo)
-        t_values = np.linspace(lo + pad, hi - pad, count)
+    pad = 0.08 * (hi - lo)
     rng = np.random.default_rng(seed)
     pts = []
-    for tv in t_values:
+    for tv in np.linspace(lo + pad, hi - pad, count):
         report = None
         for _ in range(40):
-            y = y_scale * rng.normal(size=2 * n - 1)
+            y = Y_SCALE * rng.normal(size=2 * n - 1)
             if profile.rotation_type == "III":
                 y[-1] *= 0.5
             u0 = np.concatenate([[tv], y])

@@ -14,15 +14,21 @@ from .ambient import AmbientSpace, PotentialFamily, admissibility
 from .core import complex_to_real
 from .errors import DomainError
 
+# scale of the Gaussian space-like block of a time-like sample point
+SPREAD = 0.3
+# draws allowed per requested point before ``radial_points`` gives up
+MAX_TRIES = 200
 
-def timelike_point(space: AmbientSpace, r: float, rng=None, seed: int = 0,
-                   spread: float = 0.3) -> np.ndarray:
-    """Point at time-like radius ``r``: Gaussian spread in the space-like
-    block, the last complex coordinate adjusted to hit the radius exactly."""
+
+def timelike_point(space: AmbientSpace, r: float, rng=None,
+                   seed: int = 0) -> np.ndarray:
+    """Point at time-like radius ``r``: Gaussian spread ``SPREAD`` in the
+    space-like block, the last complex coordinate adjusted to hit the radius
+    exactly."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    w = (rng.normal(scale=spread, size=space.n - 1)
-         + 1j * rng.normal(scale=spread, size=space.n - 1))
+    w = (rng.normal(scale=SPREAD, size=space.n - 1)
+         + 1j * rng.normal(scale=SPREAD, size=space.n - 1))
     theta = rng.uniform(0.0, 2.0 * np.pi)
     zn = np.exp(1j * theta) * np.sqrt(r * r + float(np.sum(np.abs(w) ** 2)))
     return complex_to_real(np.append(w, zn))
@@ -37,16 +43,16 @@ def definite_point(space: AmbientSpace, r: float, rng=None,
     return r * v / float(np.linalg.norm(v))
 
 
-def point_at_radius(space: AmbientSpace, r: float, rng=None, seed: int = 0,
-                    spread: float = 0.3) -> np.ndarray:
+def point_at_radius(space: AmbientSpace, r: float, rng=None,
+                    seed: int = 0) -> np.ndarray:
     if space.lorentz:
-        return timelike_point(space, r, rng=rng, seed=seed, spread=spread)
+        return timelike_point(space, r, rng=rng, seed=seed)
     return definite_point(space, r, rng=rng, seed=seed)
 
 
 def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
-                  seed: int = 0, family: PotentialFamily | None = None,
-                  spread: float = 0.3, max_tries: int = 200) -> list[np.ndarray]:
+                  seed: int = 0,
+                  family: PotentialFamily | None = None) -> list[np.ndarray]:
     """Seeded sample of ``count`` points with radii uniform in [rmin, rmax],
     a finite window of positive radii.
 
@@ -60,7 +66,7 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
     rng = np.random.default_rng(seed)
     pts: list[np.ndarray] = []
     tries = 0
-    budget = max_tries * count
+    budget = MAX_TRIES * count
     while len(pts) < count:
         if tries >= budget:
             raise DomainError(
@@ -68,7 +74,7 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
                 f"after {budget} tries")
         tries += 1
         r = rng.uniform(rmin, rmax)
-        x = point_at_radius(space, r, rng=rng, spread=spread)
+        x = point_at_radius(space, r, rng=rng)
         if family is not None:
             w = float(space.square_norm(x))
             if not family.in_domain(w):

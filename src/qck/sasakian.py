@@ -40,10 +40,14 @@ from .curvature import (CurvatureBundle, PointJet, _first_jet,
 from .errors import DomainError, NotSasakian, NotSpaceForm
 from .qch import (QCDecomposition, ShapeData, _complement_basis, decompose,
                   extract_shape_data)
-from .sampling import timelike_point
+from .sampling import definite_point, timelike_point
 
 ZERO_BAND = 1e-8
 ALPHA_GATE = 1e-5
+# polar angle that a sphere sample keeps from the graph chart equator
+CHART_MARGIN = 0.25
+# seeded draws of such a sample before giving up
+CHART_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,6 @@ class AlmostContact:
     eta_tilde: np.ndarray  # covector components of g(., xi_tilde)
     phi: np.ndarray
     tangent_basis: np.ndarray
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.jet.point
-
-    @property
-    def G(self) -> np.ndarray:
-        return self.jet.G
 
     def tangential(self, v):
         """Tangential part of a vector; every vector is tangent when the
@@ -87,7 +83,7 @@ class ContactStructure(AlmostContact):
     identity_defect: float
 
     def tangential(self, v):
-        return v - float(v @ self.G @ self.xi) * self.xi
+        return v - float(v @ self.jet.G @ self.xi) * self.xi
 
 
 def induced_contact(space: AmbientSpace, metric: MetricField, x,
@@ -152,7 +148,7 @@ def _alpha_check(structure: AlmostContact, D, phi_law,
     Raises NotSasakian when the fitted law for xi_tilde leaves a residual
     above ``gate``.
     """
-    G, phi, basis = structure.G, structure.phi, structure.tangent_basis
+    G, phi, basis = structure.jet.G, structure.phi, structure.tangent_basis
     pairs = [(structure.tangential(u @ D), phi @ u) for u in basis]
     alpha = (sum(float(d @ G @ p) for d, p in pairs)
              / sum(float(p @ G @ p) for _, p in pairs))
@@ -196,7 +192,7 @@ def sphere_phi_law(structure: ContactStructure, J0):
     rule on the jet's dG and the structure's dxi gives their partials; no
     field is evaluated.
     """
-    G, dG = structure.G, structure.jet.dG
+    G, dG = structure.jet.G, structure.jet.dG
     B, xi, dxi = structure.tangent_basis, structure.xi, structure.dxi
     jxi, djxi = J0 @ xi, dxi @ J0.T
     # Y = y - s xi with s = g(y, xi)
@@ -230,7 +226,7 @@ def gauss_curvature_fn(structure: ContactStructure, bundle: CurvatureBundle):
     ambient curvature bundle of the same jet.
     """
     h = -covariant_derivative(structure.jet, structure.xi,
-                              structure.dxi) @ structure.G
+                              structure.dxi) @ structure.jet.G
     return (bundle.R.a + np.einsum("jk,il->ijkl", h, h)
             - np.einsum("ik,jl->ijkl", h, h))
 
@@ -244,7 +240,7 @@ def phi_sectional(structure: AlmostContact, K, seed: int = 0) -> PhiSectional:
     """Sample K(x, phi x, phi x, x) over 12 unit directions in the
     distribution orthogonal to xi_tilde, K being the curvature tensor of the
     structure's manifold.  Raises NotSpaceForm when the values disagree."""
-    G, phi = structure.G, structure.phi
+    G, phi = structure.jet.G, structure.phi
     dbasis = structure.tangent_basis[1:]
     X = np.random.default_rng(seed).normal(size=(12, len(dbasis))) @ dbasis
     nrm = np.sqrt(np.abs(np.einsum("si,ij,sj->s", X, G, X)))
@@ -266,7 +262,7 @@ def space_form_model(structure: AlmostContact, c: float,
     """The alpha-Sasakian space form curvature with phi-sectional value c as
     a (0,4)-tensor, from G, P = phi^T G (so P[a, b] = g(phi a, b)) and
     eta_tilde, with coefficients (c + 3 alpha^2)/4 and (c - alpha^2)/4."""
-    G, eta = structure.G, structure.eta_tilde
+    G, eta = structure.jet.G, structure.eta_tilde
     P = structure.phi.T @ G
     E = np.outer(eta, eta)
 
@@ -301,7 +297,7 @@ def gauss_consistency(space: AmbientSpace, metric: MetricField,
     pulled back, and sectional curvatures of 6 chart planes are compared
     with the Gauss-equation values K on the matching ambient planes.
     """
-    Z = structure.point
+    Z, G = structure.jet.point, structure.jet.G
     r = structure.radius
     if space.lorentz:
         sheet = 1.0 if Z[-1] > 0 else -1.0
@@ -316,8 +312,7 @@ def gauss_consistency(space: AmbientSpace, metric: MetricField,
     done = 0
     while done < 6:
         x, y = (rng.normal(size=len(basis)) @ basis for _ in range(2))
-        den = (float(x @ structure.G @ x) * float(y @ structure.G @ y)
-               - float(x @ structure.G @ y) ** 2)
+        den = float(x @ G @ x) * float(y @ G @ y) - float(x @ G @ y) ** 2
         if abs(den) < 1e-3:
             continue
         extr = float(np.einsum("ijkl,i,j,k,l->", K, x, y, y, x)) / den
@@ -404,7 +399,7 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
     if metric is None:
         metric = potential_metric(space, family)
     Z = (_chartable_timelike_point(space, r, seed) if space.lorentz
-         else _definite_axis_point(space, r, seed))
+         else definite_point(space, r, seed=seed))
     structure = induced_contact(space, metric, Z, orientation=orientation)
     check = alpha_sasakian_check(space, structure)
     bundle = curvature_bundle(structure.jet)
@@ -422,27 +417,21 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
                                gauss_delta=gauss_delta)
 
 
-def _chartable_timelike_point(space, r, seed, margin=0.25, tries=64):
+def _chartable_timelike_point(space, r, seed):
     """Time-like sample kept clear of the graph chart equator, so the
     intrinsic cross-check can place the point in a chart."""
-    floor = (r * math.sin(margin)) ** 2
-    for k in range(tries):
+    floor = (r * math.sin(CHART_MARGIN)) ** 2
+    for k in range(CHART_TRIES):
         Z = timelike_point(space, r, seed=seed + 1000 * k)
         if Z[-1] ** 2 >= floor:
             return Z
     raise DomainError("could not draw a chart-compatible sphere point")
 
 
-def _definite_axis_point(space, r, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=space.dim)
-    return r * v / float(np.linalg.norm(v))
-
-
 # -- the intrinsic family on the unit Lorentz hypersphere ---------------------
 
 
-def family_h1_metric(n: int, q: float, sign: float = 1.0):
+def family_h1_metric(n: int, q: float):
     """Sasakian family metric on the unit hypersphere of the Lorentz flat
     form, in graph chart coordinates.
 
@@ -454,7 +443,7 @@ def family_h1_metric(n: int, q: float, sign: float = 1.0):
     space = AmbientSpace(n, "lorentz")
     H = space.flat_real()
     d = space.dim
-    chart = LorentzGraphChart(1.0, d, sign=sign)
+    chart = LorentzGraphChart(1.0, d)
     m = chart.nparams
     hbar = pullback_metric(chart, H)
 

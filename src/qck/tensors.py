@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import DegenerateBasis
 
+# largest condition number of the basis Gram matrix that ``tensor4_fit`` solves
+COND_LIMIT = 1e12
+
 
 @dataclass
 class Tensor4:
@@ -61,7 +64,7 @@ class Tensor4:
     __rmul__ = __mul__
 
 
-def tensor4_fit(target: Tensor4, basis: list[Tensor4], cond_limit: float = 1e12):
+def tensor4_fit(target: Tensor4, basis: list[Tensor4]):
     """Least-squares coefficients fitting ``target`` in span(basis).
 
     Returns (coeffs, residual) with residual the Frobenius misfit relative to
@@ -72,8 +75,8 @@ def tensor4_fit(target: Tensor4, basis: list[Tensor4], cond_limit: float = 1e12)
     M = np.column_stack([b.a.ravel() for b in basis])
     gram = M.T @ M
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise DegenerateBasis(f"basis Gram matrix condition {cond:.3e} exceeds {cond_limit:.1e}")
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise DegenerateBasis(f"basis Gram matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
     coeffs, *_ = np.linalg.lstsq(M, tv, rcond=None)
     misfit = np.linalg.norm(tv - M @ coeffs)
     residual = float(misfit / max(1.0, np.linalg.norm(tv)))

@@ -25,7 +25,6 @@ from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
                          embed_and_verify, qc_coefficients)
 from .sampling import point_at_radius, radial_points
 from .sasakian import family_h1_report, sphere_report
-from .tensors import Tensor4
 
 
 @dataclass(frozen=True)
@@ -213,8 +212,8 @@ def _crit_bochner_equivalence():
     frame = radial_frame(space, x)
     basis = build_basis_tensors(G, J, frame)
     n = space.n
-    model = (2.0 / ((n + 1) * (n + 2)) * basis.pi.a
-             - 4.0 / (n + 2) * basis.phi.a + basis.psi.a)
+    model = (2.0 / ((n + 1) * (n + 2)) * basis.pi
+             - 4.0 / (n + 2) * basis.phi + basis.psi)
     rng = np.random.default_rng(101)
     failures = []
     worst_identity = 0.0
@@ -224,12 +223,12 @@ def _crit_bochner_equivalence():
             c = 0.0
         else:
             c = float(rng.uniform(0.01, 2.0) * rng.choice([-1.0, 1.0]))
-        T = Tensor4(a * basis.pi.a + b * basis.phi.a + c * basis.psi.a)
+        T = a * basis.pi + b * basis.phi + c * basis.psi
         B = bochner_of_tensor(T, G, J)
         flat = bochner_flat(B)
         if flat != (abs(c) < 1e-6):
             failures.append(f"trial {trial}: flat={flat} but c={c:.3e}")
-        defect = float(np.max(np.abs(B.a - c * model)))
+        defect = (B - c * model).scale()
         worst_identity = max(worst_identity, defect)
         if defect > 1e-9:
             failures.append(f"trial {trial}: operator identity off by "

@@ -1,7 +1,8 @@
 """Reference paths the tests check the library against.
 
-Scalar fields with exact dual-number partials and a finite-difference
-oracle for them.  The radial unit field, and the fields phi Y and Y of the
+Dual-number seeds and the elementary functions only the tests use, with
+scalar fields with exact dual-number partials and a finite-difference
+oracle for them.  The coordinate holomorphic frame of the flat structure.  The radial unit field, and the fields phi Y and Y of the
 hypersphere phi law, as generic-scalar vector fields that evaluate the
 metric themselves: the dual-number references for the closed-form
 ``ambient.radial_unit_jet`` and the phi-law jets of ``qck.sasakian``.  The
@@ -10,7 +11,9 @@ phi-sectional and space form samples that use it: the references for the
 curvature tensor and its batched contractions in ``qck.sasakian``.  And
 curvature helpers that only the tests use: the holomorphic sectional
 curvature by angle, the Kahler-gated Bochner tensor and the covariant
-derivative of the complex structure.
+derivative of the complex structure.  And the conformal-pair metrics, a
+rotationally symmetric Hermitian family that is not built from a potential:
+an independent non-potential metric for the curvature and Kahler tests.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qck.ambient import DefiniteLogFamily, InverseFamily, LogFamily, UserSeries
+from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
+                         LogFamily, MetricField, PotentialFamily, UserSeries,
+                         _radial_projectors)
 from qck.core import apply_j0
 from qck.curvature import covariant_derivative, curvature_bundle, kahler_defect
-from qck.duals import MultiDual, generator, gsqrt, value
-from qck.errors import FrameError, NotKahler, NumericalBreakdown
+from qck.duals import MultiDual, glog, gsqrt, value
+from qck.errors import DomainError, FrameError, NumericalBreakdown, QckError
 from qck.qch import bochner_of_tensor
 
 # Every potential family, with a radius in its admissible region for each n:
@@ -38,6 +43,78 @@ POTENTIAL_CASES = [
     ("definite", DefiniteLogFamily(2.0, 1.0), 1.3),
     ("definite", UserSeries((0.0, 1.0, 0.1)), 0.8),
 ]
+
+
+class ConformalDomainError(QckError):
+    """The conformal profile pair is undefined at the requested radius."""
+
+
+class NotKahler(QckError):
+    """Metric fails the closedness test of its fundamental two-form."""
+
+
+# -- dual-number seeds and elementary functions ----------------------------------
+
+
+def generator(slot: int, m: int) -> MultiDual:
+    """The nilpotent generator e_{slot+1} as a MultiDual with m generators."""
+    c = np.zeros((1 << m, 1))
+    c[1 << slot] = 1.0
+    return MultiDual(c, m)
+
+
+def gexp(x):
+    if not isinstance(x, MultiDual):
+        return math.exp(x)
+    e = math.exp(x.value)
+    return x.apply_series([e] * (x.m + 1))
+
+
+def gsin(x):
+    if not isinstance(x, MultiDual):
+        return math.sin(x)
+    v = x.value
+    cyc = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
+
+
+def gcos(x):
+    if not isinstance(x, MultiDual):
+        return math.cos(x)
+    v = x.value
+    cyc = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
+    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
+
+
+# -- complex coordinates ----------------------------------------------------------
+
+
+def real_to_complex(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.size % 2:
+        raise ValueError("real coordinate vector must have even length")
+    return x[0::2] + 1j * x[1::2]
+
+
+def dz_basis(n: int) -> np.ndarray:
+    """Rows are the holomorphic coordinate vectors (d/dx - i d/dy)/2 in R^{2n}."""
+    V = np.zeros((n, 2 * n), dtype=complex)
+    for a in range(n):
+        V[a, 2 * a] = 0.5
+        V[a, 2 * a + 1] = -0.5j
+    return V
+
+
+def holomorphic_coefficients(n: int) -> np.ndarray:
+    """A[i, a]: coefficient of the a-th holomorphic vector in the (1,0)-part of e_i."""
+    A = np.zeros((2 * n, n), dtype=complex)
+    for a in range(n):
+        A[2 * a, a] = 1.0
+        A[2 * a + 1, a] = 1.0j
+    return A
+
+
+# -- scalar fields ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -189,7 +266,7 @@ def gauss_curvature_closure(structure, bundle):
     """Curvature quadruple (x, y, z, u) -> K(x, y, z, u) of the hypersphere
     by the Gauss equation, with the second fundamental form
     h(x, y) = -g(nabla_x xi, y) evaluated per pair of vectors."""
-    G = structure.G
+    G = structure.jet.G
     D = covariant_derivative(structure.jet, structure.xi, structure.dxi)
 
     def h(x, y):
@@ -206,7 +283,7 @@ def gauss_curvature_closure(structure, bundle):
 def phi_sectional_values(structure, K, seed=0):
     """K(x, phi x, phi x, x) / |x ^ phi x|^2 over the unit directions of the
     seeded draws of ``sasakian.phi_sectional``, one direction at a time."""
-    G, phi = structure.G, structure.phi
+    G, phi = structure.jet.G, structure.phi
     dbasis = structure.tangent_basis[1:]
     rng = np.random.default_rng(seed)
     vals = []
@@ -226,7 +303,7 @@ def space_form_samples(structure, K, c, alpha):
     """The quadruples of ``sasakian.space_form_model_defect`` with, per
     quadruple, the value of K and of the alpha-Sasakian space form model
     from scalar products: (quads, K values, model values)."""
-    G, phi, eta_t = structure.G, structure.phi, structure.eta_tilde
+    G, phi, eta_t = structure.jet.G, structure.phi, structure.eta_tilde
     A = 0.25 * (c + 3.0 * alpha * alpha)
     B = 0.25 * (c - alpha * alpha)
     basis = structure.tangent_basis
@@ -305,3 +382,78 @@ def structure_covariant_defect(jet) -> float:
     # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
     nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
     return float(np.max(np.abs(nj)))
+
+
+# -- conformal pairs ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConformalPair:
+    """Radial conformal profiles (u(r), v(r)) as generic-scalar callables."""
+
+    u: Callable
+    v: Callable
+    source: str = "custom"
+
+
+def conformal_factors(family: PotentialFamily, r: float):
+    """Profile values (u(r), v(r)) matching the potential metric scales.
+
+    exp(-2u) = 2 f' and exp(-2v) + 1 = r^2 f'' / f', both at w = -r^2; the
+    second requires r^2 f''/f' > 1, which every admissible Lorentz potential
+    satisfies, but user profiles may not (ConformalDomainError).
+    """
+    w = -float(r) ** 2
+    if not family.in_domain(w):
+        raise DomainError(f"radius {r} outside the family domain")
+    fp = family.d1(w)
+    if fp <= 0:
+        raise ConformalDomainError(f"2f' = {2 * fp:.6g} not positive at r={r}")
+    ratio = r**2 * family.d2(w) / fp
+    if ratio <= 1.0:
+        raise ConformalDomainError(f"r^2 f''/f' = {ratio:.6g} <= 1 at r={r}")
+    u = -0.5 * math.log(2.0 * fp)
+    v = -0.5 * math.log(ratio - 1.0)
+    return u, v
+
+
+def conformal_pair_from_family(family: PotentialFamily) -> ConformalPair:
+    def u(r):
+        return -0.5 * glog(2.0 * family.d1(-r * r))
+
+    def v(r):
+        fp = family.d1(-r * r)
+        return -0.5 * glog(r * r * family.d2(-r * r) / fp - 1.0)
+
+    return ConformalPair(u, v, source=family.describe())
+
+
+def metric_from_conformal_pair(space: AmbientSpace, pair: ConformalPair) -> MetricField:
+    """Rotationally symmetric Hermitian metric from conformal profiles:
+
+        G = exp(-2u(r)) (H + (exp(-2v(r)) + 1) (eta (x) eta + jeta (x) jeta))
+
+    Defined on the time-like region of the Lorentz background only.
+    """
+    if not space.lorentz:
+        raise DomainError("conformal pair metrics are defined on the Lorentz background")
+    H = space.flat_real()
+    d = space.dim
+
+    def ev(x):
+        r = space.radius(x)
+        s1 = gexp(-2.0 * pair.u(r))
+        s2 = gexp(-2.0 * pair.v(r)) + 1.0
+        eta, jeta = _radial_projectors(space, x, r)
+        out = []
+        for i in range(d):
+            row = []
+            for j in range(d):
+                e = s2 * (eta[i] * eta[j] + jeta[i] * jeta[j])
+                if i == j:
+                    e = e + H[i, i]
+                row.append(s1 * e)
+            out.append(row)
+        return out
+
+    return MetricField(ev, d, name=f"conformal[{pair.source}]", meta={"space": space, "pair": pair})

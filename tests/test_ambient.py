@@ -12,27 +12,21 @@ from qck.ambient import (
     LogFamily,
     UserSeries,
     admissibility,
-    conformal_factors,
-    conformal_pair_from_family,
     family_from_json,
     flat_metric,
-    metric_from_conformal_pair,
     potential_metric,
     radial_frame,
     radial_unit_jet,
 )
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
 from qck.curvature import covariant_derivative, point_jet, vector_jet
-from qck.duals import generator, value
-from qck.errors import (
-    AdmissibilityError,
-    ConformalDomainError,
-    DomainError,
-    FrameError,
-)
+from qck.duals import value
+from qck.errors import AdmissibilityError, DomainError, FrameError
 from qck.sampling import point_at_radius
 from qck.sasakian import sphere_report
-from oracles import (POTENTIAL_CASES, ScalarField, differentiate,
+from oracles import (POTENTIAL_CASES, ConformalDomainError, ScalarField,
+                     conformal_factors, conformal_pair_from_family,
+                     differentiate, generator, metric_from_conformal_pair,
                      radial_unit_field)
 
 L3 = AmbientSpace(3, "lorentz")

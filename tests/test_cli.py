@@ -249,6 +249,20 @@ class TestSasaki:
         assert out == ""
         assert "complex dimension at least 2" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family-h1", "--space", "definite", "--q", "2"], "--space"),
+        (["--family-h1", "--r", "3"], "--r"),
+        (["--family-h1", "--orientation", "inward"], "--orientation"),
+        (["--r", "2", "--q", "5"], "--q"),
+        (["--r", "2", "--count", "5"], "--count"),
+    ], ids=["h1-space", "h1-r", "h1-orientation", "sphere-q", "sphere-count"])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, capsys, argv,
+                                                        flag):
+        code, out, err = run_cli(capsys, ["sasaki", *argv])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and flag in err
+
     def test_non_positive_family_parameter_is_domain_error(self, capsys):
         code, out, _ = run_cli(capsys, ["sasaki", "--family-h1", "--q", "-1"])
         assert code == 1

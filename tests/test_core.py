@@ -5,12 +5,10 @@ from qck.core import (
     adapted_complex_frame,
     apply_j0,
     complex_to_real,
-    dz_basis,
     hermitian_to_real,
-    holomorphic_coefficients,
     j0_matrix,
-    real_to_complex,
 )
+from oracles import dz_basis, holomorphic_coefficients, real_to_complex
 
 
 def test_complex_real_roundtrip():

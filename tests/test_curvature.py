@@ -7,10 +7,7 @@ from qck.ambient import (
     InverseFamily,
     LogFamily,
     UserSeries,
-    ConformalPair,
-    conformal_pair_from_family,
     flat_metric,
-    metric_from_conformal_pair,
     potential_metric,
     radial_frame,
 )
@@ -28,10 +25,12 @@ from qck.curvature import (
     vector_jet,
 )
 from qck.ambient import MetricField
-from qck.duals import MultiDual, generator, value
+from qck.duals import MultiDual, value
 from qck.errors import DegenerateMetric, DomainError, NumericalBreakdown
 from qck.sampling import point_at_radius
-from oracles import radial_unit_field, structure_covariant_defect
+from oracles import (ConformalPair, conformal_pair_from_family, generator,
+                     metric_from_conformal_pair, radial_unit_field,
+                     structure_covariant_defect)
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")

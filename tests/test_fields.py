@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qck.duals import gexp, gsin
 from qck.errors import NumericalBreakdown
-from oracles import ScalarField, differentiate, differentiate_fd
+from oracles import ScalarField, differentiate, differentiate_fd, gexp, gsin
 
 
 def poly_field():

@@ -15,7 +15,7 @@ from qck.ambient import (
 )
 from qck.core import complex_to_real, j0_matrix
 from qck.curvature import curvature_bundle, point_jet, vector_jet
-from qck.errors import FrameError, NotKahler, ShapeUniformityError
+from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
     bochner_flat,
@@ -27,8 +27,9 @@ from qck.qch import (
     holomorphic_components,
     real_from_holomorphic,
 )
-from oracles import (bochner_tensor, hsc_angle_profile, radial_unit_field,
-                     section_angle)
+from oracles import (ConformalPair, NotKahler, bochner_tensor,
+                     hsc_angle_profile, metric_from_conformal_pair,
+                     radial_unit_field, section_angle)
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -521,7 +522,7 @@ class TestBochner:
 
     def test_holomorphic_roundtrip(self):
         for t in (self.basis.pi, self.basis.phi, self.basis.psi):
-            C, A = holomorphic_components(t, self.J)
+            C, _, A = holomorphic_components(t, self.J)
             recon = real_from_holomorphic(C, A)
             assert np.allclose(recon, t.a, atol=1e-12)
 
@@ -558,8 +559,6 @@ class TestBochner:
         assert np.max(np.abs(B.a - dec.c * image.a)) < 1e-8 * max(1.0, abs(dec.c))
 
     def test_not_kahler_gate(self):
-        from qck.ambient import ConformalPair, metric_from_conformal_pair
-
         pair = ConformalPair(u=lambda r: 0.0 * r, v=lambda r: 0.0 * r)
         g = metric_from_conformal_pair(L2, pair)
         with pytest.raises(NotKahler):
@@ -570,13 +569,6 @@ class TestBochner:
         Bnz = bochner_of_tensor(self.basis.psi, self.G, self.J)
         assert bochner_flat(Bz)
         assert not bochner_flat(Bnz)
-
-    def test_bochner_flat_mismatch_warns(self):
-        B = bochner_of_tensor(self.basis.psi, self.G, self.J)
-        dec = QCDecomposition(a=0.0, b=0.0, c=0.0, residual=0.0, k=1.0,
-                              a_plus_k2=1.0, klass="positive")
-        with pytest.warns(UserWarning):
-            bochner_flat(B, dec)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

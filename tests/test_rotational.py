@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from qck.duals import eval_with_partials
 from qck.errors import DomainError, TypeConstraintError
 from qck.rotational import (BochnerFamily, ConstHSC, bochner_meridian,
-                            check_rotation_type, const_hsc_meridian,
-                            const_hsc_profile, embed_and_verify,
-                            qc_coefficients, rotation_metric,
-                            tabulated_meridian)
+                            check_rotation_type, const_hsc_profile,
+                            embed_and_verify, qc_coefficients,
+                            rotation_metric)
 
 Q2_ORACLE = 1.3905620875658997  # type II, a = -1, t = 1
 Q3_ORACLE = 0.07270478199838769  # type III, a = -1, t = 3
@@ -113,11 +112,11 @@ class TestCoefficients:
 
 class TestConstHSCClosedForm:
     def test_frozen_oracle_type_two(self):
-        assert const_hsc_meridian("II", -1.0, 1.0) == pytest.approx(
+        assert ConstHSC(-1.0, "II").q_closed(1.0) == pytest.approx(
             Q2_ORACLE, abs=1e-15)
 
     def test_frozen_oracle_type_three(self):
-        assert const_hsc_meridian("III", -1.0, 3.0) == pytest.approx(
+        assert ConstHSC(-1.0, "III").q_closed(3.0) == pytest.approx(
             Q3_ORACLE, abs=1e-15)
 
     def test_meridian_slope_type_two(self):
@@ -141,11 +140,11 @@ class TestConstHSCClosedForm:
 
     def test_three_below_domain(self):
         with pytest.raises(DomainError):
-            const_hsc_meridian("III", -1.0, 2.0)
+            ConstHSC(-1.0, "III").q_closed(2.0)
 
     def test_type_one_has_no_profile(self):
         with pytest.raises(TypeConstraintError):
-            const_hsc_meridian("I", -1.0, 1.0)
+            ConstHSC(-1.0, "I").q_closed(1.0)
 
     def test_positive_a_rejected(self):
         with pytest.raises(DomainError):
@@ -161,11 +160,9 @@ class TestBochnerMeridian:
     def test_arc_length_slope(self):
         prof = bochner_meridian(0.5, 1.0, 0.5, 1.5)
         t_mid = 1.0
-        s_mid = prof.s_of_t(t_mid)
         h = 1e-5
         ds_dt = (prof.s_of_t(t_mid + h) - prof.s_of_t(t_mid - h)) / (2 * h)
         assert ds_dt == pytest.approx(1.0 / prof.source.tp(t_mid), rel=1e-8)
-        assert prof.t_of_s(s_mid) == pytest.approx(t_mid, abs=1e-12)
 
     def test_type_window_enforced(self):
         with pytest.raises(TypeConstraintError):
@@ -238,60 +235,6 @@ class TestConstHSCProfile:
         prof = const_hsc_profile("II", -1.0, 0.5, 3.0)
         with pytest.raises(DomainError):
             prof.coefficients_at(4.0)
-        with pytest.raises(DomainError):
-            prof.t_of_s(prof.s_range[1] + 1.0)
-
-
-class TestTabulated:
-    def _samples(self, steps=513):
-        prof = const_hsc_profile("II", -1.0, 0.5, 1.5, steps=steps)
-        return prof.s_grid, prof.t_grid, prof.q_grid
-
-    def test_spline_recovers_coefficients(self):
-        s, t, q = self._samples()
-        tab = tabulated_meridian(s, t, q, "II")
-        co = tab.coefficients_at(1.0)
-        assert abs(co.a + 1.0) < 1e-6
-        assert abs(co.b) < 5e-4
-        assert abs(co.c) < 2e-2
-
-    def test_clean_samples_have_small_defect(self):
-        s, t, q = self._samples()
-        tab = tabulated_meridian(s, t, q, "II")
-        assert tab.natural_defect() < 1e-6
-
-    def test_noise_calibration(self):
-        # a smooth 1e-3 ripple in q must surface at the matching scale
-        s, t, q = self._samples()
-        tab = tabulated_meridian(s, t, q + 1e-3 * np.sin(s), "II")
-        defect = tab.natural_defect()
-        assert 3e-4 < defect < 3e-3
-
-    def test_three_sign_detected(self):
-        prof = const_hsc_profile("III", -1.0, 3.0, 5.0)
-        tab = tabulated_meridian(prof.s_grid[::-1], prof.t_grid[::-1],
-                                 prof.q_grid[::-1], "III")
-        assert tab.sign == -1.0
-        co = tab.coefficients_at(4.0)
-        assert abs(co.a + 1.0) < 1e-6
-
-    def test_rejects_bad_samples(self):
-        s, t, q = self._samples()
-        with pytest.raises(DomainError):
-            tabulated_meridian(s[:-1], t, q, "II")
-        with pytest.raises(DomainError):
-            tabulated_meridian(s[::-1], t, q, "II")
-        with pytest.raises(DomainError):
-            tabulated_meridian(s[:6], t[:6], q[:6], "II")
-        bumpy = t.copy()
-        bumpy[len(t) // 2] = bumpy[0]
-        with pytest.raises(DomainError):
-            tabulated_meridian(s, bumpy, q, "II")
-
-    def test_type_mismatch_raises(self):
-        s, t, q = self._samples()
-        with pytest.raises(TypeConstraintError):
-            tabulated_meridian(s, t, q, "III")
 
 
 class TestRotationMetric:

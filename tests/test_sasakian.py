@@ -63,7 +63,7 @@ class TestInducedContact:
 
     def test_tangent_basis_orthonormal(self):
         metric, st_ = disc_structure(2.0)
-        G = st_.G
+        G = st_.jet.G
         B = st_.tangent_basis
         assert B.shape == (3, 4)
         gram = B @ G @ B.T
@@ -278,7 +278,7 @@ class TestTensorAgainstClosure:
 
     def compare(self, rep, seen, K_ref):
         structure, K = seen["structure"], seen["K"]
-        assert K.shape == (len(structure.G),) * 4
+        assert K.shape == (len(structure.jet.G),) * 4
         vals = phi_sectional_values(structure, K_ref, seed=seen["seed"])
         got = phi_sectional(structure, K, seed=seen["seed"]).values
         self.assert_close(got, vals)
