@@ -223,6 +223,20 @@ class TestSasaki:
         assert abs(rep["alpha"] - 1.0) < 1e-8
         assert abs(rep["c"] + 4.0) < 1e-8
 
+    def test_family_q_defaults_to_one(self, capsys):
+        code, out, _ = run_cli(capsys, ["sasaki", "--family-h1"])
+        assert code == 0
+        assert json.loads(out)["q"] == 1.0
+        _, explicit, _ = run_cli(capsys, ["sasaki", "--family-h1", "--q", "1"])
+        assert out == explicit
+
+    def test_sphere_orientation_defaults_to_auto(self, capsys):
+        code, out, _ = run_cli(capsys, ["sasaki", "--r", "2"])
+        assert code == 0
+        _, explicit, _ = run_cli(capsys, ["sasaki", "--r", "2",
+                                          "--orientation", "auto"])
+        assert out == explicit
+
     def test_missing_radius_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["sasaki"])
         assert code == 2
