@@ -14,6 +14,15 @@ evaluator cheap under dual numbers; an independent Hessian-by-duals oracle
 lives in the test suite.  Family derivative methods are written with generic
 arithmetic only, so f'(w) and f''(w) inherit whatever dual payload w carries.
 
+Which path makes a jet: the metric field of ``potential_metric`` carries a
+closed-form derivative rule.  With u = H x and v = J0 u the second term is
+2 f''(w) A, A = u u^T + v v^T, so the partials of G are polynomials in x
+times f' ... f'''' at w; ``curvature.point_jet`` takes G from one float
+evaluation of the field and dG, d2G from the rule.  f''' and f'''' come from
+one order-2 dual evaluation of the family's f'' at the scalar w.  Every other
+metric field (flat, chart, pulled-back, rotational) has no rule and is
+differentiated by duals.
+
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
 of the radial distribution, depends on the metric only through G and dG at
 the point: ``radial_unit_jet`` reads both off the metric's jet, so the unit
@@ -29,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import apply_j0, hermitian_to_real, j0_matrix
-from .duals import glog, gsqrt, value
+from .duals import MultiDual, coefficients, glog, gsqrt, value
 from .errors import AdmissibilityError, DomainError, FrameError
 
 
@@ -313,6 +322,10 @@ class MetricField:
     on the all-float path is fine too).  ``complex_structure`` is either None,
     meaning the constant standard structure, or a generic-scalar field
     x -> matrix for metrics whose structure varies over the chart.
+    ``derivatives`` is either None, meaning the field is differentiated by
+    duals, or a closed-form rule mapping a float point to the partials
+    (dG[k, i, j], d2G[k, l, i, j]) there; the rule checks nothing, since
+    ``fn`` owns the domain and admissibility errors.
     """
 
     fn: Callable[[Sequence], object]
@@ -320,6 +333,7 @@ class MetricField:
     name: str = ""
     complex_structure: Callable | None = None
     meta: dict = field(default_factory=dict)
+    derivatives: Callable | None = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -380,6 +394,9 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
                     f"inadmissible at w={wv:.6g}: f'={rep.f_prime:.6g}, "
                     f"f'+wf''={rep.f_prime_plus_wf2:.6g}")
         r2 = -w if space.lorentz else w
+        if value(r2) <= 0.0:
+            raise DomainError(f"square norm {wv:.6g} has no radius on the "
+                              f"{space.signature} background")
         r = gsqrt(r2)
         fp = family.d1(w)
         fpp = family.d2(w)
@@ -397,8 +414,37 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
             out.append(row)
         return out
 
+    # m_k = J0 h_k is column k of M, and
+    # d_k d_l A = h_k h_l^T + h_l h_k^T + m_k m_l^T + m_l m_k^T is constant
+    M = j0_matrix(space.n) @ H
+    cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
+    d2A = cross + cross.transpose(1, 0, 2, 3)
+
+    def derivatives(x):
+        w = float(space.square_norm(x))
+        # f'', f''' and f'''' from f'' with both generators seeded on w
+        f2, f3, _, f4 = coefficients(
+            family.d2(MultiDual([[w], [1.0], [1.0], [0.0]], 2)), 2, 1)[:, 0]
+        u = H @ x
+        v = M @ x
+        A = np.outer(u, u) + np.outer(v, v)
+        # d_k A = h_k u^T + u h_k^T + m_k v^T + v m_k^T
+        half = H.T[:, :, None] * u + M.T[:, :, None] * v
+        dA = half + half.transpose(0, 2, 1)
+        # w_k = 2 u_k and w_kl = 2 H_kl
+        wk = 2.0 * u
+        ww = np.outer(wk, wk)
+        dG = 2.0 * wk[:, None, None] * (f2 * H + f3 * A) + 2.0 * f2 * dA
+        d2G = (2.0 * (f3 * ww + 2.0 * f2 * H)[:, :, None, None] * H
+               + 2.0 * (f4 * ww + 2.0 * f3 * H)[:, :, None, None] * A
+               + 2.0 * f3 * (wk[:, None, None, None] * dA
+                             + wk[None, :, None, None] * dA[:, None])
+               + 2.0 * f2 * d2A)
+        return dG, d2G
+
     return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
-                       meta={"space": space, "family": family})
+                       meta={"space": space, "family": family},
+                       derivatives=derivatives)
 
 
 # -- radial frames ------------------------------------------------------------

@@ -9,6 +9,7 @@ meridian commands emit the 10-column CSV.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,7 +277,10 @@ def _add_sampler(sub) -> None:
     sub.add_argument("--rmax", type=float, help="largest sample radius")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qck`` parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a small command's work."""
     parser = argparse.ArgumentParser(
         prog="qck",
         description="Curvature models generated by radial potentials: "

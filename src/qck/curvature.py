@@ -12,12 +12,16 @@ it once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
 R assembled from it; its invariants read G, G^-1 and J off the jet.  The
 radial unit field and its partials follow from G and dG in closed form, so
 they cost no further evaluation; ``vector_jet`` differentiates other vector
-fields by duals.  The jet comes from dual numbers by default; ``method="fd"``
-takes it by finite differences instead, with the same downstream assembly, as
-an independent oracle.
+fields by duals.
 
-A dual jet costs one evaluation of the metric: the coordinates carry one
-payload column per index pair (k, l) of the second jet, see ``qck.duals``.
+Which path makes the metric jet (``PointJet.method``): a field with a
+closed-form derivative rule, as the potential metrics of
+``ambient.potential_metric`` have, gets "closed-form": G from one float
+evaluation of the field, dG and d2G from the rule.  Every other field gets
+"dual": one evaluation of the metric on dual numbers whose coordinates carry
+one payload column per index pair (k, l) of the second jet, see
+``qck.duals``.  ``method="fd"`` takes the jet by finite differences instead,
+with the same downstream assembly, as an independent oracle.
 
 Conventions.  Connection coefficients are the usual Christoffel symbols of
 the second kind.  The curvature tensor is
@@ -81,6 +85,19 @@ def metric_second_jet(metric, x):
     dG = np.moveaxis(out[:, :, 1, cols[ks == ls]], 2, 0)
     d2G = np.empty((d, d, d, d))
     d2G[ks, ls] = d2G[ls, ks] = np.moveaxis(out[:, :, 3, :], 2, 0)
+    return _finite(G, dG, d2G)
+
+
+def closed_form_second_jet(metric, x):
+    """(G, dG, d2G) of a field with a closed-form derivative rule: G from
+    one float evaluation of the field, which raises its domain and
+    admissibility errors, and the partials from ``metric.derivatives``."""
+    xf = np.array([float(c) for c in x])
+    G = metric.matrix(xf)
+    return _finite(G, *metric.derivatives(xf))
+
+
+def _finite(G, dG, d2G):
     if not np.all(np.isfinite(G)) or not np.all(np.isfinite(d2G)):
         raise NumericalBreakdown("metric jet produced non-finite entries")
     return G, dG, d2G
@@ -99,7 +116,7 @@ def metric_second_jet_fd(metric, x):
 
     Fourth-order stencils for the first partials and the diagonal second
     partials, Richardson-extrapolated cross stencil for the mixed ones.
-    Useful as an oracle; the dual path is both faster and exact to rounding.
+    Useful as an oracle; the exact paths are faster and exact to rounding.
     """
     d = metric.dim
     h = FD_STEP
@@ -205,20 +222,25 @@ class PointJet:
     dJ: np.ndarray
     gamma: np.ndarray
     Ginv: np.ndarray
-    method: str  # how the metric jet was taken: "dual" | "fd"
+    method: str  # how the metric jet was taken: "closed-form" | "dual" | "fd"
 
 
-def point_jet(metric, x, method: str = "dual") -> PointJet:
-    """The PointJet of ``metric`` at ``x``: one metric evaluation by duals
-    (``method="dual"``), or the finite-difference oracle (``method="fd"``).
-    The connection is computed here once; DegenerateMetric where G is too
-    ill-conditioned to invert."""
-    if method == "dual":
-        G, dG, d2G = metric_second_jet(metric, x)
-    elif method == "fd":
+def point_jet(metric, x, method: str = "exact") -> PointJet:
+    """The PointJet of ``metric`` at ``x``.  ``method="exact"`` takes the
+    field's closed-form derivative rule where it has one and one metric
+    evaluation by duals otherwise; ``method="fd"`` is the finite-difference
+    oracle.  The connection is computed here once; DegenerateMetric where G
+    is too ill-conditioned to invert."""
+    if method == "fd":
         G, dG, d2G = metric_second_jet_fd(metric, x)
-    else:
+    elif method != "exact":
         raise ValueError(f"unknown jet method {method!r}")
+    elif metric.derivatives is not None:
+        G, dG, d2G = closed_form_second_jet(metric, x)
+        method = "closed-form"
+    else:
+        G, dG, d2G = metric_second_jet(metric, x)
+        method = "dual"
     J, dJ = structure_jet(metric, x)
     gamma, Ginv = christoffel(G, dG)
     return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ,

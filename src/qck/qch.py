@@ -143,8 +143,6 @@ def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
 @dataclass(frozen=True)
 class BasisTensors:
     pi: Tensor4
-    phi1: Tensor4
-    phi2: Tensor4
     phi: Tensor4
     psi: Tensor4
 
@@ -153,7 +151,8 @@ class BasisTensors:
 
 
 def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
-    """The five structural (0,4)-tensors determined by (g, J, xi) at a point.
+    """The structural (0,4)-tensors pi, phi and psi determined by (g, J, xi)
+    at a point.
 
     ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``
     (either sign of the square norm is accepted so the flat indefinite form
@@ -187,16 +186,14 @@ def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
     phi2_8 = (np.einsum("jk,il->ijkl", P, G) - np.einsum("ik,jl->ijkl", P, G)
               + np.einsum("jk,il->ijkl", W, Om) - np.einsum("ik,jl->ijkl", W, Om)
               - 2.0 * np.einsum("ij,kl->ijkl", W, Om))
-    # phi1 and phi2 are only antisymmetric in their first index pair; the
+    # the two halves are only antisymmetric in their first index pair; the
     # full curvature symmetries appear in the sum, where each supplies the
     # pair transpose of the other.
-    phi1 = Tensor4(phi1_8 / 8.0)
-    phi2 = Tensor4(phi2_8 / 8.0)
     phi = Tensor4((phi1_8 + phi2_8) / 8.0)
 
     psi = Tensor4(-np.einsum("ij,kl->ijkl", W, W))
 
-    return BasisTensors(pi=pi, phi1=phi1, phi2=phi2, phi=phi, psi=psi)
+    return BasisTensors(pi=pi, phi=phi, psi=psi)
 
 
 # -- decomposition ---------------------------------------------------------------

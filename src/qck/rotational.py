@@ -15,6 +15,9 @@ tensors with coefficients given in closed form by the meridian jets
 + 1, and explicit profiles of constant holomorphic sectional curvature exist
 for types II and III.  ``embed_and_verify`` rebuilds the metric from an
 honest chart embedding and compares fitted coefficients with the formulas.
+
+scipy is imported inside the two functions that integrate and interpolate a
+meridian, so the commands that never build one do not pay its import.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .ambient import MetricField
 from .charts import LorentzGraphChart, SphereGraphChart
@@ -209,6 +210,8 @@ class MeridianProfile:
                  sign: float = 1.0):
         if rotation_type not in ROTATION_TYPES:
             raise TypeConstraintError(f"unknown rotation type {rotation_type!r}")
+        from scipy.interpolate import CubicSpline
+
         self.rotation_type = rotation_type
         self.source = source
         self.s_grid = np.asarray(s_grid, float)
@@ -313,6 +316,8 @@ def _window_check(rotation_type: str, source, t0: float, t1: float,
 
 def _integrate_meridian(rotation_type: str, source, t0: float, t1: float,
                         steps: int, sign: float):
+    from scipy.integrate import solve_ivp
+
     def rhs(t, _y):
         tp = source.jets(float(t))[0]
         if rotation_type == "I":

@@ -33,9 +33,6 @@ class Tensor4:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.a**2)))
-
     def scale(self) -> float:
         return float(np.max(np.abs(self.a)))
 

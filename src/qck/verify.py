@@ -351,7 +351,8 @@ def _crit_numerical_hygiene():
         worst_sym = max(worst_sym, sym)
         worst_bia = max(worst_bia, bia)
         if rel > 1e-6:
-            failures.append(f"dual vs finite-difference drift {rel:.3e}")
+            failures.append(f"{bd.jet.method} vs finite-difference drift "
+                            f"{rel:.3e}")
         if sym > 1e-9 or bia > 1e-9:
             failures.append(f"algebraic identity defect {max(sym, bia):.3e}")
     return {"max_path_drift": worst_rel, "max_symmetry_defect": worst_sym,

@@ -312,7 +312,7 @@ class TestRadialUnitJet:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
     @pytest.mark.parametrize("orientation", ["outward", "inward"])
-    @pytest.mark.parametrize("method,bound", [("dual", 1e-13), ("fd", FD_BOUND)])
+    @pytest.mark.parametrize("method,bound", [("exact", 1e-13), ("fd", FD_BOUND)])
     def test_matches_dual_reference(self, n, signature, family, r, orientation,
                                     method, bound):
         space = AmbientSpace(n, signature)

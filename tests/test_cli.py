@@ -6,6 +6,10 @@ spawning subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,3 +454,75 @@ class TestMetricEvaluations:
         assert code == 0
         assert len(json.loads(out)["points"]) == 3
         assert len(calls) == 3
+
+
+class TestErrorEntries:
+    """An inadmissible point keeps the error entry text it had when the
+    metric jet was taken by duals; the field's own float evaluation raises
+    it.  The golden log-boundary cases pin the texts of points outside the
+    family domain."""
+
+    def test_inadmissible(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "decompose", "--family", "series", "--coeffs", "0,1,1",
+            "--rmin", "0.3", "--rmax", "0.9", "--count", "5", "--seed", "3"])
+        assert code == 1
+        errors = [p.get("error") for p in json.loads(out)["points"]]
+        assert errors == [
+            "AdmissibilityError: inadmissible at w=-0.123475: f'=0.753051, "
+            "f'+wf''=0.506102",
+            "AdmissibilityError: inadmissible at w=-0.127076: f'=0.745848, "
+            "f'+wf''=0.491696",
+            "AdmissibilityError: inadmissible at w=-0.548705: f'=-0.0974101, "
+            "f'+wf''=-1.19482",
+            None,
+            "AdmissibilityError: inadmissible at w=-0.22139: f'=0.557221, "
+            "f'+wf''=0.114441"]
+
+    def test_point_without_radius_is_an_entry(self, capsys, tmp_path):
+        # a space-like and a null point of the Lorentz background lie in the
+        # dlog domain; each gets an error entry and the report goes on to
+        # the time-like point
+        cfgfile = tmp_path / "pts.json"
+        cfgfile.write_text(json.dumps({
+            "space": "lorentz",
+            "potential": {"kind": "dlog", "a": 2.0, "r0": 1.0},
+            "points": [[0.5, 0.1, 0.2, 0.1], [1.0, 0.0, 1.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.5]]}))
+        code, out, _ = run_cli(capsys, ["check-potential", "--config",
+                                        str(cfgfile)])
+        assert code == 1
+        points = json.loads(out)["points"]
+        assert [p.get("error") for p in points[:2]] == [
+            "DomainError: square norm 0.21 has no radius on the lorentz "
+            "background",
+            "DomainError: square norm 0 has no radius on the lorentz "
+            "background"]
+        assert len(points) == 3 and points[2]["in_domain"] is True
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        # the cached parser prints what a fresh parser prints
+        runs = (["decompose", "--count", "2", "--seed", "3"],
+                ["curvature", "--n", "3", "--count", "2"])
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, argv))
+        cli.build_parser.cache_clear()
+        cached = [run_cli(capsys, argv) for argv in runs]
+        assert cli.build_parser.cache_info().misses == 1
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0]
+
+    def test_import_loads_no_scipy(self):
+        # only the meridian paths integrate and interpolate
+        code = ("import sys, qck.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

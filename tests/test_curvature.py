@@ -16,6 +16,7 @@ from qck.core import complex_to_real
 from qck.curvature import (
     _first_jet,
     christoffel,
+    closed_form_second_jet,
     covariant_derivative,
     curvature_bundle,
     kahler_defect,
@@ -26,7 +27,8 @@ from qck.curvature import (
 )
 from qck.ambient import MetricField
 from qck.duals import MultiDual, value
-from qck.errors import DegenerateMetric, DomainError, NumericalBreakdown
+from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
+                        NumericalBreakdown)
 from qck.sampling import point_at_radius
 from oracles import (ConformalPair, conformal_pair_from_family, generator,
                      metric_from_conformal_pair, radial_unit_field,
@@ -158,6 +160,74 @@ class TestBatchedJets:
         assert np.max(np.abs(dG1 - dG)) <= 1e-13 * max(1.0, np.max(np.abs(dG)))
 
 
+def closed_form_cases():
+    """(id, metric, point) over n = 2..4 for every family on each signature
+    whose sample points it has in its domain, degree-1 series included."""
+    cases = []
+    for n in (2, 3, 4):
+        L, D = AmbientSpace(n, "lorentz"), AmbientSpace(n, "definite")
+        for space, family, r in (
+                (L, LogFamily(-1.0, 1.0), 2.0), (L, LogFamily(-2.0, 1.5), 2.2),
+                (L, InverseFamily(), 0.9), (L, DefiniteLogFamily(2.0, 1.0), 0.7),
+                (L, UserSeries((0.0, 1.0, 1.0)), 0.6),
+                (L, UserSeries((0.0, -0.5)), 1.3),
+                (D, DefiniteLogFamily(2.0, 1.0), 1.2),
+                (D, DefiniteLogFamily(1.0, 1.5), 0.8),
+                (D, UserSeries((0.0, 1.0, 0.1)), 1.1),
+                (D, UserSeries((0.0, 1.0)), 1.3),
+                (D, UserSeries((0.3, 1.0, 0.2, 0.05, 0.01)), 1.3)):
+            metric = potential_metric(space, family, checked=False)
+            cases.append((f"{metric.name}-n{n}", metric,
+                          point_at_radius(space, r, seed=n)))
+    return cases
+
+
+CLOSED_FORM_CASES = closed_form_cases()
+
+
+class TestClosedFormJets:
+    """The closed-form jet of a potential metric against both oracles: the
+    dual jet to rounding and the finite-difference jet to its step error."""
+
+    @pytest.mark.parametrize("metric,x", [c[1:] for c in CLOSED_FORM_CASES],
+                             ids=[c[0] for c in CLOSED_FORM_CASES])
+    def test_matches_oracles(self, metric, x):
+        G, dG, d2G = closed_form_second_jet(metric, x)
+        for got, ref in zip((G, dG, d2G), metric_second_jet(metric, x)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
+        for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
+            assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+    def test_point_jet_takes_the_rule_where_there_is_one(self):
+        x = point_at_radius(L2, 2.0, seed=1)
+        jet = point_jet(potential_metric(L2, LogFamily(-1.0, 1.0)), x)
+        assert jet.method == "closed-form"
+        assert point_jet(flat_metric(L2), x).method == "dual"
+        assert point_jet(halfplane_metric(), [0.3, 2.0]).method == "dual"
+        chart = pullback_metric(SphereGraphChart(2.0, 4),
+                                potential_metric(D2, DefiniteLogFamily(2.0, 1.0)))
+        assert point_jet(chart, [0.1, -0.2, 0.3]).method == "dual"
+        fd = point_jet(potential_metric(L2, LogFamily(-1.0, 1.0)), x, method="fd")
+        assert fd.method == "fd"
+
+    def test_domain_errors_come_from_the_field(self):
+        # outside the family domain, then inadmissible: the field's own texts
+        g = potential_metric(L2, LogFamily(-1.0, 1.0))
+        with pytest.raises(DomainError, match="outside the family domain"):
+            point_jet(g, point_at_radius(L2, 0.9, seed=1))
+        g = potential_metric(L2, UserSeries((0.0, 1.0, 1.0)))
+        with pytest.raises(AdmissibilityError, match="inadmissible at w=-0.81"):
+            point_jet(g, point_at_radius(L2, 0.9, seed=1))
+
+    def test_non_finite_rule_is_a_breakdown(self):
+        g = potential_metric(L2, LogFamily(-1.0, 1.0))
+        rule = g.derivatives
+        g.derivatives = lambda x: (rule(x)[0], np.full((4, 4, 4, 4), np.nan))
+        with pytest.raises(NumericalBreakdown):
+            point_jet(g, point_at_radius(L2, 2.0, seed=1))
+
+
 class TestChristoffel:
     def test_flat_is_zero(self):
         g = flat_metric(L3)
@@ -217,7 +287,7 @@ class TestFlatBaselines:
         g = flat_metric(space)
         p = np.ones(space.dim)
         b = curvature_bundle(point_jet(g, p))
-        assert b.R.norm() < 1e-12
+        assert np.linalg.norm(b.R.a) < 1e-12
         assert abs(b.scalar_curvature()) < 1e-12
 
     def test_radial_scalars_vanish(self):

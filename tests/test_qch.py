@@ -140,10 +140,9 @@ class TestBasisTensors:
                         args = (E[i], E[j], E[k], E[l])
                         assert basis.pi.a[i, j, k, l] == pytest.approx(
                             pi_ref(G, J, *args), abs=1e-14)
-                        assert basis.phi1.a[i, j, k, l] == pytest.approx(
-                            phi1_ref(G, J, fr, *args), abs=1e-14)
-                        assert basis.phi2.a[i, j, k, l] == pytest.approx(
-                            phi2_ref(G, J, fr, *args), abs=1e-14)
+                        assert basis.phi.a[i, j, k, l] == pytest.approx(
+                            phi1_ref(G, J, fr, *args)
+                            + phi2_ref(G, J, fr, *args), abs=1e-14)
                         assert basis.psi.a[i, j, k, l] == pytest.approx(
                             psi_ref(G, fr, *args), abs=1e-14)
 
@@ -158,10 +157,9 @@ class TestBasisTensors:
         for _ in range(40):
             i, j, k, l = rng.integers(0, d, size=4)
             args = (E[i], E[j], E[k], E[l])
-            assert basis.phi1.a[i, j, k, l] == pytest.approx(
-                phi1_ref(G, J, fr, *args), abs=1e-14)
-            assert basis.phi2.a[i, j, k, l] == pytest.approx(
-                phi2_ref(G, J, fr, *args), abs=1e-14)
+            assert basis.phi.a[i, j, k, l] == pytest.approx(
+                phi1_ref(G, J, fr, *args) + phi2_ref(G, J, fr, *args),
+                abs=1e-14)
             assert basis.psi.a[i, j, k, l] == pytest.approx(
                 psi_ref(G, fr, *args), abs=1e-14)
 
@@ -170,25 +168,6 @@ class TestBasisTensors:
         for t in (basis.pi, basis.phi, basis.psi):
             assert t.curvature_symmetry_defect() < 1e-13
             assert t.first_bianchi_defect() < 1e-13
-
-    def test_phi_halves_symmetry_budget(self):
-        # each half alone only carries the first-pair antisymmetry; the pair
-        # symmetry appears in the sum, where the halves' pair-flip defects
-        # cancel each other
-        basis, *_ = standard_basis(D3, definite_point(D3, 2.0, seed=1))
-        assert np.max(np.abs(basis.phi1.a + np.swapaxes(basis.phi1.a, 0, 1))) < 1e-14
-        assert np.max(np.abs(basis.phi2.a + np.swapaxes(basis.phi2.a, 0, 1))) < 1e-14
-
-        def pair_flip_defect(arr):
-            return np.max(np.abs(arr - np.transpose(arr, (2, 3, 0, 1))))
-
-        d1 = pair_flip_defect(basis.phi1.a)
-        assert d1 > 1e-3  # genuinely not symmetric on its own
-        assert pair_flip_defect(basis.phi1.a + basis.phi2.a) < 1e-14
-
-    def test_phi_is_phi1_plus_phi2(self):
-        basis, *_ = standard_basis(D2, [0.3, 1.4, -0.2, 0.9])
-        assert np.allclose(basis.phi.a, basis.phi1.a + basis.phi2.a, atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -329,7 +329,8 @@ class TestJetCounts:
                 return build(*args, **kwargs)
             return wrapper
 
-        for name in ("metric_second_jet", "metric_second_jet_fd"):
+        for name in ("metric_second_jet", "closed_form_second_jet",
+                     "metric_second_jet_fd"):
             monkeypatch.setattr(curvature, name,
                                 counted("second", getattr(curvature, name)))
         first = counted("first", curvature._first_jet)

@@ -47,7 +47,7 @@ class TestArithmetic:
 
     def test_norm_and_scale(self):
         A = Tensor4(np.ones((2, 2, 2, 2)))
-        assert A.norm() == pytest.approx(4.0)
+        assert np.linalg.norm(A.a) == pytest.approx(4.0)
         assert (A * 3.0).scale() == pytest.approx(3.0)
 
 
