@@ -19,11 +19,13 @@ import argparse
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 from qck import cli
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 # Sample points per potential set: three seeded radii in [rmin, rmax].
 POINT_SETS = {
@@ -36,16 +38,37 @@ POINT_SETS = {
                      "--rmin", "0.8", "--rmax", "1.3"],
 }
 
+# Sets pinned for check-potential and decompose only.  The log window starts
+# past r0 = 1.5 and the definite series is admissible at every radius, so no
+# point sits near an admissibility edge, where equivalent derivative paths
+# differ by more than the comparison allows.
+FIT_SETS = {
+    "log-2": ["--family", "log", "--a=-2", "--r0", "1.5", "--rmin", "1.7",
+              "--rmax", "3"],
+    "definite-series": ["--space", "definite", "--family", "series",
+                        "--coeffs", "0,1,0.1"],
+}
 
-def _potential_cases(command):
+# Explicit points (relative to the repository root) on the Lorentz series
+# f = w + w^2 / 10: one admissible point, one at the origin outside the
+# family domain, and one space-like point with no radius.
+MIXED_POINTS = ["--config", "tests/golden/mixed-points.config.json"]
+
+
+def _potential_cases(command, sets=POINT_SETS):
     return [[command, "--n", str(n), *flags, "--count", "3", "--seed", "7"]
-            for n in (2, 3, 4) for flags in POINT_SETS.values()]
+            for n in (2, 3, 4) for flags in sets.values()]
+
+
+def _fit_cases(command):
+    return (_potential_cases(command)
+            + _potential_cases(command, FIT_SETS) + [[command, *MIXED_POINTS]])
 
 
 CASES = {
     "curvature": _potential_cases("curvature"),
-    "decompose": _potential_cases("decompose"),
-    "check-potential": _potential_cases("check-potential"),
+    "decompose": _fit_cases("decompose"),
+    "check-potential": _fit_cases("check-potential"),
     "sasaki": [["sasaki", "--n", str(n), "--r", r, "--orientation", o]
                for n in (2, 3) for r in ("1.5", "2", "3")
                for o in ("auto", "outward")]
@@ -72,10 +95,16 @@ def _drop_timings(obj):
 
 
 def run_case(argv) -> dict:
-    """One invocation as stored in a golden file."""
+    """One invocation as stored in a golden file, run from the repository
+    root so that config paths resolve."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     text = out.getvalue()
     return {"argv": list(argv), "exit": code,
             "stdout": _drop_timings(json.loads(text)) if text else None,
