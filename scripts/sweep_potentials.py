@@ -12,26 +12,29 @@ deforms.  Rejected radii are listed with the reason instead of numbers.
 
 import argparse
 
-from qck.ambient import (AmbientSpace, admissibility, family_from_json,
-                         potential_metric, radial_unit_jet)
-from qck.curvature import curvature_bundle, point_jet
-from qck.errors import QckError
-from qck.qch import decompose, extract_shape_data
+import numpy as np
+
+from qck.ambient import AmbientSpace, family_from_json
+from qck.qch import decompose_points
 from qck.sampling import timelike_point
 
 
-def decomposition_at(space, family, r, seed=0):
-    metric = potential_metric(space, family, checked=False)
-    x = timelike_point(space, r, seed=seed)
-    w = float(space.square_norm(x))
-    report = admissibility(space, family, w)
-    if not report.ok:
-        reason = "outside domain" if not report.in_domain else "inadmissible"
-        raise QckError(f"{reason} (f'={report.f_prime:.3g}, "
-                       f"f'+wf''={report.f_prime_plus_wf2:.3g})")
-    jet = point_jet(metric, x)
-    bundle = curvature_bundle(jet)
-    return decompose(bundle, extract_shape_data(jet, *radial_unit_jet(space, jet)))
+def sweep_rows(space, family, radii, seed=0):
+    """One table row per radius: the decomposition there, or the reason it
+    was rejected.  All radii go through one batched pass."""
+    X = np.array([timelike_point(space, r, seed=seed) for r in radii])
+    for r, res in zip(radii, decompose_points(space, family, X, checked=False)):
+        report = res.admissibility
+        if not report.ok:
+            reason = "outside domain" if not report.in_domain else "inadmissible"
+            yield (f"{r:6.3f}  -- {reason} (f'={report.f_prime:.3g}, "
+                   f"f'+wf''={report.f_prime_plus_wf2:.3g})")
+        elif res.first_error is not None:
+            yield f"{r:6.3f}  -- {res.first_error}"
+        else:
+            dec = res.decomposition
+            yield (f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} {dec.c:13.6e} "
+                   f"{dec.k:13.6e} {dec.a_plus_k2:13.6e}  {dec.klass}")
 
 
 def sweep(space, kind, params, radii, seed, r0=1.0):
@@ -50,14 +53,8 @@ def sweep(space, kind, params, radii, seed, r0=1.0):
         print(f"\n== {family.describe()} "
               f"({space.signature} signature, n={space.n}) ==")
         print(header)
-        for r in radii:
-            try:
-                dec = decomposition_at(space, family, r, seed=seed)
-            except QckError as exc:
-                print(f"{r:6.3f}  -- {exc}")
-                continue
-            print(f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} {dec.c:13.6e} "
-                  f"{dec.k:13.6e} {dec.a_plus_k2:13.6e}  {dec.klass}")
+        for row in sweep_rows(space, family, radii, seed=seed):
+            print(row)
 
 
 def main():

@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import apply_j0, hermitian_to_real, j0_matrix
-from .duals import MultiDual, coefficients, glog, gsqrt, value
-from .errors import AdmissibilityError, DomainError, FrameError
+from .duals import glog, gsqrt, value
+from .errors import AdmissibilityError, DomainError, FrameError, raise_first
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,20 @@ class AmbientSpace:
                 w = w + x[i] * x[i]
         return w
 
+    def radius_gate(self, w):
+        """The gate of a radius at square norms w, (P,): a Lorentz point must
+        be time-like and a definite one off the puncture."""
+        if self.lorentz:
+            return (w >= 0.0, lambda j: DomainError(
+                f"point has square norm {w[j]:.3e}, not time-like"))
+        return (w <= 1e-300,
+                lambda j: DomainError("radius undefined at the puncture"))
+
     def radius(self, x):
         """Distance r > 0 from the centre; DomainError off the domain."""
         w = self.square_norm(x)
-        wv = value(w)
-        if self.lorentz:
-            if wv >= 0.0:
-                raise DomainError(f"point has square norm {wv:.3e}, not time-like")
-            return gsqrt(-w)
-        if wv <= 1e-300:
-            raise DomainError("radius undefined at the puncture")
-        return gsqrt(w)
+        raise_first([self.radius_gate(np.array([value(w)]))])
+        return gsqrt(-w) if self.lorentz else gsqrt(w)
 
 
 # -- potential families -------------------------------------------------------
@@ -111,6 +114,12 @@ class PotentialFamily:
         raise NotImplementedError
 
     def d2(self, w):
+        raise NotImplementedError
+
+    def d3(self, w):
+        raise NotImplementedError
+
+    def d4(self, w):
         raise NotImplementedError
 
     def in_domain(self, w: float) -> bool:
@@ -158,6 +167,12 @@ class LogFamily(PotentialFamily):
     def d2(self, w):
         return (-2.0 / self.a) / (-w - self.r0**2) ** 2
 
+    def d3(self, w):
+        return (-4.0 / self.a) / (-w - self.r0**2) ** 3
+
+    def d4(self, w):
+        return (-12.0 / self.a) / (-w - self.r0**2) ** 4
+
     def in_domain(self, w):
         return w < -self.r0**2
 
@@ -196,6 +211,12 @@ class DefiniteLogFamily(PotentialFamily):
     def d2(self, w):
         return (-2.0 / self.a) / (w + self.r0**2) ** 2
 
+    def d3(self, w):
+        return (4.0 / self.a) / (w + self.r0**2) ** 3
+
+    def d4(self, w):
+        return (-12.0 / self.a) / (w + self.r0**2) ** 4
+
     def in_domain(self, w):
         return w > -self.r0**2
 
@@ -221,6 +242,12 @@ class InverseFamily(PotentialFamily):
     def d2(self, w):
         return -2.0 / (w * w * w)
 
+    def d3(self, w):
+        return 6.0 / (w * w * w * w)
+
+    def d4(self, w):
+        return -24.0 / (w * w * w * w * w)
+
     def in_domain(self, w):
         return w < 0
 
@@ -244,17 +271,24 @@ class UserSeries(PotentialFamily):
             out = out * w + c
         return out
 
-    def d1(self, w):
+    def _derivative(self, order, w):
+        """The order-th derivative by Horner's rule on k!/(k-order)! c_k."""
         out = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            out = out * w + k * self.coeffs[k]
+        for k in range(len(self.coeffs) - 1, order - 1, -1):
+            out = out * w + math.perm(k, order) * self.coeffs[k]
         return out
 
+    def d1(self, w):
+        return self._derivative(1, w)
+
     def d2(self, w):
-        out = 0.0
-        for k in range(len(self.coeffs) - 1, 1, -1):
-            out = out * w + k * (k - 1) * self.coeffs[k]
-        return out
+        return self._derivative(2, w)
+
+    def d3(self, w):
+        return self._derivative(3, w)
+
+    def d4(self, w):
+        return self._derivative(4, w)
 
     def in_domain(self, w):
         return w != 0.0
@@ -295,20 +329,41 @@ class AdmissibilityReport:
     ok: bool
 
 
-def admissibility(space: AmbientSpace, family: PotentialFamily, w: float) -> AdmissibilityReport:
-    """Positivity inequalities for the generated metric at square norm w.
+def admissibility(space: AmbientSpace, family: PotentialFamily, w) -> AdmissibilityReport:
+    """Positivity inequalities for the generated metric at square norm w, a
+    float or an array of them (the fields are then arrays too).
 
     Both signatures share the combination s = f'(w) + w f''(w); the Lorentz
     background needs s < 0, the definite background s > 0, and f' > 0 in
-    either case.
+    either case.  Off the domain, or on the wrong side of the light cone,
+    f' and s are nan and the report is not ok.
     """
-    ok_dom = family.in_domain(w) and ((w < 0) if space.lorentz else (w > 0))
-    if not ok_dom:
-        return AdmissibilityReport(w, math.nan, math.nan, False, False)
-    fp = family.d1(w)
-    s = fp + w * family.d2(w)
-    ok = fp > 0 and (s < 0 if space.lorentz else s > 0)
-    return AdmissibilityReport(w, fp, s, True, ok)
+    w = np.asarray(w, dtype=float)
+    ok_dom = family.in_domain(w) & ((w < 0) if space.lorentz else (w > 0))
+    with np.errstate(all="ignore"):
+        fp = np.where(ok_dom, family.d1(w), math.nan)
+        s = np.where(ok_dom, fp + w * family.d2(w), math.nan)
+    ok = ok_dom & (fp > 0) & ((s < 0) if space.lorentz else (s > 0))
+    return AdmissibilityReport(w, fp, s, ok_dom, ok)
+
+
+def potential_gates(space: AmbientSpace, family: PotentialFamily, w,
+                    checked: bool = True) -> list:
+    """The gates of the metric of ``family`` at square norms w, (P,), in
+    order: the family's domain, admissibility when ``checked``, and a radius
+    on the background."""
+    gates = [(~family.in_domain(w), lambda j: DomainError(
+        f"square norm {w[j]:.6g} outside the family domain"))]
+    if checked:
+        rep = admissibility(space, family, w)
+        gates.append((~rep.ok, lambda j: AdmissibilityError(
+            f"inadmissible at w={w[j]:.6g}: f'={rep.f_prime[j]:.6g}, "
+            f"f'+wf''={rep.f_prime_plus_wf2[j]:.6g}")))
+    r2 = -w if space.lorentz else w
+    gates.append((r2 <= 0.0, lambda j: DomainError(
+        f"square norm {w[j]:.6g} has no radius on the {space.signature} "
+        f"background")))
+    return gates
 
 
 # -- metric fields ------------------------------------------------------------
@@ -322,10 +377,13 @@ class MetricField:
     on the all-float path is fine too).  ``complex_structure`` is either None,
     meaning the constant standard structure, or a generic-scalar field
     x -> matrix for metrics whose structure varies over the chart.
-    ``derivatives`` is either None, meaning the field is differentiated by
-    duals, or a closed-form rule mapping a float point to the partials
-    (dG[k, i, j], d2G[k, l, i, j]) there; the rule checks nothing, since
-    ``fn`` owns the domain and admissibility errors.
+    ``jets`` is either None, meaning the field is differentiated by duals, or
+    a closed-form rule over a leading points axis: it maps float points
+    X, (P, d), to (gates, G, dG, d2G) with dG[p, k, i, j] and
+    d2G[p, k, l, i, j] the partials of G at point p, and ``gates`` the
+    field's per-point checks there in the order ``fn`` raises them (see
+    ``qck.errors``); rows that fail a gate carry meaningless values.  Only
+    fields with the constant structure have such a rule.
     """
 
     fn: Callable[[Sequence], object]
@@ -333,7 +391,7 @@ class MetricField:
     name: str = ""
     complex_structure: Callable | None = None
     meta: dict = field(default_factory=dict)
-    derivatives: Callable | None = None
+    jets: Callable | None = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -370,6 +428,58 @@ def _radial_projectors(space: AmbientSpace, x, r):
     return eta, jeta
 
 
+def _rotate(X):
+    """The standard complex structure on the rows of X: (x, y) -> (-y, x)."""
+    out = np.empty_like(X)
+    out[..., 0::2] = -X[..., 1::2]
+    out[..., 1::2] = X[..., 0::2]
+    return out
+
+
+def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
+    """G, dG and d2G of the metric of ``family`` at the rows of X, (P, d), in
+    closed form; see the module docstring.
+
+    G repeats the operations of the field's own evaluation entry by entry,
+    so it is that evaluation to the bit.  Nothing is checked here: a row
+    that fails ``potential_gates`` gets meaningless values.
+    """
+    H = space.flat_real()
+    h = np.diag(H)
+    w = space.square_norm(X.T)
+    r2 = -w if space.lorentz else w
+    f1, f2, f3, f4 = (np.broadcast_to(f, w.shape)[:, None, None] for f in (
+        family.d1(w), family.d2(w), family.d3(w), family.d4(w)))
+    eta = h * X / np.sqrt(r2)[:, None]
+    jeta = _rotate(eta)
+    G = (2.0 * r2[:, None, None] * f2) * (eta[:, :, None] * eta[:, None, :]
+                                          + jeta[:, :, None] * jeta[:, None, :])
+    G += (2.0 * f1) * H
+    # With u = H x and v = J0 u, G = 2 f' H + 2 f'' A for A = u u^T + v v^T;
+    # d_k u = h_k and d_k v = m_k = J0 h_k, and w_k = 2 u_k, w_kl = 2 H_kl.
+    u = h * X
+    v = _rotate(u)
+    A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
+    M = j0_matrix(space.n) @ H
+    half = H.T[:, :, None] * u[:, None, None, :] + M.T[:, :, None] * v[:, None, None, :]
+    dA = half + half.swapaxes(-1, -2)
+    cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
+    d2A = cross + cross.transpose(1, 0, 2, 3)
+    wk = 2.0 * u
+    ww = wk[:, :, None] * wk[:, None, :]
+    dG = (2.0 * wk[:, :, None, None] * (f2 * H + f3 * A)[:, None]
+          + (2.0 * f2[..., None]) * dA)
+    f2, f3, f4 = (f[..., None, None] for f in (f2, f3, f4))
+    d2G = (2.0 * (f3 * ww[..., None, None] + 2.0 * f2 * H[:, :, None, None])
+           * H
+           + 2.0 * (f4 * ww[..., None, None] + 2.0 * f3 * H[:, :, None, None])
+           * A[:, None, None]
+           + 2.0 * f3 * (wk[:, :, None, None, None] * dA[:, None]
+                         + wk[:, None, :, None, None] * dA[:, :, None])
+           + 2.0 * f2 * d2A)
+    return G, dG, d2G
+
+
 def potential_metric(space: AmbientSpace, family: PotentialFamily,
                      checked: bool = True) -> MetricField:
     """Metric generated by the potential f(<Z,Z>); see the module docstring.
@@ -377,26 +487,17 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
     With ``checked`` the evaluator raises ``AdmissibilityError`` wherever the
     positivity inequalities fail, which is what library callers want; report
     generators pass checked=False and surface the failure in their output
-    instead.
+    instead.  The field's ``jets`` rule is ``potential_jets`` behind
+    ``potential_gates``.
     """
     H = space.flat_real()
     d = space.dim
 
     def ev(x):
         w = space.square_norm(x)
-        wv = value(w)
-        if not family.in_domain(wv):
-            raise DomainError(f"square norm {wv:.6g} outside the family domain")
-        if checked:
-            rep = admissibility(space, family, wv)
-            if not rep.ok:
-                raise AdmissibilityError(
-                    f"inadmissible at w={wv:.6g}: f'={rep.f_prime:.6g}, "
-                    f"f'+wf''={rep.f_prime_plus_wf2:.6g}")
+        raise_first(potential_gates(space, family, np.array([value(w)]),
+                                    checked))
         r2 = -w if space.lorentz else w
-        if value(r2) <= 0.0:
-            raise DomainError(f"square norm {wv:.6g} has no radius on the "
-                              f"{space.signature} background")
         r = gsqrt(r2)
         fp = family.d1(w)
         fpp = family.d2(w)
@@ -414,37 +515,14 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
             out.append(row)
         return out
 
-    # m_k = J0 h_k is column k of M, and
-    # d_k d_l A = h_k h_l^T + h_l h_k^T + m_k m_l^T + m_l m_k^T is constant
-    M = j0_matrix(space.n) @ H
-    cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
-    d2A = cross + cross.transpose(1, 0, 2, 3)
-
-    def derivatives(x):
-        w = float(space.square_norm(x))
-        # f'', f''' and f'''' from f'' with both generators seeded on w
-        f2, f3, _, f4 = coefficients(
-            family.d2(MultiDual([[w], [1.0], [1.0], [0.0]], 2)), 2, 1)[:, 0]
-        u = H @ x
-        v = M @ x
-        A = np.outer(u, u) + np.outer(v, v)
-        # d_k A = h_k u^T + u h_k^T + m_k v^T + v m_k^T
-        half = H.T[:, :, None] * u + M.T[:, :, None] * v
-        dA = half + half.transpose(0, 2, 1)
-        # w_k = 2 u_k and w_kl = 2 H_kl
-        wk = 2.0 * u
-        ww = np.outer(wk, wk)
-        dG = 2.0 * wk[:, None, None] * (f2 * H + f3 * A) + 2.0 * f2 * dA
-        d2G = (2.0 * (f3 * ww + 2.0 * f2 * H)[:, :, None, None] * H
-               + 2.0 * (f4 * ww + 2.0 * f3 * H)[:, :, None, None] * A
-               + 2.0 * f3 * (wk[:, None, None, None] * dA
-                             + wk[None, :, None, None] * dA[:, None])
-               + 2.0 * f2 * d2A)
-        return dG, d2G
+    def jets(X):
+        w = space.square_norm(X.T)
+        with np.errstate(all="ignore"):
+            return (potential_gates(space, family, w, checked),
+                    *potential_jets(space, family, X))
 
     return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
-                       meta={"space": space, "family": family},
-                       derivatives=derivatives)
+                       meta={"space": space, "family": family}, jets=jets)
 
 
 # -- radial frames ------------------------------------------------------------
@@ -465,12 +543,17 @@ def _check_orientation(orientation: str) -> float:
     return -1.0 if orientation == "inward" else 1.0
 
 
+def _length_gate(nrm2):
+    """The radial direction must be space-like: nrm2 = g(u, u) > 0."""
+    return (nrm2 <= 0, lambda j: FrameError(
+        f"radial direction has non-positive square norm {nrm2[j]:.3e}"))
+
+
 def _metric_length(u: np.ndarray, G: np.ndarray) -> float:
     """Length of the radial direction u in the metric values G; FrameError
     where u is not space-like there."""
     nrm2 = float(u @ G @ u)
-    if nrm2 <= 0:
-        raise FrameError(f"radial direction has non-positive square norm {nrm2:.3e}")
+    raise_first([_length_gate(np.array([nrm2]))])
     return math.sqrt(nrm2)
 
 
@@ -490,23 +573,42 @@ def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
     return RadialFrame(xi, np.asarray(apply_j0(xi)))
 
 
-def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
-    """The metric-normalized radial unit field at the point of ``jet`` (a
-    ``curvature.PointJet``): (xi, dxi) with dxi[i, m] = d_i xi^m.
+def radial_unit_jets(space: AmbientSpace, X, G, dG,
+                     orientation: str = "outward"):
+    """The metric-normalized radial unit field at the rows of X, (P, d), from
+    the metric values G and partials dG there: (xi, dxi, gates) with
+    dxi[p, i, m] = d_i xi^m at point p.
 
     xi = x / sqrt(N) with N = x^T G x, so its partials need only G and dG:
     d_i N = 2 (G x)_i + x^T (d_i G) x and
     d_i xi = (e_i - x d_i N / (2 N)) / sqrt(N), up to the orientation sign.
-    Nothing is evaluated; FrameError where g(xi, xi) <= 0, as for
-    ``radial_frame``.
+    Nothing is evaluated.  The gates: a radius (``AmbientSpace.radius``),
+    and g(xi, xi) > 0 as for ``radial_frame``.
     """
     sign = _check_orientation(orientation)
-    x = jet.point
-    r = float(space.radius(x))
-    length = _metric_length(x / r, jet.G)
-    xi = sign * (x / r / length)
-    N = float(x @ jet.G @ x)
-    dN = 2.0 * (jet.G @ x) + np.einsum("a,kab,b->k", x, jet.dG, x)
-    dxi = (sign / (r * length)) * (np.eye(len(x)) - np.outer(dN, x) / (2.0 * N))
-    return xi, dxi
+    w = space.square_norm(X.T)
+    with np.errstate(all="ignore"):
+        r = np.sqrt(-w if space.lorentz else w)
+        u = X / r[:, None]
+        nrm2 = np.einsum("pi,pij,pj->p", u, G, u)
+        length = np.sqrt(nrm2)
+        xi = sign * (u / length[:, None])
+        N = np.einsum("pi,pij,pj->p", X, G, X)
+        dN = (2.0 * np.einsum("pij,pj->pi", G, X)
+              + np.einsum("pa,pkab,pb->pk", X, dG, X))
+        dxi = (sign / (r * length))[:, None, None] * (
+            np.eye(X.shape[1]) - dN[:, :, None] * X[:, None, :]
+            / (2.0 * N)[:, None, None])
+    return xi, dxi, [space.radius_gate(w), _length_gate(nrm2)]
 
+
+def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
+    """The metric-normalized radial unit field at the point of ``jet`` (a
+    ``curvature.PointJet``): (xi, dxi) with dxi[i, m] = d_i xi^m, the one-point
+    case of ``radial_unit_jets``.  FrameError where g(xi, xi) <= 0, as for
+    ``radial_frame``.
+    """
+    xi, dxi, gates = radial_unit_jets(space, jet.point[None], jet.G[None],
+                                      jet.dG[None], orientation)
+    raise_first(gates)
+    return xi[0], dxi[0]

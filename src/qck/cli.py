@@ -16,15 +16,12 @@ import sys
 
 import numpy as np
 
-from .ambient import RadialFrame, admissibility, potential_metric, radial_unit_jet
-from .config import RunConfig, apply_overrides, load_config, pmap
-from .curvature import curvature_bundle, kahler_defect, point_jet
+from .config import RunConfig, apply_overrides, load_config
 from .errors import QckError
-from .qch import build_basis_tensors, decompose, extract_shape_data
+from .qch import decompose_points
 from .rotational import bochner_meridian, const_hsc_profile
 from .sampling import radial_points
 from .sasakian import family_h1_report, sphere_report
-from .tensors import tensor4_fit
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -60,7 +57,7 @@ def _config_from_args(args) -> RunConfig:
                            points=points or None)
 
 
-def _points(cfg: RunConfig):
+def _points(cfg: RunConfig) -> np.ndarray:
     space = cfg.ambient()
     if cfg.points.explicit is not None:
         pts = [np.asarray(p, float) for p in cfg.points.explicit]
@@ -68,27 +65,22 @@ def _points(cfg: RunConfig):
             if p.shape != (space.dim,):
                 raise ValueError(f"explicit point of length {len(p)} in a "
                                  f"{space.dim}-dimensional chart")
-        return pts
-    return radial_points(space, cfg.points.count, cfg.points.rmin,
-                         cfg.points.rmax, seed=cfg.points.seed)
+        return np.array(pts)
+    return np.array(radial_points(space, cfg.points.count, cfg.points.rmin,
+                                  cfg.points.rmax, seed=cfg.points.seed))
 
 
-def _per_point(body, pts) -> list[dict]:
-    """Report entries over the points, each tagged with its index and
-    coordinates and filled in by ``body(x, entry)``; a point whose body
-    raises a QckError keeps what the body filled in so far plus an "error"
-    entry, instead of aborting the report."""
+def _results(cfg: RunConfig, checked: bool = True, fit: bool = True):
+    """(entry, result) per sample point of the config, the entry tagged with
+    the point's index and coordinates."""
+    results = decompose_points(cfg.ambient(), cfg.family(), _points(cfg),
+                               checked=checked, fit=fit)
+    for index, res in enumerate(results):
+        yield {"index": index, "point": [float(c) for c in res.point]}, res
 
-    def one(item):
-        index, x = item
-        entry = {"index": index, "point": [float(c) for c in x]}
-        try:
-            body(x, entry)
-        except QckError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
 
-    return pmap(one, enumerate(pts))
+def _error_text(exc: QckError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -96,44 +88,36 @@ def _per_point(body, pts) -> list[dict]:
 
 def cmd_check_potential(args) -> int:
     cfg = _config_from_args(args)
-    space = cfg.ambient()
-    family = cfg.family()
-    metric = potential_metric(space, family, checked=False)
-    pts = _points(cfg)
-
-    def one(x, entry):
-        w = float(space.square_norm(x))
-        report = admissibility(space, family, w)
-        entry.update(w=w, in_domain=bool(report.in_domain),
-                     admissible=bool(report.ok))
-        jet = point_jet(metric, x)
-        bundle = curvature_bundle(jet)
-        eigs = np.linalg.eigvalsh(jet.G)
-        kd = kahler_defect(jet)
-        entry.update(min_eigenvalue=float(eigs.min()), kahler_defect=kd)
-        checks = {"admissible": bool(report.ok),
-                  "positive": bool(eigs.min() > 0),
-                  "kahler": bool(kd < cfg.tolerance("kahler"))}
-        xi, dxi = radial_unit_jet(space, jet)
-        try:
-            dec = decompose(bundle, extract_shape_data(jet, xi, dxi))
-            entry["decomposition"] = dec.to_json()
-            residual = dec.residual
-        except QckError as exc:
+    entries = []
+    for entry, res in _results(cfg, checked=False):
+        entries.append(entry)
+        rep = res.admissibility
+        entry.update(w=float(rep.w), in_domain=bool(rep.in_domain),
+                     admissible=bool(rep.ok))
+        if res.kahler_defect is not None:
+            entry.update(min_eigenvalue=res.min_eigenvalue,
+                         kahler_defect=res.kahler_defect)
+        if res.error is not None:
+            entry["error"] = _error_text(res.error)
+            continue
+        checks = {"admissible": bool(rep.ok),
+                  "positive": bool(res.min_eigenvalue > 0),
+                  "kahler": bool(res.kahler_defect < cfg.tolerance("kahler"))}
+        failed = res.shape_error or res.fit_error
+        if failed is None:
+            entry["decomposition"] = res.decomposition.to_json()
+        else:
             # The shape frame need not exist (the sign-flipped flat form
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
-            entry["shape_error"] = f"{type(exc).__name__}: {exc}"
-            basis = build_basis_tensors(jet.G, jet.J,
-                                        RadialFrame(xi, jet.J @ xi))
-            coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
-            entry["decomposition"] = {
-                "a": float(coeffs[0]), "b": float(coeffs[1]),
-                "c": float(coeffs[2]), "residual": residual}
-        checks["residual"] = bool(residual < cfg.tolerance("residual"))
+            entry["shape_error"] = _error_text(failed)
+            if res.fit_error is not None:
+                entry["error"] = _error_text(res.fit_error)
+                continue
+            entry["decomposition"] = dict(zip(("a", "b", "c", "residual"),
+                                              res.fit))
+        checks["residual"] = bool(res.fit[3] < cfg.tolerance("residual"))
         entry["checks"] = checks
-
-    entries = _per_point(one, pts)
     all_ok = all("error" not in e and all(e["checks"].values())
                  for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "check-potential",
@@ -143,15 +127,13 @@ def cmd_check_potential(args) -> int:
 
 def cmd_curvature(args) -> int:
     cfg = _config_from_args(args)
-    space = cfg.ambient()
-    family = cfg.family()
-    metric = potential_metric(space, family)
-    pts = _points(cfg)
-
-    def one(x, entry):
-        jet = point_jet(metric, x)
-        bundle = curvature_bundle(jet)
-        xi, _ = radial_unit_jet(space, jet)
+    entries = []
+    for entry, res in _results(cfg, fit=False):
+        entries.append(entry)
+        if res.error is not None:
+            entry["error"] = _error_text(res.error)
+            continue
+        bundle, xi = res.bundle, res.xi
         scale = max(1.0, bundle.R.scale())
         entry.update({
             "tau": bundle.scalar_curvature(),
@@ -160,8 +142,6 @@ def cmd_curvature(args) -> int:
             "hsc_radial": bundle.hsc(xi),
             "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
             "bianchi_defect": bundle.R.first_bianchi_defect() / scale})
-
-    entries = _per_point(one, pts)
     report = {"schema_version": SCHEMA_VERSION, "command": "curvature",
               "config": cfg.to_json(), "points": entries}
     all_ok = all("error" not in e for e in entries)
@@ -173,18 +153,13 @@ def cmd_curvature(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
-    space = cfg.ambient()
-    family = cfg.family()
-    metric = potential_metric(space, family)
-    pts = _points(cfg)
-
-    def one(x, entry):
-        jet = point_jet(metric, x)
-        bundle = curvature_bundle(jet)
-        shape = extract_shape_data(jet, *radial_unit_jet(space, jet))
-        entry["decomposition"] = decompose(bundle, shape).to_json()
-
-    entries = _per_point(one, pts)
+    entries = []
+    for entry, res in _results(cfg):
+        entries.append(entry)
+        if res.first_error is not None:
+            entry["error"] = _error_text(res.first_error)
+        else:
+            entry["decomposition"] = res.decomposition.to_json()
     all_ok = all("error" not in e and e["decomposition"]["residual"]
                  < cfg.tolerance("residual") for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "decompose",

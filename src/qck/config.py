@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .ambient import AmbientSpace, PotentialFamily, family_from_json
@@ -23,9 +22,9 @@ DEFAULT_POTENTIAL = {"kind": "log", "a": -1.0, "r0": 1.0}
 
 
 def worker_count() -> int:
-    """Worker threads for per-point fan-out: 1 unless QCK_THREADS asks for
-    more (capped at 32).  The per-point work holds the interpreter lock, so
-    threads only add switching cost by default."""
+    """The QCK_THREADS setting: 1 unless it asks for more (capped at 32).
+    No command reads it: ``qch.decompose_points`` batches per-point work in
+    one thread.  The benchmark's run metadata still reports it."""
     raw = os.environ.get("QCK_THREADS", "").strip()
     if not raw:
         return 1
@@ -34,17 +33,6 @@ def worker_count() -> int:
     except ValueError:
         raise ValueError(f"QCK_THREADS must be an integer, got {raw!r}")
     return max(1, min(requested, 32))
-
-
-def pmap(fn, items) -> list:
-    """``[fn(it) for it in items]``, on a thread pool of ``worker_count()``
-    threads when that is above 1; results keep the order of ``items``."""
-    items = list(items)
-    cap = worker_count()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

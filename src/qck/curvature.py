@@ -40,13 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import MultiDual, coefficients, eval_with_partials
-from .errors import DegenerateMetric, DomainError, NumericalBreakdown
-from .tensors import Tensor4
+from .errors import (DegenerateMetric, DomainError, NumericalBreakdown, Sieve,
+                     raise_first)
+from .tensors import Tensor4, curvature_symmetry_defect, tensor_scale
 
 # largest condition number of G that ``christoffel`` inverts
 COND_LIMIT = 1e12
 # coordinate step of the finite-difference jet
 FD_STEP = 1e-3
+# largest curvature symmetry defect, relative to max(1, |R|), that
+# ``curvature_bundle`` accepts
+SYMMETRY_GATE = 1e-6
 
 
 def _seeded_coordinates(x, m: int, p: int) -> np.ndarray:
@@ -88,18 +92,15 @@ def metric_second_jet(metric, x):
     return _finite(G, dG, d2G)
 
 
-def closed_form_second_jet(metric, x):
-    """(G, dG, d2G) of a field with a closed-form derivative rule: G from
-    one float evaluation of the field, which raises its domain and
-    admissibility errors, and the partials from ``metric.derivatives``."""
-    xf = np.array([float(c) for c in x])
-    G = metric.matrix(xf)
-    return _finite(G, *metric.derivatives(xf))
+def _finite_gate(G, d2G):
+    """The metric jet must come out finite."""
+    bad = ~(np.isfinite(G).all(axis=(-2, -1)) & np.isfinite(d2G).all(axis=(-4, -3, -2, -1)))
+    return (bad, lambda j: NumericalBreakdown(
+        "metric jet produced non-finite entries"))
 
 
 def _finite(G, dG, d2G):
-    if not np.all(np.isfinite(G)) or not np.all(np.isfinite(d2G)):
-        raise NumericalBreakdown("metric jet produced non-finite entries")
+    raise_first([_finite_gate(G[None], d2G[None])])
     return G, dG, d2G
 
 
@@ -147,15 +148,36 @@ def metric_second_jet_fd(metric, x):
     return G, dG, d2G
 
 
-def christoffel(G, dG):
-    """Connection coefficients gamma[m, j, k] and the inverse metric."""
-    if np.linalg.cond(G) > COND_LIMIT:
-        raise DegenerateMetric(f"metric condition number exceeds {COND_LIMIT:.1e}")
+def _cond_gate(G):
+    """G must be well enough conditioned to invert."""
+    return (np.linalg.cond(G) > COND_LIMIT, lambda j: DegenerateMetric(
+        f"metric condition number exceeds {COND_LIMIT:.1e}"))
+
+
+def _bracket(dG, axis):
+    """d_j G_{lk} + d_k G_{lj} - d_l G_{jk} at [..., l, j, k] from the
+    partials dG[..., l, j, k], whose first index sits at ``axis``."""
+    a, b, c = axis, axis + 1, axis + 2
+    return dG.swapaxes(a, b) + np.moveaxis(dG, a, c) - dG
+
+
+def _connection(G, dG):
+    """Connection coefficients gamma[p, m, j, k] and the inverse metric at
+    each point of G (P, d, d) and dG (P, d, d, d)."""
+    P, d = G.shape[:2]
     Ginv = np.linalg.inv(G)
     # gamma^m_{jk} = 1/2 g^{ml} (d_j G_{lk} + d_k G_{lj} - d_l G_{jk})
-    bracket = np.einsum("jlk->ljk", dG) + np.einsum("klj->ljk", dG) - dG
-    gamma = 0.5 * np.einsum("ml,ljk->mjk", Ginv, bracket)
+    bracket = _bracket(dG, -3).reshape(P, d, d * d)
+    gamma = 0.5 * (Ginv @ bracket).reshape(P, d, d, d)
     return gamma, Ginv
+
+
+def christoffel(G, dG):
+    """Connection coefficients gamma[m, j, k] and the inverse metric;
+    DegenerateMetric past ``COND_LIMIT``."""
+    raise_first([_cond_gate(G[None])])
+    gamma, Ginv = _connection(G[None], dG[None])
+    return gamma[0], Ginv[0]
 
 
 @dataclass
@@ -212,7 +234,10 @@ class PointJet:
     """Jets of a metric field at one point: the metric G with its first and
     second partials dG[k, i, j] and d2G[k, l, i, j], the complex structure J
     with its first partials dJ[k, i, j], and the connection they fix: the
-    Christoffel symbols gamma[m, j, k] and the inverse metric Ginv."""
+    Christoffel symbols gamma[m, j, k] and the inverse metric Ginv.
+
+    ``point_jets`` makes the jets of many points at once; every field then
+    carries a leading points axis, and ``rows`` takes points out of it."""
 
     point: np.ndarray
     G: np.ndarray
@@ -224,20 +249,56 @@ class PointJet:
     Ginv: np.ndarray
     method: str  # how the metric jet was taken: "closed-form" | "dual" | "fd"
 
+    def rows(self, index) -> "PointJet":
+        """The jet at the points ``index`` (a mask or an index array, or an
+        integer for the jet of one point) of a jet with a points axis."""
+        return PointJet(self.point[index], self.G[index], self.dG[index],
+                        self.d2G[index], self.J[index], self.dJ[index],
+                        self.gamma[index], self.Ginv[index], self.method)
+
+    def stacked(self) -> "PointJet":
+        """This one-point jet with a points axis of length 1."""
+        return PointJet(self.point[None], self.G[None], self.dG[None],
+                        self.d2G[None], self.J[None], self.dJ[None],
+                        self.gamma[None], self.Ginv[None], self.method)
+
+
+def point_jets(metric, X, sieve: Sieve) -> PointJet:
+    """The jets, with a points axis, of a field with a closed-form rule
+    (``MetricField.jets``) at the rows of X, (P, d), that pass its gates, the
+    finiteness of the jet and ``COND_LIMIT``; ``sieve`` records why the
+    other rows stopped."""
+    X = np.asarray(X, dtype=float)
+    gates, G, dG, d2G = metric.jets(X)
+    with np.errstate(all="ignore"):
+        keep = sieve.drop(gates + [_finite_gate(G, d2G)])
+    X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
+    keep = sieve.drop([_cond_gate(G)])
+    X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
+    gamma, Ginv = _connection(G, dG)
+    d = metric.dim
+    J = np.broadcast_to(metric.structure_matrix(None), (len(X), d, d))
+    dJ = np.broadcast_to(0.0, (len(X), d, d, d))
+    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, "closed-form")
+
 
 def point_jet(metric, x, method: str = "exact") -> PointJet:
     """The PointJet of ``metric`` at ``x``.  ``method="exact"`` takes the
-    field's closed-form derivative rule where it has one and one metric
-    evaluation by duals otherwise; ``method="fd"`` is the finite-difference
-    oracle.  The connection is computed here once; DegenerateMetric where G
-    is too ill-conditioned to invert."""
+    field's closed-form rule where it has one, as the one-point case of
+    ``point_jets``, and one metric evaluation by duals otherwise;
+    ``method="fd"`` is the finite-difference oracle.  The connection is
+    computed here once; DegenerateMetric where G is too ill-conditioned to
+    invert."""
+    if method == "exact" and metric.jets is not None:
+        sieve = Sieve(1)
+        jets = point_jets(metric, np.array([[float(c) for c in x]]), sieve)
+        if sieve.errors[0] is not None:
+            raise sieve.errors[0]
+        return jets.rows(0)
     if method == "fd":
         G, dG, d2G = metric_second_jet_fd(metric, x)
     elif method != "exact":
         raise ValueError(f"unknown jet method {method!r}")
-    elif metric.derivatives is not None:
-        G, dG, d2G = closed_form_second_jet(metric, x)
-        method = "closed-form"
     else:
         G, dG, d2G = metric_second_jet(metric, x)
         method = "dual"
@@ -247,33 +308,46 @@ def point_jet(metric, x, method: str = "exact") -> PointJet:
                     gamma, Ginv, method)
 
 
-def curvature_bundle(jet: PointJet,
-                     symmetry_gate: float = 1e-6) -> CurvatureBundle:
-    """Assemble the curvature tensor at the point of ``jet``.
-
-    The algebraic curvature identities hold exactly in exact arithmetic, so
-    their numerical violation is a direct error estimate; past the gate the
-    result is garbage and NumericalBreakdown is raised rather than returned.
-    """
+def curvature_tensors(jet: PointJet):
+    """The curvature tensors R[p, i, j, k, l], all indices down, at the
+    points of a jet with a points axis.  Every contraction is a matrix
+    product per point."""
     G, dG, d2G, gamma, Ginv = jet.G, jet.dG, jet.d2G, jet.gamma, jet.Ginv
+    P, d = G.shape[:2]
     # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
-    dGinv = -np.einsum("ma,iab,bl->iml", Ginv, dG, Ginv)
-    bracket = np.einsum("jlk->ljk", dG) + np.einsum("klj->ljk", dG) - dG
-    dbracket = (np.einsum("ijlk->iljk", d2G) + np.einsum("iklj->iljk", d2G)
-                - d2G)
-    dgamma = 0.5 * (np.einsum("iml,ljk->imjk", dGinv, bracket)
-                    + np.einsum("ml,iljk->imjk", Ginv, dbracket))
-    quad1 = np.einsum("ajk,mia->mijk", gamma, gamma)
-    quad2 = np.einsum("aik,mja->mijk", gamma, gamma)
-    Rm = (np.einsum("imjk->mijk", dgamma) - np.einsum("jmik->mijk", dgamma)
-          + quad1 - quad2)
-    R = np.einsum("ml,mijk->ijkl", G, Rm)
-    T = Tensor4(R)
-    defect = T.curvature_symmetry_defect()
-    if defect > symmetry_gate * max(1.0, T.scale()):
-        raise NumericalBreakdown(
-            f"curvature symmetry defect {defect:.3e} exceeds the gate")
-    return CurvatureBundle(jet, T)
+    dGinv = -(Ginv[:, None] @ dG @ Ginv[:, None])
+    bracket = _bracket(dG, -3)
+    dbracket = _bracket(d2G, -3)
+    dgamma = 0.5 * (dGinv @ bracket.reshape(P, 1, d, d * d)
+                    + Ginv[:, None] @ dbracket.reshape(P, d, d, d * d))
+    dgamma = dgamma.reshape(P, d, d, d, d)
+    # sum_a gamma^m_{ia} gamma^a_{jk}, and the same with i and j swapped
+    quad = (gamma.reshape(P, d * d, d)
+            @ gamma.reshape(P, d, d * d)).reshape(P, d, d, d, d)
+    Rm = (dgamma.swapaxes(1, 2) - dgamma.transpose(0, 2, 3, 1, 4)
+          + quad - quad.swapaxes(2, 3))
+    # R_{ijkl} = g_{ml} Rm^m_{ijk}
+    return (Rm.reshape(P, d, d ** 3).swapaxes(1, 2) @ G).reshape(P, d, d, d, d)
+
+
+def curvature_gate(R, gate: float = SYMMETRY_GATE):
+    """The algebraic curvature identities hold exactly in exact arithmetic,
+    so their violation, relative to max(1, |R|), is a direct error estimate;
+    past ``gate`` the tensor is garbage."""
+    defect = curvature_symmetry_defect(R)
+    return (defect > gate * np.maximum(1.0, tensor_scale(R)),
+            lambda j: NumericalBreakdown(
+                f"curvature symmetry defect {defect[j]:.3e} exceeds the gate"))
+
+
+def curvature_bundle(jet: PointJet,
+                     symmetry_gate: float = SYMMETRY_GATE) -> CurvatureBundle:
+    """Assemble the curvature tensor at the point of ``jet``: the one-point
+    case of ``curvature_tensors``, with NumericalBreakdown past the
+    symmetry gate rather than a garbage tensor."""
+    R = curvature_tensors(jet.stacked())
+    raise_first([curvature_gate(R, symmetry_gate)])
+    return CurvatureBundle(jet, Tensor4(R[0]))
 
 
 def vector_jet(vfield, x):
@@ -288,8 +362,9 @@ def covariant_derivative(jet: PointJet, V, dV):
     """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
     vector field with values V^m and partials dV[i, m] = d_i V^m there
     (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jet``).
-    Leading axes of V and dV, one per field, carry through to D."""
-    return dV + np.einsum("mia,...a->...im", jet.gamma, V)
+    Leading axes of V and dV carry through to D: one per field at the
+    point, or the points axis of a jet that has one."""
+    return dV + np.einsum("...mia,...a->...im", jet.gamma, V)
 
 
 def structure_jet(metric, x):
@@ -301,15 +376,19 @@ def structure_jet(metric, x):
     return _first_jet(metric.complex_structure, x, d)
 
 
-def kahler_defect(jet: PointJet) -> float:
-    """Max component of the exterior derivative of the fundamental 2-form.
+def kahler_defect(jet: PointJet):
+    """Max component of the exterior derivative of the fundamental 2-form,
+    a float, or an array over the points axis of a jet that has one.
 
     Omega(X, Y) = g(JX, Y); the metric is Kaehler at x exactly when dOmega
     vanishes there (for the integrable structures handled here), so this is
     the closedness test in coordinate components.
     """
     G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
-    dOm = np.einsum("kai,aj->kij", dJ, G) + np.einsum("ai,kaj->kij", J, dG)
-    ext = dOm - np.einsum("ikj->kij", dOm) + np.einsum("jki->kij", dOm)
-    return float(np.max(np.abs(ext)))
+    dOm = (np.einsum("...kai,...aj->...kij", dJ, G)
+           + np.einsum("...ai,...kaj->...kij", J, dG))
+    ext = (dOm - np.einsum("...ikj->...kij", dOm)
+           + np.einsum("...jki->...kij", dOm))
+    defect = np.max(np.abs(ext), axis=(-3, -2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 

@@ -1,4 +1,15 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the per-point error
+record of a batched pipeline.
+
+A batched stage works on arrays with a leading points axis.  Its checks come
+as gates: pairs (bad, error) of a per-point failure mask and a function that
+builds the exception of point j.  ``Sieve.drop`` records the first gate each
+point fails and narrows the batch to the points that pass; ``raise_first`` is
+the same check for a single point, which raises instead.  The two share the
+gates, so a point fails with the same error text alone and in a batch.
+"""
+
+import numpy as np
 
 
 class QckError(Exception):
@@ -47,3 +58,32 @@ class TypeConstraintError(QckError):
 
 class ChartError(QckError):
     """Evaluation point too close to a chart boundary or chart map singular."""
+
+
+class Sieve:
+    """The points of a batch still running, and the error that stopped each
+    of the others, by position in the batch."""
+
+    def __init__(self, count: int):
+        self.errors: list[QckError | None] = [None] * count
+        self.running = np.arange(count)
+
+    def drop(self, gates) -> np.ndarray:
+        """Record for each running point the error of the first of ``gates``
+        it fails and return the mask of the running points that pass them
+        all; the caller narrows its arrays with it."""
+        keep = np.ones(len(self.running), dtype=bool)
+        for bad, error in gates:
+            for j in np.flatnonzero(keep & bad):
+                self.errors[self.running[j]] = error(j)
+            keep &= ~bad
+        self.running = self.running[keep]
+        return keep
+
+
+def raise_first(gates) -> None:
+    """Raise the error of the first failing point of the first gate that
+    fails: ``Sieve.drop`` for a single point."""
+    for bad, error in gates:
+        if np.any(bad):
+            raise error(int(np.argmax(bad)))

@@ -18,15 +18,20 @@ result is pulled back to real components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ambient import RadialFrame
+from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
+                      RadialFrame, admissibility, potential_metric,
+                      radial_unit_jets)
 from .core import adapted_complex_frame
-from .curvature import CurvatureBundle, PointJet, covariant_derivative
-from .errors import FrameError, ShapeUniformityError
-from .tensors import Tensor4, tensor4_fit
+from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
+                        curvature_gate, curvature_tensors, kahler_defect,
+                        point_jets)
+from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
+                     raise_first)
+from .tensors import Tensor4, fit_tensors, tensor4_fit
 
 ZERO_BAND = 1e-8
 # largest component of a Bochner tensor that counts as zero
@@ -54,32 +59,99 @@ class ShapeData:
     model_defect: float
 
 
-def _complement_basis(G, xi, jxi, sq_sign):
-    """G-orthonormal basis of the orthogonal complement of span(xi, J xi).
+def _gdot(G, u, v):
+    """g(u, v) at each point: u, v (P, d), G (P, d, d)."""
+    return np.einsum("pi,pij,pj->p", u, G, v)
+
+
+def _complement_bases(G, xi, jxi, sq_sign):
+    """G-orthonormal bases (P, d - 2, d) of the orthogonal complements of
+    span(xi, J xi) at each point, and the number of vectors found there.
 
     The complement is space-like in both variants, so plain Gram-Schmidt with
     positive normalizers applies there; only the projection coefficients see
-    the sign of g(xi, xi).
+    the sign of g(xi, xi).  The coordinate directions are taken in order, and
+    one whose remainder has g-norm^2 below 1e-10 is skipped.
     """
-    d = G.shape[0]
-    frame = [(xi, sq_sign), (jxi, sq_sign)]
-    out = []
+    P, d = xi.shape
+    # e_i with its xi and J xi components removed, for every i at once
+    gxi = np.einsum("pij,pj->pi", G, xi) / sq_sign[:, None]
+    gjxi = np.einsum("pij,pj->pi", G, jxi) / sq_sign[:, None]
+    rest = (np.eye(d) - gxi[:, :, None] * xi[:, None, :]
+            - gjxi[:, :, None] * jxi[:, None, :])
+    out = np.zeros((P, d - 2, d))
+    g_out = np.zeros((P, d - 2, d))  # g(u, .) of each basis vector u
+    count = np.zeros(P, dtype=int)
+    rows = np.arange(P)
     for i in range(d):
-        w = np.zeros(d)
-        w[i] = 1.0
-        for v, s in frame:
-            w = w - (float(w @ G @ v) / s) * v
-        for u in out:
-            w = w - float(w @ G @ u) * u
-        nrm2 = float(w @ G @ w)
-        if nrm2 < 1e-10:
-            continue
-        out.append(w / np.sqrt(nrm2))
-        if len(out) == d - 2:
+        w = rest[:, i]
+        # unfilled slots are zero and leave w as it is
+        for slot in range(count.max(initial=0)):
+            w = w - np.sum(w * g_out[:, slot], axis=1)[:, None] * out[:, slot]
+        gw = np.einsum("pij,pj->pi", G, w)
+        nrm2 = np.sum(w * gw, axis=1)
+        take = (nrm2 >= 1e-10) & (count < d - 2)
+        scale = np.sqrt(nrm2[take])[:, None]
+        out[rows[take], count[take]] = w[take] / scale
+        g_out[rows[take], count[take]] = gw[take] / scale
+        count += take
+        if np.all(count == d - 2):
             break
-    if len(out) != d - 2:
+    return out, count
+
+
+def _complement_basis(G, xi, jxi, sq_sign):
+    """G-orthonormal basis of the orthogonal complement of span(xi, J xi) at
+    one point: the one-point case of ``_complement_bases``."""
+    out, count = _complement_bases(G[None], xi[None], jxi[None],
+                                   np.array([sq_sign]))
+    if count[0] != G.shape[0] - 2:
         raise FrameError("could not complete a basis of the complement distribution")
-    return out
+    return list(out[0])
+
+
+def shape_arrays(jet: PointJet, xi, dxi):
+    """Shape data of unit vector fields at the points of a jet with a points
+    axis, from their values xi (P, d) and partials dxi (P, d, d):
+    (k, p_star, sq, spread, model_defect, gates), each an array over the
+    points, with sq = g(xi, xi).
+
+    The gates, in order: g(xi, xi) = +-1, a complete basis of the
+    complement distribution, and a spread of the normal curvature within
+    ``SPREAD_GATE``.  See ``extract_shape_data``.
+    """
+    D = covariant_derivative(jet, xi, dxi)
+    G, J = jet.G, jet.J
+    P, d = xi.shape
+    jxi = np.einsum("pij,pj->pi", J, xi)
+    sq = _gdot(G, xi, xi)
+    sq_sign = np.where(sq < 0.0, -1.0, 1.0)
+    unit = (np.abs(sq - sq_sign) > 1e-8, lambda j: FrameError(
+        f"field is not unit: g(xi, xi) = {sq[j]:.12g}"))
+
+    basis, count = _complement_bases(G, xi, jxi, sq_sign)
+    complete = (count != d - 2, lambda j: FrameError(
+        "could not complete a basis of the complement distribution"))
+    # components of the derivative along each basis vector u, and g(u, .)
+    nab = np.einsum("psi,pim->psm", basis, D)
+    k_dirs = 2.0 * sq_sign[:, None] * np.einsum("psi,pij,psj->ps", basis, G, nab)
+    k = np.mean(k_dirs, axis=1)
+    spread = np.max(np.abs(k_dirs - k[:, None]), axis=1)
+    uniform = (spread > SPREAD_GATE, lambda j: ShapeUniformityError(
+        f"normal curvature spread {spread[j]:.3e} exceeds {SPREAD_GATE:.1e}"))
+
+    nab_j = np.einsum("pi,pim->pm", jxi, D)
+    p_star = -_gdot(G, jxi, nab_j)
+
+    eta = np.einsum("pij,pj->pi", G, xi)
+    eta_t = np.einsum("pij,pj->pi", G, jxi)
+    outer_t = eta_t[:, :, None] * jxi[:, None, :]
+    radial = eta[:, :, None] * xi[:, None, :] + outer_t
+    s3 = sq_sign[:, None, None]
+    model = (0.5 * s3 * k[:, None, None] * (np.eye(d) - s3 * radial)
+             - p_star[:, None, None] * outer_t)
+    model_defect = np.max(np.abs(D - model), axis=(1, 2))
+    return k, p_star, sq, spread, model_defect, [unit, complete, uniform]
 
 
 def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
@@ -87,7 +159,8 @@ def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
     from its values xi and partials dxi[i, m] = d_i xi^m there; G, J and the
     connection are the jet's.  Pure linear algebra: the field's jet comes
     from ``ambient.radial_unit_jet`` for the radial unit field, or from
-    ``curvature.vector_jet`` for any other.
+    ``curvature.vector_jet`` for any other.  The one-point case of
+    ``shape_arrays``.
 
     g(xi, xi) must be +1 or -1, and its sign picks the "riemannian" or the
     "lorentz" sign conventions.  k is averaged over a full orthonormal basis
@@ -97,44 +170,16 @@ def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
     average of unlike things.
     """
     xi = np.asarray(xi, float)
-    D = covariant_derivative(jet, xi, np.asarray(dxi, float))
-    G, J = jet.G, jet.J
-    jxi = J @ xi
-    sq = float(xi @ G @ xi)
-    variant = "lorentz" if sq < 0.0 else "riemannian"
-    sq_sign = -1.0 if variant == "lorentz" else 1.0
-    if abs(sq - sq_sign) > 1e-8:
-        raise FrameError(f"field is not unit: g(xi, xi) = {sq:.12g}")
+    *shape, gates = shape_arrays(jet.stacked(), xi[None],
+                                 np.asarray(dxi, float)[None])
+    raise_first(gates)
+    return _shape_data(xi, *(a[0] for a in shape))
 
-    basis = _complement_basis(G, xi, jxi, sq_sign)
-    k_dirs = []
-    for u in basis:
-        nab = u @ D  # components of the derivative along u
-        val = float(u @ G @ nab)
-        k_dirs.append(2.0 * val if variant == "riemannian" else -2.0 * val)
-    k = float(np.mean(k_dirs))
-    spread = float(np.max(np.abs(np.asarray(k_dirs) - k))) if k_dirs else 0.0
-    if spread > SPREAD_GATE:
-        raise ShapeUniformityError(
-            f"normal curvature spread {spread:.3e} exceeds {SPREAD_GATE:.1e}")
 
-    nab_j = jxi @ D
-    proj = float(jxi @ G @ nab_j) / sq_sign
-    p_star = -proj if variant == "riemannian" else proj
-
-    eta = G @ xi
-    eta_t = G @ jxi
-    d = G.shape[0]
-    if variant == "riemannian":
-        model = 0.5 * k * (np.eye(d) - np.outer(eta, xi) - np.outer(eta_t, jxi)) \
-            - p_star * np.outer(eta_t, jxi)
-    else:
-        model = -0.5 * k * (np.eye(d) + np.outer(eta, xi) + np.outer(eta_t, jxi)) \
-            - p_star * np.outer(eta_t, jxi)
-    model_defect = float(np.max(np.abs(D - model)))
-
-    return ShapeData(k=k, p_star=p_star, xi=xi, variant=variant, spread=spread,
-                     model_defect=model_defect)
+def _shape_data(xi, k, p_star, sq, spread, model_defect) -> ShapeData:
+    return ShapeData(k=float(k), p_star=float(p_star), xi=xi,
+                     variant="lorentz" if sq < 0.0 else "riemannian",
+                     spread=float(spread), model_defect=float(model_defect))
 
 
 # -- structural basis tensors ---------------------------------------------------
@@ -150,50 +195,70 @@ class BasisTensors:
         return [self.pi, self.phi, self.psi]
 
 
+def _outer_sum(pairs):
+    """sum over the pairs (A, B) of A[p, a, b] B[p, c, e], as T[p, a, b, c, e]:
+    one matrix product per point."""
+    A = np.stack([a for a, _ in pairs], axis=1)
+    B = np.stack([b for _, b in pairs], axis=1)
+    P, Q, d = A.shape[:3]
+    T = A.reshape(P, Q, d * d).swapaxes(1, 2) @ B.reshape(P, Q, d * d)
+    return T.reshape(P, d, d, d, d)
+
+
+def _antisym_cross(pairs):
+    """sum over the pairs of A_jk B_il - A_ik B_jl, at [p, i, j, k, l]."""
+    T = _outer_sum(pairs).transpose(0, 3, 1, 2, 4)
+    return T - T.swapaxes(1, 2)
+
+
+def basis_arrays(G, J, xi):
+    """The structural tensors at each point: (B, gates) with
+    B[p] = (pi, phi, psi), (P, 3, d, d, d, d), built on the metric values
+    G (P, d, d), the structure J and the unit vectors xi (P, d).
+
+    The gate: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1 (either
+    sign of the square norm is accepted so the flat indefinite form can be
+    probed too).
+    """
+    jxi = np.einsum("pij,pj->pi", J, xi)
+    sq = np.einsum("pi,pij,pj->p", xi, G, xi)
+    sqj = np.einsum("pi,pij,pj->p", jxi, G, jxi)
+    unit = ((np.abs(np.abs(sq) - 1.0) > UNIT_TOL)
+            | (np.abs(np.abs(sqj) - 1.0) > UNIT_TOL),
+            lambda j: FrameError(
+                f"frame is not unit in the supplied metric: "
+                f"g(xi,xi)={sq[j]:.6g}, g(Jxi,Jxi)={sqj[j]:.6g}"))
+
+    Om = np.einsum("pai,paj->pij", J, G)
+    E = np.einsum("pij,pj->pi", G, xi)
+    T = np.einsum("pij,pj->pi", G, jxi)
+    Pm = E[:, :, None] * E[:, None, :] + T[:, :, None] * T[:, None, :]
+    W = E[:, :, None] * T[:, None, :] - T[:, :, None] * E[:, None, :]
+
+    B = np.empty((len(xi), 3) + (xi.shape[1],) * 4)
+    B[:, 0] = (_antisym_cross([(G, G), (Om, Om)])
+               - 2.0 * _outer_sum([(Om, Om)])) / 4.0
+    # phi's two halves, with G and Om on either side of P and W, are only
+    # antisymmetric in their first index pair; the full curvature
+    # symmetries appear in the sum, where each supplies the pair transpose
+    # of the other.
+    B[:, 1] = (_antisym_cross([(G, Pm), (Om, W), (Pm, G), (W, Om)])
+               - 2.0 * _outer_sum([(Om, W), (W, Om)])) / 8.0
+    B[:, 2] = -_outer_sum([(W, W)])
+    return B, [unit]
+
+
 def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
     """The structural (0,4)-tensors pi, phi and psi determined by (g, J, xi)
-    at a point.
+    at a point: the one-point case of ``basis_arrays``.
 
-    ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``
-    (either sign of the square norm is accepted so the flat indefinite form
-    can be probed too).
+    ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``;
+    FrameError otherwise.
     """
-    G = np.asarray(G, float)
-    xi = np.asarray(frame.xi, float)
-    jxi = J @ xi
-    sq = float(xi @ G @ xi)
-    sqj = float(jxi @ G @ jxi)
-    if abs(abs(sq) - 1.0) > UNIT_TOL or abs(abs(sqj) - 1.0) > UNIT_TOL:
-        raise FrameError(
-            f"frame is not unit in the supplied metric: g(xi,xi)={sq:.6g}, "
-            f"g(Jxi,Jxi)={sqj:.6g}")
-
-    Om = np.einsum("ai,aj->ij", J, G)
-    E = G @ xi
-    T = G @ jxi
-
-    pi4 = (np.einsum("jk,il->ijkl", G, G) - np.einsum("ik,jl->ijkl", G, G)
-           - 2.0 * np.einsum("ij,kl->ijkl", Om, Om)
-           + np.einsum("jk,il->ijkl", Om, Om) - np.einsum("ik,jl->ijkl", Om, Om))
-    pi = Tensor4(pi4 / 4.0)
-
-    P = np.outer(E, E) + np.outer(T, T)
-    W = np.outer(E, T) - np.outer(T, E)
-
-    phi1_8 = (np.einsum("jk,il->ijkl", G, P) - np.einsum("ik,jl->ijkl", G, P)
-              + np.einsum("jk,il->ijkl", Om, W) - np.einsum("ik,jl->ijkl", Om, W)
-              - 2.0 * np.einsum("ij,kl->ijkl", Om, W))
-    phi2_8 = (np.einsum("jk,il->ijkl", P, G) - np.einsum("ik,jl->ijkl", P, G)
-              + np.einsum("jk,il->ijkl", W, Om) - np.einsum("ik,jl->ijkl", W, Om)
-              - 2.0 * np.einsum("ij,kl->ijkl", W, Om))
-    # the two halves are only antisymmetric in their first index pair; the
-    # full curvature symmetries appear in the sum, where each supplies the
-    # pair transpose of the other.
-    phi = Tensor4((phi1_8 + phi2_8) / 8.0)
-
-    psi = Tensor4(-np.einsum("ij,kl->ijkl", W, W))
-
-    return BasisTensors(pi=pi, phi=phi, psi=psi)
+    B, gates = basis_arrays(np.asarray(G, float)[None], np.asarray(J, float)[None],
+                            np.asarray(frame.xi, float)[None])
+    raise_first(gates)
+    return BasisTensors(*(Tensor4(b) for b in B[0]))
 
 
 # -- decomposition ---------------------------------------------------------------
@@ -232,15 +297,18 @@ class QCDecomposition:
         }
 
 
+def _decomposition(a, b, c, residual, k) -> QCDecomposition:
+    apk = a + k ** 2
+    return QCDecomposition(a=a, b=b, c=c, residual=residual, k=k,
+                           a_plus_k2=apk, klass=classify(apk))
+
+
 def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
     """Fit the bundle's curvature against the structural basis built on the
     unit vector of ``shape``, and classify by a + k^2 with its k."""
     basis = build_basis_tensors(bundle.jet.G, bundle.jet.J, shape)
     coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
-    a, b, c = (float(v) for v in coeffs)
-    apk = a + shape.k ** 2
-    return QCDecomposition(a=a, b=b, c=c, residual=residual, k=shape.k,
-                           a_plus_k2=apk, klass=classify(apk))
+    return _decomposition(*(float(v) for v in coeffs), residual, shape.k)
 
 
 # -- Bochner operator -------------------------------------------------------------
@@ -298,3 +366,117 @@ def bochner_flat(B: Tensor4) -> bool:
     """Whether the Bochner tensor vanishes numerically: no component
     reaches ``BOCHNER_FLAT_TOL``."""
     return B.scale() < BOCHNER_FLAT_TOL
+
+
+# -- many points of a potential metric ---------------------------------------------
+
+# Points per batched pass of ``decompose_points``.  A pass holds about 0.4 MB
+# of arrays per point at n = 4, so this bounds the memory of any sample.
+CHUNK = 16
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """What ``decompose_points`` found at one sample point.
+
+    ``error`` is the first gate the point failed up to its radial unit field:
+    the family's domain, admissibility (when checked), a radius, a finite
+    jet, the condition of G, the curvature symmetries, and a space-like
+    radial direction.  A point past the curvature gate has the Kähler defect
+    and the least eigenvalue of G; one that passes them all has its
+    curvature ``bundle`` (whose jet is the point's) and the unit field
+    ``xi``.  With ``fit``, ``shape``
+    or ``shape_error`` say how its shape data went, and ``fit`` =
+    (a, b, c, residual) or ``fit_error`` how the fit on the basis built on
+    xi went; ``decomposition`` combines the two.
+    """
+
+    point: np.ndarray
+    admissibility: AdmissibilityReport
+    error: QckError | None = None
+    bundle: CurvatureBundle | None = None
+    xi: np.ndarray | None = None
+    kahler_defect: float | None = None
+    min_eigenvalue: float | None = None
+    shape: ShapeData | None = None
+    shape_error: QckError | None = None
+    fit: tuple | None = None
+    fit_error: QckError | None = None
+
+    @property
+    def first_error(self) -> QckError | None:
+        """The first error of the point, whatever the stage."""
+        return self.error or self.shape_error or self.fit_error
+
+    @property
+    def decomposition(self) -> QCDecomposition | None:
+        if self.shape is None or self.fit is None:
+            return None
+        return _decomposition(*self.fit, self.shape.k)
+
+
+def decompose_points(space: AmbientSpace, family: PotentialFamily, X,
+                     checked: bool = True, fit: bool = True):
+    """The pipeline of ``decompose`` at each row of X, (P, d), for the metric
+    of ``family``: yields one ``PointResult`` per row, in order.
+
+    Rows are processed ``CHUNK`` at a time, each chunk in one batched pass
+    of the jet, connection, curvature, unit field, shape data, basis and
+    fit.  A row that fails a gate gets the error the one-point functions
+    raise there, and the rest of its chunk goes on.  ``checked`` is
+    ``potential_metric``'s; ``fit=False`` stops after the unit field.
+    """
+    metric = potential_metric(space, family, checked)
+    X = np.asarray(X, dtype=float).reshape(-1, space.dim)
+    for start in range(0, len(X), CHUNK):
+        yield from _decompose_chunk(space, family, metric,
+                                    X[start:start + CHUNK], fit)
+
+
+def _decompose_chunk(space, family, metric, X, fit):
+    adm = admissibility(space, family, space.square_norm(X.T))
+    sieve = Sieve(len(X))
+    jet = point_jets(metric, X, sieve)
+    R = curvature_tensors(jet)
+    keep = sieve.drop([curvature_gate(R)])
+    jet, R = jet.rows(keep), R[keep]
+    # a point whose unit field fails still reports these
+    stats = dict(zip(sieve.running.tolist(),
+                     zip(kahler_defect(jet).tolist(),
+                         np.linalg.eigvalsh(jet.G)[:, 0].tolist())))
+    xi, dxi, gates = radial_unit_jets(space, jet.point, jet.G, jet.dG)
+    keep = sieve.drop(gates)
+    jet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
+    if fit:
+        shape_sieve = Sieve(len(xi))
+        *shape, gates = shape_arrays(jet, xi, dxi)
+        shape_sieve.drop(gates)
+        shapes = {r: _shape_data(xi[r], *(a[r] for a in shape))
+                  for r in shape_sieve.running.tolist()}
+        fit_sieve = Sieve(len(xi))
+        B, unit = basis_arrays(jet.G, jet.J, xi)
+        size = R[0].size if len(R) else 0
+        coeffs, residual, gates = fit_tensors(
+            R.reshape(len(R), size), B.reshape(len(R), 3, size))
+        keep = fit_sieve.drop(unit + gates)
+        fits = dict(zip(fit_sieve.running.tolist(),
+                        (tuple(c) + (q,) for c, q in zip(
+                            coeffs[keep].tolist(), residual[keep].tolist()))))
+    rows = {i: r for r, i in enumerate(sieve.running.tolist())}
+    for i, x in enumerate(X):
+        rep = AdmissibilityReport(*(a[i] for a in (
+            adm.w, adm.f_prime, adm.f_prime_plus_wf2, adm.in_domain, adm.ok)))
+        kahler, least = stats.get(i, (None, None))
+        r = rows.get(i)
+        if r is None:
+            yield PointResult(x, rep, error=sieve.errors[i],
+                              kahler_defect=kahler, min_eigenvalue=least)
+            continue
+        out = PointResult(
+            x, rep, bundle=CurvatureBundle(jet.rows(r), Tensor4(R[r])),
+            xi=xi[r], kahler_defect=kahler, min_eigenvalue=least)
+        if fit:
+            out = replace(out, shape=shapes.get(r),
+                          shape_error=shape_sieve.errors[r],
+                          fit=fits.get(r), fit_error=fit_sieve.errors[r])
+        yield out

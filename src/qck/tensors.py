@@ -3,7 +3,9 @@ against a small tensor basis.
 
 Dimension stays small (2n <= 8 here), so everything is stored densely and
 contracted with einsum; no sparsity or index symmetry compression is worth
-its complexity at this scale.
+its complexity at this scale.  The array functions take any leading axes,
+one tensor per point of a batch; ``Tensor4`` and ``tensor4_fit`` are their
+one-point forms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasis
+from .errors import DegenerateBasis, raise_first
 
 # largest condition number of the basis Gram matrix that ``tensor4_fit`` solves
 COND_LIMIT = 1e12
@@ -34,15 +36,11 @@ class Tensor4:
         return self.a.shape[0]
 
     def scale(self) -> float:
-        return float(np.max(np.abs(self.a)))
+        return float(tensor_scale(self.a))
 
     def curvature_symmetry_defect(self) -> float:
         """Max violation of the algebraic curvature identities (absolute)."""
-        R = self.a
-        d1 = np.max(np.abs(R + np.swapaxes(R, 0, 1)))
-        d2 = np.max(np.abs(R + np.swapaxes(R, 2, 3)))
-        d3 = np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))
-        return float(max(d1, d2, d3))
+        return float(curvature_symmetry_defect(self.a))
 
     def first_bianchi_defect(self) -> float:
         R = self.a
@@ -61,20 +59,52 @@ class Tensor4:
     __rmul__ = __mul__
 
 
-def tensor4_fit(target: Tensor4, basis: list[Tensor4]):
-    """Least-squares coefficients fitting ``target`` in span(basis).
+_AXES = (-4, -3, -2, -1)
 
-    Returns (coeffs, residual) with residual the Frobenius misfit relative to
-    max(1, |target|).  A numerically rank-deficient basis raises
-    ``DegenerateBasis`` rather than returning meaningless coefficients.
+
+def tensor_scale(R):
+    """Largest component of each tensor."""
+    return np.max(np.abs(R), axis=_AXES)
+
+
+def curvature_symmetry_defect(R):
+    """Max violation of the algebraic curvature identities (absolute) of
+    each tensor."""
+    d1 = np.max(np.abs(R + np.swapaxes(R, -4, -3)), axis=_AXES)
+    d2 = np.max(np.abs(R + np.swapaxes(R, -2, -1)), axis=_AXES)
+    d3 = np.max(np.abs(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1)),
+                axis=_AXES)
+    return np.maximum(np.maximum(d1, d2), d3)
+
+
+def fit_tensors(targets, basis):
+    """Least-squares fits of targets (P, N) in the span of the rows of each
+    basis (P, m, N), the tensors flattened: (coeffs (P, m), residual (P,),
+    gates).
+
+    The residual is the Frobenius misfit relative to max(1, |target|).  The
+    gate is the basis Gram matrix's condition: a numerically rank-deficient
+    basis fails with ``DegenerateBasis``, and its row carries nan rather
+    than meaningless coefficients.
     """
-    tv = target.a.ravel()
-    M = np.column_stack([b.a.ravel() for b in basis])
-    gram = M.T @ M
+    gram = basis @ basis.swapaxes(-1, -2)
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateBasis(f"basis Gram matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    coeffs, *_ = np.linalg.lstsq(M, tv, rcond=None)
-    misfit = np.linalg.norm(tv - M @ coeffs)
-    residual = float(misfit / max(1.0, np.linalg.norm(tv)))
-    return coeffs, residual
+    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    coeffs = np.full(basis.shape[:2], np.nan)
+    for p in np.flatnonzero(~bad):
+        coeffs[p] = np.linalg.lstsq(basis[p].T, targets[p], rcond=None)[0]
+    misfit = np.linalg.norm(targets - np.einsum("pm,pmn->pn", coeffs, basis),
+                            axis=-1)
+    residual = misfit / np.maximum(1.0, np.linalg.norm(targets, axis=-1))
+    return coeffs, residual, [(bad, lambda j: DegenerateBasis(
+        f"basis Gram matrix condition {cond[j]:.3e} exceeds {COND_LIMIT:.1e}"))]
+
+
+def tensor4_fit(target: Tensor4, basis: list[Tensor4]):
+    """Least-squares coefficients fitting ``target`` in span(basis): the
+    one-point case of ``fit_tensors``, raising ``DegenerateBasis`` rather
+    than returning meaningless coefficients."""
+    coeffs, residual, gates = fit_tensors(
+        target.a.reshape(1, -1), np.stack([b.a.reshape(-1) for b in basis])[None])
+    raise_first(gates)
+    return coeffs[0], float(residual[0])

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
-                      LogFamily, flat_metric, potential_metric, radial_frame,
-                      radial_unit_jet)
-from .config import pmap
-from .curvature import curvature_bundle, kahler_defect, point_jet
+                      LogFamily, flat_metric, potential_metric, radial_frame)
+from .curvature import curvature_bundle, point_jet
 from .qch import (bochner_flat, bochner_of_tensor, build_basis_tensors,
-                  decompose, extract_shape_data)
+                  decompose_points)
 from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
                          embed_and_verify, qc_coefficients)
 from .sampling import point_at_radius, radial_points
@@ -44,10 +42,15 @@ class CriterionResult:
                 "failures": list(self.failures)}
 
 
-def _decompose_at(space, jet):
-    bundle = curvature_bundle(jet)
-    shape = extract_shape_data(jet, *radial_unit_jet(space, jet))
-    return decompose(bundle, shape), bundle, shape
+def _decompose_points(space, family, X):
+    """``qch.decompose_points`` for sample points that must all decompose:
+    a point that fails raises its error."""
+    out = []
+    for res in decompose_points(space, family, X):
+        if res.first_error is not None:
+            raise res.first_error
+        out.append(res)
+    return out
 
 
 # -- criterion bodies ----------------------------------------------------------
@@ -80,17 +83,16 @@ def _crit_flat_baselines():
 def _crit_disc_model():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
-    metric = potential_metric(space, family)
     pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
-
-    def one(item):
-        i, x = item
-        out = []
-        dec, bundle, _ = _decompose_at(space, point_jet(metric, x))
+    failures = []
+    details = {"max_coefficient_delta": 0.0, "max_residual": 0.0,
+               "max_hsc_delta": 0.0, "max_bochner_norm": 0.0}
+    for i, res in enumerate(_decompose_points(space, family, pts)):
+        dec, bundle = res.decomposition, res.bundle
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
-            out.append(f"point {i}: decomposition off by {coeff:.3e}, "
-                       f"residual {dec.residual:.3e}")
+            failures.append(f"point {i}: decomposition off by {coeff:.3e}, "
+                            f"residual {dec.residual:.3e}")
         rng = np.random.default_rng(1000 + i)
         hsc_err = 0.0
         for _ in range(20):
@@ -98,18 +100,15 @@ def _crit_disc_model():
             X = X / math.sqrt(float(X @ bundle.jet.G @ X))
             hsc_err = max(hsc_err, abs(bundle.hsc(X) + 1.0))
         if hsc_err > 1e-7:
-            out.append(f"point {i}: holomorphic curvature off by {hsc_err:.3e}")
+            failures.append(f"point {i}: holomorphic curvature off by "
+                            f"{hsc_err:.3e}")
         bnorm = bochner_of_tensor(bundle.R, bundle.jet.G, bundle.jet.J).scale()
         if bnorm > 1e-6:
-            out.append(f"point {i}: Bochner norm {bnorm:.3e}")
-        return coeff, dec.residual, hsc_err, bnorm, out
-
-    rows = pmap(one, enumerate(pts))
-    failures = [msg for row in rows for msg in row[4]]
-    details = {"max_coefficient_delta": max(r[0] for r in rows),
-               "max_residual": max(r[1] for r in rows),
-               "max_hsc_delta": max(r[2] for r in rows),
-               "max_bochner_norm": max(r[3] for r in rows)}
+            failures.append(f"point {i}: Bochner norm {bnorm:.3e}")
+        for key, v in (("max_coefficient_delta", coeff),
+                       ("max_residual", dec.residual),
+                       ("max_hsc_delta", hsc_err), ("max_bochner_norm", bnorm)):
+            details[key] = max(details[key], v)
     return details, failures
 
 
@@ -119,37 +118,23 @@ def _crit_negative_class():
              (2, InverseFamily()), (3, LogFamily(-1.0, 1.0))]
     failures = []
     worst = {"kahler": 0.0, "residual": 0.0, "margin": -math.inf}
-
-    def run_case(case):
-        n, family = case
+    for n, family in cases:
         space = AmbientSpace(n, "lorentz")
-        metric = potential_metric(space, family)
         count = 10 if n == 2 else 3
         pts = radial_points(space, count, 1.2, 3.0, seed=11 + n,
                             family=family)
-        out = []
-        kmax = rmax = 0.0
-        margin = -math.inf
-        for x in pts:
-            jet = point_jet(metric, x)
-            kd = kahler_defect(jet)
-            dec, _, _ = _decompose_at(space, jet)
-            kmax = max(kmax, kd)
-            rmax = max(rmax, dec.residual)
-            margin = max(margin, dec.a_plus_k2)
+        for res in _decompose_points(space, family, pts):
+            kd, dec = res.kahler_defect, res.decomposition
+            worst["kahler"] = max(worst["kahler"], kd)
+            worst["residual"] = max(worst["residual"], dec.residual)
+            worst["margin"] = max(worst["margin"], dec.a_plus_k2)
             if kd > 1e-9 or dec.residual > 1e-6:
-                out.append(f"{family.describe()} n={n}: defects {kd:.2e}, "
-                           f"{dec.residual:.2e}")
+                failures.append(f"{family.describe()} n={n}: defects "
+                                f"{kd:.2e}, {dec.residual:.2e}")
             if not (dec.a_plus_k2 < -1e-3 and dec.klass == "negative"):
-                out.append(f"{family.describe()} n={n}: class {dec.klass} "
-                           f"with a+k^2 = {dec.a_plus_k2:.3e}")
-        return kmax, rmax, margin, out
-
-    for kmax, rmax, margin, out in pmap(run_case, cases):
-        failures.extend(out)
-        worst["kahler"] = max(worst["kahler"], kmax)
-        worst["residual"] = max(worst["residual"], rmax)
-        worst["margin"] = max(worst["margin"], margin)
+                failures.append(f"{family.describe()} n={n}: class "
+                                f"{dec.klass} with a+k^2 = "
+                                f"{dec.a_plus_k2:.3e}")
     details = {"max_kahler_defect": worst["kahler"],
                "max_residual": worst["residual"],
                "max_a_plus_k2": worst["margin"]}
@@ -161,10 +146,9 @@ def _crit_definite_class():
     details = {"max_residual": 0.0, "min_a_plus_k2": math.inf}
     for family in (DefiniteLogFamily(2.0, 1.0), DefiniteLogFamily(1.0, 1.5)):
         space = AmbientSpace(2, "definite")
-        metric = potential_metric(space, family)
         pts = radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
-        for x in pts:
-            dec, _, _ = _decompose_at(space, point_jet(metric, x))
+        for res in _decompose_points(space, family, pts):
+            dec = res.decomposition
             details["max_residual"] = max(details["max_residual"], dec.residual)
             details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
                                            dec.a_plus_k2)
@@ -181,19 +165,21 @@ def _crit_radial_law():
     space = AmbientSpace(2, "lorentz")
     u = np.zeros(4)
     u[3] = 1.0
+    radii = np.array([1.4, 1.7, 2.0, 2.4, 2.8])
+    h = 1e-3 * radii
     failures = []
     worst = 0.0
     for family in (LogFamily(-1.0, 1.0), InverseFamily()):
-        metric = potential_metric(space, family)
-
-        def a_at(r):
-            return _decompose_at(space, point_jet(metric, r * u))[0].a
-
-        for r in (1.4, 1.7, 2.0, 2.4, 2.8):
-            h = 1e-3 * r
-            da_dr = (a_at(r + h) - a_at(r - h)) / (2.0 * h)
-            dec, bundle, shape = _decompose_at(space, point_jet(metric, r * u))
-            eta_dr = float(shape.xi @ bundle.jet.G @ u)
+        # each radius, then the radii a step out, then a step in
+        res = _decompose_points(space, family,
+                                np.concatenate([radii, radii + h, radii - h])[:, None] * u)
+        at, out, inside = (res[i:i + len(radii)]
+                           for i in range(0, 3 * len(radii), len(radii)))
+        for r, step, mid, hi, lo in zip(radii, h, at, out, inside):
+            da_dr = ((hi.decomposition.a - lo.decomposition.a)
+                     / (2.0 * step))
+            dec = mid.decomposition
+            eta_dr = float(mid.shape.xi @ mid.bundle.jet.G @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
             worst = max(worst, err)

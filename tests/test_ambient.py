@@ -20,7 +20,7 @@ from qck.ambient import (
 )
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
 from qck.curvature import covariant_derivative, point_jet, vector_jet
-from qck.duals import value
+from qck.duals import MultiDual, coefficients, value
 from qck.errors import AdmissibilityError, DomainError, FrameError
 from qck.sampling import point_at_radius
 from qck.sasakian import sphere_report
@@ -125,6 +125,33 @@ class TestFamilies:
         y = fam(g)
         assert y.coeff(1) == pytest.approx(fam.d1(w0), rel=1e-12)
         assert y.coeff(3) == pytest.approx(fam.d2(w0), rel=1e-12)
+
+    @pytest.mark.parametrize("fam,w", [
+        (LogFamily(-1.0, 1.0), np.linspace(-9.0, -1.2, 7)),
+        (LogFamily(-2.0, 1.5), np.linspace(-9.0, -2.4, 7)),
+        (InverseFamily(), np.linspace(-9.0, -0.2, 7)),
+        (UserSeries((0.1, 0.3, -0.2, 0.05, 0.01, -0.002)),
+         np.linspace(-9.0, -0.2, 7)),
+        (DefiniteLogFamily(2.0, 1.0), np.linspace(0.1, 9.0, 7)),
+        (DefiniteLogFamily(1.0, 1.5), np.linspace(0.1, 9.0, 7)),
+        (UserSeries((0.1, 0.3, -0.2, 0.05, 0.01, -0.002)),
+         np.linspace(0.1, 9.0, 7)),
+    ])
+    def test_closed_form_d3_d4_match_duals_of_d2(self, fam, w):
+        # over an array of square norms at once; the reference is the
+        # order-2 dual of f'' at each w alone
+        got = np.stack([fam.d2(w), fam.d3(w), fam.d4(w)])
+        assert got.shape == (3, len(w))
+        for j, wj in enumerate(w):
+            f2, f3, _, f4 = coefficients(
+                fam.d2(MultiDual([[wj], [1.0], [1.0], [0.0]], 2)), 2, 1)[:, 0]
+            for g, ref in zip(got[:, j], (f2, f3, f4)):
+                assert abs(g - ref) <= 1e-13 * abs(ref)
+
+    def test_series_d3_d4_of_a_quadratic_vanish(self):
+        f = UserSeries((0.0, 1.0, 0.1))
+        assert f.d3(np.array([-2.0, 3.0])) == 0.0
+        assert f.d4(-2.0) == 0.0
 
     def test_json_roundtrip(self):
         for fam in (LogFamily(-2.0, 1.5), DefiniteLogFamily(2.0, 1.0),

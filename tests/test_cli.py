@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qck import cli, curvature
-from qck.ambient import potential_metric
+from qck import ambient, cli, curvature, qch
 from qck.cli import CSV_HEADER, main
 from qck.config import worker_count
 
@@ -382,11 +381,14 @@ class TestUsageAndConfig:
         assert rep["config"]["tolerances"] == {"residual": 0.0}
         assert all("error" not in p for p in rep["points"])
 
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
+    def test_thread_env_changes_no_command(self, capsys, monkeypatch):
+        # the batched pipeline decides the fan-out; QCK_THREADS is not read
+        argv = ["check-potential", "--count", "2"]
+        monkeypatch.delenv("QCK_THREADS", raising=False)
+        base = run_cli(capsys, argv)
         monkeypatch.setenv("QCK_THREADS", "lots")
-        code, _, err = run_cli(capsys, ["check-potential", "--count", "2"])
-        assert code == 2
-        assert "QCK_THREADS" in err
+        assert run_cli(capsys, argv) == base
+        assert base[0] == 0
 
 
 class TestDeterminism:
@@ -415,45 +417,51 @@ class TestDeterminism:
 class TestMetricEvaluations:
     @pytest.mark.parametrize("command", ["decompose", "check-potential"])
     @pytest.mark.parametrize("n", [2, 4])
-    def test_per_point_evaluations(self, capsys, monkeypatch, command, n):
-        # one evaluation for the point's jet, whatever the dimension: the
-        # radial unit field and its partials are read off that jet
-        calls = []
+    def test_one_jet_pass_per_chunk(self, capsys, monkeypatch, command, n):
+        # the closed-form jets of a chunk of points come from one batched
+        # pass, whatever the dimension, and the metric field itself is
+        # never evaluated: the radial unit field and its partials are read
+        # off the jets
+        passes, evaluations = [], []
+        jets = ambient.potential_jets
 
-        def counting_metric(space, family, checked=True):
-            metric = potential_metric(space, family, checked)
-            evaluate = metric.fn
+        def counted_jets(space, family, X):
+            passes.append(len(X))
+            return jets(space, family, X)
 
-            def fn(x):
-                calls.append(1)
-                return evaluate(x)
+        init = ambient.MetricField.__init__
 
-            metric.fn = fn
-            return metric
+        def counted_init(field, *args, **kwargs):
+            init(field, *args, **kwargs)
+            evaluate = field.fn
+            field.fn = lambda x: evaluations.append(1) or evaluate(x)
 
-        monkeypatch.setattr(cli, "potential_metric", counting_metric)
-        code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count", "3",
-                                        "--seed", "1"])
+        monkeypatch.setattr(ambient, "potential_jets", counted_jets)
+        monkeypatch.setattr(ambient.MetricField, "__init__", counted_init)
+        count = qch.CHUNK + 1
+        code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count",
+                                        str(count), "--seed", "1"])
         assert code == 0
-        assert len(json.loads(out)["points"]) == 3
-        assert len(calls) == 3
+        assert len(json.loads(out)["points"]) == count
+        assert passes == [qch.CHUNK, 1]
+        assert evaluations == []
 
     @pytest.mark.parametrize("command", ["decompose", "check-potential"])
-    def test_one_connection_per_point(self, capsys, monkeypatch, command):
-        # the jet carries its Christoffel symbols; the curvature bundle and
-        # the shape data both read them
+    def test_one_connection_per_chunk(self, capsys, monkeypatch, command):
+        # the jets carry their Christoffel symbols; the curvature tensors
+        # and the shape data both read them
         calls = []
-        connection = curvature.christoffel
+        connection = curvature._connection
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return connection(*args, **kwargs)
+        def counted(G, dG):
+            calls.append(len(G))
+            return connection(G, dG)
 
-        monkeypatch.setattr(curvature, "christoffel", counted)
+        monkeypatch.setattr(curvature, "_connection", counted)
         code, out, _ = run_cli(capsys, [command, "--count", "3", "--seed", "1"])
         assert code == 0
         assert len(json.loads(out)["points"]) == 3
-        assert len(calls) == 3
+        assert calls == [3]
 
 
 class TestErrorEntries:

@@ -16,7 +16,6 @@ from qck.core import complex_to_real
 from qck.curvature import (
     _first_jet,
     christoffel,
-    closed_form_second_jet,
     covariant_derivative,
     curvature_bundle,
     kahler_defect,
@@ -192,7 +191,9 @@ class TestClosedFormJets:
     @pytest.mark.parametrize("metric,x", [c[1:] for c in CLOSED_FORM_CASES],
                              ids=[c[0] for c in CLOSED_FORM_CASES])
     def test_matches_oracles(self, metric, x):
-        G, dG, d2G = closed_form_second_jet(metric, x)
+        jet = point_jet(metric, x)
+        assert jet.method == "closed-form"
+        G, dG, d2G = jet.G, jet.dG, jet.d2G
         for got, ref in zip((G, dG, d2G), metric_second_jet(metric, x)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
@@ -222,8 +223,8 @@ class TestClosedFormJets:
 
     def test_non_finite_rule_is_a_breakdown(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
-        rule = g.derivatives
-        g.derivatives = lambda x: (rule(x)[0], np.full((4, 4, 4, 4), np.nan))
+        rule = g.jets
+        g.jets = lambda X: (*rule(X)[:3], np.full((len(X), 4, 4, 4, 4), np.nan))
         with pytest.raises(NumericalBreakdown):
             point_jet(g, point_at_radius(L2, 2.0, seed=1))
 

@@ -329,15 +329,15 @@ class TestJetCounts:
                 return build(*args, **kwargs)
             return wrapper
 
-        for name in ("metric_second_jet", "closed_form_second_jet",
+        for name in ("metric_second_jet", "point_jets",
                      "metric_second_jet_fd"):
             monkeypatch.setattr(curvature, name,
                                 counted("second", getattr(curvature, name)))
         first = counted("first", curvature._first_jet)
         monkeypatch.setattr(curvature, "_first_jet", first)
         monkeypatch.setattr(sasakian, "_first_jet", first)
-        monkeypatch.setattr(curvature, "christoffel",
-                            counted("christoffel", curvature.christoffel))
+        monkeypatch.setattr(curvature, "_connection",
+                            counted("christoffel", curvature._connection))
         monkeypatch.setattr(curvature, "eval_with_partials",
                             counted("partials", curvature.eval_with_partials))
         return counts
@@ -388,11 +388,11 @@ class TestEvaluationCounts:
 
     def test_sphere_report(self, counts):
         # bundles at Z and on the pulled-back chart metric; evaluations: the
-        # jet at Z (the unit normal, the Reeb field, the phi law and the
-        # Gauss equation read it) and the chart metric's jet (2 with the
-        # ambient metric it pulls back)
+        # chart metric's jet (2 with the ambient metric it pulls back).  The
+        # jet at Z, which the unit normal, the Reeb field, the phi law and
+        # the Gauss equation read, is closed form and evaluates nothing.
         sphere_report(L2, DISC, 2.0)
-        assert counts == {"bundles": 2, "evaluations": 3}
+        assert counts == {"bundles": 2, "evaluations": 2}
 
     def test_family_report(self, counts):
         # the family metric evaluates the pulled-back flat metric inside
