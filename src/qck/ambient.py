@@ -15,18 +15,21 @@ lives in the test suite.  Family derivative methods are written with generic
 arithmetic only, so f'(w) and f''(w) inherit whatever dual payload w carries.
 
 Which path makes a jet: the metric field of ``potential_metric`` carries a
-closed-form derivative rule.  With u = H x and v = J0 u the second term is
-2 f''(w) A, A = u u^T + v v^T, so the partials of G are polynomials in x
-times f' ... f'''' at w; ``curvature.point_jet`` takes G from one float
-evaluation of the field and dG, d2G from the rule.  f''' and f'''' come from
-one order-2 dual evaluation of the family's f'' at the scalar w.  Every other
-metric field (flat, chart, pulled-back, rotational) has no rule and is
-differentiated by duals.
+closed-form rule over a points axis, ``potential_jets``.  With u = H x and
+v = J0 u the second term is 2 f''(w) A, A = u u^T + v v^T, so the partials of
+G are polynomials in x times f' ... f'''' at w, and every family gives its
+derivatives up to f'''' in closed form on arrays of w.  One call takes G, dG
+and d2G at many points at once; ``curvature.point_jets`` makes a jet of
+them, and ``curvature.point_jet`` is its one-point case.  ``potential_gates``
+holds the per-point checks the field's own evaluation raises (the family's
+domain, admissibility, a radius), so a point fails with the same text alone
+and in a batch.  Every other metric field (flat, chart, pulled-back,
+rotational) has no rule and is differentiated by duals.
 
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
 of the radial distribution, depends on the metric only through G and dG at
-the point: ``radial_unit_jet`` reads both off the metric's jet, so the unit
-field costs no evaluation of its own.
+the point: ``radial_unit_jets`` reads both off the metric's jets, at every
+point of a batch, so the unit field costs no evaluation of its own.
 """
 
 from __future__ import annotations
@@ -343,8 +346,12 @@ def admissibility(space: AmbientSpace, family: PotentialFamily, w) -> Admissibil
     with np.errstate(all="ignore"):
         fp = np.where(ok_dom, family.d1(w), math.nan)
         s = np.where(ok_dom, fp + w * family.d2(w), math.nan)
-    ok = ok_dom & (fp > 0) & ((s < 0) if space.lorentz else (s > 0))
-    return AdmissibilityReport(w, fp, s, ok_dom, ok)
+    return AdmissibilityReport(w, fp, s, ok_dom, ok_dom & _positive(space, fp, s))
+
+
+def _positive(space: AmbientSpace, fp, s):
+    """The positivity inequalities on f' and s = f' + w f''."""
+    return (fp > 0) & ((s < 0) if space.lorentz else (s > 0))
 
 
 def potential_gates(space: AmbientSpace, family: PotentialFamily, w,
@@ -461,7 +468,8 @@ def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
     v = _rotate(u)
     A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
     M = j0_matrix(space.n) @ H
-    half = H.T[:, :, None] * u[:, None, None, :] + M.T[:, :, None] * v[:, None, None, :]
+    half = (H.T[:, :, None] * u[:, None, None, :]
+            + M.T[:, :, None] * v[:, None, None, :])
     dA = half + half.swapaxes(-1, -2)
     cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
     d2A = cross + cross.transpose(1, 0, 2, 3)
@@ -495,9 +503,17 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
 
     def ev(x):
         w = space.square_norm(x)
-        raise_first(potential_gates(space, family, np.array([value(w)]),
-                                    checked))
         r2 = -w if space.lorentz else w
+        # a point that passes every gate is told apart in float arithmetic;
+        # the gates themselves name the failure of any other
+        wv = value(w)
+        ok = family.in_domain(wv) and value(r2) > 0.0
+        if ok and checked:
+            fp = family.d1(wv)
+            ok = _positive(space, fp, fp + wv * family.d2(wv))
+        if not ok:
+            raise_first(potential_gates(space, family, np.array([wv]),
+                                        checked))
         r = gsqrt(r2)
         fp = family.d1(w)
         fpp = family.d2(w)
@@ -573,10 +589,9 @@ def radial_frame(space: AmbientSpace, x, metric: MetricField | None = None,
     return RadialFrame(xi, np.asarray(apply_j0(xi)))
 
 
-def radial_unit_jets(space: AmbientSpace, X, G, dG,
-                     orientation: str = "outward"):
-    """The metric-normalized radial unit field at the rows of X, (P, d), from
-    the metric values G and partials dG there: (xi, dxi, gates) with
+def radial_unit_jets(space: AmbientSpace, jet, orientation: str = "outward"):
+    """The metric-normalized radial unit field at the points of ``jet`` (a
+    ``curvature.PointJet`` with a points axis): (xi, dxi, gates) with
     dxi[p, i, m] = d_i xi^m at point p.
 
     xi = x / sqrt(N) with N = x^T G x, so its partials need only G and dG:
@@ -586,6 +601,7 @@ def radial_unit_jets(space: AmbientSpace, X, G, dG,
     and g(xi, xi) > 0 as for ``radial_frame``.
     """
     sign = _check_orientation(orientation)
+    X, G, dG = jet.point, jet.G, jet.dG
     w = space.square_norm(X.T)
     with np.errstate(all="ignore"):
         r = np.sqrt(-w if space.lorentz else w)
@@ -608,7 +624,6 @@ def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
     case of ``radial_unit_jets``.  FrameError where g(xi, xi) <= 0, as for
     ``radial_frame``.
     """
-    xi, dxi, gates = radial_unit_jets(space, jet.point[None], jet.G[None],
-                                      jet.dG[None], orientation)
+    xi, dxi, gates = radial_unit_jets(space, jet.stacked(), orientation)
     raise_first(gates)
     return xi[0], dxi[0]

@@ -14,14 +14,23 @@ radial unit field and its partials follow from G and dG in closed form, so
 they cost no further evaluation; ``vector_jet`` differentiates other vector
 fields by duals.
 
+The points axis.  A jet may carry a leading axis over many points
+(``point_jets``, ``PointJet.rows``), and the kernels behind the one-point
+functions (``_connection``, ``curvature_tensors``, ``kahler_defect``,
+``covariant_derivative``) take it: each contraction is one matrix product per
+point.  A one-point function runs its kernel on a points axis of length 1,
+so it is not a second code path.  Checks come as gates (see ``qck.errors``):
+a one-point function raises the first failure, and a batch records it per
+point and goes on with the rest.  ``qch.decompose_points`` drives the batch.
+
 Which path makes the metric jet (``PointJet.method``): a field with a
-closed-form derivative rule, as the potential metrics of
-``ambient.potential_metric`` have, gets "closed-form": G from one float
-evaluation of the field, dG and d2G from the rule.  Every other field gets
-"dual": one evaluation of the metric on dual numbers whose coordinates carry
-one payload column per index pair (k, l) of the second jet, see
-``qck.duals``.  ``method="fd"`` takes the jet by finite differences instead,
-with the same downstream assembly, as an independent oracle.
+closed-form rule over a points axis, as the potential metrics of
+``ambient.potential_metric`` have, gets "closed-form": G, dG and d2G from the
+rule, at every point of a batch in one call.  Every other field gets "dual":
+one evaluation of the metric on dual numbers whose coordinates carry one
+payload column per index pair (k, l) of the second jet, see ``qck.duals``.
+``method="fd"`` takes the jet by finite differences instead, with the same
+downstream assembly, as an independent oracle.
 
 Conventions.  Connection coefficients are the usual Christoffel symbols of
 the second kind.  The curvature tensor is
@@ -94,7 +103,8 @@ def metric_second_jet(metric, x):
 
 def _finite_gate(G, d2G):
     """The metric jet must come out finite."""
-    bad = ~(np.isfinite(G).all(axis=(-2, -1)) & np.isfinite(d2G).all(axis=(-4, -3, -2, -1)))
+    bad = ~(np.isfinite(G).all(axis=(-2, -1))
+            & np.isfinite(d2G).all(axis=(-4, -3, -2, -1)))
     return (bad, lambda j: NumericalBreakdown(
         "metric jet produced non-finite entries"))
 
@@ -154,11 +164,10 @@ def _cond_gate(G):
         f"metric condition number exceeds {COND_LIMIT:.1e}"))
 
 
-def _bracket(dG, axis):
+def _bracket(dG):
     """d_j G_{lk} + d_k G_{lj} - d_l G_{jk} at [..., l, j, k] from the
-    partials dG[..., l, j, k], whose first index sits at ``axis``."""
-    a, b, c = axis, axis + 1, axis + 2
-    return dG.swapaxes(a, b) + np.moveaxis(dG, a, c) - dG
+    partials dG[..., l, j, k]."""
+    return dG.swapaxes(-3, -2) + np.moveaxis(dG, -3, -1) - dG
 
 
 def _connection(G, dG):
@@ -167,7 +176,7 @@ def _connection(G, dG):
     P, d = G.shape[:2]
     Ginv = np.linalg.inv(G)
     # gamma^m_{jk} = 1/2 g^{ml} (d_j G_{lk} + d_k G_{lj} - d_l G_{jk})
-    bracket = _bracket(dG, -3).reshape(P, d, d * d)
+    bracket = _bracket(dG).reshape(P, d, d * d)
     gamma = 0.5 * (Ginv @ bracket).reshape(P, d, d, d)
     return gamma, Ginv
 
@@ -316,8 +325,8 @@ def curvature_tensors(jet: PointJet):
     P, d = G.shape[:2]
     # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
     dGinv = -(Ginv[:, None] @ dG @ Ginv[:, None])
-    bracket = _bracket(dG, -3)
-    dbracket = _bracket(d2G, -3)
+    bracket = _bracket(dG)
+    dbracket = _bracket(d2G)
     dgamma = 0.5 * (dGinv @ bracket.reshape(P, 1, d, d * d)
                     + Ginv[:, None] @ dbracket.reshape(P, d, d, d * d))
     dgamma = dgamma.reshape(P, d, d, d, d)

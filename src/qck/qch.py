@@ -10,6 +10,14 @@ The shape data (k, p*) come from the covariant derivative of the radial unit
 field, whose values and partials at the point ``ambient.radial_unit_jet``
 reads off the metric's jet, so nothing here evaluates a metric.
 
+``decompose_points`` is the one entry point for many sample points of a
+potential metric: it runs the jet, connection, curvature, unit field, shape
+data, basis and fit over a points axis, ``CHUNK`` points per pass, and gives
+each point the error the one-point functions would raise there.  The shape
+data, basis and fit kernels (``shape_arrays``, ``basis_arrays``,
+``tensors.fit_tensors``) take that axis; ``extract_shape_data``,
+``build_basis_tensors`` and ``decompose`` are their one-point forms.
+
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition: the tensor is moved to holomorphic components through an
 adapted complex frame, the trace corrections are subtracted there, and the
@@ -122,7 +130,7 @@ def shape_arrays(jet: PointJet, xi, dxi):
     """
     D = covariant_derivative(jet, xi, dxi)
     G, J = jet.G, jet.J
-    P, d = xi.shape
+    d = xi.shape[1]
     jxi = np.einsum("pij,pj->pi", J, xi)
     sq = _gdot(G, xi, xi)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
@@ -132,7 +140,8 @@ def shape_arrays(jet: PointJet, xi, dxi):
     basis, count = _complement_bases(G, xi, jxi, sq_sign)
     complete = (count != d - 2, lambda j: FrameError(
         "could not complete a basis of the complement distribution"))
-    # components of the derivative along each basis vector u, and g(u, .)
+    # nabla_u xi for each basis vector u; k along u is 2 g(u, nabla_u xi),
+    # with the sign of g(xi, xi)
     nab = np.einsum("psi,pim->psm", basis, D)
     k_dirs = 2.0 * sq_sign[:, None] * np.einsum("psi,pij,psj->ps", basis, G, nab)
     k = np.mean(k_dirs, axis=1)
@@ -255,7 +264,8 @@ def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
     ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``;
     FrameError otherwise.
     """
-    B, gates = basis_arrays(np.asarray(G, float)[None], np.asarray(J, float)[None],
+    B, gates = basis_arrays(np.asarray(G, float)[None],
+                            np.asarray(J, float)[None],
                             np.asarray(frame.xi, float)[None])
     raise_first(gates)
     return BasisTensors(*(Tensor4(b) for b in B[0]))
@@ -444,7 +454,7 @@ def _decompose_chunk(space, family, metric, X, fit):
     stats = dict(zip(sieve.running.tolist(),
                      zip(kahler_defect(jet).tolist(),
                          np.linalg.eigvalsh(jet.G)[:, 0].tolist())))
-    xi, dxi, gates = radial_unit_jets(space, jet.point, jet.G, jet.dG)
+    xi, dxi, gates = radial_unit_jets(space, jet)
     keep = sieve.drop(gates)
     jet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
     if fit:

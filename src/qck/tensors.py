@@ -87,15 +87,14 @@ def fit_tensors(targets, basis):
     basis fails with ``DegenerateBasis``, and its row carries nan rather
     than meaningless coefficients.
     """
-    gram = basis @ basis.swapaxes(-1, -2)
-    cond = np.linalg.cond(gram)
+    cond = np.linalg.cond(np.einsum("pmn,pqn->pmq", basis, basis))
     bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
     coeffs = np.full(basis.shape[:2], np.nan)
     for p in np.flatnonzero(~bad):
         coeffs[p] = np.linalg.lstsq(basis[p].T, targets[p], rcond=None)[0]
-    misfit = np.linalg.norm(targets - np.einsum("pm,pmn->pn", coeffs, basis),
-                            axis=-1)
-    residual = misfit / np.maximum(1.0, np.linalg.norm(targets, axis=-1))
+    misfit = targets - np.einsum("pm,pmn->pn", coeffs, basis)
+    residual = np.sqrt(np.einsum("pn,pn->p", misfit, misfit) / np.maximum(
+        1.0, np.einsum("pn,pn->p", targets, targets)))
     return coeffs, residual, [(bad, lambda j: DegenerateBasis(
         f"basis Gram matrix condition {cond[j]:.3e} exceeds {COND_LIMIT:.1e}"))]
 

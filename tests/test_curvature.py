@@ -194,6 +194,8 @@ class TestClosedFormJets:
         jet = point_jet(metric, x)
         assert jet.method == "closed-form"
         G, dG, d2G = jet.G, jet.dG, jet.d2G
+        # the batched rule repeats the field's own operations for G
+        assert np.array_equal(G, metric.matrix(x))
         for got, ref in zip((G, dG, d2G), metric_second_jet(metric, x)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
