@@ -87,18 +87,19 @@ class AmbientSpace:
         return w
 
     def radius_gate(self, w):
-        """The gate of a radius at square norms w, (P,): a Lorentz point must
-        be time-like and a definite one off the puncture."""
+        """The gate of a radius at square norms w, (P,) or one float: a
+        Lorentz point must be time-like and a definite one off the
+        puncture."""
         if self.lorentz:
             return (w >= 0.0, lambda j: DomainError(
-                f"point has square norm {w[j]:.3e}, not time-like"))
+                f"point has square norm {np.ravel(w)[j]:.3e}, not time-like"))
         return (w <= 1e-300,
                 lambda j: DomainError("radius undefined at the puncture"))
 
     def radius(self, x):
         """Distance r > 0 from the centre; DomainError off the domain."""
         w = self.square_norm(x)
-        raise_first([self.radius_gate(np.array([value(w)]))])
+        raise_first([self.radius_gate(value(w))])
         return gsqrt(-w) if self.lorentz else gsqrt(w)
 
 
@@ -560,16 +561,18 @@ def _check_orientation(orientation: str) -> float:
 
 
 def _length_gate(nrm2):
-    """The radial direction must be space-like: nrm2 = g(u, u) > 0."""
+    """The radial direction must be space-like: nrm2 = g(u, u) > 0, over
+    points or for one float."""
     return (nrm2 <= 0, lambda j: FrameError(
-        f"radial direction has non-positive square norm {nrm2[j]:.3e}"))
+        f"radial direction has non-positive square norm "
+        f"{np.ravel(nrm2)[j]:.3e}"))
 
 
 def _metric_length(u: np.ndarray, G: np.ndarray) -> float:
     """Length of the radial direction u in the metric values G; FrameError
     where u is not space-like there."""
     nrm2 = float(u @ G @ u)
-    raise_first([_length_gate(np.array([nrm2]))])
+    raise_first([_length_gate(nrm2)])
     return math.sqrt(nrm2)
 
 

@@ -83,7 +83,8 @@ class Sieve:
 
 def raise_first(gates) -> None:
     """Raise the error of the first failing point of the first gate that
-    fails: ``Sieve.drop`` for a single point."""
+    fails: ``Sieve.drop`` for a single point, whose gate may also hold one
+    plain bool."""
     for bad, error in gates:
-        if np.any(bad):
+        if bad is not False and np.any(bad):
             raise error(int(np.argmax(bad)))

@@ -436,8 +436,11 @@ def decompose_points(space: AmbientSpace, family: PotentialFamily, X,
     raise there, and the rest of its chunk goes on.  ``checked`` is
     ``potential_metric``'s; ``fit=False`` stops after the unit field.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != space.dim:
+        raise ValueError(f"points of shape {X.shape} in a "
+                         f"{space.dim}-dimensional chart")
     metric = potential_metric(space, family, checked)
-    X = np.asarray(X, dtype=float).reshape(-1, space.dim)
     for start in range(0, len(X), CHUNK):
         yield from _decompose_chunk(space, family, metric,
                                     X[start:start + CHUNK], fit)

@@ -10,6 +10,7 @@ one-point forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +91,12 @@ def fit_tensors(targets, basis):
     cond = np.linalg.cond(np.einsum("pmn,pqn->pmq", basis, basis))
     bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
     coeffs = np.full(basis.shape[:2], np.nan)
+    residual = np.full(len(targets), np.nan)
     for p in np.flatnonzero(~bad):
-        coeffs[p] = np.linalg.lstsq(basis[p].T, targets[p], rcond=None)[0]
-    misfit = targets - np.einsum("pm,pmn->pn", coeffs, basis)
-    residual = np.sqrt(np.einsum("pn,pn->p", misfit, misfit) / np.maximum(
-        1.0, np.einsum("pn,pn->p", targets, targets)))
+        B, t = basis[p], targets[p]
+        coeffs[p] = np.linalg.lstsq(B.T, t, rcond=None)[0]
+        misfit = t - coeffs[p] @ B
+        residual[p] = math.sqrt((misfit @ misfit) / max(1.0, t @ t))
     return coeffs, residual, [(bad, lambda j: DegenerateBasis(
         f"basis Gram matrix condition {cond[j]:.3e} exceeds {COND_LIMIT:.1e}"))]
 

@@ -140,6 +140,11 @@ class TestParity:
             assert np.array_equal(bundle.R.a, res.bundle.R.a)
 
 
+def test_points_must_match_the_chart():
+    with pytest.raises(ValueError, match="4-dimensional chart"):
+        next(decompose_points(L2, SERIES, np.zeros((2, 6))))
+
+
 class TestChunks:
     @pytest.mark.parametrize("command", ["check-potential", "decompose"])
     def test_report_does_not_depend_on_chunks(self, capsys, monkeypatch,
