@@ -26,7 +26,7 @@ result is pulled back to real components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -380,7 +380,7 @@ def bochner_flat(B: Tensor4) -> bool:
 
 # -- many points of a potential metric ---------------------------------------------
 
-# Points per batched pass of ``decompose_points``.  A pass holds about 0.4 MB
+# Points per batched pass of ``decompose_points``.  A pass holds about 0.3 MB
 # of arrays per point at n = 4, so this bounds the memory of any sample.
 CHUNK = 16
 
@@ -395,10 +395,9 @@ class PointResult:
     radial direction.  A point past the curvature gate has the Kähler defect
     and the least eigenvalue of G; one that passes them all has its
     curvature ``bundle`` (whose jet is the point's) and the unit field
-    ``xi``.  With ``fit``, ``shape``
-    or ``shape_error`` say how its shape data went, and ``fit`` =
-    (a, b, c, residual) or ``fit_error`` how the fit on the basis built on
-    xi went; ``decomposition`` combines the two.
+    ``xi``.  With ``fit``, ``shape`` or ``shape_error`` say how its shape
+    data went, and ``fit`` = (a, b, c, residual) or ``fit_error`` how the
+    fit on the basis built on xi went; ``decomposition`` combines the two.
     """
 
     point: np.ndarray
@@ -468,7 +467,7 @@ def _decompose_chunk(space, family, metric, X, fit):
                   for r in shape_sieve.running.tolist()}
         fit_sieve = Sieve(len(xi))
         B, unit = basis_arrays(jet.G, jet.J, xi)
-        size = R[0].size if len(R) else 0
+        size = xi.shape[1] ** 4
         coeffs, residual, gates = fit_tensors(
             R.reshape(len(R), size), B.reshape(len(R), 3, size))
         keep = fit_sieve.drop(unit + gates)
@@ -485,11 +484,10 @@ def _decompose_chunk(space, family, metric, X, fit):
             yield PointResult(x, rep, error=sieve.errors[i],
                               kahler_defect=kahler, min_eigenvalue=least)
             continue
-        out = PointResult(
-            x, rep, bundle=CurvatureBundle(jet.rows(r), Tensor4(R[r])),
-            xi=xi[r], kahler_defect=kahler, min_eigenvalue=least)
+        stages = {}
         if fit:
-            out = replace(out, shape=shapes.get(r),
-                          shape_error=shape_sieve.errors[r],
+            stages = dict(shape=shapes.get(r), shape_error=shape_sieve.errors[r],
                           fit=fits.get(r), fit_error=fit_sieve.errors[r])
-        yield out
+        yield PointResult(
+            x, rep, bundle=CurvatureBundle(jet.rows(r), Tensor4(R[r])),
+            xi=xi[r], kahler_defect=kahler, min_eigenvalue=least, **stages)

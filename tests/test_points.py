@@ -169,9 +169,11 @@ CASES = [("lorentz", LogFamily(-1.0, 1.0)), ("lorentz", LogFamily(-2.0, 1.5)),
 
 
 def close(a, b):
+    """Equal within 1e-13 of max(1, |b|) entry by entry; None only to None."""
     if a is None or b is None:
         return a is b
-    return all(abs(x - y) <= 1e-13 * max(1.0, abs(y)) for x, y in zip(a, b))
+    return all(abs(x - y) <= 1e-13 * max(1.0, abs(y))
+               for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,8 +192,7 @@ def test_batch_matches_one_point(n, case, radii, seed):
             assert describe(getattr(got, name)) == describe(getattr(want, name))
         assert close(got.fit, want.fit)
         for key in ("kahler_defect", "min_eigenvalue"):
-            assert close(*((getattr(r, key),) if getattr(r, key) is not None
-                           else None for r in (got, want)))
+            assert close(getattr(got, key), getattr(want, key))
         if want.shape is not None:
             assert close((got.shape.k, got.shape.p_star),
                          (want.shape.k, want.shape.p_star))
