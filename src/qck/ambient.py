@@ -106,6 +106,16 @@ class AmbientSpace:
 # -- potential families -------------------------------------------------------
 
 
+def _reciprocal_d3_d4(c, s, ds, d2s):
+    """f''' and f'''' for f'' = c / s(w), from s and its first two
+    derivatives at w, in the operation order of the dual numbers' inverse
+    (``MultiDual._inverse``), so they round as the order-2 dual of f''
+    does up to the last bit of the powers of s."""
+    d1 = -1.0 / s**2
+    t = ds * (2.0 / s**3 / 2.0) * ds
+    return d1 * ds * c, (d1 * d2s + t + t) * c
+
+
 class PotentialFamily:
     """Radial potential profile f(w) with derivatives in generic arithmetic."""
 
@@ -172,10 +182,12 @@ class LogFamily(PotentialFamily):
         return (-2.0 / self.a) / (-w - self.r0**2) ** 2
 
     def d3(self, w):
-        return (-4.0 / self.a) / (-w - self.r0**2) ** 3
+        t = -w - self.r0**2
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, -2.0 * t, 2.0)[0]
 
     def d4(self, w):
-        return (-12.0 / self.a) / (-w - self.r0**2) ** 4
+        t = -w - self.r0**2
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, -2.0 * t, 2.0)[1]
 
     def in_domain(self, w):
         return w < -self.r0**2
@@ -216,10 +228,12 @@ class DefiniteLogFamily(PotentialFamily):
         return (-2.0 / self.a) / (w + self.r0**2) ** 2
 
     def d3(self, w):
-        return (4.0 / self.a) / (w + self.r0**2) ** 3
+        t = w + self.r0**2
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, 2.0 * t, 2.0)[0]
 
     def d4(self, w):
-        return (-12.0 / self.a) / (w + self.r0**2) ** 4
+        t = w + self.r0**2
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, 2.0 * t, 2.0)[1]
 
     def in_domain(self, w):
         return w > -self.r0**2
@@ -247,10 +261,12 @@ class InverseFamily(PotentialFamily):
         return -2.0 / (w * w * w)
 
     def d3(self, w):
-        return 6.0 / (w * w * w * w)
+        w2 = w * w
+        return _reciprocal_d3_d4(-2.0, w2 * w, 3.0 * w2, 6.0 * w)[0]
 
     def d4(self, w):
-        return -24.0 / (w * w * w * w * w)
+        w2 = w * w
+        return _reciprocal_d3_d4(-2.0, w2 * w, 3.0 * w2, 6.0 * w)[1]
 
     def in_domain(self, w):
         return w < 0
@@ -288,11 +304,23 @@ class UserSeries(PotentialFamily):
     def d2(self, w):
         return self._derivative(2, w)
 
+    def _d2_jet(self, w):
+        """f'', f''' and f'''': Horner's rule on the coefficients of f'',
+        carrying its first two derivatives along in the order the dual of
+        ``d2`` rounds them."""
+        terms = [math.perm(k, 2) * c for k, c in enumerate(self.coeffs)][2:]
+        v, p, q = (terms.pop() if terms else 0.0), 0.0, 0.0
+        for b in reversed(terms):
+            q = p + p + q * w
+            p = v + p * w
+            v = v * w + b
+        return v, p, q
+
     def d3(self, w):
-        return self._derivative(3, w)
+        return self._d2_jet(w)[1]
 
     def d4(self, w):
-        return self._derivative(4, w)
+        return self._d2_jet(w)[2]
 
     def in_domain(self, w):
         return w != 0.0
