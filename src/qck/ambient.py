@@ -396,10 +396,28 @@ def potential_gates(space: AmbientSpace, family: PotentialFamily, w,
             f"inadmissible at w={w[j]:.6g}: f'={rep.f_prime[j]:.6g}, "
             f"f'+wf''={rep.f_prime_plus_wf2[j]:.6g}")))
     r2 = -w if space.lorentz else w
-    gates.append((r2 <= 0.0, lambda j: DomainError(
+    gates.append((~(r2 > 0.0), lambda j: DomainError(
         f"square norm {w[j]:.6g} has no radius on the {space.signature} "
         f"background")))
     return gates
+
+
+def _passes_gates(space: AmbientSpace, family: PotentialFamily, w: float,
+                  checked: bool) -> bool:
+    """Whether one square norm passes every gate of ``potential_gates``,
+    in float arithmetic.  A metric evaluation tests its point with this and
+    builds the gates only to name a failure: the gates cost more than the
+    float path of the evaluation itself.  It must agree with
+    ``potential_gates``, which the tests check on both sides of every
+    edge."""
+    if not (family.in_domain(w) and (w < 0.0 if space.lorentz else w > 0.0)):
+        return False
+    if not checked:
+        return True
+    w = np.float64(w)
+    with np.errstate(all="ignore"):
+        fp = family.d1(w)
+        return bool(_positive(space, fp, fp + w * family.d2(w)))
 
 
 # -- metric fields ------------------------------------------------------------
@@ -532,17 +550,10 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
 
     def ev(x):
         w = space.square_norm(x)
-        r2 = -w if space.lorentz else w
-        # a point that passes every gate is told apart in float arithmetic;
-        # the gates themselves name the failure of any other
-        wv = value(w)
-        ok = family.in_domain(wv) and value(r2) > 0.0
-        if ok and checked:
-            fp = family.d1(wv)
-            ok = _positive(space, fp, fp + wv * family.d2(wv))
-        if not ok:
-            raise_first(potential_gates(space, family, np.array([wv]),
+        if not _passes_gates(space, family, value(w), checked):
+            raise_first(potential_gates(space, family, np.array([value(w)]),
                                         checked))
+        r2 = -w if space.lorentz else w
         r = gsqrt(r2)
         fp = family.d1(w)
         fpp = family.d2(w)

@@ -11,9 +11,11 @@ from qck.ambient import (
     InverseFamily,
     LogFamily,
     UserSeries,
+    _passes_gates,
     admissibility,
     family_from_json,
     flat_metric,
+    potential_gates,
     potential_metric,
     radial_frame,
     radial_unit_jet,
@@ -185,6 +187,30 @@ class TestAdmissibility:
     def test_out_of_domain(self):
         rep = admissibility(L3, LogFamily(-1.0, 1.0), 2.0)
         assert not rep.in_domain and not rep.ok
+
+
+# square norms on both sides of every domain, light-cone and admissibility
+# edge of the families below
+EDGES = [0.0, -1.0, -2.25, -0.25, -0.5, 1.0, -1.0 / 3.0, 4.0, -4.0]
+GATE_NORMS = sorted({v for e in EDGES for v in (
+    e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))}
+    | set(np.linspace(-6.0, 6.0, 49).tolist()) | {math.nan})
+
+
+@pytest.mark.parametrize("family", [
+    LogFamily(-1.0, 1.0), LogFamily(-2.0, 1.5), DefiniteLogFamily(2.0, 1.0),
+    InverseFamily(), UserSeries((0.0, 1.0, 1.0)), UserSeries((0.0, -0.5)),
+    UserSeries((0.0, 1.0, 0.1))])
+@pytest.mark.parametrize("space", [L2, D2])
+@pytest.mark.parametrize("checked", [False, True])
+def test_float_gate_test_agrees_with_the_gates(family, space, checked):
+    # a metric evaluation tells a good point apart in float arithmetic and
+    # builds the gates only to name a failure
+    for w in GATE_NORMS:
+        with np.errstate(all="ignore"):
+            gates = potential_gates(space, family, np.array([w]), checked)
+        fails = any(bool(bad[0]) for bad, _ in gates)
+        assert _passes_gates(space, family, float(w), checked) is not fails, w
 
 
 def hessian_metric_oracle(space, family, x):
