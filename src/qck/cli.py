@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, apply_overrides, load_config
+from .curvature import kahler_defect
 from .errors import QckError
 from .qch import decompose_points
 from .rotational import bochner_meridian, const_hsc_profile
@@ -94,15 +95,17 @@ def cmd_check_potential(args) -> int:
         rep = res.admissibility
         entry.update(w=float(rep.w), in_domain=bool(rep.in_domain),
                      admissible=bool(rep.ok))
-        if res.kahler_defect is not None:
-            entry.update(min_eigenvalue=res.min_eigenvalue,
-                         kahler_defect=res.kahler_defect)
+        if res.bundle is not None:
+            jet = res.bundle.jet
+            entry.update(min_eigenvalue=float(np.linalg.eigvalsh(jet.G)[0]),
+                         kahler_defect=kahler_defect(jet))
         if res.error is not None:
             entry["error"] = _error_text(res.error)
             continue
         checks = {"admissible": bool(rep.ok),
-                  "positive": bool(res.min_eigenvalue > 0),
-                  "kahler": bool(res.kahler_defect < cfg.tolerance("kahler"))}
+                  "positive": bool(entry["min_eigenvalue"] > 0),
+                  "kahler": bool(entry["kahler_defect"]
+                                 < cfg.tolerance("kahler"))}
         failed = res.shape_error or res.fit_error
         if failed is None:
             entry["decomposition"] = res.decomposition.to_json()

@@ -35,8 +35,7 @@ from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       radial_unit_jets)
 from .core import adapted_complex_frame
 from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
-                        curvature_gate, curvature_tensors, kahler_defect,
-                        point_jets)
+                        curvature_gate, curvature_tensors, point_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
 from .tensors import Tensor4, fit_tensors, tensor4_fit
@@ -392,12 +391,12 @@ class PointResult:
     ``error`` is the first gate the point failed up to its radial unit field:
     the family's domain, admissibility (when checked), a radius, a finite
     jet, the condition of G, the curvature symmetries, and a space-like
-    radial direction.  A point past the curvature gate has the Kähler defect
-    and the least eigenvalue of G; one that passes them all has its
-    curvature ``bundle`` (whose jet is the point's) and the unit field
-    ``xi``.  With ``fit``, ``shape`` or ``shape_error`` say how its shape
-    data went, and ``fit`` = (a, b, c, residual) or ``fit_error`` how the
-    fit on the basis built on xi went; ``decomposition`` combines the two.
+    radial direction.  A point past the curvature gate has its curvature
+    ``bundle`` (whose jet is the point's); one that passes them all has the
+    unit field ``xi`` too.  With ``fit``, ``shape`` or ``shape_error`` say
+    how its shape data went, and ``fit`` = (a, b, c, residual) or
+    ``fit_error`` how the fit on the basis built on xi went;
+    ``decomposition`` combines the two.
     """
 
     point: np.ndarray
@@ -405,8 +404,6 @@ class PointResult:
     error: QckError | None = None
     bundle: CurvatureBundle | None = None
     xi: np.ndarray | None = None
-    kahler_defect: float | None = None
-    min_eigenvalue: float | None = None
     shape: ShapeData | None = None
     shape_error: QckError | None = None
     fit: tuple | None = None
@@ -452,10 +449,9 @@ def _decompose_chunk(space, family, metric, X, fit):
     R = curvature_tensors(jet)
     keep = sieve.drop([curvature_gate(R)])
     jet, R = jet.rows(keep), R[keep]
-    # a point whose unit field fails still reports these
-    stats = dict(zip(sieve.running.tolist(),
-                     zip(kahler_defect(jet).tolist(),
-                         np.linalg.eigvalsh(jet.G)[:, 0].tolist())))
+    # a point whose unit field fails still has its bundle
+    bundles = {i: CurvatureBundle(jet.rows(r), Tensor4(R[r]))
+               for r, i in enumerate(sieve.running.tolist())}
     xi, dxi, gates = radial_unit_jets(space, jet)
     keep = sieve.drop(gates)
     jet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
@@ -478,16 +474,13 @@ def _decompose_chunk(space, family, metric, X, fit):
     for i, x in enumerate(X):
         rep = AdmissibilityReport(*(a[i] for a in (
             adm.w, adm.f_prime, adm.f_prime_plus_wf2, adm.in_domain, adm.ok)))
-        kahler, least = stats.get(i, (None, None))
         r = rows.get(i)
         if r is None:
             yield PointResult(x, rep, error=sieve.errors[i],
-                              kahler_defect=kahler, min_eigenvalue=least)
+                              bundle=bundles.get(i))
             continue
         stages = {}
         if fit:
             stages = dict(shape=shapes.get(r), shape_error=shape_sieve.errors[r],
                           fit=fits.get(r), fit_error=fit_sieve.errors[r])
-        yield PointResult(
-            x, rep, bundle=CurvatureBundle(jet.rows(r), Tensor4(R[r])),
-            xi=xi[r], kahler_defect=kahler, min_eigenvalue=least, **stages)
+        yield PointResult(x, rep, bundle=bundles[i], xi=xi[r], **stages)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric, radial_frame)
-from .curvature import curvature_bundle, point_jet
+from .curvature import curvature_bundle, kahler_defect, point_jet
 from .qch import (bochner_flat, bochner_of_tensor, build_basis_tensors,
                   decompose_points)
 from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
@@ -124,7 +124,7 @@ def _crit_negative_class():
         pts = radial_points(space, count, 1.2, 3.0, seed=11 + n,
                             family=family)
         for res in _decompose_points(space, family, pts):
-            kd, dec = res.kahler_defect, res.decomposition
+            kd, dec = kahler_defect(res.bundle.jet), res.decomposition
             worst["kahler"] = max(worst["kahler"], kd)
             worst["residual"] = max(worst["residual"], dec.residual)
             worst["margin"] = max(worst["margin"], dec.a_plus_k2)

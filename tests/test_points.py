@@ -19,7 +19,7 @@ from qck import cli, qch
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, potential_metric,
                          radial_unit_jet)
-from qck.curvature import curvature_bundle, kahler_defect, point_jet
+from qck.curvature import curvature_bundle, point_jet
 from qck.errors import QckError
 from qck.qch import decompose, decompose_points, extract_shape_data
 from qck.sampling import point_at_radius, radial_points
@@ -52,12 +52,15 @@ def same(a, b):
         assert np.array_equal(v, vars(b.admissibility)[key], equal_nan=True)
     for name in ("error", "shape_error", "fit_error"):
         assert describe(getattr(a, name)) == describe(getattr(b, name))
-    assert (a.kahler_defect, a.min_eigenvalue, a.fit) == \
-        (b.kahler_defect, b.min_eigenvalue, b.fit)
+    assert a.fit == b.fit
     assert (a.bundle is None) == (b.bundle is None)
     if a.bundle is not None:
         assert np.array_equal(a.bundle.R.a, b.bundle.R.a)
-        assert np.array_equal(a.bundle.jet.d2G, b.bundle.jet.d2G)
+        for key in ("G", "dG", "d2G", "gamma"):
+            assert np.array_equal(getattr(a.bundle.jet, key),
+                                  getattr(b.bundle.jet, key))
+    assert (a.xi is None) == (b.xi is None)
+    if a.xi is not None:
         assert np.array_equal(a.xi, b.xi)
     assert (a.shape is None) == (b.shape is None)
     if a.shape is not None:
@@ -87,12 +90,13 @@ class TestParity:
         else:
             assert errors[2] == ("DomainError: square norm 4 has no radius on "
                                  "the lorentz background")
-            # past the curvature gate: the entry keeps its Kähler defect and
-            # eigenvalue, then fails on its unit field
+            # past the curvature gate: the entry keeps its bundle, then
+            # fails on its unit field
             assert errors[3] == ("FrameError: radial direction has "
                                  "non-positive square norm -1.200e+00")
             assert not batch[3].admissibility.ok
-            assert batch[3].min_eigenvalue < 0 and batch[3].kahler_defect < 1e-12
+            assert batch[3].bundle is not None and batch[3].xi is None
+            assert np.linalg.eigvalsh(batch[3].bundle.jet.G)[0] < 0
 
     def test_shape_error_keeps_its_fit(self):
         # inadmissible series points: one has no space-like complement
@@ -136,7 +140,6 @@ class TestParity:
                 continue
             assert res.first_error is None
             assert dec == res.decomposition
-            assert kahler_defect(jet) == res.kahler_defect
             assert np.array_equal(bundle.R.a, res.bundle.R.a)
 
 
@@ -191,8 +194,9 @@ def test_batch_matches_one_point(n, case, radii, seed):
         for name in ("error", "shape_error", "fit_error"):
             assert describe(getattr(got, name)) == describe(getattr(want, name))
         assert close(got.fit, want.fit)
-        for key in ("kahler_defect", "min_eigenvalue"):
-            assert close(getattr(got, key), getattr(want, key))
+        assert (got.bundle is None) == (want.bundle is None)
+        if want.bundle is not None:
+            assert close(got.bundle.R.a.ravel(), want.bundle.R.a.ravel())
         if want.shape is not None:
             assert close((got.shape.k, got.shape.p_star),
                          (want.shape.k, want.shape.p_star))
