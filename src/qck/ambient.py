@@ -18,12 +18,14 @@ Which path makes a jet: the metric field of ``potential_metric`` carries a
 closed-form rule over a points axis, ``potential_jets``.  With u = H x and
 v = J0 u the second term is 2 f''(w) A, A = u u^T + v v^T, so the partials of
 G are polynomials in x times f' ... f'''' at w, and every family gives its
-derivatives up to f'''' in closed form on arrays of w.  One call takes G, dG
+derivatives up to f'''' in closed form on arrays of w, f''' and f'''' in the
+operation order of the order-2 dual of f''.  One call takes G, dG
 and d2G at many points at once; ``curvature.point_jets`` makes a jet of
 them, and ``curvature.point_jet`` is its one-point case.  ``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
-and in a batch.  Every other metric field (flat, chart, pulled-back,
+and in a batch; the field's evaluation tests its point in float arithmetic
+first (``_passes_gates``).  Every other metric field (flat, chart, pulled-back,
 rotational) has no rule and is differentiated by duals.
 
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
