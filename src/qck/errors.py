@@ -68,15 +68,19 @@ class Sieve:
         self.errors: list[QckError | None] = [None] * count
         self.running = np.arange(count)
 
-    def drop(self, gates) -> np.ndarray:
+    def drop(self, gates) -> np.ndarray | slice:
         """Record for each running point the error of the first of ``gates``
-        it fails and return the mask of the running points that pass them
-        all; the caller narrows its arrays with it."""
+        it fails and return the index of the running points that pass them
+        all; the caller narrows its arrays with it.  The index is a mask, or
+        the whole slice when every point passes, so that arrays are narrowed
+        without a copy when no point dropped out."""
         keep = np.ones(len(self.running), dtype=bool)
         for bad, error in gates:
             for j in np.flatnonzero(keep & bad):
                 self.errors[self.running[j]] = error(j)
             keep &= ~bad
+        if keep.all():
+            return slice(None)
         self.running = self.running[keep]
         return keep
 

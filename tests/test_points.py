@@ -20,7 +20,7 @@ from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, potential_metric,
                          radial_unit_jet)
 from qck.curvature import curvature_bundle, point_jet
-from qck.errors import QckError
+from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose, decompose_points, extract_shape_data
 from qck.sampling import point_at_radius, radial_points
 
@@ -141,6 +141,19 @@ class TestParity:
             assert res.first_error is None
             assert dec == res.decomposition
             assert np.array_equal(bundle.R.a, res.bundle.R.a)
+
+
+def test_sieve_records_the_first_failure_and_narrows_only_past_one():
+    sieve = Sieve(3)
+    never = (np.zeros(3, dtype=bool), lambda j: DomainError("never"))
+    assert sieve.drop([never]) == slice(None)
+    keep = sieve.drop([
+        (np.array([False, True, False]), lambda j: DomainError(f"first {j}")),
+        (np.array([False, True, True]), lambda j: DomainError(f"second {j}"))])
+    assert keep.tolist() == [True, False, False]
+    assert sieve.running.tolist() == [0]
+    assert [describe(e) for e in sieve.errors] == [
+        None, "DomainError: first 1", "DomainError: second 2"]
 
 
 def test_points_must_match_the_chart():
