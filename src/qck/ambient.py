@@ -25,8 +25,8 @@ them, and ``curvature.point_jet`` is its one-point case.  ``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
 and in a batch; the field's evaluation tests its point in float arithmetic
-first (``_passes_gates``).  Every other metric field (flat, chart, pulled-back,
-rotational) has no rule and is differentiated by duals.
+first (``_passes_gates``).  Every other metric field (flat, chart,
+pulled-back, rotational) has no rule and is differentiated by duals.
 
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
 of the radial distribution, depends on the metric only through G and dG at
@@ -408,8 +408,8 @@ def _passes_gates(space: AmbientSpace, family: PotentialFamily, w: float,
                   checked: bool) -> bool:
     """Whether one square norm passes every gate of ``potential_gates``,
     in float arithmetic.  A metric evaluation tests its point with this and
-    builds the gates only to name a failure: the gates cost more than the
-    float path of the evaluation itself.  It must agree with
+    builds the gates only to name a failure: building and testing the gates
+    costs about as much as the float evaluation itself.  It must agree with
     ``potential_gates``, which the tests check on both sides of every
     edge."""
     if not (family.in_domain(w) and (w < 0.0 if space.lorentz else w > 0.0)):
