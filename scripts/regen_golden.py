@@ -2,8 +2,9 @@
 """Rewrite the golden reports under ``tests/golden/``.
 
 Runs a fixed grid of ``qck`` invocations in process through ``cli.main`` and
-stores, per invocation, the argv, the exit code, the parsed JSON of stdout
-and the stderr text.  ``tests/test_golden.py`` reruns the same grid and
+stores, per invocation, the argv, the exit code, stdout (a parsed JSON
+report, or a CSV table as its header and rows of floats) and the stderr
+text.  ``tests/test_golden.py`` reruns the same grid and
 compares against these files, so a change that moves a reported value shows
 as a failing test.
 
@@ -82,6 +83,20 @@ CASES = {
     # terms near 1e2, beyond the bound of the comparison
     + [["sasaki", "--family-h1", "--n", "4", "--q", q] for q in ("1", "2")],
     "verify": [["verify", "--json"]],
+    "meridian": [
+        ["meridian", "bochner", "--type", "II", "--c1", "1", "--c2", "0",
+         "--t0", "0.4", "--t1", "1.2", "--steps", "129"],
+        ["meridian", "bochner", "--type", "I", "--c1", "1", "--c2", "-2",
+         "--t0", "0.35", "--t1", "0.75", "--steps", "33"],
+        ["meridian", "bochner", "--c1", "0.5", "--c2", "1", "--t0", "0.3",
+         "--t1", "1.2", "--steps", "33", "--flip-q"],
+        ["meridian", "const-hsc", "--type", "II", "--a", "-1", "--t0", "0.5",
+         "--t1", "3", "--steps", "33"],
+        ["meridian", "const-hsc", "--type", "III", "--a", "-1", "--t0", "3",
+         "--t1", "5", "--steps", "129"],
+        ["meridian", "const-hsc", "--type", "III", "--a", "-1", "--t0", "3",
+         "--t1", "5", "--steps", "33", "--flip-q"],
+    ],
 }
 
 
@@ -92,6 +107,18 @@ def _drop_timings(obj):
     if isinstance(obj, list):
         return [_drop_timings(v) for v in obj]
     return obj
+
+
+def _parse_stdout(text):
+    """A JSON report without its timings, or a CSV table as its header and
+    rows of floats, so that table cells compare as numbers."""
+    if not text:
+        return None
+    if text.startswith("{"):
+        return _drop_timings(json.loads(text))
+    header, *rows = text.splitlines()
+    return {"header": header,
+            "rows": [[float(v) for v in row.split(",")] for row in rows]}
 
 
 def run_case(argv) -> dict:
@@ -105,10 +132,8 @@ def run_case(argv) -> dict:
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
-    text = out.getvalue()
     return {"argv": list(argv), "exit": code,
-            "stdout": _drop_timings(json.loads(text)) if text else None,
-            "stderr": err.getvalue()}
+            "stdout": _parse_stdout(out.getvalue()), "stderr": err.getvalue()}
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 ``scripts/regen_golden.py`` wrote ``tests/golden/*.json``; each case reruns
 here in process through ``cli.main``.  Keys, value types, strings (classes,
-error texts), booleans (``pass`` flags) and exit codes must match exactly.
+error texts, CSV headers), booleans (``pass`` flags) and exit codes must
+match exactly; the cells of a CSV table are stored as floats.
 Numbers must agree within ``REL_BOUND`` of max(1, |golden|): the largest
 difference seen between equivalent derivative paths was 1.4e-13 relative,
 in a + k^2 where a = -342 and k^2 = 330 cancel near an admissibility edge.
@@ -58,6 +59,14 @@ def test_reports_match_golden(name):
 
 class TestComparison:
     """The comparison itself fires on each kind of difference."""
+
+    def test_csv_cells_compare_as_numbers(self):
+        table = regen._parse_stdout("s,t\n0,0.5\n1e-3,0.75\n")
+        assert table == {"header": "s,t", "rows": [[0.0, 0.5], [1e-3, 0.75]]}
+        near = regen._parse_stdout("s,t\n1e-14,0.5\n1e-3,0.75\n")
+        far = regen._parse_stdout("s,t\n1e-12,0.5\n1e-3,0.75\n")
+        assert mismatches(near, table) == []
+        assert mismatches(far, table) == ["$.rows[0][0]: 1e-12 vs 0.0"]
 
     def test_numbers_within_bound_match(self):
         assert mismatches({"a": 1.0 + 1e-14}, {"a": 1.0}) == []
