@@ -171,14 +171,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_meridian(args) -> int:
+    if args.steps < 2:
+        raise ValueError("--steps must be at least 2")
     if args.profile == "bochner":
         profile = bochner_meridian(args.c1, args.c2, args.t0, args.t1,
                                    rotation_type=args.type,
-                                   steps=max(args.steps, 33),
                                    flip_q=args.flip_q)
     else:
         profile = const_hsc_profile(args.type, args.a, args.t0, args.t1,
-                                    steps=max(args.steps, 33),
                                     flip_q=args.flip_q)
     print(CSV_HEADER)
     for row in profile.rows(args.steps):

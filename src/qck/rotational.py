@@ -16,12 +16,13 @@ tensors with coefficients given in closed form by the meridian jets
 for types II and III.  ``embed_and_verify`` rebuilds the metric from an
 honest chart embedding and compares fitted coefficients with the formulas.
 
-scipy is imported inside the two functions that integrate and interpolate a
-meridian, so the commands that never build one do not pay its import.
+A profile keeps only its window and orientation: s = int dt / t' and Bochner
+q = int q' dt are integrated from t0 when read, by Gauss-Legendre panels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,9 @@ from .ambient import MetricField
 from .charts import LorentzGraphChart, SphereGraphChart
 from .core import apply_j0
 from .curvature import curvature_bundle, kahler_defect, point_jet, vector_jet
-from .duals import eval_with_partials, gatan, glog, gsqrt, solve_generic, value
-from .errors import (ChartError, DomainError, NumericalBreakdown,
-                     TypeConstraintError)
+from .duals import (MultiDual, eval_with_partials, gatan, glog, gsqrt,
+                    solve_generic, value)
+from .errors import ChartError, DomainError, TypeConstraintError
 from .qch import QCDecomposition, decompose, extract_shape_data
 
 ROTATION_TYPES = ("I", "II", "III")
@@ -41,28 +42,35 @@ ROTATION_TYPES = ("I", "II", "III")
 TYPE_TOL = 1e-10
 # radii at which ``MeridianProfile.natural_defect`` tests the constraint
 NATURAL_SAMPLES = 33
+# equal panels of a meridian integral, and Gauss-Legendre nodes per panel
+PANELS = 8
+GL_POINTS = 10
 # spread of the sphere chart coordinates drawn by ``embed_and_verify``
 Y_SCALE = 0.2
 
 
+@functools.cache
+def _gauss_legendre():
+    # built on first use: importing numpy.polynomial costs every command 2 MB
+    return np.polynomial.legendre.leggauss(GL_POINTS)
+
+
 def check_rotation_type(rotation_type: str, t: float, tp: float) -> None:
-    """Defining constraint of the rotation type at one meridian sample."""
+    """Defining constraint of the rotation type at one meridian sample;
+    a NaN or infinite t' fails every band."""
     if rotation_type not in ROTATION_TYPES:
         raise TypeConstraintError(f"unknown rotation type {rotation_type!r}")
-    if t <= 0:
+    if not t > 0:
         raise TypeConstraintError(f"sphere radius t = {t:.6g} must be positive")
     if rotation_type == "I":
-        if not (TYPE_TOL < tp <= 1.0 + TYPE_TOL):
-            raise TypeConstraintError(
-                f"type I needs 0 < t' <= 1, got t' = {tp:.6g} at t = {t:.6g}")
+        ok, band = TYPE_TOL < tp <= 1.0 + TYPE_TOL, "0 < t' <= 1"
     elif rotation_type == "II":
-        if tp < 1.0 - TYPE_TOL:
-            raise TypeConstraintError(
-                f"type II needs t' >= 1, got t' = {tp:.6g} at t = {t:.6g}")
+        ok, band = 1.0 - TYPE_TOL <= tp < math.inf, "finite t' >= 1"
     else:
-        if tp > -1.0 + TYPE_TOL:
-            raise TypeConstraintError(
-                f"type III needs t' <= -1, got t' = {tp:.6g} at t = {t:.6g}")
+        ok, band = -math.inf < tp <= -1.0 + TYPE_TOL, "finite t' <= -1"
+    if not ok:
+        raise TypeConstraintError(f"type {rotation_type} needs {band}, "
+                                  f"got t' = {tp:.6g} at t = {t:.6g}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,12 @@ class BochnerFamily:
         ddp = 12.0 * self.c1 * t ** 2 + 2.0 * self.c2
         return p, dp * p, (ddp * p + dp * dp) * p
 
+    def turning_points(self) -> tuple:
+        """Radii t > 0 where t' is stationary: t^2 = -c2 / (2 c1)."""
+        if self.c1 == 0.0 or not -self.c2 / self.c1 > 0.0:
+            return ()
+        return (math.sqrt(-self.c2 / (2.0 * self.c1)),)
+
     def describe(self) -> str:
         return f"bochner(c1={self.c1:g}, c2={self.c2:g})"
 
@@ -172,6 +186,10 @@ class ConstHSC:
         ddp = dp / t if t != 0 else 0.0  # dp is linear in t
         return p, dp * p, (ddp * p + dp * dp) * p
 
+    def turning_points(self) -> tuple:
+        """t' = 1 -+ a t^2 / 4 is monotone for t > 0."""
+        return ()
+
     def min_radius(self) -> float:
         if self.rotation_type == "II":
             return 0.0
@@ -197,8 +215,9 @@ class ConstHSC:
 # -- meridian profiles ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class MeridianProfile:
-    """A typed meridian with its natural-parameter data on a radius window.
+    """A typed meridian on the radius window [t0, t1].
 
     ``sign`` orients dq/dt: the default profiles use q' = + sqrt(|t'^2 - 1|)
     (types II, III) or q' = + sqrt(1 - t'^2) (type I); a reflected profile
@@ -206,136 +225,118 @@ class MeridianProfile:
     every curvature output is independent of it.
     """
 
-    def __init__(self, rotation_type: str, source, s_grid, t_grid, q_grid,
-                 sign: float = 1.0):
-        if rotation_type not in ROTATION_TYPES:
-            raise TypeConstraintError(f"unknown rotation type {rotation_type!r}")
-        from scipy.interpolate import CubicSpline
-
-        self.rotation_type = rotation_type
-        self.source = source
-        self.s_grid = np.asarray(s_grid, float)
-        self.t_grid = np.asarray(t_grid, float)
-        self.q_grid = np.asarray(q_grid, float)
-        self.sign = float(sign)
-        tail = np.argsort(self.t_grid)
-        self._s_of_t = CubicSpline(self.t_grid[tail], self.s_grid[tail])
-        self._q_of_t = CubicSpline(self.t_grid[tail], self.q_grid[tail])
-
-    @property
-    def t_range(self):
-        return float(self.t_grid.min()), float(self.t_grid.max())
+    rotation_type: str
+    source: object
+    t0: float
+    t1: float
+    sign: float = 1.0
 
     def _check_t(self, t: float) -> float:
         t = float(t)
-        lo, hi = self.t_range
-        pad = 1e-9 * max(1.0, hi)
-        if not (lo - pad <= t <= hi + pad):
+        pad = 1e-9 * max(1.0, self.t1)
+        if not (self.t0 - pad <= t <= self.t1 + pad):
             raise DomainError(f"t = {t:.6g} outside the profile window "
-                              f"[{lo:.6g}, {hi:.6g}]")
+                              f"[{self.t0:.6g}, {self.t1:.6g}]")
         return t
 
+    def _integral(self, f, ts):
+        """int_{t0}^{t} f for every t of ``ts``.  f is called once per panel,
+        on its nodes for every t, so a long table holds one panel at a time."""
+        x, w = _gauss_legendre()
+        half = 0.5 * (np.asarray(ts, float) - self.t0) / PANELS
+        total = 0.0
+        for k in range(PANELS):
+            total = total + f(self.t0 + half[:, None] * (2 * k + 1 + x)) @ w
+        return half * total
+
+    def _s(self, ts):
+        return self._integral(lambda x: 1.0 / self.source.tp(x), ts)
+
+    def _q(self, ts):
+        if self.source.kind == "const-hsc":
+            return np.array([float(self._closed_q(t)) for t in ts])
+        return self._integral(self.dqdt, ts)
+
+    def _closed_q(self, t):
+        # the closed-form q of a const-hsc source, in this profile's orientation
+        closed_sign = 1.0 if self.rotation_type == "II" else -1.0
+        return self.sign * closed_sign * self.source.q_closed(t)
+
     def s_of_t(self, t: float) -> float:
-        return float(self._s_of_t(self._check_t(t)))
+        return float(self._s([self._check_t(t)])[0])
 
     def q_of_t(self, t: float) -> float:
-        return float(self._q_of_t(self._check_t(t)))
-
-    def jets_at(self, t: float):
-        return self.source.jets(self._check_t(t))
+        return float(self._q([self._check_t(t)])[0])
 
     def dqdt(self, t):
-        """Generic dq/dt from the type constraint; sign per the profile."""
+        """dq/dt from the type constraint, sign per the profile; on floats
+        and arrays the radicand is clamped at 0 against rounding."""
         tp = self.source.tp(t)
-        if self.rotation_type == "I":
-            root = gsqrt(1.0 - tp * tp)
+        gap = 1.0 - tp * tp if self.rotation_type == "I" else tp * tp - 1.0
+        if isinstance(gap, MultiDual):
+            root = gsqrt(gap)
         else:
-            root = gsqrt(tp * tp - 1.0)
+            root = np.sqrt(np.maximum(gap, 0.0))
         return self.sign * root / tp
 
     def coefficients_at(self, t: float) -> CoefficientTriple:
-        tp, tpp, tppp = self.jets_at(t)
-        return qc_coefficients(self.rotation_type, float(t), tp, tpp, tppp)
+        t = self._check_t(t)
+        return qc_coefficients(self.rotation_type, t, *self.source.jets(t))
 
     def natural_defect(self) -> float:
         """Largest violation of the defining constraint between t' and q'
         over ``NATURAL_SAMPLES`` radii of the window.
 
-        Closed-form sources are differentiated directly (the q formula is
-        checked against the t' formula); the Bochner family takes q' from
-        the constraint itself, so its defect only reflects the stored grids.
+        Closed-form q is differentiated directly and checked against t';
+        the Bochner family takes q' from the constraint itself, so its
+        defect is rounding alone.
         """
         out = 0.0
-        lo, hi = self.t_range
-        for t in np.linspace(lo, hi, NATURAL_SAMPLES):
+        for t in np.linspace(self.t0, self.t1, NATURAL_SAMPLES):
             tp = self.source.jets(t)[0]
             if self.source.kind == "const-hsc":
                 _, cols = eval_with_partials(
-                    lambda args: [self.source.q_closed(args[0])], [float(t)])
-                qp = cols[0][0] * tp * self.sign * self._closed_sign()
+                    lambda args: [self._closed_q(args[0])], [float(t)])
+                qp = cols[0][0] * tp
             else:
-                qp = float(value(self.dqdt(t))) * tp
+                qp = float(self.dqdt(t)) * tp
             out = max(out, self._constraint_defect(tp, qp))
         return out
 
-    def _closed_sign(self) -> float:
-        # orientation of the stored grid relative to the closed-form q
-        return 1.0 if self.rotation_type == "II" else -1.0
-
     def _constraint_defect(self, tp: float, qp: float) -> float:
+        # types II and III share the constraint t'^2 - q'^2 = 1
         if self.rotation_type == "I":
             return abs(tp * tp + qp * qp - 1.0)
-        if self.rotation_type == "II":
-            return abs(tp * tp - qp * qp - 1.0)
-        return abs(qp * qp - tp * tp + 1.0)
+        return abs(tp * tp - qp * qp - 1.0)
 
     def rows(self, count: int = 9):
         """Meridian table: (s, t, q, tp, tpp, a, b, c, k, a_plus_k2)."""
-        lo, hi = self.t_range
+        ts = np.linspace(self.t0, self.t1, count)
         out = []
-        for t in np.linspace(lo, hi, count):
-            tp, tpp, _ = self.jets_at(t)
-            co = self.coefficients_at(t)
-            out.append((self.s_of_t(t), float(t), self.q_of_t(t), tp, tpp,
+        for s, t, q in zip(self._s(ts), ts, self._q(ts)):
+            tp, tpp, tppp = self.source.jets(t)
+            co = qc_coefficients(self.rotation_type, float(t), tp, tpp, tppp)
+            out.append((float(s), float(t), float(q), tp, tpp,
                         co.a, co.b, co.c, co.k, co.a_plus_k2))
         return out
 
-    def describe(self) -> str:
-        lo, hi = self.t_range
-        return (f"type {self.rotation_type} meridian, {self.source.describe()}, "
-                f"t in [{lo:g}, {hi:g}]")
 
-
-def _window_check(rotation_type: str, source, t0: float, t1: float,
-                  steps: int) -> None:
+def _window_check(rotation_type: str, source, t0: float, t1: float) -> None:
+    """The type band on the whole window.  t' is smooth, so its extremes on
+    [t0, t1] lie at the ends or at a turning point inside."""
     if not (0.0 < t0 < t1):
         raise DomainError(f"bad radius window [{t0}, {t1}]")
-    for t in np.linspace(t0, t1, 4 * steps + 1):
-        check_rotation_type(rotation_type, float(t), source.jets(float(t))[0])
-
-
-def _integrate_meridian(rotation_type: str, source, t0: float, t1: float,
-                        steps: int, sign: float):
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, _y):
-        tp = source.jets(float(t))[0]
-        if rotation_type == "I":
-            root = math.sqrt(max(0.0, 1.0 - tp * tp))
-        else:
-            root = math.sqrt(max(0.0, tp * tp - 1.0))
-        return [1.0 / tp, sign * root / tp]
-
-    grid = np.linspace(t0, t1, steps)
-    sol = solve_ivp(rhs, (t0, t1), [0.0, 0.0], t_eval=grid, rtol=1e-12,
-                    atol=1e-14, method="DOP853")
-    if not sol.success:
-        raise NumericalBreakdown(f"meridian quadrature failed: {sol.message}")
-    return sol.t, sol.y[0], sol.y[1]
+    inside = [t for t in source.turning_points() if t0 < t < t1]
+    for t in (t0, *inside, t1):
+        try:
+            tp = source.jets(t)[0]
+        except OverflowError:
+            raise DomainError(f"t' overflows at t = {t:.6g}") from None
+        check_rotation_type(rotation_type, t, tp)
 
 
 def bochner_meridian(c1: float, c2: float, t0: float, t1: float,
-                     rotation_type: str = "II", steps: int = 257,
+                     rotation_type: str = "II",
                      flip_q: bool = False) -> MeridianProfile:
     """Bochner-flat meridian profile on [t0, t1].
 
@@ -343,30 +344,26 @@ def bochner_meridian(c1: float, c2: float, t0: float, t1: float,
     allowed by the requested rotation type anywhere on the window.
     """
     source = BochnerFamily(c1, c2)
-    _window_check(rotation_type, source, t0, t1, steps)
-    sign = -1.0 if flip_q else 1.0
-    tg, sg, qg = _integrate_meridian(rotation_type, source, t0, t1, steps, sign)
-    return MeridianProfile(rotation_type, source, sg, tg, qg, sign=sign)
+    _window_check(rotation_type, source, t0, t1)
+    return MeridianProfile(rotation_type, source, float(t0), float(t1),
+                           sign=-1.0 if flip_q else 1.0)
 
 
 def const_hsc_profile(rotation_type: str, a: float, t0: float, t1: float,
-                      steps: int = 257, flip_q: bool = False) -> MeridianProfile:
+                      flip_q: bool = False) -> MeridianProfile:
     """Profile of constant holomorphic sectional curvature a on [t0, t1].
 
-    q comes from the closed formula (so the stored grid matches
-    ``ConstHSC.q_closed`` exactly); s from quadrature with s(t0) = 0.
+    q is ``ConstHSC.q_closed`` (negated by ``flip_q``); s is integrated with
+    s(t0) = 0.
     """
     source = ConstHSC(a, rotation_type)
     if rotation_type == "III" and t0 < source.min_radius() - 1e-12:
         raise DomainError(
             f"type III window must start at or above {source.min_radius():.6g}")
-    _window_check(rotation_type, source, t0, t1, steps)
+    _window_check(rotation_type, source, t0, t1)
     closed_sign = 1.0 if rotation_type == "II" else -1.0
-    sign = closed_sign * (-1.0 if flip_q else 1.0)
-    flip = -1.0 if flip_q else 1.0
-    tg, sg, _ = _integrate_meridian(rotation_type, source, t0, t1, steps, sign)
-    qg = np.array([flip * float(source.q_closed(t)) for t in tg])
-    return MeridianProfile(rotation_type, source, sg, tg, qg, sign=sign)
+    return MeridianProfile(rotation_type, source, float(t0), float(t1),
+                           sign=closed_sign * (-1.0 if flip_q else 1.0))
 
 
 # -- chart embeddings ----------------------------------------------------------
@@ -529,7 +526,7 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
     Sphere chart draws that land outside the chart margin are redrawn.
     """
     metric, xi_field, sphere = rotation_metric(profile, n)
-    lo, hi = profile.t_range
+    lo, hi = profile.t0, profile.t1
     pad = 0.08 * (hi - lo)
     rng = np.random.default_rng(seed)
     pts = []

@@ -183,6 +183,33 @@ class TestMeridianCSV:
         assert rep["error"] == "TypeConstraintError"
         assert rep["schema_version"] == 1
 
+    def test_nan_coefficient_exits_one(self, capsys):
+        code, out, _ = run_cli(capsys, ["meridian", "bochner", "--c1", "nan",
+                                        "--c2", "0", "--t0", "0.4",
+                                        "--t1", "1.2"])
+        assert code == 1
+        assert json.loads(out)["error"] == "TypeConstraintError"
+
+    def test_overflowing_window_exits_one(self, capsys):
+        code, out, _ = run_cli(capsys, ["meridian", "bochner", "--c1", "1",
+                                        "--c2", "0", "--t0", "0.4",
+                                        "--t1", "1e300", "--steps", "3"])
+        assert code == 1
+        assert json.loads(out)["error"] in ("DomainError",
+                                            "TypeConstraintError")
+
+    @pytest.mark.parametrize("steps", ["0", "1", "-3"])
+    @pytest.mark.parametrize("profile", [
+        ["bochner", "--c1", "1", "--c2", "0", "--t0", "0.4", "--t1", "1.2"],
+        ["const-hsc", "--a", "-1", "--t0", "0.5", "--t1", "3"],
+    ])
+    def test_too_few_steps_exit_two(self, capsys, profile, steps):
+        code, out, err = run_cli(capsys, ["meridian", *profile,
+                                          "--steps", steps])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --steps must be at least 2\n"
+
     def test_const_hsc_domain_error(self, capsys):
         code, out, _ = run_cli(capsys, ["meridian", "const-hsc", "--type", "III",
                                         "--a", "-1", "--t0", "1.0",
@@ -525,9 +552,17 @@ class TestParser:
         assert [code for code, _, _ in cached] == [0, 0]
 
     def test_import_loads_no_scipy(self):
-        # only the meridian paths integrate and interpolate
-        code = ("import sys, qck.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        # not on import, and not in the commands that integrate meridians
+        code = (
+            "import contextlib, io, sys, qck.cli\n"
+            "for argv in (['verify'],\n"
+            "             ['meridian', 'bochner', '--c1', '1', '--c2', '0',\n"
+            "              '--t0', '0.4', '--t1', '1.2', '--steps', '5'],\n"
+            "             ['meridian', 'const-hsc', '--a', '-1', '--t0', '0.5',\n"
+            "              '--t1', '3', '--steps', '5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qck.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = str(Path(cli.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src},

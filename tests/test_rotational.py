@@ -16,27 +16,33 @@ Q2_ORACLE = 1.3905620875658997  # type II, a = -1, t = 1
 Q3_ORACLE = 0.07270478199838769  # type III, a = -1, t = 3
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestTypeConstraint:
-    def test_type_one_band(self):
+    @pytest.mark.parametrize("bad", (1.2, -0.1) + NON_FINITE)
+    def test_type_one_band(self, bad):
         check_rotation_type("I", 0.5, 0.7)
         check_rotation_type("I", 0.5, 1.0)
         with pytest.raises(TypeConstraintError):
-            check_rotation_type("I", 0.5, 1.2)
-        with pytest.raises(TypeConstraintError):
-            check_rotation_type("I", 0.5, -0.1)
+            check_rotation_type("I", 0.5, bad)
 
-    def test_type_two_band(self):
+    @pytest.mark.parametrize("bad", (0.99,) + NON_FINITE)
+    def test_type_two_band(self, bad):
         check_rotation_type("II", 1.0, 1.0)
         check_rotation_type("II", 1.0, 3.7)
         with pytest.raises(TypeConstraintError):
-            check_rotation_type("II", 1.0, 0.99)
+            check_rotation_type("II", 1.0, bad)
 
-    def test_type_three_band(self):
+    @pytest.mark.parametrize("bad", (-0.5, 1.25) + NON_FINITE)
+    def test_type_three_band(self, bad):
         check_rotation_type("III", 3.0, -1.25)
         with pytest.raises(TypeConstraintError):
-            check_rotation_type("III", 3.0, -0.5)
+            check_rotation_type("III", 3.0, bad)
+
+    def test_nan_radius(self):
         with pytest.raises(TypeConstraintError):
-            check_rotation_type("III", 3.0, 1.25)
+            check_rotation_type("II", math.nan, 1.5)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(TypeConstraintError):
@@ -151,11 +157,14 @@ class TestConstHSCClosedForm:
             ConstHSC(1.0, "II")
 
 
+WINDOW = np.linspace(0.5, 1.5, 33)
+
+
 class TestBochnerMeridian:
     def test_natural_parameter(self):
         prof = bochner_meridian(1.0, 0.0, 0.5, 1.5)
         assert prof.natural_defect() < 1e-9
-        assert np.all(np.diff(prof.s_grid) > 0)
+        assert np.all(np.diff([prof.s_of_t(t) for t in WINDOW]) > 0)
 
     def test_arc_length_slope(self):
         prof = bochner_meridian(0.5, 1.0, 0.5, 1.5)
@@ -173,7 +182,8 @@ class TestBochnerMeridian:
         assert prof.rotation_type == "I"
         assert prof.natural_defect() < 1e-9
         # q' = + sqrt(1 - t'^2) > 0 by default orientation
-        assert np.all(np.diff(prof.q_grid) > 0)
+        ts = np.linspace(0.35, 0.75, 33)
+        assert np.all(np.diff([prof.q_of_t(t) for t in ts]) > 0)
 
     def test_type_one_rejects_steep_family(self):
         with pytest.raises(TypeConstraintError):
@@ -182,7 +192,9 @@ class TestBochnerMeridian:
     def test_flip_q_reflects_profile(self):
         base = bochner_meridian(1.0, 0.0, 0.5, 1.5)
         flip = bochner_meridian(1.0, 0.0, 0.5, 1.5, flip_q=True)
-        assert flip.q_grid[-1] == pytest.approx(-base.q_grid[-1], rel=1e-12)
+        for t in WINDOW[1:]:
+            assert flip.q_of_t(t) == pytest.approx(-base.q_of_t(t), rel=1e-12)
+            assert flip.s_of_t(t) == base.s_of_t(t)
         ca = base.coefficients_at(1.0)
         cb = flip.coefficients_at(1.0)
         assert ca.a == cb.a and ca.b == cb.b and ca.c == cb.c
@@ -199,6 +211,63 @@ class TestBochnerMeridian:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             bochner_meridian(1.0, 0.0, 1.5, 0.5)
+
+    def test_window_band_at_turning_point(self):
+        # t' = t^4 - 3 t^2 + 1 is 0.3125 at t0 and 0.68 at t1, inside the
+        # type I band, but -1.25 at the turning point t^2 = 1.5 between
+        assert 0.5 < BochnerFamily(1.0, -3.0).turning_points()[0] < 1.7
+        with pytest.raises(TypeConstraintError):
+            bochner_meridian(1.0, -3.0, 0.5, 1.7, rotation_type="I")
+
+    def test_turning_points(self):
+        assert BochnerFamily(1.0, -2.0).turning_points() == (1.0,)
+        assert BochnerFamily(1.0, 2.0).turning_points() == ()
+        assert BochnerFamily(0.0, 2.0).turning_points() == ()
+        assert BochnerFamily(1.0, 0.0).turning_points() == ()
+        assert ConstHSC(-1.0, "II").turning_points() == ()
+
+
+class TestMeridianIntegrals:
+    """s(t) and q(t) against closed forms and mpmath, 1e-14 absolute."""
+
+    @pytest.mark.parametrize("rotation_type,t0,t1,antiderivative", [
+        # t' = 1 + t^2 / 4
+        ("II", 0.5, 3.0, lambda t: 2.0 * math.atan(t / 2.0)),
+        ("II", 0.7, 2.8, lambda t: 2.0 * math.atan(t / 2.0)),
+        # t' = 1 - t^2 / 4
+        ("III", 3.0, 5.0, lambda t: math.log((t + 2.0) / (t - 2.0))),
+    ])
+    def test_const_hsc_s_closed_form(self, rotation_type, t0, t1,
+                                     antiderivative):
+        prof = const_hsc_profile(rotation_type, -1.0, t0, t1)
+        for t in np.linspace(t0, t1, 17):
+            want = antiderivative(t) - antiderivative(t0)
+            assert abs(prof.s_of_t(t) - want) < 1e-14
+
+    # (c1, c2, type, t0, t1, flip_q, t, s, q) with s and q from mpmath at 40
+    # digits; for the first row, with tp = lambda x: x**4 + 1,
+    #   mp.quad(lambda x: 1 / tp(x), [0.4, 0.8])
+    #   mp.quad(lambda x: mp.sqrt(tp(x)**2 - 1) / tp(x), [0.4, 0.8])
+    # (type I integrates mp.sqrt(1 - tp(x)**2); flip_q negates q)
+    BOCHNER_REFS = [
+        (1.0, 0.0, "II", 0.4, 1.2, False, 0.8,
+         0.34816478551628086, 0.18580556179338157),
+        (1.0, 0.0, "II", 0.4, 1.2, False, 1.2,
+         0.55061817010965926, 0.52668956854566578),
+        (1.0, -2.0, "I", 0.35, 0.75, False, 0.6,
+         0.43317151371407511, 0.34915003234442662),
+        (0.5, 1.0, "II", 0.3, 1.2, True, 1.2,
+         0.53060849867917341, -0.69156279089416903),
+    ]
+
+    @pytest.mark.parametrize("c1,c2,rotation_type,t0,t1,flip_q,t,s,q",
+                             BOCHNER_REFS)
+    def test_bochner_against_mpmath(self, c1, c2, rotation_type, t0, t1,
+                                    flip_q, t, s, q):
+        prof = bochner_meridian(c1, c2, t0, t1, rotation_type=rotation_type,
+                                flip_q=flip_q)
+        assert abs(prof.s_of_t(t) - s) < 1e-14
+        assert abs(prof.q_of_t(t) - q) < 1e-14
 
 
 class TestConstHSCProfile:
