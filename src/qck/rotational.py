@@ -17,7 +17,8 @@ for types II and III.  ``embed_and_verify`` rebuilds the metric from an
 honest chart embedding and compares fitted coefficients with the formulas.
 
 A profile keeps only its window and orientation: s = int dt / t' and Bochner
-q = int q' dt are integrated from t0 when read, by Gauss-Legendre panels.
+q = int q' dt are integrated from t0 when read, by Gauss-Legendre panels that
+are halved until their estimates settle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .core import apply_j0
 from .curvature import curvature_bundle, kahler_defect, point_jet, vector_jet
 from .duals import (MultiDual, eval_with_partials, gatan, glog, gsqrt,
                     solve_generic, value)
-from .errors import ChartError, DomainError, TypeConstraintError
+from .errors import (ChartError, DomainError, NumericalBreakdown,
+                     TypeConstraintError)
 from .qch import QCDecomposition, decompose, extract_shape_data
 
 ROTATION_TYPES = ("I", "II", "III")
@@ -45,14 +47,54 @@ NATURAL_SAMPLES = 33
 # equal panels of a meridian integral, and Gauss-Legendre nodes per panel
 PANELS = 8
 GL_POINTS = 10
+# tolerances of a meridian integral on one panel, and how often it may halve
+QUAD_ATOL = 1e-15
+QUAD_RTOL = 1e-13
+MAX_HALVINGS = 40
 # spread of the sphere chart coordinates drawn by ``embed_and_verify``
 Y_SCALE = 0.2
 
 
 @functools.cache
 def _gauss_legendre():
-    # built on first use: importing numpy.polynomial costs every command 2 MB
+    # built on first use: importing numpy.polynomial adds 0.7-1.0 MB of peak
+    # RSS to every command, also to those that integrate no meridian
     return np.polynomial.legendre.leggauss(GL_POINTS)
+
+
+def _adaptive(f, tp, cuts):
+    """int f over each piece [cuts[i], cuts[i + 1]] of a meridian with slope
+    t' = tp(t).  A piece is halved until its Gauss-Legendre estimate and the
+    sum over its halves agree within QUAD_ATOL + QUAD_RTOL * int |f| / min(1,
+    |t'|); that sum is kept.  The factor 1/|t'| is the rounding of f where t'
+    cancels, near the lower edge of the type I band."""
+    x, w = _gauss_legendre()
+
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        nodes = 0.5 * (a + b)[:, None] + half[:, None] * x
+        vals = f(nodes)
+        mass = np.abs(vals) / np.minimum(1.0, np.abs(tp(nodes)))
+        return half * (vals @ w), np.abs(half) * (mass @ w)
+
+    a, b, owner = cuts[:-1], cuts[1:], np.arange(cuts.size - 1)
+    whole, out = rule(a, b)[0], np.zeros(cuts.size - 1)
+    for _ in range(MAX_HALVINGS):
+        mid = 0.5 * (a + b)
+        (left, lmass), (right, rmass) = rule(a, mid), rule(mid, b)
+        fine = left + right
+        if not np.all(np.isfinite(fine)):
+            raise NumericalBreakdown("meridian integrand is not finite")
+        more = np.abs(fine - whole) > QUAD_ATOL + QUAD_RTOL * (lmass + rmass)
+        np.add.at(out, owner[~more], fine[~more])
+        if not more.any():
+            return out
+        if more.sum() > 2 * cuts.size:  # bounds the work of a bad integrand
+            break
+        a, b = np.r_[a[more], mid[more]], np.r_[mid[more], b[more]]
+        owner, whole = np.tile(owner[more], 2), np.r_[left[more], right[more]]
+    raise NumericalBreakdown(
+        f"meridian integral unresolved near t = {mid[more][0]:.6g}")
 
 
 def check_rotation_type(rotation_type: str, t: float, tp: float) -> None:
@@ -129,13 +171,15 @@ class BochnerFamily:
 
     def tp(self, t):
         t2 = t * t
-        return self.c1 * t2 * t2 + self.c2 * t2 + 1.0
+        return (self.c1 * t2 + self.c2) * t2 + 1.0
 
     def jets(self, t: float):
+        # float products overflow to inf where t ** 4 would raise
         t = float(t)
-        p = self.c1 * t ** 4 + self.c2 * t ** 2 + 1.0
-        dp = 4.0 * self.c1 * t ** 3 + 2.0 * self.c2 * t
-        ddp = 12.0 * self.c1 * t ** 2 + 2.0 * self.c2
+        t2 = t * t
+        p = self.tp(t)
+        dp = (4.0 * self.c1 * t2 + 2.0 * self.c2) * t
+        ddp = 12.0 * self.c1 * t2 + 2.0 * self.c2
         return p, dp * p, (ddp * p + dp * dp) * p
 
     def turning_points(self) -> tuple:
@@ -176,14 +220,8 @@ class ConstHSC:
 
     def jets(self, t: float):
         t = float(t)
-        a = self.a
-        if self.rotation_type == "II":
-            p = 1.0 - 0.25 * a * t * t
-            dp = -0.5 * a * t
-        else:
-            p = 1.0 + 0.25 * a * t * t
-            dp = 0.5 * a * t
-        ddp = dp / t if t != 0 else 0.0  # dp is linear in t
+        ddp = -0.5 * self.a if self.rotation_type == "II" else 0.5 * self.a
+        p, dp = self.tp(t), ddp * t
         return p, dp * p, (ddp * p + dp * dp) * p
 
     def turning_points(self) -> tuple:
@@ -240,14 +278,21 @@ class MeridianProfile:
         return t
 
     def _integral(self, f, ts):
-        """int_{t0}^{t} f for every t of ``ts``.  f is called once per panel,
-        on its nodes for every t, so a long table holds one panel at a time."""
-        x, w = _gauss_legendre()
-        half = 0.5 * (np.asarray(ts, float) - self.t0) / PANELS
-        total = 0.0
-        for k in range(PANELS):
-            total = total + f(self.t0 + half[:, None] * (2 * k + 1 + x)) @ w
-        return half * total
+        """int_{t0}^{t} f for every t of ``ts``, as the running sum over the
+        pieces between t0, every t, the turning points of t' and the ends of
+        ``PANELS`` equal panels of the window."""
+        ts = np.asarray(ts, float)
+        if not ts.size:
+            return ts
+        lo, hi = min(self.t0, ts.min()), max(self.t0, ts.max())
+        inner = np.concatenate([np.linspace(self.t0, self.t1, PANELS + 1),
+                                self.source.turning_points()])
+        cuts = np.unique(np.concatenate(
+            [[self.t0], ts, inner[(lo < inner) & (inner < hi)]]))
+        pieces = _adaptive(f, self.source.tp, cuts)
+        total = np.concatenate([[0.0], np.cumsum(pieces)])
+        return (total[np.searchsorted(cuts, ts)]
+                - total[np.searchsorted(cuts, self.t0)])
 
     def _s(self, ts):
         return self._integral(lambda x: 1.0 / self.source.tp(x), ts)
@@ -293,21 +338,17 @@ class MeridianProfile:
         """
         out = 0.0
         for t in np.linspace(self.t0, self.t1, NATURAL_SAMPLES):
-            tp = self.source.jets(t)[0]
+            tp = self.source.tp(t)
             if self.source.kind == "const-hsc":
                 _, cols = eval_with_partials(
                     lambda args: [self._closed_q(args[0])], [float(t)])
                 qp = cols[0][0] * tp
             else:
                 qp = float(self.dqdt(t)) * tp
-            out = max(out, self._constraint_defect(tp, qp))
+            # types II and III share the constraint t'^2 - q'^2 = 1
+            qp2 = qp * qp if self.rotation_type == "I" else -qp * qp
+            out = max(out, abs(tp * tp + qp2 - 1.0))
         return out
-
-    def _constraint_defect(self, tp: float, qp: float) -> float:
-        # types II and III share the constraint t'^2 - q'^2 = 1
-        if self.rotation_type == "I":
-            return abs(tp * tp + qp * qp - 1.0)
-        return abs(tp * tp - qp * qp - 1.0)
 
     def rows(self, count: int = 9):
         """Meridian table: (s, t, q, tp, tpp, a, b, c, k, a_plus_k2)."""
@@ -328,11 +369,7 @@ def _window_check(rotation_type: str, source, t0: float, t1: float) -> None:
         raise DomainError(f"bad radius window [{t0}, {t1}]")
     inside = [t for t in source.turning_points() if t0 < t < t1]
     for t in (t0, *inside, t1):
-        try:
-            tp = source.jets(t)[0]
-        except OverflowError:
-            raise DomainError(f"t' overflows at t = {t:.6g}") from None
-        check_rotation_type(rotation_type, t, tp)
+        check_rotation_type(rotation_type, t, source.tp(t))
 
 
 def bochner_meridian(c1: float, c2: float, t0: float, t1: float,

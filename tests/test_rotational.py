@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qck.duals import eval_with_partials
-from qck.errors import DomainError, TypeConstraintError
-from qck.rotational import (BochnerFamily, ConstHSC, bochner_meridian,
-                            check_rotation_type, const_hsc_profile,
-                            embed_and_verify, qc_coefficients,
-                            rotation_metric)
+from qck.errors import DomainError, NumericalBreakdown, TypeConstraintError
+from qck.rotational import (BochnerFamily, ConstHSC, MeridianProfile,
+                            bochner_meridian, check_rotation_type,
+                            const_hsc_profile, embed_and_verify,
+                            qc_coefficients, rotation_metric)
 
 Q2_ORACLE = 1.3905620875658997  # type II, a = -1, t = 1
 Q3_ORACLE = 0.07270478199838769  # type III, a = -1, t = 3
@@ -268,6 +268,53 @@ class TestMeridianIntegrals:
                                 flip_q=flip_q)
         assert abs(prof.s_of_t(t) - s) < 1e-14
         assert abs(prof.q_of_t(t) - q) < 1e-14
+
+    # (c2, t1, s, q) of type I meridians t' = t^4 + c2 t^2 + 1 on [0.5, t1],
+    # at t1, that a fixed rule of 8 panels missed by 2e-2 and 3e-6: with
+    # c2 = -1.999, t' falls to 1e-3 at the turning point 0.99975, and with
+    # c2 = -1, q' has a square-root branch at t1 = 1 where t' = 1.  With
+    # mp.dps = 40 and tc = mp.sqrt(-c2 / 2),
+    #   mp.quad(lambda x: 1 / tp(x), [0.5, tc, t1])     (just [0.5, t1] if tc > t1)
+    #   mp.quad(lambda x: mp.sqrt(1 - tp(x)**2) / tp(x), [0.5, tc, t1])
+    EDGE_REFS = [
+        (-1.999, 1.2, 48.303375781334099419, 48.239376380717867778),
+        (-1.0, 1.0, 0.62522627731303851706, 0.36726371553553653010),
+    ]
+
+    @pytest.mark.parametrize("c2,t1,s,q", EDGE_REFS)
+    def test_band_edge_and_branch_point(self, c2, t1, s, q):
+        prof = bochner_meridian(1.0, c2, 0.5, t1, rotation_type="I")
+        assert abs(prof.s_of_t(t1) - s) < 1e-14 * s
+        assert abs(prof.q_of_t(t1) - q) < 1e-14 * s
+        rows = prof.rows(33)
+        assert abs(rows[-1][0] - s) < 1e-14 * s
+        assert abs(rows[-1][2] - q) < 1e-14 * s
+
+    @pytest.mark.parametrize("tp", [
+        # oscillates far below the spacing of any panel's nodes: too many
+        # pieces stay open
+        lambda t: 2.0 + np.sin(1e9 * t),
+        # jumps at t = 0.77: one piece stays open through every halving
+        lambda t: np.where(t < 0.77, 1.5, 2.5),
+    ])
+    def test_unresolved_integral_raises(self, tp):
+        class Source:
+            kind = "bochner"
+
+            def tp(self, t):
+                return tp(t)
+
+            def turning_points(self):
+                return ()
+
+        with pytest.raises(NumericalBreakdown, match="unresolved"):
+            MeridianProfile("II", Source(), 0.4, 1.2).s_of_t(1.2)
+
+    def test_non_finite_integrand_raises(self):
+        nan_source = MeridianProfile("II", BochnerFamily(math.nan, 0.0),
+                                     0.4, 1.2)
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            nan_source.s_of_t(1.2)
 
 
 class TestConstHSCProfile:
