@@ -55,41 +55,3 @@ def hermitian_to_real(H) -> np.ndarray:
             G[2 * a + 1, 2 * b] = -2 * im
     return G
 
-
-def adapted_complex_frame(J: np.ndarray):
-    """Holomorphic frame rows V and coefficient matrix A adapted to a complex
-    structure J (a real matrix with J @ J = -I).
-
-    For J equal to ``j0_matrix`` this reduces to the coordinate frame of
-    ``dz_basis`` and ``holomorphic_coefficients``, which live in
-    ``tests/oracles.py``.  Returns (V, A) with V of shape (n, 2n) and
-    A of shape (2n, n); the (1,0)-part of a real vector x has coefficients
-    (A.T @ x) in the frame spanned by the rows of V.
-    """
-    d = J.shape[0]
-    n = d // 2
-    if np.max(np.abs(J @ J + np.eye(d))) > 1e-9:
-        raise ValueError("J does not square to -identity")
-    cols: list[np.ndarray] = []
-    while len(cols) < d:
-        span = np.column_stack(cols) if cols else np.zeros((d, 0))
-        Q = np.linalg.qr(span, mode="reduced")[0] if cols else np.zeros((d, 0))
-        best, best_res = None, 0.0
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            res = np.linalg.norm(e - Q @ (Q.T @ e))
-            if res > best_res:
-                best, best_res = e, res
-        # keep the partner column exactly J @ v so coefficient extraction
-        # below stays exact
-        cols.extend([best, J @ best])
-    W = np.column_stack(cols)
-    Winv = np.linalg.inv(W)
-    V = np.zeros((n, d), dtype=complex)
-    A = np.zeros((d, n), dtype=complex)
-    for k in range(n):
-        u = W[:, 2 * k]
-        V[k] = (u - 1j * (J @ u)) / 2.0
-        A[:, k] = Winv[2 * k] + 1j * Winv[2 * k + 1]
-    return V, A

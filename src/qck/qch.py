@@ -19,9 +19,9 @@ data, basis and fit kernels (``shape_arrays``, ``basis_arrays``,
 ``build_basis_tensors`` and ``decompose`` are their one-point forms.
 
 The Bochner operator lives here as well since its kernel test consumes the
-same decomposition: the tensor is moved to holomorphic components through an
-adapted complex frame, the trace corrections are subtracted there, and the
-result is pulled back to real components.
+same decomposition.  It is Tachibana's real form: the tensor less one
+Kahler product K of a combination of its Ricci contraction and g, with no
+complex frame.  K builds phi too, from the radial projector.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       RadialFrame, admissibility, potential_metric,
                       radial_unit_jets)
-from .core import adapted_complex_frame
 from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
                         curvature_gate, curvature_tensors, point_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
@@ -219,6 +218,18 @@ def _antisym_cross(pairs):
     return T - T.swapaxes(1, 2)
 
 
+def _kahler_product(G, Om, S, JS):
+    """The Kahler product of a J-invariant symmetric S with g at each point,
+    from G, Om = J^T G, S and JS = J^T S.
+
+    Its two halves, with G and Om on either side of S and JS, are only
+    antisymmetric in their first index pair; the full curvature symmetries
+    appear in the sum, where each supplies the pair transpose of the other.
+    """
+    return (_antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
+            - 2.0 * _outer_sum([(Om, JS), (JS, Om)]))
+
+
 def basis_arrays(G, J, xi):
     """The structural tensors at each point: (B, gates) with
     B[p] = (pi, phi, psi), (P, 3, d, d, d, d), built on the metric values
@@ -246,12 +257,8 @@ def basis_arrays(G, J, xi):
     B = np.empty((len(xi), 3) + (xi.shape[1],) * 4)
     B[:, 0] = (_antisym_cross([(G, G), (Om, Om)])
                - 2.0 * _outer_sum([(Om, Om)])) / 4.0
-    # phi's two halves, with G and Om on either side of P and W, are only
-    # antisymmetric in their first index pair; the full curvature
-    # symmetries appear in the sum, where each supplies the pair transpose
-    # of the other.
-    B[:, 1] = (_antisym_cross([(G, Pm), (Om, W), (Pm, G), (W, Om)])
-               - 2.0 * _outer_sum([(Om, W), (W, Om)])) / 8.0
+    # J^T P = W, so phi is the Kahler product of P
+    B[:, 1] = _kahler_product(G, Om, Pm, W) / 8.0
     B[:, 2] = -_outer_sum([(W, W)])
     return B, [unit]
 
@@ -323,52 +330,35 @@ def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
 # -- Bochner operator -------------------------------------------------------------
 
 
-def holomorphic_components(T: Tensor4, J):
-    """Complex-bilinear components T(V_a, conj V_b, V_c, conj V_d) of a
-    4-tensor in the frame V adapted to J.
-
-    Returns (C, V, A) with A the coefficient matrix of the frame, kept for
-    the inverse transform.
-    """
-    V, A = adapted_complex_frame(np.asarray(J, float))
-    Vc = V.conj()
-    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", T.a, V, Vc, V, Vc, optimize=True)
-    return C, V, A
-
-
-def real_from_holomorphic(C, A):
-    """Real components of the curvature-type tensor with holomorphic
-    components C in the frame with coefficient matrix A."""
-    Ac = A.conj()
-    s1 = np.einsum("abcd,ia,jb,kc,ld->ijkl", C, A, Ac, A, Ac, optimize=True)
-    s2 = np.einsum("abdc,ia,jb,kc,ld->ijkl", C, A, Ac, Ac, A, optimize=True)
-    return 2.0 * np.real(s1 - s2)
-
-
 def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
-    """Trace-free part of a curvature tensor in the holomorphic sense.
+    """Trace-free part of a Kahler curvature tensor in the holomorphic sense.
 
-    The Ricci data is contracted from the tensor itself, so the operator
-    applies equally to synthetic combinations of the basis tensors and to
-    curvature tensors coming from a bundle.
+    Tachibana's real form of Bochner's tensor: with rho = G^-1 . T,
+    tau = tr_G rho and K the Kahler product,
+    B = T - K(rho) / (2 (n + 2)) + tau pi / ((n + 1)(n + 2)).  As
+    pi = K(g) / 8, T - B is the one product K(S) of
+    S = rho / (2 (n + 2)) - tau g / (8 (n + 1)(n + 2)).  The Ricci data is
+    contracted from the tensor itself, so the operator applies equally to
+    synthetic combinations of the basis tensors and to curvature tensors
+    coming from a bundle.
+
+    T must carry the Kahler symmetries: those of a curvature tensor and
+    T(JX, JY, Z, W) = T(X, Y, Z, W).  A part of T without them is carried
+    into B, not projected away.  J must square to -identity within 1e-9;
+    ValueError otherwise.
     """
     G = np.asarray(G, float)
+    J = np.asarray(J, float)
+    d = G.shape[0]
+    if np.max(np.abs(J @ J + np.eye(d))) > 1e-9:
+        raise ValueError("J does not square to -identity")
     Ginv = np.linalg.inv(G)
     rho = np.einsum("il,ijkl->jk", Ginv, T.a)
     tau = float(np.einsum("jk,jk->", Ginv, rho))
-
-    C, V, A = holomorphic_components(T, J)
-    Vc = V.conj()
-    n = V.shape[0]
-    gh = V @ G @ Vc.T
-    rh = V @ rho @ Vc.T
-
-    corr = (np.einsum("ab,cd->abcd", gh, rh) + np.einsum("cb,ad->abcd", gh, rh)
-            + np.einsum("cd,ab->abcd", gh, rh) + np.einsum("ad,cb->abcd", gh, rh))
-    trace2 = np.einsum("ab,cd->abcd", gh, gh) + np.einsum("cb,ad->abcd", gh, gh)
-    B = C - corr / (n + 2.0) + tau * trace2 / (2.0 * (n + 1.0) * (n + 2.0))
-
-    return Tensor4(real_from_holomorphic(B, A))
+    n = d / 2.0
+    S = rho / (2.0 * (n + 2.0)) - tau * G / (8.0 * (n + 1.0) * (n + 2.0))
+    K = _kahler_product(G[None], (J.T @ G)[None], S[None], (J.T @ S)[None])
+    return Tensor4(T.a - K[0])
 
 
 def bochner_flat(B: Tensor4) -> bool:

@@ -2,18 +2,22 @@
 
 Dual-number seeds and the elementary functions only the tests use, with
 scalar fields with exact dual-number partials and a finite-difference
-oracle for them.  The coordinate holomorphic frame of the flat structure.  The radial unit field, and the fields phi Y and Y of the
-hypersphere phi law, as generic-scalar vector fields that evaluate the
-metric themselves: the dual-number references for the closed-form
-``ambient.radial_unit_jet`` and the phi-law jets of ``qck.sasakian``.  The
-hypersphere curvature as a scalar closure K(x, y, z, u), with the looped
-phi-sectional and space form samples that use it: the references for the
-curvature tensor and its batched contractions in ``qck.sasakian``.  And
-curvature helpers that only the tests use: the holomorphic sectional
-curvature by angle, the Kahler-gated Bochner tensor and the covariant
-derivative of the complex structure.  And the conformal-pair metrics, a
-rotationally symmetric Hermitian family that is not built from a potential:
-an independent non-potential metric for the curvature and Kahler tests.
+oracle for them.  The coordinate holomorphic frame of the flat structure,
+the frame adapted to any complex structure, holomorphic components and the
+Bochner tensor computed in them: the complex-frame reference for the
+real-form ``qch.bochner_of_tensor``.  The radial unit field, and the fields
+phi Y and Y of the hypersphere phi law, as generic-scalar vector fields
+that evaluate the metric themselves: the dual-number references for the
+closed-form ``ambient.radial_unit_jet`` and the phi-law jets of
+``qck.sasakian``.  The hypersphere curvature as a scalar closure
+K(x, y, z, u), with the looped phi-sectional and space form samples that
+use it: the references for the curvature tensor and its batched
+contractions in ``qck.sasakian``.  And curvature helpers that only the
+tests use: the holomorphic sectional curvature by angle, the Kahler-gated
+Bochner tensor and the covariant derivative of the complex structure.  And
+the conformal-pair metrics, a rotationally symmetric Hermitian family that
+is not built from a potential: an independent non-potential metric for the
+curvature and Kahler tests.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from qck.curvature import covariant_derivative, curvature_bundle, kahler_defect
 from qck.duals import MultiDual, glog, gsqrt, value
 from qck.errors import DomainError, FrameError, NumericalBreakdown, QckError
 from qck.qch import bochner_of_tensor
+from qck.tensors import Tensor4
 
 # Every potential family, with a radius in its admissible region for each n:
 # (signature, family, r).
@@ -113,6 +118,91 @@ def holomorphic_coefficients(n: int) -> np.ndarray:
         A[2 * a + 1, a] = 1.0j
     return A
 
+
+
+def adapted_complex_frame(J: np.ndarray):
+    """Holomorphic frame rows V and coefficient matrix A adapted to a complex
+    structure J (a real matrix with J @ J = -I).
+
+    For J equal to ``j0_matrix`` this reduces to the coordinate frame of
+    ``dz_basis`` and ``holomorphic_coefficients``.  Returns (V, A) with V of
+    shape (n, 2n) and A of shape (2n, n); the (1,0)-part of a real vector x
+    has coefficients (A.T @ x) in the frame spanned by the rows of V.
+    """
+    d = J.shape[0]
+    n = d // 2
+    if np.max(np.abs(J @ J + np.eye(d))) > 1e-9:
+        raise ValueError("J does not square to -identity")
+    cols: list[np.ndarray] = []
+    while len(cols) < d:
+        span = np.column_stack(cols) if cols else np.zeros((d, 0))
+        Q = np.linalg.qr(span, mode="reduced")[0] if cols else np.zeros((d, 0))
+        best, best_res = None, 0.0
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = 1.0
+            res = np.linalg.norm(e - Q @ (Q.T @ e))
+            if res > best_res:
+                best, best_res = e, res
+        # keep the partner column exactly J @ v so coefficient extraction
+        # below stays exact
+        cols.extend([best, J @ best])
+    W = np.column_stack(cols)
+    Winv = np.linalg.inv(W)
+    V = np.zeros((n, d), dtype=complex)
+    A = np.zeros((d, n), dtype=complex)
+    for k in range(n):
+        u = W[:, 2 * k]
+        V[k] = (u - 1j * (J @ u)) / 2.0
+        A[:, k] = Winv[2 * k] + 1j * Winv[2 * k + 1]
+    return V, A
+
+
+def holomorphic_components(T: Tensor4, J):
+    """Complex-bilinear components T(V_a, conj V_b, V_c, conj V_d) of a
+    4-tensor in the frame V adapted to J.
+
+    Returns (C, V, A) with A the coefficient matrix of the frame, kept for
+    the inverse transform.
+    """
+    V, A = adapted_complex_frame(np.asarray(J, float))
+    Vc = V.conj()
+    C = np.einsum("ijkl,ai,bj,ck,dl->abcd", T.a, V, Vc, V, Vc, optimize=True)
+    return C, V, A
+
+
+def real_from_holomorphic(C, A):
+    """Real components of the curvature-type tensor with holomorphic
+    components C in the frame with coefficient matrix A."""
+    Ac = A.conj()
+    s1 = np.einsum("abcd,ia,jb,kc,ld->ijkl", C, A, Ac, A, Ac, optimize=True)
+    s2 = np.einsum("abdc,ia,jb,kc,ld->ijkl", C, A, Ac, Ac, A, optimize=True)
+    return 2.0 * np.real(s1 - s2)
+
+
+def complex_bochner(T: Tensor4, G, J) -> Tensor4:
+    """The Bochner tensor of T computed in holomorphic components: the
+    complex-frame reference for the real form ``qch.bochner_of_tensor``.
+
+    Only the (1,1) part of T reaches the frame components, so a T without
+    the Kahler symmetries loses the rest here.
+    """
+    G = np.asarray(G, float)
+    Ginv = np.linalg.inv(G)
+    rho = np.einsum("il,ijkl->jk", Ginv, T.a)
+    tau = float(np.einsum("jk,jk->", Ginv, rho))
+
+    C, V, A = holomorphic_components(T, J)
+    Vc = V.conj()
+    n = V.shape[0]
+    gh = V @ G @ Vc.T
+    rh = V @ rho @ Vc.T
+
+    corr = (np.einsum("ab,cd->abcd", gh, rh) + np.einsum("cb,ad->abcd", gh, rh)
+            + np.einsum("cd,ab->abcd", gh, rh) + np.einsum("ad,cb->abcd", gh, rh))
+    trace2 = np.einsum("ab,cd->abcd", gh, gh) + np.einsum("cb,ad->abcd", gh, gh)
+    B = C - corr / (n + 2.0) + tau * trace2 / (2.0 * (n + 1.0) * (n + 2.0))
+    return Tensor4(real_from_holomorphic(B, A))
 
 # -- scalar fields ------------------------------------------------------------------
 

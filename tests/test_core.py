@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from qck.core import (
-    adapted_complex_frame,
     apply_j0,
     complex_to_real,
     hermitian_to_real,
     j0_matrix,
 )
-from oracles import dz_basis, holomorphic_coefficients, real_to_complex
+from oracles import (adapted_complex_frame, dz_basis, holomorphic_coefficients,
+                     real_to_complex)
 
 
 def test_complex_real_roundtrip():

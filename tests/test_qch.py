@@ -13,9 +13,10 @@ from qck.ambient import (
     radial_frame,
     radial_unit_jet,
 )
-from qck.core import complex_to_real, j0_matrix
+from qck.core import complex_to_real, hermitian_to_real, j0_matrix
 from qck.curvature import curvature_bundle, point_jet, vector_jet
 from qck.errors import FrameError, ShapeUniformityError
+from qck.tensors import Tensor4
 from qck.qch import (
     QCDecomposition,
     bochner_flat,
@@ -24,12 +25,11 @@ from qck.qch import (
     classify,
     decompose,
     extract_shape_data,
-    holomorphic_components,
-    real_from_holomorphic,
 )
-from oracles import (ConformalPair, NotKahler, bochner_tensor,
+from oracles import (ConformalPair, NotKahler, adapted_complex_frame,
+                     bochner_tensor, complex_bochner, holomorphic_components,
                      hsc_angle_profile, metric_from_conformal_pair,
-                     radial_unit_field, section_angle)
+                     radial_unit_field, real_from_holomorphic, section_angle)
 
 L2 = AmbientSpace(2, "lorentz")
 L3 = AmbientSpace(3, "lorentz")
@@ -462,6 +462,26 @@ class TestAngleProfile:
         assert ang.theta >= 0.0
 
 
+def kahler_curvature(n, signature, seed):
+    """A random Kahler curvature tensor T on a random Hermitian metric G of
+    the standard structure J: (T, G, J).  T's holomorphic components are
+    symmetric in a <-> c and b <-> d and Hermitian, and the complex-frame
+    oracle turns them into real components."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    lam = rng.uniform(0.5, 2.0, size=n)
+    if signature == "lorentz":
+        lam[-1] = -lam[-1]
+    G = hermitian_to_real((Q * lam) @ Q.conj().T)
+    J = j0_matrix(n)
+    C = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+    C = C + C.transpose(2, 1, 0, 3)
+    C = C + C.transpose(0, 3, 2, 1)
+    C = C + C.conj().transpose(1, 0, 3, 2)
+    T = Tensor4(real_from_holomorphic(C, adapted_complex_frame(J)[1]))
+    return T, G, J
+
+
 class TestBochner:
     def setup_method(self):
         self.basis, self.frame, self.G, self.J = standard_basis(
@@ -504,6 +524,34 @@ class TestBochner:
             C, _, A = holomorphic_components(t, self.J)
             recon = real_from_holomorphic(C, A)
             assert np.allclose(recon, t.a, atol=1e-12)
+
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from(["definite", "lorentz"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_real_form_matches_complex_frame(self, n, signature, seed):
+        T, G, J = kahler_curvature(n, signature, seed)
+        Jt = np.einsum("ai,bj,ck,dl,abcd->ijkl", J, J, J, J, T.a)
+        assert T.curvature_symmetry_defect() < 1e-12 * T.scale()
+        assert np.max(np.abs(Jt - T.a)) < 1e-12 * T.scale()
+        B = bochner_of_tensor(T, G, J)
+        scale = max(1.0, B.scale())
+        assert np.max(np.abs(B.a - complex_bochner(T, G, J).a)) < 1e-12 * scale
+        ricci = np.einsum("il,ijkl->jk", np.linalg.inv(G), B.a)
+        assert np.max(np.abs(ricci)) < 1e-12 * scale
+        assert np.max(np.abs(bochner_of_tensor(B, G, J).a - B.a)) < 1e-12 * scale
+
+    def test_structure_must_square_to_minus_identity(self):
+        with pytest.raises(ValueError, match="J does not square to -identity"):
+            bochner_of_tensor(self.basis.pi, self.G, 2.0 * self.J)
+
+    def test_part_without_kahler_symmetries_is_kept(self):
+        # the space form tensor g_jk g_il - g_ik g_jl has the curvature
+        # symmetries but is not J-invariant: the complex frame sees only its
+        # (1,1) part, the real form the whole tensor
+        G = self.G
+        T = Tensor4(np.einsum("jk,il->ijkl", G, G) - np.einsum("ik,jl->ijkl", G, G))
+        gap = bochner_of_tensor(T, G, self.J) - complex_bochner(T, G, self.J)
+        assert gap.scale() > 0.1
 
     def test_dimension_two(self):
         basis, fr, G, J = standard_basis(D2, [2.0, 0.0, 0.0, 0.0])
