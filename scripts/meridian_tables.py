@@ -65,6 +65,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-embed", action="store_true")
     args = parser.parse_args()
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
 
     write_tables(pathlib.Path(args.out_dir), args.steps)
     if not args.skip_embed:

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -44,3 +46,15 @@ def test_meridian_tables(monkeypatch, capsys, tmp_path):
     for line in embeds:
         delta = float(line.split("coefficient delta ")[1].split(",")[0])
         assert delta < 1e-4
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "-3"])
+def test_meridian_tables_rejects_too_few_steps(monkeypatch, capsys, tmp_path,
+                                               steps):
+    out_dir = tmp_path / "tables"
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "meridian_tables.py",
+                   "--out-dir", str(out_dir), "--steps", steps, "--skip-embed")
+    assert exc.value.code == 2
+    assert "--steps must be at least 2" in capsys.readouterr().err
+    assert not out_dir.exists()
