@@ -16,7 +16,6 @@ from qck.ambient import (
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
 from qck.curvature import curvature_bundle, point_jet, vector_jet
 from qck.errors import FrameError, ShapeUniformityError
-from qck.tensors import Tensor4
 from qck.qch import (
     QCDecomposition,
     bochner_flat,
@@ -26,6 +25,7 @@ from qck.qch import (
     decompose,
     extract_shape_data,
 )
+from qck.tensors import Tensor4
 from oracles import (ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, holomorphic_components,
                      hsc_angle_profile, metric_from_conformal_pair,
