@@ -9,9 +9,13 @@ compares against these files, so a change that moves a reported value shows
 as a failing test.
 
 Regenerating a file changes test data: say which values moved and why, and
-never regenerate to make a regression pass.
+never regenerate to make a regression pass.  Name the files to rewrite, so
+that the others keep their values; rounding alone moves some values between
+hosts, and a full run rewrites them all.
 
-    PYTHONPATH=src python3 scripts/regen_golden.py [--out-dir tests/golden]
+    PYTHONPATH=src python3 scripts/regen_golden.py [NAME ...] [--out-dir tests/golden]
+
+    PYTHONPATH=src python3 scripts/regen_golden.py verify   # verify.json only
 """
 
 from __future__ import annotations
@@ -138,10 +142,17 @@ def run_case(argv) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="golden files to rewrite, from "
+                        f"{', '.join(CASES)} (default: all)")
     parser.add_argument("--out-dir", type=Path, default=GOLDEN)
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.names) - set(CASES))
+    if unknown:
+        parser.error(f"no golden file named {', '.join(unknown)}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, cases in CASES.items():
+    for name in args.names or CASES:
+        cases = CASES[name]
         path = args.out_dir / f"{name}.json"
         path.write_text(json.dumps([run_case(c) for c in cases], indent=1,
                                    sort_keys=True) + "\n")

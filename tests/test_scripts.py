@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` on tiny inputs."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = SCRIPTS.parent / "tests" / "golden"
 
 
 def run_script(monkeypatch, capsys, name, *args):
@@ -58,3 +60,26 @@ def test_meridian_tables_rejects_too_few_steps(monkeypatch, capsys, tmp_path,
     assert exc.value.code == 2
     assert "--steps must be at least 2" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_regen_golden_rewrites_only_the_named_file(monkeypatch, capsys,
+                                                   tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "regen_golden.py", "curvature",
+                   "--out-dir", str(tmp_path))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.count("wrote ") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["curvature.json"]
+    written = json.loads((tmp_path / "curvature.json").read_text())
+    stored = json.loads((GOLDEN / "curvature.json").read_text())
+    assert [c["argv"] for c in written] == [c["argv"] for c in stored]
+    assert [c["exit"] for c in written] == [c["exit"] for c in stored]
+
+
+def test_regen_golden_rejects_an_unknown_name(monkeypatch, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "regen_golden.py", "curvature",
+                   "nonesuch", "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "no golden file named nonesuch" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
