@@ -1,22 +1,31 @@
 """Radial shape data, structural curvature bases, and the quasi-constant
 decomposition R = a*pi + b*phi + c*psi.
 
-The five basis tensors are algebraic combinations of the metric, the
-fundamental 2-form and the radial frame covectors.  A curvature tensor is
-decomposed against {pi, phi, psi} by least squares; the fit residual is the
-falsifiable measure of whether the metric actually has quasi-constant
-holomorphic sectional curvatures, and the sign of a + k^2 classifies it.
-The shape data (k, p*) come from the covariant derivative of the radial unit
-field, whose values and partials at the point ``ambient.radial_unit_jet``
-reads off the metric's jet, so nothing here evaluates a metric.
+The basis tensors are algebraic combinations of the metric, the fundamental
+2-form and the radial frame covectors.  A curvature tensor is decomposed
+against {pi, phi, psi} by least squares; the fit residual is the falsifiable
+measure of whether the metric actually has quasi-constant holomorphic
+sectional curvatures, and the sign of a + k^2 classifies it.  The shape data
+(k, p*) come from the covariant derivative of the radial unit field, whose
+values and partials at the point ``ambient.radial_unit_jet`` reads off the
+metric's jet, so nothing here evaluates a metric.
+
+Both run in one J-adapted G-orthonormal frame per point
+(``adapted_frames``): rows xi, J xi, u_1, J u_1, ....  There G, J and xi
+have constant components, so pi, phi and psi are constants for each n and
+signature, built once with their pseudo-inverse; a fit (``frame_fit``) is R
+carried into the frame and one matrix product.  k is averaged over the
+frame's complement rows.  ``basis_arrays`` and ``build_basis_tensors`` build
+the tensors in coordinates, where ``tensors.tensor4_fit`` fits them; that
+path is the oracle of the frame fit.
 
 ``decompose_points`` is the one entry point for many sample points of a
-potential metric: it runs the jet, connection, curvature, unit field, shape
-data, basis and fit over a points axis, ``CHUNK`` points per pass, and gives
-each point the error the one-point functions would raise there.  The shape
-data, basis and fit kernels (``shape_arrays``, ``basis_arrays``,
-``tensors.fit_tensors``) take that axis; ``extract_shape_data``,
-``build_basis_tensors`` and ``decompose`` are their one-point forms.
+potential metric: it runs the jet, connection, curvature, unit field, frame,
+shape data and fit over a points axis, ``CHUNK`` points per pass, and gives
+each point the error the one-point functions would raise there.  The frame,
+shape data and fit kernels (``adapted_frames``, ``shape_arrays``,
+``frame_fit``) take that axis; ``extract_shape_data`` and ``decompose`` are
+their one-point forms.
 
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
@@ -33,11 +42,12 @@ import numpy as np
 from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       RadialFrame, admissibility, potential_metric,
                       radial_unit_jets)
+from .core import j0_matrix
 from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
                         curvature_gate, curvature_tensors, point_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
-from .tensors import Tensor4, fit_tensors, tensor4_fit
+from .tensors import Tensor4
 
 ZERO_BAND = 1e-8
 # largest component of a Bochner tensor that counts as zero
@@ -70,76 +80,99 @@ def _gdot(G, u, v):
     return np.einsum("pi,pij,pj->p", u, G, v)
 
 
-def _complement_bases(G, xi, jxi, sq_sign):
-    """G-orthonormal bases (P, d - 2, d) of the orthogonal complements of
-    span(xi, J xi) at each point, and the number of vectors found there.
+def adapted_frames(G, J, xi):
+    """J-adapted G-orthonormal frames at each point: (F, signs, gates).
 
-    The complement is space-like in both variants, so plain Gram-Schmidt with
-    positive normalizers applies there; only the projection coefficients see
-    the sign of g(xi, xi).  The coordinate directions are taken in order, and
-    one whose remainder has g-norm^2 below 1e-10 is skipped.
+    F (P, d, d) has the rows xi, J xi, u_1, J u_1, ..., u_{n-1}, J u_{n-1},
+    and signs (P, d) holds g(f, f) of each row, 0 on a row left empty.  In
+    such a frame G has the components diag(signs), J those of
+    ``core.j0_matrix`` and xi those of the first basis vector, so the
+    structural tensors are constants there.
+
+    The u come from Gram-Schmidt over the coordinate directions in order,
+    each direction projected off the rows so far twice and normalised by
+    sqrt|g(w, w)|; a direction with |g(w, w)| below 1e-10 is skipped.  J u
+    needs no projection: g is J-invariant and so is the span of the rows so
+    far.  The signed normalisers complete the frame where the complement of
+    (xi, J xi) is indefinite.
+
+    The gates: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1
+    (either sign of the square norm is accepted so the flat indefinite form
+    can be probed too), and a complete frame.
     """
     P, d = xi.shape
-    # e_i with its xi and J xi components removed, for every i at once
-    gxi = np.einsum("pij,pj->pi", G, xi) / sq_sign[:, None]
-    gjxi = np.einsum("pij,pj->pi", G, jxi) / sq_sign[:, None]
-    rest = (np.eye(d) - gxi[:, :, None] * xi[:, None, :]
-            - gjxi[:, :, None] * jxi[:, None, :])
-    out = np.zeros((P, d - 2, d))
-    g_out = np.zeros((P, d - 2, d))  # g(u, .) of each basis vector u
-    count = np.zeros(P, dtype=int)
-    rows = np.arange(P)
+    F = np.zeros((P, d, d))
+    F[:, 0] = xi
+    F[:, 1] = (J @ xi[:, :, None])[:, :, 0]
+    GF = F[:, :2] @ G  # g(f, .) of xi and J xi
+    sq = np.sum(GF * F[:, :2], axis=2)
+    unit = (np.any(np.abs(np.abs(sq) - 1.0) > UNIT_TOL, axis=1),
+            lambda j: FrameError(
+                f"frame is not unit in the supplied metric: "
+                f"g(xi,xi)={sq[j, 0]:.6g}, g(Jxi,Jxi)={sq[j, 1]:.6g}"))
+    signs = np.zeros((P, d))
+    signs[:, :2] = np.where(sq < 0.0, -1.0, 1.0)
+    # the g-orthogonal projector onto the span of the rows so far
+    Q = (F[:, :2].swapaxes(1, 2) * signs[:, None, :2]) @ GF
+    count = np.full(P, 2)
+    pairs, pair_signs = [], []
     for i in range(d):
-        w = rest[:, i]
-        # unfilled slots are zero and leave w as it is
-        for slot in range(count.max(initial=0)):
-            w = w - np.sum(w * g_out[:, slot], axis=1)[:, None] * out[:, slot]
-        gw = np.einsum("pij,pj->pi", G, w)
-        nrm2 = np.sum(w * gw, axis=1)
-        take = (nrm2 >= 1e-10) & (count < d - 2)
-        scale = np.sqrt(nrm2[take])[:, None]
-        out[rows[take], count[take]] = w[take] / scale
-        g_out[rows[take], count[take]] = gw[take] / scale
-        count += take
-        if np.all(count == d - 2):
+        if np.all(count == d):
             break
-    return out, count
+        # e_i less its components along the rows so far, twice over
+        w = -Q[:, :, i]
+        w[:, i] += 1.0
+        w = w - (Q @ w[:, :, None])[:, :, 0]
+        nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
+        take = (np.abs(nrm2) >= 1e-10) & (count < d)
+        sign = np.where(take, np.sign(nrm2), 0.0)
+        scale = np.where(take, np.sqrt(np.abs(nrm2)), 1.0)
+        # u and J u, zero where the point takes no row here
+        U = np.stack([w, (J @ w[:, :, None])[:, :, 0]], axis=1) * (
+            np.abs(sign) / scale)[:, None, None]
+        Q += (U.swapaxes(1, 2) * sign[:, None, None]) @ (U @ G)
+        pairs.append(U)
+        pair_signs.append(sign)
+        count += 2 * take
+    if pairs:
+        # each point's pairs in the order it took them, the empty ones last
+        S = np.stack(pair_signs, axis=1)
+        order = np.argsort(S == 0.0, axis=1, kind="stable")
+        U = np.take_along_axis(np.stack(pairs, axis=1),
+                               order[:, :, None, None], axis=1)
+        m = min(2 * len(pairs), d - 2)
+        F[:, 2:2 + m] = U.reshape(P, -1, d)[:, :m]
+        signs[:, 2:2 + m] = np.repeat(np.take_along_axis(S, order, axis=1),
+                                      2, axis=1)[:, :m]
+    complete = (count != d, lambda j: FrameError(
+        "could not complete a basis of the complement distribution"))
+    return F, signs, [unit, complete]
 
 
-def _complement_basis(G, xi, jxi, sq_sign):
-    """G-orthonormal basis of the orthogonal complement of span(xi, J xi) at
-    one point: the one-point case of ``_complement_bases``."""
-    out, count = _complement_bases(G[None], xi[None], jxi[None],
-                                   np.array([sq_sign]))
-    if count[0] != G.shape[0] - 2:
-        raise FrameError("could not complete a basis of the complement distribution")
-    return list(out[0])
-
-
-def shape_arrays(jet: PointJet, xi, dxi):
+def shape_arrays(jet: PointJet, F, signs, dxi):
     """Shape data of unit vector fields at the points of a jet with a points
-    axis, from their values xi (P, d) and partials dxi (P, d, d):
-    (k, p_star, sq, spread, model_defect, gates), each an array over the
-    points, with sq = g(xi, xi).
+    axis, from their J-adapted frames F (P, d, d) and square norms signs
+    (``adapted_frames``), whose first row is the field xi, and the partials
+    dxi (P, d, d) of xi: (k, p_star, sq, spread, model_defect, gates), each
+    an array over the points, with sq = g(xi, xi).
 
-    The gates, in order: g(xi, xi) = +-1, a complete basis of the
-    complement distribution, and a spread of the normal curvature within
-    ``SPREAD_GATE``.  See ``extract_shape_data``.
+    The gates, in order: g(xi, xi) = +-1, a complement distribution whose
+    frame rows F[:, 2:] are all space-like, and a spread of the normal
+    curvature within ``SPREAD_GATE``.  See ``extract_shape_data``.
     """
+    xi, jxi = F[:, 0], F[:, 1]
     D = covariant_derivative(jet, xi, dxi)
-    G, J = jet.G, jet.J
+    G = jet.G
     d = xi.shape[1]
-    jxi = np.einsum("pij,pj->pi", J, xi)
     sq = _gdot(G, xi, xi)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
     unit = (np.abs(sq - sq_sign) > 1e-8, lambda j: FrameError(
         f"field is not unit: g(xi, xi) = {sq[j]:.12g}"))
-
-    basis, count = _complement_bases(G, xi, jxi, sq_sign)
-    complete = (count != d - 2, lambda j: FrameError(
+    complete = (np.any(signs[:, 2:] <= 0.0, axis=1), lambda j: FrameError(
         "could not complete a basis of the complement distribution"))
-    # nabla_u xi for each basis vector u; k along u is 2 g(u, nabla_u xi),
+    # nabla_u xi for each complement row u; k along u is 2 g(u, nabla_u xi),
     # with the sign of g(xi, xi)
+    basis = F[:, 2:]
     nab = np.einsum("psi,pim->psm", basis, D)
     k_dirs = 2.0 * sq_sign[:, None] * np.einsum("psi,pij,psj->ps", basis, G, nab)
     k = np.mean(k_dirs, axis=1)
@@ -167,18 +200,19 @@ def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
     connection are the jet's.  Pure linear algebra: the field's jet comes
     from ``ambient.radial_unit_jet`` for the radial unit field, or from
     ``curvature.vector_jet`` for any other.  The one-point case of
-    ``shape_arrays``.
+    ``adapted_frames`` and ``shape_arrays``.
 
     g(xi, xi) must be +1 or -1, and its sign picks the "riemannian" or the
-    "lorentz" sign conventions.  k is averaged over a full orthonormal basis
-    of the complement distribution; the per-direction spread is itself the
-    test that the field has the required shape, and exceeding
+    "lorentz" sign conventions.  k is averaged over the complement rows of
+    the J-adapted frame, which must be space-like; the per-direction spread
+    is itself the test that the field has the required shape, and exceeding
     ``SPREAD_GATE`` raises ShapeUniformityError instead of returning an
     average of unlike things.
     """
     xi = np.asarray(xi, float)
-    *shape, gates = shape_arrays(jet.stacked(), xi[None],
-                                 np.asarray(dxi, float)[None])
+    jet = jet.stacked()
+    F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
+    *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
     raise_first(gates)
     return _shape_data(xi, *(a[0] for a in shape))
 
@@ -319,12 +353,69 @@ def _decomposition(a, b, c, residual, k) -> QCDecomposition:
                            a_plus_k2=apk, klass=classify(apk))
 
 
+# pi, phi and psi in a J-adapted frame, flattened, with their pseudo-inverse,
+# by the square norms of the frame's rows
+_FRAME_BASES: dict = {}
+
+
+def _frame_basis(signs: tuple):
+    """The structural tensors (3, d^4) in a J-adapted frame whose rows have
+    the square norms ``signs``, and their pseudo-inverse (d^4, 3): built on
+    first use, on G = diag(signs), J = ``core.j0_matrix`` and xi = e_0."""
+    if signs not in _FRAME_BASES:
+        d = len(signs)
+        B, _ = basis_arrays(np.diag(signs)[None], j0_matrix(d // 2)[None],
+                            np.eye(d)[None, 0])
+        B = B[0].reshape(3, d ** 4)
+        _FRAME_BASES[signs] = B, np.linalg.pinv(B)
+    return _FRAME_BASES[signs]
+
+
+def frame_fit(R, F, signs):
+    """Least-squares fits of curvature tensors R (P, d, d, d, d) against pi,
+    phi and psi in the frames F of ``adapted_frames``, whose rows have the
+    square norms signs: (coeffs (P, 3), residual (P,)).
+
+    Four matrix products carry R into each frame, where the structural
+    tensors are constants, so a fit is one product with their
+    pseudo-inverse.  The residual is the Frobenius misfit in the frame
+    relative to max(1, |R|) there; for a definite metric the frame norm is
+    the norm that g gives a 4-tensor, the same in every chart.  Each point is
+    its own product, so a point's fit does not depend on the batch around it.
+    """
+    P, d = F.shape[:2]
+    T = R
+    for _ in range(4):
+        # the last index into the frame, moved to the front
+        T = (T.reshape(P, d ** 3, d) @ F.swapaxes(1, 2)).swapaxes(1, 2)
+    T = T.reshape(P, 1, d ** 4)
+    coeffs = np.empty((P, 3))
+    residual = np.empty(P)
+    keys = [tuple(s) for s in signs.tolist()]
+    for key in set(keys):
+        rows = [p for p, k in enumerate(keys) if k == key]
+        B, pinv = _frame_basis(key)
+        t = T[rows]
+        c = t @ pinv
+        misfit = t - c @ B
+        coeffs[rows] = c[:, 0]
+        residual[rows] = np.sqrt(
+            (misfit @ misfit.swapaxes(1, 2))[:, 0, 0]
+            / np.maximum(1.0, (t @ t.swapaxes(1, 2))[:, 0, 0]))
+    return coeffs, residual
+
+
 def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
-    """Fit the bundle's curvature against the structural basis built on the
-    unit vector of ``shape``, and classify by a + k^2 with its k."""
-    basis = build_basis_tensors(bundle.jet.G, bundle.jet.J, shape)
-    coeffs, residual = tensor4_fit(bundle.R, basis.fit_basis())
-    return _decomposition(*(float(v) for v in coeffs), residual, shape.k)
+    """Fit the bundle's curvature against the structural basis in the
+    J-adapted frame of the unit vector of ``shape``, and classify by
+    a + k^2 with its k: the one-point case of ``adapted_frames`` and
+    ``frame_fit``.  FrameError where the vector is not unit or the frame
+    cannot be completed."""
+    F, signs, gates = adapted_frames(bundle.jet.G[None], bundle.jet.J[None],
+                                     np.asarray(shape.xi, float)[None])
+    raise_first(gates)
+    coeffs, residual = frame_fit(bundle.R.a[None], F, signs)
+    return _decomposition(*coeffs[0].tolist(), float(residual[0]), shape.k)
 
 
 # -- Bochner operator -------------------------------------------------------------
@@ -446,20 +537,18 @@ def _decompose_chunk(space, family, metric, X, fit):
     keep = sieve.drop(gates)
     jet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
     if fit:
+        F, signs, frame_gates = adapted_frames(jet.G, jet.J, xi)
         shape_sieve = Sieve(len(xi))
-        *shape, gates = shape_arrays(jet, xi, dxi)
+        *shape, gates = shape_arrays(jet, F, signs, dxi)
         shape_sieve.drop(gates)
         shapes = {r: _shape_data(xi[r], *(a[r] for a in shape))
                   for r in shape_sieve.running.tolist()}
         fit_sieve = Sieve(len(xi))
-        B, unit = basis_arrays(jet.G, jet.J, xi)
-        size = xi.shape[1] ** 4
-        coeffs, residual, gates = fit_tensors(
-            R.reshape(len(R), size), B.reshape(len(R), 3, size))
-        keep = fit_sieve.drop(unit + gates)
+        keep = fit_sieve.drop(frame_gates)
+        coeffs, residual = frame_fit(R[keep], F[keep], signs[keep])
         fits = dict(zip(fit_sieve.running.tolist(),
                         (tuple(c) + (q,) for c, q in zip(
-                            coeffs[keep].tolist(), residual[keep].tolist()))))
+                            coeffs.tolist(), residual.tolist()))))
     rows = {i: r for r, i in enumerate(sieve.running.tolist())}
     for i, x in enumerate(X):
         rep = AdmissibilityReport(*(a[i] for a in (

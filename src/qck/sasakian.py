@@ -37,9 +37,8 @@ from .core import apply_j0, j0_matrix
 from .curvature import (CurvatureBundle, PointJet, _first_jet,
                         covariant_derivative, curvature_bundle, point_jet,
                         vector_jet)
-from .errors import DomainError, NotSasakian, NotSpaceForm
-from .qch import (QCDecomposition, ShapeData, _complement_basis, decompose,
-                  extract_shape_data)
+from .errors import DomainError, FrameError, NotSasakian, NotSpaceForm
+from .qch import QCDecomposition, ShapeData, decompose, extract_shape_data
 from .sampling import definite_point, timelike_point
 
 ZERO_BAND = 1e-8
@@ -106,7 +105,7 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
     xit = apply_j0(xi)
     eta_t = G @ xit
     phi = J + np.outer(xi, eta_t)
-    rest = _complement_basis(G, xi, xit, 1.0)
+    rest = _complement_basis(G, xi, xit)
     basis = np.vstack([xit] + list(rest))
 
     defects = [abs(eta_t @ xit - 1.0), _gnorm(G, phi @ xit)]
@@ -123,6 +122,26 @@ def induced_contact(space: AmbientSpace, metric: MetricField, x,
         dxi=dxi, k=shape.k,
         alpha=0.5 * shape.k, shape=shape,
         identity_defect=float(max(defects)))
+
+
+def _complement_basis(G, xi, xit):
+    """G-orthonormal basis of the orthogonal complement of span(xi, xi~) at
+    a point where g(xi, xi) = 1: the coordinate directions in order, less
+    their xi and xi~ components, by Gram-Schmidt.  The complement is
+    space-like; a direction whose remainder has g-norm^2 below 1e-10 is
+    skipped."""
+    d = len(xi)
+    rest = np.eye(d) - np.outer(G @ xi, xi) - np.outer(G @ xit, xit)
+    out = []
+    for w in rest:
+        for u in out:
+            w = w - (w @ G @ u) * u
+        nrm2 = w @ G @ w
+        if nrm2 >= 1e-10:
+            out.append(w / math.sqrt(nrm2))
+            if len(out) == d - 2:
+                return out
+    raise FrameError("could not complete a basis of the complement distribution")
 
 
 def _gnorm(G, v) -> float:

@@ -5,7 +5,9 @@ Dimension stays small (2n <= 8 here), so everything is stored densely and
 contracted with einsum; no sparsity or index symmetry compression is worth
 its complexity at this scale.  The array functions take any leading axes,
 one tensor per point of a batch; ``Tensor4`` and ``tensor4_fit`` are their
-one-point forms.
+one-point forms.  The fit solves in coordinates, where the basis Gram matrix
+scales with the metric; ``qch.frame_fit`` fits in an orthonormal frame
+instead, and this fit stays as its oracle and for the Bochner benchmark.
 """
 
 from __future__ import annotations

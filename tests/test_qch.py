@@ -8,24 +8,31 @@ from qck.ambient import (
     DefiniteLogFamily,
     InverseFamily,
     LogFamily,
+    RadialFrame,
+    UserSeries,
     flat_metric,
     potential_metric,
     radial_frame,
     radial_unit_jet,
 )
+from qck.config import DEFAULT_TOLERANCES
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
-from qck.curvature import curvature_bundle, point_jet, vector_jet
+from qck.curvature import (CurvatureBundle, curvature_bundle, point_jet,
+                           vector_jet)
 from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
+    adapted_frames,
     bochner_flat,
     bochner_of_tensor,
     build_basis_tensors,
     classify,
     decompose,
+    decompose_points,
     extract_shape_data,
 )
-from qck.tensors import Tensor4
+from qck.sampling import point_at_radius, radial_points
+from qck.tensors import Tensor4, tensor4_fit
 from oracles import (ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, holomorphic_components,
                      hsc_angle_profile, metric_from_conformal_pair,
@@ -68,6 +75,14 @@ def radial_shape(space, jet, orientation="outward"):
 def field_shape(jet, field):
     """Shape data of a generic-scalar vector field, differentiated by duals."""
     return extract_shape_data(jet, *vector_jet(field, jet.point))
+
+
+def complement_rows(jet, frame):
+    """The rows of the J-adapted frame on frame.xi past (xi, J xi): a
+    G-orthonormal basis of the complement distribution."""
+    F, signs, _ = adapted_frames(jet.G[None], jet.J[None], frame.xi[None])
+    assert np.all(signs[0, 2:] == 1.0)
+    return F[0, 2:]
 
 
 def disc_pipeline(x, orientation="outward"):
@@ -383,6 +398,130 @@ class TestDecompose:
             assert residual < 1e-12
 
 
+FRAME_CASES = [("lorentz", DISC), ("lorentz", InverseFamily()),
+               ("definite", DefiniteLogFamily(2.0, 1.0)),
+               ("definite", UserSeries((0.0, 1.0, 0.1)))]
+RESIDUAL_GATE = DEFAULT_TOLERANCES["residual"]
+
+
+def frame_components(R, F):
+    """R (d, d, d, d) in the frame whose rows are F."""
+    return np.einsum("ijkl,ai,bj,ck,el->abce", R, F, F, F, F)
+
+
+def one_point(space, family, x):
+    res = next(decompose_points(space, family, np.asarray(x)[None],
+                                checked=False))
+    assert res.first_error is None
+    return res
+
+
+class TestFrameFit:
+    """The fit in the J-adapted frame against the coordinate least-squares
+    fit, which stays as its oracle."""
+
+    def test_frame_is_adapted_and_orthonormal(self):
+        for space, family in ((L3, DISC), (D3, DefiniteLogFamily(2.0, 1.0))):
+            x = point_at_radius(space, 2.5, seed=4)
+            res = one_point(space, family, x)
+            G, J = res.bundle.jet.G, res.bundle.jet.J
+            F, signs, gates = adapted_frames(G[None], J[None], res.xi[None])
+            F = F[0]
+            assert not any(np.any(bad) for bad, _ in gates)
+            assert np.array_equal(F[0], res.xi)
+            assert np.allclose(F @ G @ F.T, np.diag(signs[0]), atol=1e-12)
+            assert np.all(signs[0, 2:] == 1.0)
+            # J has the standard components in the frame
+            assert np.allclose(np.linalg.solve(F.T, J @ F.T), j0_matrix(3),
+                               atol=1e-12)
+
+    def test_indefinite_complement_keeps_a_complete_frame(self):
+        # the flat form of signature (2, 2) with a unit space-like xi: the
+        # complement is indefinite, and the signed normalisers finish it
+        G = np.diag([1.0, 1.0, -1.0, -1.0])
+        J = j0_matrix(2)
+        F, signs, gates = adapted_frames(G[None], J[None],
+                                         np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert not any(np.any(bad) for bad, _ in gates)
+        assert signs[0].tolist() == [1.0, 1.0, -1.0, -1.0]
+        assert np.allclose(F[0] @ G @ F[0].T, np.diag(signs[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]), case=st.sampled_from(FRAME_CASES),
+           r=st.floats(1.1, 10.0), seed=st.integers(0, 2**16))
+    def test_matches_coordinate_fit(self, n, case, r, seed):
+        signature, family = case
+        space = AmbientSpace(n, signature)
+        res = one_point(space, family,
+                        point_at_radius(space, r,
+                                        rng=np.random.default_rng(seed)))
+        jet, R = res.bundle.jet, res.bundle.R
+        basis = build_basis_tensors(jet.G, jet.J, res.shape)
+        ref, _ = tensor4_fit(R, basis.fit_basis())
+        # the two fits weigh the part of R off the span differently, so
+        # they may differ by as much as that part, the frame misfit
+        F, _, _ = adapted_frames(jet.G[None], jet.J[None], res.xi[None])
+        misfit = res.fit[3] * max(1.0, np.linalg.norm(
+            frame_components(R.a, F[0])))
+        for got, want in zip(res.fit[:3], ref):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) + 4.0 * misfit
+        # a tensor in the span has no misfit: the fits agree with each
+        # other and with its coefficients
+        abc = np.random.default_rng(seed).uniform(-2.0, 2.0, size=3)
+        T = abc[0] * basis.pi + abc[1] * basis.phi + abc[2] * basis.psi
+        ref, _ = tensor4_fit(T, basis.fit_basis())
+        dec = decompose(CurvatureBundle(jet, T), res.shape)
+        assert dec.residual < 1e-13
+        for got, want, exact in zip((dec.a, dec.b, dec.c), ref, abc):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_residual_gate_fires_off_the_span(self, n):
+        # a curvature-symmetric tensor off the span, of 1e-5 |R| in the
+        # frame, ten times the residual gate.  In coordinates the disc's R
+        # shrinks with r: there the same tensor reads as a residual of
+        # 3e-9 to 5e-8 at r = 10, and at r = 50 the basis is degenerate.
+        space = AmbientSpace(n, "lorentz")
+        rng = np.random.default_rng(n)
+        d = space.dim
+        for r in (1.5, 3.0, 10.0, 50.0):
+            res = one_point(space, DISC, point_at_radius(space, r, rng=rng))
+            jet, R = res.bundle.jet, res.bundle.R
+            assert res.fit[3] < RESIDUAL_GATE
+            F, signs, _ = adapted_frames(jet.G[None], jet.J[None],
+                                         res.xi[None])
+            F = F[0]
+            h = rng.normal(size=(d, d))
+            h = h + h.T
+            # the Kulkarni-Nomizu square of h has every curvature symmetry
+            E = (np.einsum("il,jk->ijkl", h, h) - np.einsum("ik,jl->ijkl", h, h))
+            basis = build_basis_tensors(np.diag(signs[0]), j0_matrix(n),
+                                        RadialFrame(np.eye(d)[0],
+                                                    np.eye(d)[1]))
+            B = np.stack([b.a.ravel() for b in basis.fit_basis()])
+            E = E.ravel() - np.linalg.lstsq(B.T, E.ravel(), rcond=None)[0] @ B
+            E *= 1e-5 * np.linalg.norm(frame_components(R.a, F)) / np.linalg.norm(E)
+            E = frame_components(E.reshape((d,) * 4), np.linalg.inv(F).T)
+            assert Tensor4(E).curvature_symmetry_defect() < 1e-12 * np.abs(E).max()
+            dec = decompose(CurvatureBundle(jet, R + Tensor4(E)), res.shape)
+            assert dec.residual > RESIDUAL_GATE
+            assert abs(dec.a + 1.0) < 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_disc_far_out(self, n):
+        # at r = 50..100 the coordinate basis Gram matrix passes COND_LIMIT
+        # (DegenerateBasis); in the frame the disc is still a = -1
+        space = AmbientSpace(n, "lorentz")
+        X = np.array(radial_points(space, 4, 50.0, 100.0, seed=n))
+        for res in decompose_points(space, DISC, X):
+            assert res.first_error is None
+            dec = res.decomposition
+            assert abs(dec.a + 1.0) < 1e-6
+            assert abs(dec.b) < 1e-6 and abs(dec.c) < 1e-6
+            assert dec.residual < RESIDUAL_GATE
+
+
 class TestAngleProfile:
     def test_disc_profile_constant(self):
         x = timelike_point(L3, 1.8, seed=14)
@@ -427,9 +566,7 @@ class TestAngleProfile:
         assert prof[0][1] == pytest.approx(dec.a + dec.b + dec.c, abs=1e-7)
 
         # X in the complement: cos theta = 0, H = a
-        from qck.qch import _complement_basis
-
-        comp = _complement_basis(bundle.jet.G, frame.xi, frame.jxi, 1.0)
+        comp = complement_rows(bundle.jet, frame)
         prof = hsc_angle_profile(bundle, frame, [comp[0]])
         assert prof[0][0] == pytest.approx(np.pi / 2, abs=1e-7)
         assert prof[0][1] == pytest.approx(dec.a, abs=1e-7)
@@ -440,9 +577,7 @@ class TestAngleProfile:
         g = potential_metric(L3, fam)
         bundle = curvature_bundle(point_jet(g, x))
         frame = radial_frame(L3, x, metric=g)
-        from qck.qch import _complement_basis
-
-        comp = _complement_basis(bundle.jet.G, frame.xi, frame.jxi, 1.0)
+        comp = complement_rows(bundle.jet, frame)
         theta = 0.7
         X1 = np.cos(theta) * frame.xi + np.sin(theta) * comp[0]
         X2 = np.cos(theta) * frame.xi + np.sin(theta) * comp[1]
