@@ -367,7 +367,9 @@ def _frame_basis(signs: tuple):
         B, _ = basis_arrays(np.diag(signs)[None], j0_matrix(d // 2)[None],
                             np.eye(d)[None, 0])
         B = B[0].reshape(3, d ** 4)
-        _FRAME_BASES[signs] = B, np.linalg.pinv(B)
+        pinv = np.linalg.pinv(B)
+        B.flags.writeable = pinv.flags.writeable = False
+        _FRAME_BASES[signs] = B, pinv
     return _FRAME_BASES[signs]
 
 

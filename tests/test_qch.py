@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qck import qch, tensors
 from qck.ambient import (
     AmbientSpace,
     DefiniteLogFamily,
@@ -507,6 +508,22 @@ class TestFrameFit:
             dec = decompose(CurvatureBundle(jet, R + Tensor4(E)), res.shape)
             assert dec.residual > RESIDUAL_GATE
             assert abs(dec.a + 1.0) < 1e-4
+
+    def test_no_basis_build_or_solve_per_point(self, monkeypatch):
+        X = np.array(radial_points(L3, 3, 1.2, 3.0, seed=5))
+        first = [res.fit for res in decompose_points(L3, DISC, X)]
+
+        def banned(*args, **kwargs):
+            raise AssertionError("called per point")
+
+        # the frame basis is built once, on first use; after that a batch
+        # and a point build no basis tensors and solve nothing
+        monkeypatch.setattr(qch, "basis_arrays", banned)
+        monkeypatch.setattr(tensors, "fit_tensors", banned)
+        monkeypatch.setattr(np.linalg, "lstsq", banned)
+        assert [res.fit for res in decompose_points(L3, DISC, X)] == first
+        res = one_point(L3, DISC, X[0])
+        assert decompose(res.bundle, res.shape).a == first[0][0]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_disc_far_out(self, n):
