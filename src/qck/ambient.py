@@ -459,6 +459,18 @@ class MetricField:
             return out.astype(float)
         return np.array([[value(e) for e in row] for row in out])
 
+    def matrices(self, X) -> np.ndarray:
+        """Float-path evaluations at the rows of X, (P, d), as a (P, d, d)
+        array: G from the closed-form rule where the field has one, after
+        its gates (that G is the field's own evaluation to the bit), and one
+        ``matrix`` per row otherwise."""
+        X = np.asarray(X, dtype=float)
+        if self.jets is None:
+            return np.array([self.matrix(x) for x in X])
+        gates, G, _, _ = self.jets(X)
+        raise_first(gates)
+        return G
+
     def structure_matrix(self, x) -> np.ndarray:
         if self.complex_structure is None:
             if self.dim % 2:

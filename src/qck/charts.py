@@ -15,7 +15,7 @@ import numpy as np
 
 from .ambient import MetricField
 from .duals import gsqrt, value
-from .errors import ChartError
+from .errors import ChartError, raise_first
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,19 @@ class SphereGraphChart:
     def nparams(self) -> int:
         return self.ambient_dim - 1
 
-    def _guard(self, u):
+    def guard(self, u):
+        """ChartError where the parameters u, floats or duals with or
+        without a points axis, come within ``margin`` of the boundary."""
         s2 = sum(value(c) ** 2 for c in u)
         r2 = self.radius**2
-        if r2 - s2 < r2 * math.sin(self.margin) ** 2:
-            raise ChartError(
-                f"parameter point at squared norm {s2:.6g} is within {self.margin}"
-                f" rad of the chart boundary (radius {self.radius})")
+        raise_first([(r2 - s2 < r2 * math.sin(self.margin) ** 2,
+                      lambda j: ChartError(
+                          f"parameter point at squared norm "
+                          f"{np.ravel(s2)[j]:.6g} is within {self.margin}"
+                          f" rad of the chart boundary (radius {self.radius})"))])
 
     def fn(self, u):
-        self._guard(u)
+        self.guard(u)
         arg = self.radius**2
         for c in u:
             arg = arg - c * c
@@ -63,7 +66,7 @@ class SphereGraphChart:
 
     def jac(self, u):
         """Closed-form d x (d-1) Jacobian of ``fn`` as a list of rows."""
-        self._guard(u)
+        self.guard(u)
         arg = self.radius**2
         for c in u:
             arg = arg - c * c
@@ -85,7 +88,7 @@ class SphereGraphChart:
         if self.sign * x[self.axis] <= 0:
             raise ChartError("point lies on the opposite hemisphere of this chart")
         u = np.delete(x, self.axis)
-        self._guard(u)
+        self.guard(u)
         return u
 
 
@@ -118,14 +121,17 @@ class LorentzGraphChart:
         s2 = sum(value(c) ** 2 for c in u[:-1])
         return self.radius**2 + s2 - value(u[-1]) ** 2
 
-    def _guard(self, u):
-        if self._arg_value(u) < self.radius**2 * math.sin(self.margin) ** 2:
-            raise ChartError(
-                "parameter point too close to the chart boundary "
-                f"(solved coordinate squared {self._arg_value(u):.6g})")
+    def guard(self, u):
+        """ChartError where the parameters u, floats or duals with or
+        without a points axis, come within ``margin`` of the boundary."""
+        arg = self._arg_value(u)
+        raise_first([(arg < self.radius**2 * math.sin(self.margin) ** 2,
+                      lambda j: ChartError(
+                          "parameter point too close to the chart boundary "
+                          f"(solved coordinate squared {np.ravel(arg)[j]:.6g})"))])
 
     def fn(self, u):
-        self._guard(u)
+        self.guard(u)
         arg = self.radius**2
         for c in u[:-1]:
             arg = arg + c * c
@@ -134,7 +140,7 @@ class LorentzGraphChart:
         return list(u) + [w]
 
     def jac(self, u):
-        self._guard(u)
+        self.guard(u)
         arg = self.radius**2
         for c in u[:-1]:
             arg = arg + c * c
@@ -154,7 +160,7 @@ class LorentzGraphChart:
         if self.sign * x[-1] <= 0:
             raise ChartError("point lies on the opposite sheet of this chart")
         u = x[:-1].copy()
-        self._guard(u)
+        self.guard(u)
         return u
 
 

@@ -4,8 +4,9 @@ Everything is computed pointwise from a ``PointJet``: the metric values
 G_ij with their first partials dG[k, i, j] and second partials
 d2G[k, l, i, j], the complex structure J with its first partials, and the
 connection (Christoffel symbols and inverse metric), all at one point.
-``point_jet(metric, x)`` is the one place that evaluates a metric for this
-work, and the one place that computes its connection; ``curvature_bundle``,
+``point_jet(metric, x)``, with its batched form ``point_jets``, is the one
+place that evaluates a metric for this work, and the one place that computes
+its connection; ``curvature_bundle``,
 ``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jet`` and
 ``qch.extract_shape_data`` all take the jet, so a per-point pipeline builds
 it once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
@@ -29,8 +30,14 @@ closed-form rule over a points axis, as the potential metrics of
 rule, at every point of a batch in one call.  Every other field gets "dual":
 one evaluation of the metric on dual numbers whose coordinates carry one
 payload column per index pair (k, l) of the second jet, see ``qck.duals``.
+The dual payloads take a points axis too, so ``point_jets`` differentiates a
+dual field at every point of a batch in that one evaluation, and a varying
+complex structure in one more, on first-order duals; ``metric_second_jet``,
+``_first_jet`` and ``vector_jet`` are the one-point cases of these kernels.
 ``method="fd"`` takes the jet by finite differences instead, with the same
-downstream assembly, as an independent oracle.
+downstream assembly, as an independent oracle: its whole stencil is one
+``MetricField.matrices`` call, which reads G alone, from the closed-form
+rule where the field has one.
 
 Conventions.  Connection coefficients are the usual Christoffel symbols of
 the second kind.  The curvature tensor is
@@ -62,26 +69,29 @@ FD_STEP = 1e-3
 SYMMETRY_GATE = 1e-6
 
 
-def _seeded_coordinates(x, m: int, p: int) -> np.ndarray:
-    """Payloads (d, 2**m, p) holding the coordinates of x in every column
-    and no derivative part yet."""
-    xf = np.array([float(c) for c in x])
-    seeds = np.zeros((len(xf), 1 << m, p))
-    seeds[:, 0, :] = xf[:, None]
+def _seeded_coordinates(X, m: int, p: int) -> np.ndarray:
+    """Payloads (d, ..., 2**m, p) holding the coordinates of the point x,
+    (d,), or of each row of X, (..., d), in every column and no derivative
+    part yet."""
+    X = np.asarray(X, dtype=float)
+    seeds = np.zeros(X.shape[-1:] + X.shape[:-1] + (1 << m, p))
+    seeds[..., 0, :] = np.moveaxis(X, -1, 0)[..., None]
     return seeds
 
 
-def _first_jet(field, x, d):
-    """Values and first partials of a matrix field in one evaluation:
-    coordinate k carries the generator in column k."""
-    seeds = _seeded_coordinates(x, 1, d)
-    seeds[np.arange(d), 1, np.arange(d)] = 1.0
+def _first_jet(field, X, d):
+    """Values and first partials of a matrix field at x, (d,), or at each
+    row of X, (..., d), in one evaluation: coordinate k carries the
+    generator in column k.  (V, dV) with dV[..., k, i, j] = d_k V_ij."""
+    seeds = _seeded_coordinates(X, 1, d)
+    seeds[np.arange(d), ..., 1, np.arange(d)] = 1.0
     out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d)
-    return out[:, :, 0, 0], np.moveaxis(out[:, :, 1, :], 2, 0)
+    return out[..., 0, 0], np.moveaxis(out[..., 1, :], -1, seeds.ndim - 3)
 
 
-def metric_second_jet(metric, x):
-    """(G, dG, d2G) by dual numbers: one 2-generator evaluation.
+def _second_jets(metric, X):
+    """(G, dG, d2G) by dual numbers at x, (d,), or at each row of X,
+    (..., d): one 2-generator evaluation at every point.
 
     Column p stands for the index pair (k, l), k <= l: coordinate k carries
     e1 and coordinate l carries e2 there (both on k when k == l), so the
@@ -90,15 +100,23 @@ def metric_second_jet(metric, x):
     d = metric.dim
     ks, ls = np.triu_indices(d)
     cols = np.arange(len(ks))
-    seeds = _seeded_coordinates(x, 2, len(ks))
-    seeds[ks, 1, cols] = 1.0
-    seeds[ls, 2, cols] = 1.0
+    seeds = _seeded_coordinates(X, 2, len(ks))
+    seeds[ks, ..., 1, cols] = 1.0
+    seeds[ls, ..., 2, cols] = 1.0
     out = coefficients(metric([MultiDual(s, 2) for s in seeds]), 2, len(ks))
-    G = out[:, :, 0, 0]
-    dG = np.moveaxis(out[:, :, 1, cols[ks == ls]], 2, 0)
-    d2G = np.empty((d, d, d, d))
-    d2G[ks, ls] = d2G[ls, ks] = np.moveaxis(out[:, :, 3, :], 2, 0)
-    return _finite(G, dG, d2G)
+    G = out[..., 0, 0]
+    dG = np.moveaxis(out[..., 1, cols[ks == ls]], -1, -3)
+    d2G = np.empty(G.shape[:-2] + (d, d, d, d))
+    d2G[..., ks, ls, :, :] = d2G[..., ls, ks, :, :] = np.moveaxis(
+        out[..., 3, :], -1, -3)
+    return G, dG, d2G
+
+
+def metric_second_jet(metric, x):
+    """(G, dG, d2G) at the point x by dual numbers: the one-point case of
+    the batched kernel, one 2-generator evaluation; NumericalBreakdown
+    where the jet is not finite."""
+    return _finite(*_second_jets(metric, x))
 
 
 def _finite_gate(G, d2G):
@@ -114,47 +132,37 @@ def _finite(G, dG, d2G):
     return G, dG, d2G
 
 
-def _central(fun, x, k, h):
-    e = np.zeros(len(x))
-    e[k] = 1.0
-    return (8.0 * (fun(x + h * e) - fun(x - h * e))
-            - (fun(x + 2 * h * e) - fun(x - 2 * h * e))) / (12.0 * h)
-
-
 def metric_second_jet_fd(metric, x):
     """Finite-difference jet with the same layout as ``metric_second_jet``,
     with step ``FD_STEP``.
 
     Fourth-order stencils for the first partials and the diagonal second
-    partials, Richardson-extrapolated cross stencil for the mixed ones.
-    Useful as an oracle; the exact paths are faster and exact to rounding.
+    partials, Richardson-extrapolated cross stencil for the mixed ones.  The
+    whole stencil, 1 + 4d + 4d(d - 1) points, is one ``MetricField.matrices``
+    call, which reads G alone.  Useful as an oracle; the exact paths are
+    faster and exact to rounding.
     """
     d = metric.dim
     h = FD_STEP
     xf = np.asarray([float(c) for c in x])
-    M = metric.matrix
-    G = M(xf)
-    dG = np.empty((d, d, d))
+    E = np.eye(d)
+    ks, ls = np.triu_indices(d, 1)
+    both, apart = E[ks] + E[ls], E[ks] - E[ls]
+    steps = (h / 2, h)
+    stencil = [xf[None], xf + h * E, xf - h * E, xf + 2 * h * E, xf - 2 * h * E]
+    for step in steps:
+        stencil += [xf + step * both, xf - step * both,
+                    xf + step * apart, xf - step * apart]
+    M = metric.matrices(np.concatenate(stencil))
+    G = M[0]
+    up, down, up2, down2 = M[1:1 + 4 * d].reshape(4, d, d, d)
+    dG = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)
     d2G = np.empty((d, d, d, d))
-    for k in range(d):
-        dG[k] = _central(M, xf, k, h)
-        e = np.zeros(d)
-        e[k] = 1.0
-        d2G[k, k] = (-M(xf + 2 * h * e) + 16 * M(xf + h * e) - 30 * G
-                     + 16 * M(xf - h * e) - M(xf - 2 * h * e)) / (12 * h * h)
-    for k in range(d):
-        for l in range(k + 1, d):
-            ek = np.zeros(d)
-            ek[k] = 1.0
-            el = np.zeros(d)
-            el[l] = 1.0
-
-            def cross(step):
-                return (M(xf + step * (ek + el)) + M(xf - step * (ek + el))
-                        - M(xf + step * (ek - el)) - M(xf - step * (ek - el))) \
-                    / (4 * step * step)
-
-            d2G[k, l] = d2G[l, k] = (4.0 * cross(h / 2) - cross(h)) / 3.0
+    d2G[np.arange(d), np.arange(d)] = (-up2 + 16 * up - 30 * G + 16 * down
+                                       - down2) / (12 * h * h)
+    cross = [(pp + mm - pm - mp) / (4 * step * step) for step, (pp, mm, pm, mp)
+             in zip(steps, M[1 + 4 * d:].reshape(2, 4, len(ks), d, d))]
+    d2G[ks, ls] = d2G[ls, ks] = (4.0 * cross[0] - cross[1]) / 3.0
     return G, dG, d2G
 
 
@@ -273,22 +281,29 @@ class PointJet:
 
 
 def point_jets(metric, X, sieve: Sieve) -> PointJet:
-    """The jets, with a points axis, of a field with a closed-form rule
-    (``MetricField.jets``) at the rows of X, (P, d), that pass its gates, the
-    finiteness of the jet and ``COND_LIMIT``; ``sieve`` records why the
-    other rows stopped."""
+    """The jets, with a points axis, of ``metric`` at the rows of X, (P, d),
+    that pass the field's gates, the finiteness of the jet and
+    ``COND_LIMIT``; ``sieve`` records why the other rows stopped.
+
+    A field with a closed-form rule (``MetricField.jets``) takes it, with
+    its gates.  Every other field is evaluated once on dual numbers at all
+    rows, and a varying structure once more at the rows that pass."""
     X = np.asarray(X, dtype=float)
-    gates, G, dG, d2G = metric.jets(X)
+    if metric.jets is not None:
+        gates, G, dG, d2G = metric.jets(X)
+        method = "closed-form"
+    else:
+        gates = []
+        G, dG, d2G = _second_jets(metric, X)
+        method = "dual"
     with np.errstate(all="ignore"):
         keep = sieve.drop(gates + [_finite_gate(G, d2G)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
     keep = sieve.drop([_cond_gate(G)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
     gamma, Ginv = _connection(G, dG)
-    d = metric.dim
-    J = np.broadcast_to(metric.structure_matrix(None), (len(X), d, d))
-    dJ = np.broadcast_to(0.0, (len(X), d, d, d))
-    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, "closed-form")
+    J, dJ = structure_jet(metric, X)
+    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, method)
 
 
 def point_jet(metric, x, method: str = "exact") -> PointJet:
@@ -360,11 +375,10 @@ def curvature_bundle(jet: PointJet,
 
 
 def vector_jet(vfield, x):
-    """Values and partials of a vector field: (V, dV) with dV[i, m] = d_i V^m."""
-    vals, cols = eval_with_partials(vfield, [float(c) for c in x])
-    V = np.asarray(vals, float)
-    dV = np.asarray(cols, float)
-    return V, dV
+    """Values and partials of a vector field: (V, dV) with dV[i, m] = d_i V^m;
+    the one-point case of ``duals.eval_with_partials``, which takes a
+    points axis."""
+    return eval_with_partials(vfield, [float(c) for c in x])
 
 
 def covariant_derivative(jet: PointJet, V, dV):
@@ -376,13 +390,18 @@ def covariant_derivative(jet: PointJet, V, dV):
     return dV + np.einsum("...mia,...a->...im", jet.gamma, V)
 
 
-def structure_jet(metric, x):
-    """Values and partials of the complex structure field: (J, dJ), with one
-    evaluation of a varying structure and none of the constant one."""
+def structure_jet(metric, X):
+    """Values and partials of the complex structure field at x, (d,), or at
+    each row of X, (..., d), with the points axes leading J and dJ: one
+    evaluation of a varying structure at all points, and none of the
+    constant one."""
+    X = np.asarray(X, dtype=float)
     d = metric.dim
+    lead = X.shape[:-1]
     if metric.complex_structure is None:
-        return metric.structure_matrix(x), np.zeros((d, d, d))
-    return _first_jet(metric.complex_structure, x, d)
+        return (np.broadcast_to(metric.structure_matrix(None), lead + (d, d)),
+                np.broadcast_to(0.0, lead + (d, d, d)))
+    return _first_jet(metric.complex_structure, X, d)
 
 
 def kahler_defect(jet: PointJet):

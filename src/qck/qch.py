@@ -346,11 +346,12 @@ class QCDecomposition:
             "class": self.klass,
         }
 
-
-def _decomposition(a, b, c, residual, k) -> QCDecomposition:
-    apk = a + k ** 2
-    return QCDecomposition(a=a, b=b, c=c, residual=residual, k=k,
-                           a_plus_k2=apk, klass=classify(apk))
+    @classmethod
+    def of(cls, a, b, c, residual, k) -> "QCDecomposition":
+        """The decomposition of a fit (a, b, c, residual) with shape value k."""
+        apk = a + k ** 2
+        return cls(a=a, b=b, c=c, residual=residual, k=k, a_plus_k2=apk,
+                   klass=classify(apk))
 
 
 # pi, phi and psi in a J-adapted frame, flattened, with their pseudo-inverse,
@@ -417,7 +418,7 @@ def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
                                      np.asarray(shape.xi, float)[None])
     raise_first(gates)
     coeffs, residual = frame_fit(bundle.R.a[None], F, signs)
-    return _decomposition(*coeffs[0].tolist(), float(residual[0]), shape.k)
+    return QCDecomposition.of(*coeffs[0].tolist(), float(residual[0]), shape.k)
 
 
 # -- Bochner operator -------------------------------------------------------------
@@ -501,7 +502,7 @@ class PointResult:
     def decomposition(self) -> QCDecomposition | None:
         if self.shape is None or self.fit is None:
             return None
-        return _decomposition(*self.fit, self.shape.k)
+        return QCDecomposition.of(*self.fit, self.shape.k)
 
 
 def decompose_points(space: AmbientSpace, family: PotentialFamily, X,

@@ -14,7 +14,10 @@ tensors with coefficients given in closed form by the meridian jets
 (t, t', t'', t''').  The Bochner-flat meridians solve t' = c1 t^4 + c2 t^2
 + 1, and explicit profiles of constant holomorphic sectional curvature exist
 for types II and III.  ``embed_and_verify`` rebuilds the metric from an
-honest chart embedding and compares fitted coefficients with the formulas.
+honest chart embedding and compares fitted coefficients with the formulas,
+at all its chart points in one batched pass: one dual evaluation of the
+chart metric and one of its complex structure per profile, whose J the
+structure field solves on its first jet with ``np.linalg.solve``.
 
 A profile keeps only its window and orientation: s = int dt / t' and Bochner
 q = int q' dt are integrated from t0 when read, by Gauss-Legendre panels that
@@ -32,12 +35,13 @@ import numpy as np
 from .ambient import MetricField
 from .charts import LorentzGraphChart, SphereGraphChart
 from .core import apply_j0
-from .curvature import curvature_bundle, kahler_defect, point_jet, vector_jet
-from .duals import (MultiDual, eval_with_partials, gatan, glog, gsqrt,
-                    solve_generic, value)
-from .errors import (ChartError, DomainError, NumericalBreakdown,
+from .curvature import (curvature_gate, curvature_tensors, kahler_defect,
+                        point_jets)
+from .duals import (MultiDual, coefficients, eval_with_partials, gatan, glog,
+                    gsqrt, value)
+from .errors import (ChartError, DomainError, NumericalBreakdown, Sieve,
                      TypeConstraintError)
-from .qch import QCDecomposition, decompose, extract_shape_data
+from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
 
 ROTATION_TYPES = ("I", "II", "III")
 # slack on the t' band of a rotation type
@@ -486,7 +490,9 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
               for s in range(m)] for p in range(m)]
         B = [[sum(cols[r][i] * images[p][i] for i in range(dsph + 1))
               for p in range(m)] for r in range(m)]
-        return solve_generic(M, B)
+        if not isinstance(u[0], MultiDual):
+            return np.linalg.solve(M, B)
+        return _solve_first_jet(M, B, u[0])
 
     def xi_field(u):
         tp = source.tp(u[0])
@@ -501,6 +507,27 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
                          complex_structure=structure_fn,
                          meta={"profile": profile, "n": n})
     return metric, xi_field, sphere
+
+
+def _solve_first_jet(M, B, seed: MultiDual):
+    """X with M X = B, for matrices M and B of order-1 duals with the
+    direction columns and points axes of ``seed``, at every point: the
+    value by ``np.linalg.solve``, then the partials from
+    M dX = dB - dM X with the same matrix."""
+    if seed.m != 1:
+        raise ValueError("the structure solve takes first jets only")
+    p = seed.c.shape[-1]
+    Mc, Bc = coefficients(M, 1, p), coefficients(B, 1, p)
+    M0 = Mc[..., 0, 0]
+    dM, dB = (np.moveaxis(c[..., 1, :], -1, -3) for c in (Mc, Bc))
+    X = np.linalg.solve(M0, Bc[..., 0, 0])
+    dX = np.linalg.solve(M0[..., None, :, :], dB - dM @ X[..., None, :, :])
+    out = np.empty(X.shape + (2, p))
+    out[..., 0, :] = X[..., None]
+    out[..., 1, :] = np.moveaxis(dX, -3, -1)
+    size = len(M)
+    return [[MultiDual(out[..., i, j, :, :], 1) for j in range(size)]
+            for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -560,41 +587,60 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
     closed formulas at ``count`` chart points, at radii evenly spaced inside
     the profile window.
 
-    Sphere chart draws that land outside the chart margin are redrawn.
+    The sphere chart coordinates of every point are drawn first; a draw
+    that lands outside the chart margin is redrawn, up to 40 times.  The
+    points then run through one batched pass: one evaluation of the chart
+    metric on order-2 duals and one of its structure on order-1 duals give
+    their jets at all points, and the curvature, Kahler defect, frame,
+    shape data and fit kernels take the points axis.  The first point, in
+    order, that fails a gate raises its error.
     """
     metric, xi_field, sphere = rotation_metric(profile, n)
     lo, hi = profile.t0, profile.t1
     pad = 0.08 * (hi - lo)
     rng = np.random.default_rng(seed)
+    U = np.array([_chart_point(sphere, profile.rotation_type, n, t, rng)
+                  for t in np.linspace(lo + pad, hi - pad, count)]
+                 ).reshape(count, 2 * n)
+    sieve = Sieve(count)
+    jet = point_jets(metric, U, sieve)
+    R = curvature_tensors(jet)
+    keep = sieve.drop([curvature_gate(R)])
+    jet, R = jet.rows(keep), R[keep]
+    xi, dxi = eval_with_partials(xi_field, jet.point)
+    F, signs, frame_gates = adapted_frames(jet.G, jet.J, xi)
+    k, *_, shape_gates = shape_arrays(jet, F, signs, dxi)
+    sieve.drop(shape_gates + frame_gates)
+    for error in sieve.errors:
+        if error is not None:
+            raise error
+    coeffs, residual = frame_fit(R, F, signs)
+    eigs = np.linalg.eigvalsh(jet.G).min(axis=1)
     pts = []
-    for tv in np.linspace(lo + pad, hi - pad, count):
-        report = None
-        for _ in range(40):
-            y = Y_SCALE * rng.normal(size=2 * n - 1)
-            if profile.rotation_type == "III":
-                y[-1] *= 0.5
-            u0 = np.concatenate([[tv], y])
-            try:
-                report = _verify_at(metric, xi_field, profile, u0)
-            except ChartError:
-                continue
-            break
-        if report is None:
-            raise ChartError("no admissible sphere point after 40 draws")
-        pts.append(report)
+    for u0, fit, res, kk, eig, kd in zip(U, coeffs.tolist(), residual.tolist(),
+                                         k.tolist(), eigs.tolist(),
+                                         kahler_defect(jet).tolist()):
+        dec = QCDecomposition.of(*fit, res, kk)
+        closed = profile.coefficients_at(float(u0[0]))
+        delta = max(abs(dec.a - closed.a), abs(dec.b - closed.b),
+                    abs(dec.c - closed.c))
+        pts.append(EmbedPoint(
+            t=float(u0[0]), u0=u0, fitted=dec, closed=closed,
+            coefficient_delta=float(delta), k_delta=float(abs(dec.k - closed.k)),
+            min_eigenvalue=eig, kahler_defect=kd))
     return EmbedVerification(profile.rotation_type, n, tuple(pts))
 
 
-def _verify_at(metric, xi_field, profile, u0) -> EmbedPoint:
-    jet = point_jet(metric, u0)
-    bundle = curvature_bundle(jet)
-    eigs = np.linalg.eigvalsh(jet.G)
-    kd = kahler_defect(jet)
-    dec = decompose(bundle, extract_shape_data(jet, *vector_jet(xi_field, u0)))
-    closed = profile.coefficients_at(float(u0[0]))
-    delta = max(abs(dec.a - closed.a), abs(dec.b - closed.b),
-                abs(dec.c - closed.c))
-    return EmbedPoint(
-        t=float(u0[0]), u0=np.asarray(u0, float), fitted=dec, closed=closed,
-        coefficient_delta=float(delta), k_delta=float(abs(dec.k - closed.k)),
-        min_eigenvalue=float(eigs.min()), kahler_defect=float(kd))
+def _chart_point(sphere, rotation_type: str, n: int, t: float, rng):
+    """The chart point (t, y) with y drawn until it clears the chart margin
+    of ``sphere``, checked in floats."""
+    for _ in range(40):
+        y = Y_SCALE * rng.normal(size=2 * n - 1)
+        if rotation_type == "III":
+            y[-1] *= 0.5
+        try:
+            sphere.guard(y)
+        except ChartError:
+            continue
+        return np.concatenate([[t], y])
+    raise ChartError("no admissible sphere point after 40 draws")

@@ -22,13 +22,16 @@ from qck.curvature import (
     metric_second_jet,
     metric_second_jet_fd,
     point_jet,
+    point_jets,
     vector_jet,
 )
 from qck.ambient import MetricField
 from qck.duals import MultiDual, value
 from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
-                        NumericalBreakdown)
+                        NumericalBreakdown, Sieve)
+from qck.rotational import const_hsc_profile, rotation_metric
 from qck.sampling import point_at_radius
+from qck.sasakian import family_h1_metric
 from oracles import (ConformalPair, conformal_pair_from_family, generator,
                      metric_from_conformal_pair, radial_unit_field,
                      structure_covariant_defect)
@@ -427,3 +430,65 @@ def test_symmetry_gate_wiring():
     x = timelike_point(L2, 2.0, seed=14)
     with pytest.raises(NumericalBreakdown):
         curvature_bundle(point_jet(g, x), symmetry_gate=0.0)
+
+
+def dual_batch_cases():
+    """(id, metric, points): the rotational chart metrics of types II and
+    III, whose structure varies, and the Sasakian family metric."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for tag, window in (("II", (0.7, 2.8)), ("III", (3.0, 5.0))):
+        metric, _, _ = rotation_metric(const_hsc_profile(tag, -1.0, *window))
+        t = np.linspace(window[0] + 0.2, window[1] - 0.2, 5)
+        y = 0.2 * rng.normal(size=(5, 3))
+        cases.append((f"rotational-{tag}", metric, np.column_stack([t, y])))
+    metric, _, _ = family_h1_metric(2, 2.0)
+    cases.append(("sasakian-family", metric, 0.25 * rng.normal(size=(5, 3))))
+    return cases
+
+
+class TestDualBatches:
+    """A batched dual jet is, row by row, the one-point jet to the bit."""
+
+    @pytest.mark.parametrize("metric,X", [c[1:] for c in dual_batch_cases()],
+                             ids=[c[0] for c in dual_batch_cases()])
+    def test_rows_equal_point_jets(self, metric, X):
+        sieve = Sieve(len(X))
+        jets = point_jets(metric, X, sieve)
+        assert sieve.errors == [None] * len(X)
+        assert jets.method == "dual"
+        for k, x in enumerate(X):
+            want = point_jet(metric, x)
+            got = jets.rows(k)
+            for name in ("point", "G", "dG", "d2G", "J", "dJ", "gamma", "Ginv"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_fd_stencil_is_one_batched_read_of_g(self, monkeypatch):
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        x = timelike_point(L2, 2.0, seed=5)
+        # the same evaluator without the closed-form rule loops over points
+        looped = MetricField(metric.fn, metric.dim)
+        want = metric_second_jet_fd(looped, x)
+        calls = {"matrices": 0, "matrix": 0}
+        for name in calls:
+            def counted(self, *args, name=name, method=getattr(MetricField, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(MetricField, name, counted)
+        got = metric_second_jet_fd(metric, x)
+        assert calls == {"matrices": 1, "matrix": 0}
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_fd_stencil_raises_the_field_gate(self):
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        # the stencil of a point just inside the domain leaves it
+        x = timelike_point(L2, 1.0 + 1e-4, seed=5)
+        with pytest.raises(DomainError):
+            metric_second_jet_fd(metric, x)
+
+    def test_empty_batch(self):
+        metric, _, _ = rotation_metric(const_hsc_profile("II", -1.0, 0.7, 2.8))
+        jets = point_jets(metric, np.zeros((0, 4)), Sieve(0))
+        assert jets.G.shape == (0, 4, 4) and jets.d2G.shape == (0, 4, 4, 4, 4)
+        assert jets.J.shape == (0, 4, 4) and jets.dJ.shape == (0, 4, 4, 4)

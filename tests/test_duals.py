@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qck.duals import (
     MultiDual,
+    coefficients,
     eval_with_partials,
     gatan,
     glog,
     gsqrt,
-    solve_generic,
     value,
 )
 from oracles import gcos, generator, gexp, gsin
@@ -113,22 +113,6 @@ class TestHelpers:
                          [-0.4 * math.cos(-0.28), 0.7 * math.cos(-0.28)]])
         assert np.allclose(J, want, atol=1e-12)
 
-    def test_solve_generic_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(4, 4))
-        A = A + 4 * np.eye(4)
-        b = rng.normal(size=4)
-        got = solve_generic([[A[i, j] for j in range(4)] for i in range(4)], list(b))
-        want = np.linalg.solve(A, b)
-        assert np.allclose([value(g) for g in got], want, atol=1e-12)
-
-    def test_solve_generic_propagates_duals(self):
-        # solve (2 + eps) x = 4  =>  x = 2 - eps
-        eps = generator(0, 1)
-        x = solve_generic([[2.0 + eps]], [4.0])[0]
-        assert value(x) == pytest.approx(2.0)
-        assert x.coeff(1) == pytest.approx(-1.0)
-
 
 class TestAgainstFiniteDifferences:
     @given(st.floats(min_value=-2.0, max_value=2.0))
@@ -148,3 +132,91 @@ class TestAgainstFiniteDifferences:
 
         x = 0.8
         assert d1(f, x) == pytest.approx(x / math.sqrt(1 + x * x), rel=1e-12)
+
+
+def _payload(rng, lead, m, p, lo=0.25, hi=4.0):
+    """A payload (lead..., 2**m, p) whose value row is one value per point
+    in [lo, hi], shared by its columns, over random derivative rows."""
+    c = rng.normal(size=lead + (1 << m, p))
+    c[..., 0, :] = rng.uniform(lo, hi, size=lead)[..., None]
+    return c
+
+
+class TestPointsAxis:
+    """Every operation on a payload with a points axis is the same operation
+    on each point's 2-D payload, to the bit."""
+
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_two_dimensional_payloads(self, m, count, p, seed):
+        rng = np.random.default_rng(seed)
+        A, B = (_payload(rng, (count,), m, p) for _ in range(2))
+        w = rng.uniform(-3.0, 3.0, size=count)
+        f = float(rng.uniform(0.5, 2.0))
+        ops = {
+            "add": lambda a, b, s: a + b,
+            "sub": lambda a, b, s: a - b,
+            "mul": lambda a, b, s: a * b,
+            "div": lambda a, b, s: a / b,
+            "add float": lambda a, b, s: a + f,
+            "float sub": lambda a, b, s: f - a,
+            "float div": lambda a, b, s: f / a,
+            "add per point": lambda a, b, s: s + a,
+            "sub per point": lambda a, b, s: a - s,
+            "mul per point": lambda a, b, s: s * a,
+            "div per point": lambda a, b, s: a / s,
+            "int power": lambda a, b, s: a ** 3,
+            "negative power": lambda a, b, s: a ** -2,
+            "float power": lambda a, b, s: a ** 1.5,
+            "gsqrt": lambda a, b, s: gsqrt(a),
+            "glog": lambda a, b, s: glog(a),
+            "gatan": lambda a, b, s: gatan(a - 2.0),
+        }
+        for name, op in ops.items():
+            batch = op(MultiDual(A, m), MultiDual(B, m), w)
+            assert batch.c.shape == (count, 1 << m, p), name
+            for k in range(count):
+                row = op(MultiDual(A[k], m), MultiDual(B[k], m), float(w[k]))
+                assert np.array_equal(batch.c[k], row.c), (name, k)
+
+    def test_constants_broadcast_over_points(self):
+        rng = np.random.default_rng(3)
+        x = MultiDual(_payload(rng, (4,), 2, 3), 2)
+        one = MultiDual.constant(1.0, 2)
+        for got, want in ((x * one, x.c), (one * x, x.c), (x + one - one, x.c)):
+            assert np.array_equal(got.c, want)
+        assert x.value.shape == (4,)
+        assert np.array_equal(x.value, x.c[:, 0, 0])
+
+    def test_domain_checks_name_the_failing_point(self):
+        rng = np.random.default_rng(4)
+        c = _payload(rng, (3,), 1, 2)
+        c[1, 0] = -1.0
+        with pytest.raises(ValueError, match="gsqrt"):
+            gsqrt(MultiDual(c, 1))
+        c[1, 0] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            1.0 / MultiDual(c, 1)
+
+    def test_coefficients_keep_the_leading_axes(self):
+        rng = np.random.default_rng(5)
+        x = MultiDual(_payload(rng, (3,), 1, 2), 1)
+        out = coefficients([[x, 2.0], [x * x, MultiDual.constant(1.5, 1)]], 1, 2)
+        assert out.shape == (3, 2, 2, 2, 2)
+        assert np.array_equal(out[:, 0, 0], x.c)
+        assert np.array_equal(out[:, 1, 0], (x * x).c)
+        assert np.all(out[:, 0, 1, 0] == 2.0) and np.all(out[:, 0, 1, 1:] == 0.0)
+        assert np.all(out[:, 1, 1, 0] == 1.5)
+
+    def test_eval_with_partials_over_points(self):
+        def fn(xs):
+            x, y = xs
+            return [x * x + y, gatan(x * y), 1.0]
+
+        X = np.random.default_rng(6).normal(size=(4, 2))
+        vals, cols = eval_with_partials(fn, X)
+        assert vals.shape == (4, 3) and cols.shape == (4, 2, 3)
+        for k, x in enumerate(X):
+            v, c = eval_with_partials(fn, list(x))
+            assert np.array_equal(vals[k], v) and np.array_equal(cols[k], c)

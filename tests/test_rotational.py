@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck.duals import eval_with_partials
-from qck.errors import DomainError, NumericalBreakdown, TypeConstraintError
+from qck import curvature, rotational
+from qck.ambient import MetricField
+from qck.duals import MultiDual, eval_with_partials
+from qck.errors import (ChartError, DomainError, NumericalBreakdown,
+                        TypeConstraintError)
 from qck.rotational import (BochnerFamily, ConstHSC, MeridianProfile,
                             bochner_meridian, check_rotation_type,
                             const_hsc_profile, embed_and_verify,
@@ -423,3 +426,101 @@ class TestEmbedding:
         assert d["rotation_type"] == "II"
         assert len(d["points"]) == 2
         assert d["points"][0]["fitted"]["class"] == "positive"
+
+
+# Chart points of ``embed_and_verify(profile, n=2, count=6, seed)`` with
+# ``Y_SCALE`` widened until draws fail the chart margin, as the one-point
+# loop that drew and verified each point in turn chose them.
+WIDE_DRAWS = {
+    ("II", 0.7, 11): (
+        (0.8679999999999999, -0.35721495375136725, -0.20857865777451295, -0.3691689351233976),
+        (1.2207999999999999, 0.39880845030037204, -0.039245107331932316, 0.5228199313795807),
+        (1.5735999999999999, 0.4762649172919023, -0.09559643378377941, -0.2653689969523973),
+        (1.9263999999999997, 0.3241771110183107, 0.5771594692710791, -0.14177090948541604),
+        (2.2791999999999994, -0.10695032499913795, 0.47998902756648054, -0.6092384493630199),
+        (2.6319999999999997, 0.6280744797094233, -0.1631924545723198, -0.5205172206561913),
+    ),
+    ("III", 3.0, 13): (
+        (3.16, 5.480269679872269, -9.2349957305941, 1.4370959629632702),
+        (3.496, 0.20891168298283447, 3.954750072543205, 0.5784438749975835),
+        (3.832, 5.481775882758526, 0.0952312774552992, -0.7743441667387212),
+        (4.168, 1.7414547640191536, 1.2963205840132166, -0.5352590361050265),
+        (4.504, -0.7419114659645536, 2.158322034555983, 1.0564739907929903),
+        (4.84, 5.037622402465411, -0.6728726351786307, 2.0059161457431163),
+    ),
+}
+
+PROFILES = {"II": ("II", -1.0, 0.7, 2.8), "III": ("III", -1.0, 3.0, 5.0)}
+
+
+class TestBatchedEmbedding:
+    """``embed_and_verify`` draws its points as the one-point loop did and
+    then differentiates the chart metric and its structure once each."""
+
+    @pytest.mark.parametrize("key", sorted(WIDE_DRAWS))
+    def test_draws_follow_the_one_point_loop(self, key, monkeypatch):
+        tag, scale, seed = key
+        monkeypatch.setattr(rotational, "Y_SCALE", scale)
+        rep = embed_and_verify(const_hsc_profile(*PROFILES[tag]), n=2, count=6,
+                               seed=seed)
+        assert [tuple(p.u0.tolist()) for p in rep.points] == list(WIDE_DRAWS[key])
+
+    def test_no_admissible_draw(self, monkeypatch):
+        monkeypatch.setattr(rotational, "Y_SCALE", 100.0)
+        with pytest.raises(ChartError,
+                           match="no admissible sphere point after 40 draws"):
+            embed_and_verify(const_hsc_profile(*PROFILES["II"]), n=2, count=2)
+
+    @pytest.mark.parametrize("tag", sorted(PROFILES))
+    def test_one_metric_and_one_structure_evaluation(self, tag, monkeypatch):
+        orders = {"metric": [], "structure": []}
+        build = rotational.rotation_metric
+
+        def counted(kind, fn):
+            def wrapper(u):
+                orders[kind].append(u[0].m if isinstance(u[0], MultiDual) else 0)
+                return fn(u)
+            return wrapper
+
+        def rotation_metric(profile, n=2):
+            metric, xi_field, sphere = build(profile, n)
+            metric.fn = counted("metric", metric.fn)
+            metric.complex_structure = counted("structure",
+                                               metric.complex_structure)
+            return metric, xi_field, sphere
+
+        monkeypatch.setattr(rotational, "rotation_metric", rotation_metric)
+        jets = {"second": 0, "first": 0}
+        for kind, name in (("second", "_second_jets"), ("first", "_first_jet")):
+            def wrapped(*args, kind=kind, fn=getattr(curvature, name)):
+                jets[kind] += 1
+                return fn(*args)
+            monkeypatch.setattr(curvature, name, wrapped)
+        rep = embed_and_verify(const_hsc_profile(*PROFILES[tag]), n=2, count=6)
+        assert len(rep.points) == 6
+        assert orders == {"metric": [2], "structure": [1]}
+        assert jets == {"second": 1, "first": 1}
+
+    @pytest.mark.parametrize("tag", sorted(PROFILES))
+    def test_structure_solve(self, tag):
+        lo, hi = PROFILES[tag][2:]
+        metric, _, _ = rotation_metric(const_hsc_profile(*PROFILES[tag]))
+        rng = np.random.default_rng(21)
+        X = np.column_stack([np.linspace(lo + 0.2, hi - 0.2, 5),
+                             0.2 * rng.normal(size=(5, 3))])
+        J, dJ = curvature.structure_jet(metric, X)
+        h = 1e-5
+        for x, Jx, dJx in zip(X, J, dJ):
+            assert np.max(np.abs(Jx @ Jx + np.eye(4))) < 1e-12
+            for k in range(4):
+                e = np.zeros(4)
+                e[k] = h
+                central = (metric.structure_matrix(x + e)
+                           - metric.structure_matrix(x - e)) / (2 * h)
+                assert np.max(np.abs(dJx[k] - central)) < 1e-7
+
+    def test_structure_solve_takes_first_jets_only(self):
+        metric, _, _ = rotation_metric(const_hsc_profile(*PROFILES["II"]))
+        with pytest.raises(ValueError, match="first jets"):
+            curvature.metric_second_jet(
+                MetricField(metric.complex_structure, 4), [1.5, 0.1, 0.0, 0.1])
