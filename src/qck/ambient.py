@@ -438,7 +438,8 @@ class MetricField:
     X, (P, d), to (gates, G, dG, d2G) with dG[p, k, i, j] and
     d2G[p, k, l, i, j] the partials of G at point p, and ``gates`` the
     field's per-point checks there in the order ``fn`` raises them (see
-    ``qck.errors``); rows that fail a gate carry meaningless values.  Only
+    ``qck.errors``); rows that fail a gate carry meaningless values.  With
+    ``order=0`` the rule takes G alone, and dG and d2G are None.  Only
     fields with the constant structure have such a rule.
     """
 
@@ -467,7 +468,7 @@ class MetricField:
         X = np.asarray(X, dtype=float)
         if self.jets is None:
             return np.array([self.matrix(x) for x in X])
-        gates, G, _, _ = self.jets(X)
+        gates, G, _, _ = self.jets(X, order=0)
         raise_first(gates)
         return G
 
@@ -504,25 +505,41 @@ def _rotate(X):
     return out
 
 
-def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
-    """G, dG and d2G of the metric of ``family`` at the rows of X, (P, d), in
-    closed form; see the module docstring.
-
-    G repeats the operations of the field's own evaluation entry by entry,
-    so it is that evaluation to the bit.  Nothing is checked here: a row
-    that fails ``potential_gates`` gets meaningless values.
-    """
-    H = space.flat_real()
-    h = np.diag(H)
-    w = space.square_norm(X.T)
+def _matrices(space: AmbientSpace, H, X, w, f1, f2):
+    """G at the rows of X from the flat form H, and the square norms w and
+    f', f'' at the rows."""
     r2 = -w if space.lorentz else w
-    f1, f2, f3, f4 = (np.broadcast_to(f, w.shape)[:, None, None] for f in (
-        family.d1(w), family.d2(w), family.d3(w), family.d4(w)))
-    eta = h * X / np.sqrt(r2)[:, None]
+    eta = np.diag(H) * X / np.sqrt(r2)[:, None]
     jeta = _rotate(eta)
     G = (2.0 * r2[:, None, None] * f2) * (eta[:, :, None] * eta[:, None, :]
                                           + jeta[:, :, None] * jeta[:, None, :])
     G += (2.0 * f1) * H
+    return G
+
+
+def potential_matrices(space: AmbientSpace, family: PotentialFamily, X):
+    """G of the metric of ``family`` at the rows of X, (P, d), in closed
+    form.  It repeats the operations of the field's own evaluation entry by
+    entry, so it is that evaluation to the bit.  Nothing is checked here: a
+    row that fails ``potential_gates`` gets meaningless values.
+    """
+    w = space.square_norm(X.T)
+    f1, f2 = (np.broadcast_to(f, w.shape)[:, None, None]
+              for f in (family.d1(w), family.d2(w)))
+    return _matrices(space, space.flat_real(), X, w, f1, f2)
+
+
+def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
+    """G, dG and d2G of the metric of ``family`` at the rows of X, (P, d), in
+    closed form, G as ``potential_matrices`` takes it; see the module
+    docstring.  Nothing is checked here either.
+    """
+    H = space.flat_real()
+    h = np.diag(H)
+    w = space.square_norm(X.T)
+    f1, f2, f3, f4 = (np.broadcast_to(f, w.shape)[:, None, None] for f in (
+        family.d1(w), family.d2(w), family.d3(w), family.d4(w)))
+    G = _matrices(space, H, X, w, f1, f2)
     # With u = H x and v = J0 u, G = 2 f' H + 2 f'' A for A = u u^T + v v^T;
     # d_k u = h_k and d_k v = m_k = J0 h_k, and w_k = 2 u_k, w_kl = 2 H_kl.
     u = h * X
@@ -585,11 +602,13 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
             out.append(row)
         return out
 
-    def jets(X):
+    def jets(X, order=2):
         w = space.square_norm(X.T)
         with np.errstate(all="ignore"):
-            return (potential_gates(space, family, w, checked),
-                    *potential_jets(space, family, X))
+            gates = potential_gates(space, family, w, checked)
+            if order == 0:
+                return gates, potential_matrices(space, family, X), None, None
+            return (gates, *potential_jets(space, family, X))
 
     return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
                        meta={"space": space, "family": family}, jets=jets)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qck import ambient
 from qck.ambient import (
     AmbientSpace,
     DefiniteLogFamily,
@@ -475,6 +476,11 @@ class TestDualBatches:
                 calls[name] += 1
                 return method(self, *args)
             monkeypatch.setattr(MetricField, name, counted)
+
+        def no_derivatives(*args):
+            raise AssertionError("the oracle reads G alone")
+
+        monkeypatch.setattr(ambient, "potential_jets", no_derivatives)
         got = metric_second_jet_fd(metric, x)
         assert calls == {"matrices": 1, "matrix": 0}
         for g, w in zip(got, want):
