@@ -21,7 +21,10 @@ G are polynomials in x times f' ... f'''' at w, and every family gives its
 derivatives up to f'''' in closed form on arrays of w, f''' and f'''' in the
 operation order of the order-2 dual of f''.  One call takes G, dG
 and d2G at many points at once; ``curvature.point_jets`` makes a jet of
-them, and ``curvature.point_jet`` is its one-point case.  ``potential_gates``
+them, and ``curvature.point_jet`` is its one-point case.  With ``order=0``
+the rule takes G alone (``potential_matrices``), which is all that
+``MetricField.matrices`` and the finite-difference oracle read.
+``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
 and in a batch; the field's evaluation tests its point in float arithmetic
