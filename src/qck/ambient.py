@@ -27,8 +27,9 @@ the rule takes G alone (``potential_matrices``), which is all that
 ``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
-and in a batch; the field's evaluation tests its point in float arithmetic
-first (``_passes_gates``).  Every other metric field (flat, chart,
+and in a batch; the field's evaluation tests its points in float arithmetic
+first (``_passes_gates``), and on duals with a points axis raises the error
+of the first row that fails.  Every other metric field (flat, chart,
 pulled-back, rotational) has no rule and is differentiated by duals.
 
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
@@ -407,22 +408,23 @@ def potential_gates(space: AmbientSpace, family: PotentialFamily, w,
     return gates
 
 
-def _passes_gates(space: AmbientSpace, family: PotentialFamily, w: float,
+def _passes_gates(space: AmbientSpace, family: PotentialFamily, w,
                   checked: bool) -> bool:
-    """Whether one square norm passes every gate of ``potential_gates``,
-    in float arithmetic.  A metric evaluation tests its point with this and
-    builds the gates only to name a failure: building and testing the gates
-    costs about as much as the float evaluation itself.  It must agree with
-    ``potential_gates``, which the tests check on both sides of every
-    edge."""
-    if not (family.in_domain(w) and (w < 0.0 if space.lorentz else w > 0.0)):
+    """Whether square norms w, one float or an array over points, all pass
+    every gate of ``potential_gates``, in float arithmetic.  A metric
+    evaluation tests its points with this and builds the gates only to name
+    a failure: building and testing the gates costs about as much as the
+    float evaluation itself.  It must agree with ``potential_gates``, which
+    the tests check on both sides of every edge."""
+    if not np.all(family.in_domain(w)
+                  & ((w < 0.0) if space.lorentz else (w > 0.0))):
         return False
     if not checked:
         return True
-    w = np.float64(w)
+    w = np.asarray(w, dtype=float)
     with np.errstate(all="ignore"):
         fp = family.d1(w)
-        return bool(_positive(space, fp, fp + w * family.d2(w)))
+        return bool(np.all(_positive(space, fp, fp + w * family.d2(w))))
 
 
 # -- metric fields ------------------------------------------------------------
@@ -585,8 +587,8 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
     def ev(x):
         w = space.square_norm(x)
         if not _passes_gates(space, family, value(w), checked):
-            raise_first(potential_gates(space, family, np.array([value(w)]),
-                                        checked))
+            raise_first(potential_gates(space, family,
+                                        np.atleast_1d(value(w)), checked))
         r2 = -w if space.lorentz else w
         r = gsqrt(r2)
         fp = family.d1(w)
@@ -694,14 +696,3 @@ def radial_unit_jets(space: AmbientSpace, jet, orientation: str = "outward"):
             np.eye(X.shape[1]) - dN[:, :, None] * X[:, None, :]
             / (2.0 * N)[:, None, None])
     return xi, dxi, [space.radius_gate(w), _length_gate(nrm2)]
-
-
-def radial_unit_jet(space: AmbientSpace, jet, orientation: str = "outward"):
-    """The metric-normalized radial unit field at the point of ``jet`` (a
-    ``curvature.PointJet``): (xi, dxi) with dxi[i, m] = d_i xi^m, the one-point
-    case of ``radial_unit_jets``.  FrameError where g(xi, xi) <= 0, as for
-    ``radial_frame``.
-    """
-    xi, dxi, gates = radial_unit_jets(space, jet.stacked(), orientation)
-    raise_first(gates)
-    return xi[0], dxi[0]

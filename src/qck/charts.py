@@ -100,6 +100,12 @@ class LorentzGraphChart:
     The rejection margin is expressed through the same angular scale as the
     definite chart: the solved coordinate squared must stay above
     radius^2 sin^2(margin).
+
+    ``radius`` and ``sign`` may also be arrays over the points of duals
+    with a points axis, one sphere per point: they act on the value row, so
+    one evaluation of a pulled-back metric serves charts of many radii, and
+    each row rounds as the chart of its own radius does.  ``params_of``
+    takes a scalar chart.
     """
 
     radius: float
@@ -108,7 +114,7 @@ class LorentzGraphChart:
     margin: float = 0.2
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if np.any(np.asarray(self.radius) <= 0):
             raise ChartError("sphere radius must be positive")
         if self.ambient_dim < 4 or self.ambient_dim % 2:
             raise ChartError("Lorentz chart expects an even ambient dimension >= 4")

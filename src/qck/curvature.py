@@ -7,9 +7,9 @@ connection (Christoffel symbols and inverse metric), all at one point.
 ``point_jet(metric, x)``, with its batched form ``point_jets``, is the one
 place that evaluates a metric for this work, and the one place that computes
 its connection; ``curvature_bundle``,
-``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jet`` and
-``qch.extract_shape_data`` all take the jet, so a per-point pipeline builds
-it once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
+``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jets`` and
+``qch.shape_arrays`` all take the jet, so a per-point pipeline builds it
+once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
 R assembled from it; its invariants read G, G^-1 and J off the jet.  The
 radial unit field and its partials follow from G and dG in closed form, so
 they cost no further evaluation; ``vector_jet`` differentiates other vector
@@ -85,8 +85,12 @@ def _first_jet(field, X, d):
     generator in column k.  (V, dV) with dV[..., k, i, j] = d_k V_ij."""
     seeds = _seeded_coordinates(X, 1, d)
     seeds[np.arange(d), ..., 1, np.arange(d)] = 1.0
-    out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d)
-    return out[..., 0, 0], np.moveaxis(out[..., 1, :], -1, seeds.ndim - 3)
+    out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d,
+                       seeds.shape[1:-2])
+    # contiguous, so that a point's rows lie alike in every batch
+    return (np.ascontiguousarray(out[..., 0, 0]),
+            np.ascontiguousarray(np.moveaxis(out[..., 1, :], -1,
+                                             seeds.ndim - 3)))
 
 
 def _second_jets(metric, X):
@@ -103,9 +107,11 @@ def _second_jets(metric, X):
     seeds = _seeded_coordinates(X, 2, len(ks))
     seeds[ks, ..., 1, cols] = 1.0
     seeds[ls, ..., 2, cols] = 1.0
-    out = coefficients(metric([MultiDual(s, 2) for s in seeds]), 2, len(ks))
-    G = out[..., 0, 0]
-    dG = np.moveaxis(out[..., 1, cols[ks == ls]], -1, -3)
+    out = coefficients(metric([MultiDual(s, 2) for s in seeds]), 2, len(ks),
+                       seeds.shape[1:-2])
+    # contiguous, so that a point's rows lie alike in every batch
+    G = np.ascontiguousarray(out[..., 0, 0])
+    dG = np.ascontiguousarray(np.moveaxis(out[..., 1, cols[ks == ls]], -1, -3))
     d2G = np.empty(G.shape[:-2] + (d, d, d, d))
     d2G[..., ks, ls, :, :] = d2G[..., ls, ks, :, :] = np.moveaxis(
         out[..., 3, :], -1, -3)
@@ -132,38 +138,49 @@ def _finite(G, dG, d2G):
     return G, dG, d2G
 
 
-def metric_second_jet_fd(metric, x):
+def metric_second_jet_fd(metric, X):
     """Finite-difference jet with the same layout as ``metric_second_jet``,
-    with step ``FD_STEP``.
+    with step ``FD_STEP``, at the point x, (d,), or at each row of X,
+    (P, d), with the points axis leading G, dG and d2G.
 
     Fourth-order stencils for the first partials and the diagonal second
     partials, Richardson-extrapolated cross stencil for the mixed ones.  The
-    whole stencil, 1 + 4d + 4d(d - 1) points, is one ``MetricField.matrices``
-    call, which reads G alone.  Useful as an oracle; the exact paths are
-    faster and exact to rounding.
+    stencils of all points, 1 + 4d + 4d(d - 1) rows each, are one
+    ``MetricField.matrices`` call, which reads G alone; a row outside the
+    field's domain raises its error.  Each point's jet takes the same
+    operations on its own rows, so it is that point's one-point jet to the
+    bit.  Useful as an oracle; the exact paths are faster and exact to
+    rounding.
     """
     d = metric.dim
     h = FD_STEP
-    xf = np.asarray([float(c) for c in x])
+    X = np.asarray(X, dtype=float)
+    x = X.reshape(-1, 1, d)
+    P = len(x)
     E = np.eye(d)
     ks, ls = np.triu_indices(d, 1)
     both, apart = E[ks] + E[ls], E[ks] - E[ls]
     steps = (h / 2, h)
-    stencil = [xf[None], xf + h * E, xf - h * E, xf + 2 * h * E, xf - 2 * h * E]
+    stencil = [x, x + h * E, x - h * E, x + 2 * h * E, x - 2 * h * E]
     for step in steps:
-        stencil += [xf + step * both, xf - step * both,
-                    xf + step * apart, xf - step * apart]
-    M = metric.matrices(np.concatenate(stencil))
-    G = M[0]
-    up, down, up2, down2 = M[1:1 + 4 * d].reshape(4, d, d, d)
+        stencil += [x + step * both, x - step * both,
+                    x + step * apart, x - step * apart]
+    M = metric.matrices(np.concatenate(stencil, axis=1).reshape(-1, d))
+    M = M.reshape(P, -1, d, d)
+    G = M[:, 0]
+    up, down, up2, down2 = np.moveaxis(M[:, 1:1 + 4 * d].reshape(P, 4, d, d, d),
+                                       1, 0)
     dG = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)
-    d2G = np.empty((d, d, d, d))
-    d2G[np.arange(d), np.arange(d)] = (-up2 + 16 * up - 30 * G + 16 * down
-                                       - down2) / (12 * h * h)
+    d2G = np.empty((P, d, d, d, d))
+    d2G[:, np.arange(d), np.arange(d)] = (-up2 + 16 * up - 30 * G[:, None]
+                                          + 16 * down - down2) / (12 * h * h)
     cross = [(pp + mm - pm - mp) / (4 * step * step) for step, (pp, mm, pm, mp)
-             in zip(steps, M[1 + 4 * d:].reshape(2, 4, len(ks), d, d))]
-    d2G[ks, ls] = d2G[ls, ks] = (4.0 * cross[0] - cross[1]) / 3.0
-    return G, dG, d2G
+             in zip(steps, np.moveaxis(
+                 M[:, 1 + 4 * d:].reshape(P, 2, 4, len(ks), d, d), 0, 2))]
+    d2G[:, ks, ls] = d2G[:, ls, ks] = (4.0 * cross[0] - cross[1]) / 3.0
+    shape = X.shape[:-1]
+    return (G.reshape(shape + (d, d)), dG.reshape(shape + (d,) * 3),
+            d2G.reshape(shape + (d,) * 4))
 
 
 def _cond_gate(G):
@@ -280,15 +297,19 @@ class PointJet:
                         self.gamma[None], self.Ginv[None], self.method)
 
 
-def point_jets(metric, X, sieve: Sieve) -> PointJet:
+def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
     """The jets, with a points axis, of ``metric`` at the rows of X, (P, d),
     that pass the field's gates, the finiteness of the jet and
-    ``COND_LIMIT``; ``sieve`` records why the other rows stopped.
+    ``COND_LIMIT``; ``sieve`` records why the other rows stopped.  Without
+    a sieve, the first row that stops raises its error.
 
     A field with a closed-form rule (``MetricField.jets``) takes it, with
     its gates.  Every other field is evaluated once on dual numbers at all
     rows, and a varying structure once more at the rows that pass."""
     X = np.asarray(X, dtype=float)
+    raising = sieve is None
+    if raising:
+        sieve = Sieve(len(X))
     if metric.jets is not None:
         gates, G, dG, d2G = metric.jets(X)
         method = "closed-form"
@@ -301,35 +322,45 @@ def point_jets(metric, X, sieve: Sieve) -> PointJet:
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
     keep = sieve.drop([_cond_gate(G)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
+    if raising:
+        for error in filter(None, sieve.errors):
+            raise error
     gamma, Ginv = _connection(G, dG)
     J, dJ = structure_jet(metric, X)
     return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, method)
+
+
+def fd_jets(metric, X) -> PointJet:
+    """The finite-difference oracle's jets, with a points axis, at the rows
+    of X, (P, d): ``metric_second_jet_fd`` at all rows in one stencil, and
+    the structure and connection as ``point_jets`` takes them.  A row
+    outside the field's domain, or past ``COND_LIMIT``, raises its error."""
+    X = np.asarray(X, dtype=float)
+    G, dG, d2G = metric_second_jet_fd(metric, X)
+    raise_first([_cond_gate(G)])
+    gamma, Ginv = _connection(G, dG)
+    J, dJ = structure_jet(metric, X)
+    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, "fd")
 
 
 def point_jet(metric, x, method: str = "exact") -> PointJet:
     """The PointJet of ``metric`` at ``x``.  ``method="exact"`` takes the
     field's closed-form rule where it has one, as the one-point case of
     ``point_jets``, and one metric evaluation by duals otherwise;
-    ``method="fd"`` is the finite-difference oracle.  The connection is
-    computed here once; DegenerateMetric where G is too ill-conditioned to
-    invert."""
-    if method == "exact" and metric.jets is not None:
-        sieve = Sieve(1)
-        jets = point_jets(metric, np.array([[float(c) for c in x]]), sieve)
-        if sieve.errors[0] is not None:
-            raise sieve.errors[0]
-        return jets.rows(0)
+    ``method="fd"`` is the finite-difference oracle, the one-point case of
+    ``fd_jets``.  The connection is computed here once; DegenerateMetric
+    where G is too ill-conditioned to invert."""
     if method == "fd":
-        G, dG, d2G = metric_second_jet_fd(metric, x)
-    elif method != "exact":
+        return fd_jets(metric, np.array([[float(c) for c in x]])).rows(0)
+    if method != "exact":
         raise ValueError(f"unknown jet method {method!r}")
-    else:
-        G, dG, d2G = metric_second_jet(metric, x)
-        method = "dual"
+    if metric.jets is not None:
+        return point_jets(metric, np.array([[float(c) for c in x]])).rows(0)
+    G, dG, d2G = metric_second_jet(metric, x)
     J, dJ = structure_jet(metric, x)
     gamma, Ginv = christoffel(G, dG)
     return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ,
-                    gamma, Ginv, method)
+                    gamma, Ginv, "dual")
 
 
 def curvature_tensors(jet: PointJet):
@@ -384,7 +415,7 @@ def vector_jet(vfield, x):
 def covariant_derivative(jet: PointJet, V, dV):
     """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
     vector field with values V^m and partials dV[i, m] = d_i V^m there
-    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jet``).
+    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jets``).
     Leading axes of V and dV carry through to D: one per field at the
     point, or the points axis of a jet that has one."""
     return dV + np.einsum("...mia,...a->...im", jet.gamma, V)

@@ -247,18 +247,20 @@ def value(x):
     return x.value if isinstance(x, MultiDual) else float(x)
 
 
-def coefficients(ys, m: int, p: int) -> np.ndarray:
+def coefficients(ys, m: int, p: int, lead: tuple = ()) -> np.ndarray:
     """Payloads of a (nested) list or array of floats and MultiDuals.
 
     Returns an array of shape ``lead + shape(ys) + (2**m, p)``, with lead the
-    leading axes of the MultiDuals' payloads (none when they have none):
-    MultiDuals with fewer generators are lifted, and one-column payloads and
-    floats are broadcast to all p columns and to every point (a float only
-    has a value part).
+    leading axes of the MultiDuals' payloads broadcast with ``lead`` (none
+    when neither has any): MultiDuals with fewer generators are lifted, and
+    one-column payloads and floats are broadcast to all p columns and to
+    every point (a float only has a value part).  The seeds' points axes
+    passed as ``lead`` keep them where ys holds no MultiDual, as for a
+    constant field.
     """
     objs = np.asarray(ys, dtype=object)
-    lead = np.broadcast_shapes(*(y.c.shape[:-2] for y in objs.flat
-                                 if isinstance(y, MultiDual)))
+    lead = np.broadcast_shapes(lead, *(y.c.shape[:-2] for y in objs.flat
+                                       if isinstance(y, MultiDual)))
     out = np.zeros(objs.shape + lead + (1 << m, p))
     flat = out.reshape((objs.size,) + lead + (1 << m, p))
     for k, y in enumerate(objs.flat):
@@ -286,7 +288,7 @@ def eval_with_partials(fn, xs):
     seeds[..., 0, :] = np.moveaxis(X, -1, 0)[..., None]
     for j in range(d):
         seeds[j, ..., 1, j] = 1.0
-    out = coefficients(fn([MultiDual(s, 1) for s in seeds]), 1, d)
+    out = coefficients(fn([MultiDual(s, 1) for s in seeds]), 1, d, X.shape[:-1])
     return (np.ascontiguousarray(out[..., 0, 0]),
             np.ascontiguousarray(out[..., 1, :].swapaxes(-1, -2)))
 

@@ -7,8 +7,8 @@ against {pi, phi, psi} by least squares; the fit residual is the falsifiable
 measure of whether the metric actually has quasi-constant holomorphic
 sectional curvatures, and the sign of a + k^2 classifies it.  The shape data
 (k, p*) come from the covariant derivative of the radial unit field, whose
-values and partials at the point ``ambient.radial_unit_jet`` reads off the
-metric's jet, so nothing here evaluates a metric.
+values and partials at each point ``ambient.radial_unit_jets`` reads off
+the metric's jet, so nothing here evaluates a metric.
 
 Both run in one J-adapted G-orthonormal frame per point
 (``adapted_frames``): rows xi, J xi, u_1, J u_1, ....  There G, J and xi
@@ -22,15 +22,15 @@ path is the oracle of the frame fit.
 ``decompose_points`` is the one entry point for many sample points of a
 potential metric: it runs the jet, connection, curvature, unit field, frame,
 shape data and fit over a points axis, ``CHUNK`` points per pass, and gives
-each point the error the one-point functions would raise there.  The frame,
-shape data and fit kernels (``adapted_frames``, ``shape_arrays``,
-``frame_fit``) take that axis; ``extract_shape_data`` and ``decompose`` are
-their one-point forms.
+each point the error its gates name there.  The frame, shape data and fit
+kernels (``adapted_frames``, ``shape_arrays``, ``frame_fit``) take that
+axis, and so do the hypersphere reports of ``qck.sasakian``.
 
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
 Kahler product K of a combination of its Ricci contraction and g, with no
-complex frame.  K builds phi too, from the radial projector.
+complex frame, over a points axis (``bochner_arrays``), with
+``bochner_of_tensor`` as its one-point form.  K builds phi too, from the radial projector.
 """
 
 from __future__ import annotations
@@ -156,9 +156,13 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     dxi (P, d, d) of xi: (k, p_star, sq, spread, model_defect, gates), each
     an array over the points, with sq = g(xi, xi).
 
-    The gates, in order: g(xi, xi) = +-1, a complement distribution whose
-    frame rows F[:, 2:] are all space-like, and a spread of the normal
-    curvature within ``SPREAD_GATE``.  See ``extract_shape_data``.
+    The sign of g(xi, xi) picks the "riemannian" or the "lorentz" sign
+    conventions.  k is averaged over the complement rows of the frame; the
+    per-direction spread is itself the test that the field has the required
+    shape.  The gates, in order: g(xi, xi) = +-1, a complement distribution
+    whose frame rows F[:, 2:] are all space-like, and a spread of the normal
+    curvature within ``SPREAD_GATE``, past which ShapeUniformityError stands
+    for an average of unlike things.
     """
     xi, jxi = F[:, 0], F[:, 1]
     D = covariant_derivative(jet, xi, dxi)
@@ -192,29 +196,6 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
              - p_star[:, None, None] * outer_t)
     model_defect = np.max(np.abs(D - model), axis=(1, 2))
     return k, p_star, sq, spread, model_defect, [unit, complete, uniform]
-
-
-def extract_shape_data(jet: PointJet, xi, dxi) -> ShapeData:
-    """Measure (k, p_star) of a unit vector field at the point of ``jet``
-    from its values xi and partials dxi[i, m] = d_i xi^m there; G, J and the
-    connection are the jet's.  Pure linear algebra: the field's jet comes
-    from ``ambient.radial_unit_jet`` for the radial unit field, or from
-    ``curvature.vector_jet`` for any other.  The one-point case of
-    ``adapted_frames`` and ``shape_arrays``.
-
-    g(xi, xi) must be +1 or -1, and its sign picks the "riemannian" or the
-    "lorentz" sign conventions.  k is averaged over the complement rows of
-    the J-adapted frame, which must be space-like; the per-direction spread
-    is itself the test that the field has the required shape, and exceeding
-    ``SPREAD_GATE`` raises ShapeUniformityError instead of returning an
-    average of unlike things.
-    """
-    xi = np.asarray(xi, float)
-    jet = jet.stacked()
-    F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
-    *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
-    raise_first(gates)
-    return _shape_data(xi, *(a[0] for a in shape))
 
 
 def _shape_data(xi, k, p_star, sq, spread, model_defect) -> ShapeData:
@@ -260,8 +241,11 @@ def _kahler_product(G, Om, S, JS):
     antisymmetric in their first index pair; the full curvature symmetries
     appear in the sum, where each supplies the pair transpose of the other.
     """
-    return (_antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
-            - 2.0 * _outer_sum([(Om, JS), (JS, Om)]))
+    K = _antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
+    twice = _outer_sum([(Om, JS), (JS, Om)])
+    twice *= 2.0
+    K -= twice
+    return K
 
 
 def basis_arrays(G, J, xi):
@@ -408,51 +392,51 @@ def frame_fit(R, F, signs):
     return coeffs, residual
 
 
-def decompose(bundle: CurvatureBundle, shape: ShapeData) -> QCDecomposition:
-    """Fit the bundle's curvature against the structural basis in the
-    J-adapted frame of the unit vector of ``shape``, and classify by
-    a + k^2 with its k: the one-point case of ``adapted_frames`` and
-    ``frame_fit``.  FrameError where the vector is not unit or the frame
-    cannot be completed."""
-    F, signs, gates = adapted_frames(bundle.jet.G[None], bundle.jet.J[None],
-                                     np.asarray(shape.xi, float)[None])
-    raise_first(gates)
-    coeffs, residual = frame_fit(bundle.R.a[None], F, signs)
-    return QCDecomposition.of(*coeffs[0].tolist(), float(residual[0]), shape.k)
-
-
 # -- Bochner operator -------------------------------------------------------------
 
 
-def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
-    """Trace-free part of a Kahler curvature tensor in the holomorphic sense.
+def bochner_arrays(T, G, J):
+    """Trace-free parts of Kahler curvature tensors T (P, d, d, d, d) in the
+    holomorphic sense, at metric values G (P, d, d) and structures J
+    (P, d, d): the Bochner tensors, (P, d, d, d, d).
 
     Tachibana's real form of Bochner's tensor: with rho = G^-1 . T,
     tau = tr_G rho and K the Kahler product,
     B = T - K(rho) / (2 (n + 2)) + tau pi / ((n + 1)(n + 2)).  As
     pi = K(g) / 8, T - B is the one product K(S) of
     S = rho / (2 (n + 2)) - tau g / (8 (n + 1)(n + 2)).  The Ricci data is
-    contracted from the tensor itself, so the operator applies equally to
+    contracted from each tensor itself, so the operator applies equally to
     synthetic combinations of the basis tensors and to curvature tensors
-    coming from a bundle.
+    coming from a jet.  Every contraction is a matrix product per point, so
+    a row's result does not depend on the batch around it.
 
     T must carry the Kahler symmetries: those of a curvature tensor and
     T(JX, JY, Z, W) = T(X, Y, Z, W).  A part of T without them is carried
-    into B, not projected away.  J must square to -identity within 1e-9;
-    ValueError otherwise.
+    into B, not projected away.  Each J must square to -identity within
+    1e-9; ValueError otherwise.
     """
-    G = np.asarray(G, float)
-    J = np.asarray(J, float)
-    d = G.shape[0]
+    P, d = G.shape[:2]
     if np.max(np.abs(J @ J + np.eye(d))) > 1e-9:
         raise ValueError("J does not square to -identity")
     Ginv = np.linalg.inv(G)
-    rho = np.einsum("il,ijkl->jk", Ginv, T.a)
-    tau = float(np.einsum("jk,jk->", Ginv, rho))
+    # rho_jk = sum_il Ginv_il T_ijkl, and tau = sum_jk Ginv_jk rho_jk
+    rho = (T.transpose(0, 2, 3, 1, 4).reshape(P, d * d, d * d)
+           @ Ginv.reshape(P, d * d, 1)).reshape(P, d, d)
+    tau = Ginv.reshape(P, 1, d * d) @ rho.reshape(P, d * d, 1)
     n = d / 2.0
     S = rho / (2.0 * (n + 2.0)) - tau * G / (8.0 * (n + 1.0) * (n + 2.0))
-    K = _kahler_product(G[None], (J.T @ G)[None], S[None], (J.T @ S)[None])
-    return Tensor4(T.a - K[0])
+    JT = J.swapaxes(1, 2)
+    K = _kahler_product(G, JT @ G, S, JT @ S)
+    return np.subtract(T, K, out=K)
+
+
+def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:
+    """The Bochner tensor of the Kahler curvature tensor T at the metric
+    values G and structure J of one point: the one-point case of
+    ``bochner_arrays``, with its conditions and its ValueError."""
+    B = bochner_arrays(T.a[None], np.asarray(G, float)[None],
+                       np.asarray(J, float)[None])
+    return Tensor4(B[0])
 
 
 def bochner_flat(B: Tensor4) -> bool:
@@ -507,8 +491,8 @@ class PointResult:
 
 def decompose_points(space: AmbientSpace, family: PotentialFamily, X,
                      checked: bool = True, fit: bool = True):
-    """The pipeline of ``decompose`` at each row of X, (P, d), for the metric
-    of ``family``: yields one ``PointResult`` per row, in order.
+    """The quasi-constant decomposition at each row of X, (P, d), for the
+    metric of ``family``: yields one ``PointResult`` per row, in order.
 
     Rows are processed ``CHUNK`` at a time, each chunk in one batched pass
     of the jet, connection, curvature, unit field, shape data, basis and

@@ -40,7 +40,7 @@ from .curvature import (curvature_gate, curvature_tensors, kahler_defect,
 from .duals import (MultiDual, coefficients, eval_with_partials, gatan, glog,
                     gsqrt, value)
 from .errors import (ChartError, DomainError, NumericalBreakdown, Sieve,
-                     TypeConstraintError)
+                     TypeConstraintError, raise_first)
 from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
 
 ROTATION_TYPES = ("I", "II", "III")
@@ -243,10 +243,9 @@ class ConstHSC:
             u = gsqrt(8.0 - a * t * t)
             return (u + glog((u - 2.0) / (u + 2.0))) / math.sqrt(-a)
         arg = a * (8.0 + a * t * t)
-        if value(arg) < 0.0:
-            raise DomainError(
-                f"type III profile needs t >= {self.min_radius():.6g}, "
-                f"got t = {value(t):.6g}")
+        raise_first([(value(arg) < 0.0, lambda j: DomainError(
+            f"type III profile needs t >= {self.min_radius():.6g}, "
+            f"got t = {np.ravel(value(t))[j]:.6g}"))])
         inner = -(8.0 + a * t * t)
         return (gsqrt(arg) - 2.0 * math.sqrt(-a) * gatan(0.5 * gsqrt(inner))) / (-a)
 
@@ -340,19 +339,18 @@ class MeridianProfile:
         the Bochner family takes q' from the constraint itself, so its
         defect is rounding alone.
         """
-        out = 0.0
-        for t in np.linspace(self.t0, self.t1, NATURAL_SAMPLES):
-            tp = self.source.tp(t)
-            if self.source.kind == "const-hsc":
-                _, cols = eval_with_partials(
-                    lambda args: [self._closed_q(args[0])], [float(t)])
-                qp = cols[0][0] * tp
-            else:
-                qp = float(self.dqdt(t)) * tp
-            # types II and III share the constraint t'^2 - q'^2 = 1
-            qp2 = qp * qp if self.rotation_type == "I" else -qp * qp
-            out = max(out, abs(tp * tp + qp2 - 1.0))
-        return out
+        ts = np.linspace(self.t0, self.t1, NATURAL_SAMPLES)
+        tp = self.source.tp(ts)
+        if self.source.kind == "const-hsc":
+            # q' at every radius in one evaluation
+            _, cols = eval_with_partials(
+                lambda args: [self._closed_q(args[0])], ts[:, None])
+            qp = cols[:, 0, 0] * tp
+        else:
+            qp = self.dqdt(ts) * tp
+        # types II and III share the constraint t'^2 - q'^2 = 1
+        qp2 = qp * qp if self.rotation_type == "I" else -qp * qp
+        return float(np.max(np.abs(tp * tp + qp2 - 1.0)))
 
     def rows(self, count: int = 9):
         """Meridian table: (s, t, q, tp, tpp, a, b, c, k, a_plus_k2)."""

@@ -57,7 +57,11 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
     a finite window of positive radii.
 
     Points whose square norm falls outside the family domain, or where the
-    admissibility inequalities fail, are rejected and redrawn.
+    admissibility inequalities fail, are rejected and redrawn.  Draws come
+    in blocks of the points still needed, in the order of one draw at a
+    time, and each block is tested in one ``admissibility`` call; so the
+    sample is the one a point-by-point loop draws, and no point is drawn
+    after the last one kept.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -72,14 +76,12 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
             raise DomainError(
                 f"could not draw {count} admissible points in [{rmin}, {rmax}] "
                 f"after {budget} tries")
-        tries += 1
-        r = rng.uniform(rmin, rmax)
-        x = point_at_radius(space, r, rng=rng)
+        block = [point_at_radius(space, rng.uniform(rmin, rmax), rng=rng)
+                 for _ in range(min(count - len(pts), budget - tries))]
+        tries += len(block)
         if family is not None:
-            w = float(space.square_norm(x))
-            if not family.in_domain(w):
-                continue
-            if not admissibility(space, family, w).ok:
-                continue
-        pts.append(x)
+            w = space.square_norm(np.array(block).T)
+            block = [x for x, ok in zip(block, admissibility(space, family, w).ok)
+                     if ok]
+        pts.extend(block)
     return pts

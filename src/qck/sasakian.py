@@ -8,12 +8,18 @@ law and of the structure equation for phi, samples the phi-holomorphic
 sectional curvature through the Gauss equation, and compares everything with
 the ambient quasi-constant decomposition.  The unit normal xi, the Reeb field
 J xi, the second fundamental form and the fields of the phi law all come from
-the ambient metric's jet at the point (``ambient.radial_unit_jet`` and the
+the ambient metric's jet at the point (``ambient.radial_unit_jets`` and the
 product rule on G and xi), and the connection is the jet's; only the chart
-cross-check evaluates the metric again.  The curvature K of the hypersphere
-is a (0,4)-tensor array: the ambient R plus the Gauss-equation terms of the
-second fundamental form.  The checks contract it, and the space form model
-built as a tensor beside it, with all sampled vectors at once.
+cross-check evaluates the metric again.  The curvature K of the
+hypersphere is a (0,4)-tensor array: the ambient R plus the Gauss-equation
+terms of the second fundamental form.  The checks contract it, and the space
+form model built as a tensor beside it, with all sampled vectors at once.
+
+``sphere_reports`` takes many radii at once: one jet at all their sample
+points gives the unit normals, shape data and J-adapted frames
+(``qch.adapted_frames``, whose complement rows are the tangent basis past
+xi_tilde), and one jet of the pulled-back metric, on a chart whose radius
+varies by row, gives every intrinsic curvature.
 
 The intrinsic family on the unit Lorentz hypersphere rescales the flat
 induced structure into Sasakian metrics of prescribed negative
@@ -31,15 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace, MetricField, potential_metric, radial_unit_jet
+from .ambient import (AmbientSpace, MetricField, potential_metric,
+                      radial_unit_jets)
 from .charts import LorentzGraphChart, pullback_metric, tangent_params
 from .core import apply_j0, j0_matrix
 from .curvature import (CurvatureBundle, PointJet, _first_jet,
-                        covariant_derivative, curvature_bundle, point_jet,
-                        vector_jet)
-from .errors import DomainError, FrameError, NotSasakian, NotSpaceForm
-from .qch import QCDecomposition, ShapeData, decompose, extract_shape_data
+                        covariant_derivative, curvature_bundle, curvature_gate,
+                        curvature_tensors, point_jet, point_jets, vector_jet)
+from .errors import DomainError, NotSasakian, NotSpaceForm, raise_first
+from .qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
+                  frame_fit, shape_arrays)
 from .sampling import definite_point, timelike_point
+from .tensors import Tensor4
 
 ZERO_BAND = 1e-8
 ALPHA_GATE = 1e-5
@@ -85,63 +94,84 @@ class ContactStructure(AlmostContact):
         return v - float(v @ self.jet.G @ self.xi) * self.xi
 
 
-def induced_contact(space: AmbientSpace, metric: MetricField, x,
-                    orientation: str = "auto") -> ContactStructure:
-    """Contact structure of the hypersphere through x.
+def _gates_at(gates, row: int):
+    """The gates of a batch at one of its rows, raising as that row would."""
+    return [(bad[row], lambda j, error=error: error(row)) for bad, error in gates]
 
-    With orientation "auto" the normal is chosen so that the normal curvature
-    k comes out positive, which matches the classical sphere structures on
-    both signatures.  The unit normal and its partials come from the point's
-    jet, so the only metric evaluation is that jet's.
+
+def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
+    """Contact structures of the hyperspheres through the points of ``jet``
+    (with a points axis), and each point's J-adapted frame and square norms
+    of its rows (``qch.adapted_frames``): (structures, F, signs).
+
+    The unit normal of every orientation tried, its shape data and its
+    frame are one batched pass over the points.  A point raises the first
+    gate its one-point form fails, orientation by orientation.  The tangent
+    basis is J0 xi followed by the frame's rows 2.., which span the
+    complement of span(xi, J xi).
     """
     tags = ("outward", "inward") if orientation == "auto" else (orientation,)
-    jet = point_jet(metric, x)
-    for tag in tags:
-        xi, dxi = radial_unit_jet(space, jet, tag)
-        shape = extract_shape_data(jet, xi, dxi)
-        if shape.k > 0:
-            break
-    G, J = jet.G, jet.J
-    xit = apply_j0(xi)
-    eta_t = G @ xit
-    phi = J + np.outer(xi, eta_t)
-    rest = _complement_basis(G, xi, xit)
-    basis = np.vstack([xit] + list(rest))
+    P = len(jet.point)
+    units = [radial_unit_jets(space, jet, tag) for tag in tags]
+    xi = np.concatenate([u[0] for u in units])
+    dxi = np.concatenate([u[1] for u in units])
+    both = jet.rows(np.tile(np.arange(P), len(tags)))
+    with np.errstate(all="ignore"):
+        F, signs, frame_gates = adapted_frames(both.G, both.J, xi)
+        *shape, shape_gates = shape_arrays(both, F, signs, dxi)
+    k = shape[0]
+    rows = []
+    for p in range(P):
+        for t, tag in enumerate(tags):
+            row = t * P + p
+            raise_first(_gates_at(units[t][2], p))
+            raise_first(_gates_at(shape_gates, row))
+            if k[row] > 0:
+                break
+        raise_first(_gates_at(frame_gates, row))
+        rows.append((row, tag))
+    sel = np.array([row for row, _ in rows])
+    xi, dxi, F, signs = xi[sel], dxi[sel], F[sel], signs[sel]
+    G = jet.G
+    J0 = j0_matrix(space.n)
+    xit = xi @ J0.T
+    eta_t = np.einsum("pij,pj->pi", G, xit)
+    phi = jet.J + xi[:, :, None] * eta_t[:, None, :]
+    basis = np.concatenate([xit[:, None], F[:, 2:]], axis=1)
+    identity = _identity_defects(G, phi, xit, eta_t, basis)
+    structures = []
+    for p, (row, tag) in enumerate(rows):
+        shape_p = _shape_data(xi[p], *(a[row] for a in shape))
+        structures.append(ContactStructure(
+            jet.rows(p), xi_tilde=xit[p], eta_tilde=eta_t[p], phi=phi[p],
+            tangent_basis=basis[p],
+            radius=float(space.radius(jet.point[p])), orientation=tag,
+            xi=xi[p], dxi=dxi[p], k=shape_p.k, alpha=0.5 * shape_p.k,
+            shape=shape_p, identity_defect=float(identity[p])))
+    return structures, F, signs
 
-    defects = [abs(eta_t @ xit - 1.0), _gnorm(G, phi @ xit)]
-    for u in basis:
-        defects.append(_gnorm(G, phi @ (phi @ u) + u - (eta_t @ u) * xit))
-        defects.append(abs(eta_t @ (phi @ u)))
-        for v in basis:
-            defects.append(abs((phi @ u) @ G @ (phi @ v) - u @ G @ v
-                               + (eta_t @ u) * (eta_t @ v)))
 
-    return ContactStructure(
-        jet, xi_tilde=xit, eta_tilde=eta_t, phi=phi, tangent_basis=basis,
-        radius=float(space.radius(jet.point)), orientation=tag, xi=xi,
-        dxi=dxi, k=shape.k,
-        alpha=0.5 * shape.k, shape=shape,
-        identity_defect=float(max(defects)))
+def _identity_defects(G, phi, xit, eta_t, basis):
+    """Largest defect of the almost contact identities at each point:
+    eta(xi~) = 1, phi xi~ = 0, and for u, v in the tangent basis
+    phi^2 u = -u + eta(u) xi~, eta(phi u) = 0 and
+    g(phi u, phi v) = g(u, v) - eta(u) eta(v)."""
+    def gnorm(V):
+        return np.sqrt(np.abs(np.einsum("p...i,pij,p...j->p...", V, G, V)))
 
-
-def _complement_basis(G, xi, xit):
-    """G-orthonormal basis of the orthogonal complement of span(xi, xi~) at
-    a point where g(xi, xi) = 1: the coordinate directions in order, less
-    their xi and xi~ components, by Gram-Schmidt.  The complement is
-    space-like; a direction whose remainder has g-norm^2 below 1e-10 is
-    skipped."""
-    d = len(xi)
-    rest = np.eye(d) - np.outer(G @ xi, xi) - np.outer(G @ xit, xit)
-    out = []
-    for w in rest:
-        for u in out:
-            w = w - (w @ G @ u) * u
-        nrm2 = w @ G @ w
-        if nrm2 >= 1e-10:
-            out.append(w / math.sqrt(nrm2))
-            if len(out) == d - 2:
-                return out
-    raise FrameError("could not complete a basis of the complement distribution")
+    PB = basis @ phi.swapaxes(1, 2)  # rows phi u
+    e = np.einsum("pbi,pi->pb", basis, eta_t)
+    defects = [
+        np.abs(np.einsum("pi,pi->p", eta_t, xit) - 1.0),
+        gnorm(np.einsum("pij,pj->pi", phi, xit)),
+        np.max(gnorm(PB @ phi.swapaxes(1, 2) + basis
+                     - e[:, :, None] * xit[:, None, :]), axis=1),
+        np.max(np.abs(np.einsum("pbi,pi->pb", PB, eta_t)), axis=1),
+        np.max(np.abs(PB @ G @ PB.swapaxes(1, 2)
+                      - basis @ G @ basis.swapaxes(1, 2)
+                      + e[:, :, None] * e[:, None, :]), axis=(1, 2)),
+    ]
+    return np.max(defects, axis=0)
 
 
 def _gnorm(G, v) -> float:
@@ -307,24 +337,24 @@ def space_form_model_defect(structure: AlmostContact, K, c: float,
     return float(np.max(np.abs(_quadruple(K, *quads) - _quadruple(model, *quads))))
 
 
-def gauss_consistency(space: AmbientSpace, metric: MetricField,
-                      structure: ContactStructure, K, seed: int = 2) -> float:
-    """Cross-check of the extrinsic curvature tensor K against the intrinsic
-    one.
-
-    The hypersphere is realized as a graph chart, the ambient metric is
-    pulled back, and sectional curvatures of 6 chart planes are compared
-    with the Gauss-equation values K on the matching ambient planes.
-    """
-    Z, G = structure.jet.point, structure.jet.G
-    r = structure.radius
-    if space.lorentz:
-        sheet = 1.0 if Z[-1] > 0 else -1.0
-        chart = LorentzGraphChart(r, space.dim, sign=sheet)
-    else:
+def _sphere_chart(space: AmbientSpace, structure: ContactStructure):
+    """The graph chart of the hypersphere through the structure's point, on
+    the sheet of the point, and the point's chart parameters."""
+    if not space.lorentz:
         raise DomainError("chart cross-check is wired for the Lorentz signature")
-    u0 = chart.params_of(Z)
-    bundle = curvature_bundle(point_jet(pullback_metric(chart, metric), u0))
+    Z = structure.jet.point
+    sheet = 1.0 if Z[-1] > 0 else -1.0
+    chart = LorentzGraphChart(structure.radius, space.dim, sign=sheet)
+    return chart, chart.params_of(Z)
+
+
+def _gauss_delta(structure: ContactStructure, K, chart,
+                 bundle: CurvatureBundle, seed: int) -> float:
+    """Largest gap between the Gauss-equation sectional curvatures of K and
+    the intrinsic ones of ``bundle``, the curvature of the pulled-back
+    metric at the point's parameters in ``chart``, over 6 seeded planes of
+    the tangent basis."""
+    G = structure.jet.G
     basis = structure.tangent_basis
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -410,30 +440,69 @@ def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
                   orientation: str = "auto",
                   metric: MetricField | None = None) -> SasakianReport:
     """Full alpha-Sasakian verification of the hypersphere of radius r, with
-    the chart cross-check of the Gauss equation on the Lorentz signature.
+    the chart cross-check of the Gauss equation on the Lorentz signature:
+    the one-radius case of ``sphere_reports``.
 
     ``family`` may be None together with an explicit ``metric`` (the flat
     field gives the classical round-sphere structures).
     """
+    return sphere_reports(space, family, [r], seed, orientation, metric)[0]
+
+
+def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
+                   orientation: str = "auto",
+                   metric: MetricField | None = None) -> list:
+    """``sphere_report`` at each of ``radii``, with one batched pass per
+    stage.
+
+    Each radius draws its sample point Z with ``seed`` as the one-radius
+    report does.  One jet of the metric at all points Z gives the unit
+    normals, shape data, J-adapted frames, structures and the ambient fit;
+    one jet of the pulled-back metric, on a chart whose radius and sheet
+    vary by row, gives the intrinsic curvature at every chart point.  The
+    seeded samples of the derivative laws, the phi-sectional curvature, the
+    space form model and the Gauss cross-check then run per radius, in the
+    order of the one-radius report.
+    """
     if metric is None:
         metric = potential_metric(space, family)
-    Z = (_chartable_timelike_point(space, r, seed) if space.lorentz
-         else definite_point(space, r, seed=seed))
-    structure = induced_contact(space, metric, Z, orientation=orientation)
-    check = alpha_sasakian_check(space, structure)
-    bundle = curvature_bundle(structure.jet)
-    K = gauss_curvature_fn(structure, bundle)
-    rep = _report(structure, check, K, seed, radius=structure.radius,
-                  orientation=structure.orientation,
-                  identity_defect=structure.identity_defect)
-
-    dec = decompose(bundle, structure.shape)
-    delta = max(abs(rep.c_plus_3a2 - dec.a_plus_k2),
-                abs(rep.c - rep.alpha ** 2 - dec.a))
-    gauss_delta = (gauss_consistency(space, metric, structure, K, seed=seed)
-                   if space.lorentz else None)
-    return dataclasses.replace(rep, decomposition=dec, decompose_delta=delta,
-                               gauss_delta=gauss_delta)
+    Z = np.array([_chartable_timelike_point(space, r, seed) if space.lorentz
+                  else definite_point(space, r, seed=seed) for r in radii])
+    jet = point_jets(metric, Z)
+    structures, F, signs = _induced_contacts(space, jet, orientation)
+    R = curvature_tensors(jet)
+    raise_first([curvature_gate(R)])
+    coeffs, residual = frame_fit(R, F, signs)
+    if space.lorentz:
+        charts = [_sphere_chart(space, s) for s in structures]
+        sphere = LorentzGraphChart(np.array([c.radius for c, _ in charts]),
+                                   space.dim,
+                                   sign=np.array([c.sign for c, _ in charts]))
+        cjet = point_jets(pullback_metric(sphere, metric),
+                          np.array([u for _, u in charts]))
+        Rc = curvature_tensors(cjet)
+        raise_first([curvature_gate(Rc)])
+    reports = []
+    for p, structure in enumerate(structures):
+        check = alpha_sasakian_check(space, structure)
+        bundle = CurvatureBundle(structure.jet, Tensor4(R[p]))
+        K = gauss_curvature_fn(structure, bundle)
+        rep = _report(structure, check, K, seed, radius=structure.radius,
+                      orientation=structure.orientation,
+                      identity_defect=structure.identity_defect)
+        dec = QCDecomposition.of(*coeffs[p].tolist(), float(residual[p]),
+                                 structure.shape.k)
+        delta = max(abs(rep.c_plus_3a2 - dec.a_plus_k2),
+                    abs(rep.c - rep.alpha ** 2 - dec.a))
+        gauss_delta = None
+        if space.lorentz:
+            chart = charts[p][0]
+            intrinsic = CurvatureBundle(cjet.rows(p), Tensor4(Rc[p]))
+            gauss_delta = _gauss_delta(structure, K, chart, intrinsic, seed)
+        reports.append(dataclasses.replace(
+            rep, decomposition=dec, decompose_delta=delta,
+            gauss_delta=gauss_delta))
+    return reports
 
 
 def _chartable_timelike_point(space, r, seed):

@@ -46,9 +46,7 @@ class Tensor4:
         return float(curvature_symmetry_defect(self.a))
 
     def first_bianchi_defect(self) -> float:
-        R = self.a
-        cyc = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
-        return float(np.max(np.abs(cyc)))
+        return float(first_bianchi_defect(self.a))
 
     def __add__(self, other):
         return Tensor4(self.a + other.a)
@@ -78,6 +76,13 @@ def curvature_symmetry_defect(R):
     d3 = np.max(np.abs(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1)),
                 axis=_AXES)
     return np.maximum(np.maximum(d1, d2), d3)
+
+
+def first_bianchi_defect(R):
+    """Max violation of the first Bianchi identity (absolute) of each
+    tensor: the cyclic sum over its first three indices."""
+    cyc = R + np.moveaxis(R, -4, -2) + np.moveaxis(R, -2, -4)
+    return np.max(np.abs(cyc), axis=_AXES)
 
 
 def fit_tensors(targets, basis):

@@ -4,6 +4,15 @@ Each criterion is a standalone function returning a CriterionResult; the
 registry drives both ``qck verify`` and the acceptance test gate, so the
 command line and the test suite can never drift apart.  Criteria carry a
 wall-clock budget and fail when they blow it.
+
+A criterion makes one batched call per stage over its sample points,
+trials or radii, never one per point: ``qch.decompose_points`` for the
+potential criteria, ``qch.bochner_arrays`` for the Bochner tensors of the
+disc model and of the operator identity, ``sasakian.sphere_reports`` for the
+hypersphere radii, and ``curvature.point_jets`` with ``curvature.fd_jets``
+for the exact and finite-difference jets of the hygiene check.  Seeded
+draws stay in the order of the one-point code, so each detail keeps its
+meaning.
 """
 
 from __future__ import annotations
@@ -15,14 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
-                      LogFamily, flat_metric, potential_metric, radial_frame)
-from .curvature import curvature_bundle, kahler_defect, point_jet
-from .qch import (bochner_flat, bochner_of_tensor, build_basis_tensors,
+                      LogFamily, flat_metric, potential_metric)
+from .core import j0_matrix
+from .curvature import (curvature_bundle, curvature_gate, curvature_tensors,
+                        fd_jets, kahler_defect, point_jet, point_jets)
+from .errors import DomainError, raise_first
+from .qch import (BOCHNER_FLAT_TOL, _frame_basis, bochner_arrays,
                   decompose_points)
 from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
                          embed_and_verify, qc_coefficients)
 from .sampling import point_at_radius, radial_points
-from .sasakian import family_h1_report, sphere_report
+from .sasakian import family_h1_report, sphere_reports
+from .tensors import (curvature_symmetry_defect, first_bianchi_defect,
+                      tensor_scale)
 
 
 @dataclass(frozen=True)
@@ -84,32 +98,48 @@ def _crit_disc_model():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
     pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
+    results = _decompose_points(space, family, pts)
+    R, G, J = (np.stack(a) for a in zip(*(
+        (res.bundle.R.a, res.bundle.jet.G, res.bundle.jet.J)
+        for res in results)))
+    # 20 seeded directions per point, unit in g
+    X = np.stack([np.random.default_rng(1000 + i).normal(size=(20, 4))
+                  for i in range(len(results))])
+    X = X / np.sqrt(np.einsum("psi,pij,psj->ps", X, G, X))[:, :, None]
+    hsc_err = np.max(np.abs(_holomorphic_curvatures(R, G, J, X) + 1.0),
+                     axis=1)
+    bnorm = tensor_scale(bochner_arrays(R, G, J))
     failures = []
     details = {"max_coefficient_delta": 0.0, "max_residual": 0.0,
                "max_hsc_delta": 0.0, "max_bochner_norm": 0.0}
-    for i, res in enumerate(_decompose_points(space, family, pts)):
-        dec, bundle = res.decomposition, res.bundle
+    for i, res in enumerate(results):
+        dec = res.decomposition
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
             failures.append(f"point {i}: decomposition off by {coeff:.3e}, "
                             f"residual {dec.residual:.3e}")
-        rng = np.random.default_rng(1000 + i)
-        hsc_err = 0.0
-        for _ in range(20):
-            X = rng.normal(size=4)
-            X = X / math.sqrt(float(X @ bundle.jet.G @ X))
-            hsc_err = max(hsc_err, abs(bundle.hsc(X) + 1.0))
-        if hsc_err > 1e-7:
+        if hsc_err[i] > 1e-7:
             failures.append(f"point {i}: holomorphic curvature off by "
-                            f"{hsc_err:.3e}")
-        bnorm = bochner_of_tensor(bundle.R, bundle.jet.G, bundle.jet.J).scale()
-        if bnorm > 1e-6:
-            failures.append(f"point {i}: Bochner norm {bnorm:.3e}")
+                            f"{hsc_err[i]:.3e}")
+        if bnorm[i] > 1e-6:
+            failures.append(f"point {i}: Bochner norm {bnorm[i]:.3e}")
         for key, v in (("max_coefficient_delta", coeff),
                        ("max_residual", dec.residual),
-                       ("max_hsc_delta", hsc_err), ("max_bochner_norm", bnorm)):
+                       ("max_hsc_delta", float(hsc_err[i])),
+                       ("max_bochner_norm", float(bnorm[i]))):
             details[key] = max(details[key], v)
     return details, failures
+
+
+def _holomorphic_curvatures(R, G, J, X):
+    """R(X, JX, JX, X) / g(X, X)^2 for the directions X (P, S, d) at each
+    point of R, G and J; DomainError for a null direction."""
+    JX = X @ J.swapaxes(1, 2)
+    gXX = np.einsum("psi,pij,psj->ps", X, G, X)
+    raise_first([(np.abs(gXX) < 1e-14, lambda j: DomainError(
+        "null direction has no holomorphic curvature"))])
+    num = np.einsum("pijkl,psi,psj,psk,psl->ps", R, X, JX, JX, X)
+    return num / (gXX * gXX)
 
 
 def _crit_negative_class():
@@ -190,36 +220,38 @@ def _crit_radial_law():
 
 
 def _crit_bochner_equivalence():
-    space = AmbientSpace(3, "definite")
-    x = point_at_radius(space, 1.5, seed=3)
-    G = space.flat_real()
-    metric = flat_metric(space)
-    J = metric.structure_matrix(x)
-    frame = radial_frame(space, x)
-    basis = build_basis_tensors(G, J, frame)
-    n = space.n
-    model = (2.0 / ((n + 1) * (n + 2)) * basis.pi
-             - 4.0 / (n + 2) * basis.phi + basis.psi)
+    # pi, phi and psi of the flat definite metric in a J-adapted frame,
+    # where G is the identity and J is j0
+    n = 3
+    d = 2 * n
+    pi, phi, psi = (b[None] for b in
+                    _frame_basis((1.0,) * d)[0].reshape(3, d, d, d, d))
+    model = (2.0 / ((n + 1) * (n + 2)) * pi - 4.0 / (n + 2) * phi + psi)
     rng = np.random.default_rng(101)
-    failures = []
-    worst_identity = 0.0
+    coeffs = []
     for trial in range(50):
         a, b = rng.uniform(-2.0, 2.0, size=2)
         if trial % 2 == 0:
             c = 0.0
         else:
             c = float(rng.uniform(0.01, 2.0) * rng.choice([-1.0, 1.0]))
-        T = a * basis.pi + b * basis.phi + c * basis.psi
-        B = bochner_of_tensor(T, G, J)
-        flat = bochner_flat(B)
-        if flat != (abs(c) < 1e-6):
-            failures.append(f"trial {trial}: flat={flat} but c={c:.3e}")
-        defect = (B - c * model).scale()
-        worst_identity = max(worst_identity, defect)
-        if defect > 1e-9:
+        coeffs.append((a, b, c))
+    a, b, c = np.array(coeffs).T[:, :, None, None, None, None]
+    P = len(coeffs)
+    B = bochner_arrays(a * pi + b * phi + c * psi,
+                       np.broadcast_to(np.eye(d), (P, d, d)),
+                       np.broadcast_to(j0_matrix(n), (P, d, d)))
+    flat = tensor_scale(B) < BOCHNER_FLAT_TOL
+    B -= c * model  # less the image the identity predicts
+    defect = tensor_scale(B)
+    failures = []
+    for trial, (is_flat, (_, _, ct), dt) in enumerate(zip(flat, coeffs, defect)):
+        if is_flat != (abs(ct) < 1e-6):
+            failures.append(f"trial {trial}: flat={is_flat} but c={ct:.3e}")
+        if dt > 1e-9:
             failures.append(f"trial {trial}: operator identity off by "
-                            f"{defect:.3e}")
-    return {"max_identity_defect": worst_identity}, failures
+                            f"{dt:.3e}")
+    return {"max_identity_defect": float(np.max(defect))}, failures
 
 
 def _crit_hypersphere():
@@ -227,8 +259,8 @@ def _crit_hypersphere():
     family = LogFamily(-1.0, 1.0)
     failures = []
     details = {}
-    for r in (1.5, 2.0, 3.0):
-        rep = sphere_report(space, family, r, seed=2)
+    radii = (1.5, 2.0, 3.0)
+    for r, rep in zip(radii, sphere_reports(space, family, radii, seed=2)):
         want_c3 = -(r * r - 1.0) / (r * r)
         checks = [
             (abs(rep.alpha - 1.0 / (2.0 * r)) < 1e-6,
@@ -323,26 +355,25 @@ def _crit_numerical_hygiene():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
     metric = potential_metric(space, family)
-    pts = radial_points(space, 5, 1.3, 2.8, seed=21, family=family)
+    X = np.array(radial_points(space, 5, 1.3, 2.8, seed=21, family=family))
+    jet = point_jets(metric, X)
+    R = curvature_tensors(jet)
+    Rf = curvature_tensors(fd_jets(metric, X))
+    raise_first([curvature_gate(R), curvature_gate(Rf)])
+    scale = np.maximum(1.0, tensor_scale(R))
+    rel = tensor_scale(R - Rf) / scale
+    sym = curvature_symmetry_defect(R) / scale
+    bia = first_bianchi_defect(R) / scale
     failures = []
-    worst_rel = worst_sym = worst_bia = 0.0
-    for x in pts:
-        bd = curvature_bundle(point_jet(metric, x))
-        bf = curvature_bundle(point_jet(metric, x, method="fd"))
-        scale = max(1.0, bd.R.scale())
-        rel = float(np.max(np.abs(bd.R.a - bf.R.a))) / scale
-        sym = bd.R.curvature_symmetry_defect() / scale
-        bia = bd.R.first_bianchi_defect() / scale
-        worst_rel = max(worst_rel, rel)
-        worst_sym = max(worst_sym, sym)
-        worst_bia = max(worst_bia, bia)
-        if rel > 1e-6:
-            failures.append(f"{bd.jet.method} vs finite-difference drift "
-                            f"{rel:.3e}")
-        if sym > 1e-9 or bia > 1e-9:
-            failures.append(f"algebraic identity defect {max(sym, bia):.3e}")
-    return {"max_path_drift": worst_rel, "max_symmetry_defect": worst_sym,
-            "max_bianchi_defect": worst_bia}, failures
+    for r, s, b in zip(rel, sym, bia):
+        if r > 1e-6:
+            failures.append(f"{jet.method} vs finite-difference drift "
+                            f"{r:.3e}")
+        if s > 1e-9 or b > 1e-9:
+            failures.append(f"algebraic identity defect {max(s, b):.3e}")
+    return {"max_path_drift": float(np.max(rel)),
+            "max_symmetry_defect": float(np.max(sym)),
+            "max_bianchi_defect": float(np.max(bia))}, failures
 
 
 CRITERIA = {

@@ -8,7 +8,7 @@ Bochner tensor computed in them: the complex-frame reference for the
 real-form ``qch.bochner_of_tensor``.  The radial unit field, and the fields
 phi Y and Y of the hypersphere phi law, as generic-scalar vector fields
 that evaluate the metric themselves: the dual-number references for the
-closed-form ``ambient.radial_unit_jet`` and the phi-law jets of
+closed-form ``ambient.radial_unit_jets`` and the phi-law jets of
 ``qck.sasakian``.  The hypersphere curvature as a scalar closure
 K(x, y, z, u), with the looped phi-sectional and space form samples that
 use it: the references for the curvature tensor and its batched
@@ -17,7 +17,9 @@ tests use: the holomorphic sectional curvature by angle, the Kahler-gated
 Bochner tensor and the covariant derivative of the complex structure.  And
 the conformal-pair metrics, a rotationally symmetric Hermitian family that
 is not built from a potential: an independent non-potential metric for the
-curvature and Kahler tests.
+curvature and Kahler tests.  And the one-point forms of batched kernels
+that no command calls any more: the radial unit field, the shape data, the
+fit, the hypersphere contact structure and its Gauss cross-check.
 """
 
 from __future__ import annotations
@@ -30,12 +32,17 @@ import numpy as np
 
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, MetricField, PotentialFamily, UserSeries,
-                         _radial_projectors)
+                         _radial_projectors, radial_unit_jets)
+from qck.charts import pullback_metric
 from qck.core import apply_j0
-from qck.curvature import covariant_derivative, curvature_bundle, kahler_defect
+from qck.curvature import (covariant_derivative, curvature_bundle,
+                           kahler_defect, point_jet, point_jets)
 from qck.duals import MultiDual, glog, gsqrt, value
-from qck.errors import DomainError, FrameError, NumericalBreakdown, QckError
-from qck.qch import bochner_of_tensor
+from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
+                        raise_first)
+from qck.qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
+                     bochner_of_tensor, frame_fit, shape_arrays)
+from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
 from qck.tensors import Tensor4
 
 # Every potential family, with a radius in its admissible region for each n:
@@ -472,6 +479,58 @@ def structure_covariant_defect(jet) -> float:
     # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
     nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
     return float(np.max(np.abs(nj)))
+
+
+# -- one-point forms of batched kernels that only the tests call -------------
+
+
+def radial_unit_jet(space, jet, orientation: str = "outward"):
+    """The metric-normalized radial unit field at the point of ``jet``:
+    (xi, dxi) with dxi[i, m] = d_i xi^m, the one-point case of
+    ``ambient.radial_unit_jets``, raising its first failing gate."""
+    xi, dxi, gates = radial_unit_jets(space, jet.stacked(), orientation)
+    raise_first(gates)
+    return xi[0], dxi[0]
+
+
+def extract_shape_data(jet, xi, dxi) -> ShapeData:
+    """Shape data (k, p_star) of a unit vector field with values xi and
+    partials dxi at the point of ``jet``: the one-point case of
+    ``qch.adapted_frames`` and ``qch.shape_arrays``, raising the first
+    failing gate of the shape data."""
+    xi = np.asarray(xi, float)
+    jet = jet.stacked()
+    F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
+    *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
+    raise_first(gates)
+    return _shape_data(xi, *(a[0] for a in shape))
+
+
+def decompose(bundle, shape: ShapeData) -> QCDecomposition:
+    """The fit of the bundle's curvature in the J-adapted frame of the unit
+    vector of ``shape``, classified with its k: the one-point case of
+    ``qch.adapted_frames`` and ``qch.frame_fit``."""
+    F, signs, gates = adapted_frames(bundle.jet.G[None], bundle.jet.J[None],
+                                     np.asarray(shape.xi, float)[None])
+    raise_first(gates)
+    coeffs, residual = frame_fit(bundle.R.a[None], F, signs)
+    return QCDecomposition.of(*coeffs[0].tolist(), float(residual[0]), shape.k)
+
+
+def induced_contact(space, metric, x, orientation: str = "auto"):
+    """The contact structure of the hypersphere through x: the one-point
+    case of ``sasakian._induced_contacts``."""
+    jet = point_jets(metric, np.asarray([[float(c) for c in x]]))
+    return _induced_contacts(space, jet, orientation)[0][0]
+
+
+def gauss_consistency(space, metric, structure, K, seed: int = 2) -> float:
+    """The Gauss cross-check of ``sasakian.sphere_reports`` at one
+    structure: the pulled-back metric's jet at the point's chart
+    parameters, and ``sasakian._gauss_delta``."""
+    chart, u0 = _sphere_chart(space, structure)
+    bundle = curvature_bundle(point_jet(pullback_metric(chart, metric), u0))
+    return _gauss_delta(structure, K, chart, bundle, seed)
 
 
 # -- conformal pairs ----------------------------------------------------------

@@ -18,7 +18,6 @@ from qck.ambient import (
     potential_gates,
     potential_metric,
     radial_frame,
-    radial_unit_jet,
 )
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
 from qck.curvature import covariant_derivative, point_jet, vector_jet
@@ -26,7 +25,7 @@ from qck.duals import MultiDual, coefficients, value
 from qck.errors import AdmissibilityError, DomainError, FrameError
 from qck.sampling import point_at_radius
 from qck.sasakian import sphere_report
-from oracles import (POTENTIAL_CASES, ConformalDomainError, ScalarField,
+from oracles import (POTENTIAL_CASES, radial_unit_jet, ConformalDomainError, ScalarField,
                      conformal_factors, conformal_pair_from_family,
                      differentiate, generator, metric_from_conformal_pair,
                      radial_unit_field)

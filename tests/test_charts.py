@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from qck.ambient import AmbientSpace, MetricField, flat_metric
+from qck.ambient import (AmbientSpace, LogFamily, MetricField, UserSeries,
+                         flat_metric, potential_metric)
 from qck.charts import (LorentzGraphChart, SphereGraphChart, pullback_metric,
                         tangent_params)
-from qck.curvature import curvature_bundle, point_jet
+from qck.curvature import curvature_bundle, point_jet, point_jets
 from qck.duals import eval_with_partials
-from qck.errors import ChartError
+from qck.errors import AdmissibilityError, ChartError, DomainError
 
 L2 = AmbientSpace(2, "lorentz")
 
@@ -196,3 +197,56 @@ class TestTangentParams:
         w = tangent_params(ch, v)
         J = np.array([[float(c) for c in row] for row in ch.jac(u)])
         assert np.allclose(J @ w, v, atol=1e-12)
+
+
+class TestPotentialPullbackOverPoints:
+    """The potential metric's evaluator on duals with a points axis, pulled
+    back to Lorentz charts of one radius or of one radius per row."""
+
+    U = np.array([[0.1, 0.2, -0.3], [0.0, -0.1, 0.2], [0.3, 0.1, 0.1]])
+
+    @staticmethod
+    def same_jets(jets, metric_at, U):
+        for k, u in enumerate(U):
+            want = point_jet(metric_at(k), u)
+            for name in ("G", "dG", "d2G", "gamma", "Ginv"):
+                assert np.array_equal(getattr(jets.rows(k), name),
+                                      getattr(want, name)), name
+
+    def test_rows_equal_point_jets(self):
+        metric = pullback_metric(LorentzGraphChart(2.0, 4),
+                                 potential_metric(L2, LogFamily(-1.0, 1.0)))
+        jets = point_jets(metric, self.U)
+        assert jets.method == "dual"
+        self.same_jets(jets, lambda k: metric, self.U)
+
+    def test_radius_and_sheet_per_row(self):
+        family = LogFamily(-1.0, 1.0)
+        radii, sheets = np.array([1.5, 2.0, 3.0]), np.array([1.0, -1.0, 1.0])
+        chart = LorentzGraphChart(radii, 4, sign=sheets)
+        jets = point_jets(pullback_metric(chart, potential_metric(L2, family)),
+                          self.U)
+        self.same_jets(jets, lambda k: pullback_metric(
+            LorentzGraphChart(radii[k], 4, sign=sheets[k]),
+            potential_metric(L2, family)), self.U)
+
+    @pytest.mark.parametrize("family,good,radius,error", [
+        (LogFamily(-1.0, 1.0), 2.5, 0.8, DomainError),
+        # f = w + w^2 / 10 is admissible for 1.58 < r < 2.24 only
+        (UserSeries((0.0, 1.0, 0.1)), 2.0, 3.0, AdmissibilityError)])
+    def test_failing_row_raises_the_one_point_error(self, family, good, radius,
+                                                    error):
+        # the middle row lies on a sphere where the metric is not defined
+        radii = np.array([good, radius, good])
+        metric = pullback_metric(LorentzGraphChart(radii, 4),
+                                 potential_metric(L2, family))
+        with pytest.raises(error) as batch:
+            point_jets(metric, self.U)
+        with pytest.raises(error) as one:
+            point_jet(pullback_metric(LorentzGraphChart(radius, 4),
+                                      potential_metric(L2, family)), self.U[1])
+        assert str(batch.value) == str(one.value)
+
+    def test_array_radius_must_be_positive(self):
+        with pytest.raises(ChartError):
+            LorentzGraphChart(np.array([1.0, 0.0]), 4)

@@ -19,6 +19,7 @@ from qck.curvature import (
     christoffel,
     covariant_derivative,
     curvature_bundle,
+    fd_jets,
     kahler_defect,
     metric_second_jet,
     metric_second_jet_fd,
@@ -498,3 +499,42 @@ class TestDualBatches:
         jets = point_jets(metric, np.zeros((0, 4)), Sieve(0))
         assert jets.G.shape == (0, 4, 4) and jets.d2G.shape == (0, 4, 4, 4, 4)
         assert jets.J.shape == (0, 4, 4) and jets.dJ.shape == (0, 4, 4, 4)
+
+
+class TestFDBatches:
+    """The finite-difference oracle over a points axis is, row by row, the
+    one-point oracle to the bit."""
+
+    @pytest.mark.parametrize("metric,X", [
+        (potential_metric(L2, LogFamily(-1.0, 1.0)),
+         np.array([timelike_point(L2, r, seed=s)
+                   for s, r in enumerate((1.3, 1.9, 2.8))])),
+        (rotation_metric(const_hsc_profile("II", -1.0, 0.7, 2.8))[0],
+         np.array([[1.0, 0.1, -0.2, 0.05], [2.0, -0.1, 0.0, 0.2]]))],
+        ids=["potential", "rotational"])
+    def test_rows_equal_one_point_jets(self, metric, X):
+        batch = metric_second_jet_fd(metric, X)
+        jets = fd_jets(metric, X)
+        assert jets.method == "fd"
+        for k, x in enumerate(X):
+            for got, want in zip(batch, metric_second_jet_fd(metric, x)):
+                assert np.array_equal(got[k], want)
+            one = point_jet(metric, x, method="fd")
+            for name in ("G", "dG", "d2G", "J", "dJ", "gamma", "Ginv"):
+                assert np.array_equal(getattr(jets.rows(k), name),
+                                      getattr(one, name)), name
+
+    def test_one_read_of_g_for_every_stencil(self, monkeypatch):
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        X = np.array([timelike_point(L2, 2.0, seed=s) for s in range(5)])
+        seen = []
+        matrices = MetricField.matrices
+
+        def counted(self, Y):
+            seen.append(len(Y))
+            return matrices(self, Y)
+
+        monkeypatch.setattr(MetricField, "matrices", counted)
+        fd_jets(metric, X)
+        d = L2.dim
+        assert seen == [5 * (1 + 4 * d + 4 * d * (d - 1))]

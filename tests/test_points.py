@@ -1,5 +1,6 @@
 """The points axis: ``qch.decompose_points`` in a batch against the same
-points one at a time.
+points one at a time, and the block sampler of ``sampling.radial_points``
+against the point-by-point loop.
 
 A batch runs every stage once over its points and narrows it past each
 gate; a point alone runs the same kernels with a points axis of length 1,
@@ -8,6 +9,7 @@ batch must equal its one-point result, error text included, and a report
 must not depend on where the chunks fall.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck import cli, qch
+from qck import cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
-                         LogFamily, UserSeries, potential_metric,
-                         radial_unit_jet)
+                         LogFamily, UserSeries, admissibility,
+                         potential_metric)
 from qck.curvature import curvature_bundle, point_jet
 from qck.errors import DomainError, QckError, Sieve
-from qck.qch import decompose, decompose_points, extract_shape_data
+from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
+from oracles import decompose, extract_shape_data, radial_unit_jet
 
 L2 = AmbientSpace(2, "lorentz")
 D2 = AmbientSpace(2, "definite")
@@ -213,3 +216,58 @@ def test_batch_matches_one_point(n, case, radii, seed):
         if want.shape is not None:
             assert close((got.shape.k, got.shape.p_star),
                          (want.shape.k, want.shape.p_star))
+
+
+class TestRadialPoints:
+    """The block sampler draws the sample of the point-by-point loop."""
+
+    # SHA-256 of the float64 bytes of the samples of seeds 0..9, by count,
+    # drawn by the point-by-point sampler that preceded the block one
+    DIGESTS = {
+        1: "2109e5bd1f61e8c97a995dd89f98b9548b885095f5127f0f6bbc1aa298dd944a",
+        5: "9b8c669a18d211aeb5163f746bd1aa10799914b33b7fbacb519519d0a7a56fec",
+        10: "e93947b153021728d7a53c19d9b0fead1eafbf8e66a1479f369b699bea06eb9b",
+    }
+    # rejects the fifth of the radii in [1, 3.5] that lie inside r0 = 1.5
+    FAMILY = LogFamily(-2.0, 1.5)
+
+    @staticmethod
+    def looped(space, count, rmin, rmax, seed, family):
+        rng = np.random.default_rng(seed)
+        pts = []
+        while len(pts) < count:
+            x = point_at_radius(space, rng.uniform(rmin, rmax), rng=rng)
+            w = float(space.square_norm(x))
+            if family.in_domain(w) and admissibility(space, family, w).ok:
+                pts.append(x)
+        return pts
+
+    @pytest.mark.parametrize("count", [1, 5, 10])
+    def test_bit_for_bit_with_the_loop(self, count):
+        digest = hashlib.sha256()
+        for seed in range(10):
+            got = radial_points(L2, count, 1.0, 3.5, seed=seed,
+                                family=self.FAMILY)
+            want = self.looped(L2, count, 1.0, 3.5, seed, self.FAMILY)
+            assert np.array_equal(np.array(got), np.array(want))
+            digest.update(np.array(got).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[count]
+
+    def test_no_draw_after_the_last_point_kept(self, monkeypatch):
+        draws = []
+        point_at = sampling.point_at_radius
+
+        def counted(*args, **kwargs):
+            x = point_at(*args, **kwargs)
+            draws.append(x)
+            return x
+
+        monkeypatch.setattr(sampling, "point_at_radius", counted)
+        pts = radial_points(L2, 10, 1.0, 3.5, seed=3, family=self.FAMILY)
+        assert np.array_equal(draws[-1], pts[-1])
+        assert len(draws) > len(pts)
+
+    def test_budget_error_text(self):
+        with pytest.raises(DomainError, match=r"could not draw 2 admissible "
+                           r"points in \[1.0, 1.4\] after 400 tries"):
+            radial_points(L2, 2, 1.0, 1.4, seed=0, family=self.FAMILY)

@@ -14,7 +14,6 @@ from qck.ambient import (
     flat_metric,
     potential_metric,
     radial_frame,
-    radial_unit_jet,
 )
 from qck.config import DEFAULT_TOLERANCES
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
@@ -24,18 +23,18 @@ from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
     adapted_frames,
+    bochner_arrays,
     bochner_flat,
     bochner_of_tensor,
     build_basis_tensors,
     classify,
-    decompose,
     decompose_points,
-    extract_shape_data,
 )
 from qck.sampling import point_at_radius, radial_points
 from qck.tensors import Tensor4, tensor4_fit
 from oracles import (ConformalPair, NotKahler, adapted_complex_frame,
-                     bochner_tensor, complex_bochner, holomorphic_components,
+                     bochner_tensor, complex_bochner, decompose,
+                     extract_shape_data, radial_unit_jet, holomorphic_components,
                      hsc_angle_profile, metric_from_conformal_pair,
                      radial_unit_field, real_from_holomorphic, section_angle)
 
@@ -761,3 +760,37 @@ class TestBochner:
         T = a * self.basis.pi + b * self.basis.phi + c * self.basis.psi
         B = bochner_of_tensor(T, self.G, self.J)
         assert bochner_flat(B) == (abs(c) < 1e-6)
+
+
+class TestBochnerArrays:
+    """The batched Bochner operator: each row is the one-point operator on
+    that row to the bit, whatever the batch around it."""
+
+    def test_rows_equal_one_point_operator(self):
+        rng = np.random.default_rng(16)
+        for n in (2, 3, 4):
+            for signature in ("definite", "lorentz"):
+                cases = [kahler_curvature(n, signature, seed)
+                         for seed in range(50)]
+                T, G, J = (np.stack([c[k].a if k == 0 else c[k] for c in cases])
+                           for k in range(3))
+                ones = [bochner_of_tensor(*c).a for c in cases]
+                for P in (1, 7, 50):
+                    rows = rng.permutation(50)[:P]
+                    B = bochner_arrays(T[rows], G[rows], J[rows])
+                    for b, i in zip(B, rows):
+                        assert np.array_equal(b, ones[i])
+
+    def test_rows_match_the_complex_frame(self):
+        cases = [kahler_curvature(3, "lorentz", seed) for seed in range(7)]
+        B = bochner_arrays(*(np.stack([c[k].a if k == 0 else c[k]
+                                       for c in cases]) for k in range(3)))
+        for b, (T, G, J) in zip(B, cases):
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.max(np.abs(b - complex_bochner(T, G, J).a)) < 1e-12 * scale
+
+    def test_any_bad_structure_raises(self):
+        T, G, J = kahler_curvature(2, "definite", 0)
+        J2 = np.stack([J, 2.0 * J])
+        with pytest.raises(ValueError, match="J does not square to -identity"):
+            bochner_arrays(np.stack([T.a, T.a]), np.stack([G, G]), J2)

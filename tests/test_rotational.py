@@ -524,3 +524,50 @@ class TestBatchedEmbedding:
         with pytest.raises(ValueError, match="first jets"):
             curvature.metric_second_jet(
                 MetricField(metric.complex_structure, 4), [1.5, 0.1, 0.0, 0.1])
+
+
+class TestNaturalDefect:
+    """The natural-parameter check differentiates the closed-form q at all
+    its radii in one evaluation, and reads as the radius-by-radius loop."""
+
+    @staticmethod
+    def looped(prof):
+        out = 0.0
+        for t in np.linspace(prof.t0, prof.t1, rotational.NATURAL_SAMPLES):
+            tp = prof.source.tp(t)
+            if prof.source.kind == "const-hsc":
+                _, cols = eval_with_partials(
+                    lambda args: [prof._closed_q(args[0])], [float(t)])
+                qp = cols[0][0] * tp
+            else:
+                qp = float(prof.dqdt(t)) * tp
+            qp2 = qp * qp if prof.rotation_type == "I" else -qp * qp
+            out = max(out, abs(tp * tp + qp2 - 1.0))
+        return out
+
+    @pytest.mark.parametrize("prof", [
+        const_hsc_profile("II", -1.0, 0.5, 3.0),
+        const_hsc_profile("III", -1.0, 3.0, 5.0),
+        const_hsc_profile("III", -1.0, 3.0, 5.0, flip_q=True),
+        bochner_meridian(1.0, 0.0, 0.5, 1.2)], ids=["II", "III", "III-flip",
+                                                   "bochner"])
+    def test_matches_the_loop(self, prof):
+        assert prof.natural_defect() == self.looped(prof)
+
+    def test_one_evaluation(self, monkeypatch):
+        prof = const_hsc_profile("II", -1.0, 0.5, 3.0)
+        calls = []
+
+        def counted(fn, xs):
+            calls.append(np.shape(xs))
+            return eval_with_partials(fn, xs)
+
+        monkeypatch.setattr(rotational, "eval_with_partials", counted)
+        prof.natural_defect()
+        assert calls == [(rotational.NATURAL_SAMPLES, 1)]
+
+    def test_radius_below_the_type_three_domain_raises(self):
+        with pytest.raises(DomainError, match="got t = 2"):
+            eval_with_partials(
+                lambda args: [ConstHSC(-1.0, "III").q_closed(args[0])],
+                np.array([[3.0], [2.0], [1.0]]))

@@ -14,12 +14,12 @@ from qck.core import j0_matrix
 from qck.curvature import curvature_bundle, vector_jet
 from qck.errors import DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
-                          family_h1_report, gauss_consistency,
-                          gauss_curvature_fn, induced_contact, phi_sectional,
+                          family_h1_report, gauss_curvature_fn, phi_sectional,
                           space_form_model, space_form_model_defect,
                           sphere_phi_law, sphere_report)
 from qck.sampling import point_at_radius, timelike_point
-from oracles import (POTENTIAL_CASES, gauss_curvature_closure,
+from oracles import (POTENTIAL_CASES, gauss_consistency,
+                     gauss_curvature_closure, induced_contact,
                      phi_sectional_values, space_form_samples,
                      sphere_phi_fields, tensor_closure)
 
@@ -333,6 +333,7 @@ class TestJetCounts:
                      "metric_second_jet_fd"):
             monkeypatch.setattr(curvature, name,
                                 counted("second", getattr(curvature, name)))
+        monkeypatch.setattr(sasakian, "point_jets", curvature.point_jets)
         first = counted("first", curvature._first_jet)
         monkeypatch.setattr(curvature, "_first_jet", first)
         monkeypatch.setattr(sasakian, "_first_jet", first)
@@ -383,6 +384,7 @@ class TestEvaluationCounts:
             field.fn = fn
 
         monkeypatch.setattr(curvature, "CurvatureBundle", CountedBundle)
+        monkeypatch.setattr(sasakian, "CurvatureBundle", CountedBundle)
         monkeypatch.setattr(ambient.MetricField, "__init__", counted_init)
         return counts
 
