@@ -242,14 +242,11 @@ class CurvatureBundle:
         return num / den
 
     def hsc(self, X) -> float:
-        """Holomorphic sectional curvature of the section (X, JX)."""
-        X = np.asarray(X, float)
-        JX = self.jet.J @ X
-        num = float(np.einsum("ijkl,i,j,k,l->", self.R.a, X, JX, JX, X))
-        gXX = float(X @ self.jet.G @ X)
-        if abs(gXX) < 1e-14:
-            raise DomainError("null direction has no holomorphic curvature")
-        return num / (gXX * gXX)
+        """Holomorphic sectional curvature of the section (X, JX): the
+        one-point case of ``holomorphic_curvatures``."""
+        return float(holomorphic_curvatures(
+            self.R.a[None], self.jet.G[None], self.jet.J[None],
+            np.asarray(X, float)[None, None])[0, 0])
 
     def sigma_radial(self, xi) -> float:
         """Negated Ricci value on a radial unit direction."""
@@ -261,6 +258,18 @@ class CurvatureBundle:
         xi = np.asarray(xi, float)
         jxi = self.jet.J @ xi
         return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
+
+
+def holomorphic_curvatures(R, G, J, X):
+    """Holomorphic sectional curvatures R(X, JX, JX, X) / g(X, X)^2 of the
+    directions X (P, S, d) at each point of the curvature tensors R, metric
+    values G and structures J: (P, S).  DomainError for a null direction."""
+    JX = X @ J.swapaxes(1, 2)
+    gXX = np.einsum("psi,pij,psj->ps", X, G, X)
+    raise_first([(np.abs(gXX) < 1e-14, lambda j: DomainError(
+        "null direction has no holomorphic curvature"))])
+    num = np.einsum("pijkl,psi,psj,psk,psl->ps", R, X, JX, JX, X)
+    return num / (gXX * gXX)
 
 
 @dataclass(frozen=True)

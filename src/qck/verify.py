@@ -27,8 +27,9 @@ from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric)
 from .core import j0_matrix
 from .curvature import (curvature_bundle, curvature_gate, curvature_tensors,
-                        fd_jets, kahler_defect, point_jet, point_jets)
-from .errors import DomainError, raise_first
+                        fd_jets, holomorphic_curvatures, kahler_defect,
+                        point_jet, point_jets)
+from .errors import raise_first
 from .qch import (BOCHNER_FLAT_TOL, _frame_basis, bochner_arrays,
                   decompose_points)
 from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
@@ -106,8 +107,7 @@ def _crit_disc_model():
     X = np.stack([np.random.default_rng(1000 + i).normal(size=(20, 4))
                   for i in range(len(results))])
     X = X / np.sqrt(np.einsum("psi,pij,psj->ps", X, G, X))[:, :, None]
-    hsc_err = np.max(np.abs(_holomorphic_curvatures(R, G, J, X) + 1.0),
-                     axis=1)
+    hsc_err = np.max(np.abs(holomorphic_curvatures(R, G, J, X) + 1.0), axis=1)
     bnorm = tensor_scale(bochner_arrays(R, G, J))
     failures = []
     details = {"max_coefficient_delta": 0.0, "max_residual": 0.0,
@@ -129,17 +129,6 @@ def _crit_disc_model():
                        ("max_bochner_norm", float(bnorm[i]))):
             details[key] = max(details[key], v)
     return details, failures
-
-
-def _holomorphic_curvatures(R, G, J, X):
-    """R(X, JX, JX, X) / g(X, X)^2 for the directions X (P, S, d) at each
-    point of R, G and J; DomainError for a null direction."""
-    JX = X @ J.swapaxes(1, 2)
-    gXX = np.einsum("psi,pij,psj->ps", X, G, X)
-    raise_first([(np.abs(gXX) < 1e-14, lambda j: DomainError(
-        "null direction has no holomorphic curvature"))])
-    num = np.einsum("pijkl,psi,psj,psk,psl->ps", R, X, JX, JX, X)
-    return num / (gXX * gXX)
 
 
 def _crit_negative_class():
