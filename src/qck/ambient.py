@@ -416,15 +416,15 @@ def _passes_gates(space: AmbientSpace, family: PotentialFamily, w,
     a failure: building and testing the gates costs about as much as the
     float evaluation itself.  It must agree with ``potential_gates``, which
     the tests check on both sides of every edge."""
-    if not np.all(family.in_domain(w)
-                  & ((w < 0.0) if space.lorentz else (w > 0.0))):
+    inside = family.in_domain(w) & ((w < 0.0) if space.lorentz else (w > 0.0))
+    if not (inside if isinstance(inside, bool) else inside.all()):
         return False
     if not checked:
         return True
-    w = np.asarray(w, dtype=float)
+    w = np.float64(w)
     with np.errstate(all="ignore"):
         fp = family.d1(w)
-        return bool(np.all(_positive(space, fp, fp + w * family.d2(w))))
+        return bool(_positive(space, fp, fp + w * family.d2(w)).all())
 
 
 # -- metric fields ------------------------------------------------------------
