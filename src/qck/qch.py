@@ -30,7 +30,8 @@ The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
 Kahler product K of a combination of its Ricci contraction and g, with no
 complex frame, over a points axis (``bochner_arrays``), with
-``bochner_of_tensor`` as its one-point form.  K builds phi too, from the radial projector.
+``bochner_of_tensor`` as its one-point form.  K builds phi too, from the
+radial projector.
 """
 
 from __future__ import annotations
@@ -241,6 +242,7 @@ def _kahler_product(G, Om, S, JS):
     antisymmetric in their first index pair; the full curvature symmetries
     appear in the sum, where each supplies the pair transpose of the other.
     """
+    # in place: one batch of tensors at d = 6 takes 10 KiB per point
     K = _antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
     twice = _outer_sum([(Om, JS), (JS, Om)])
     twice *= 2.0

@@ -5,14 +5,16 @@ registry drives both ``qck verify`` and the acceptance test gate, so the
 command line and the test suite can never drift apart.  Criteria carry a
 wall-clock budget and fail when they blow it.
 
-A criterion makes one batched call per stage over its sample points,
-trials or radii, never one per point: ``qch.decompose_points`` for the
-potential criteria, ``qch.bochner_arrays`` for the Bochner tensors of the
-disc model and of the operator identity, ``sasakian.sphere_reports`` for the
-hypersphere radii, and ``curvature.point_jets`` with ``curvature.fd_jets``
-for the exact and finite-difference jets of the hygiene check.  Seeded
-draws stay in the order of the one-point code, so each detail keeps its
-meaning.
+The criteria on sample points make one batched call per stage over their
+points, trials or radii rather than one per point: ``qch.decompose_points``
+for the potential criteria, ``qch.bochner_arrays`` for the Bochner tensors
+of the disc model and of the operator identity,
+``sasakian.sphere_reports`` for the hypersphere radii, and
+``curvature.point_jets`` with ``curvature.fd_jets`` for the exact and
+finite-difference jets of the hygiene check.  Seeded draws stay in the
+order of the one-point code, so each detail keeps its meaning.  The flat
+baselines (six one-point jets) and the intrinsic Sasakian family (one
+report per q) still loop.
 """
 
 from __future__ import annotations

@@ -187,6 +187,21 @@ class TestAdmissibility:
         rep = admissibility(L3, LogFamily(-1.0, 1.0), 2.0)
         assert not rep.in_domain and not rep.ok
 
+    @pytest.mark.parametrize("space,family,window", [
+        (L2, LogFamily(-1.0, 1.0), (-12.0, 0.5)),
+        (L2, LogFamily(-2.0, 1.5), (-12.0, 0.5)),
+        (L2, InverseFamily(), (-12.0, 0.5)),
+        (D2, DefiniteLogFamily(2.0, 1.0), (-1.5, 12.0))])
+    def test_array_report_is_the_scalar_one(self, space, family, window):
+        # radial_points tests a block of draws in one call: each row must
+        # read as the one-point report of its square norm
+        w = np.random.default_rng(9).uniform(*window, size=2850)
+        batch = admissibility(space, family, w)
+        for i, wi in enumerate(w.tolist()):
+            one = admissibility(space, family, wi)
+            assert bool(batch.ok[i]) == bool(one.ok)
+            assert np.array_equal(batch.f_prime[i], one.f_prime, equal_nan=True)
+
 
 # square norms on both sides of every domain, light-cone and admissibility
 # edge of the families below
