@@ -16,13 +16,13 @@ import numpy as np
 
 from qck.ambient import AmbientSpace, family_from_json
 from qck.qch import decompose_points
-from qck.sampling import timelike_point
+from qck.sampling import point_at_radius
 
 
 def sweep_rows(space, family, radii, seed=0):
     """One table row per radius: the decomposition there, or the reason it
     was rejected.  All radii go through one batched pass."""
-    X = np.array([timelike_point(space, r, seed=seed) for r in radii])
+    X = np.array([point_at_radius(space, r, seed=seed) for r in radii])
     for r, res in zip(radii, decompose_points(space, family, X, checked=False)):
         report = res.admissibility
         if not report.ok:

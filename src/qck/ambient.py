@@ -41,7 +41,7 @@ point of a batch, so the unit field costs no evaluation of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -452,7 +452,6 @@ class MetricField:
     dim: int
     name: str = ""
     complex_structure: Callable | None = None
-    meta: dict = field(default_factory=dict)
     jets: Callable | None = None
 
     def __call__(self, x):
@@ -489,8 +488,7 @@ class MetricField:
 
 def flat_metric(space: AmbientSpace) -> MetricField:
     G = space.flat_real()
-    return MetricField(lambda x: G, space.dim, name=f"flat-{space.signature}",
-                       meta={"space": space})
+    return MetricField(lambda x: G, space.dim, name=f"flat-{space.signature}")
 
 
 def _radial_projectors(space: AmbientSpace, x, r):
@@ -616,7 +614,7 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
             return (gates, *potential_jets(space, family, X))
 
     return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
-                       meta={"space": space, "family": family}, jets=jets)
+                       jets=jets)
 
 
 # -- radial frames ------------------------------------------------------------

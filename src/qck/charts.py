@@ -1,9 +1,13 @@
 """Graph charts on hyperspheres and metric pullbacks.
 
-A graph chart solves one ambient coordinate from the sphere equation and uses
-the remaining ones as parameters.  Both the chart map and its closed-form
-Jacobian evaluate in generic arithmetic, so a pulled-back metric can be pushed
-through the dual-number jet machinery without nesting derivatives.
+A graph chart solves the last ambient coordinate from the sphere equation
+h(x, x) = +-radius^2 of the flat form h and uses the remaining ones as
+parameters.  The signature of h is data of the chart, as in
+``AmbientSpace.square_norm``: the definite h = diag(1, ..., 1) with the round
+sphere h(x, x) = radius^2, or the Lorentz h = diag(1, ..., 1, -1, -1) with
+the hypersphere h(x, x) = -radius^2.  Both the chart map and its closed-form
+Jacobian evaluate in generic arithmetic, so a pulled-back metric can be
+pushed through the dual-number jet machinery without nesting derivatives.
 """
 
 from __future__ import annotations
@@ -17,89 +21,19 @@ from .ambient import MetricField
 from .duals import gsqrt, value
 from .errors import ChartError, raise_first
 
-
-@dataclass(frozen=True)
-class SphereGraphChart:
-    """Hemisphere of S^{d-1}(radius) in definite R^d as a graph over the
-    coordinate plane orthogonal to ``axis``.
-
-    Points closer than ``margin`` (radians of polar angle) to the equator
-    boundary are rejected: the graph Jacobian degenerates there.
-    """
-
-    radius: float
-    ambient_dim: int
-    axis: int = -1
-    sign: float = 1.0
-    margin: float = 0.2
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ChartError("sphere radius must be positive")
-        ax = self.axis % self.ambient_dim
-        object.__setattr__(self, "axis", ax)
-
-    @property
-    def nparams(self) -> int:
-        return self.ambient_dim - 1
-
-    def guard(self, u):
-        """ChartError where the parameters u, floats or duals with or
-        without a points axis, come within ``margin`` of the boundary."""
-        s2 = sum(value(c) ** 2 for c in u)
-        r2 = self.radius**2
-        raise_first([(r2 - s2 < r2 * math.sin(self.margin) ** 2,
-                      lambda j: ChartError(
-                          f"parameter point at squared norm "
-                          f"{np.ravel(s2)[j]:.6g} is within {self.margin}"
-                          f" rad of the chart boundary (radius {self.radius})"))])
-
-    def fn(self, u):
-        self.guard(u)
-        arg = self.radius**2
-        for c in u:
-            arg = arg - c * c
-        w = self.sign * gsqrt(arg)
-        out = list(u)
-        out.insert(self.axis, w)
-        return out
-
-    def jac(self, u):
-        """Closed-form d x (d-1) Jacobian of ``fn`` as a list of rows."""
-        self.guard(u)
-        arg = self.radius**2
-        for c in u:
-            arg = arg - c * c
-        w = self.sign * gsqrt(arg)
-        rows = []
-        for i in range(self.ambient_dim):
-            if i == self.axis:
-                rows.append([-c / w for c in u])
-            else:
-                p = i if i < self.axis else i - 1
-                rows.append([1.0 if q == p else 0.0 for q in range(self.nparams)])
-        return rows
-
-    def params_of(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        r = float(np.linalg.norm(x))
-        if abs(r - self.radius) > 1e-9 * max(1.0, self.radius):
-            raise ChartError(f"point at radius {r:.12g} is not on the sphere")
-        if self.sign * x[self.axis] <= 0:
-            raise ChartError("point lies on the opposite hemisphere of this chart")
-        u = np.delete(x, self.axis)
-        self.guard(u)
-        return u
+# polar angle, in radians, that a chart point keeps from the chart boundary,
+# where the graph Jacobian degenerates: the solved coordinate squared must
+# stay above radius^2 sin^2(MARGIN)
+MARGIN = 0.2
 
 
 @dataclass(frozen=True)
-class LorentzGraphChart:
-    """Graph chart of the hypersphere {h(x,x) = -radius^2} in R^d with
-    h = diag(1,...,1,-1,-1), solving the last (time-like) coordinate.
-
-    The rejection margin is expressed through the same angular scale as the
-    definite chart: the solved coordinate squared must stay above
-    radius^2 sin^2(margin).
+class GraphChart:
+    """Graph chart of the sphere of ``radius`` in R^d, d = ``ambient_dim``,
+    of the definite flat form, or of the Lorentz one when ``lorentz`` is
+    set, solving the last coordinate on the sheet of ``sign``: its square is
+    radius^2 plus the squares of the parameters of the other sign in h
+    (the space-like ones of the Lorentz form) minus those of its own sign.
 
     ``radius`` and ``sign`` may also be arrays over the points of duals
     with a points axis, one sphere per point: they act on the value row, so
@@ -110,62 +44,68 @@ class LorentzGraphChart:
 
     radius: float
     ambient_dim: int
+    lorentz: bool = False
     sign: float = 1.0
-    margin: float = 0.2
 
     def __post_init__(self):
         if np.any(np.asarray(self.radius) <= 0):
             raise ChartError("sphere radius must be positive")
-        if self.ambient_dim < 4 or self.ambient_dim % 2:
+        if self.lorentz and (self.ambient_dim < 4 or self.ambient_dim % 2):
             raise ChartError("Lorentz chart expects an even ambient dimension >= 4")
 
     @property
     def nparams(self) -> int:
         return self.ambient_dim - 1
 
-    def _arg_value(self, u):
-        s2 = sum(value(c) ** 2 for c in u[:-1])
-        return self.radius**2 + s2 - value(u[-1]) ** 2
+    def _split(self, u):
+        """The parameters of the other sign in h, and those of its own."""
+        k = len(u) - 1 if self.lorentz else 0
+        return u[:k], u[k:]
+
+    def _radicand(self, u):
+        """The solved coordinate squared, in generic arithmetic."""
+        plus, minus = self._split(u)
+        arg = self.radius**2
+        for c in plus:
+            arg = arg + c * c
+        for c in minus:
+            arg = arg - c * c
+        return arg
 
     def guard(self, u):
         """ChartError where the parameters u, floats or duals with or
-        without a points axis, come within ``margin`` of the boundary."""
-        arg = self._arg_value(u)
-        raise_first([(arg < self.radius**2 * math.sin(self.margin) ** 2,
+        without a points axis, come within ``MARGIN`` of the boundary."""
+        plus, minus = self._split(u)
+        arg = (self.radius**2 + sum(value(c) ** 2 for c in plus)
+               - sum(value(c) ** 2 for c in minus))
+        raise_first([(arg < self.radius**2 * math.sin(MARGIN) ** 2,
                       lambda j: ChartError(
                           "parameter point too close to the chart boundary "
                           f"(solved coordinate squared {np.ravel(arg)[j]:.6g})"))])
 
     def fn(self, u):
         self.guard(u)
-        arg = self.radius**2
-        for c in u[:-1]:
-            arg = arg + c * c
-        arg = arg - u[-1] * u[-1]
-        w = self.sign * gsqrt(arg)
-        return list(u) + [w]
+        return list(u) + [self.sign * gsqrt(self._radicand(u))]
 
     def jac(self, u):
+        """Closed-form d x (d-1) Jacobian of ``fn`` as a list of rows."""
         self.guard(u)
-        arg = self.radius**2
-        for c in u[:-1]:
-            arg = arg + c * c
-        arg = arg - u[-1] * u[-1]
-        w = self.sign * gsqrt(arg)
+        w = self.sign * gsqrt(self._radicand(u))
+        plus, minus = self._split(u)
         rows = [[1.0 if q == p else 0.0 for q in range(self.nparams)]
                 for p in range(self.nparams)]
-        last = [c / w for c in u[:-1]] + [-u[-1] / w]
-        rows.append(last)
+        rows.append([c / w for c in plus] + [-c / w for c in minus])
         return rows
 
     def params_of(self, x) -> np.ndarray:
         x = np.asarray(x, float)
-        h = float(np.sum(x[:-2] ** 2) - x[-2] ** 2 - x[-1] ** 2)
-        if abs(h + self.radius**2) > 1e-9 * max(1.0, self.radius**2):
-            raise ChartError(f"point with h(x,x) = {h:.12g} is not on the sphere")
+        u = x[:-1].copy()
+        # |h(x, x) -+ radius^2|, as the gap in the solved coordinate squared
+        gap = abs(float(self._radicand(u)) - x[-1] ** 2)
+        if gap > 1e-9 * max(1.0, self.radius**2):
+            raise ChartError(f"point off by {gap:.3g} in h(x,x) is not on the sphere")
         if self.sign * x[-1] <= 0:
             raise ChartError("point lies on the opposite sheet of this chart")
-        u = x[:-1].copy()
         self.guard(u)
         return u
 
@@ -205,8 +145,7 @@ def pullback_metric(chart, ambient) -> MetricField:
                 out[q][p] = e
         return out
 
-    return MetricField(ev, m, name=f"pullback[{type(chart).__name__}]",
-                       meta={"chart": chart})
+    return MetricField(ev, m, name=f"pullback[{type(chart).__name__}]")
 
 
 def tangent_params(chart, x_tangent) -> np.ndarray:
@@ -215,7 +154,4 @@ def tangent_params(chart, x_tangent) -> np.ndarray:
     Graph charts are coordinate projections away from the solved slot, so the
     tangent map is simply dropping that slot.
     """
-    x = np.asarray(x_tangent, float)
-    if isinstance(chart, SphereGraphChart):
-        return np.delete(x, chart.axis)
-    return x[:-1].copy()
+    return np.asarray(x_tangent, float)[:-1].copy()

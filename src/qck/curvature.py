@@ -12,15 +12,16 @@ its connection; ``curvature_bundle``,
 once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
 R assembled from it; its invariants read G, G^-1 and J off the jet.  The
 radial unit field and its partials follow from G and dG in closed form, so
-they cost no further evaluation; ``vector_jet`` differentiates other vector
-fields by duals.
+they cost no further evaluation; ``duals.eval_with_partials`` differentiates
+other fields by duals.
 
 The points axis.  A jet may carry a leading axis over many points
 (``point_jets``, ``PointJet.rows``), and the kernels behind the one-point
 functions (``_connection``, ``curvature_tensors``, ``kahler_defect``,
 ``covariant_derivative``) take it: each contraction is one matrix product per
 point.  A one-point function runs its kernel on a points axis of length 1,
-so it is not a second code path.  Checks come as gates (see ``qck.errors``):
+so it is not a second code path: ``point_jet`` is the row of ``point_jets``
+(or of ``fd_jets``) at a batch of one point.  Checks come as gates (see ``qck.errors``):
 a one-point function raises the first failure, and a batch records it per
 point and goes on with the rest.  ``qch.decompose_points`` drives the batch.
 
@@ -32,8 +33,8 @@ one evaluation of the metric on dual numbers whose coordinates carry one
 payload column per index pair (k, l) of the second jet, see ``qck.duals``.
 The dual payloads take a points axis too, so ``point_jets`` differentiates a
 dual field at every point of a batch in that one evaluation, and a varying
-complex structure in one more, on first-order duals; ``metric_second_jet``,
-``_first_jet`` and ``vector_jet`` are the one-point cases of these kernels.
+complex structure in one more, on first-order duals: ``_second_jets`` and
+``duals.eval_with_partials`` are the one kernel of each order.
 ``method="fd"`` takes the jet by finite differences instead, with the same
 downstream assembly, as an independent oracle: its whole stencil is one
 ``MetricField.matrices`` call, which reads G alone, from the closed-form
@@ -55,42 +56,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import MultiDual, coefficients, eval_with_partials
+from .duals import (MultiDual, _seeded_coordinates, coefficients,
+                    eval_with_partials)
 from .errors import (DegenerateMetric, DomainError, NumericalBreakdown, Sieve,
                      raise_first)
 from .tensors import Tensor4, curvature_symmetry_defect, tensor_scale
 
-# largest condition number of G that ``christoffel`` inverts
+# largest condition number of G whose connection ``point_jets`` computes
 COND_LIMIT = 1e12
 # coordinate step of the finite-difference jet
 FD_STEP = 1e-3
 # largest curvature symmetry defect, relative to max(1, |R|), that
 # ``curvature_bundle`` accepts
 SYMMETRY_GATE = 1e-6
-
-
-def _seeded_coordinates(X, m: int, p: int) -> np.ndarray:
-    """Payloads (d, ..., 2**m, p) holding the coordinates of the point x,
-    (d,), or of each row of X, (..., d), in every column and no derivative
-    part yet."""
-    X = np.asarray(X, dtype=float)
-    seeds = np.zeros(X.shape[-1:] + X.shape[:-1] + (1 << m, p))
-    seeds[..., 0, :] = np.moveaxis(X, -1, 0)[..., None]
-    return seeds
-
-
-def _first_jet(field, X, d):
-    """Values and first partials of a matrix field at x, (d,), or at each
-    row of X, (..., d), in one evaluation: coordinate k carries the
-    generator in column k.  (V, dV) with dV[..., k, i, j] = d_k V_ij."""
-    seeds = _seeded_coordinates(X, 1, d)
-    seeds[np.arange(d), ..., 1, np.arange(d)] = 1.0
-    out = coefficients(field([MultiDual(s, 1) for s in seeds]), 1, d,
-                       seeds.shape[1:-2])
-    # contiguous, so that a point's rows lie alike in every batch
-    return (np.ascontiguousarray(out[..., 0, 0]),
-            np.ascontiguousarray(np.moveaxis(out[..., 1, :], -1,
-                                             seeds.ndim - 3)))
 
 
 def _second_jets(metric, X):
@@ -118,13 +96,6 @@ def _second_jets(metric, X):
     return G, dG, d2G
 
 
-def metric_second_jet(metric, x):
-    """(G, dG, d2G) at the point x by dual numbers: the one-point case of
-    the batched kernel, one 2-generator evaluation; NumericalBreakdown
-    where the jet is not finite."""
-    return _finite(*_second_jets(metric, x))
-
-
 def _finite_gate(G, d2G):
     """The metric jet must come out finite."""
     bad = ~(np.isfinite(G).all(axis=(-2, -1))
@@ -133,13 +104,8 @@ def _finite_gate(G, d2G):
         "metric jet produced non-finite entries"))
 
 
-def _finite(G, dG, d2G):
-    raise_first([_finite_gate(G[None], d2G[None])])
-    return G, dG, d2G
-
-
 def metric_second_jet_fd(metric, X):
-    """Finite-difference jet with the same layout as ``metric_second_jet``,
+    """Finite-difference jet with the same layout as the dual ``_second_jets``,
     with step ``FD_STEP``, at the point x, (d,), or at each row of X,
     (P, d), with the points axis leading G, dG and d2G.
 
@@ -204,14 +170,6 @@ def _connection(G, dG):
     bracket = _bracket(dG).reshape(P, d, d * d)
     gamma = 0.5 * (Ginv @ bracket).reshape(P, d, d, d)
     return gamma, Ginv
-
-
-def christoffel(G, dG):
-    """Connection coefficients gamma[m, j, k] and the inverse metric;
-    DegenerateMetric past ``COND_LIMIT``."""
-    raise_first([_cond_gate(G[None])])
-    gamma, Ginv = _connection(G[None], dG[None])
-    return gamma[0], Ginv[0]
 
 
 @dataclass
@@ -353,23 +311,17 @@ def fd_jets(metric, X) -> PointJet:
 
 
 def point_jet(metric, x, method: str = "exact") -> PointJet:
-    """The PointJet of ``metric`` at ``x``.  ``method="exact"`` takes the
-    field's closed-form rule where it has one, as the one-point case of
-    ``point_jets``, and one metric evaluation by duals otherwise;
-    ``method="fd"`` is the finite-difference oracle, the one-point case of
-    ``fd_jets``.  The connection is computed here once; DegenerateMetric
-    where G is too ill-conditioned to invert."""
+    """The PointJet of ``metric`` at ``x``: the row of ``point_jets``
+    (``method="exact"``: the field's closed-form rule where it has one, and
+    one metric evaluation by duals otherwise) or of the finite-difference
+    oracle ``fd_jets`` (``method="fd"``) at the batch of this one point,
+    raising its first failing gate."""
+    X = np.array([[float(c) for c in x]])
     if method == "fd":
-        return fd_jets(metric, np.array([[float(c) for c in x]])).rows(0)
+        return fd_jets(metric, X).rows(0)
     if method != "exact":
         raise ValueError(f"unknown jet method {method!r}")
-    if metric.jets is not None:
-        return point_jets(metric, np.array([[float(c) for c in x]])).rows(0)
-    G, dG, d2G = metric_second_jet(metric, x)
-    J, dJ = structure_jet(metric, x)
-    gamma, Ginv = christoffel(G, dG)
-    return PointJet(np.array([float(c) for c in x]), G, dG, d2G, J, dJ,
-                    gamma, Ginv, "dual")
+    return point_jets(metric, X).rows(0)
 
 
 def curvature_tensors(jet: PointJet):
@@ -414,19 +366,13 @@ def curvature_bundle(jet: PointJet,
     return CurvatureBundle(jet, Tensor4(R[0]))
 
 
-def vector_jet(vfield, x):
-    """Values and partials of a vector field: (V, dV) with dV[i, m] = d_i V^m;
-    the one-point case of ``duals.eval_with_partials``, which takes a
-    points axis."""
-    return eval_with_partials(vfield, [float(c) for c in x])
-
-
 def covariant_derivative(jet: PointJet, V, dV):
     """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
     vector field with values V^m and partials dV[i, m] = d_i V^m there
-    (from ``vector_jet``, or in closed form as ``ambient.radial_unit_jets``).
-    Leading axes of V and dV carry through to D: one per field at the
-    point, or the points axis of a jet that has one."""
+    (from ``duals.eval_with_partials``, or in closed form as
+    ``ambient.radial_unit_jets``).  Leading axes of V and dV carry through
+    to D: one per field at the point, or the points axis of a jet that has
+    one."""
     return dV + np.einsum("...mia,...a->...im", jet.gamma, V)
 
 
@@ -441,7 +387,7 @@ def structure_jet(metric, X):
     if metric.complex_structure is None:
         return (np.broadcast_to(metric.structure_matrix(None), lead + (d, d)),
                 np.broadcast_to(0.0, lead + (d, d, d)))
-    return _first_jet(metric.complex_structure, X, d)
+    return eval_with_partials(metric.complex_structure, X)
 
 
 def kahler_defect(jet: PointJet):

@@ -24,11 +24,13 @@ at every point, and an analytic function takes its derivative series point
 by point with the float functions, so each point of a batch rounds exactly
 as a 2-D payload of that point alone does.
 
-The library builds orders 1 (first jets, vector fields) and 2 (metric second
-jets), each on a points axis: ``qck.curvature`` seeds every direction and
-every point it needs in one evaluation, and ``eval_with_partials`` below
-does the same for vector fields.  Higher orders appear only in the tests.
-The implementation is generic in ``m``, P and the leading axes.
+The library builds orders 1 and 2, each on a points axis, with one kernel
+per order: ``eval_with_partials`` below takes the first jet of a field of
+any output shape (a vector field, a complex structure), and
+``qck.curvature`` the second jet of a metric; each seeds every direction
+and every point it needs in one evaluation, through ``_seeded_coordinates``.
+Higher orders appear only in the tests.  The implementation is generic in
+``m``, P and the leading axes.
 
 The module also provides scalar-generic helpers (``gsqrt``, ``glog``, ...)
 so that the same evaluator code runs on floats and on dual numbers.
@@ -272,25 +274,35 @@ def coefficients(ys, m: int, p: int, lead: tuple = ()) -> np.ndarray:
     return np.moveaxis(out, axes, tuple(a + len(lead) for a in axes))
 
 
+def _seeded_coordinates(X, m: int, p: int) -> np.ndarray:
+    """Payloads (d, ..., 2**m, p) holding the coordinates of the point x,
+    (d,), or of each row of X, (..., d), in every column and no derivative
+    part yet: the seeds of a jet, whose kernel sets the derivative parts."""
+    X = np.asarray(X, dtype=float)
+    seeds = np.zeros(X.shape[-1:] + X.shape[:-1] + (1 << m, p))
+    seeds[..., 0, :] = np.moveaxis(X, -1, 0)[..., None]
+    return seeds
+
+
 def eval_with_partials(fn, xs):
-    """Evaluate fn(list of scalars) -> list of scalars together with all
-    partials at the float point ``xs``, (d,), or at every row of points
-    xs, (..., d).
+    """Evaluate fn(list of scalars) -> scalars of any nesting (a vector, a
+    matrix, ...) together with all partials at the float point ``xs``,
+    (d,), or at every row of points xs, (..., d).
 
     One evaluation: coordinate j carries the generator in direction column
     j, so every partial at every point comes out of the same call.  Returns
-    (values, cols), arrays with values[..., i] = fn_i and
-    cols[..., j, i] = d fn_i / d x_j.
+    (values, partials), arrays with values[..., i] = fn_i and
+    partials[..., j, i] = d fn_i / d x_j, the index i standing for all the
+    output's axes: the partials axis follows the points axes.
     """
     X = np.asarray(xs, dtype=float)
     d = X.shape[-1]
-    seeds = np.zeros((d,) + X.shape[:-1] + (2, d))
-    seeds[..., 0, :] = np.moveaxis(X, -1, 0)[..., None]
-    for j in range(d):
-        seeds[j, ..., 1, j] = 1.0
+    seeds = _seeded_coordinates(X, 1, d)
+    seeds[np.arange(d), ..., 1, np.arange(d)] = 1.0
     out = coefficients(fn([MultiDual(s, 1) for s in seeds]), 1, d, X.shape[:-1])
+    # contiguous, so that a point's rows lie alike in every batch
     return (np.ascontiguousarray(out[..., 0, 0]),
-            np.ascontiguousarray(out[..., 1, :].swapaxes(-1, -2)))
+            np.ascontiguousarray(np.moveaxis(out[..., 1, :], -1, X.ndim - 1)))
 
 
 # -- scalar-generic math -----------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import MetricField
-from .charts import LorentzGraphChart, SphereGraphChart
+from .charts import GraphChart
 from .core import apply_j0
 from .curvature import (curvature_gate, curvature_tensors, kahler_defect,
                         point_jets)
@@ -422,12 +422,12 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
     dsph = 2 * n
     m = 2 * n
     if tag in ("I", "II"):
-        sphere = SphereGraphChart(1.0, dsph)
+        sphere = GraphChart(1.0, dsph)
         hs = np.ones(dsph)
         e2 = 1.0 if tag == "I" else -1.0
         esign = 1.0  # square norms of xi_bar and its rotation
     else:
-        sphere = LorentzGraphChart(1.0, dsph)
+        sphere = GraphChart(1.0, dsph, lorentz=True)
         hs = np.ones(dsph)
         hs[-2:] = -1.0
         e2 = 1.0
@@ -502,8 +502,7 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
 
     metric = MetricField(metric_fn, m,
                          name=f"rotational-{tag}[{source.describe()}]",
-                         complex_structure=structure_fn,
-                         meta={"profile": profile, "n": n})
+                         complex_structure=structure_fn)
     return metric, xi_field, sphere
 
 

@@ -39,11 +39,12 @@ import numpy as np
 
 from .ambient import (AmbientSpace, MetricField, potential_metric,
                       radial_unit_jets)
-from .charts import LorentzGraphChart, pullback_metric, tangent_params
+from .charts import GraphChart, pullback_metric, tangent_params
 from .core import apply_j0, j0_matrix
-from .curvature import (CurvatureBundle, PointJet, _first_jet,
-                        covariant_derivative, curvature_bundle, curvature_gate,
-                        curvature_tensors, point_jet, point_jets, vector_jet)
+from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
+                        curvature_bundle, curvature_gate, curvature_tensors,
+                        point_jet, point_jets)
+from .duals import eval_with_partials
 from .errors import DomainError, NotSasakian, NotSpaceForm, raise_first
 from .qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
                   frame_fit, shape_arrays)
@@ -344,7 +345,7 @@ def _sphere_chart(space: AmbientSpace, structure: ContactStructure):
         raise DomainError("chart cross-check is wired for the Lorentz signature")
     Z = structure.jet.point
     sheet = 1.0 if Z[-1] > 0 else -1.0
-    chart = LorentzGraphChart(structure.radius, space.dim, sign=sheet)
+    chart = GraphChart(structure.radius, space.dim, lorentz=True, sign=sheet)
     return chart, chart.params_of(Z)
 
 
@@ -475,9 +476,9 @@ def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
     coeffs, residual = frame_fit(R, F, signs)
     if space.lorentz:
         charts = [_sphere_chart(space, s) for s in structures]
-        sphere = LorentzGraphChart(np.array([c.radius for c, _ in charts]),
-                                   space.dim,
-                                   sign=np.array([c.sign for c, _ in charts]))
+        sphere = GraphChart(np.array([c.radius for c, _ in charts]),
+                            space.dim, lorentz=True,
+                            sign=np.array([c.sign for c, _ in charts]))
         cjet = point_jets(pullback_metric(sphere, metric),
                           np.array([u for _, u in charts]))
         Rc = curvature_tensors(cjet)
@@ -531,7 +532,7 @@ def family_h1_metric(n: int, q: float):
     space = AmbientSpace(n, "lorentz")
     H = space.flat_real()
     d = space.dim
-    chart = LorentzGraphChart(1.0, d)
+    chart = GraphChart(1.0, d, lorentz=True)
     m = chart.nparams
     hbar = pullback_metric(chart, H)
 
@@ -576,8 +577,7 @@ def family_h1_metric(n: int, q: float):
             cols.append(img[:m])
         return [[cols[s][p] for s in range(m)] for p in range(m)]
 
-    metric = MetricField(metric_fn, m, name=f"sasakian-family[q={q}]",
-                         meta={"chart": chart, "q": q})
+    metric = MetricField(metric_fn, m, name=f"sasakian-family[q={q}]")
     return metric, chart, {"reeb": reeb_field, "phi": phi_matrix}
 
 
@@ -591,9 +591,9 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     u0[-1] *= 0.5
 
     jet = point_jet(metric, u0)
-    reeb, dreeb = vector_jet(fields["reeb"], u0)
+    reeb, dreeb = eval_with_partials(fields["reeb"], u0)
     D = covariant_derivative(jet, reeb, dreeb)
-    phi, dphi = _first_jet(fields["phi"], u0, m)
+    phi, dphi = eval_with_partials(fields["phi"], u0)
     B = _family_tangent_basis(jet.G, reeb)
     structure = AlmostContact(jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb,
                               phi=phi, tangent_basis=B)

@@ -9,12 +9,13 @@ The criteria on sample points make one batched call per stage over their
 points, trials or radii rather than one per point: ``qch.decompose_points``
 for the potential criteria, ``qch.bochner_arrays`` for the Bochner tensors
 of the disc model and of the operator identity,
-``sasakian.sphere_reports`` for the hypersphere radii, and
-``curvature.point_jets`` with ``curvature.fd_jets`` for the exact and
-finite-difference jets of the hygiene check.  Seeded draws stay in the
-order of the one-point code, so each detail keeps its meaning.  The flat
-baselines (six one-point jets) and the intrinsic Sasakian family (one
-report per q) still loop.
+``sasakian.sphere_reports`` for the hypersphere radii,
+``curvature.point_jets`` with ``curvature.curvature_tensors`` for the two
+points of each flat baseline, and ``curvature.point_jets`` with
+``curvature.fd_jets`` for the exact and finite-difference jets of the
+hygiene check.  Seeded draws stay in the order of the one-point code, so
+each detail keeps its meaning.  The intrinsic Sasakian family (one report
+per q) still loops.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric)
 from .core import j0_matrix
-from .curvature import (curvature_bundle, curvature_gate, curvature_tensors,
+from .curvature import (CurvatureBundle, curvature_gate, curvature_tensors,
                         fd_jets, holomorphic_curvatures, kahler_defect,
-                        point_jet, point_jets)
+                        point_jets)
 from .errors import raise_first
 from .qch import (BOCHNER_FLAT_TOL, _frame_basis, bochner_arrays,
                   decompose_points)
@@ -38,7 +39,7 @@ from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
                          embed_and_verify, qc_coefficients)
 from .sampling import point_at_radius, radial_points
 from .sasakian import family_h1_report, sphere_reports
-from .tensors import (curvature_symmetry_defect, first_bianchi_defect,
+from .tensors import (Tensor4, curvature_symmetry_defect, first_bianchi_defect,
                       tensor_scale)
 
 
@@ -79,12 +80,15 @@ def _crit_flat_baselines():
     spaces = [AmbientSpace(3, "lorentz"), AmbientSpace(2, "definite"),
               AmbientSpace(3, "definite")]
     for space in spaces:
-        metric = flat_metric(space)
-        for seed in (0, 1):
-            x = point_at_radius(space, 1.7, seed=seed)
-            bundle = curvature_bundle(point_jet(metric, x))
+        X = np.array([point_at_radius(space, 1.7, seed=seed)
+                      for seed in (0, 1)])
+        jet = point_jets(flat_metric(space), X)
+        R = curvature_tensors(jet)
+        raise_first([curvature_gate(R)])
+        for p, x in enumerate(X):
+            bundle = CurvatureBundle(jet.rows(p), Tensor4(R[p]))
             r = abs(float(space.square_norm(x))) ** 0.5
-            u = np.asarray(x, float) / r
+            u = x / r
             vals = {"curvature": bundle.R.scale(),
                     "tau": abs(bundle.scalar_curvature()),
                     "sigma": abs(bundle.sigma_radial(u)),

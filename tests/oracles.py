@@ -37,7 +37,7 @@ from qck.charts import pullback_metric
 from qck.core import apply_j0
 from qck.curvature import (covariant_derivative, curvature_bundle,
                            kahler_defect, point_jet, point_jets)
-from qck.duals import MultiDual, glog, gsqrt, value
+from qck.duals import MultiDual, _series, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
 from qck.qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
@@ -78,24 +78,25 @@ def generator(slot: int, m: int) -> MultiDual:
 def gexp(x):
     if not isinstance(x, MultiDual):
         return math.exp(x)
-    e = math.exp(x.value)
-    return x.apply_series([e] * (x.m + 1))
+    return x.apply_series(_series(x, lambda v, m: [math.exp(v)] * (m + 1)))
+
+
+def _cyclic_ders(v: float, m: int, shift: int) -> list:
+    """sin(v + shift pi/2) and its first m derivatives."""
+    cyc = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+    return [cyc[(k + shift) % 4] for k in range(m + 1)]
 
 
 def gsin(x):
     if not isinstance(x, MultiDual):
         return math.sin(x)
-    v = x.value
-    cyc = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
+    return x.apply_series(_series(x, lambda v, m: _cyclic_ders(v, m, 0)))
 
 
 def gcos(x):
     if not isinstance(x, MultiDual):
         return math.cos(x)
-    v = x.value
-    cyc = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-    return x.apply_series([cyc[k % 4] for k in range(x.m + 1)])
+    return x.apply_series(_series(x, lambda v, m: _cyclic_ders(v, m, 1)))
 
 
 # -- complex coordinates ----------------------------------------------------------
@@ -306,7 +307,7 @@ def radial_unit_field(space, metric=None, orientation: str = "outward"):
     """The radial unit vector as a generic-scalar field x -> xi(x): one
     metric evaluation per call, normalized in ``metric``, or in the flat
     form when ``metric`` is None (g(xi, xi) = -1 on the Lorentz background).
-    Differentiate it with ``curvature.vector_jet``."""
+    Differentiate it with ``duals.eval_with_partials``."""
     sign = -1.0 if orientation == "inward" else 1.0
 
     def xi_field(x):
@@ -322,7 +323,7 @@ def sphere_phi_fields(space, metric, orientation):
     """y -> (phi Y, Y) for the tangential part Y = y - g(y, xi) xi of a
     constant vector y, with phi v = J0 v + g(v, J0 xi) xi on the hypersphere
     through the point; each field evaluation runs the metric once.
-    Differentiate them with ``curvature.vector_jet``."""
+    Differentiate them with ``duals.eval_with_partials``."""
 
     def tangential(x, y):
         g = metric(x)
@@ -605,4 +606,4 @@ def metric_from_conformal_pair(space: AmbientSpace, pair: ConformalPair) -> Metr
             out.append(row)
         return out
 
-    return MetricField(ev, d, name=f"conformal[{pair.source}]", meta={"space": space, "pair": pair})
+    return MetricField(ev, d, name=f"conformal[{pair.source}]")

@@ -12,23 +12,19 @@ from qck.ambient import (
     potential_metric,
     radial_frame,
 )
-from qck.charts import LorentzGraphChart, SphereGraphChart, pullback_metric
+from qck.charts import GraphChart, pullback_metric
 from qck.core import complex_to_real
 from qck.curvature import (
-    _first_jet,
-    christoffel,
     covariant_derivative,
     curvature_bundle,
     fd_jets,
     kahler_defect,
-    metric_second_jet,
     metric_second_jet_fd,
     point_jet,
     point_jets,
-    vector_jet,
 )
 from qck.ambient import MetricField
-from qck.duals import MultiDual, value
+from qck.duals import MultiDual, eval_with_partials, value
 from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
                         NumericalBreakdown, Sieve)
 from qck.rotational import const_hsc_profile, rotation_metric
@@ -60,6 +56,20 @@ def timelike_point(space, r, seed=0, theta=0.4):
     return complex_to_real(np.append(w, zn))
 
 
+def dual_field(metric):
+    """The same evaluator without the closed-form rule: its jets are
+    dual."""
+    return MetricField(metric.fn, metric.dim,
+                       complex_structure=metric.complex_structure)
+
+
+def dual_jet(metric, x):
+    """(G, dG, d2G) of the metric's evaluator by dual numbers at x."""
+    jet = point_jet(dual_field(metric), x)
+    assert jet.method == "dual"
+    return jet.G, jet.dG, jet.d2G
+
+
 def rand_nonnull(bundle, rng):
     while True:
         X = rng.normal(size=bundle.jet.G.shape[0])
@@ -68,18 +78,18 @@ def rand_nonnull(bundle, rng):
 
 
 class TestJets:
-    def test_first_vs_second_jet(self):
+    def test_first_jet_vs_closed_form(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.0, seed=3)
-        G1, dG1 = _first_jet(g, x, g.dim)
-        G2, dG2, _ = metric_second_jet(g, x)
-        assert np.allclose(G1, G2, atol=1e-14)
-        assert np.allclose(dG1, dG2, atol=1e-14)
+        G1, dG1 = eval_with_partials(g, x)
+        jet = point_jet(g, x)
+        assert np.allclose(G1, jet.G, atol=1e-14)
+        assert np.allclose(dG1, jet.dG, atol=1e-14)
 
     def test_dual_vs_fd_jet(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.0, seed=4)
-        G, dG, d2G = metric_second_jet(g, x)
+        G, dG, d2G = dual_jet(g, x)
         Gf, dGf, d2Gf = metric_second_jet_fd(g, x)
         assert np.allclose(G, Gf, atol=1e-12)
         assert np.allclose(dG, dGf, atol=1e-8)
@@ -134,10 +144,10 @@ def jet_cases():
             L, conformal_pair_from_family(LogFamily(-1.0, 1.0)))
         cases.append((f"conformal-n{n}", pair, point_at_radius(L, 2.0, seed=n)))
         u = 0.2 * np.random.default_rng(n).normal(size=2 * n - 1)
-        sphere = pullback_metric(SphereGraphChart(2.0, 2 * n),
+        sphere = pullback_metric(GraphChart(2.0, 2 * n),
                                  potential_metric(D, DefiniteLogFamily(2.0, 1.0)))
         cases.append((f"sphere-chart-n{n}", sphere, u))
-        hyper = pullback_metric(LorentzGraphChart(2.0, 2 * n),
+        hyper = pullback_metric(GraphChart(2.0, 2 * n, lorentz=True),
                                 potential_metric(L, LogFamily(-1.0, 1.0)))
         cases.append((f"lorentz-chart-n{n}", hyper, u))
     return cases
@@ -150,7 +160,7 @@ class TestBatchedJets:
     @pytest.mark.parametrize("metric,x", [c[1:] for c in JET_CASES],
                              ids=[c[0] for c in JET_CASES])
     def test_second_jet_matches_oracles(self, metric, x):
-        G, dG, d2G = metric_second_jet(metric, x)
+        G, dG, d2G = dual_jet(metric, x)
         # one scalar dual evaluation per index pair is the reference
         Gr, dGr, d2Gr = per_direction_second_jet(metric, x)
         for got, ref in ((G, Gr), (dG, dGr), (d2G, d2Gr)):
@@ -159,7 +169,7 @@ class TestBatchedJets:
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
         for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
             assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
-        G1, dG1 = _first_jet(metric, x, metric.dim)
+        G1, dG1 = eval_with_partials(metric, x)
         assert np.max(np.abs(G1 - G)) <= 1e-14 * max(1.0, np.max(np.abs(G)))
         assert np.max(np.abs(dG1 - dG)) <= 1e-13 * max(1.0, np.max(np.abs(dG)))
 
@@ -201,7 +211,7 @@ class TestClosedFormJets:
         G, dG, d2G = jet.G, jet.dG, jet.d2G
         # the batched rule repeats the field's own operations for G
         assert np.array_equal(G, metric.matrix(x))
-        for got, ref in zip((G, dG, d2G), metric_second_jet(metric, x)):
+        for got, ref in zip((G, dG, d2G), dual_jet(metric, x)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
         for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
@@ -213,7 +223,7 @@ class TestClosedFormJets:
         assert jet.method == "closed-form"
         assert point_jet(flat_metric(L2), x).method == "dual"
         assert point_jet(halfplane_metric(), [0.3, 2.0]).method == "dual"
-        chart = pullback_metric(SphereGraphChart(2.0, 4),
+        chart = pullback_metric(GraphChart(2.0, 4),
                                 potential_metric(D2, DefiniteLogFamily(2.0, 1.0)))
         assert point_jet(chart, [0.1, -0.2, 0.3]).method == "dual"
         fd = point_jet(potential_metric(L2, LogFamily(-1.0, 1.0)), x, method="fd")
@@ -236,20 +246,20 @@ class TestClosedFormJets:
             point_jet(g, point_at_radius(L2, 2.0, seed=1))
 
 
-class TestChristoffel:
+class TestConnection:
+    """The Christoffel symbols and inverse metric that a jet carries."""
+
     def test_flat_is_zero(self):
         g = flat_metric(L3)
         jet = point_jet(g, np.zeros(6))
-        G, dG = jet.G, jet.dG
-        gamma, _ = christoffel(G, dG)
-        assert np.max(np.abs(gamma)) == 0.0
+        assert np.max(np.abs(jet.gamma)) == 0.0
 
     def test_lower_symmetry_and_compatibility(self):
         g = potential_metric(L3, LogFamily(-1.0, 1.0))
         x = complex_to_real([0, 0, 2j])
         jet = point_jet(g, x)
-        G, dG = jet.G, jet.dG
-        gamma, _ = christoffel(G, dG)
+        G, dG, gamma = jet.G, jet.dG, jet.gamma
+        assert np.allclose(jet.Ginv @ G, np.eye(6), atol=1e-12)
         assert np.allclose(gamma, np.transpose(gamma, (0, 2, 1)), atol=1e-12)
         # nabla_k g_ij = d_k g_ij - gamma^a_{ki} g_aj - gamma^a_{kj} g_ia = 0
         nabla = dG - np.einsum("aki,aj->kij", gamma, G) - np.einsum("akj,ia->kij", gamma, G)
@@ -257,16 +267,23 @@ class TestChristoffel:
 
     def test_scale_invariance(self):
         g = potential_metric(L2, InverseFamily())
-        x = timelike_point(L2, 0.9, seed=5)
-        jet = point_jet(g, x)
-        gamma, _ = christoffel(jet.G, jet.dG)
-        gamma7, _ = christoffel(7.0 * jet.G, 7.0 * jet.dG)
-        assert np.allclose(gamma, gamma7, atol=1e-12)
+        scaled = MetricField(
+            lambda x: [[7.0 * e for e in row] for row in g(x)], g.dim)
+        X = np.array([timelike_point(L2, 0.9, seed=s) for s in (5, 6)])
+        jets, jets7 = point_jets(g, X), point_jets(scaled, X)
+        assert (jets.method, jets7.method) == ("closed-form", "dual")
+        assert np.allclose(jets.gamma, jets7.gamma, atol=1e-12)
+        assert np.allclose(jets.Ginv, 7.0 * jets7.Ginv, atol=1e-12)
 
     def test_degenerate_metric(self):
-        G = np.diag([1.0, 1e-30])
+        # past COND_LIMIT at x[1] = 1e-15; well conditioned at 0.5
+        g = MetricField(lambda x: [[1.0, 0.0], [0.0, x[1] * x[1]]], 2)
         with pytest.raises(DegenerateMetric):
-            christoffel(G, np.zeros((2, 2, 2)))
+            point_jet(g, [0.0, 1e-15])
+        sieve = Sieve(2)
+        jets = point_jets(g, np.array([[0.0, 1e-15], [0.0, 0.5]]), sieve)
+        assert isinstance(sieve.errors[0], DegenerateMetric)
+        assert sieve.errors[1] is None and len(jets.point) == 1
 
 
 class TestHalfPlaneOracle:
@@ -406,7 +423,7 @@ class TestVectorDerivatives:
         g = flat_metric(L3)
         fld = radial_unit_field(L3)
         x = complex_to_real([0, 0, 2j])
-        V, dV = vector_jet(fld, x)
+        V, dV = eval_with_partials(fld, x)
         D = covariant_derivative(point_jet(g, x), V, dV)
         assert np.allclose(V, x / 2.0)
         want = np.diag([0.5, 0.5, 0.5, 0.5, 0.5, 0.0])
@@ -418,7 +435,7 @@ class TestVectorDerivatives:
         g = flat_metric(L3)
         fld = radial_unit_field(L3)
         x = complex_to_real([0, 0, 2j])
-        D = covariant_derivative(point_jet(g, x), *vector_jet(fld, x))
+        D = covariant_derivative(point_jet(g, x), *eval_with_partials(fld, x))
         H = L3.flat_real()
         x0 = np.zeros(6)
         x0[0] = 1.0
@@ -464,6 +481,19 @@ class TestDualBatches:
             got = jets.rows(k)
             for name in ("point", "G", "dG", "d2G", "J", "dJ", "gamma", "Ginv"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_matrix_field_first_jet_rows(self):
+        # a varying complex structure is a matrix field: each row of its
+        # batched first jet is its first jet at that one point to the bit
+        metric, X = dual_batch_cases()[0][1:]
+        J, dJ = eval_with_partials(metric.complex_structure, X)
+        assert J.shape == (len(X), 4, 4) and dJ.shape == (len(X), 4, 4, 4)
+        for k, x in enumerate(X):
+            for one in (eval_with_partials(metric.complex_structure, x),
+                        eval_with_partials(metric.complex_structure,
+                                           X[k:k + 1])):
+                assert np.array_equal(J[k], one[0].reshape(4, 4))
+                assert np.array_equal(dJ[k], one[1].reshape(4, 4, 4))
 
     def test_fd_stencil_is_one_batched_read_of_g(self, monkeypatch):
         metric = potential_metric(L2, LogFamily(-1.0, 1.0))

@@ -17,8 +17,8 @@ from qck.ambient import (
 )
 from qck.config import DEFAULT_TOLERANCES
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
-from qck.curvature import (CurvatureBundle, curvature_bundle, point_jet,
-                           vector_jet)
+from qck.curvature import CurvatureBundle, curvature_bundle, point_jet
+from qck.duals import eval_with_partials
 from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
     QCDecomposition,
@@ -74,7 +74,7 @@ def radial_shape(space, jet, orientation="outward"):
 
 def field_shape(jet, field):
     """Shape data of a generic-scalar vector field, differentiated by duals."""
-    return extract_shape_data(jet, *vector_jet(field, jet.point))
+    return extract_shape_data(jet, *eval_with_partials(field, jet.point))
 
 
 def complement_rows(jet, frame):

@@ -491,7 +491,8 @@ class TestBatchedEmbedding:
 
         monkeypatch.setattr(rotational, "rotation_metric", rotation_metric)
         jets = {"second": 0, "first": 0}
-        for kind, name in (("second", "_second_jets"), ("first", "_first_jet")):
+        for kind, name in (("second", "_second_jets"),
+                           ("first", "eval_with_partials")):
             def wrapped(*args, kind=kind, fn=getattr(curvature, name)):
                 jets[kind] += 1
                 return fn(*args)
@@ -522,7 +523,7 @@ class TestBatchedEmbedding:
     def test_structure_solve_takes_first_jets_only(self):
         metric, _, _ = rotation_metric(const_hsc_profile(*PROFILES["II"]))
         with pytest.raises(ValueError, match="first jets"):
-            curvature.metric_second_jet(
+            curvature.point_jet(
                 MetricField(metric.complex_structure, 4), [1.5, 0.1, 0.0, 0.1])
 
 

@@ -11,7 +11,8 @@ from qck import ambient, curvature, sasakian
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, LogFamily,
                          flat_metric, potential_metric)
 from qck.core import j0_matrix
-from qck.curvature import curvature_bundle, vector_jet
+from qck.curvature import curvature_bundle
+from qck.duals import eval_with_partials
 from qck.errors import DomainError, NotSasakian, NotSpaceForm
 from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
                           family_h1_report, gauss_curvature_fn, phi_sectional,
@@ -123,7 +124,7 @@ class TestSpherePhiLaw:
         structure = induced_contact(space, metric, x, orientation=orientation)
         (PY, dPY), (Y, dY) = sphere_phi_law(structure, j0_matrix(n))
         fields = sphere_phi_fields(space, metric, orientation)
-        want = [[vector_jet(f, x) for f in fields(list(y))]
+        want = [[eval_with_partials(f, x) for f in fields(list(y))]
                 for y in structure.tangent_basis]
         for got, b in ((PY, 0), (Y, 1)):
             assert _rel(got, np.array([w[b][0] for w in want])) <= 1e-13
@@ -316,12 +317,15 @@ class TestTensorAgainstClosure:
 
 class TestJetCounts:
     """A report takes one jet per point it works at and reuses it, with its
-    connection; the only field it differentiates by duals is the family's
-    chart Reeb field."""
+    connection; the only fields it differentiates by duals, besides the
+    metrics without a closed-form rule, are the family's chart Reeb and phi
+    fields.  "second" counts the metric jets, "dual" those of them taken by
+    the one second-order dual kernel, and "partials" the calls of the one
+    first-order kernel."""
 
     @pytest.fixture
     def jets(self, monkeypatch):
-        counts = {"second": 0, "first": 0, "christoffel": 0, "partials": 0}
+        counts = {"second": 0, "dual": 0, "christoffel": 0, "partials": 0}
 
         def counted(kind, build):
             def wrapper(*args, **kwargs):
@@ -329,33 +333,32 @@ class TestJetCounts:
                 return build(*args, **kwargs)
             return wrapper
 
-        for name in ("metric_second_jet", "point_jets",
-                     "metric_second_jet_fd"):
+        for name in ("point_jets", "fd_jets"):
             monkeypatch.setattr(curvature, name,
                                 counted("second", getattr(curvature, name)))
         monkeypatch.setattr(sasakian, "point_jets", curvature.point_jets)
-        first = counted("first", curvature._first_jet)
-        monkeypatch.setattr(curvature, "_first_jet", first)
-        monkeypatch.setattr(sasakian, "_first_jet", first)
+        monkeypatch.setattr(curvature, "_second_jets",
+                            counted("dual", curvature._second_jets))
         monkeypatch.setattr(curvature, "_connection",
                             counted("christoffel", curvature._connection))
-        monkeypatch.setattr(curvature, "eval_with_partials",
-                            counted("partials", curvature.eval_with_partials))
+        partials = counted("partials", curvature.eval_with_partials)
+        monkeypatch.setattr(curvature, "eval_with_partials", partials)
+        monkeypatch.setattr(sasakian, "eval_with_partials", partials)
         return counts
 
     def test_sphere_report(self, jets):
-        # one jet at Z and one of the pulled-back chart metric that the
-        # intrinsic cross-check differentiates
+        # one closed-form jet at Z and one dual jet of the pulled-back chart
+        # metric that the intrinsic cross-check differentiates
         sphere_report(L2, DISC, 2.0)
-        assert jets == {"second": 2, "first": 0, "christoffel": 2,
+        assert jets == {"second": 2, "dual": 1, "christoffel": 2,
                         "partials": 0}
 
     def test_family_report(self, jets):
-        # the metric jet, one first jet of the chart phi field, and the
-        # Reeb field by duals
+        # the metric's dual jet, and first jets of the chart Reeb and phi
+        # fields
         family_h1_report(2, 2.0)
-        assert jets == {"second": 1, "first": 1, "christoffel": 1,
-                        "partials": 1}
+        assert jets == {"second": 1, "dual": 1, "christoffel": 1,
+                        "partials": 2}
 
 
 class TestEvaluationCounts:

@@ -5,7 +5,12 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qck.ambient import AmbientSpace, family_from_json
+from qck.qch import decompose_points
+from qck.sampling import point_at_radius
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = SCRIPTS.parent / "tests" / "golden"
@@ -83,3 +88,19 @@ def test_regen_golden_rejects_an_unknown_name(monkeypatch, capsys, tmp_path):
     assert exc.value.code == 2
     assert "no golden file named nonesuch" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_sweep_potentials_samples_definite_rows_at_their_radius(monkeypatch,
+                                                                capsys):
+    # each definite row is evaluated at the radius it is labelled with
+    out = run_script(monkeypatch, capsys, "sweep_potentials.py",
+                     "--family", "dlog", "--space", "definite",
+                     "--params", "2", "--radii", "0.5,1.2")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+            if line[:1] == " " and line.split()[0][0].isdigit()}
+    space = AmbientSpace(2, "definite")
+    radii = [0.5, 1.2]
+    X = np.array([point_at_radius(space, r, seed=0) for r in radii])
+    family = family_from_json({"kind": "dlog", "a": 2.0, "r0": 1.0})
+    for r, res in zip(radii, decompose_points(space, family, X)):
+        assert rows[f"{r:.3f}"][3] == f"{res.decomposition.k:.6e}"

@@ -1,6 +1,6 @@
 """The batched criteria of the acceptance suite: one pass per stage.
 
-Criteria 2, 6, 7 and 11 make one batched call per stage over their points,
+Criteria 1, 2, 6, 7 and 11 make one batched call per stage over their points,
 trials or radii; they build no jet, curvature tensor or Bochner tensor per
 point.  The counts here pin that, in the pattern of the jet counts of the
 sasaki reports.
@@ -46,6 +46,12 @@ def run(number):
     details, failures = verify.CRITERIA[number][2]()
     assert not failures
     return details
+
+
+def test_flat_baselines(calls):
+    run(1)
+    # one dual jet per space at its two points, and their curvature
+    assert calls == {"dual": 3, "curvature_tensors": 3}
 
 
 def test_disc_model(calls):
