@@ -1,8 +1,10 @@
 """Run configuration shared by the command-line tools.
 
-A config file is a JSON object; every field can also be set by a flag, and
-flags win over the file so a stored experiment record can be re-run with
-point tweaks.  Identical config plus seed gives identical output.
+A config file is a JSON object with the fields n, space, potential, points
+and tolerances, any of them left out for its default; any other field is a
+config error.  The first four can also be set by flags, and flags win over
+the file so a stored experiment record can be re-run with point tweaks.
+Identical config plus seed gives identical output.
 """
 
 from __future__ import annotations
@@ -90,13 +92,10 @@ class RunConfig:
     potential: dict = field(default_factory=lambda: dict(DEFAULT_POTENTIAL))
     points: PointSpec = field(default_factory=PointSpec)
     tolerances: dict = field(default_factory=dict)
-    output: str = "json"
 
     def __post_init__(self):
         if self.space not in ("definite", "lorentz"):
             raise ValueError(f"space must be definite or lorentz, got {self.space!r}")
-        if self.output not in ("json", "csv"):
-            raise ValueError(f"output must be json or csv, got {self.output!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
@@ -118,7 +117,7 @@ class RunConfig:
         return {"n": self.n, "space": self.space,
                 "potential": dict(self.potential),
                 "points": self.points.to_json(),
-                "tolerances": dict(self.tolerances), "output": self.output}
+                "tolerances": dict(self.tolerances)}
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -129,8 +128,7 @@ def load_config(path: str | None = None) -> RunConfig:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    unknown = set(data) - {"n", "space", "potential", "points",
-                           "tolerances", "output"}
+    unknown = set(data) - {"n", "space", "potential", "points", "tolerances"}
     if unknown:
         raise ValueError(f"unknown config fields {sorted(unknown)}")
     return RunConfig(
@@ -138,8 +136,7 @@ def load_config(path: str | None = None) -> RunConfig:
         space=str(data.get("space", "lorentz")),
         potential=dict(data.get("potential", DEFAULT_POTENTIAL)),
         points=PointSpec.from_json(data.get("points")),
-        tolerances=dict(data.get("tolerances", {})),
-        output=str(data.get("output", "json")))
+        tolerances=dict(data.get("tolerances", {})))
 
 
 def apply_overrides(cfg: RunConfig, n: int | None = None,
@@ -154,5 +151,4 @@ def apply_overrides(cfg: RunConfig, n: int | None = None,
         space=cfg.space if space is None else str(space),
         potential=pot,
         points=cfg.points.merged(points or {}),
-        tolerances=dict(cfg.tolerances),
-        output=cfg.output)
+        tolerances=dict(cfg.tolerances))

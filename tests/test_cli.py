@@ -355,6 +355,20 @@ class TestUsageAndConfig:
         assert code == 2
         assert "widget" in err
 
+    def test_output_is_no_config_field(self, capsys, tmp_path):
+        # no command read it; a file that still sets it is a config error,
+        # and the config echo does not carry it
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"output": "json"}))
+        code, _, err = run_cli(capsys, ["check-potential", "--config",
+                                        str(old)])
+        assert code == 2
+        assert "output" in err
+        code, out, _ = run_cli(capsys, ["check-potential", "--count", "1"])
+        assert code == 0
+        assert sorted(json.loads(out)["config"]) == [
+            "n", "points", "potential", "space", "tolerances"]
+
     def test_partial_potential_in_config(self, capsys, tmp_path):
         cfgfile = tmp_path / "partial.json"
         cfgfile.write_text(json.dumps({"potential": {"kind": "log"}}))
