@@ -75,9 +75,7 @@ class GraphChart:
     def guard(self, u):
         """ChartError where the parameters u, floats or duals with or
         without a points axis, come within ``MARGIN`` of the boundary."""
-        plus, minus = self._split(u)
-        arg = (self.radius**2 + sum(value(c) ** 2 for c in plus)
-               - sum(value(c) ** 2 for c in minus))
+        arg = self._radicand([value(c) for c in u])
         raise_first([(arg < self.radius**2 * math.sin(MARGIN) ** 2,
                       lambda j: ChartError(
                           "parameter point too close to the chart boundary "
