@@ -100,7 +100,7 @@ class GraphChart:
         u = x[:-1].copy()
         # |h(x, x) -+ radius^2|, as the gap in the solved coordinate squared
         gap = abs(float(self._radicand(u)) - x[-1] ** 2)
-        if gap > 1e-9 * max(1.0, self.radius**2):
+        if gap > 1e-9 * self.radius * max(1.0, self.radius):
             raise ChartError(f"point off by {gap:.3g} in h(x,x) is not on the sphere")
         if self.sign * x[-1] <= 0:
             raise ChartError("point lies on the opposite sheet of this chart")

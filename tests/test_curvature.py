@@ -78,7 +78,7 @@ def rand_nonnull(bundle, rng):
 
 
 class TestJets:
-    def test_first_jet_vs_closed_form(self):
+    def test_first_vs_second_jet(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))
         x = timelike_point(L2, 2.0, seed=3)
         G1, dG1 = eval_with_partials(g, x)
@@ -246,7 +246,7 @@ class TestClosedFormJets:
             point_jet(g, point_at_radius(L2, 2.0, seed=1))
 
 
-class TestConnection:
+class TestChristoffel:
     """The Christoffel symbols and inverse metric that a jet carries."""
 
     def test_flat_is_zero(self):
