@@ -20,8 +20,8 @@ v = J0 u the second term is 2 f''(w) A, A = u u^T + v v^T, so the partials of
 G are polynomials in x times f' ... f'''' at w, and every family gives its
 derivatives up to f'''' in closed form on arrays of w, f''' and f'''' in the
 operation order of the order-2 dual of f''.  One call takes G, dG
-and d2G at many points at once; ``curvature.point_jets`` makes a jet of
-them, and ``curvature.point_jet`` is its one-point case.  With ``order=0``
+and d2G at many points at once, and ``curvature.point_jets`` makes a jet of
+them.  With ``order=0``
 the rule takes G alone (``potential_matrices``), which is all that
 ``MetricField.matrices`` and the finite-difference oracle read.
 ``potential_gates``

@@ -38,8 +38,7 @@ class GraphChart:
     ``radius`` and ``sign`` may also be arrays over the points of duals
     with a points axis, one sphere per point: they act on the value row, so
     one evaluation of a pulled-back metric serves charts of many radii, and
-    each row rounds as the chart of its own radius does.  ``params_of``
-    takes a scalar chart.
+    each row rounds as the chart of its own radius does.
     """
 
     radius: float
@@ -95,18 +94,6 @@ class GraphChart:
         rows.append([c / w for c in plus] + [-c / w for c in minus])
         return rows
 
-    def params_of(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        u = x[:-1].copy()
-        # |h(x, x) -+ radius^2|, as the gap in the solved coordinate squared
-        gap = abs(float(self._radicand(u)) - x[-1] ** 2)
-        if gap > 1e-9 * self.radius * max(1.0, self.radius):
-            raise ChartError(f"point off by {gap:.3g} in h(x,x) is not on the sphere")
-        if self.sign * x[-1] <= 0:
-            raise ChartError("point lies on the opposite sheet of this chart")
-        self.guard(u)
-        return u
-
 
 def pullback_metric(chart, ambient) -> MetricField:
     """Induced metric of a chart inside an ambient metric.
@@ -150,6 +137,6 @@ def tangent_params(chart, x_tangent) -> np.ndarray:
     """Chart components of an ambient vector tangent to the sphere.
 
     Graph charts are coordinate projections away from the solved slot, so the
-    tangent map is simply dropping that slot.
+    tangent map is simply dropping that slot, on the last axis.
     """
-    return np.asarray(x_tangent, float)[:-1].copy()
+    return np.asarray(x_tangent, float)[..., :-1].copy()

@@ -16,13 +16,13 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, apply_overrides, check_seed, load_config
 from .curvature import kahler_defect
 from .errors import QckError
 from .qch import decompose_points
 from .rotational import bochner_meridian, const_hsc_profile
 from .sampling import radial_points
-from .sasakian import family_h1_report, sphere_report
+from .sasakian import family_h1_report, sphere_reports
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -196,7 +196,7 @@ def cmd_sasaki(args) -> int:
         if not math.isfinite(q):
             raise ValueError(f"--q must be finite, got {q}")
         report = family_h1_report(2 if args.n is None else args.n, q,
-                                  seed=args.seed or 0)
+                                  seed=check_seed(args.seed or 0))
     else:
         if args.q is not None:
             raise ValueError("--q is read only with --family-h1")
@@ -206,9 +206,9 @@ def cmd_sasaki(args) -> int:
             raise ValueError(f"--r must be a positive finite radius, "
                              f"got {args.r}")
         cfg = _config_from_args(args)
-        report = sphere_report(cfg.ambient(), cfg.family(), args.r,
-                               seed=cfg.points.seed,
-                               orientation=args.orientation or "auto")
+        report = sphere_reports(cfg.ambient(), cfg.family(), [args.r],
+                                seed=cfg.points.seed,
+                                orientation=args.orientation or "auto")[0]
     out = {"schema_version": SCHEMA_VERSION, "command": "sasaki"}
     out.update(report.to_json())
     _emit(out)

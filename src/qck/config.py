@@ -37,6 +37,13 @@ def worker_count() -> int:
     return max(1, min(requested, 32))
 
 
+def check_seed(seed: int) -> int:
+    """A sampling seed: numpy's generators take none below 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class PointSpec:
     """Either an explicit list of points or a seeded radial sample."""
@@ -46,6 +53,9 @@ class PointSpec:
     rmin: float = 1.1
     rmax: float = 3.0
     explicit: tuple | None = None
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     @classmethod
     def from_json(cls, obj) -> "PointSpec":

@@ -3,27 +3,26 @@
 Everything is computed pointwise from a ``PointJet``: the metric values
 G_ij with their first partials dG[k, i, j] and second partials
 d2G[k, l, i, j], the complex structure J with its first partials, and the
-connection (Christoffel symbols and inverse metric), all at one point.
-``point_jet(metric, x)``, with its batched form ``point_jets``, is the one
-place that evaluates a metric for this work, and the one place that computes
-its connection; ``curvature_bundle``,
+connection (Christoffel symbols and inverse metric), at each point of a
+points axis.  ``point_jets(metric, X)``, with the finite-difference oracle
+``fd_jets``, is the one place that evaluates a metric for this work, and
+the one place that computes its connection; ``curvature_tensors``,
 ``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jets`` and
-``qch.shape_arrays`` all take the jet, so a per-point pipeline builds it
-once.  A ``CurvatureBundle`` holds only that jet and the curvature tensor
-R assembled from it; its invariants read G, G^-1 and J off the jet.  The
-radial unit field and its partials follow from G and dG in closed form, so
-they cost no further evaluation; ``duals.eval_with_partials`` differentiates
-other fields by duals.
+``qch.shape_arrays`` all take the jet, so a pipeline builds it once.  A
+``CurvatureBundle`` holds one point's row of that jet and the curvature
+tensor R assembled from it; its invariants read G, G^-1 and J off the jet.
+The radial unit field and its partials follow from G and dG in closed
+form, so they cost no further evaluation; ``duals.eval_with_partials``
+differentiates other fields by duals.
 
-The points axis.  A jet may carry a leading axis over many points
-(``point_jets``, ``PointJet.rows``), and the kernels behind the one-point
-functions (``_connection``, ``curvature_tensors``, ``kahler_defect``,
+The points axis.  A jet carries a leading axis over its points
+(``PointJet.rows`` takes points out of it), and the kernels
+(``_connection``, ``curvature_tensors``, ``kahler_defect``,
 ``covariant_derivative``) take it: each contraction is one matrix product per
-point.  A one-point function runs its kernel on a points axis of length 1,
-so it is not a second code path: ``point_jet`` is the row of ``point_jets``
-(or of ``fd_jets``) at a batch of one point.  Checks come as gates (see ``qck.errors``):
-a one-point function raises the first failure, and a batch records it per
-point and goes on with the rest.  ``qch.decompose_points`` drives the batch.
+point.  A single point is a batch of one point, not a second code path.
+Checks come as gates (see ``qck.errors``): a batch records the first
+failure of each point and goes on with the rest (``qch.decompose_points``
+drives it), or raises the first failure with ``errors.raise_first``.
 
 Which path makes the metric jet (``PointJet.method``): a field with a
 closed-form rule over a points axis, as the potential metrics of
@@ -35,7 +34,7 @@ The dual payloads take a points axis too, so ``point_jets`` differentiates a
 dual field at every point of a batch in that one evaluation, and a varying
 complex structure in one more, on first-order duals: ``_second_jets`` and
 ``duals.eval_with_partials`` are the one kernel of each order.
-``method="fd"`` takes the jet by finite differences instead, with the same
+``fd_jets`` takes the jet by finite differences instead, with the same
 downstream assembly, as an independent oracle: its whole stencil is one
 ``MetricField.matrices`` call, which reads G alone, from the closed-form
 rule where the field has one.
@@ -67,7 +66,7 @@ COND_LIMIT = 1e12
 # coordinate step of the finite-difference jet
 FD_STEP = 1e-3
 # largest curvature symmetry defect, relative to max(1, |R|), that
-# ``curvature_bundle`` accepts
+# ``curvature_gate`` accepts
 SYMMETRY_GATE = 1e-6
 
 
@@ -186,19 +185,6 @@ class CurvatureBundle:
     def scalar_curvature(self) -> float:
         return float(np.einsum("jk,jk->", self.jet.Ginv, self.ricci()))
 
-    def sectional(self, X, Y) -> float:
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
-        num = float(np.einsum("ijkl,i,j,k,l->", self.R.a, X, Y, Y, X))
-        G = self.jet.G
-        gXX = X @ G @ X
-        gYY = Y @ G @ Y
-        gXY = X @ G @ Y
-        den = gXX * gYY - gXY * gXY
-        if abs(den) < 1e-14:
-            raise NumericalBreakdown("degenerate section")
-        return num / den
-
     def hsc(self, X) -> float:
         """Holomorphic sectional curvature of the section (X, JX): the
         one-point case of ``holomorphic_curvatures``."""
@@ -232,7 +218,7 @@ def holomorphic_curvatures(R, G, J, X):
 
 @dataclass(frozen=True)
 class PointJet:
-    """Jets of a metric field at one point: the metric G with its first and
+    """Jets of a metric field at a point: the metric G with its first and
     second partials dG[k, i, j] and d2G[k, l, i, j], the complex structure J
     with its first partials dJ[k, i, j], and the connection they fix: the
     Christoffel symbols gamma[m, j, k] and the inverse metric Ginv.
@@ -256,12 +242,6 @@ class PointJet:
         return PointJet(self.point[index], self.G[index], self.dG[index],
                         self.d2G[index], self.J[index], self.dJ[index],
                         self.gamma[index], self.Ginv[index], self.method)
-
-    def stacked(self) -> "PointJet":
-        """This one-point jet with a points axis of length 1."""
-        return PointJet(self.point[None], self.G[None], self.dG[None],
-                        self.d2G[None], self.J[None], self.dJ[None],
-                        self.gamma[None], self.Ginv[None], self.method)
 
 
 def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
@@ -310,20 +290,6 @@ def fd_jets(metric, X) -> PointJet:
     return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, "fd")
 
 
-def point_jet(metric, x, method: str = "exact") -> PointJet:
-    """The PointJet of ``metric`` at ``x``: the row of ``point_jets``
-    (``method="exact"``: the field's closed-form rule where it has one, and
-    one metric evaluation by duals otherwise) or of the finite-difference
-    oracle ``fd_jets`` (``method="fd"``) at the batch of this one point,
-    raising its first failing gate."""
-    X = np.array([[float(c) for c in x]])
-    if method == "fd":
-        return fd_jets(metric, X).rows(0)
-    if method != "exact":
-        raise ValueError(f"unknown jet method {method!r}")
-    return point_jets(metric, X).rows(0)
-
-
 def curvature_tensors(jet: PointJet):
     """The curvature tensors R[p, i, j, k, l], all indices down, at the
     points of a jet with a points axis.  Every contraction is a matrix
@@ -356,24 +322,17 @@ def curvature_gate(R, gate: float = SYMMETRY_GATE):
                 f"curvature symmetry defect {defect[j]:.3e} exceeds the gate"))
 
 
-def curvature_bundle(jet: PointJet,
-                     symmetry_gate: float = SYMMETRY_GATE) -> CurvatureBundle:
-    """Assemble the curvature tensor at the point of ``jet``: the one-point
-    case of ``curvature_tensors``, with NumericalBreakdown past the
-    symmetry gate rather than a garbage tensor."""
-    R = curvature_tensors(jet.stacked())
-    raise_first([curvature_gate(R, symmetry_gate)])
-    return CurvatureBundle(jet, Tensor4(R[0]))
-
-
 def covariant_derivative(jet: PointJet, V, dV):
     """(nabla_i V)^m as a matrix D[i, m] at the point of ``jet``, for a
     vector field with values V^m and partials dV[i, m] = d_i V^m there
     (from ``duals.eval_with_partials``, or in closed form as
     ``ambient.radial_unit_jets``).  Leading axes of V and dV carry through
-    to D: one per field at the point, or the points axis of a jet that has
-    one."""
-    return dV + np.einsum("...mia,...a->...im", jet.gamma, V)
+    to D: the points axis of a jet that has one, then one axis per field
+    at each point, if any."""
+    gamma = jet.gamma
+    fields = V.ndim - 1 - (gamma.ndim - 3)
+    gamma = gamma.reshape(gamma.shape[:-3] + (1,) * fields + gamma.shape[-3:])
+    return dV + np.einsum("...mia,...a->...im", gamma, V)
 
 
 def structure_jet(metric, X):

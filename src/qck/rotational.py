@@ -310,12 +310,6 @@ class MeridianProfile:
         closed_sign = 1.0 if self.rotation_type == "II" else -1.0
         return self.sign * closed_sign * self.source.q_closed(t)
 
-    def s_of_t(self, t: float) -> float:
-        return float(self._s([self._check_t(t)])[0])
-
-    def q_of_t(self, t: float) -> float:
-        return float(self._q([self._check_t(t)])[0])
-
     def dqdt(self, t):
         """dq/dt from the type constraint, sign per the profile; on floats
         and arrays the radicand is clamped at 0 against rounding."""

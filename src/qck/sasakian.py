@@ -15,18 +15,15 @@ hypersphere is a (0,4)-tensor array: the ambient R plus the Gauss-equation
 terms of the second fundamental form.  The checks contract it, and the space
 form model built as a tensor beside it, with all sampled vectors at once.
 
-``sphere_reports`` takes many radii at once: one jet at all their sample
-points gives the unit normals, shape data and J-adapted frames
-(``qch.adapted_frames``, whose complement rows are the tangent basis past
-xi_tilde), and one jet of the pulled-back metric, on a chart whose radius
-varies by row, gives every intrinsic curvature.
-
-The intrinsic family on the unit Lorentz hypersphere rescales the flat
-induced structure into Sasakian metrics of prescribed negative
-phi-holomorphic curvature; it is handled in chart coordinates.  Both
-constructions go through the same checks: ``_alpha_check`` for the two
-derivative laws and ``_report`` for the phi-sectional curvature and the space
-form model.
+One array pipeline over a points axis: an ``AlmostContact`` holds a
+structure at many points, and every check is one call over them, with each
+seeded draw made once for all rows.  ``sphere_reports`` takes any number of
+radii, one sample point each.  The intrinsic family on the unit Lorentz
+hypersphere rescales the flat induced structure into Sasakian metrics of
+prescribed negative phi-holomorphic curvature; it is handled in chart
+coordinates, where every vector is tangent, as a batch of one point.  Both
+go through ``_alpha_check`` for the two derivative laws and ``_reports``
+for the phi-sectional curvature and the space form model.
 """
 
 from __future__ import annotations
@@ -41,15 +38,13 @@ from .ambient import (AmbientSpace, MetricField, potential_metric,
                       radial_unit_jets)
 from .charts import GraphChart, pullback_metric, tangent_params
 from .core import apply_j0, j0_matrix
-from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
-                        curvature_bundle, curvature_gate, curvature_tensors,
-                        point_jet, point_jets)
+from .curvature import (PointJet, covariant_derivative, curvature_gate,
+                        curvature_tensors, point_jets)
 from .duals import eval_with_partials
-from .errors import DomainError, NotSasakian, NotSpaceForm, raise_first
-from .qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
-                  frame_fit, shape_arrays)
+from .errors import (DomainError, NotSasakian, NotSpaceForm,
+                     NumericalBreakdown, raise_first)
+from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
 from .sampling import definite_point, timelike_point
-from .tensors import Tensor4
 
 ZERO_BAND = 1e-8
 ALPHA_GATE = 1e-5
@@ -57,59 +52,65 @@ ALPHA_GATE = 1e-5
 CHART_MARGIN = 0.25
 # seeded draws of such a sample before giving up
 CHART_TRIES = 64
+# seeded planes that the Gauss cross-check draws for every row, of which it
+# compares the first GAUSS_PLANES whose Gram determinant reaches GAUSS_MIN_DEN
+GAUSS_TRIES = 32
+GAUSS_PLANES = 6
+GAUSS_MIN_DEN = 1e-3
 
 
 @dataclass(frozen=True)
 class AlmostContact:
-    """Almost contact data (phi, xi_tilde, eta_tilde) at a point, with the
-    metric's PointJet there and a g-orthonormal tangent basis whose first row
-    is xi_tilde and whose other rows span the phi-distribution."""
+    """Almost contact data (phi, xi_tilde, eta_tilde) at the points of a
+    jet with a points axis, which leads every field: a g-orthonormal
+    tangent basis whose first row is xi_tilde and whose other rows span the
+    phi-distribution, and the projector onto the tangent space, acting on
+    vectors v as v @ tangential^T: I - xi (G xi)^T on a hypersphere with unit
+    normal xi, and the identity where the structure is given
+    intrinsically."""
 
     jet: PointJet
-    xi_tilde: np.ndarray
-    eta_tilde: np.ndarray  # covector components of g(., xi_tilde)
-    phi: np.ndarray
-    tangent_basis: np.ndarray
-
-    def tangential(self, v):
-        """Tangential part of a vector; every vector is tangent when the
-        structure is given intrinsically."""
-        return v
+    xi_tilde: np.ndarray  # (P, d)
+    eta_tilde: np.ndarray  # (P, d), covector components of g(., xi_tilde)
+    phi: np.ndarray  # (P, d, d)
+    tangent_basis: np.ndarray  # (P, b, d)
+    tangential: np.ndarray  # (P, d, d)
 
 
 @dataclass(frozen=True)
-class ContactStructure(AlmostContact):
-    """Almost contact structure induced on a hypersphere with unit normal xi,
-    whose partials at the point are dxi[i, m] = d_i xi^m."""
+class Hyperspheres:
+    """Per point of a structure, the data of the hypersphere through it:
+    radius, orientation and partials dxi[p, i, m] = d_i xi^m of its unit
+    normal xi, shape value k and defect of the almost contact identities."""
 
-    radius: float
-    orientation: str
+    radius: np.ndarray
+    orientation: list
     xi: np.ndarray
     dxi: np.ndarray
-    k: float
-    alpha: float
-    shape: ShapeData
-    identity_defect: float
-
-    def tangential(self, v):
-        return v - float(v @ self.jet.G @ self.xi) * self.xi
+    k: np.ndarray
+    identity_defect: np.ndarray
 
 
-def _gates_at(gates, row: int):
-    """The gates of a batch at one of its rows, raising as that row would."""
-    return [(bad[row], lambda j, error=error: error(row)) for bad, error in gates]
+def _gates_at(gates, rows):
+    """The gates of a batch at its rows ``rows``, raising as those rows
+    would."""
+    return [(bad[rows], lambda j, error=error: error(rows[j]))
+            for bad, error in gates]
 
 
 def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
-    """Contact structures of the hyperspheres through the points of ``jet``
-    (with a points axis), and each point's J-adapted frame and square norms
-    of its rows (``qch.adapted_frames``): (structures, F, signs).
+    """The almost contact structure induced on the hypersphere through each
+    point of ``jet`` (with a points axis), the data of those hyperspheres,
+    and each point's J-adapted frame and square norms of its rows
+    (``qch.adapted_frames``): (structure, spheres, F, signs).
 
     The unit normal of every orientation tried, its shape data and its
-    frame are one batched pass over the points.  A point raises the first
-    gate its one-point form fails, orientation by orientation.  The tangent
-    basis is J0 xi followed by the frame's rows 2.., which span the
-    complement of span(xi, J xi).
+    frame are one batched pass over the points.  With ``orientation``
+    "auto" a point keeps the outward normal where its k is positive and
+    takes the inward one otherwise.  A point raises the first gate its
+    one-point form fails, orientation by orientation.  The tangent basis is
+    J0 xi followed by the frame's rows 2.., which span the complement of
+    span(xi, J xi).
     """
     tags = ("outward", "inward") if orientation == "auto" else (orientation,)
     P = len(jet.point)
@@ -119,37 +120,43 @@ def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
     both = jet.rows(np.tile(np.arange(P), len(tags)))
     with np.errstate(all="ignore"):
         F, signs, frame_gates = adapted_frames(both.G, both.J, xi)
-        *shape, shape_gates = shape_arrays(both, F, signs, dxi)
-    k = shape[0]
-    rows = []
-    for p in range(P):
-        for t, tag in enumerate(tags):
-            row = t * P + p
-            raise_first(_gates_at(units[t][2], p))
-            raise_first(_gates_at(shape_gates, row))
-            if k[row] > 0:
-                break
-        raise_first(_gates_at(frame_gates, row))
-        rows.append((row, tag))
-    sel = np.array([row for row, _ in rows])
-    xi, dxi, F, signs = xi[sel], dxi[sel], F[sel], signs[sel]
+        k, *_, shape_gates = shape_arrays(both, F, signs, dxi)
+    # the orientation of each point, as an index into tags
+    pick = np.zeros(P, dtype=int)
+    for t in range(len(tags)):
+        at = np.flatnonzero(pick == t)
+        raise_first(_gates_at(units[t][2], at)
+                    + _gates_at(shape_gates, t * P + at))
+        if t + 1 < len(tags):
+            pick[at[~(k[t * P + at] > 0)]] = t + 1
+    rows = pick * P + np.arange(P)
+    raise_first(_gates_at(frame_gates, rows))
+    xi, dxi, F, signs = xi[rows], dxi[rows], F[rows], signs[rows]
     G = jet.G
     J0 = j0_matrix(space.n)
     xit = xi @ J0.T
     eta_t = np.einsum("pij,pj->pi", G, xit)
     phi = jet.J + xi[:, :, None] * eta_t[:, None, :]
     basis = np.concatenate([xit[:, None], F[:, 2:]], axis=1)
-    identity = _identity_defects(G, phi, xit, eta_t, basis)
-    structures = []
-    for p, (row, tag) in enumerate(rows):
-        shape_p = _shape_data(xi[p], *(a[row] for a in shape))
-        structures.append(ContactStructure(
-            jet.rows(p), xi_tilde=xit[p], eta_tilde=eta_t[p], phi=phi[p],
-            tangent_basis=basis[p],
-            radius=float(space.radius(jet.point[p])), orientation=tag,
-            xi=xi[p], dxi=dxi[p], k=shape_p.k, alpha=0.5 * shape_p.k,
-            shape=shape_p, identity_defect=float(identity[p])))
-    return structures, F, signs
+    tangential = (np.eye(space.dim)
+                  - xi[:, :, None] * np.einsum("pij,pj->pi", G, xi)[:, None])
+    w = space.square_norm(jet.point.T)
+    spheres = Hyperspheres(
+        radius=np.sqrt(-w if space.lorentz else w),
+        orientation=np.array(tags)[pick].tolist(), xi=xi, dxi=dxi, k=k[rows],
+        identity_defect=_identity_defects(G, phi, xit, eta_t, basis))
+    return (AlmostContact(jet, xit, eta_t, phi, basis, tangential), spheres,
+            F, signs)
+
+
+def _gdot(G, X, Y):
+    """g(x, y) at each point of G (P, d, d), for the vectors x and y on the
+    last axis of X and Y (P, ..., d)."""
+    return np.einsum("p...i,pij,p...j->p...", X, G, Y)
+
+
+def _gnorm(G, V):
+    return np.sqrt(np.abs(_gdot(G, V, V)))
 
 
 def _identity_defects(G, phi, xit, eta_t, basis):
@@ -157,16 +164,13 @@ def _identity_defects(G, phi, xit, eta_t, basis):
     eta(xi~) = 1, phi xi~ = 0, and for u, v in the tangent basis
     phi^2 u = -u + eta(u) xi~, eta(phi u) = 0 and
     g(phi u, phi v) = g(u, v) - eta(u) eta(v)."""
-    def gnorm(V):
-        return np.sqrt(np.abs(np.einsum("p...i,pij,p...j->p...", V, G, V)))
-
     PB = basis @ phi.swapaxes(1, 2)  # rows phi u
     e = np.einsum("pbi,pi->pb", basis, eta_t)
     defects = [
         np.abs(np.einsum("pi,pi->p", eta_t, xit) - 1.0),
-        gnorm(np.einsum("pij,pj->pi", phi, xit)),
-        np.max(gnorm(PB @ phi.swapaxes(1, 2) + basis
-                     - e[:, :, None] * xit[:, None, :]), axis=1),
+        _gnorm(G, np.einsum("pij,pj->pi", phi, xit)),
+        np.max(_gnorm(G, PB @ phi.swapaxes(1, 2) + basis
+                      - e[:, :, None] * xit[:, None, :]), axis=1),
         np.max(np.abs(np.einsum("pbi,pi->pb", PB, eta_t)), axis=1),
         np.max(np.abs(PB @ G @ PB.swapaxes(1, 2)
                       - basis @ G @ basis.swapaxes(1, 2)
@@ -175,201 +179,227 @@ def _identity_defects(G, phi, xit, eta_t, basis):
     return np.max(defects, axis=0)
 
 
-def _gnorm(G, v) -> float:
-    return math.sqrt(abs(float(v @ G @ v)))
-
-
 @dataclass(frozen=True)
 class AlphaCheck:
-    alpha: float
-    alpha_defect: float
-    phi_defect: float
+    """The fitted alpha and the defects of both derivative laws, one value
+    per point."""
+
+    alpha: np.ndarray
+    alpha_defect: np.ndarray
+    phi_defect: np.ndarray
 
 
-def _alpha_check(structure: AlmostContact, D, phi_law,
-                 gate: float) -> AlphaCheck:
-    """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative laws
-    over the tangent basis, with derivatives projected tangentially.
+def _alpha_check(structure: AlmostContact, dreeb, phi_law) -> AlphaCheck:
+    """Fit alpha in D_x xi_tilde = alpha phi x and measure both derivative
+    laws over the tangent basis at every point, with derivatives projected
+    tangentially.
 
-    ``D`` is the covariant derivative of the Reeb field at the point, and
-    ``phi_law`` holds the jets ((phi Y, d phi Y), (Y, dY)) of the vector
-    fields phi Y and Y through each basis vector y, stacked in basis order,
-    for the law (D_x phi)(y) = alpha (eta_t(y) x - g(x, y) xi_tilde).
-    Raises NotSasakian when the fitted law for xi_tilde leaves a residual
-    above ``gate``.
+    ``dreeb`` holds the partials dreeb[p, i, m] = d_i xi_tilde^m of the Reeb
+    field, and ``phi_law`` the jets ((phi Y, d phi Y), (Y, dY)) of the vector
+    fields phi Y and Y through each basis vector y, values (P, b, d) and
+    partials (P, b, d, d) in basis order, for the law
+    (D_x phi)(y) = alpha (eta_t(y) x - g(x, y) xi_tilde).  All their
+    covariant derivatives are one call.  Raises NotSasakian where the fitted
+    law for xi_tilde leaves a residual above ``ALPHA_GATE``.
     """
-    G, phi, basis = structure.jet.G, structure.phi, structure.tangent_basis
-    pairs = [(structure.tangential(u @ D), phi @ u) for u in basis]
-    alpha = (sum(float(d @ G @ p) for d, p in pairs)
-             / sum(float(p @ G @ p) for _, p in pairs))
-    alpha_defect = max(_gnorm(G, d - alpha * p) for d, p in pairs)
-    if alpha_defect > gate:
-        raise NotSasakian(
-            f"derivative law residual {alpha_defect:.3e} exceeds {gate:.1e}")
-
+    G, phi, B = structure.jet.G, structure.phi, structure.tangent_basis
     xit, eta_t = structure.xi_tilde, structure.eta_tilde
-    Dps = covariant_derivative(structure.jet, *phi_law[0])
-    Dys = covariant_derivative(structure.jet, *phi_law[1])
-    phi_defect = 0.0
-    for y, Dp, Dy in zip(basis, Dps, Dys):
-        for u in basis:
-            lhs = (structure.tangential(u @ Dp)
-                   - phi @ structure.tangential(u @ Dy))
-            rhs = alpha * (float(eta_t @ y) * u - float(u @ G @ y) * xit)
-            phi_defect = max(phi_defect, _gnorm(G, lhs - rhs))
+    (PY, dPY), (Y, dY) = phi_law
+    b = B.shape[1]
+    D = covariant_derivative(
+        structure.jet, np.concatenate([xit[:, None], PY, Y], axis=1),
+        np.concatenate([dreeb[:, None], dPY, dY], axis=1))
+    # the tangential part of x @ D for every field and basis vector x
+    DX = B[:, None] @ D @ structure.tangential.swapaxes(1, 2)[:, None]
+    dxit = DX[:, 0]
+    PB = B @ phi.swapaxes(1, 2)  # rows phi x
+    alpha = _gdot(G, dxit, PB).sum(axis=1) / _gdot(G, PB, PB).sum(axis=1)
+    alpha_defect = np.max(_gnorm(G, dxit - alpha[:, None, None] * PB),
+                          axis=1)
+    raise_first([(alpha_defect > ALPHA_GATE, lambda j: NotSasakian(
+        f"derivative law residual {alpha_defect[j]:.3e} exceeds "
+        f"{ALPHA_GATE:.1e}"))])
+
+    # lhs[p, y, x] = (D_x phi)(y), rhs[p, y, x] its value by the law
+    lhs = DX[:, 1:1 + b] - DX[:, 1 + b:] @ phi.swapaxes(1, 2)[:, None]
+    ey = np.einsum("pyi,pi->py", B, eta_t)
+    gxy = _gdot(G, B[:, None], B[:, :, None])
+    rhs = alpha[:, None, None, None] * (ey[:, :, None, None] * B[:, None]
+                                        - gxy[..., None] * xit[:, None, None])
+    phi_defect = np.max(_gnorm(G, lhs - rhs), axis=(1, 2))
     return AlphaCheck(alpha=alpha, alpha_defect=alpha_defect,
                       phi_defect=phi_defect)
 
 
-def alpha_sasakian_check(space: AmbientSpace, structure: ContactStructure,
-                         gate: float = ALPHA_GATE) -> AlphaCheck:
-    """The derivative laws of the hypersphere structure, with the ambient
+def alpha_sasakian_check(space: AmbientSpace, structure: AlmostContact,
+                         spheres: Hyperspheres) -> AlphaCheck:
+    """The derivative laws of the hypersphere structures, with the ambient
     connection of the structure's jet; see ``_alpha_check``.  The Reeb field
     J0 xi has the partials dxi J0^T."""
     J0 = j0_matrix(space.n)
-    D = covariant_derivative(structure.jet, structure.xi_tilde,
-                             structure.dxi @ J0.T)
-    return _alpha_check(structure, D, sphere_phi_law(structure, J0), gate)
+    return _alpha_check(structure, spheres.dxi @ J0.T,
+                        sphere_phi_law(structure, spheres, J0))
 
 
-def sphere_phi_law(structure: ContactStructure, J0):
+def sphere_phi_law(structure: AlmostContact, spheres: Hyperspheres, J0):
     """Jets of the phi-law fields through the tangent basis vectors y:
     Y = y - g(y, xi) xi and phi Y = J0 Y + g(Y, J0 xi) xi, returned as
-    ((phi Y, d phi Y), (Y, dY)) with values [b, m] and partials [b, i, m] =
-    d_i of the field through basis vector b.
+    ((phi Y, d phi Y), (Y, dY)) with values [p, b, m] and partials
+    [p, b, i, m] = d_i of the field through basis vector b at point p.
 
     Both fields depend on the point only through G and xi, so the product
-    rule on the jet's dG and the structure's dxi gives their partials; no
+    rule on the jet's dG and the hypersphere's dxi gives their partials; no
     field is evaluated.
     """
     G, dG = structure.jet.G, structure.jet.dG
-    B, xi, dxi = structure.tangent_basis, structure.xi, structure.dxi
-    jxi, djxi = J0 @ xi, dxi @ J0.T
+    B, xi, dxi = structure.tangent_basis, spheres.xi, spheres.dxi
+    jxi, djxi = xi @ J0.T, dxi @ J0.T
     # Y = y - s xi with s = g(y, xi)
-    s = B @ G @ xi
-    ds = np.einsum("bi,kij,j->bk", B, dG, xi) + B @ G @ dxi.T
-    Y = B - np.outer(s, xi)
-    dY = -(ds[:, :, None] * xi + s[:, None, None] * dxi)
+    s = np.einsum("pbi,pij,pj->pb", B, G, xi)
+    ds = (np.einsum("pbi,pkij,pj->pbk", B, dG, xi)
+          + np.einsum("pbi,pij,pkj->pbk", B, G, dxi))
+    Y = B - s[:, :, None] * xi[:, None]
+    dY = -(ds[..., None] * xi[:, None, None] + s[..., None, None] * dxi[:, None])
     # phi Y = J0 Y + t xi with t = g(Y, J0 xi)
-    t = Y @ G @ jxi
-    dt = (dY @ (G @ jxi) + np.einsum("bm,kmn,n->bk", Y, dG, jxi)
-          + Y @ G @ djxi.T)
-    PY = Y @ J0.T + np.outer(t, xi)
-    dPY = dY @ J0.T + dt[:, :, None] * xi + t[:, None, None] * dxi
+    t = np.einsum("pbi,pij,pj->pb", Y, G, jxi)
+    dt = (np.einsum("pbki,pij,pj->pbk", dY, G, jxi)
+          + np.einsum("pbm,pkmn,pn->pbk", Y, dG, jxi)
+          + np.einsum("pbi,pij,pkj->pbk", Y, G, djxi))
+    PY = Y @ J0.T + t[:, :, None] * xi[:, None]
+    dPY = (dY @ J0.T + dt[..., None] * xi[:, None, None]
+           + t[..., None, None] * dxi[:, None])
     return (PY, dPY), (Y, dY)
+
+
+def gauss_curvature_fn(R, h):
+    """Curvature tensors K[p, i, j, k, l] of hyperspheres, by the Gauss
+    equation K = R + h_jk h_il - h_ik h_jl, from the ambient curvature
+    tensors R (P, d, d, d, d) and the second fundamental forms h (P, d, d)
+    at the same points."""
+    return (R + np.einsum("pjk,pil->pijkl", h, h)
+            - np.einsum("pik,pjl->pijkl", h, h))
+
+
+def _quadruple(T, x, y, z, u):
+    """T(x, y, z, u) of 4-tensors T (P, d, d, d, d), per point and row of
+    the stacked vectors (P, S, d)."""
+    return np.einsum("pijkl,psi,psj,psk,psl->ps", T, x, y, z, u)
 
 
 @dataclass(frozen=True)
 class PhiSectional:
-    c: float
-    spread: float
-    values: tuple
+    """The mean c and the spread of the phi-sectional values at each point,
+    with the values (P, 12), NaN for a direction too short to use."""
 
-
-def gauss_curvature_fn(structure: ContactStructure, bundle: CurvatureBundle):
-    """Curvature tensor K[i, j, k, l] of the hypersphere, by the Gauss
-    equation K = R + h_jk h_il - h_ik h_jl.
-
-    The second fundamental form h(x, y) = -g(nabla_x xi, y) of the unit
-    normal xi has the matrix h = -D G, with D the covariant derivative of xi
-    from the structure's jet and the partials it carries.  ``bundle`` is the
-    ambient curvature bundle of the same jet.
-    """
-    h = -covariant_derivative(structure.jet, structure.xi,
-                              structure.dxi) @ structure.jet.G
-    return (bundle.R.a + np.einsum("jk,il->ijkl", h, h)
-            - np.einsum("ik,jl->ijkl", h, h))
-
-
-def _quadruple(T, x, y, z, u):
-    """T(x, y, z, u) of a 4-tensor, per row of the stacked vectors."""
-    return np.einsum("ijkl,si,sj,sk,sl->s", T, x, y, z, u)
+    c: np.ndarray
+    spread: np.ndarray
+    values: np.ndarray
 
 
 def phi_sectional(structure: AlmostContact, K, seed: int = 0) -> PhiSectional:
     """Sample K(x, phi x, phi x, x) over 12 unit directions in the
-    distribution orthogonal to xi_tilde, K being the curvature tensor of the
-    structure's manifold.  Raises NotSpaceForm when the values disagree."""
+    distribution orthogonal to xi_tilde, K (P, d, d, d, d) being the
+    curvature tensors of the structure's manifold at its points.  Raises
+    NotSpaceForm where the values disagree."""
     G, phi = structure.jet.G, structure.phi
-    dbasis = structure.tangent_basis[1:]
-    X = np.random.default_rng(seed).normal(size=(12, len(dbasis))) @ dbasis
-    nrm = np.sqrt(np.abs(np.einsum("si,ij,sj->s", X, G, X)))
-    X = X[nrm >= 1e-6] / nrm[nrm >= 1e-6, None]
-    PX = X @ phi.T
-    den = (np.einsum("si,ij,sj->s", X, G, X) * np.einsum("si,ij,sj->s", PX, G, PX)
-           - np.einsum("si,ij,sj->s", X, G, PX) ** 2)
-    vals = _quadruple(K, X, PX, PX, X) / den
-    c = float(np.mean(vals))
-    spread = float(np.max(vals) - np.min(vals))
-    if spread > 1e-6 * max(1.0, abs(c)):
-        raise NotSpaceForm(
-            f"phi-sectional values spread {spread:.3e} at c ~ {c:.6g}")
-    return PhiSectional(c=c, spread=spread, values=tuple(vals.tolist()))
+    dbasis = structure.tangent_basis[:, 1:]
+    X = (np.random.default_rng(seed).normal(size=(12, dbasis.shape[1]))
+         @ dbasis)
+    nrm = np.sqrt(np.abs(_gdot(G, X, X)))
+    keep = nrm >= 1e-6
+    with np.errstate(all="ignore"):
+        X = X / nrm[..., None]
+        PX = X @ phi.swapaxes(1, 2)
+        den = _gdot(G, X, X) * _gdot(G, PX, PX) - _gdot(G, X, PX) ** 2
+        vals = np.where(keep, _quadruple(K, X, PX, PX, X) / den, np.nan)
+    c = np.where(keep, vals, 0.0).sum(axis=1) / keep.sum(axis=1)
+    spread = (np.max(np.where(keep, vals, -np.inf), axis=1)
+              - np.min(np.where(keep, vals, np.inf), axis=1))
+    raise_first([(spread > 1e-6 * np.maximum(1.0, np.abs(c)),
+                  lambda j: NotSpaceForm(
+                      f"phi-sectional values spread {spread[j]:.3e} at "
+                      f"c ~ {c[j]:.6g}"))])
+    return PhiSectional(c=c, spread=spread, values=vals)
 
 
-def space_form_model(structure: AlmostContact, c: float,
-                     alpha: float) -> np.ndarray:
+def space_form_model(structure: AlmostContact, c, alpha) -> np.ndarray:
     """The alpha-Sasakian space form curvature with phi-sectional value c as
-    a (0,4)-tensor, from G, P = phi^T G (so P[a, b] = g(phi a, b)) and
-    eta_tilde, with coefficients (c + 3 alpha^2)/4 and (c - alpha^2)/4."""
+    a (0,4)-tensor at each point, (P, d, d, d, d), from G, P = phi^T G (so
+    P[a, b] = g(phi a, b)) and eta_tilde, with coefficients
+    (c + 3 alpha^2)/4 and (c - alpha^2)/4; c and alpha hold a value per
+    point."""
     G, eta = structure.jet.G, structure.eta_tilde
-    P = structure.phi.T @ G
-    E = np.outer(eta, eta)
+    P = structure.phi.swapaxes(1, 2) @ G
+    E = eta[:, :, None] * eta[:, None, :]
 
     def pair(S, T):
         # S(y, z) T(x, u) - S(x, z) T(y, u)
-        return np.einsum("jk,il->ijkl", S, T) - np.einsum("ik,jl->ijkl", S, T)
+        return (np.einsum("pjk,pil->pijkl", S, T)
+                - np.einsum("pik,pjl->pijkl", S, T))
 
+    c, alpha = (np.asarray(v, float)[:, None, None, None, None]
+                for v in (c, alpha))
     A = 0.25 * (c + 3.0 * alpha * alpha)
     B = 0.25 * (c - alpha * alpha)
-    return A * pair(G, G) + B * (pair(P, P) - 2.0 * np.einsum("ij,kl->ijkl", P, P)
+    return A * pair(G, G) + B * (pair(P, P)
+                                 - 2.0 * np.einsum("pij,pkl->pijkl", P, P)
                                  - pair(G, E) - pair(E, G))
 
 
-def space_form_model_defect(structure: AlmostContact, K, c: float,
-                            alpha: float) -> float:
-    """Largest deviation of the curvature tensor K, over 30 sampled
-    quadruples, from the alpha-Sasakian space form model of
+def space_form_model_defect(structure: AlmostContact, K, c, alpha):
+    """Largest deviation at each point of the curvature tensors K, over 30
+    sampled quadruples, from the alpha-Sasakian space form model of
     ``space_form_model``."""
     basis = structure.tangent_basis
-    rng = np.random.default_rng(1)
-    quads = np.moveaxis(rng.normal(size=(30, 4, len(basis))) @ basis, 1, 0)
+    draws = np.random.default_rng(1).normal(size=(30, 4, basis.shape[1]))
+    quads = np.moveaxis(draws @ basis[:, None], 2, 0)
     model = space_form_model(structure, c, alpha)
-    return float(np.max(np.abs(_quadruple(K, *quads) - _quadruple(model, *quads))))
+    return np.max(np.abs(_quadruple(K, *quads) - _quadruple(model, *quads)),
+                  axis=1)
 
 
-def _sphere_chart(space: AmbientSpace, structure: ContactStructure):
-    """The graph chart of the hypersphere through the structure's point, on
-    the sheet of the point, and the point's chart parameters."""
+def _sphere_chart(space: AmbientSpace, Z, radius):
+    """The graph chart of the hypersphere of ``radius`` (P,) through each
+    point of Z (P, d), on the sheet of the point, as one chart whose radius
+    and sheet vary by row, and the chart parameters of the points; the
+    chart's guard runs as a pulled-back metric evaluates them."""
     if not space.lorentz:
         raise DomainError("chart cross-check is wired for the Lorentz signature")
-    Z = structure.jet.point
-    sheet = 1.0 if Z[-1] > 0 else -1.0
-    chart = GraphChart(structure.radius, space.dim, lorentz=True, sign=sheet)
-    return chart, chart.params_of(Z)
+    return (GraphChart(radius, space.dim, lorentz=True,
+                       sign=np.where(Z[:, -1] > 0, 1.0, -1.0)), Z[:, :-1])
 
 
-def _gauss_delta(structure: ContactStructure, K, chart,
-                 bundle: CurvatureBundle, seed: int) -> float:
-    """Largest gap between the Gauss-equation sectional curvatures of K and
-    the intrinsic ones of ``bundle``, the curvature of the pulled-back
-    metric at the point's parameters in ``chart``, over 6 seeded planes of
-    the tangent basis."""
-    G = structure.jet.G
-    basis = structure.tangent_basis
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < 6:
-        x, y = (rng.normal(size=len(basis)) @ basis for _ in range(2))
-        den = float(x @ G @ x) * float(y @ G @ y) - float(x @ G @ y) ** 2
-        if abs(den) < 1e-3:
-            continue
-        extr = float(np.einsum("ijkl,i,j,k,l->", K, x, y, y, x)) / den
-        intr = bundle.sectional(tangent_params(chart, x), tangent_params(chart, y))
-        worst = max(worst, abs(extr - intr))
-        done += 1
-    return worst
+def _gauss_delta(structure: AlmostContact, K, chart, cjet: PointJet, Rc,
+                 seed: int) -> np.ndarray:
+    """Largest gap at each point between the Gauss-equation sectional
+    curvatures of K and the intrinsic ones of Rc, the curvature tensors of
+    the pulled-back metric at the chart points of ``cjet`` in ``chart``.
+
+    The planes are the first ``GAUSS_PLANES`` of ``GAUSS_TRIES`` seeded
+    pairs of the tangent basis whose Gram determinant reaches
+    ``GAUSS_MIN_DEN``; a point with fewer raises NumericalBreakdown.
+    """
+    G, B = structure.jet.G, structure.tangent_basis
+    draws = np.random.default_rng(seed).normal(size=(GAUSS_TRIES, 2,
+                                                     B.shape[1]))
+    x, y = np.moveaxis(draws @ B[:, None], 2, 0)
+    den = _gdot(G, x, x) * _gdot(G, y, y) - _gdot(G, x, y) ** 2
+    ok = np.abs(den) >= GAUSS_MIN_DEN
+    found = ok.sum(axis=1)
+    raise_first([(found < GAUSS_PLANES, lambda j: NumericalBreakdown(
+        f"{found[j]} of {GAUSS_TRIES} seeded planes reach a Gram "
+        f"determinant of {GAUSS_MIN_DEN:g}, fewer than {GAUSS_PLANES}"))])
+    first = np.argsort(~ok, axis=1, kind="stable")[:, :GAUSS_PLANES]
+    x, y = (np.take_along_axis(v, first[..., None], axis=1) for v in (x, y))
+    extr = (_quadruple(K, x, y, y, x)
+            / np.take_along_axis(den, first, axis=1))
+    xc, yc = tangent_params(chart, x), tangent_params(chart, y)
+    Gc = cjet.G
+    denc = _gdot(Gc, xc, xc) * _gdot(Gc, yc, yc) - _gdot(Gc, xc, yc) ** 2
+    raise_first([(np.any(np.abs(denc) < 1e-14, axis=1),
+                  lambda j: NumericalBreakdown("degenerate section"))])
+    intr = _quadruple(Rc, xc, yc, yc, xc) / denc
+    return np.max(np.abs(extr - intr), axis=1)
 
 
 @dataclass(frozen=True)
@@ -424,86 +454,73 @@ class SasakianReport:
         return out
 
 
-def _report(structure: AlmostContact, check: AlphaCheck, K, seed: int,
-            **fields) -> SasakianReport:
-    """The checked derivative laws plus the phi-sectional curvature and the
-    space form model of the curvature tensor K of the structure's
-    manifold."""
+def _reports(structure: AlmostContact, check: AlphaCheck, K, seed: int,
+             **fields) -> list:
+    """One report per point of the structure: the checked derivative laws
+    plus the phi-sectional curvature and the space form model of the
+    curvature tensors K of the structure's manifold.  Each of ``fields``
+    holds its value at every point."""
     phis = phi_sectional(structure, K, seed=seed)
-    return SasakianReport(
-        alpha=check.alpha, alpha_defect=check.alpha_defect,
-        phi_defect=check.phi_defect, c=phis.c, c_spread=phis.spread,
-        model_defect=space_form_model_defect(structure, K, phis.c, check.alpha),
-        **fields)
-
-
-def sphere_report(space: AmbientSpace, family, r: float, seed: int = 0,
-                  orientation: str = "auto",
-                  metric: MetricField | None = None) -> SasakianReport:
-    """Full alpha-Sasakian verification of the hypersphere of radius r, with
-    the chart cross-check of the Gauss equation on the Lorentz signature:
-    the one-radius case of ``sphere_reports``.
-
-    ``family`` may be None together with an explicit ``metric`` (the flat
-    field gives the classical round-sphere structures).
-    """
-    return sphere_reports(space, family, [r], seed, orientation, metric)[0]
+    columns = {"alpha": check.alpha, "alpha_defect": check.alpha_defect,
+               "phi_defect": check.phi_defect, "c": phis.c,
+               "c_spread": phis.spread,
+               "model_defect": space_form_model_defect(structure, K, phis.c,
+                                                       check.alpha)}
+    columns = {name: v.tolist() for name, v in columns.items()} | fields
+    return [SasakianReport(**dict(zip(columns, row)))
+            for row in zip(*columns.values())]
 
 
 def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
                    orientation: str = "auto",
                    metric: MetricField | None = None) -> list:
-    """``sphere_report`` at each of ``radii``, with one batched pass per
-    stage.
+    """Full alpha-Sasakian verification of the hypersphere of each of
+    ``radii``, with the chart cross-check of the Gauss equation on the
+    Lorentz signature: one report per radius, the same as that radius
+    alone gets.
 
-    Each radius draws its sample point Z with ``seed`` as the one-radius
-    report does.  One jet of the metric at all points Z gives the unit
-    normals, shape data, J-adapted frames, structures and the ambient fit;
-    one jet of the pulled-back metric, on a chart whose radius and sheet
-    vary by row, gives the intrinsic curvature at every chart point.  The
-    seeded samples of the derivative laws, the phi-sectional curvature, the
-    space form model and the Gauss cross-check then run per radius, in the
-    order of the one-radius report.
+    ``family`` may be None together with an explicit ``metric`` (the flat
+    field gives the classical round-sphere structures).  Each radius draws
+    its sample point Z with ``seed``.  One jet of the metric at all points
+    Z gives the unit normals, shape data, J-adapted frames, structures and
+    the ambient fit; one jet of the pulled-back metric, on a chart whose
+    radius and sheet vary by row, gives the intrinsic curvature at every
+    chart point.  Each check is then one call over all points.
     """
     if metric is None:
         metric = potential_metric(space, family)
     Z = np.array([_chartable_timelike_point(space, r, seed) if space.lorentz
                   else definite_point(space, r, seed=seed) for r in radii])
     jet = point_jets(metric, Z)
-    structures, F, signs = _induced_contacts(space, jet, orientation)
+    structure, spheres, F, signs = _induced_contacts(space, jet, orientation)
     R = curvature_tensors(jet)
     raise_first([curvature_gate(R)])
     coeffs, residual = frame_fit(R, F, signs)
     if space.lorentz:
-        charts = [_sphere_chart(space, s) for s in structures]
-        sphere = GraphChart(np.array([c.radius for c, _ in charts]),
-                            space.dim, lorentz=True,
-                            sign=np.array([c.sign for c, _ in charts]))
-        cjet = point_jets(pullback_metric(sphere, metric),
-                          np.array([u for _, u in charts]))
+        chart, U = _sphere_chart(space, Z, spheres.radius)
+        cjet = point_jets(pullback_metric(chart, metric), U)
         Rc = curvature_tensors(cjet)
         raise_first([curvature_gate(Rc)])
-    reports = []
-    for p, structure in enumerate(structures):
-        check = alpha_sasakian_check(space, structure)
-        bundle = CurvatureBundle(structure.jet, Tensor4(R[p]))
-        K = gauss_curvature_fn(structure, bundle)
-        rep = _report(structure, check, K, seed, radius=structure.radius,
-                      orientation=structure.orientation,
-                      identity_defect=structure.identity_defect)
-        dec = QCDecomposition.of(*coeffs[p].tolist(), float(residual[p]),
-                                 structure.shape.k)
+    check = alpha_sasakian_check(space, structure, spheres)
+    # the second fundamental form h(x, y) = -g(nabla_x xi, y) of the normal
+    h = -covariant_derivative(jet, spheres.xi, spheres.dxi) @ jet.G
+    K = gauss_curvature_fn(R, h)
+    reports = _reports(structure, check, K, seed,
+                       radius=spheres.radius.tolist(),
+                       orientation=spheres.orientation,
+                       identity_defect=spheres.identity_defect.tolist())
+    gauss = (_gauss_delta(structure, K, chart, cjet, Rc, seed).tolist()
+             if space.lorentz else [None] * len(Z))
+    out = []
+    for rep, fit, res, k, gd in zip(reports, coeffs.tolist(),
+                                    residual.tolist(), spheres.k.tolist(),
+                                    gauss):
+        dec = QCDecomposition.of(*fit, res, k)
         delta = max(abs(rep.c_plus_3a2 - dec.a_plus_k2),
                     abs(rep.c - rep.alpha ** 2 - dec.a))
-        gauss_delta = None
-        if space.lorentz:
-            chart = charts[p][0]
-            intrinsic = CurvatureBundle(cjet.rows(p), Tensor4(Rc[p]))
-            gauss_delta = _gauss_delta(structure, K, chart, intrinsic, seed)
-        reports.append(dataclasses.replace(
-            rep, decomposition=dec, decompose_delta=delta,
-            gauss_delta=gauss_delta))
-    return reports
+        out.append(dataclasses.replace(rep, decomposition=dec,
+                                       decompose_delta=delta, gauss_delta=gd))
+    return out
 
 
 def _chartable_timelike_point(space, r, seed):
@@ -583,26 +600,31 @@ def family_h1_metric(n: int, q: float):
 
 def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     """Verification of the family metric: alpha, the derivative laws, the
-    phi-sectional value, and the space form model, all intrinsic."""
+    phi-sectional value, and the space form model, all intrinsic, by the
+    checks of ``sphere_reports`` at a batch of one chart point."""
     metric, chart, fields = family_h1_metric(n, q)
     m = chart.nparams
     rng = np.random.default_rng(seed)
     u0 = 0.25 * rng.normal(size=m)
     u0[-1] *= 0.5
 
-    jet = point_jet(metric, u0)
-    reeb, dreeb = eval_with_partials(fields["reeb"], u0)
-    D = covariant_derivative(jet, reeb, dreeb)
-    phi, dphi = eval_with_partials(fields["phi"], u0)
-    B = _family_tangent_basis(jet.G, reeb)
-    structure = AlmostContact(jet, xi_tilde=reeb, eta_tilde=jet.G @ reeb,
-                              phi=phi, tangent_basis=B)
+    U = u0[None]
+    jet = point_jets(metric, U)
+    reeb, dreeb = eval_with_partials(fields["reeb"], U)
+    phi, dphi = eval_with_partials(fields["phi"], U)
+    B = _family_tangent_basis(jet.G[0], reeb[0])[None]
+    structure = AlmostContact(jet, xi_tilde=reeb,
+                              eta_tilde=np.einsum("pij,pj->pi", jet.G, reeb),
+                              phi=phi, tangent_basis=B,
+                              tangential=np.eye(m)[None])
     # Y = y is constant, and phi Y = phi y has the partials (d_i phi) y
-    phi_law = ((B @ phi.T, np.einsum("kij,bj->bki", dphi, B)),
-               (B, np.zeros((len(B), m, m))))
-    check = _alpha_check(structure, D, phi_law, ALPHA_GATE)
-    return _report(structure, check, curvature_bundle(jet).R.a, seed,
-                   radius=1.0, orientation="outward", identity_defect=0.0, q=q)
+    phi_law = ((B @ phi.swapaxes(1, 2), np.einsum("pkij,pbj->pbki", dphi, B)),
+               (B, np.zeros(B.shape + (m,))))
+    check = _alpha_check(structure, dreeb, phi_law)
+    R = curvature_tensors(jet)
+    raise_first([curvature_gate(R)])
+    return _reports(structure, check, R, seed, radius=[1.0],
+                    orientation=["outward"], identity_defect=[0.0], q=[q])[0]
 
 
 def _family_tangent_basis(G, reeb):

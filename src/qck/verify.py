@@ -14,8 +14,9 @@ of the disc model and of the operator identity,
 points of each flat baseline, and ``curvature.point_jets`` with
 ``curvature.fd_jets`` for the exact and finite-difference jets of the
 hygiene check.  Seeded draws stay in the order of the one-point code, so
-each detail keeps its meaning.  The intrinsic Sasakian family (one report
-per q) still loops.
+each detail keeps its meaning.  The intrinsic Sasakian family makes one
+report per q, each through the checks of ``sasakian.sphere_reports`` at a
+batch of one point.
 """
 
 from __future__ import annotations

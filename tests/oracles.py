@@ -18,8 +18,9 @@ Bochner tensor and the covariant derivative of the complex structure.  And
 the conformal-pair metrics, a rotationally symmetric Hermitian family that
 is not built from a potential: an independent non-potential metric for the
 curvature and Kahler tests.  And the one-point forms of batched kernels
-that no command calls any more: the radial unit field, the shape data, the
-fit, the hypersphere contact structure and its Gauss cross-check.
+that no command calls any more: the metric jet and its curvature bundle,
+the sectional curvature of a plane, the radial unit field, the shape data,
+the fit, the hypersphere contact structure and its Gauss cross-check.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          _radial_projectors, radial_unit_jets)
 from qck.charts import pullback_metric
 from qck.core import apply_j0
-from qck.curvature import (covariant_derivative, curvature_bundle,
-                           kahler_defect, point_jet, point_jets)
+from qck.curvature import (SYMMETRY_GATE, CurvatureBundle, PointJet,
+                           covariant_derivative, curvature_gate,
+                           curvature_tensors, fd_jets, kahler_defect,
+                           point_jets)
 from qck.duals import MultiDual, _series, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
@@ -360,17 +363,19 @@ def tensor_closure(T):
     return K
 
 
-def gauss_curvature_closure(structure, bundle):
+def gauss_curvature_closure(structure, spheres, R, p: int = 0):
     """Curvature quadruple (x, y, z, u) -> K(x, y, z, u) of the hypersphere
-    by the Gauss equation, with the second fundamental form
+    through point p of a structure, by the Gauss equation with the ambient
+    curvature tensors R, and the second fundamental form
     h(x, y) = -g(nabla_x xi, y) evaluated per pair of vectors."""
-    G = structure.jet.G
-    D = covariant_derivative(structure.jet, structure.xi, structure.dxi)
+    jet = structure.jet.rows(p)
+    G = jet.G
+    D = covariant_derivative(jet, spheres.xi[p], spheres.dxi[p])
 
     def h(x, y):
         return -float((x @ D) @ G @ y)
 
-    R = tensor_closure(bundle.R.a)
+    R = tensor_closure(R[p])
 
     def K(x, y, z, u):
         return R(x, y, z, u) + h(y, z) * h(x, u) - h(x, z) * h(y, u)
@@ -378,11 +383,12 @@ def gauss_curvature_closure(structure, bundle):
     return K
 
 
-def phi_sectional_values(structure, K, seed=0):
-    """K(x, phi x, phi x, x) / |x ^ phi x|^2 over the unit directions of the
-    seeded draws of ``sasakian.phi_sectional``, one direction at a time."""
-    G, phi = structure.jet.G, structure.phi
-    dbasis = structure.tangent_basis[1:]
+def phi_sectional_values(structure, K, seed=0, p: int = 0):
+    """K(x, phi x, phi x, x) / |x ^ phi x|^2 at point p of a structure over
+    the unit directions of the seeded draws of ``sasakian.phi_sectional``,
+    one direction at a time."""
+    G, phi = structure.jet.G[p], structure.phi[p]
+    dbasis = structure.tangent_basis[p, 1:]
     rng = np.random.default_rng(seed)
     vals = []
     for _ in range(12):
@@ -397,14 +403,16 @@ def phi_sectional_values(structure, K, seed=0):
     return vals
 
 
-def space_form_samples(structure, K, c, alpha):
-    """The quadruples of ``sasakian.space_form_model_defect`` with, per
-    quadruple, the value of K and of the alpha-Sasakian space form model
-    from scalar products: (quads, K values, model values)."""
-    G, phi, eta_t = structure.jet.G, structure.phi, structure.eta_tilde
+def space_form_samples(structure, K, c, alpha, p: int = 0):
+    """The quadruples of ``sasakian.space_form_model_defect`` at point p of
+    a structure with, per quadruple, the value of K and of the
+    alpha-Sasakian space form model from scalar products: (quads, K values,
+    model values)."""
+    G, phi = structure.jet.G[p], structure.phi[p]
+    eta_t = structure.eta_tilde[p]
     A = 0.25 * (c + 3.0 * alpha * alpha)
     B = 0.25 * (c - alpha * alpha)
-    basis = structure.tangent_basis
+    basis = structure.tangent_basis[p]
     rng = np.random.default_rng(1)
 
     def g(u, v):
@@ -426,6 +434,57 @@ def space_form_samples(structure, K, c, alpha):
         kvals.append(K(x, y, z, u))
         mvals.append(model)
     return quads, kvals, mvals
+
+
+def alpha_check_looped(structure, dreeb, phi_law, p: int = 0):
+    """The derivative laws of ``sasakian._alpha_check`` at point p of a
+    structure, one basis vector at a time: (alpha, alpha defect, phi
+    defect)."""
+    jet = structure.jet.rows(p)
+    G, phi, basis = jet.G, structure.phi[p], structure.tangent_basis[p]
+    xit, eta_t = structure.xi_tilde[p], structure.eta_tilde[p]
+    T = structure.tangential[p]
+
+    def gnorm(v):
+        return math.sqrt(abs(float(v @ G @ v)))
+
+    D = covariant_derivative(jet, xit, dreeb[p])
+    pairs = [(T @ (u @ D), phi @ u) for u in basis]
+    alpha = (sum(float(d @ G @ q) for d, q in pairs)
+             / sum(float(q @ G @ q) for _, q in pairs))
+    alpha_defect = max(gnorm(d - alpha * q) for d, q in pairs)
+    (PY, dPY), (Y, dY) = phi_law
+    phi_defect = 0.0
+    for b, y in enumerate(basis):
+        Dp = covariant_derivative(jet, PY[p, b], dPY[p, b])
+        Dy = covariant_derivative(jet, Y[p, b], dY[p, b])
+        for u in basis:
+            lhs = T @ (u @ Dp) - phi @ (T @ (u @ Dy))
+            rhs = alpha * (float(eta_t @ y) * u - float(u @ G @ y) * xit)
+            phi_defect = max(phi_defect, gnorm(lhs - rhs))
+    return alpha, alpha_defect, phi_defect
+
+
+def gauss_delta_looped(structure, K, cjet, Rc, seed, p: int = 0,
+                       min_den: float = 1e-3):
+    """The Gauss cross-check of ``sasakian._gauss_delta`` at point p of a
+    structure, drawing seeded planes one pair at a time until 6 reach a
+    Gram determinant of ``min_den``, and comparing each with the intrinsic
+    sectional curvature of the chart point: (gap, planes drawn)."""
+    G, basis = structure.jet.G[p], structure.tangent_basis[p]
+    intrinsic = CurvatureBundle(cjet.rows(p), Tensor4(Rc[p]))
+    rng = np.random.default_rng(seed)
+    worst, done, drawn = 0.0, 0, 0
+    while done < 6:
+        x, y = (rng.normal(size=len(basis)) @ basis for _ in range(2))
+        drawn += 1
+        den = float(x @ G @ x) * float(y @ G @ y) - float(x @ G @ y) ** 2
+        if abs(den) < min_den:
+            continue
+        extr = float(np.einsum("ijkl,i,j,k,l->", K[p], x, y, y, x)) / den
+        worst = max(worst, abs(extr - sectional(intrinsic, x[:-1], y[:-1])))
+        done += 1
+    return worst, drawn
 
 
 # -- curvature helpers only the tests use --------------------------------------
@@ -485,11 +544,53 @@ def structure_covariant_defect(jet) -> float:
 # -- one-point forms of batched kernels that only the tests call -------------
 
 
+def stacked(jet):
+    """A one-point jet with a points axis of length 1."""
+    return PointJet(jet.point[None], jet.G[None], jet.dG[None],
+                    jet.d2G[None], jet.J[None], jet.dJ[None],
+                    jet.gamma[None], jet.Ginv[None], jet.method)
+
+
+def point_jet(metric, x, method: str = "exact"):
+    """The PointJet of ``metric`` at ``x``: the row of ``point_jets``
+    (``method="exact"``) or of the finite-difference oracle ``fd_jets``
+    (``method="fd"``) at the batch of this one point, raising its first
+    failing gate."""
+    X = np.array([[float(c) for c in x]])
+    if method == "fd":
+        return fd_jets(metric, X).rows(0)
+    if method != "exact":
+        raise ValueError(f"unknown jet method {method!r}")
+    return point_jets(metric, X).rows(0)
+
+
+def curvature_bundle(jet, symmetry_gate: float = SYMMETRY_GATE):
+    """The curvature bundle at the point of a one-point ``jet``: the
+    one-point case of ``curvature_tensors``, with NumericalBreakdown past
+    the symmetry gate rather than a garbage tensor."""
+    R = curvature_tensors(stacked(jet))
+    raise_first([curvature_gate(R, symmetry_gate)])
+    return CurvatureBundle(jet, Tensor4(R[0]))
+
+
+def sectional(bundle, X, Y) -> float:
+    """Sectional curvature of the plane of X and Y at the point of a
+    curvature bundle; NumericalBreakdown for a degenerate plane."""
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    num = float(np.einsum("ijkl,i,j,k,l->", bundle.R.a, X, Y, Y, X))
+    G = bundle.jet.G
+    den = (X @ G @ X) * (Y @ G @ Y) - (X @ G @ Y) ** 2
+    if abs(den) < 1e-14:
+        raise NumericalBreakdown("degenerate section")
+    return num / den
+
+
 def radial_unit_jet(space, jet, orientation: str = "outward"):
     """The metric-normalized radial unit field at the point of ``jet``:
     (xi, dxi) with dxi[i, m] = d_i xi^m, the one-point case of
     ``ambient.radial_unit_jets``, raising its first failing gate."""
-    xi, dxi, gates = radial_unit_jets(space, jet.stacked(), orientation)
+    xi, dxi, gates = radial_unit_jets(space, stacked(jet), orientation)
     raise_first(gates)
     return xi[0], dxi[0]
 
@@ -500,7 +601,7 @@ def extract_shape_data(jet, xi, dxi) -> ShapeData:
     ``qch.adapted_frames`` and ``qch.shape_arrays``, raising the first
     failing gate of the shape data."""
     xi = np.asarray(xi, float)
-    jet = jet.stacked()
+    jet = stacked(jet)
     F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
     *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
     raise_first(gates)
@@ -519,19 +620,23 @@ def decompose(bundle, shape: ShapeData) -> QCDecomposition:
 
 
 def induced_contact(space, metric, x, orientation: str = "auto"):
-    """The contact structure of the hypersphere through x: the one-point
-    case of ``sasakian._induced_contacts``."""
+    """The contact structure of the hypersphere through x, and that
+    hypersphere's data: ``sasakian._induced_contacts`` at a batch of one
+    point."""
     jet = point_jets(metric, np.asarray([[float(c) for c in x]]))
-    return _induced_contacts(space, jet, orientation)[0][0]
+    return _induced_contacts(space, jet, orientation)[:2]
 
 
-def gauss_consistency(space, metric, structure, K, seed: int = 2) -> float:
-    """The Gauss cross-check of ``sasakian.sphere_reports`` at one
-    structure: the pulled-back metric's jet at the point's chart
+def gauss_consistency(space, metric, structure, spheres, K,
+                      seed: int = 2):
+    """The Gauss cross-check of ``sasakian.sphere_reports`` on a structure
+    and its hyperspheres: the pulled-back metric's jet at the points' chart
     parameters, and ``sasakian._gauss_delta``."""
-    chart, u0 = _sphere_chart(space, structure)
-    bundle = curvature_bundle(point_jet(pullback_metric(chart, metric), u0))
-    return _gauss_delta(structure, K, chart, bundle, seed)
+    chart, U = _sphere_chart(space, structure.jet.point, spheres.radius)
+    cjet = point_jets(pullback_metric(chart, metric), U)
+    Rc = curvature_tensors(cjet)
+    raise_first([curvature_gate(Rc)])
+    return _gauss_delta(structure, K, chart, cjet, Rc, seed)
 
 
 # -- conformal pairs ----------------------------------------------------------

@@ -20,15 +20,15 @@ from qck.ambient import (
     radial_frame,
 )
 from qck.core import complex_to_real, hermitian_to_real, j0_matrix
-from qck.curvature import covariant_derivative, point_jet
+from qck.curvature import covariant_derivative
 from qck.duals import MultiDual, coefficients, eval_with_partials, value
 from qck.errors import AdmissibilityError, DomainError, FrameError
 from qck.sampling import point_at_radius
-from qck.sasakian import sphere_report
+from qck.sasakian import sphere_reports
 from oracles import (POTENTIAL_CASES, radial_unit_jet, ConformalDomainError, ScalarField,
                      conformal_factors, conformal_pair_from_family,
                      differentiate, generator, metric_from_conformal_pair,
-                     radial_unit_field)
+                     point_jet, radial_unit_field)
 
 L3 = AmbientSpace(3, "lorentz")
 L2 = AmbientSpace(2, "lorentz")
@@ -338,7 +338,7 @@ class TestRadialFrame:
         # the unit field fails as the frame does where the radial direction
         # is not space-like in the metric, so per-point handling catches it
         with pytest.raises(FrameError, match="non-positive square norm"):
-            sphere_report(L2, None, 2.0, metric=flat_metric(L2))
+            sphere_reports(L2, None, [2.0], metric=flat_metric(L2))
         g = potential_metric(L2, UserSeries((0, 1)), checked=False)
         x = timelike_point(L2, 1.5, seed=2)
         jet = point_jet(g, x)

@@ -347,6 +347,21 @@ class TestUsageAndConfig:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--seed", "-1"],
+        ["sasaki", "--r", "2", "--seed", "-1"],
+        ["sasaki", "--family-h1", "--seed", "-1"],
+        ["decompose", "--config", "{config}"],
+    ], ids=["decompose", "sasaki-sphere", "sasaki-family", "config-file"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv):
+        cfgfile = tmp_path / "seed.json"
+        cfgfile.write_text(json.dumps({"points": {"seed": -1}}))
+        argv = [a.format(config=cfgfile) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
     def test_unknown_config_field(self, capsys, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps({"widget": 3}))

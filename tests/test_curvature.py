@@ -16,11 +16,9 @@ from qck.charts import GraphChart, pullback_metric
 from qck.core import complex_to_real
 from qck.curvature import (
     covariant_derivative,
-    curvature_bundle,
     fd_jets,
     kahler_defect,
     metric_second_jet_fd,
-    point_jet,
     point_jets,
 )
 from qck.ambient import MetricField
@@ -30,7 +28,8 @@ from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
 from qck.rotational import const_hsc_profile, rotation_metric
 from qck.sampling import point_at_radius
 from qck.sasakian import family_h1_metric
-from oracles import (ConformalPair, conformal_pair_from_family, generator,
+from oracles import (curvature_bundle, point_jet, sectional,
+                     ConformalPair, conformal_pair_from_family, generator,
                      metric_from_conformal_pair, radial_unit_field,
                      structure_covariant_defect)
 
@@ -296,9 +295,9 @@ class TestHalfPlaneOracle:
 
     def test_sectional(self):
         b = curvature_bundle(point_jet(halfplane_metric(), [-1.2, 0.7]))
-        assert b.sectional([1.0, 0.0], [0.0, 1.0]) == pytest.approx(-1.0, rel=1e-10)
+        assert sectional(b, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(-1.0, rel=1e-10)
         # sectional curvature is basis-independent
-        assert b.sectional([1.0, 2.0], [-1.0, 1.0]) == pytest.approx(-1.0, rel=1e-9)
+        assert sectional(b, [1.0, 2.0], [-1.0, 1.0]) == pytest.approx(-1.0, rel=1e-9)
 
     def test_ricci_and_scalar(self):
         b = curvature_bundle(point_jet(halfplane_metric(), [0.0, 0.5]))

@@ -21,11 +21,11 @@ from qck import cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, admissibility,
                          potential_metric)
-from qck.curvature import curvature_bundle, point_jet
 from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
-from oracles import decompose, extract_shape_data, radial_unit_jet
+from oracles import (curvature_bundle, decompose, extract_shape_data,
+                     point_jet, radial_unit_jet)
 
 L2 = AmbientSpace(2, "lorentz")
 D2 = AmbientSpace(2, "definite")

@@ -22,6 +22,16 @@ Q3_ORACLE = 0.07270478199838769  # type III, a = -1, t = 3
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
+def s_of_t(prof, t):
+    """The arc length s of a meridian profile at one t."""
+    return float(prof._s([prof._check_t(t)])[0])
+
+
+def q_of_t(prof, t):
+    """The Bochner q of a meridian profile at one t."""
+    return float(prof._q([prof._check_t(t)])[0])
+
+
 class TestTypeConstraint:
     def test_type_one_band(self):
         check_rotation_type("I", 0.5, 0.7)
@@ -167,13 +177,13 @@ class TestBochnerMeridian:
     def test_natural_parameter(self):
         prof = bochner_meridian(1.0, 0.0, 0.5, 1.5)
         assert prof.natural_defect() < 1e-9
-        assert np.all(np.diff([prof.s_of_t(t) for t in WINDOW]) > 0)
+        assert np.all(np.diff([s_of_t(prof, t) for t in WINDOW]) > 0)
 
     def test_arc_length_slope(self):
         prof = bochner_meridian(0.5, 1.0, 0.5, 1.5)
         t_mid = 1.0
         h = 1e-5
-        ds_dt = (prof.s_of_t(t_mid + h) - prof.s_of_t(t_mid - h)) / (2 * h)
+        ds_dt = (s_of_t(prof, t_mid + h) - s_of_t(prof, t_mid - h)) / (2 * h)
         assert ds_dt == pytest.approx(1.0 / prof.source.tp(t_mid), rel=1e-8)
 
     def test_type_window_enforced(self):
@@ -186,7 +196,7 @@ class TestBochnerMeridian:
         assert prof.natural_defect() < 1e-9
         # q' = + sqrt(1 - t'^2) > 0 by default orientation
         ts = np.linspace(0.35, 0.75, 33)
-        assert np.all(np.diff([prof.q_of_t(t) for t in ts]) > 0)
+        assert np.all(np.diff([q_of_t(prof, t) for t in ts]) > 0)
 
     def test_type_one_rejects_steep_family(self):
         with pytest.raises(TypeConstraintError):
@@ -196,8 +206,8 @@ class TestBochnerMeridian:
         base = bochner_meridian(1.0, 0.0, 0.5, 1.5)
         flip = bochner_meridian(1.0, 0.0, 0.5, 1.5, flip_q=True)
         for t in WINDOW[1:]:
-            assert flip.q_of_t(t) == pytest.approx(-base.q_of_t(t), rel=1e-12)
-            assert flip.s_of_t(t) == base.s_of_t(t)
+            assert q_of_t(flip, t) == pytest.approx(-q_of_t(base, t), rel=1e-12)
+            assert s_of_t(flip, t) == s_of_t(base, t)
         ca = base.coefficients_at(1.0)
         cb = flip.coefficients_at(1.0)
         assert ca.a == cb.a and ca.b == cb.b and ca.c == cb.c
@@ -245,7 +255,7 @@ class TestMeridianIntegrals:
         prof = const_hsc_profile(rotation_type, -1.0, t0, t1)
         for t in np.linspace(t0, t1, 17):
             want = antiderivative(t) - antiderivative(t0)
-            assert abs(prof.s_of_t(t) - want) < 1e-14
+            assert abs(s_of_t(prof, t) - want) < 1e-14
 
     # (c1, c2, type, t0, t1, flip_q, t, s, q) with s and q from mpmath at 40
     # digits; for the first row, with tp = lambda x: x**4 + 1,
@@ -269,8 +279,8 @@ class TestMeridianIntegrals:
                                     flip_q, t, s, q):
         prof = bochner_meridian(c1, c2, t0, t1, rotation_type=rotation_type,
                                 flip_q=flip_q)
-        assert abs(prof.s_of_t(t) - s) < 1e-14
-        assert abs(prof.q_of_t(t) - q) < 1e-14
+        assert abs(s_of_t(prof, t) - s) < 1e-14
+        assert abs(q_of_t(prof, t) - q) < 1e-14
 
     # (c2, t1, s, q) of type I meridians t' = t^4 + c2 t^2 + 1 on [0.5, t1],
     # at t1, that a fixed rule of 8 panels missed by 2e-2 and 3e-6: with
@@ -287,8 +297,8 @@ class TestMeridianIntegrals:
     @pytest.mark.parametrize("c2,t1,s,q", EDGE_REFS)
     def test_band_edge_and_branch_point(self, c2, t1, s, q):
         prof = bochner_meridian(1.0, c2, 0.5, t1, rotation_type="I")
-        assert abs(prof.s_of_t(t1) - s) < 1e-14 * s
-        assert abs(prof.q_of_t(t1) - q) < 1e-14 * s
+        assert abs(s_of_t(prof, t1) - s) < 1e-14 * s
+        assert abs(q_of_t(prof, t1) - q) < 1e-14 * s
         rows = prof.rows(33)
         assert abs(rows[-1][0] - s) < 1e-14 * s
         assert abs(rows[-1][2] - q) < 1e-14 * s
@@ -311,19 +321,19 @@ class TestMeridianIntegrals:
                 return ()
 
         with pytest.raises(NumericalBreakdown, match="unresolved"):
-            MeridianProfile("II", Source(), 0.4, 1.2).s_of_t(1.2)
+            s_of_t(MeridianProfile("II", Source(), 0.4, 1.2), 1.2)
 
     def test_non_finite_integrand_raises(self):
         nan_source = MeridianProfile("II", BochnerFamily(math.nan, 0.0),
                                      0.4, 1.2)
         with pytest.raises(NumericalBreakdown, match="not finite"):
-            nan_source.s_of_t(1.2)
+            s_of_t(nan_source, 1.2)
 
 
 class TestConstHSCProfile:
     def test_grid_matches_closed_form(self):
         prof = const_hsc_profile("II", -1.0, 0.5, 3.0)
-        assert prof.q_of_t(1.0) == pytest.approx(Q2_ORACLE, abs=1e-8)
+        assert q_of_t(prof, 1.0) == pytest.approx(Q2_ORACLE, abs=1e-8)
         assert prof.coefficients_at(2.0).a == pytest.approx(-1.0, abs=1e-12)
 
     def test_natural_parameter_honest(self):
@@ -336,9 +346,9 @@ class TestConstHSCProfile:
     def test_three_orientation(self):
         prof = const_hsc_profile("III", -1.0, 3.0, 5.0)
         # t decreases along s while the closed-form q grows with t
-        assert prof.s_of_t(5.0) < prof.s_of_t(3.2)
-        assert prof.q_of_t(5.0) > prof.q_of_t(3.2)
-        assert prof.q_of_t(3.0) == pytest.approx(Q3_ORACLE, abs=1e-8)
+        assert s_of_t(prof, 5.0) < s_of_t(prof, 3.2)
+        assert q_of_t(prof, 5.0) > q_of_t(prof, 3.2)
+        assert q_of_t(prof, 3.0) == pytest.approx(Q3_ORACLE, abs=1e-8)
 
     def test_three_window_below_domain(self):
         with pytest.raises(DomainError):
@@ -347,7 +357,7 @@ class TestConstHSCProfile:
     def test_flip_three(self):
         base = const_hsc_profile("III", -1.0, 3.0, 5.0)
         flip = const_hsc_profile("III", -1.0, 3.0, 5.0, flip_q=True)
-        assert flip.q_of_t(4.0) == pytest.approx(-base.q_of_t(4.0), rel=1e-12)
+        assert q_of_t(flip, 4.0) == pytest.approx(-q_of_t(base, 4.0), rel=1e-12)
         assert flip.natural_defect() < 1e-9
 
     def test_out_of_window_queries(self):
@@ -523,8 +533,8 @@ class TestBatchedEmbedding:
     def test_structure_solve_takes_first_jets_only(self):
         metric, _, _ = rotation_metric(const_hsc_profile(*PROFILES["II"]))
         with pytest.raises(ValueError, match="first jets"):
-            curvature.point_jet(
-                MetricField(metric.complex_structure, 4), [1.5, 0.1, 0.0, 0.1])
+            curvature.point_jets(MetricField(metric.complex_structure, 4),
+                                 np.array([[1.5, 0.1, 0.0, 0.1]]))
 
 
 class TestNaturalDefect:

@@ -1,11 +1,11 @@
 """The public surface of ``src/qck`` is what a command reaches.
 
-A module-level public ``def`` or ``class`` of the package must be used by
-the package itself, by ``scripts/`` or by the benchmark under
-``perfbench/`` (its own tests excluded), or be a console script of
-``pyproject.toml``.  A use is a name or attribute reference outside the
-definition's own body; an import alone does not count.  Code that only the
-tests reach belongs in the tests.
+A module-level public ``def`` or ``class`` of the package, and a public
+method or property of a class of the package, must be used by the package
+itself, by ``scripts/`` or by the benchmark under ``perfbench/`` (its own
+tests excluded), or be a console script of ``pyproject.toml``.  A use is a
+name or attribute reference outside the definition's own body; an import
+alone does not count.  Code that only the tests reach belongs in the tests.
 """
 
 import ast
@@ -55,7 +55,12 @@ def unreached_names():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                defs[node] = path
+                defs[node] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("_")):
+                        defs[method] = f"{path.stem}.{node.name}"
     # Uses outside any definition body are shared; uses inside a body count
     # for every name but that body's own.
     bodies = set(defs)
@@ -63,13 +68,13 @@ def unreached_names():
     inside = {node: _uses(node, set()) for node in defs}
     reached = shared | _console_scripts()
     out = []
-    for node, path in defs.items():
+    for node, owner in defs.items():
         if node.name in reached:
             continue
         if any(node.name in names for other, names in inside.items()
-               if other is not node):
+               if other is not node and node not in ast.walk(other)):
             continue
-        out.append(f"{path.stem}.{node.name}")
+        out.append(f"{owner}.{node.name}")
     return sorted(out)
 
 

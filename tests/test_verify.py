@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qck import ambient, curvature, qch, rotational, sasakian, verify
+from qck.errors import NumericalBreakdown
 
 MODULES = (ambient, curvature, qch, rotational, sasakian, verify)
 
@@ -29,9 +30,8 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("point_jets", "point_jet", "curvature_bundle",
-                 "bochner_of_tensor", "bochner_arrays", "fd_jets",
-                 "curvature_tensors"):
+    for name in ("point_jets", "bochner_of_tensor", "bochner_arrays",
+                 "fd_jets", "curvature_tensors"):
         wrapper = counted(name, getattr(
             curvature if hasattr(curvature, name) else qch, name))
         for module in MODULES:
@@ -90,7 +90,8 @@ def test_numerical_hygiene_details_keep_their_values():
 
 class TestSphereReports:
     """A report over many radii is, radius by radius, the one-radius
-    report."""
+    report, and its checks are one batched call each, whatever the number
+    of radii."""
 
     @pytest.mark.parametrize("n,orientation", [(2, "auto"), (3, "auto"),
                                                (2, "outward")])
@@ -101,8 +102,8 @@ class TestSphereReports:
         reports = sasakian.sphere_reports(space, family, radii, seed=4,
                                           orientation=orientation)
         for r, rep in zip(radii, reports):
-            one = sasakian.sphere_report(space, family, r, seed=4,
-                                         orientation=orientation)
+            one = sasakian.sphere_reports(space, family, [r], seed=4,
+                                          orientation=orientation)[0]
             assert rep.to_json() == one.to_json()
 
     def test_definite_radii(self):
@@ -113,8 +114,8 @@ class TestSphereReports:
         for r, rep in zip((1.0, 2.0), reports):
             assert rep.gauss_delta is None
             assert abs(rep.alpha - 1.0 / r) < 1e-12
-            assert rep.to_json() == sasakian.sphere_report(
-                space, None, r, seed=1, metric=metric).to_json()
+            assert rep.to_json() == sasakian.sphere_reports(
+                space, None, [r], seed=1, metric=metric)[0].to_json()
 
     def test_tangent_basis_is_the_adapted_frame(self):
         # rows 2.. of the J-adapted frame span the complement of (xi, J xi)
@@ -123,9 +124,46 @@ class TestSphereReports:
         Z = np.array([sasakian._chartable_timelike_point(space, r, 2)
                       for r in (1.5, 2.5)])
         jet = curvature.point_jets(metric, Z)
-        structures, F, _ = sasakian._induced_contacts(space, jet, "auto")
-        for p, st_ in enumerate(structures):
-            B, G = st_.tangent_basis, st_.jet.G
-            assert np.array_equal(B[1:], F[p, 2:])
-            assert np.allclose(B @ G @ B.T, np.eye(len(B)), atol=1e-12)
-            assert np.allclose(B @ G @ st_.xi, 0.0, atol=1e-12)
+        structure, spheres, F, _ = sasakian._induced_contacts(space, jet,
+                                                              "auto")
+        B, G = structure.tangent_basis, jet.G
+        assert np.array_equal(B[:, 1:], F[:, 2:])
+        eye = np.broadcast_to(np.eye(B.shape[1]), (2,) + (B.shape[1],) * 2)
+        assert np.allclose(B @ G @ B.swapaxes(1, 2), eye, atol=1e-12)
+        assert np.allclose(np.einsum("pbi,pij,pj->pb", B, G, spheres.xi),
+                           0.0, atol=1e-12)
+
+    KERNELS = ("covariant_derivative", "_quadruple", "tangent_params",
+               "_alpha_check", "sphere_phi_law", "gauss_curvature_fn",
+               "phi_sectional", "space_form_model", "_gauss_delta")
+
+    def kernel_calls(self, monkeypatch, radii):
+        counts = dict.fromkeys(self.KERNELS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in self.KERNELS:
+                patch.setattr(sasakian, name,
+                              counted(name, getattr(sasakian, name)))
+            sasakian.sphere_reports(ambient.AmbientSpace(2, "lorentz"),
+                                    ambient.LogFamily(-1.0, 1.0), radii,
+                                    seed=2)
+        return counts
+
+    def test_checks_do_not_loop_over_radii(self, monkeypatch):
+        one = self.kernel_calls(monkeypatch, [2.0])
+        assert all(one.values())
+        assert self.kernel_calls(monkeypatch, [1.5, 2.0, 3.0]) == one
+
+    def test_gauss_planes_that_never_clear_the_determinant(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(sasakian, "GAUSS_MIN_DEN", 1e9)
+        with pytest.raises(NumericalBreakdown, match="seeded planes"):
+            sasakian.sphere_reports(ambient.AmbientSpace(2, "lorentz"),
+                                    ambient.LogFamily(-1.0, 1.0), [2.0],
+                                    seed=2)
