@@ -77,8 +77,9 @@ class ShapeData:
 
 
 def _gdot(G, u, v):
-    """g(u, v) at each point: u, v (P, d), G (P, d, d)."""
-    return np.einsum("pi,pij,pj->p", u, G, v)
+    """g(u, v) at each point of G (P, d, d), for the vectors on the last
+    axis of u and v (P, ..., d)."""
+    return np.einsum("p...i,pij,p...j->p...", u, G, v)
 
 
 def adapted_frames(G, J, xi):

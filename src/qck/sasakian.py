@@ -43,7 +43,8 @@ from .curvature import (PointJet, covariant_derivative, curvature_gate,
 from .duals import eval_with_partials
 from .errors import (DomainError, NotSasakian, NotSpaceForm,
                      NumericalBreakdown, raise_first)
-from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
+from .qch import (QCDecomposition, _gdot, adapted_frames, frame_fit,
+                  shape_arrays)
 from .sampling import definite_point, timelike_point
 
 ZERO_BAND = 1e-8
@@ -147,12 +148,6 @@ def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
         identity_defect=_identity_defects(G, phi, xit, eta_t, basis))
     return (AlmostContact(jet, xit, eta_t, phi, basis, tangential), spheres,
             F, signs)
-
-
-def _gdot(G, X, Y):
-    """g(x, y) at each point of G (P, d, d), for the vectors x and y on the
-    last axis of X and Y (P, ..., d)."""
-    return np.einsum("p...i,pij,p...j->p...", X, G, Y)
 
 
 def _gnorm(G, V):

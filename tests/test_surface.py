@@ -49,6 +49,7 @@ def _uses(tree, skip):
 def unreached_names():
     trees = {path: ast.parse(path.read_text()) for path in _consumer_files()}
     defs = {}
+    classes = {}  # the class whose body holds a method
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
@@ -61,8 +62,9 @@ def unreached_names():
                     if (isinstance(method, ast.FunctionDef)
                             and not method.name.startswith("_")):
                         defs[method] = f"{path.stem}.{node.name}"
+                        classes[method] = node
     # Uses outside any definition body are shared; uses inside a body count
-    # for every name but that body's own.
+    # for every name but that body's own, and a method's own class body.
     bodies = set(defs)
     shared = set().union(*(_uses(tree, bodies) for tree in trees.values()))
     inside = {node: _uses(node, set()) for node in defs}
@@ -72,7 +74,7 @@ def unreached_names():
         if node.name in reached:
             continue
         if any(node.name in names for other, names in inside.items()
-               if other is not node and node not in ast.walk(other)):
+               if other is not node and other is not classes.get(node)):
             continue
         out.append(f"{owner}.{node.name}")
     return sorted(out)

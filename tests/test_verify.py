@@ -135,7 +135,8 @@ class TestSphereReports:
 
     KERNELS = ("covariant_derivative", "_quadruple", "tangent_params",
                "_alpha_check", "sphere_phi_law", "gauss_curvature_fn",
-               "phi_sectional", "space_form_model", "_gauss_delta")
+               "phi_sectional", "space_form_model", "space_form_model_defect",
+               "_gauss_delta")
 
     def kernel_calls(self, monkeypatch, radii):
         counts = dict.fromkeys(self.KERNELS, 0)
