@@ -11,8 +11,9 @@ that evaluate the metric themselves: the dual-number references for the
 closed-form ``ambient.radial_unit_jets`` and the phi-law jets of
 ``qck.sasakian``.  The hypersphere curvature as a scalar closure
 K(x, y, z, u), with the looped phi-sectional and space form samples that
-use it: the references for the curvature tensor and its batched
-contractions in ``qck.sasakian``.  And curvature helpers that only the
+use it, and the looped derivative laws and Gauss cross-check: the
+references for the curvature tensor, its batched contractions and the
+batched checks in ``qck.sasakian``.  And curvature helpers that only the
 tests use: the holomorphic sectional curvature by angle, the Kahler-gated
 Bochner tensor and the covariant derivative of the complex structure.  And
 the conformal-pair metrics, a rotationally symmetric Hermitian family that
