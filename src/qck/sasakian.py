@@ -277,8 +277,11 @@ def gauss_curvature_fn(R, h):
 
 def _quadruple(T, x, y, z, u):
     """T(x, y, z, u) of 4-tensors T (P, d, d, d, d), per point and row of
-    the stacked vectors (P, S, d)."""
-    return np.einsum("pijkl,psi,psj,psk,psl->ps", T, x, y, z, u)
+    the stacked vectors (P, S, d), contracting one vector at a time."""
+    T = np.einsum("pijkl,psi->psjkl", T, x)
+    T = np.einsum("psjkl,psj->pskl", T, y)
+    T = np.einsum("pskl,psk->psl", T, z)
+    return np.einsum("psl,psl->ps", T, u)
 
 
 @dataclass(frozen=True)
