@@ -312,12 +312,12 @@ def curvature_tensors(jet: PointJet):
     return (Rm.reshape(P, d, d ** 3).swapaxes(1, 2) @ G).reshape(P, d, d, d, d)
 
 
-def curvature_gate(R, gate: float = SYMMETRY_GATE):
+def curvature_gate(R):
     """The algebraic curvature identities hold exactly in exact arithmetic,
     so their violation, relative to max(1, |R|), is a direct error estimate;
-    past ``gate`` the tensor is garbage."""
+    past ``SYMMETRY_GATE`` the tensor is garbage."""
     defect = curvature_symmetry_defect(R)
-    return (defect > gate * np.maximum(1.0, tensor_scale(R)),
+    return (defect > SYMMETRY_GATE * np.maximum(1.0, tensor_scale(R)),
             lambda j: NumericalBreakdown(
                 f"curvature symmetry defect {defect[j]:.3e} exceeds the gate"))
 

@@ -37,7 +37,7 @@ from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          _radial_projectors, radial_unit_jets)
 from qck.charts import pullback_metric
 from qck.core import apply_j0
-from qck.curvature import (SYMMETRY_GATE, CurvatureBundle, PointJet,
+from qck.curvature import (CurvatureBundle, PointJet,
                            covariant_derivative, curvature_gate,
                            curvature_tensors, fd_jets, kahler_defect,
                            point_jets)
@@ -565,12 +565,12 @@ def point_jet(metric, x, method: str = "exact"):
     return point_jets(metric, X).rows(0)
 
 
-def curvature_bundle(jet, symmetry_gate: float = SYMMETRY_GATE):
+def curvature_bundle(jet):
     """The curvature bundle at the point of a one-point ``jet``: the
     one-point case of ``curvature_tensors``, with NumericalBreakdown past
     the symmetry gate rather than a garbage tensor."""
     R = curvature_tensors(stacked(jet))
-    raise_first([curvature_gate(R, symmetry_gate)])
+    raise_first([curvature_gate(R)])
     return CurvatureBundle(jet, Tensor4(R[0]))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qck import ambient
+from qck import ambient, curvature
 from qck.ambient import (
     AmbientSpace,
     DefiniteLogFamily,
@@ -442,12 +442,13 @@ class TestVectorDerivatives:
         assert k == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_symmetry_gate_wiring():
+def test_symmetry_gate_wiring(monkeypatch):
     # a zero gate trips on any honest rounding noise
     g = potential_metric(L2, LogFamily(-1.0, 1.0))
     x = timelike_point(L2, 2.0, seed=14)
+    monkeypatch.setattr(curvature, "SYMMETRY_GATE", 0.0)
     with pytest.raises(NumericalBreakdown):
-        curvature_bundle(point_jet(g, x), symmetry_gate=0.0)
+        curvature_bundle(point_jet(g, x))
 
 
 def dual_batch_cases():
