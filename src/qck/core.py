@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .duals import MultiDual, weigh
+
 
 def complex_to_real(z) -> np.ndarray:
     """Interleave complex coordinates into (x1, y1, ..., xn, yn)."""
@@ -30,11 +32,17 @@ def j0_matrix(n: int) -> np.ndarray:
 
 
 def apply_j0(x):
-    """Apply the standard complex structure to a vector of generic scalars."""
-    out = list(x)
-    for a in range(len(out) // 2):
-        out[2 * a], out[2 * a + 1] = -x[2 * a + 1], x[2 * a]
-    return np.array(out) if isinstance(x, np.ndarray) else out
+    """Apply the standard complex structure to a vector of generic scalars,
+    a list, or along the first axis of a float array or a MultiDual with
+    component axes (``qck.duals``), e.g. to every column of a matrix."""
+    if isinstance(x, list):
+        out = list(x)
+        for a in range(len(out) // 2):
+            out[2 * a], out[2 * a + 1] = -x[2 * a + 1], x[2 * a]
+        return out
+    size = (x.c if isinstance(x, MultiDual) else x).shape[0]
+    pairs = np.arange(size) ^ 1  # 2a <-> 2a + 1
+    return weigh(np.where(np.arange(size) % 2, 1.0, -1.0), x[pairs])
 
 
 def hermitian_to_real(H) -> np.ndarray:

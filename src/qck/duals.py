@@ -24,6 +24,20 @@ at every point, and an analytic function takes its derivative series point
 by point with the float functions, so each point of a batch rounds exactly
 as a 2-D payload of that point alone does.
 
+Component axes.  A MultiDual may also hold a whole vector or matrix of
+scalars: its payload is then ``(components..., points..., 2**m, P)``, the
+component axes first, as ``_seeded_coordinates`` lays out its seeds.  A
+scalar dual, a float, and an array over the points then broadcast onto
+every component, and two arrays of duals broadcast their component axes as
+numpy does, so a product of arrays is one dual product over all entries.
+Indexing takes entries (``MultiDual.__getitem__``); ``stack`` builds one
+array of a nested list of scalars, ``concat`` joins arrays along a
+component axis, ``weigh`` scales entries by a float array over the
+component axes, and ``contract`` sums a product over one component axis.
+Each keeps the operations and summation order of the loop of scalar duals
+it replaces, so it rounds as that loop does.  A field that returns one
+array of duals feeds the jet kernels as a nested list of scalars does.
+
 The library builds orders 1 and 2, each on a points axis, with one kernel
 per order: ``eval_with_partials`` below takes the first jet of a field of
 any output shape (a vector field, a complex structure), and
@@ -76,7 +90,8 @@ def _scale(x):
 class MultiDual:
     """Scalar with nilpotent generators: a value part plus P derivative
     columns, stored as a ``(..., 2**m, P)`` payload whose leading axes, if
-    any, run over points."""
+    any, run over points, after the component axes of an array of such
+    scalars."""
 
     __slots__ = ("c", "m")
     # numpy operands defer to the reflected operations below
@@ -108,6 +123,13 @@ class MultiDual:
     def __repr__(self):
         return f"MultiDual(m={self.m}, c={self.c!r})"
 
+    def __getitem__(self, key) -> "MultiDual":
+        """The entries ``key`` of the component axes, which lead the
+        payload, by numpy indexing: an entry of a vector, a row or block
+        of a matrix, entries picked by index arrays, or a new component
+        axis of length 1 with None."""
+        return MultiDual(self.c[key], self.m)
+
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MultiDual") -> None:
@@ -117,8 +139,11 @@ class MultiDual:
     def _plus(self, x) -> "MultiDual":
         """This plus a float, or an array over the points, on the value row."""
         if isinstance(x, np.ndarray) and x.ndim:
-            lead = np.broadcast_shapes(self.c.shape[:-2], x.shape)
-            c = np.array(np.broadcast_to(self.c, lead + self.c.shape[-2:]))
+            if x.shape == self.c.shape[:-2]:
+                c = self.c.copy()
+            else:
+                lead = np.broadcast_shapes(self.c.shape[:-2], x.shape)
+                c = np.array(np.broadcast_to(self.c, lead + self.c.shape[-2:]))
             c[..., 0, :] += x[..., None]
         else:
             c = self.c.copy()
@@ -250,7 +275,8 @@ def value(x):
 
 
 def coefficients(ys, m: int, p: int, lead: tuple = ()) -> np.ndarray:
-    """Payloads of a (nested) list or array of floats and MultiDuals.
+    """Payloads of a (nested) list or array of floats and MultiDuals, or of
+    one MultiDual with component axes.
 
     Returns an array of shape ``lead + shape(ys) + (2**m, p)``, with lead the
     leading axes of the MultiDuals' payloads broadcast with ``lead`` (none
@@ -258,8 +284,15 @@ def coefficients(ys, m: int, p: int, lead: tuple = ()) -> np.ndarray:
     one-column payloads and floats are broadcast to all p columns and to
     every point (a float only has a value part).  The seeds' points axes
     passed as ``lead`` keep them where ys holds no MultiDual, as for a
-    constant field.
+    constant field.  A MultiDual ys has its component axes, shape(ys),
+    first and then one points axis per axis of ``lead``; they move behind
+    the points axes.
     """
+    if isinstance(ys, MultiDual):
+        rank = ys.c.ndim - 2 - len(lead)
+        c = np.moveaxis(ys.c, range(rank), range(-2 - rank, -2))
+        lead = np.broadcast_shapes(lead, c.shape[:len(lead)])
+        return np.broadcast_to(c, lead + c.shape[len(lead):-1] + (p,))
     objs = np.asarray(ys, dtype=object)
     lead = np.broadcast_shapes(lead, *(y.c.shape[:-2] for y in objs.flat
                                        if isinstance(y, MultiDual)))
@@ -274,6 +307,94 @@ def coefficients(ys, m: int, p: int, lead: tuple = ()) -> np.ndarray:
     return np.moveaxis(out, axes, tuple(a + len(lead) for a in axes))
 
 
+# -- component axes ------------------------------------------------------------
+
+
+def stack(xs):
+    """One array of the nested list ``xs`` of floats and scalar MultiDuals,
+    whose axes become the component axes: a float array where every entry
+    is a float, and otherwise one MultiDual whose payload has those axes
+    first, then the entries' points axes and payload axes, broadcast.  A
+    float enters as a constant.  A MultiDual or an array passes through."""
+    if isinstance(xs, (MultiDual, np.ndarray)):
+        return xs
+    objs = np.asarray(xs, dtype=object)
+    duals = [y for y in objs.flat if isinstance(y, MultiDual)]
+    if not duals:
+        return objs.astype(float)
+    for y in duals:
+        duals[0]._check(y)
+    if len(duals) == objs.size and len({y.c.shape for y in duals}) == 1:
+        return MultiDual(np.stack([y.c for y in duals]).reshape(
+            objs.shape + duals[0].c.shape), duals[0].m)
+    tail = np.broadcast_shapes(*(y.c.shape for y in duals))
+    out = np.zeros(objs.shape + tail)
+    flat = out.reshape((objs.size,) + tail)
+    for k, y in enumerate(objs.flat):
+        if isinstance(y, MultiDual):
+            flat[k] = y.c
+        else:
+            flat[k, ..., 0, :] = y
+    return MultiDual(out, duals[0].m)
+
+
+def concat(parts, axis: int = 0):
+    """``np.concatenate`` along the component axis ``axis`` of float arrays
+    and MultiDuals that have the same component axes: a float array enters
+    as a constant, and the points and direction axes broadcast."""
+    duals = [x for x in parts if isinstance(x, MultiDual)]
+    if not duals:
+        return np.concatenate(parts, axis)
+    ref = duals[0].c
+
+    def payload(x):
+        if isinstance(x, MultiDual):
+            return x.c
+        x = np.asarray(x, dtype=float)
+        c = np.zeros(x.shape + ref.shape[x.ndim:])
+        c[..., 0, :] = x.reshape(x.shape + (1,) * (ref.ndim - 1 - x.ndim))
+        return c
+
+    cs = [payload(x) for x in parts]
+    if len({c.shape[:axis] + c.shape[axis + 1:] for c in cs}) > 1:
+        shape = list(np.broadcast_shapes(
+            *(c.shape[:axis] + (1,) + c.shape[axis + 1:] for c in cs)))
+        for k, c in enumerate(cs):
+            shape[axis] = c.shape[axis]
+            cs[k] = np.broadcast_to(c, shape)
+    return MultiDual(np.concatenate(cs, axis), duals[0].m)
+
+
+def weigh(w, x):
+    """x, a float array or a MultiDual, times the float array w, whose axes
+    are the first (component) axes of x: w scales each entry of x, and its
+    size-1 axes broadcast."""
+    w = np.asarray(w, dtype=float)
+    c = x.c if isinstance(x, MultiDual) else np.asarray(x)
+    scaled = c * w.reshape(w.shape + (1,) * (c.ndim - w.ndim))
+    return MultiDual(scaled, x.m) if isinstance(x, MultiDual) else scaled
+
+
+def contract(a, b, axis: int = 0):
+    """sum_i a_i b_i over the component axis ``axis`` of the broadcast
+    product of a and b, float arrays or MultiDuals with the same component
+    axes (a float array meets a MultiDual as in ``weigh``).  The slices of
+    the product are added first to last, so the result is that of the loop
+    acc = acc + a_i * b_i to the bit, at every entry and point."""
+    if isinstance(a, np.ndarray) and isinstance(b, MultiDual):
+        prod = weigh(a, b)
+    elif isinstance(b, np.ndarray) and isinstance(a, MultiDual):
+        prod = weigh(b, a)
+    else:
+        prod = a * b
+    c = prod.c if isinstance(prod, MultiDual) else prod
+    at = (slice(None),) * axis
+    acc = c[at + (0,)]
+    for i in range(1, c.shape[axis]):
+        acc = acc + c[at + (i,)]
+    return MultiDual(acc, prod.m) if isinstance(prod, MultiDual) else acc
+
+
 def _seeded_coordinates(X, m: int, p: int) -> np.ndarray:
     """Payloads (d, ..., 2**m, p) holding the coordinates of the point x,
     (d,), or of each row of X, (..., d), in every column and no derivative
@@ -286,8 +407,9 @@ def _seeded_coordinates(X, m: int, p: int) -> np.ndarray:
 
 def eval_with_partials(fn, xs):
     """Evaluate fn(list of scalars) -> scalars of any nesting (a vector, a
-    matrix, ...) together with all partials at the float point ``xs``,
-    (d,), or at every row of points xs, (..., d).
+    matrix, ...), or one MultiDual with component axes, together with all
+    partials at the float point ``xs``, (d,), or at every row of points
+    xs, (..., d).
 
     One evaluation: coordinate j carries the generator in direction column
     j, so every partial at every point comes out of the same call.  Returns

@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qck.core import apply_j0
 from qck.duals import (
     MultiDual,
     coefficients,
+    concat,
+    contract,
     eval_with_partials,
     gatan,
     glog,
     gsqrt,
+    stack,
     value,
+    weigh,
 )
 from oracles import gcos, generator, gexp, gsin
 
@@ -220,3 +225,155 @@ class TestPointsAxis:
         for k, x in enumerate(X):
             v, c = eval_with_partials(fn, list(x))
             assert np.array_equal(vals[k], v) and np.array_equal(cols[k], c)
+
+
+def _scalar_loop_contract(a, b, axis):
+    """The contraction as a loop of scalar duals, acc = acc + a_i * b_i, at
+    every entry of the other component axes."""
+    A, B = (np.moveaxis(np.broadcast_to(x, np.broadcast_shapes(a.shape, b.shape)),
+                        axis, 0) for x in (a, b))
+    out = np.empty(A.shape[1:], dtype=object)
+    for idx in np.ndindex(out.shape):
+        acc = 0.0
+        for i in range(A.shape[0]):
+            acc = acc + A[(i,) + idx] * B[(i,) + idx]
+        out[idx] = acc
+    return out
+
+
+class TestComponentAxes:
+    """Stacking, indexing, concatenation, weighting and contraction over
+    the component axes that lead a payload, against the loops of scalar
+    duals they replace."""
+
+    @staticmethod
+    def scalars(rng, shape, m, p, lead=(3,)):
+        objs = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            objs[idx] = MultiDual(_payload(rng, lead, m, p, lo=-2.0, hi=2.0), m)
+        return objs
+
+    def test_stack_and_index_round_trip(self):
+        rng = np.random.default_rng(10)
+        objs = self.scalars(rng, (2, 3), 2, 4)
+        objs[1, 2] = 1.5  # a float enters as a constant
+        objs[0, 1] = MultiDual(_payload(rng, (), 2, 1), 2)  # broadcasts
+        v = stack(objs.tolist())
+        assert v.c.shape == (2, 3, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            entry = objs[idx]
+            want = (np.broadcast_to(entry.c, (3, 4, 4))
+                    if isinstance(entry, MultiDual)
+                    else coefficients(entry, 2, 4, (3,)))
+            assert np.array_equal(v[idx].c, want)
+        assert np.array_equal(v[1].c, v.c[1])
+        assert np.array_equal(v[:, None].c, v.c[:, None])
+        assert np.array_equal(v[[1, 0]][0].c, v.c[1])
+
+    def test_stack_of_floats_and_pass_through(self):
+        assert np.array_equal(stack([[1.0, 2.0], [3.0, 4.5]]),
+                              np.array([[1.0, 2.0], [3.0, 4.5]]))
+        x = MultiDual(np.ones((2, 3, 2, 1)), 1)
+        assert stack(x) is x
+        with pytest.raises(ValueError, match="generator count"):
+            stack([x[0], MultiDual.constant(1.0, 2)])
+
+    def test_concat_equals_the_stacked_entries(self):
+        rng = np.random.default_rng(11)
+        v = stack(self.scalars(rng, (3, 2), 1, 3).tolist())
+        row = stack([self.scalars(rng, (2,), 1, 3).tolist()])
+        floats = np.array([[0.5, -1.0], [2.0, 0.0]])
+        got = concat([v, row, floats], axis=0)
+        entries = ([[v[i, j] for j in range(2)] for i in range(3)]
+                   + [[row[0, j] for j in range(2)]] + floats.tolist())
+        assert np.array_equal(got.c, stack(entries).c)
+        col = concat([v, np.full((3, 1), 2.0)], axis=1)
+        assert col.c.shape == (3, 3, 3, 2, 3)
+        assert np.array_equal(col.c[:, :2], v.c)
+        assert np.all(col.c[:, 2, :, 0] == 2.0) and not np.any(col.c[:, 2, :, 1])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_weigh_is_the_scalar_product(self, m):
+        rng = np.random.default_rng(12 + m)
+        objs = self.scalars(rng, (4, 2), m, 3)
+        w = rng.normal(size=(4, 1))
+        got = weigh(w, stack(objs.tolist()))
+        for i, j in np.ndindex(4, 2):
+            assert np.array_equal(got[i, j].c, (w[i, 0] * objs[i, j]).c)
+        assert np.array_equal(weigh(w, np.ones((4, 2))),
+                              np.broadcast_to(w, (4, 2)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_contract_is_the_scalar_loop(self, m, axis):
+        rng = np.random.default_rng(20 + 3 * m + axis)
+        a = self.scalars(rng, (3, 4, 1), m, 5)
+        b = self.scalars(rng, (3, 1, 2), m, 5)
+        a, b = np.moveaxis(a, 0, axis), np.moveaxis(b, 0, axis)
+        got = contract(stack(a.tolist()), stack(b.tolist()), axis)
+        want = _scalar_loop_contract(a, b, axis)
+        assert got.c.shape == want.shape + (3, 1 << m, 5)
+        for idx in np.ndindex(want.shape):
+            assert np.array_equal(got[idx].c, want[idx].c), idx
+
+    def test_contract_with_floats_is_the_scalar_loop(self):
+        rng = np.random.default_rng(30)
+        a = self.scalars(rng, (4, 3), 2, 3)
+        w = rng.normal(size=(4, 1))
+        got = contract(w, stack(a.tolist()))
+        want = _scalar_loop_contract(np.broadcast_to(w, (4, 3)).astype(object),
+                                     a, 0)
+        for j in range(3):
+            assert np.array_equal(got[j].c, want[j].c)
+        x, y = rng.normal(size=(2, 5, 3))
+        loop = np.zeros(3)
+        for i in range(5):
+            loop = loop + x[i] * y[i]
+        assert np.array_equal(contract(x, y), loop)
+
+    def test_component_arrays_feed_the_jet_kernels(self):
+        # a field may return one MultiDual with component axes; its rows
+        # are those of the same field returning the entries as lists
+        def as_array(xs):
+            v = stack(xs)
+            return v[:, None] * v[None, :] + 1.0
+
+        def as_lists(xs):
+            return [[a * b + 1.0 for b in xs] for a in xs]
+
+        X = np.random.default_rng(31).normal(size=(4, 3))
+        for got, want in zip(eval_with_partials(as_array, X),
+                             eval_with_partials(as_lists, X)):
+            assert np.array_equal(got, want)
+
+    def test_apply_j0_on_component_axes(self):
+        rng = np.random.default_rng(32)
+        objs = self.scalars(rng, (4, 2), 2, 3)
+        got = apply_j0(stack(objs.tolist()))
+        for j in range(2):
+            want = apply_j0([objs[i, j] for i in range(4)])
+            for i in range(4):
+                assert np.array_equal(got[i, j].c, want[i].c)
+        x = rng.normal(size=(4, 2))
+        assert np.array_equal(apply_j0(x),
+                              np.array([apply_j0(list(col)) for col in x.T]).T)
+
+
+class TestPlusFastPath:
+    """Adding an array over the points skips the broadcast when the array
+    has the payload's points shape, with the same payload to the bit."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_both_paths_agree(self, m):
+        rng = np.random.default_rng(40 + m)
+        c = _payload(rng, (5,), m, 3)
+        before = c.copy()
+        w = rng.normal(size=5)
+        fast = MultiDual(c, m) + w
+        # a leading axis of length 1 makes the shapes differ
+        slow = MultiDual(c[None], m) + w
+        assert slow.c.shape == (1,) + c.shape
+        assert np.array_equal(fast.c, slow.c[0])
+        assert np.array_equal((w - MultiDual(c, m)).c,
+                              (w - MultiDual(c[None], m)).c[0])
+        assert np.array_equal(c, before)
