@@ -12,13 +12,14 @@ pushed through the dual-number jet machinery without nesting derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import MetricField
-from .duals import gsqrt, value
+from .duals import MultiDual, concat, contract, gsqrt, stack, value, weigh
 from .errors import ChartError, raise_first
 
 # polar angle, in radians, that a chart point keeps from the chart boundary,
@@ -56,43 +57,88 @@ class GraphChart:
     def nparams(self) -> int:
         return self.ambient_dim - 1
 
-    def _split(self, u):
-        """The parameters of the other sign in h, and those of its own."""
-        k = len(u) - 1 if self.lorentz else 0
-        return u[:k], u[k:]
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        """+1 on the parameters of the other sign in h, -1 on those of its
+        own: the sign each square takes in the solved coordinate squared."""
+        plus = self.nparams - 1 if self.lorentz else 0
+        return np.where(np.arange(self.nparams) < plus, 1.0, -1.0)
 
     def _radicand(self, u):
-        """The solved coordinate squared, in generic arithmetic."""
-        plus, minus = self._split(u)
+        """The solved coordinate squared at the parameters u, a float array
+        or a MultiDual with the parameters on its first axis, summed in
+        parameter order after radius^2."""
         arg = self.radius**2
-        for c in plus:
-            arg = arg + c * c
-        for c in minus:
-            arg = arg - c * c
+        squares = weigh(self._signs, u) * u
+        for i in range(self.nparams):
+            arg = arg + squares[i]
         return arg
 
-    def guard(self, u):
-        """ChartError where the parameters u, floats or duals with or
-        without a points axis, come within ``MARGIN`` of the boundary."""
-        arg = self._radicand([value(c) for c in u])
+    def _check(self, arg):
+        """ChartError where the solved coordinate squared, floats, comes
+        within ``MARGIN`` of the boundary."""
         raise_first([(arg < self.radius**2 * math.sin(MARGIN) ** 2,
                       lambda j: ChartError(
                           "parameter point too close to the chart boundary "
                           f"(solved coordinate squared {np.ravel(arg)[j]:.6g})"))])
 
+    def guard(self, u):
+        """ChartError where the parameters u, floats or duals with or
+        without a points axis, come within ``MARGIN`` of the boundary."""
+        u = stack(u)
+        self._check(self._radicand(u.value if isinstance(u, MultiDual) else u))
+
+    def _solved(self, u):
+        """The solved coordinate at the stacked parameters u, after the
+        guard on the value of its square."""
+        arg = self._radicand(u)
+        self._check(value(arg) if isinstance(arg, MultiDual) else arg)
+        return self.sign * gsqrt(arg)
+
+    def _map(self, u, x_d):
+        return concat([u, stack([x_d])])
+
+    def _jac(self, u, x_d):
+        return concat([np.eye(self.nparams), (weigh(self._signs, u) / x_d)[None]])
+
     def fn(self, u):
-        self.guard(u)
-        return list(u) + [self.sign * gsqrt(self._radicand(u))]
+        """The ambient point (u, x_d) of the parameters u, a list or an
+        array of floats or duals, as an array of its d coordinates."""
+        u = stack(u)
+        return self._map(u, self._solved(u))
 
     def jac(self, u):
-        """Closed-form d x (d-1) Jacobian of ``fn`` as a list of rows."""
-        self.guard(u)
-        w = self.sign * gsqrt(self._radicand(u))
-        plus, minus = self._split(u)
-        rows = [[1.0 if q == p else 0.0 for q in range(self.nparams)]
-                for p in range(self.nparams)]
-        rows.append([c / w for c in plus] + [-c / w for c in minus])
-        return rows
+        """Closed-form d x (d-1) Jacobian of ``fn``, as an array: the
+        identity over the row d x_d / d u_i = +-u_i / x_d."""
+        u = stack(u)
+        return self._jac(u, self._solved(u))
+
+    def fn_jac(self, u):
+        """``fn`` and ``jac`` at u, from one solved coordinate."""
+        u = stack(u)
+        x_d = self._solved(u)
+        return self._map(u, x_d), self._jac(u, x_d)
+
+
+@functools.cache
+def _upper(m: int):
+    """The entries p <= q of an m x m matrix, and for every entry the index
+    of its entry p <= q in that list."""
+    ps, qs = np.triu_indices(m)
+    mirror = np.empty((m, m), dtype=int)
+    mirror[ps, qs] = mirror[qs, ps] = np.arange(len(ps))
+    return ps, qs, mirror
+
+
+def pulled_back(G, jac):
+    """J^T G J for an ambient matrix G (d, d) and a chart Jacobian J (d, m),
+    floats or duals with component axes, in two contractions over the
+    ambient axis: (G J)[i, q] = sum_a G[i, a] J[a, q], and then the entries
+    p <= q of sum_i J[i, p] (G J)[i, q], mirrored."""
+    ps, qs, mirror = _upper(jac.shape[1] if isinstance(jac, np.ndarray)
+                            else jac.c.shape[1])
+    gj = contract(G[:, :, None], jac[None], axis=1)
+    return contract(jac[:, ps], gj[:, qs])[mirror]
 
 
 def pullback_metric(chart, ambient) -> MetricField:
@@ -100,37 +146,21 @@ def pullback_metric(chart, ambient) -> MetricField:
 
     ``ambient`` is either a constant matrix or a MetricField evaluated at the
     chart image.  The result is a MetricField over the chart parameters with
-    no registered complex structure (the parameter space is odd-dimensional).
+    no registered complex structure (the parameter space is odd-dimensional),
+    whose evaluation is ``pulled_back`` with the chart's Jacobian, on floats
+    or on duals with component axes.
     """
     constant = not isinstance(ambient, MetricField)
     Gconst = np.asarray(ambient, float) if constant else None
-    d = chart.ambient_dim
-    m = chart.nparams
 
     def ev(u):
-        jc = chart.jac(u)
-        rows = Gconst if constant else ambient(chart.fn(u))
-        gj = []
-        for i in range(d):
-            col = []
-            for q in range(m):
-                acc = 0.0
-                for a in range(d):
-                    gia = rows[i][a]
-                    if constant and gia == 0.0:
-                        continue
-                    acc = acc + gia * jc[a][q]
-                col.append(acc)
-            gj.append(col)
-        out = [[0.0] * m for _ in range(m)]
-        for p in range(m):
-            for q in range(p, m):
-                e = sum(jc[i][p] * gj[i][q] for i in range(d))
-                out[p][q] = e
-                out[q][p] = e
-        return out
+        if constant:
+            return pulled_back(Gconst, chart.jac(u))
+        x, jac = chart.fn_jac(u)
+        return pulled_back(stack(ambient(x)), jac)
 
-    return MetricField(ev, m, name=f"pullback[{type(chart).__name__}]")
+    return MetricField(ev, chart.nparams,
+                       name=f"pullback[{type(chart).__name__}]")
 
 
 def tangent_params(chart, x_tangent) -> np.ndarray:

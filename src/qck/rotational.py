@@ -37,8 +37,9 @@ from .charts import GraphChart
 from .core import apply_j0
 from .curvature import (curvature_gate, curvature_tensors, kahler_defect,
                         point_jets)
-from .duals import (MultiDual, coefficients, eval_with_partials, gatan, glog,
-                    gsqrt, value)
+from .duals import (MultiDual, coefficients, concat, contract,
+                    eval_with_partials, gatan, glog, gsqrt, stack, value,
+                    weigh)
 from .errors import (ChartError, DomainError, NumericalBreakdown, Sieve,
                      TypeConstraintError, raise_first)
 from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
@@ -409,6 +410,14 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
     sphere.  Returns (metric, xi_field, sphere_chart); the metric field
     carries the complex structure, and xi_field is the unit radial-like
     field of the model in chart components.
+
+    Both fields are array expressions on floats or on duals with component
+    axes (``qck.duals``).  The coordinate vectors of the embedding in C^n x R
+    are the columns of D = [nv | t dn] over the sphere coordinates, with nv
+    the sphere point and dn its chart Jacobian, and z = (q', 0, ..., 0)
+    along the axis.  The ambient inner products of all pairs of them are
+    one weighted contraction over the sphere axis plus e^2 z z^T, and the
+    structure's matrices M X = B are two more contractions.
     """
     tag = profile.rotation_type
     if n < 2:
@@ -427,64 +436,42 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
         e2 = 1.0
         esign = -1.0
     source = profile.source
+    hcol = hs[:, None]
 
     def pieces(u):
-        t = u[0]
-        y = list(u[1:])
-        nv = sphere.fn(y)
-        dn = sphere.jac(y)
-        tp = source.tp(t)
+        u = stack(u)
+        t, y = u[0], u[1:]
+        nv, dn = sphere.fn_jac(y)
+        D = concat([nv[:, None], t * dn], axis=1)
         dqdt = profile.dqdt(t)
-        cols = [list(nv) + [dqdt]]
-        for j in range(m - 1):
-            cols.append([t * dn[i][j] for i in range(dsph)] + [0.0])
-        return t, nv, tp, dqdt, cols
-
-    def amb_inner(xa, xb):
-        acc = 0.0
-        for i in range(dsph):
-            acc = acc + hs[i] * xa[i] * xb[i]
-        return acc + e2 * xa[dsph] * xb[dsph]
+        z = stack([dqdt] + [0.0] * (m - 1))
+        return u, nv, source.tp(t), dqdt, D, z
 
     def metric_fn(u):
-        t, nv, tp, dqdt, cols = pieces(u)
-        gb = [[amb_inner(cols[p], cols[s]) for s in range(m)] for p in range(m)]
-        eb = [tp * gb[p][0] for p in range(m)]
-        jn = apply_j0(nv)
-        et = [sum(cols[p][i] * hs[i] * jn[i] for i in range(dsph))
-              for p in range(m)]
+        u, nv, tp, dqdt, D, z = pieces(u)
+        hD = weigh(hcol, D)
+        gb = contract(hD[:, :, None], D[:, None, :]) + e2 * (z[:, None] * z)
+        eb = tp * gb[:, 0]
+        et = contract(hD, apply_j0(nv)[:, None])
         w = (tp - 1.0) if tag in ("I", "II") else (1.0 - tp)
-        out = []
-        for p in range(m):
-            row = []
-            for s in range(m):
-                row.append(gb[p][s] + w * (eb[p] * eb[s] + et[p] * et[s]))
-            out.append(row)
-        return out
+        return gb + w * (eb[:, None] * eb + et[:, None] * et)
 
     def structure_fn(u):
-        t, nv, tp, dqdt, cols = pieces(u)
-        jn = apply_j0(nv)
+        u, nv, tp, dqdt, D, z = pieces(u)
+        jn = apply_j0(nv)[:, None]
         qp = dqdt * tp
-        xib = [tp * c for c in nv] + [qp]
-        xit = list(jn) + [0.0]
-        images = []
-        for p in range(m):
-            W = cols[p]
-            acf = esign * amb_inner(W, xib)
-            bcf = esign * amb_inner(W, xit)
-            wd = [W[i] - acf * xib[i] - bcf * xit[i] for i in range(dsph)]
-            jwd = apply_j0(wd)
-            img = [acf * xit[i] - bcf * xib[i] + jwd[i] for i in range(dsph)]
-            img.append(-bcf * qp)
-            images.append(img)
-        M = [[sum(cols[p][i] * cols[s][i] for i in range(dsph + 1))
-              for s in range(m)] for p in range(m)]
-        B = [[sum(cols[r][i] * images[p][i] for i in range(dsph + 1))
-              for p in range(m)] for r in range(m)]
-        if not isinstance(u[0], MultiDual):
+        xib = tp * nv[:, None]
+        hD = weigh(hcol, D)
+        acf = esign * (contract(hD, xib) + e2 * z * qp)
+        bcf = esign * contract(hD, jn)
+        jwd = apply_j0(D - acf * xib - bcf * jn)
+        images = acf * jn - bcf * xib + jwd
+        M = contract(D[:, :, None], D[:, None, :]) + z[:, None] * z
+        B = (contract(D[:, :, None], images[:, None, :])
+             + z[:, None] * (-bcf * qp))
+        if not isinstance(u, MultiDual):
             return np.linalg.solve(M, B)
-        return _solve_first_jet(M, B, u[0])
+        return _solve_first_jet(M, B, u)
 
     def xi_field(u):
         tp = source.tp(u[0])
@@ -500,15 +487,15 @@ def rotation_metric(profile: MeridianProfile, n: int = 2):
     return metric, xi_field, sphere
 
 
-def _solve_first_jet(M, B, seed: MultiDual):
+def _solve_first_jet(M, B, seeds: MultiDual):
     """X with M X = B, for matrices M and B of order-1 duals with the
-    direction columns and points axes of ``seed``, at every point: the
-    value by ``np.linalg.solve``, then the partials from
-    M dX = dB - dM X with the same matrix."""
-    if seed.m != 1:
+    direction columns and points axes of the coordinate vector ``seeds``,
+    at every point: the value by ``np.linalg.solve``, then the partials
+    from M dX = dB - dM X with the same matrix."""
+    if seeds.m != 1:
         raise ValueError("the structure solve takes first jets only")
-    p = seed.c.shape[-1]
-    Mc, Bc = coefficients(M, 1, p), coefficients(B, 1, p)
+    lead, p = seeds.c.shape[1:-2], seeds.c.shape[-1]
+    Mc, Bc = coefficients(M, 1, p, lead), coefficients(B, 1, p, lead)
     M0 = Mc[..., 0, 0]
     dM, dB = (np.moveaxis(c[..., 1, :], -1, -3) for c in (Mc, Bc))
     X = np.linalg.solve(M0, Bc[..., 0, 0])
@@ -516,9 +503,7 @@ def _solve_first_jet(M, B, seed: MultiDual):
     out = np.empty(X.shape + (2, p))
     out[..., 0, :] = X[..., None]
     out[..., 1, :] = np.moveaxis(dX, -3, -1)
-    size = len(M)
-    return [[MultiDual(out[..., i, j, :, :], 1) for j in range(size)]
-            for i in range(size)]
+    return MultiDual(np.moveaxis(out, (-4, -3), (0, 1)), 1)
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ import numpy as np
 
 from .ambient import (AmbientSpace, MetricField, potential_metric,
                       radial_unit_jets)
-from .charts import GraphChart, pullback_metric, tangent_params
+from .charts import GraphChart, pullback_metric, pulled_back, tangent_params
 from .core import apply_j0, j0_matrix
 from .curvature import (PointJet, covariant_derivative, curvature_gate,
                         curvature_tensors, point_jets)
-from .duals import eval_with_partials
+from .duals import contract, eval_with_partials, weigh
 from .errors import (DomainError, NotSasakian, NotSpaceForm,
                      NumericalBreakdown, raise_first)
 from .qch import (QCDecomposition, _gdot, adapted_frames, frame_fit,
@@ -541,56 +541,40 @@ def family_h1_metric(n: int, q: float):
 
     Returns (metric, chart, fields) where fields carries the chart
     expressions of the structure: the Reeb field and the phi matrix field.
+    All three are array expressions on floats or on duals with component
+    axes (``qck.duals``): the covector eta of the chart is one contraction
+    of the chart Jacobian with J0 of the normal, and phi applies J0 to every
+    column of the Jacobian at once.
     """
     if q <= 0:
         raise DomainError("family parameter q must be positive")
     space = AmbientSpace(n, "lorentz")
     H = space.flat_real()
-    d = space.dim
-    chart = GraphChart(1.0, d, lorentz=True)
+    hcol = np.diag(H)[:, None]
+    chart = GraphChart(1.0, space.dim, lorentz=True)
     m = chart.nparams
-    hbar = pullback_metric(chart, H)
 
-    def eta_chart(u):
-        # unflipped covector h'(., J0 normal) in chart components
-        nv = chart.fn(u)
-        jn = apply_j0(nv)
-        jc = chart.jac(u)
-        return [sum(jc[i][p] * H[i, i] * jn[i] for i in range(d))
-                for p in range(m)]
+    def frame(u):
+        # the normal, the chart Jacobian and the unflipped covector
+        # h'(., J0 normal) in chart components
+        nv, jc = chart.fn_jac(u)
+        return nv, jc, contract(weigh(hcol, jc), apply_j0(nv)[:, None])
 
     def metric_fn(u):
-        base = hbar(u)
-        et = eta_chart(u)
-        w = 1.0 + q * q
-        out = []
-        for p in range(m):
-            row = []
-            for s in range(m):
-                row.append(q * q * (base[p][s] + w * et[p] * et[s]))
-            out.append(row)
-        return out
+        _, jc, et = frame(u)
+        return q * q * (pulled_back(H, jc) + (1.0 + q * q) * et[:, None] * et)
 
     # The Reeb field is fixed by the derivative law D_x reeb = + phi x; with
     # the phi below this selects the inward-based rotation of the normal.
     def reeb_field(u):
-        nv = chart.fn(u)
-        jn = apply_j0(nv)
-        return [-jn[p] / (q * q) for p in range(m)]
+        jn = apply_j0(chart.fn(u))
+        return -jn[:m] / (q * q)
 
     def phi_matrix(u):
-        # phi w = J0 w + eta_f(w) normal, eta_f = -h'(., J0 normal)
-        nv = chart.fn(u)
-        jn = apply_j0(nv)
-        jc = chart.jac(u)
-        cols = []
-        for p in range(m):
-            W = [jc[i][p] for i in range(d)]
-            coef = -sum(W[i] * H[i, i] * jn[i] for i in range(d))
-            jw = apply_j0(W)
-            img = [jw[i] + coef * nv[i] for i in range(d)]
-            cols.append(img[:m])
-        return [[cols[s][p] for s in range(m)] for p in range(m)]
+        # phi w = J0 w + eta_f(w) normal, eta_f = -h'(., J0 normal), on
+        # every column w of the Jacobian
+        nv, jc, et = frame(u)
+        return (apply_j0(jc) + (-et) * nv[:, None])[:m]
 
     metric = MetricField(metric_fn, m, name=f"sasakian-family[q={q}]")
     return metric, chart, {"reeb": reeb_field, "phi": phi_matrix}

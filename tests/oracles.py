@@ -21,7 +21,11 @@ is not built from a potential: an independent non-potential metric for the
 curvature and Kahler tests.  And the one-point forms of batched kernels
 that no command calls any more: the metric jet and its curvature bundle,
 the sectional curvature of a plane, the radial unit field, the shape data,
-the fit, the hypersphere contact structure and its Gauss cross-check.
+the fit, the hypersphere contact structure and its Gauss cross-check.  And
+the dual fields written entry by entry, in lists of scalars: the graph
+chart, the pullback, the rotational metric and structure, and the Sasakian
+family with its Reeb and phi fields, the references for their array forms
+in ``qck.charts``, ``qck.rotational`` and ``qck.sasakian``.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ import numpy as np
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, MetricField, PotentialFamily, UserSeries,
                          _radial_projectors, radial_unit_jets)
-from qck.charts import pullback_metric
+from qck.charts import GraphChart, pullback_metric
 from qck.core import apply_j0
 from qck.curvature import (CurvatureBundle, PointJet,
                            covariant_derivative, curvature_gate,
                            curvature_tensors, fd_jets, kahler_defect,
                            point_jets)
-from qck.duals import MultiDual, _series, glog, gsqrt, value
+from qck.duals import MultiDual, _series, coefficients, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
 from qck.qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
@@ -638,6 +642,196 @@ def gauss_consistency(space, metric, structure, spheres, K,
     Rc = curvature_tensors(cjet)
     raise_first([curvature_gate(Rc)])
     return _gauss_delta(structure, K, chart, cjet, Rc, seed)
+
+
+# -- the dual fields entry by entry -----------------------------------------------
+
+
+def chart_fn_looped(chart, u):
+    """``GraphChart.fn`` as a list, its radicand summed entry by entry."""
+    chart.guard([value(c) for c in u])
+    return list(u) + [chart.sign * gsqrt(_radicand_looped(chart, u))]
+
+
+def chart_jac_looped(chart, u):
+    """``GraphChart.jac`` as a list of rows of scalars."""
+    chart.guard([value(c) for c in u])
+    w = chart.sign * gsqrt(_radicand_looped(chart, u))
+    k = len(u) - 1 if chart.lorentz else 0
+    rows = [[1.0 if q == p else 0.0 for q in range(chart.nparams)]
+            for p in range(chart.nparams)]
+    rows.append([c / w for c in u[:k]] + [-c / w for c in u[k:]])
+    return rows
+
+
+def _radicand_looped(chart, u):
+    k = len(u) - 1 if chart.lorentz else 0
+    arg = chart.radius**2
+    for c in u[:k]:
+        arg = arg + c * c
+    for c in u[k:]:
+        arg = arg - c * c
+    return arg
+
+
+def pullback_metric_looped(chart, ambient) -> MetricField:
+    """``charts.pullback_metric`` with J^T G J summed entry by entry, the
+    entries p <= q mirrored."""
+    constant = not isinstance(ambient, MetricField)
+    Gconst = np.asarray(ambient, float) if constant else None
+    d, m = chart.ambient_dim, chart.nparams
+
+    def ev(u):
+        jc = chart_jac_looped(chart, u)
+        rows = Gconst if constant else ambient(chart_fn_looped(chart, u))
+        gj = []
+        for i in range(d):
+            col = []
+            for q in range(m):
+                acc = 0.0
+                for a in range(d):
+                    gia = rows[i][a]
+                    if constant and gia == 0.0:
+                        continue
+                    acc = acc + gia * jc[a][q]
+                col.append(acc)
+            gj.append(col)
+        out = [[0.0] * m for _ in range(m)]
+        for p in range(m):
+            for q in range(p, m):
+                e = sum(jc[i][p] * gj[i][q] for i in range(d))
+                out[p][q] = e
+                out[q][p] = e
+        return out
+
+    return MetricField(ev, m, name="pullback-looped")
+
+
+def rotation_metric_looped(profile, n: int = 2) -> MetricField:
+    """``rotational.rotation_metric``'s metric and structure with the inner
+    products of the coordinate vectors of the embedding summed entry by
+    entry."""
+    tag = profile.rotation_type
+    dsph = m = 2 * n
+    sphere = GraphChart(1.0, dsph, lorentz=tag == "III")
+    hs = np.ones(dsph)
+    if tag == "III":
+        hs[-2:] = -1.0
+    e2 = -1.0 if tag == "II" else 1.0
+    esign = -1.0 if tag == "III" else 1.0
+    source = profile.source
+
+    def pieces(u):
+        t = u[0]
+        y = list(u[1:])
+        nv = chart_fn_looped(sphere, y)
+        dn = chart_jac_looped(sphere, y)
+        tp = source.tp(t)
+        dqdt = profile.dqdt(t)
+        cols = [list(nv) + [dqdt]]
+        for j in range(m - 1):
+            cols.append([t * dn[i][j] for i in range(dsph)] + [0.0])
+        return nv, tp, dqdt, cols
+
+    def amb_inner(xa, xb):
+        acc = 0.0
+        for i in range(dsph):
+            acc = acc + hs[i] * xa[i] * xb[i]
+        return acc + e2 * xa[dsph] * xb[dsph]
+
+    def metric_fn(u):
+        nv, tp, dqdt, cols = pieces(u)
+        gb = [[amb_inner(cols[p], cols[s]) for s in range(m)] for p in range(m)]
+        eb = [tp * gb[p][0] for p in range(m)]
+        jn = apply_j0(nv)
+        et = [sum(cols[p][i] * hs[i] * jn[i] for i in range(dsph))
+              for p in range(m)]
+        w = (tp - 1.0) if tag in ("I", "II") else (1.0 - tp)
+        return [[gb[p][s] + w * (eb[p] * eb[s] + et[p] * et[s])
+                 for s in range(m)] for p in range(m)]
+
+    def structure_fn(u):
+        nv, tp, dqdt, cols = pieces(u)
+        jn = apply_j0(nv)
+        qp = dqdt * tp
+        xib = [tp * c for c in nv] + [qp]
+        xit = list(jn) + [0.0]
+        images = []
+        for p in range(m):
+            W = cols[p]
+            acf = esign * amb_inner(W, xib)
+            bcf = esign * amb_inner(W, xit)
+            wd = [W[i] - acf * xib[i] - bcf * xit[i] for i in range(dsph)]
+            jwd = apply_j0(wd)
+            img = [acf * xit[i] - bcf * xib[i] + jwd[i] for i in range(dsph)]
+            img.append(-bcf * qp)
+            images.append(img)
+        M = [[sum(cols[p][i] * cols[s][i] for i in range(dsph + 1))
+              for s in range(m)] for p in range(m)]
+        B = [[sum(cols[r][i] * images[p][i] for i in range(dsph + 1))
+              for p in range(m)] for r in range(m)]
+        if not isinstance(u[0], MultiDual):
+            return np.linalg.solve(M, B)
+        return _solve_first_jet_looped(M, B, u[0])
+
+    return MetricField(metric_fn, m, name=f"rotational-{tag}-looped",
+                       complex_structure=structure_fn)
+
+
+def _solve_first_jet_looped(M, B, seed):
+    p = seed.c.shape[-1]
+    Mc, Bc = coefficients(M, 1, p), coefficients(B, 1, p)
+    M0 = Mc[..., 0, 0]
+    dM, dB = (np.moveaxis(c[..., 1, :], -1, -3) for c in (Mc, Bc))
+    X = np.linalg.solve(M0, Bc[..., 0, 0])
+    dX = np.linalg.solve(M0[..., None, :, :], dB - dM @ X[..., None, :, :])
+    out = np.empty(X.shape + (2, p))
+    out[..., 0, :] = X[..., None]
+    out[..., 1, :] = np.moveaxis(dX, -3, -1)
+    return [[MultiDual(out[..., i, j, :, :], 1) for j in range(len(M))]
+            for i in range(len(M))]
+
+
+def family_h1_metric_looped(n: int, q: float):
+    """``sasakian.family_h1_metric`` entry by entry: (metric, reeb, phi)."""
+    space = AmbientSpace(n, "lorentz")
+    H = space.flat_real()
+    d = space.dim
+    chart = GraphChart(1.0, d, lorentz=True)
+    m = chart.nparams
+    hbar = pullback_metric_looped(chart, H)
+
+    def eta_chart(u):
+        jn = apply_j0(chart_fn_looped(chart, u))
+        jc = chart_jac_looped(chart, u)
+        return [sum(jc[i][p] * H[i, i] * jn[i] for i in range(d))
+                for p in range(m)]
+
+    def metric_fn(u):
+        base = hbar(u)
+        et = eta_chart(u)
+        w = 1.0 + q * q
+        return [[q * q * (base[p][s] + w * et[p] * et[s]) for s in range(m)]
+                for p in range(m)]
+
+    def reeb_field(u):
+        jn = apply_j0(chart_fn_looped(chart, u))
+        return [-jn[p] / (q * q) for p in range(m)]
+
+    def phi_matrix(u):
+        nv = chart_fn_looped(chart, u)
+        jn = apply_j0(nv)
+        jc = chart_jac_looped(chart, u)
+        cols = []
+        for p in range(m):
+            W = [jc[i][p] for i in range(d)]
+            coef = -sum(W[i] * H[i, i] * jn[i] for i in range(d))
+            jw = apply_j0(W)
+            cols.append([jw[i] + coef * nv[i] for i in range(d)][:m])
+        return [[cols[s][p] for s in range(m)] for p in range(m)]
+
+    return (MetricField(metric_fn, m, name=f"sasakian-family-looped[q={q}]"),
+            reeb_field, phi_matrix)
 
 
 # -- conformal pairs ----------------------------------------------------------

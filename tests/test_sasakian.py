@@ -473,6 +473,7 @@ class TestEvaluationCounts:
         assert counts == {"curvature": 2, "evaluations": 2}
 
     def test_family_report(self, counts):
-        # the family metric evaluates the pulled-back flat metric inside
+        # the family metric pulls the flat form back with its own chart
+        # Jacobian, so its jet is one evaluation
         family_h1_report(2, 2.0)
-        assert counts == {"curvature": 1, "evaluations": 2}
+        assert counts == {"curvature": 1, "evaluations": 1}
