@@ -5,9 +5,11 @@ h(x, x) = +-radius^2 of the flat form h and uses the remaining ones as
 parameters.  The signature of h is data of the chart, as in
 ``AmbientSpace.square_norm``: the definite h = diag(1, ..., 1) with the round
 sphere h(x, x) = radius^2, or the Lorentz h = diag(1, ..., 1, -1, -1) with
-the hypersphere h(x, x) = -radius^2.  Both the chart map and its closed-form
-Jacobian evaluate in generic arithmetic, so a pulled-back metric can be
-pushed through the dual-number jet machinery without nesting derivatives.
+the hypersphere h(x, x) = -radius^2.  The chart map and its closed-form
+Jacobian are array expressions on floats or on duals with component axes
+(``qck.duals``), so a pulled-back metric, J^T G J, goes through the
+dual-number jet machinery in a few array operations without nesting
+derivatives.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def pulled_back(G, jac):
     floats or duals with component axes, in two contractions over the
     ambient axis: (G J)[i, q] = sum_a G[i, a] J[a, q], and then the entries
     p <= q of sum_i J[i, p] (G J)[i, q], mirrored."""
-    ps, qs, mirror = _upper(jac.shape[1] if isinstance(jac, np.ndarray)
-                            else jac.c.shape[1])
+    ps, qs, mirror = _upper((jac.c if isinstance(jac, MultiDual)
+                             else jac).shape[1])
     gj = contract(G[:, :, None], jac[None], axis=1)
     return contract(jac[:, ps], gj[:, qs])[mirror]
 

@@ -324,9 +324,6 @@ def stack(xs):
         return objs.astype(float)
     for y in duals:
         duals[0]._check(y)
-    if len(duals) == objs.size and len({y.c.shape for y in duals}) == 1:
-        return MultiDual(np.stack([y.c for y in duals]).reshape(
-            objs.shape + duals[0].c.shape), duals[0].m)
     tail = np.broadcast_shapes(*(y.c.shape for y in duals))
     out = np.zeros(objs.shape + tail)
     flat = out.reshape((objs.size,) + tail)
@@ -340,8 +337,8 @@ def stack(xs):
 
 def concat(parts, axis: int = 0):
     """``np.concatenate`` along the component axis ``axis`` of float arrays
-    and MultiDuals that have the same component axes: a float array enters
-    as a constant, and the points and direction axes broadcast."""
+    and MultiDuals with the same component, points and direction axes: a
+    float array enters as a constant at every point and in every column."""
     duals = [x for x in parts if isinstance(x, MultiDual)]
     if not duals:
         return np.concatenate(parts, axis)
@@ -355,14 +352,8 @@ def concat(parts, axis: int = 0):
         c[..., 0, :] = x.reshape(x.shape + (1,) * (ref.ndim - 1 - x.ndim))
         return c
 
-    cs = [payload(x) for x in parts]
-    if len({c.shape[:axis] + c.shape[axis + 1:] for c in cs}) > 1:
-        shape = list(np.broadcast_shapes(
-            *(c.shape[:axis] + (1,) + c.shape[axis + 1:] for c in cs)))
-        for k, c in enumerate(cs):
-            shape[axis] = c.shape[axis]
-            cs[k] = np.broadcast_to(c, shape)
-    return MultiDual(np.concatenate(cs, axis), duals[0].m)
+    return MultiDual(np.concatenate([payload(x) for x in parts], axis),
+                     duals[0].m)
 
 
 def weigh(w, x):
