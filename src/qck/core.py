@@ -8,6 +8,8 @@ z^a = x_a + i y_a, so the standard complex structure acts blockwise by
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .duals import MultiDual, weigh
@@ -40,9 +42,16 @@ def apply_j0(x):
         for a in range(len(out) // 2):
             out[2 * a], out[2 * a + 1] = -x[2 * a + 1], x[2 * a]
         return out
-    size = (x.c if isinstance(x, MultiDual) else x).shape[0]
-    pairs = np.arange(size) ^ 1  # 2a <-> 2a + 1
-    return weigh(np.where(np.arange(size) % 2, 1.0, -1.0), x[pairs])
+    pairs, signs = _j0_pairs((x.c if isinstance(x, MultiDual) else x).shape[0])
+    return weigh(signs, x[pairs])
+
+
+@functools.cache
+def _j0_pairs(size: int):
+    """The index 2a + 1 for 2a and 2a for 2a + 1, and the sign -1 on the
+    even entries that J0 takes: J0 x = signs * x[pairs]."""
+    index = np.arange(size)
+    return index ^ 1, np.where(index % 2, 1.0, -1.0)
 
 
 def hermitian_to_real(H) -> np.ndarray:
