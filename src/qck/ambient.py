@@ -40,6 +40,7 @@ point of a batch, so the unit field costs no evaluation of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,7 +80,9 @@ class AmbientSpace:
         return np.diag(d)
 
     def flat_real(self) -> np.ndarray:
-        return hermitian_to_real(self.flat_hermitian())
+        """The flat form in real coordinates: built once per space and
+        read-only, as every caller shares it."""
+        return _flat_real(self)
 
     def square_norm(self, x):
         """<Z, Z> of the flat form, on generic scalars."""
@@ -107,6 +110,13 @@ class AmbientSpace:
         w = self.square_norm(x)
         raise_first([self.radius_gate(value(w))])
         return gsqrt(-w) if self.lorentz else gsqrt(w)
+
+
+@functools.cache
+def _flat_real(space: AmbientSpace) -> np.ndarray:
+    H = hermitian_to_real(space.flat_hermitian())
+    H.flags.writeable = False
+    return H
 
 
 # -- potential families -------------------------------------------------------
@@ -532,13 +542,26 @@ def potential_matrices(space: AmbientSpace, family: PotentialFamily, X):
     return _matrices(space, space.flat_real(), X, w, f1, f2)
 
 
+@functools.cache
+def _jet_constants(space: AmbientSpace):
+    """The constants of a space that ``potential_jets`` reads: h = diag(H),
+    M = J0 H, and the second partials d2A[k, l, i, j] of A (see there),
+    which do not depend on the point.  Built once per space, read-only."""
+    H = space.flat_real()
+    M = j0_matrix(space.n) @ H
+    cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
+    d2A = cross + cross.transpose(1, 0, 2, 3)
+    M.flags.writeable = d2A.flags.writeable = False
+    return np.diag(H), M, d2A
+
+
 def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
     """G, dG and d2G of the metric of ``family`` at the rows of X, (P, d), in
     closed form, G as ``potential_matrices`` takes it; see the module
     docstring.  Nothing is checked here either.
     """
     H = space.flat_real()
-    h = np.diag(H)
+    h, M, d2A = _jet_constants(space)
     w = space.square_norm(X.T)
     f1, f2, f3, f4 = (np.broadcast_to(f, w.shape)[:, None, None] for f in (
         family.d1(w), family.d2(w), family.d3(w), family.d4(w)))
@@ -548,12 +571,9 @@ def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
     u = h * X
     v = _rotate(u)
     A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
-    M = j0_matrix(space.n) @ H
     half = (H.T[:, :, None] * u[:, None, None, :]
             + M.T[:, :, None] * v[:, None, None, :])
     dA = half + half.swapaxes(-1, -2)
-    cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
-    d2A = cross + cross.transpose(1, 0, 2, 3)
     wk = 2.0 * u
     ww = wk[:, :, None] * wk[:, None, :]
     dG = (2.0 * wk[:, :, None, None] * (f2 * H + f3 * A)[:, None]

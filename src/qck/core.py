@@ -24,12 +24,15 @@ def complex_to_real(z) -> np.ndarray:
     return out
 
 
+@functools.cache
 def j0_matrix(n: int) -> np.ndarray:
-    """Standard complex structure on R^{2n}, blockwise (x, y) -> (-y, x)."""
+    """Standard complex structure on R^{2n}, blockwise (x, y) -> (-y, x):
+    built once per n and read-only, as every caller shares it."""
     J = np.zeros((2 * n, 2 * n))
     for a in range(n):
         J[2 * a, 2 * a + 1] = -1.0
         J[2 * a + 1, 2 * a] = 1.0
+    J.flags.writeable = False
     return J
 
 
