@@ -40,7 +40,7 @@ from .charts import GraphChart, pullback_metric, pulled_back, tangent_params
 from .core import apply_j0, j0_matrix
 from .curvature import (PointJet, covariant_derivative, curvature_gate,
                         curvature_tensors, point_jets)
-from .duals import contract, eval_with_partials, weigh
+from .duals import concat, contract, eval_with_partials, weigh
 from .errors import (DomainError, NotSasakian, NotSpaceForm,
                      NumericalBreakdown, raise_first)
 from .qch import (QCDecomposition, _gdot, adapted_frames, frame_fit,
@@ -539,12 +539,13 @@ def family_h1_metric(n: int, q: float):
     """Sasakian family metric on the unit hypersphere of the Lorentz flat
     form, in graph chart coordinates.
 
-    Returns (metric, chart, fields) where fields carries the chart
-    expressions of the structure: the Reeb field and the phi matrix field.
-    All three are array expressions on floats or on duals with component
-    axes (``qck.duals``): the covector eta of the chart is one contraction
-    of the chart Jacobian with J0 of the normal, and phi applies J0 to every
-    column of the Jacobian at once.
+    Returns (metric, chart, structure) where structure is the chart
+    expression of the structure: at u, the m x (m + 1) matrix whose first m
+    columns are the phi matrix and whose last column is the Reeb field, both
+    from one solve of the chart.  Both fields are array expressions on
+    floats or on duals with component axes (``qck.duals``): the covector
+    eta of the chart is one contraction of the chart Jacobian with J0 of the
+    normal, and phi applies J0 to every column of the Jacobian at once.
     """
     if q <= 0:
         raise DomainError("family parameter q must be positive")
@@ -564,27 +565,25 @@ def family_h1_metric(n: int, q: float):
         _, jc, et = frame(u)
         return q * q * (pulled_back(H, jc) + (1.0 + q * q) * et[:, None] * et)
 
-    # The Reeb field is fixed by the derivative law D_x reeb = + phi x; with
-    # the phi below this selects the inward-based rotation of the normal.
-    def reeb_field(u):
-        jn = apply_j0(chart.fn(u))
-        return -jn[:m] / (q * q)
-
-    def phi_matrix(u):
+    def structure(u):
+        nv, jc, et = frame(u)
         # phi w = J0 w + eta_f(w) normal, eta_f = -h'(., J0 normal), on
         # every column w of the Jacobian
-        nv, jc, et = frame(u)
-        return (apply_j0(jc) + (-et) * nv[:, None])[:m]
+        phi = (apply_j0(jc) + (-et) * nv[:, None])[:m]
+        # The Reeb field is fixed by the derivative law D_x reeb = + phi x;
+        # with this phi it is the inward-based rotation of the normal.
+        reeb = -apply_j0(nv)[:m] / (q * q)
+        return concat([phi, reeb[:, None]], axis=1)
 
     metric = MetricField(metric_fn, m, name=f"sasakian-family[q={q}]")
-    return metric, chart, {"reeb": reeb_field, "phi": phi_matrix}
+    return metric, chart, structure
 
 
 def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     """Verification of the family metric: alpha, the derivative laws, the
     phi-sectional value, and the space form model, all intrinsic, by the
     checks of ``sphere_reports`` at a batch of one chart point."""
-    metric, chart, fields = family_h1_metric(n, q)
+    metric, chart, structure = family_h1_metric(n, q)
     m = chart.nparams
     rng = np.random.default_rng(seed)
     u0 = 0.25 * rng.normal(size=m)
@@ -592,8 +591,10 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
 
     U = u0[None]
     jet = point_jets(metric, U)
-    reeb, dreeb = eval_with_partials(fields["reeb"], U)
-    phi, dphi = eval_with_partials(fields["phi"], U)
+    # phi and the Reeb field, with their partials, from one evaluation
+    values, partials = eval_with_partials(structure, U)
+    phi, dphi = (np.ascontiguousarray(a[..., :m]) for a in (values, partials))
+    reeb, dreeb = (np.ascontiguousarray(a[..., m]) for a in (values, partials))
     B = _family_tangent_basis(jet.G[0], reeb[0])[None]
     structure = AlmostContact(jet, xi_tilde=reeb,
                               eta_tilde=np.einsum("pij,pj->pi", jet.G, reeb),

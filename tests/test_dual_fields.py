@@ -94,39 +94,42 @@ class TestRotational:
 class TestSasakianFamily:
     def test_jets_equal_the_looped_fields(self, q, n):
         U = chart_points(n, seed=int(q) + n)
-        metric, _, fields = family_h1_metric(n, q)
+        metric, _, structure = family_h1_metric(n, q)
         looped, reeb, phi = family_h1_metric_looped(n, q)
         assert_same_jets(point_jets(metric, U), point_jets(looped, U),
                          ("G", "dG", "d2G"))
-        for name, want in (("reeb", reeb), ("phi", phi)):
-            for got, ref in zip(eval_with_partials(fields[name], U),
-                                eval_with_partials(want, U)):
-                assert np.array_equal(got, ref), name
+        m = U.shape[1]
+        for got, ref_phi, ref_reeb in zip(eval_with_partials(structure, U),
+                                          eval_with_partials(phi, U),
+                                          eval_with_partials(reeb, U)):
+            assert np.array_equal(got[..., :m], ref_phi)
+            assert np.array_equal(got[..., m], ref_reeb)
 
     def test_float_path(self, q, n):
         U = chart_points(n, seed=int(q) + n + 10)
-        metric, _, fields = family_h1_metric(n, q)
+        metric, _, structure = family_h1_metric(n, q)
         looped, reeb, phi = family_h1_metric_looped(n, q)
         jets = point_jets(metric, U)
+        m = U.shape[1]
         for k, u in enumerate(U):
             G = metric.matrix(u)
             assert np.array_equal(G, looped.matrix(u))
             assert np.allclose(G, jets.G[k], rtol=1e-14, atol=1e-14)
-            assert np.array_equal(fields["reeb"](list(u)), reeb(list(u)))
-            assert np.array_equal(fields["phi"](list(u)), phi(list(u)))
+            both = structure(list(u))
+            assert np.array_equal(both[:, m], reeb(list(u)))
+            assert np.array_equal(both[:, :m], phi(list(u)))
 
     def test_batch_rows_equal_one_point_jets(self, q, n):
         U = chart_points(n, seed=int(q) + n + 20)
-        metric, _, fields = family_h1_metric(n, q)
+        metric, _, structure = family_h1_metric(n, q)
         jets = point_jets(metric, U)
         for k, u in enumerate(U):
             assert_same_jets(jets.rows(k), point_jets(metric, u[None]).rows(0),
                              ("G", "dG", "d2G"))
-        for name in ("reeb", "phi"):
-            batch = eval_with_partials(fields[name], U)
-            for k, u in enumerate(U):
-                for got, one in zip(batch, eval_with_partials(fields[name], u)):
-                    assert np.array_equal(got[k], one), name
+        batch = eval_with_partials(structure, U)
+        for k, u in enumerate(U):
+            for got, one in zip(batch, eval_with_partials(structure, u)):
+                assert np.array_equal(got[k], one)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qck import ambient, curvature, sasakian
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, LogFamily,
                          flat_metric, potential_metric)
-from qck.charts import pullback_metric
+from qck.charts import GraphChart, pullback_metric
 from qck.core import j0_matrix
 from qck.curvature import covariant_derivative, curvature_tensors
 from qck.duals import eval_with_partials
@@ -392,9 +392,9 @@ class TestTensorAgainstClosure:
 
 class TestJetCounts:
     """A report takes one jet per point it works at and reuses it, with its
-    connection; the only fields it differentiates by duals, besides the
-    metrics without a closed-form rule, are the family's chart Reeb and phi
-    fields.  "second" counts the metric jets, "dual" those of them taken by
+    connection; the only field it differentiates by duals, besides the
+    metrics without a closed-form rule, is the family's chart structure,
+    phi and the Reeb field in one evaluation.  "second" counts the metric jets, "dual" those of them taken by
     the one second-order dual kernel, and "partials" the calls of the one
     first-order kernel."""
 
@@ -429,11 +429,26 @@ class TestJetCounts:
                         "partials": 0}
 
     def test_family_report(self, jets):
-        # the metric's dual jet, and first jets of the chart Reeb and phi
-        # fields
+        # the metric's dual jet, and one first jet of the chart phi and
+        # Reeb fields
         family_h1_report(2, 2.0)
         assert jets == {"second": 1, "dual": 1, "christoffel": 1,
-                        "partials": 2}
+                        "partials": 1}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_family_report_solves_the_chart_twice(self, monkeypatch, n):
+        # once for the metric's jet and once for phi and the Reeb field
+        calls = {"fn_jac": 0, "solved": 0}
+        for name, key in (("fn_jac", "fn_jac"), ("_solved", "solved")):
+            method = getattr(GraphChart, name)
+
+            def counted(chart, u, method=method, key=key):
+                calls[key] += 1
+                return method(chart, u)
+
+            monkeypatch.setattr(GraphChart, name, counted)
+        family_h1_report(n, 2.0)
+        assert calls == {"fn_jac": 2, "solved": 2}
 
 
 class TestEvaluationCounts:
