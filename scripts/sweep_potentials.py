@@ -19,22 +19,33 @@ from qck.qch import decompose_points
 from qck.sampling import point_at_radius
 
 
-def sweep_rows(space, family, radii, seed=0):
-    """One table row per radius: the decomposition there, or the reason it
-    was rejected.  All radii go through one batched pass."""
+def sweep_rows(space, families, radii, seed=0):
+    """One table per family, of one row per radius: the decomposition
+    there, or the reason it was rejected.  The radii of every family go
+    through one batched call, a family per row."""
     X = np.array([point_at_radius(space, r, seed=seed) for r in radii])
-    for r, res in zip(radii, decompose_points(space, family, X, checked=False)):
-        report = res.admissibility
-        if not report.ok:
-            reason = "outside domain" if not report.in_domain else "inadmissible"
-            yield (f"{r:6.3f}  -- {reason} (f'={report.f_prime:.3g}, "
-                   f"f'+wf''={report.f_prime_plus_wf2:.3g})")
-        elif res.first_error is not None:
-            yield f"{r:6.3f}  -- {res.first_error}"
-        else:
-            dec = res.decomposition
-            yield (f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} {dec.c:13.6e} "
-                   f"{dec.k:13.6e} {dec.a_plus_k2:13.6e}  {dec.klass}")
+    rec = decompose_points(space, [f for f in families for _ in radii],
+                           np.tile(X, (len(families), 1)), checked=False)
+    adm = rec.admissibility
+    tables = []
+    for start in range(0, len(rec.point), len(radii)):
+        rows = []
+        for i, r in enumerate(radii, start):
+            if not adm.ok[i]:
+                reason = ("outside domain" if not adm.in_domain[i]
+                          else "inadmissible")
+                rows.append(f"{r:6.3f}  -- {reason} "
+                            f"(f'={adm.f_prime[i]:.3g}, "
+                            f"f'+wf''={adm.f_prime_plus_wf2[i]:.3g})")
+            elif rec.first_error(i) is not None:
+                rows.append(f"{r:6.3f}  -- {rec.first_error(i)}")
+            else:
+                dec = rec.decomposition(i)
+                rows.append(f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} "
+                            f"{dec.c:13.6e} {dec.k:13.6e} "
+                            f"{dec.a_plus_k2:13.6e}  {dec.klass}")
+        tables.append(rows)
+    return tables
 
 
 def sweep(space, kind, params, radii, seed, r0=1.0):
@@ -42,6 +53,7 @@ def sweep(space, kind, params, radii, seed, r0=1.0):
              f"{'a+k^2':>13s}  class"
     if kind == "inverse":
         params = params[:1]  # no family parameter to vary
+    families = []
     for value in params:
         if kind in ("log", "dlog"):
             obj = {"kind": kind, "a": value, "r0": r0}
@@ -49,11 +61,13 @@ def sweep(space, kind, params, radii, seed, r0=1.0):
             obj = {"kind": "series", "coeffs": [0.0, value]}
         else:
             obj = {"kind": "inverse"}
-        family = family_from_json(obj)
+        families.append(family_from_json(obj))
+    for family, rows in zip(families, sweep_rows(space, families, radii,
+                                                 seed=seed)):
         print(f"\n== {family.describe()} "
               f"({space.signature} signature, n={space.n}) ==")
         print(header)
-        for row in sweep_rows(space, family, radii, seed=seed):
+        for row in rows:
             print(row)
 
 

@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from .config import RunConfig, apply_overrides, check_seed, load_config
-from .curvature import kahler_defect
+from .curvature import CurvatureBundle, kahler_defect
 from .errors import QckError
 from .qch import decompose_points
 from .rotational import bochner_meridian, const_hsc_profile
 from .sampling import radial_points
 from .sasakian import family_h1_report, sphere_reports
+from .tensors import Tensor4
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -71,13 +72,13 @@ def _points(cfg: RunConfig) -> np.ndarray:
                                   cfg.points.rmax, seed=cfg.points.seed))
 
 
-def _results(cfg: RunConfig, checked: bool = True, fit: bool = True):
-    """(entry, result) per sample point of the config, the entry tagged with
-    the point's index and coordinates."""
-    results = decompose_points(cfg.ambient(), cfg.family(), _points(cfg),
-                               checked=checked, fit=fit)
-    for index, res in enumerate(results):
-        yield {"index": index, "point": [float(c) for c in res.point]}, res
+def _record(cfg: RunConfig, checked: bool = True, fit: bool = True):
+    """The decomposition record of the sample points of the config, and
+    one entry per point tagged with its index and coordinates."""
+    record = decompose_points(cfg.ambient(), cfg.family(), _points(cfg),
+                              checked=checked, fit=fit)
+    return record, [{"index": i, "point": [float(c) for c in x]}
+                    for i, x in enumerate(record.point)]
 
 
 def _error_text(exc: QckError) -> str:
@@ -89,37 +90,39 @@ def _error_text(exc: QckError) -> str:
 
 def cmd_check_potential(args) -> int:
     cfg = _config_from_args(args)
-    entries = []
-    for entry, res in _results(cfg, checked=False):
-        entries.append(entry)
-        rep = res.admissibility
-        entry.update(w=float(rep.w), in_domain=bool(rep.in_domain),
-                     admissible=bool(rep.ok))
-        if res.bundle is not None:
-            jet = res.bundle.jet
-            entry.update(min_eigenvalue=float(np.linalg.eigvalsh(jet.G)[0]),
-                         kahler_defect=kahler_defect(jet))
-        if res.error is not None:
-            entry["error"] = _error_text(res.error)
+    rec, entries = _record(cfg, checked=False)
+    adm = rec.admissibility
+    # the least eigenvalue of G and the Kahler defect of every row past the
+    # curvature gate, in one call each
+    jet_values = dict(zip(rec.curved.tolist(), zip(
+        np.linalg.eigvalsh(rec.jet.G)[:, 0].tolist(),
+        kahler_defect(rec.jet).tolist())))
+    for i, entry in enumerate(entries):
+        entry.update(w=float(adm.w[i]), in_domain=bool(adm.in_domain[i]),
+                     admissible=bool(adm.ok[i]))
+        if i in jet_values:
+            entry["min_eigenvalue"], entry["kahler_defect"] = jet_values[i]
+        if rec.error[i] is not None:
+            entry["error"] = _error_text(rec.error[i])
             continue
-        checks = {"admissible": bool(rep.ok),
+        checks = {"admissible": bool(adm.ok[i]),
                   "positive": bool(entry["min_eigenvalue"] > 0),
                   "kahler": bool(entry["kahler_defect"]
                                  < cfg.tolerance("kahler"))}
-        failed = res.shape_error or res.fit_error
+        failed = rec.shape_error[i] or rec.fit_error[i]
         if failed is None:
-            entry["decomposition"] = res.decomposition.to_json()
+            entry["decomposition"] = rec.decomposition(i).to_json()
         else:
             # The shape frame need not exist (the sign-flipped flat form
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
             entry["shape_error"] = _error_text(failed)
-            if res.fit_error is not None:
-                entry["error"] = _error_text(res.fit_error)
+            if rec.fit_error[i] is not None:
+                entry["error"] = _error_text(rec.fit_error[i])
                 continue
             entry["decomposition"] = dict(zip(("a", "b", "c", "residual"),
-                                              res.fit))
-        checks["residual"] = bool(res.fit[3] < cfg.tolerance("residual"))
+                                              rec.fit(i)))
+        checks["residual"] = bool(rec.residual[i] < cfg.tolerance("residual"))
         entry["checks"] = checks
     all_ok = all("error" not in e and all(e["checks"].values())
                  for e in entries)
@@ -130,13 +133,15 @@ def cmd_check_potential(args) -> int:
 
 def cmd_curvature(args) -> int:
     cfg = _config_from_args(args)
-    entries = []
-    for entry, res in _results(cfg, fit=False):
-        entries.append(entry)
-        if res.error is not None:
-            entry["error"] = _error_text(res.error)
+    rec, entries = _record(cfg, fit=False)
+    curved = {i: r for r, i in enumerate(rec.curved.tolist())}
+    for i, entry in enumerate(entries):
+        if rec.error[i] is not None:
+            entry["error"] = _error_text(rec.error[i])
             continue
-        bundle, xi = res.bundle, res.xi
+        r = curved[i]
+        bundle = CurvatureBundle(rec.jet.rows(r), Tensor4(rec.R[r]))
+        xi = rec.xi[i]
         scale = max(1.0, bundle.R.scale())
         entry.update({
             "tau": bundle.scalar_curvature(),
@@ -156,13 +161,13 @@ def cmd_curvature(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
-    entries = []
-    for entry, res in _results(cfg):
-        entries.append(entry)
-        if res.first_error is not None:
-            entry["error"] = _error_text(res.first_error)
+    rec, entries = _record(cfg)
+    for i, entry in enumerate(entries):
+        error = rec.first_error(i)
+        if error is not None:
+            entry["error"] = _error_text(error)
         else:
-            entry["decomposition"] = res.decomposition.to_json()
+            entry["decomposition"] = rec.decomposition(i).to_json()
     all_ok = all("error" not in e and e["decomposition"]["residual"]
                  < cfg.tolerance("residual") for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "decompose",

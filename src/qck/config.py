@@ -25,8 +25,10 @@ DEFAULT_POTENTIAL = {"kind": "log", "a": -1.0, "r0": 1.0}
 
 def worker_count() -> int:
     """The QCK_THREADS setting: 1 unless it asks for more (capped at 32).
-    No command reads it: ``qch.decompose_points`` batches per-point work in
-    one thread.  The benchmark's run metadata still reports it."""
+    No command reads it: ``qch.decompose_points`` runs the points of one
+    potential or of several in passes over a points axis, in one thread,
+    each pass sized by memory.  The benchmark's run metadata still reports
+    it."""
     raw = os.environ.get("QCK_THREADS", "").strip()
     if not raw:
         return 1

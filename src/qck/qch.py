@@ -19,12 +19,16 @@ frame's complement rows.  ``basis_arrays`` and ``build_basis_tensors`` build
 the tensors in coordinates, where ``tensors.tensor4_fit`` fits them; that
 path is the oracle of the frame fit.
 
-``decompose_points`` is the one entry point for many sample points of a
-potential metric: it runs the jet, connection, curvature, unit field, frame,
-shape data and fit over a points axis, ``CHUNK`` points per pass, and gives
-each point the error its gates name there.  The frame, shape data and fit
-kernels (``adapted_frames``, ``shape_arrays``, ``frame_fit``) take that
-axis, and so do the hypersphere reports of ``qck.sasakian``.
+``decompose_points`` is the one entry point for many sample points of
+potential metrics: it runs the jet, connection, curvature, unit field,
+frame, shape data and fit over a points axis, as many points per pass as
+``PASS_COMPONENTS`` allows, and gives each point the error its gates name
+there.  The potential may differ from row to row: a family enters a pass
+only through its domain and its derivatives f', ..., f'''' at the rows'
+square norms, so the rows of several families share one pass.  It returns
+one ``DecompositionRecord`` of arrays over the rows.  The frame, shape data
+and fit kernels (``adapted_frames``, ``shape_arrays``, ``frame_fit``) take
+the points axis, and so do the hypersphere reports of ``qck.sasakian``.
 
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
@@ -36,7 +40,8 @@ radial projector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,8 +49,8 @@ from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       RadialFrame, admissibility, potential_metric,
                       radial_unit_jets)
 from .core import j0_matrix
-from .curvature import (CurvatureBundle, PointJet, covariant_derivative,
-                        curvature_gate, curvature_tensors, point_jets)
+from .curvature import (PointJet, covariant_derivative, curvature_gate,
+                        curvature_tensors, point_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
 from .tensors import Tensor4
@@ -60,20 +65,6 @@ UNIT_TOL = 1e-8
 
 
 # -- shape data of the radial distribution -------------------------------------
-
-
-@dataclass(frozen=True)
-class ShapeData:
-    """Shape coefficients of a unit radial field: the common normal curvature
-    k of the directions orthogonal to the (xi, J xi) plane, and the structure
-    coefficient p_star of the J xi direction."""
-
-    k: float
-    p_star: float
-    xi: np.ndarray
-    variant: str  # "riemannian" | "lorentz"
-    spread: float
-    model_defect: float
 
 
 def _gdot(G, u, v):
@@ -200,12 +191,6 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     return k, p_star, sq, spread, model_defect, [unit, complete, uniform]
 
 
-def _shape_data(xi, k, p_star, sq, spread, model_defect) -> ShapeData:
-    return ShapeData(k=float(k), p_star=float(p_star), xi=xi,
-                     variant="lorentz" if sq < 0.0 else "riemannian",
-                     spread=float(spread), model_defect=float(model_defect))
-
-
 # -- structural basis tensors ---------------------------------------------------
 
 
@@ -284,12 +269,12 @@ def basis_arrays(G, J, xi):
     return B, [unit]
 
 
-def build_basis_tensors(G, J, frame: RadialFrame | ShapeData) -> BasisTensors:
+def build_basis_tensors(G, J, frame: RadialFrame) -> BasisTensors:
     """The structural (0,4)-tensors pi, phi and psi determined by (g, J, xi)
     at a point: the one-point case of ``basis_arrays``.
 
-    ``frame.xi`` must be unit with respect to G to within ``UNIT_TOL``;
-    FrameError otherwise.
+    ``frame.xi``, the unit vector of any frame record, must be unit with
+    respect to G to within ``UNIT_TOL``; FrameError otherwise.
     """
     B, gates = basis_arrays(np.asarray(G, float)[None],
                             np.asarray(J, float)[None],
@@ -450,106 +435,224 @@ def bochner_flat(B: Tensor4) -> bool:
 
 # -- many points of a potential metric ---------------------------------------------
 
-# Points per batched pass of ``decompose_points``.  A pass holds about 0.3 MB
-# of arrays per point at n = 4, so this bounds the memory of any sample.
-CHUNK = 16
+# Curvature components that one pass of ``decompose_points`` holds, rows
+# times d^4: 256 rows at n = 2, 50 at n = 3 and 16 at n = 4.  A pass holds
+# about 0.3 MB of arrays per row at n = 4, so this bounds the memory of a
+# pass over any sample.
+PASS_COMPONENTS = 16 * 8 ** 4
+
+
+def pass_rows(dim: int) -> int:
+    """Rows per pass of ``decompose_points`` in a chart of dimension dim."""
+    return max(1, PASS_COMPONENTS // dim ** 4)
+
+
+class _RowFamilies(PotentialFamily):
+    """One potential family per row of a pass.  Its array methods take the
+    square norms w of those rows and evaluate each distinct family once, on
+    its own rows; they are all that ``admissibility``, ``potential_gates``
+    and ``potential_jets`` read of a family, so a row gets the values of
+    its own family to the bit."""
+
+    kind = "rows"
+
+    def __init__(self, families):
+        groups = {}
+        for row, family in enumerate(families):
+            groups.setdefault(family, []).append(row)
+        self.groups = [(f, np.array(rows)) for f, rows in groups.items()]
+
+    def _each(self, method, w):
+        out = None
+        for family, rows in self.groups:
+            v = np.asarray(getattr(family, method)(w[rows]))
+            if out is None:
+                out = np.empty(w.shape, dtype=v.dtype)
+            out[rows] = v
+        return out
+
+    def in_domain(self, w):
+        return self._each("in_domain", w)
+
+    def d1(self, w):
+        return self._each("d1", w)
+
+    def d2(self, w):
+        return self._each("d2", w)
+
+    def d3(self, w):
+        return self._each("d3", w)
+
+    def d4(self, w):
+        return self._each("d4", w)
 
 
 @dataclass(frozen=True)
-class PointResult:
-    """What ``decompose_points`` found at one sample point.
+class DecompositionRecord:
+    """What ``decompose_points`` found at the P rows of X, as arrays.
 
-    ``error`` is the first gate the point failed up to its radial unit field:
-    the family's domain, admissibility (when checked), a radius, a finite
-    jet, the condition of G, the curvature symmetries, and a space-like
-    radial direction.  A point past the curvature gate has its curvature
-    ``bundle`` (whose jet is the point's); one that passes them all has the
-    unit field ``xi`` too.  With ``fit``, ``shape`` or ``shape_error`` say
-    how its shape data went, and ``fit`` = (a, b, c, residual) or
-    ``fit_error`` how the fit on the basis built on xi went;
-    ``decomposition`` combines the two.
+    Per row: ``point`` (P, d); ``admissibility``, whose fields are arrays
+    (P,); ``error``, the first gate the row failed up to its radial unit
+    field (the family's domain, admissibility when checked, a radius, a
+    finite jet, the condition of G, the curvature symmetries, a space-like
+    radial direction) or None.
+
+    By stage: ``curved`` holds the rows past the curvature gate, in order,
+    and ``jet`` and ``R`` (C, d, d, d, d) their jets and curvature tensors,
+    row for row; ``unit`` the rows of those with a radial unit field, whose
+    ``xi`` (P, d) is nan on the other rows.
+
+    With ``fit``: the shape data of each unit row, ``k``, ``p_star``, ``sq``
+    = g(xi, xi), ``spread`` and ``model_defect`` (P,), or ``shape_error``;
+    and the fit on the frame of its xi, ``coeffs`` (P, 3) = (a, b, c) and
+    ``residual`` (P,), or ``fit_error``.  Each array is nan where its
+    stage failed or was not reached, and each error tuple holds None there.
+    Without ``fit`` these arrays are None.
     """
 
     point: np.ndarray
     admissibility: AdmissibilityReport
-    error: QckError | None = None
-    bundle: CurvatureBundle | None = None
-    xi: np.ndarray | None = None
-    shape: ShapeData | None = None
-    shape_error: QckError | None = None
-    fit: tuple | None = None
-    fit_error: QckError | None = None
+    error: tuple
+    curved: np.ndarray
+    jet: PointJet
+    R: np.ndarray
+    unit: np.ndarray
+    xi: np.ndarray
+    shape_error: tuple
+    fit_error: tuple
+    k: np.ndarray | None = None
+    p_star: np.ndarray | None = None
+    sq: np.ndarray | None = None
+    spread: np.ndarray | None = None
+    model_defect: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
-    @property
-    def first_error(self) -> QckError | None:
-        """The first error of the point, whatever the stage."""
-        return self.error or self.shape_error or self.fit_error
+    def first_error(self, row: int) -> QckError | None:
+        """The first error of a row, whatever the stage."""
+        return self.error[row] or self.shape_error[row] or self.fit_error[row]
 
-    @property
-    def decomposition(self) -> QCDecomposition | None:
-        if self.shape is None or self.fit is None:
+    def fit(self, row: int) -> tuple | None:
+        """(a, b, c, residual) of a row as floats, None without a fit."""
+        if self.residual is None or self.fit_error[row] is not None \
+                or self.error[row] is not None:
             return None
-        return QCDecomposition.of(*self.fit, self.shape.k)
+        return tuple(self.coeffs[row].tolist()) + (float(self.residual[row]),)
+
+    def decomposition(self, row: int) -> QCDecomposition | None:
+        """The fit of a row classified with its k; None unless both its
+        shape data and its fit stand."""
+        fit = self.fit(row)
+        if fit is None or self.shape_error[row] is not None:
+            return None
+        return QCDecomposition.of(*fit, float(self.k[row]))
 
 
-def decompose_points(space: AmbientSpace, family: PotentialFamily, X,
-                     checked: bool = True, fit: bool = True):
+def decompose_points(space: AmbientSpace,
+                     family: PotentialFamily | Sequence[PotentialFamily], X,
+                     checked: bool = True,
+                     fit: bool = True) -> DecompositionRecord:
     """The quasi-constant decomposition at each row of X, (P, d), for the
-    metric of ``family``: yields one ``PointResult`` per row, in order.
+    metric of ``family``, a ``PotentialFamily`` or a sequence of them with
+    one per row: one ``DecompositionRecord``.
 
-    Rows are processed ``CHUNK`` at a time, each chunk in one batched pass
-    of the jet, connection, curvature, unit field, shape data, basis and
-    fit.  A row that fails a gate gets the error the one-point functions
-    raise there, and the rest of its chunk goes on.  ``checked`` is
+    Rows go ``pass_rows(d)`` at a time through one batched pass of the jet,
+    connection, curvature, unit field, shape data, frame and fit, with the
+    rows of several families in one pass.  A row that fails a gate gets the
+    error the one-point functions raise there, and the rest of its pass goes
+    on; a row's values do not depend on the rows around it.  ``checked`` is
     ``potential_metric``'s; ``fit=False`` stops after the unit field.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != space.dim:
         raise ValueError(f"points of shape {X.shape} in a "
                          f"{space.dim}-dimensional chart")
-    metric = potential_metric(space, family, checked)
-    for start in range(0, len(X), CHUNK):
-        yield from _decompose_chunk(space, family, metric,
-                                    X[start:start + CHUNK], fit)
+    if isinstance(family, PotentialFamily):
+        families = None
+    else:
+        families = list(family)
+        if len(families) != len(X):
+            raise ValueError(f"{len(families)} families for {len(X)} points")
+    size = pass_rows(space.dim)
+    parts = []
+    for start in range(0, max(len(X), 1), size):
+        rows = slice(start, start + size)
+        if families is not None:
+            family = (families[start] if len(set(families[rows])) == 1
+                      else _RowFamilies(families[rows]))
+        parts.append(_decompose_pass(space, family, X[rows], checked, fit))
+    return parts[0] if len(parts) == 1 else _join(parts)
 
 
-def _decompose_chunk(space, family, metric, X, fit):
+def _spread(rows, values, count):
+    """values of the given rows on all count rows, nan on the others."""
+    out = np.full((count,) + values.shape[1:], np.nan)
+    out[rows] = values
+    return out
+
+
+def _decompose_pass(space, family, X, checked, fit):
+    P = len(X)
     adm = admissibility(space, family, space.square_norm(X.T))
-    sieve = Sieve(len(X))
-    jet = point_jets(metric, X, sieve)
+    sieve = Sieve(P)
+    jet = point_jets(potential_metric(space, family, checked), X, sieve)
     R = curvature_tensors(jet)
     keep = sieve.drop([curvature_gate(R)])
     jet, R = jet.rows(keep), R[keep]
-    # a point whose unit field fails still has its bundle
-    bundles = {i: CurvatureBundle(jet.rows(r), Tensor4(R[r]))
-               for r, i in enumerate(sieve.running.tolist())}
+    curved = sieve.running
     xi, dxi, gates = radial_unit_jets(space, jet)
     keep = sieve.drop(gates)
-    jet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
+    unit = sieve.running
+    shape_error, fit_error = [None] * P, [None] * P
+    record = dict(point=X, admissibility=adm, error=tuple(sieve.errors),
+                  curved=curved, jet=jet, R=R, unit=unit,
+                  xi=_spread(unit, xi[keep], P))
     if fit:
-        F, signs, frame_gates = adapted_frames(jet.G, jet.J, xi)
+        ujet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
+        F, signs, frame_gates = adapted_frames(ujet.G, ujet.J, xi)
+        *shape, gates = shape_arrays(ujet, F, signs, dxi)
         shape_sieve = Sieve(len(xi))
-        *shape, gates = shape_arrays(jet, F, signs, dxi)
         shape_sieve.drop(gates)
-        shapes = {r: _shape_data(xi[r], *(a[r] for a in shape))
-                  for r in shape_sieve.running.tolist()}
         fit_sieve = Sieve(len(xi))
         keep = fit_sieve.drop(frame_gates)
         coeffs, residual = frame_fit(R[keep], F[keep], signs[keep])
-        fits = dict(zip(fit_sieve.running.tolist(),
-                        (tuple(c) + (q,) for c, q in zip(
-                            coeffs.tolist(), residual.tolist()))))
-    rows = {i: r for r, i in enumerate(sieve.running.tolist())}
-    for i, x in enumerate(X):
-        rep = AdmissibilityReport(*(a[i] for a in (
-            adm.w, adm.f_prime, adm.f_prime_plus_wf2, adm.in_domain, adm.ok)))
-        r = rows.get(i)
-        if r is None:
-            yield PointResult(x, rep, error=sieve.errors[i],
-                              bundle=bundles.get(i))
-            continue
-        stages = {}
-        if fit:
-            stages = dict(shape=shapes.get(r), shape_error=shape_sieve.errors[r],
-                          fit=fits.get(r), fit_error=fit_sieve.errors[r])
-        yield PointResult(x, rep, bundle=bundles[i], xi=xi[r], **stages)
+        for errors, stage in ((shape_error, shape_sieve),
+                              (fit_error, fit_sieve)):
+            for row, error in zip(unit.tolist(), stage.errors):
+                errors[row] = error
+        shaped, fitted = unit[shape_sieve.running], unit[fit_sieve.running]
+        record.update(zip(("k", "p_star", "sq", "spread", "model_defect"),
+                          (_spread(shaped, a[shape_sieve.running], P)
+                           for a in shape)))
+        record.update(coeffs=_spread(fitted, coeffs, P),
+                      residual=_spread(fitted, residual, P))
+    return DecompositionRecord(shape_error=tuple(shape_error),
+                               fit_error=tuple(fit_error), **record)
+
+
+def _join(parts):
+    """The record of the rows of several passes, in order."""
+    offsets = np.cumsum([0] + [len(p.point) for p in parts])
+
+    def cat(arrays):
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    out = {}
+    for f in fields(DecompositionRecord):
+        values = [getattr(p, f.name) for p in parts]
+        if f.name in ("curved", "unit"):
+            out[f.name] = np.concatenate([v + o for v, o in zip(values, offsets)])
+        elif f.name == "admissibility":
+            out[f.name] = AdmissibilityReport(*(
+                np.concatenate([getattr(v, g.name) for v in values])
+                for g in fields(AdmissibilityReport)))
+        elif f.name == "jet":
+            out[f.name] = PointJet(*(
+                cat([getattr(v, g.name) for v in values])
+                for g in fields(PointJet) if g.name != "method"),
+                values[0].method)
+        elif isinstance(values[0], tuple):
+            out[f.name] = sum(values, ())
+        else:
+            out[f.name] = cat(values)
+    return DecompositionRecord(**out)

@@ -7,7 +7,9 @@ wall-clock budget and fail when they blow it.
 
 The criteria on sample points make one batched call per stage over their
 points, trials or radii rather than one per point: ``qch.decompose_points``
-for the potential criteria, ``qch.bochner_arrays`` for the Bochner tensors
+for the potential criteria, one call per space over the points of all its
+potentials (with ``curvature.kahler_defect`` over the jets of that call),
+``qch.bochner_arrays`` for the Bochner tensors
 of the disc model and of the operator identity,
 ``sasakian.sphere_reports`` for the hypersphere radii,
 ``curvature.point_jets`` with ``curvature.curvature_tensors`` for the two
@@ -63,13 +65,13 @@ class CriterionResult:
 
 def _decompose_points(space, family, X):
     """``qch.decompose_points`` for sample points that must all decompose:
-    a point that fails raises its error."""
-    out = []
-    for res in decompose_points(space, family, X):
-        if res.first_error is not None:
-            raise res.first_error
-        out.append(res)
-    return out
+    the first row that fails raises its error, so the record's jets and
+    tensors are those of its rows, in order."""
+    record = decompose_points(space, family, X)
+    for row in range(len(X)):
+        if record.first_error(row) is not None:
+            raise record.first_error(row)
+    return record
 
 
 # -- criterion bodies ----------------------------------------------------------
@@ -106,21 +108,19 @@ def _crit_disc_model():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
     pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
-    results = _decompose_points(space, family, pts)
-    R, G, J = (np.stack(a) for a in zip(*(
-        (res.bundle.R.a, res.bundle.jet.G, res.bundle.jet.J)
-        for res in results)))
+    rec = _decompose_points(space, family, pts)
+    R, G, J = (np.ascontiguousarray(a) for a in (rec.R, rec.jet.G, rec.jet.J))
     # 20 seeded directions per point, unit in g
     X = np.stack([np.random.default_rng(1000 + i).normal(size=(20, 4))
-                  for i in range(len(results))])
+                  for i in range(len(pts))])
     X = X / np.sqrt(np.einsum("psi,pij,psj->ps", X, G, X))[:, :, None]
     hsc_err = np.max(np.abs(holomorphic_curvatures(R, G, J, X) + 1.0), axis=1)
     bnorm = tensor_scale(bochner_arrays(R, G, J))
     failures = []
     details = {"max_coefficient_delta": 0.0, "max_residual": 0.0,
                "max_hsc_delta": 0.0, "max_bochner_norm": 0.0}
-    for i, res in enumerate(results):
-        dec = res.decomposition
+    for i in range(len(pts)):
+        dec = rec.decomposition(i)
         coeff = max(abs(dec.a + 1.0), abs(dec.b), abs(dec.c))
         if coeff > 1e-6 or dec.residual > 1e-6:
             failures.append(f"point {i}: decomposition off by {coeff:.3e}, "
@@ -144,13 +144,19 @@ def _crit_negative_class():
              (2, InverseFamily()), (3, LogFamily(-1.0, 1.0))]
     failures = []
     worst = {"kahler": 0.0, "residual": 0.0, "margin": -math.inf}
-    for n, family in cases:
+    # one call per space over the points of all its families
+    for n in (2, 3):
         space = AmbientSpace(n, "lorentz")
         count = 10 if n == 2 else 3
-        pts = radial_points(space, count, 1.2, 3.0, seed=11 + n,
-                            family=family)
-        for res in _decompose_points(space, family, pts):
-            kd, dec = kahler_defect(res.bundle.jet), res.decomposition
+        families, pts = [], []
+        for family in (f for m, f in cases if m == n):
+            families += [family] * count
+            pts += radial_points(space, count, 1.2, 3.0, seed=11 + n,
+                                 family=family)
+        rec = _decompose_points(space, families, np.array(pts))
+        for i, (family, kd) in enumerate(zip(families,
+                                             kahler_defect(rec.jet).tolist())):
+            dec = rec.decomposition(i)
             worst["kahler"] = max(worst["kahler"], kd)
             worst["residual"] = max(worst["residual"], dec.residual)
             worst["margin"] = max(worst["margin"], dec.a_plus_k2)
@@ -170,20 +176,23 @@ def _crit_negative_class():
 def _crit_definite_class():
     failures = []
     details = {"max_residual": 0.0, "min_a_plus_k2": math.inf}
+    space = AmbientSpace(2, "definite")
+    families, pts = [], []
     for family in (DefiniteLogFamily(2.0, 1.0), DefiniteLogFamily(1.0, 1.5)):
-        space = AmbientSpace(2, "definite")
-        pts = radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
-        for res in _decompose_points(space, family, pts):
-            dec = res.decomposition
-            details["max_residual"] = max(details["max_residual"], dec.residual)
-            details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
-                                           dec.a_plus_k2)
-            if dec.residual > 1e-6:
-                failures.append(f"{family.describe()}: residual "
-                                f"{dec.residual:.3e}")
-            if not (dec.a_plus_k2 > 1e-3 and dec.klass == "positive"):
-                failures.append(f"{family.describe()}: class {dec.klass} with "
-                                f"a+k^2 = {dec.a_plus_k2:.3e}")
+        families += [family] * 10
+        pts += radial_points(space, 10, 0.4, 2.0, seed=4, family=family)
+    rec = _decompose_points(space, families, np.array(pts))
+    for i, family in enumerate(families):
+        dec = rec.decomposition(i)
+        details["max_residual"] = max(details["max_residual"], dec.residual)
+        details["min_a_plus_k2"] = min(details["min_a_plus_k2"],
+                                       dec.a_plus_k2)
+        if dec.residual > 1e-6:
+            failures.append(f"{family.describe()}: residual "
+                            f"{dec.residual:.3e}")
+        if not (dec.a_plus_k2 > 1e-3 and dec.klass == "positive"):
+            failures.append(f"{family.describe()}: class {dec.klass} with "
+                            f"a+k^2 = {dec.a_plus_k2:.3e}")
     return details, failures
 
 
@@ -193,19 +202,24 @@ def _crit_radial_law():
     u[3] = 1.0
     radii = np.array([1.4, 1.7, 2.0, 2.4, 2.8])
     h = 1e-3 * radii
+    m = len(radii)
+    families = (LogFamily(-1.0, 1.0), InverseFamily())
+    # for each family, each radius, then the radii a step out, then a step
+    # in, all in one call
+    X = np.concatenate([radii, radii + h, radii - h])[:, None] * u
+    rec = _decompose_points(space, [f for f in families for _ in range(3 * m)],
+                            np.concatenate([X] * len(families)))
     failures = []
     worst = 0.0
-    for family in (LogFamily(-1.0, 1.0), InverseFamily()):
-        # each radius, then the radii a step out, then a step in
-        res = _decompose_points(space, family,
-                                np.concatenate([radii, radii + h, radii - h])[:, None] * u)
-        at, out, inside = (res[i:i + len(radii)]
-                           for i in range(0, 3 * len(radii), len(radii)))
+    for start, family in zip(range(0, 3 * m * len(families), 3 * m),
+                             families):
+        at, out, inside = (range(start + i, start + i + m)
+                           for i in range(0, 3 * m, m))
         for r, step, mid, hi, lo in zip(radii, h, at, out, inside):
-            da_dr = ((hi.decomposition.a - lo.decomposition.a)
+            da_dr = ((rec.decomposition(hi).a - rec.decomposition(lo).a)
                      / (2.0 * step))
-            dec = mid.decomposition
-            eta_dr = float(mid.shape.xi @ mid.bundle.jet.G @ u)
+            dec = rec.decomposition(mid)
+            eta_dr = float(rec.xi[mid] @ rec.jet.G[mid] @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
             worst = max(worst, err)

@@ -36,8 +36,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
-                         LogFamily, MetricField, PotentialFamily, UserSeries,
+from qck.ambient import (AdmissibilityReport, AmbientSpace,
+                         DefiniteLogFamily, InverseFamily, LogFamily,
+                         MetricField, PotentialFamily, UserSeries,
                          _radial_projectors, radial_unit_jets)
 from qck.charts import GraphChart, pullback_metric
 from qck.core import apply_j0
@@ -48,8 +49,8 @@ from qck.curvature import (CurvatureBundle, PointJet,
 from qck.duals import MultiDual, _series, coefficients, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
-from qck.qch import (QCDecomposition, ShapeData, _shape_data, adapted_frames,
-                     bochner_of_tensor, frame_fit, shape_arrays)
+from qck.qch import (QCDecomposition, adapted_frames, bochner_of_tensor,
+                     frame_fit, shape_arrays)
 from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
 from qck.tensors import Tensor4
 
@@ -600,6 +601,26 @@ def radial_unit_jet(space, jet, orientation: str = "outward"):
     return xi[0], dxi[0]
 
 
+@dataclass(frozen=True)
+class ShapeData:
+    """Shape coefficients of a unit radial field at one point: the common
+    normal curvature k of the directions orthogonal to the (xi, J xi)
+    plane, and the structure coefficient p_star of the J xi direction."""
+
+    k: float
+    p_star: float
+    xi: np.ndarray
+    variant: str  # "riemannian" | "lorentz"
+    spread: float
+    model_defect: float
+
+
+def shape_data(xi, k, p_star, sq, spread, model_defect) -> ShapeData:
+    return ShapeData(k=float(k), p_star=float(p_star), xi=xi,
+                     variant="lorentz" if sq < 0.0 else "riemannian",
+                     spread=float(spread), model_defect=float(model_defect))
+
+
 def extract_shape_data(jet, xi, dxi) -> ShapeData:
     """Shape data (k, p_star) of a unit vector field with values xi and
     partials dxi at the point of ``jet``: the one-point case of
@@ -610,7 +631,7 @@ def extract_shape_data(jet, xi, dxi) -> ShapeData:
     F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
     *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
     raise_first(gates)
-    return _shape_data(xi, *(a[0] for a in shape))
+    return shape_data(xi, *(a[0] for a in shape))
 
 
 def decompose(bundle, shape: ShapeData) -> QCDecomposition:
@@ -622,6 +643,57 @@ def decompose(bundle, shape: ShapeData) -> QCDecomposition:
     raise_first(gates)
     coeffs, residual = frame_fit(bundle.R.a[None], F, signs)
     return QCDecomposition.of(*coeffs[0].tolist(), float(residual[0]), shape.k)
+
+
+@dataclass(frozen=True)
+class PointRow:
+    """One row of a ``qch.DecompositionRecord``, point by point: its
+    admissibility as scalars, the error up to its unit field, its curvature
+    bundle past the curvature gate, its unit field, and its shape data and
+    fit where they stand, each with its own error."""
+
+    point: np.ndarray
+    admissibility: AdmissibilityReport
+    error: QckError | None
+    bundle: CurvatureBundle | None
+    xi: np.ndarray | None
+    shape: ShapeData | None
+    shape_error: QckError | None
+    fit: tuple | None
+    fit_error: QckError | None
+    first_error: QckError | None
+    decomposition: QCDecomposition | None
+
+
+def point_rows(record) -> list:
+    """The rows of a ``qch.DecompositionRecord``, in order."""
+    adm = record.admissibility
+    curved = {row: r for r, row in enumerate(record.curved.tolist())}
+    unit = set(record.unit.tolist())
+    out = []
+    for i, x in enumerate(record.point):
+        r = curved.get(i)
+        shape = None
+        if record.k is not None and i in unit \
+                and record.shape_error[i] is None:
+            shape = shape_data(record.xi[i], *(a[i] for a in (
+                record.k, record.p_star, record.sq, record.spread,
+                record.model_defect)))
+        out.append(PointRow(
+            point=x,
+            admissibility=AdmissibilityReport(*(
+                getattr(adm, f)[i] for f in ("w", "f_prime",
+                                             "f_prime_plus_wf2",
+                                             "in_domain", "ok"))),
+            error=record.error[i],
+            bundle=None if r is None else CurvatureBundle(
+                record.jet.rows(r), Tensor4(record.R[r])),
+            xi=record.xi[i] if i in unit else None,
+            shape=shape, shape_error=record.shape_error[i],
+            fit=record.fit(i), fit_error=record.fit_error[i],
+            first_error=record.first_error(i),
+            decomposition=record.decomposition(i)))
+    return out
 
 
 def induced_contact(space, metric, x, orientation: str = "auto"):

@@ -473,11 +473,12 @@ class TestDeterminism:
 class TestMetricEvaluations:
     @pytest.mark.parametrize("command", ["decompose", "check-potential"])
     @pytest.mark.parametrize("n", [2, 4])
-    def test_one_jet_pass_per_chunk(self, capsys, monkeypatch, command, n):
-        # the closed-form jets of a chunk of points come from one batched
-        # pass, whatever the dimension, and the metric field itself is
+    def test_one_jet_pass_per_pass(self, capsys, monkeypatch, command, n):
+        # the closed-form jets of the points of a pass come from one batched
+        # call, whatever the dimension, and the metric field itself is
         # never evaluated: the radial unit field and its partials are read
-        # off the jets
+        # off the jets.  17 points are one pass at n = 2 (256 rows) and
+        # two at n = 4 (16 rows), the edges of the memory bound.
         passes, evaluations = [], []
         jets = ambient.potential_jets
 
@@ -494,12 +495,13 @@ class TestMetricEvaluations:
 
         monkeypatch.setattr(ambient, "potential_jets", counted_jets)
         monkeypatch.setattr(ambient.MetricField, "__init__", counted_init)
-        count = qch.CHUNK + 1
+        count = 17
         code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count",
                                         str(count), "--seed", "1"])
         assert code == 0
         assert len(json.loads(out)["points"]) == count
-        assert passes == [qch.CHUNK, 1]
+        assert passes == {2: [17], 4: [16, 1]}[n]
+        assert qch.pass_rows(2 * n) == {2: 256, 4: 16}[n]
         assert evaluations == []
 
     @pytest.mark.parametrize("command", ["decompose", "check-potential"])

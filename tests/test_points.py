@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qck import cli, qch, sampling
+from qck import ambient, cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, admissibility,
                          potential_metric)
@@ -25,7 +25,7 @@ from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
 from oracles import (curvature_bundle, decompose, extract_shape_data,
-                     point_jet, radial_unit_jet)
+                     point_jet, point_rows, radial_unit_jet)
 
 L2 = AmbientSpace(2, "lorentz")
 D2 = AmbientSpace(2, "definite")
@@ -72,14 +72,18 @@ def same(a, b):
             [getattr(b.shape, f) for f in SHAPE_FIELDS]
 
 
+def rows_of(space, family, X, **kwargs):
+    return point_rows(decompose_points(space, family, X, **kwargs))
+
+
 def one_at_a_time(space, family, X, **kwargs):
-    return [next(decompose_points(space, family, x[None], **kwargs)) for x in X]
+    return [rows_of(space, family, x[None], **kwargs)[0] for x in X]
 
 
 class TestParity:
     @pytest.mark.parametrize("checked", [False, True])
     def test_mixed_lorentz_batch(self, checked):
-        batch = list(decompose_points(L2, SERIES, LORENTZ_MIX, checked=checked))
+        batch = rows_of(L2, SERIES, LORENTZ_MIX, checked=checked)
         for got, want in zip(batch, one_at_a_time(L2, SERIES, LORENTZ_MIX,
                                                    checked=checked)):
             same(got, want)
@@ -107,7 +111,7 @@ class TestParity:
         # (check-potential's fallback)
         family = UserSeries((0.0, 1.0, 1.0))
         X = np.array(radial_points(L2, 5, 0.3, 0.9, seed=3))
-        batch = list(decompose_points(L2, family, X, checked=False))
+        batch = rows_of(L2, family, X, checked=False)
         for got, want in zip(batch, one_at_a_time(L2, family, X,
                                                    checked=False)):
             same(got, want)
@@ -118,8 +122,7 @@ class TestParity:
             "distribution")
 
     def test_definite_axis_point(self):
-        batch = list(decompose_points(D2, DefiniteLogFamily(2.0, 1.0),
-                                      DEFINITE_MIX))
+        batch = rows_of(D2, DefiniteLogFamily(2.0, 1.0), DEFINITE_MIX)
         for got, want in zip(batch, one_at_a_time(
                 D2, DefiniteLogFamily(2.0, 1.0), DEFINITE_MIX)):
             same(got, want)
@@ -132,7 +135,7 @@ class TestParity:
     def test_one_point_functions_agree(self, space, family, X):
         # the library's one-point chain raises where the batch records
         metric = potential_metric(space, family)
-        for res in decompose_points(space, family, X):
+        for res in rows_of(space, family, X):
             try:
                 jet = point_jet(metric, res.point)
                 bundle = curvature_bundle(jet)
@@ -161,24 +164,108 @@ def test_sieve_records_the_first_failure_and_narrows_only_past_one():
 
 def test_points_must_match_the_chart():
     with pytest.raises(ValueError, match="4-dimensional chart"):
-        next(decompose_points(L2, SERIES, np.zeros((2, 6))))
+        decompose_points(L2, SERIES, np.zeros((2, 6)))
 
 
-class TestChunks:
+class TestPasses:
     @pytest.mark.parametrize("command", ["check-potential", "decompose"])
-    def test_report_does_not_depend_on_chunks(self, capsys, monkeypatch,
+    def test_report_does_not_depend_on_passes(self, capsys, monkeypatch,
                                               command):
-        count = qch.CHUNK + 1
-        argv = [command, "--n", "3", "--count", str(count), "--seed", "2"]
+        # 17 points at n = 3: one pass of up to 50 rows, then passes of 4
+        # rows and of 1 row
+        argv = [command, "--n", "3", "--count", "17", "--seed", "2"]
 
         def report():
             assert cli.main(argv) == 0
             return capsys.readouterr().out
 
-        chunked = report()
-        monkeypatch.setattr(qch, "CHUNK", count)
-        assert report() == chunked
-        assert len(json.loads(chunked)["points"]) == count
+        whole = report()
+        assert len(json.loads(whole)["points"]) == 17
+        for components in (4 * 6 ** 4, 1):
+            monkeypatch.setattr(qch, "PASS_COMPONENTS", components)
+            assert report() == whole
+
+    def test_rows_per_pass_bound_the_components(self):
+        assert [qch.pass_rows(2 * n) for n in (2, 3, 4, 5)] == [256, 50, 16, 6]
+        for d in (4, 6, 8, 10):
+            assert qch.pass_rows(d) * d ** 4 <= qch.PASS_COMPONENTS
+            assert (qch.pass_rows(d) + 1) * d ** 4 > qch.PASS_COMPONENTS
+
+    @pytest.mark.parametrize("n,passes", [(2, [17]), (4, [16, 1])])
+    def test_seventeen_rows(self, monkeypatch, n, passes):
+        calls = []
+        jets = ambient.potential_jets
+
+        def counted(space, family, X):
+            calls.append(len(X))
+            return jets(space, family, X)
+
+        monkeypatch.setattr(ambient, "potential_jets", counted)
+        space = AmbientSpace(n, "lorentz")
+        X = np.array(radial_points(space, 17, 1.1, 3.0, seed=n))
+        rec = decompose_points(space, LogFamily(-1.0, 1.0), X)
+        assert calls == passes
+        assert rec.curved.tolist() == rec.unit.tolist() == list(range(17))
+        assert len(rec.jet.G) == len(rec.R) == 17
+
+    def test_no_rows(self):
+        rec = decompose_points(L2, SERIES, np.zeros((0, 4)))
+        assert rec.error == rec.shape_error == rec.fit_error == ()
+        assert rec.curved.size == rec.unit.size == len(rec.R) == 0
+        assert rec.coeffs.shape == (0, 3) and rec.xi.shape == (0, 4)
+
+
+def mixed_rows(space, rng):
+    """(families, X): rows of several families in a shuffled order, with
+    rows that fail a family's domain, admissibility or radius gate among
+    rows of other families that pass."""
+    n, d = space.n, space.dim
+    origin = np.zeros(d)
+    if space.lorentz:
+        spacelike = np.zeros(d)
+        spacelike[0] = 2.0
+        rows = [(LogFamily(-1.0, 1.0), r) for r in (1.3, 2.2, 0.5)]
+        rows += [(InverseFamily(), r) for r in (1.6, 2.5)]
+        rows += [(InverseFamily(), spacelike), (SERIES, origin),
+                 (SERIES, spacelike), (SERIES, 1.0), (SERIES, 1.9),
+                 (LogFamily(-2.0, 1.5), 2.3)]
+    else:
+        rows = [(DefiniteLogFamily(2.0, 1.0), r) for r in (0.4, 1.3)]
+        rows += [(DefiniteLogFamily(2.0, 1.0), origin), (SERIES, origin),
+                 (SERIES, 0.8), (UserSeries((0.0, 1.0, -1.0)), 0.3),
+                 (UserSeries((0.0, 1.0, -1.0)), 1.0),
+                 (DefiniteLogFamily(1.0, 1.5), 1.7)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    X = np.array([x if isinstance(x, np.ndarray)
+                  else point_at_radius(space, x, rng=rng) for _, x in rows])
+    return [f for f, _ in rows], X
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("signature", ["lorentz", "definite"])
+@pytest.mark.parametrize("checked", [False, True])
+def test_rows_of_several_families_equal_each_family_alone(n, signature,
+                                                         checked):
+    space = AmbientSpace(n, signature)
+    families, X = mixed_rows(space, np.random.default_rng(n))
+    batch = rows_of(space, families, X, checked=checked)
+    for family in set(families):
+        rows = [i for i, f in enumerate(families) if f == family]
+        for i, want in zip(rows, rows_of(space, family, X[rows],
+                                         checked=checked)):
+            same(batch[i], want)
+    errors = [describe(r.first_error) or "" for r in batch]
+    assert any(e == "" for e in errors)
+    assert any("outside the family domain" in e for e in errors)
+    if checked:
+        assert any(e.startswith("AdmissibilityError") for e in errors)
+    else:
+        assert any("has no radius" in e for e in errors)
+
+
+def test_one_family_per_row_is_checked():
+    with pytest.raises(ValueError, match="3 families for 2 points"):
+        decompose_points(L2, [SERIES] * 3, LORENTZ_MIX[:2])
 
 
 CASES = [("lorentz", LogFamily(-1.0, 1.0)), ("lorentz", LogFamily(-2.0, 1.5)),
@@ -204,7 +291,7 @@ def test_batch_matches_one_point(n, case, radii, seed):
     space = AmbientSpace(n, signature)
     rng = np.random.default_rng(seed)
     X = np.array([point_at_radius(space, r, rng=rng) for r in radii])
-    batch = list(decompose_points(space, family, X, checked=False))
+    batch = rows_of(space, family, X, checked=False)
     for got, want in zip(batch, one_at_a_time(space, family, X,
                                               checked=False)):
         for name in ("error", "shape_error", "fit_error"):

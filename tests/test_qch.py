@@ -35,7 +35,8 @@ from qck.tensors import Tensor4, tensor4_fit
 from oracles import (curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, decompose,
-                     extract_shape_data, radial_unit_jet, holomorphic_components,
+                     extract_shape_data, point_rows, radial_unit_jet,
+                     holomorphic_components,
                      hsc_angle_profile, metric_from_conformal_pair,
                      radial_unit_field, real_from_holomorphic, section_angle)
 
@@ -424,8 +425,8 @@ def in_span_residual_bound(T, F):
 
 
 def one_point(space, family, x):
-    res = next(decompose_points(space, family, np.asarray(x)[None],
-                                checked=False))
+    res = point_rows(decompose_points(space, family, np.asarray(x)[None],
+                                      checked=False))[0]
     assert res.first_error is None
     return res
 
@@ -551,7 +552,7 @@ class TestFrameFit:
 
     def test_no_basis_build_or_solve_per_point(self, monkeypatch):
         X = np.array(radial_points(L3, 3, 1.2, 3.0, seed=5))
-        first = [res.fit for res in decompose_points(L3, DISC, X)]
+        first = [res.fit for res in point_rows(decompose_points(L3, DISC, X))]
 
         def banned(*args, **kwargs):
             raise AssertionError("called per point")
@@ -561,7 +562,8 @@ class TestFrameFit:
         monkeypatch.setattr(qch, "basis_arrays", banned)
         monkeypatch.setattr(tensors, "fit_tensors", banned)
         monkeypatch.setattr(np.linalg, "lstsq", banned)
-        assert [res.fit for res in decompose_points(L3, DISC, X)] == first
+        assert [res.fit for res in
+                point_rows(decompose_points(L3, DISC, X))] == first
         res = one_point(L3, DISC, X[0])
         assert decompose(res.bundle, res.shape).a == first[0][0]
 
@@ -571,7 +573,7 @@ class TestFrameFit:
         # (DegenerateBasis); in the frame the disc is still a = -1
         space = AmbientSpace(n, "lorentz")
         X = np.array(radial_points(space, 4, 50.0, 100.0, seed=n))
-        for res in decompose_points(space, DISC, X):
+        for res in point_rows(decompose_points(space, DISC, X)):
             assert res.first_error is None
             dec = res.decomposition
             assert abs(dec.a + 1.0) < 1e-6

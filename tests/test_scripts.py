@@ -102,5 +102,30 @@ def test_sweep_potentials_samples_definite_rows_at_their_radius(monkeypatch,
     radii = [0.5, 1.2]
     X = np.array([point_at_radius(space, r, seed=0) for r in radii])
     family = family_from_json({"kind": "dlog", "a": 2.0, "r0": 1.0})
-    for r, res in zip(radii, decompose_points(space, family, X)):
-        assert rows[f"{r:.3f}"][3] == f"{res.decomposition.k:.6e}"
+    rec = decompose_points(space, family, X)
+    for i, r in enumerate(radii):
+        assert rows[f"{r:.3f}"][3] == f"{rec.decomposition(i).k:.6e}"
+
+
+@pytest.mark.parametrize("signature,families,radii", [
+    ("lorentz", [{"kind": "log", "a": a, "r0": 1.0} for a in (-0.5, -1, -2)]
+     + [{"kind": "inverse"}, {"kind": "series", "coeffs": [0.0, 1.0]}],
+     [0.5, 1.2, 1.5, 2.0, 3.0]),
+    ("definite", [{"kind": "dlog", "a": a, "r0": 1.0} for a in (1, 2)]
+     + [{"kind": "series", "coeffs": [0.0, v]} for v in (1.0, -1.0)],
+     [0.5, 0.8, 1.2, 1.6])])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_rows_of_all_families_equal_the_per_family_loop(
+        signature, families, radii, n):
+    # every family's radii in one call print what one call per family
+    # prints, rejected radii included
+    sweep_rows = runpy.run_path(str(SCRIPTS / "sweep_potentials.py"))[
+        "sweep_rows"]
+    space = AmbientSpace(n, signature)
+    families = [family_from_json(obj) for obj in families]
+    looped = [sweep_rows(space, [family], radii, seed=3)[0]
+              for family in families]
+    tables = sweep_rows(space, families, radii, seed=3)
+    assert tables == looped
+    assert any("--" in row for rows in tables for row in rows)
+    assert any("--" not in row for rows in tables for row in rows)

@@ -2,7 +2,8 @@
 
 Criteria 1, 2, 6, 7 and 11 make one batched call per stage over their points,
 trials or radii; they build no jet, curvature tensor or Bochner tensor per
-point.  The counts here pin that, in the pattern of the jet counts of the
+point.  Criteria 2 to 5 make one decomposition pass per space, over the
+points of all its potentials.  The counts here pin that, in the pattern of the jet counts of the
 sasaki reports.
 """
 
@@ -56,7 +57,7 @@ def test_flat_baselines(calls):
 
 def test_disc_model(calls):
     run(2)
-    # the ten points decompose in one chunk; their Bochner tensors are one call
+    # the ten points decompose in one pass; their Bochner tensors are one call
     assert calls == {"closed-form": 1, "curvature_tensors": 1,
                      "bochner_arrays": 1}
 
@@ -168,3 +169,38 @@ class TestSphereReports:
             sasakian.sphere_reports(ambient.AmbientSpace(2, "lorentz"),
                                     ambient.LogFamily(-1.0, 1.0), [2.0],
                                     seed=2)
+
+
+@pytest.mark.parametrize("number,passes,defects", [
+    (2, 1, 0), (3, 2, 2), (4, 1, 0), (5, 1, 0)])
+def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
+                                                   passes, defects):
+    # criterion 3 decomposes its five n = 2 potentials in one pass and its
+    # n = 3 one in another, with one Kahler defect call over each pass's
+    # jets; criteria 4 and 5 put both of their potentials in one pass
+    counts = {"potential_jets": 0, "kahler_defect": 0}
+
+    def counted(name, module):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("potential_jets", ambient)
+    counted("kahler_defect", verify)
+    run(number)
+    assert counts == {"potential_jets": passes, "kahler_defect": defects}
+
+
+def test_potential_criteria_details_keep_their_values():
+    # rows of several potentials in one pass give the values of one pass
+    # per potential to the bit
+    assert run(3) == {"max_a_plus_k2": -0.12282996967259274,
+                      "max_kahler_defect": 5.684341886080802e-14,
+                      "max_residual": 9.419809812743318e-15}
+    assert run(4) == {"max_residual": 1.9426340641423112e-15,
+                      "min_a_plus_k2": 1.597824554761031}
+    assert run(5) == {"max_relative_error": 1.2975062114744672e-13}
