@@ -27,25 +27,19 @@ def sweep_rows(space, families, radii, seed=0):
     rec = decompose_points(space, [f for f in families for _ in radii],
                            np.tile(X, (len(families), 1)), checked=False)
     adm = rec.admissibility
-    tables = []
-    for start in range(0, len(rec.point), len(radii)):
-        rows = []
-        for i, r in enumerate(radii, start):
-            if not adm.ok[i]:
-                reason = ("outside domain" if not adm.in_domain[i]
-                          else "inadmissible")
-                rows.append(f"{r:6.3f}  -- {reason} "
-                            f"(f'={adm.f_prime[i]:.3g}, "
-                            f"f'+wf''={adm.f_prime_plus_wf2[i]:.3g})")
-            elif rec.first_error(i) is not None:
-                rows.append(f"{r:6.3f}  -- {rec.first_error(i)}")
-            else:
-                dec = rec.decomposition(i)
-                rows.append(f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} "
-                            f"{dec.c:13.6e} {dec.k:13.6e} "
-                            f"{dec.a_plus_k2:13.6e}  {dec.klass}")
-        tables.append(rows)
-    return tables
+    rows = []
+    for i, r in enumerate(list(radii) * len(families)):
+        if not adm.ok[i]:
+            reason = "outside domain" if not adm.in_domain[i] else "inadmissible"
+            rows.append(f"{r:6.3f}  -- {reason} (f'={adm.f_prime[i]:.3g}, "
+                        f"f'+wf''={adm.f_prime_plus_wf2[i]:.3g})")
+        elif rec.first_error(i) is not None:
+            rows.append(f"{r:6.3f}  -- {rec.first_error(i)}")
+        else:
+            dec = rec.decomposition(i)
+            rows.append(f"{r:6.3f} {dec.a:13.6e} {dec.b:13.6e} {dec.c:13.6e} "
+                        f"{dec.k:13.6e} {dec.a_plus_k2:13.6e}  {dec.klass}")
+    return [rows[k:k + len(radii)] for k in range(0, len(rows), len(radii))]
 
 
 def sweep(space, kind, params, radii, seed, r0=1.0):

@@ -583,7 +583,7 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
     """Verification of the family metric: alpha, the derivative laws, the
     phi-sectional value, and the space form model, all intrinsic, by the
     checks of ``sphere_reports`` at a batch of one chart point."""
-    metric, chart, structure = family_h1_metric(n, q)
+    metric, chart, phi_reeb = family_h1_metric(n, q)
     m = chart.nparams
     rng = np.random.default_rng(seed)
     u0 = 0.25 * rng.normal(size=m)
@@ -591,8 +591,9 @@ def family_h1_report(n: int, q: float, seed: int = 0) -> SasakianReport:
 
     U = u0[None]
     jet = point_jets(metric, U)
-    # phi and the Reeb field, with their partials, from one evaluation
-    values, partials = eval_with_partials(structure, U)
+    # phi and the Reeb field, with their partials, from one evaluation;
+    # contiguous, as the kernels below round by the layout of their input
+    values, partials = eval_with_partials(phi_reeb, U)
     phi, dphi = (np.ascontiguousarray(a[..., :m]) for a in (values, partials))
     reeb, dreeb = (np.ascontiguousarray(a[..., m]) for a in (values, partials))
     B = _family_tangent_basis(jet.G[0], reeb[0])[None]

@@ -109,7 +109,7 @@ def _crit_disc_model():
     family = LogFamily(-1.0, 1.0)
     pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
     rec = _decompose_points(space, family, pts)
-    R, G, J = (np.ascontiguousarray(a) for a in (rec.R, rec.jet.G, rec.jet.J))
+    R, G, J = rec.R, rec.jet.G, rec.jet.J
     # 20 seeded directions per point, unit in g
     X = np.stack([np.random.default_rng(1000 + i).normal(size=(20, 4))
                   for i in range(len(pts))])
@@ -202,19 +202,16 @@ def _crit_radial_law():
     u[3] = 1.0
     radii = np.array([1.4, 1.7, 2.0, 2.4, 2.8])
     h = 1e-3 * radii
-    m = len(radii)
     families = (LogFamily(-1.0, 1.0), InverseFamily())
     # for each family, each radius, then the radii a step out, then a step
     # in, all in one call
     X = np.concatenate([radii, radii + h, radii - h])[:, None] * u
-    rec = _decompose_points(space, [f for f in families for _ in range(3 * m)],
+    rec = _decompose_points(space, [f for f in families for _ in X],
                             np.concatenate([X] * len(families)))
+    rows = np.arange(len(families) * len(X)).reshape(len(families), 3, -1)
     failures = []
     worst = 0.0
-    for start, family in zip(range(0, 3 * m * len(families), 3 * m),
-                             families):
-        at, out, inside = (range(start + i, start + i + m)
-                           for i in range(0, 3 * m, m))
+    for family, (at, out, inside) in zip(families, rows.tolist()):
         for r, step, mid, hi, lo in zip(radii, h, at, out, inside):
             da_dr = ((rec.decomposition(hi).a - rec.decomposition(lo).a)
                      / (2.0 * step))
