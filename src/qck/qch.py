@@ -41,7 +41,7 @@ radial projector.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -632,27 +632,22 @@ def _decompose_pass(space, family, X, checked, fit):
 
 def _join(parts):
     """The record of the rows of several passes, in order."""
-    offsets = np.cumsum([0] + [len(p.point) for p in parts])
 
-    def cat(arrays):
-        return None if arrays[0] is None else np.concatenate(arrays)
+    def join(values):
+        first = values[0]
+        if first is None or isinstance(first, str):
+            return first
+        if isinstance(first, tuple):
+            return sum(values, ())
+        if is_dataclass(first):
+            return type(first)(**{f.name: join([getattr(v, f.name)
+                                                for v in values])
+                                  for f in fields(first)})
+        return np.concatenate(values)
 
-    out = {}
-    for f in fields(DecompositionRecord):
-        values = [getattr(p, f.name) for p in parts]
-        if f.name in ("curved", "unit"):
-            out[f.name] = np.concatenate([v + o for v, o in zip(values, offsets)])
-        elif f.name == "admissibility":
-            out[f.name] = AdmissibilityReport(*(
-                np.concatenate([getattr(v, g.name) for v in values])
-                for g in fields(AdmissibilityReport)))
-        elif f.name == "jet":
-            out[f.name] = PointJet(*(
-                cat([getattr(v, g.name) for v in values])
-                for g in fields(PointJet) if g.name != "method"),
-                values[0].method)
-        elif isinstance(values[0], tuple):
-            out[f.name] = sum(values, ())
-        else:
-            out[f.name] = cat(values)
-    return DecompositionRecord(**out)
+    record = join(parts)
+    # the stage rows of each pass count from the first row of that pass
+    offsets = np.cumsum([0] + [len(p.point) for p in parts[:-1]])
+    return replace(record, **{name: np.concatenate([
+        getattr(p, name) + o for p, o in zip(parts, offsets)])
+        for name in ("curved", "unit")})

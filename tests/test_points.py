@@ -244,11 +244,17 @@ def mixed_rows(space, rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("signature", ["lorentz", "definite"])
 @pytest.mark.parametrize("checked", [False, True])
-def test_rows_of_several_families_equal_each_family_alone(n, signature,
-                                                         checked):
+@pytest.mark.parametrize("rows_per_pass", [None, 3])
+def test_rows_of_several_families_equal_each_family_alone(
+        monkeypatch, n, signature, checked, rows_per_pass):
     space = AmbientSpace(n, signature)
     families, X = mixed_rows(space, np.random.default_rng(n))
+    if rows_per_pass is not None:
+        # passes of 3 rows, joined into one record
+        monkeypatch.setattr(qch, "PASS_COMPONENTS",
+                            rows_per_pass * space.dim ** 4)
     batch = rows_of(space, families, X, checked=checked)
+    monkeypatch.undo()
     for family in set(families):
         rows = [i for i, f in enumerate(families) if f == family]
         for i, want in zip(rows, rows_of(space, family, X[rows],
