@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qck import ambient
 from qck.ambient import (
     AmbientSpace,
     DefiniteLogFamily,
@@ -47,6 +48,13 @@ class TestSpace:
     def test_flat_real_lorentz(self):
         assert np.allclose(L3.flat_real(), np.diag([1, 1, 1, 1, -1, -1]))
         assert np.allclose(D2.flat_real(), np.eye(4))
+
+    def test_flat_real_is_built_once_per_space_and_read_only(self):
+        # equal spaces share one array; the jet constants are read-only too
+        assert AmbientSpace(3, "lorentz").flat_real() is L3.flat_real()
+        for a in (L3.flat_real(), *ambient._jet_constants(L3)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     def test_square_norm_examples(self):
         assert L3.square_norm(complex_to_real([0, 0, 1j])) == pytest.approx(-1.0)

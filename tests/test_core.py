@@ -24,6 +24,12 @@ def test_j0_squares_to_minus_identity():
         assert np.allclose(J @ J, -np.eye(2 * n))
 
 
+def test_j0_is_built_once_and_read_only():
+    assert j0_matrix(3) is j0_matrix(3)
+    with pytest.raises(ValueError, match="read-only"):
+        j0_matrix(3)[0, 1] = 2.0
+
+
 def test_apply_j0_is_multiplication_by_i():
     z = np.array([2 - 1j, 0.25 + 3j])
     x = complex_to_real(z)
