@@ -41,7 +41,7 @@ radial projector.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -437,8 +437,9 @@ def bochner_flat(B: Tensor4) -> bool:
 
 # Curvature components that one pass of ``decompose_points`` holds, rows
 # times d^4: 256 rows at n = 2, 50 at n = 3 and 16 at n = 4.  A pass holds
-# about 0.3 MB of arrays per row at n = 4, so this bounds the memory of a
-# pass over any sample.
+# about 0.3 MB of arrays per row at n = 4, so this bounds its working
+# memory; the record keeps the jet and R of each curved row, about 78 KB
+# per row at n = 4.
 PASS_COMPONENTS = 16 * 8 ** 4
 
 
@@ -574,14 +575,20 @@ def decompose_points(space: AmbientSpace,
         if len(families) != len(X):
             raise ValueError(f"{len(families)} families for {len(X)} points")
     size = pass_rows(space.dim)
-    parts = []
-    for start in range(0, max(len(X), 1), size):
-        rows = slice(start, start + size)
-        if families is not None:
-            family = (families[start] if len(set(families[rows])) == 1
-                      else _RowFamilies(families[rows]))
-        parts.append(_decompose_pass(space, family, X[rows], checked, fit))
-    return parts[0] if len(parts) == 1 else _join(parts)
+
+    def passes():
+        for start in range(0, max(len(X), 1), size):
+            rows = slice(start, start + size)
+            rows_family = family
+            if families is not None:
+                rows_family = (families[start]
+                               if len(set(families[rows])) == 1
+                               else _RowFamilies(families[rows]))
+            yield _decompose_pass(space, rows_family, X[rows], checked, fit)
+
+    if len(X) <= size:
+        return next(passes())
+    return _join(passes(), len(X))
 
 
 def _spread(rows, values, count):
@@ -630,24 +637,50 @@ def _decompose_pass(space, family, X, checked, fit):
                                fit_error=tuple(fit_error), **record)
 
 
-def _join(parts):
-    """The record of the rows of several passes, in order."""
+def _leaves(record, path=()):
+    """(path, value) of each field of a record and of the records in it."""
+    if not is_dataclass(record):
+        yield path, record
+        return
+    for f in fields(record):
+        yield from _leaves(getattr(record, f.name), path + (f.name,))
 
-    def join(values):
-        first = values[0]
-        if first is None or isinstance(first, str):
-            return first
-        if isinstance(first, tuple):
-            return sum(values, ())
-        if is_dataclass(first):
-            return type(first)(**{f.name: join([getattr(v, f.name)
-                                                for v in values])
-                                  for f in fields(first)})
-        return np.concatenate(values)
 
-    record = join(parts)
-    # the stage rows of each pass count from the first row of that pass
-    offsets = np.cumsum([0] + [len(p.point) for p in parts[:-1]])
-    return replace(record, **{name: np.concatenate([
-        getattr(p, name) + o for p, o in zip(parts, offsets)])
-        for name in ("curved", "unit")})
+def _join(parts, count):
+    """The record of the ``count`` rows of several passes, in order.  Each
+    pass is copied into arrays sized for every row as it comes, so the join
+    holds one pass beside the record, not every pass; the jet and R end at
+    the last row past the curvature gate."""
+    out, pieces = {}, {}
+    rows = curved = 0
+    for part in parts:
+        for path, value in _leaves(part):
+            if path in (("curved",), ("unit",)):
+                # the stage rows of a pass count from its first row
+                pieces.setdefault(path, []).append(value + rows)
+            elif isinstance(value, tuple):
+                pieces.setdefault(path, []).append(value)
+            elif isinstance(value, np.ndarray):
+                at = curved if path[0] in ("jet", "R") else rows
+                if path not in out:
+                    out[path] = np.empty((count,) + value.shape[1:],
+                                         value.dtype)
+                out[path][at:at + len(value)] = value
+            else:
+                out[path] = value  # None, or the method of the jet
+        rows += len(part.point)
+        curved += len(part.curved)
+    for path, values in pieces.items():
+        out[path] = (sum(values, ()) if isinstance(values[0], tuple)
+                     else np.concatenate(values))
+    nested = {}
+    for path, value in out.items():
+        if path[0] in ("jet", "R") and isinstance(value, np.ndarray):
+            value = value[:curved]
+        if len(path) == 1:
+            nested[path[0]] = value
+        else:
+            nested.setdefault(path[0], {})[path[1]] = value
+    return DecompositionRecord(**dict(
+        nested, admissibility=AdmissibilityReport(**nested["admissibility"]),
+        jet=PointJet(**nested["jet"])))
