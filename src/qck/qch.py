@@ -464,12 +464,9 @@ class _RowFamilies(PotentialFamily):
         self.groups = [(f, np.array(rows)) for f, rows in groups.items()]
 
     def _each(self, method, w):
-        out = None
+        out = np.empty(w.shape, dtype=bool if method == "in_domain" else float)
         for family, rows in self.groups:
-            v = np.asarray(getattr(family, method)(w[rows]))
-            if out is None:
-                out = np.empty(w.shape, dtype=v.dtype)
-            out[rows] = v
+            out[rows] = getattr(family, method)(w[rows])
         return out
 
     def in_domain(self, w):

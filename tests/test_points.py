@@ -208,8 +208,9 @@ class TestPasses:
         assert rec.curved.tolist() == rec.unit.tolist() == list(range(17))
         assert len(rec.jet.G) == len(rec.R) == 17
 
-    def test_no_rows(self):
-        rec = decompose_points(L2, SERIES, np.zeros((0, 4)))
+    @pytest.mark.parametrize("family", [SERIES, []])
+    def test_no_rows(self, family):
+        rec = decompose_points(L2, family, np.zeros((0, 4)))
         assert rec.error == rec.shape_error == rec.fit_error == ()
         assert rec.curved.size == rec.unit.size == len(rec.R) == 0
         assert rec.coeffs.shape == (0, 3) and rec.xi.shape == (0, 4)
