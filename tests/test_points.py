@@ -5,8 +5,10 @@ against the point-by-point loop.
 A batch runs every stage once over its points and narrows it past each
 gate; a point alone runs the same kernels with a points axis of length 1,
 which is also what the one-point library functions run.  Every entry of a
-batch must equal its one-point result, error text included, and a report
-must not depend on where the chunks fall.
+batch must equal its one-point result, error text included, a report must
+not depend on where the passes fall, and rows of several potentials in one
+call must equal each potential's rows alone.  The tests read the record
+row by row through ``oracles.point_rows``.
 """
 
 import hashlib
