@@ -146,11 +146,13 @@ class PotentialFamily:
     def d2(self, w):
         raise NotImplementedError
 
-    def d3(self, w):
+    def _d3_d4(self, w):
+        """f''' and f'''' at w, which the families take together."""
         raise NotImplementedError
 
-    def d4(self, w):
-        raise NotImplementedError
+    def derivatives(self, w):
+        """f', f'', f''' and f'''' at w, each one array or float."""
+        return (self.d1(w), self.d2(w), *self._d3_d4(w))
 
     def in_domain(self, w: float) -> bool:
         raise NotImplementedError
@@ -197,13 +199,9 @@ class LogFamily(PotentialFamily):
     def d2(self, w):
         return (-2.0 / self.a) / (-w - self.r0**2) ** 2
 
-    def d3(self, w):
+    def _d3_d4(self, w):
         t = -w - self.r0**2
-        return _reciprocal_d3_d4(-2.0 / self.a, t * t, -2.0 * t, 2.0)[0]
-
-    def d4(self, w):
-        t = -w - self.r0**2
-        return _reciprocal_d3_d4(-2.0 / self.a, t * t, -2.0 * t, 2.0)[1]
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, -2.0 * t, 2.0)
 
     def in_domain(self, w):
         return w < -self.r0**2
@@ -243,13 +241,9 @@ class DefiniteLogFamily(PotentialFamily):
     def d2(self, w):
         return (-2.0 / self.a) / (w + self.r0**2) ** 2
 
-    def d3(self, w):
+    def _d3_d4(self, w):
         t = w + self.r0**2
-        return _reciprocal_d3_d4(-2.0 / self.a, t * t, 2.0 * t, 2.0)[0]
-
-    def d4(self, w):
-        t = w + self.r0**2
-        return _reciprocal_d3_d4(-2.0 / self.a, t * t, 2.0 * t, 2.0)[1]
+        return _reciprocal_d3_d4(-2.0 / self.a, t * t, 2.0 * t, 2.0)
 
     def in_domain(self, w):
         return w > -self.r0**2
@@ -276,13 +270,9 @@ class InverseFamily(PotentialFamily):
     def d2(self, w):
         return -2.0 / (w * w * w)
 
-    def d3(self, w):
+    def _d3_d4(self, w):
         w2 = w * w
-        return _reciprocal_d3_d4(-2.0, w2 * w, 3.0 * w2, 6.0 * w)[0]
-
-    def d4(self, w):
-        w2 = w * w
-        return _reciprocal_d3_d4(-2.0, w2 * w, 3.0 * w2, 6.0 * w)[1]
+        return _reciprocal_d3_d4(-2.0, w2 * w, 3.0 * w2, 6.0 * w)
 
     def in_domain(self, w):
         return w < 0
@@ -332,11 +322,8 @@ class UserSeries(PotentialFamily):
             v = v * w + b
         return v, p, q
 
-    def d3(self, w):
-        return self._d2_jet(w)[1]
-
-    def d4(self, w):
-        return self._d2_jet(w)[2]
+    def _d3_d4(self, w):
+        return self._d2_jet(w)[1:]
 
     def in_domain(self, w):
         return w != 0.0
@@ -387,10 +374,16 @@ def admissibility(space: AmbientSpace, family: PotentialFamily, w) -> Admissibil
     f' and s are nan and the report is not ok.
     """
     w = np.asarray(w, dtype=float)
-    ok_dom = family.in_domain(w) & ((w < 0) if space.lorentz else (w > 0))
     with np.errstate(all="ignore"):
-        fp = np.where(ok_dom, family.d1(w), math.nan)
-        s = np.where(ok_dom, fp + w * family.d2(w), math.nan)
+        return _admissibility(space, family, w, family.d1(w), family.d2(w))
+
+
+def _admissibility(space, family, w, f1, f2) -> AdmissibilityReport:
+    """``admissibility`` at the square norms w, an array, from f' and f''
+    there, under the caller's ``np.errstate``."""
+    ok_dom = family.in_domain(w) & ((w < 0) if space.lorentz else (w > 0))
+    fp = np.where(ok_dom, f1, math.nan)
+    s = np.where(ok_dom, fp + w * f2, math.nan)
     return AdmissibilityReport(w, fp, s, ok_dom, ok_dom & _positive(space, fp, s))
 
 
@@ -404,10 +397,16 @@ def potential_gates(space: AmbientSpace, family: PotentialFamily, w,
     """The gates of the metric of ``family`` at square norms w, (P,), in
     order: the family's domain, admissibility when ``checked``, and a radius
     on the background."""
+    return _potential_gates(space, family, w, admissibility(space, family, w)
+                            if checked else None)
+
+
+def _potential_gates(space, family, w, rep) -> list:
+    """``potential_gates`` with the admissibility report ``rep`` of the
+    square norms w, or None for no admissibility gate."""
     gates = [(~family.in_domain(w), lambda j: DomainError(
         f"square norm {w[j]:.6g} outside the family domain"))]
-    if checked:
-        rep = admissibility(space, family, w)
+    if rep is not None:
         gates.append((~rep.ok, lambda j: AdmissibilityError(
             f"inadmissible at w={w[j]:.6g}: f'={rep.f_prime[j]:.6g}, "
             f"f'+wf''={rep.f_prime_plus_wf2[j]:.6g}")))
@@ -530,21 +529,9 @@ def _matrices(space: AmbientSpace, H, X, w, f1, f2):
     return G
 
 
-def potential_matrices(space: AmbientSpace, family: PotentialFamily, X):
-    """G of the metric of ``family`` at the rows of X, (P, d), in closed
-    form.  It repeats the operations of the field's own evaluation entry by
-    entry, so it is that evaluation to the bit.  Nothing is checked here: a
-    row that fails ``potential_gates`` gets meaningless values.
-    """
-    w = space.square_norm(X.T)
-    f1, f2 = (np.broadcast_to(f, w.shape)[:, None, None]
-              for f in (family.d1(w), family.d2(w)))
-    return _matrices(space, space.flat_real(), X, w, f1, f2)
-
-
 @functools.cache
 def _jet_constants(space: AmbientSpace):
-    """The constants of a space that ``potential_jets`` reads: h = diag(H),
+    """The constants of a space that ``_closed_form_jets`` reads: h = diag(H),
     M = J0 H, and the second partials d2A[k, l, i, j] of A (see there),
     which do not depend on the point.  Built once per space, read-only."""
     H = space.flat_real()
@@ -555,19 +542,38 @@ def _jet_constants(space: AmbientSpace):
     return np.diag(H), M, d2A
 
 
-def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
-    """G, dG and d2G of the metric of ``family`` at the rows of X, (P, d), in
-    closed form, G as ``potential_matrices`` takes it; see the module
-    docstring.  Nothing is checked here either.
+def _potential_rule(space: AmbientSpace, family: PotentialFamily, X,
+                    checked: bool, order: int = 2):
+    """The closed-form rule of the metric of ``family`` at the rows of X,
+    (P, d): (rep, gates, G, dG, d2G), with rep the admissibility report of
+    the rows, whose ``w`` holds their square norms, and gates those of
+    ``potential_gates``.  With ``order=0`` it takes G alone, and dG and d2G
+    are None.  The square norms and the family's derivatives are taken once,
+    and nothing is checked: a row that fails a gate gets meaningless values.
+    G repeats the operations of the field's own evaluation entry by entry,
+    so it is that evaluation to the bit.
     """
+    w = space.square_norm(X.T)
+    with np.errstate(all="ignore"):
+        f = family.derivatives(w) if order else (family.d1(w), family.d2(w))
+        rep = _admissibility(space, family, w, f[0], f[1])
+        gates = _potential_gates(space, family, w, rep if checked else None)
+        f = [np.broadcast_to(v, w.shape)[:, None, None] for v in f]
+        if order == 0:
+            G = _matrices(space, space.flat_real(), X, w, *f)
+            return rep, gates, G, None, None
+        return (rep, gates, *_closed_form_jets(space, X, w, *f))
+
+
+def _closed_form_jets(space: AmbientSpace, X, w, f1, f2, f3, f4):
+    """G, dG and d2G at the rows of X, (P, d), from their square norms w
+    and f', ..., f'''' there, each (P, 1, 1); see the module docstring."""
     H = space.flat_real()
     h, M, d2A = _jet_constants(space)
-    w = space.square_norm(X.T)
-    f1, f2, f3, f4 = (np.broadcast_to(f, w.shape)[:, None, None] for f in (
-        family.d1(w), family.d2(w), family.d3(w), family.d4(w)))
     G = _matrices(space, H, X, w, f1, f2)
     # With u = H x and v = J0 u, G = 2 f' H + 2 f'' A for A = u u^T + v v^T;
     # d_k u = h_k and d_k v = m_k = J0 h_k, and w_k = 2 u_k, w_kl = 2 H_kl.
+    P, d = X.shape
     u = h * X
     v = _rotate(u)
     A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
@@ -578,14 +584,24 @@ def potential_jets(space: AmbientSpace, family: PotentialFamily, X):
     ww = wk[:, :, None] * wk[:, None, :]
     dG = (2.0 * wk[:, :, None, None] * (f2 * H + f3 * A)[:, None]
           + (2.0 * f2[..., None]) * dA)
-    f2, f3, f4 = (f[..., None, None] for f in (f2, f3, f4))
-    d2G = (2.0 * (f3 * ww[..., None, None] + 2.0 * f2 * H[:, :, None, None])
-           * H
-           + 2.0 * (f4 * ww[..., None, None] + 2.0 * f3 * H[:, :, None, None])
-           * A[:, None, None]
-           + 2.0 * f3 * (wk[:, :, None, None, None] * dA[:, None]
-                         + wk[:, None, :, None, None] * dA[:, :, None])
-           + 2.0 * f2 * d2A)
+    # d2G[k, l, i, j] = e_k dA[l, i, j] + e_l dA[k, i, j] + c2_kl A_ij
+    # + c1_kl H_ij + 2 f'' d2A[k, l, i, j]: each outer product is one
+    # (P, d, 1) (P, 1, d^3) or (P, d^2, 1) (P, 1, d^2) product into a
+    # buffer, and the accumulator takes it in place
+    e = (2.0 * f3[:, :, 0]) * wk
+    c1 = 2.0 * (f3 * ww + 2.0 * f2 * H)
+    c2 = 2.0 * (f4 * ww + 2.0 * f3 * H)
+    d2G = np.empty((P, d, d, d, d))
+    buf = np.empty((P, d, d, d, d))
+    np.multiply(e[:, :, None], dA.reshape(P, 1, d ** 3),
+                out=buf.reshape(P, d, d ** 3))
+    np.add(buf, buf.swapaxes(1, 2), out=d2G)
+    acc, buf = d2G.reshape(P, d * d, d * d), buf.reshape(P, d * d, d * d)
+    acc += np.multiply(c2.reshape(P, d * d, 1), A.reshape(P, 1, d * d),
+                       out=buf)
+    acc += np.multiply(c1.reshape(P, d * d, 1), H.reshape(1, 1, d * d),
+                       out=buf)
+    acc += np.multiply(2.0 * f2, d2A.reshape(1, d * d, d * d), out=buf)
     return G, dG, d2G
 
 
@@ -596,8 +612,8 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
     With ``checked`` the evaluator raises ``AdmissibilityError`` wherever the
     positivity inequalities fail, which is what library callers want; report
     generators pass checked=False and surface the failure in their output
-    instead.  The field's ``jets`` rule is ``potential_jets`` behind
-    ``potential_gates``.
+    instead.  The field's ``jets`` rule is ``_potential_rule`` less its
+    admissibility report.
     """
     H = space.flat_real()
     d = space.dim
@@ -626,12 +642,7 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
         return out
 
     def jets(X, order=2):
-        w = space.square_norm(X.T)
-        with np.errstate(all="ignore"):
-            gates = potential_gates(space, family, w, checked)
-            if order == 0:
-                return gates, potential_matrices(space, family, X), None, None
-            return (gates, *potential_jets(space, family, X))
+        return _potential_rule(space, family, X, checked, order)[1:]
 
     return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
                        jets=jets)
@@ -698,9 +709,14 @@ def radial_unit_jets(space: AmbientSpace, jet, orientation: str = "outward"):
     Nothing is evaluated.  The gates: a radius (``AmbientSpace.radius``),
     and g(xi, xi) > 0 as for ``radial_frame``.
     """
-    sign = _check_orientation(orientation)
+    return _radial_unit_jets(space, jet, space.square_norm(jet.point.T),
+                             _check_orientation(orientation))
+
+
+def _radial_unit_jets(space, jet, w, sign=1.0):
+    """``radial_unit_jets`` with the square norms w of the jet's points and
+    the sign of the orientation, outward by default."""
     X, G, dG = jet.point, jet.G, jet.dG
-    w = space.square_norm(X.T)
     with np.errstate(all="ignore"):
         r = np.sqrt(-w if space.lorentz else w)
         u = X / r[:, None]

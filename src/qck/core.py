@@ -1,5 +1,5 @@
-"""Real coordinates for complex points, the standard complex structure, and
-conversions between Hermitian and real symmetric forms.
+"""The standard complex structure in real coordinates, and conversions
+between Hermitian and real symmetric forms.
 
 Complex points live in interleaved real coordinates (x1, y1, ..., xn, yn) with
 z^a = x_a + i y_a, so the standard complex structure acts blockwise by
@@ -13,15 +13,6 @@ import functools
 import numpy as np
 
 from .duals import MultiDual, weigh
-
-
-def complex_to_real(z) -> np.ndarray:
-    """Interleave complex coordinates into (x1, y1, ..., xn, yn)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
 
 
 @functools.cache

@@ -51,7 +51,7 @@ the Ricci form equals -g and the scalar curvature is -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,21 +154,20 @@ def _cond_gate(G):
         f"metric condition number exceeds {COND_LIMIT:.1e}"))
 
 
-def _bracket(dG):
-    """d_j G_{lk} + d_k G_{lj} - d_l G_{jk} at [..., l, j, k] from the
-    partials dG[..., l, j, k]."""
-    return dG.swapaxes(-3, -2) + np.moveaxis(dG, -3, -1) - dG
-
-
 def _connection(G, dG):
-    """Connection coefficients gamma[p, m, j, k] and the inverse metric at
-    each point of G (P, d, d) and dG (P, d, d, d)."""
+    """Christoffel symbols of the first kind gamma1[p, l, j, k], of the
+    second kind gamma[p, m, j, k], and the inverse metric, at each point
+    of G (P, d, d) and dG (P, d, d, d)."""
     P, d = G.shape[:2]
     Ginv = np.linalg.inv(G)
-    # gamma^m_{jk} = 1/2 g^{ml} (d_j G_{lk} + d_k G_{lj} - d_l G_{jk})
-    bracket = _bracket(dG).reshape(P, d, d * d)
-    gamma = 0.5 * (Ginv @ bracket).reshape(P, d, d, d)
-    return gamma, Ginv
+    # gamma1_{l,jk} = 1/2 (d_j G_{lk} + d_k G_{lj} - d_l G_{jk}), from the
+    # partials dG[p, l, j, k]
+    gamma1 = dG.swapaxes(-3, -2) + np.moveaxis(dG, -3, -1)
+    gamma1 -= dG
+    gamma1 *= 0.5
+    # gamma^m_{jk} = g^{ml} gamma1_{l,jk}
+    gamma = (Ginv @ gamma1.reshape(P, d, d * d)).reshape(P, d, d, d)
+    return gamma1, gamma, Ginv
 
 
 @dataclass
@@ -221,27 +220,36 @@ class PointJet:
     """Jets of a metric field at a point: the metric G with its first and
     second partials dG[k, i, j] and d2G[k, l, i, j], the complex structure J
     with its first partials dJ[k, i, j], and the connection they fix: the
-    Christoffel symbols gamma[m, j, k] and the inverse metric Ginv.
+    Christoffel symbols of the first kind gamma1[l, j, k] and of the second
+    kind gamma[m, j, k], and the inverse metric Ginv.
 
     ``point_jets`` makes the jets of many points at once; every field then
-    carries a leading points axis, and ``rows`` takes points out of it."""
+    carries a leading points axis, and ``rows`` takes points out of it.  A
+    jet that only keeps the first jet of the metric, as the record of
+    ``qch.decompose_points`` does, has None in d2G, gamma1 and gamma."""
 
     point: np.ndarray
     G: np.ndarray
     dG: np.ndarray
-    d2G: np.ndarray
+    d2G: np.ndarray | None
     J: np.ndarray
     dJ: np.ndarray
-    gamma: np.ndarray
+    gamma1: np.ndarray | None
+    gamma: np.ndarray | None
     Ginv: np.ndarray
     method: str  # how the metric jet was taken: "closed-form" | "dual" | "fd"
 
     def rows(self, index) -> "PointJet":
         """The jet at the points ``index`` (a mask or an index array, or an
         integer for the jet of one point) of a jet with a points axis."""
-        return PointJet(self.point[index], self.G[index], self.dG[index],
-                        self.d2G[index], self.J[index], self.dJ[index],
-                        self.gamma[index], self.Ginv[index], self.method)
+        return PointJet(*(None if a is None else a[index] for a in (
+            self.point, self.G, self.dG, self.d2G, self.J, self.dJ,
+            self.gamma1, self.gamma, self.Ginv)), self.method)
+
+    def first(self) -> "PointJet":
+        """The jet without the second partials of the metric and the
+        connection: what reading G, dG, J, dJ and Ginv needs."""
+        return replace(self, d2G=None, gamma1=None, gamma=None)
 
 
 def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
@@ -254,16 +262,20 @@ def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
     its gates.  Every other field is evaluated once on dual numbers at all
     rows, and a varying structure once more at the rows that pass."""
     X = np.asarray(X, dtype=float)
+    if metric.jets is not None:
+        return gated_jets(metric, X, *metric.jets(X), "closed-form", sieve)
+    return gated_jets(metric, X, [], *_second_jets(metric, X), "dual", sieve)
+
+
+def gated_jets(metric, X, gates, G, dG, d2G, method: str,
+               sieve: Sieve | None = None) -> PointJet:
+    """The jets of ``point_jets`` from the values G, dG and d2G of the
+    metric jet at the rows of X and the field's gates there, taken by
+    ``method``: a caller that holds a field's rule output, as
+    ``qch.decompose_points`` does, goes on from here."""
     raising = sieve is None
     if raising:
         sieve = Sieve(len(X))
-    if metric.jets is not None:
-        gates, G, dG, d2G = metric.jets(X)
-        method = "closed-form"
-    else:
-        gates = []
-        G, dG, d2G = _second_jets(metric, X)
-        method = "dual"
     with np.errstate(all="ignore"):
         keep = sieve.drop(gates + [_finite_gate(G, d2G)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
@@ -272,9 +284,9 @@ def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
     if raising:
         for error in filter(None, sieve.errors):
             raise error
-    gamma, Ginv = _connection(G, dG)
+    gamma1, gamma, Ginv = _connection(G, dG)
     J, dJ = structure_jet(metric, X)
-    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, method)
+    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, method)
 
 
 def fd_jets(metric, X) -> PointJet:
@@ -285,31 +297,34 @@ def fd_jets(metric, X) -> PointJet:
     X = np.asarray(X, dtype=float)
     G, dG, d2G = metric_second_jet_fd(metric, X)
     raise_first([_cond_gate(G)])
-    gamma, Ginv = _connection(G, dG)
+    gamma1, gamma, Ginv = _connection(G, dG)
     J, dJ = structure_jet(metric, X)
-    return PointJet(X, G, dG, d2G, J, dJ, gamma, Ginv, "fd")
+    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, "fd")
 
 
 def curvature_tensors(jet: PointJet):
     """The curvature tensors R[p, i, j, k, l], all indices down, at the
-    points of a jet with a points axis.  Every contraction is a matrix
+    points of a jet with a points axis, from the second partials of the
+    metric and the Christoffel symbols of both kinds:
+
+        R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
+                 + gamma1_{m,jl} gamma^m_ik - gamma1_{m,il} gamma^m_jk.
+
+    With X_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + gamma1_{m,jl} gamma^m_ik,
+    R is X less its (i, j) transpose.  The quadratic term is one matrix
     product per point."""
-    G, dG, d2G, gamma, Ginv = jet.G, jet.dG, jet.d2G, jet.gamma, jet.Ginv
-    P, d = G.shape[:2]
-    # d_i gamma^m_{jk}, using d_i Ginv = -Ginv dG_i Ginv
-    dGinv = -(Ginv[:, None] @ dG @ Ginv[:, None])
-    bracket = _bracket(dG)
-    dbracket = _bracket(d2G)
-    dgamma = 0.5 * (dGinv @ bracket.reshape(P, 1, d, d * d)
-                    + Ginv[:, None] @ dbracket.reshape(P, d, d, d * d))
-    dgamma = dgamma.reshape(P, d, d, d, d)
-    # sum_a gamma^m_{ia} gamma^a_{jk}, and the same with i and j swapped
-    quad = (gamma.reshape(P, d * d, d)
-            @ gamma.reshape(P, d, d * d)).reshape(P, d, d, d, d)
-    Rm = (dgamma.swapaxes(1, 2) - dgamma.transpose(0, 2, 3, 1, 4)
-          + quad - quad.swapaxes(2, 3))
-    # R_{ijkl} = g_{ml} Rm^m_{ijk}
-    return (Rm.reshape(P, d, d ** 3).swapaxes(1, 2) @ G).reshape(P, d, d, d, d)
+    d2G, gamma1, gamma = jet.d2G, jet.gamma1, jet.gamma
+    P, d = gamma.shape[:2]
+    # A[p, i, j, k, l] = d_i d_k g_jl
+    A = d2G.transpose(0, 1, 3, 2, 4)
+    X = A - A.swapaxes(3, 4)
+    X *= 0.5
+    # Q[p, j, l, i, k] = gamma1_{m,jl} gamma^m_ik
+    Q = (gamma1.reshape(P, d, d * d).swapaxes(1, 2)
+         @ gamma.reshape(P, d, d * d)).reshape(P, d, d, d, d)
+    X += Q.transpose(0, 3, 1, 4, 2)
+    # R into the buffer of Q, which X has taken
+    return np.subtract(X, X.swapaxes(1, 2), out=Q)
 
 
 def curvature_gate(R):
@@ -328,8 +343,9 @@ def covariant_derivative(jet: PointJet, V, dV):
     (from ``duals.eval_with_partials``, or in closed form as
     ``ambient.radial_unit_jets``).  Leading axes of V and dV carry through
     to D: the points axis of a jet that has one, then one axis per field
-    at each point, if any."""
-    gamma = jet.gamma
+    at each point, if any.  The symbols and V are taken as contiguous
+    copies, so that D does not depend on their memory layout."""
+    gamma, V = np.ascontiguousarray(jet.gamma), np.ascontiguousarray(V)
     fields = V.ndim - 1 - (gamma.ndim - 3)
     gamma = gamma.reshape(gamma.shape[:-3] + (1,) * fields + gamma.shape[-3:])
     return dV + np.einsum("...mia,...a->...im", gamma, V)

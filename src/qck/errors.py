@@ -74,6 +74,8 @@ class Sieve:
         all; the caller narrows its arrays with it.  The index is a mask, or
         the whole slice when every point passes, so that arrays are narrowed
         without a copy when no point dropped out."""
+        if not any(bad.any() for bad, _ in gates):
+            return slice(None)
         keep = np.ones(len(self.running), dtype=bool)
         for bad, error in gates:
             for j in np.flatnonzero(keep & bad):

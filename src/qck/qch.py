@@ -46,11 +46,11 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
-                      RadialFrame, admissibility, potential_metric,
-                      radial_unit_jets)
+                      RadialFrame, _potential_rule, _radial_unit_jets,
+                      potential_metric)
 from .core import j0_matrix
 from .curvature import (PointJet, covariant_derivative, curvature_gate,
-                        curvature_tensors, point_jets)
+                        curvature_tensors, gated_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
 from .tensors import Tensor4
@@ -91,8 +91,11 @@ def adapted_frames(G, J, xi):
 
     The gates: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1
     (either sign of the square norm is accepted so the flat indefinite form
-    can be probed too), and a complete frame.
+    can be probed too), and a complete frame.  The inputs are taken as
+    contiguous copies, so that a point's frame does not depend on their
+    memory layout.
     """
+    G, J, xi = (np.ascontiguousarray(a) for a in (G, J, xi))
     P, d = xi.shape
     F = np.zeros((P, d, d))
     F[:, 0] = xi
@@ -155,11 +158,13 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     shape.  The gates, in order: g(xi, xi) = +-1, a complement distribution
     whose frame rows F[:, 2:] are all space-like, and a spread of the normal
     curvature within ``SPREAD_GATE``, past which ShapeUniformityError stands
-    for an average of unlike things.
+    for an average of unlike things.  The arrays are taken as contiguous
+    copies, as in ``adapted_frames``.
     """
+    F, signs, dxi, G = (np.ascontiguousarray(a)
+                        for a in (F, signs, dxi, jet.G))
     xi, jxi = F[:, 0], F[:, 1]
     D = covariant_derivative(jet, xi, dxi)
-    G = jet.G
     d = xi.shape[1]
     sq = _gdot(G, xi, xi)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
@@ -359,20 +364,24 @@ def frame_fit(R, F, signs):
     its own product, so a point's fit does not depend on the batch around it.
     """
     P, d = F.shape[:2]
-    T = R
+    T = np.ascontiguousarray(R)
     for _ in range(4):
-        # the last index into the frame, moved to the front
-        T = (T.reshape(P, d ** 3, d) @ F.swapaxes(1, 2)).swapaxes(1, 2)
+        # the last index into the frame, moved to the front: F times the
+        # transpose of a view, so that no step copies T
+        T = F @ T.reshape(P, d ** 3, d).swapaxes(1, 2)
     T = T.reshape(P, 1, d ** 4)
     coeffs = np.empty((P, 3))
     residual = np.empty(P)
     keys = [tuple(s) for s in signs.tolist()]
     for key in set(keys):
         rows = [p for p, k in enumerate(keys) if k == key]
+        if len(rows) == P:
+            rows = slice(None)  # no copy of T when every frame is alike
         B, pinv = _frame_basis(key)
         t = T[rows]
         c = t @ pinv
-        misfit = t - c @ B
+        misfit = c @ B
+        np.subtract(t, misfit, out=misfit)
         coeffs[rows] = c[:, 0]
         residual[rows] = np.sqrt(
             (misfit @ misfit.swapaxes(1, 2))[:, 0, 0]
@@ -451,9 +460,9 @@ def pass_rows(dim: int) -> int:
 class _RowFamilies(PotentialFamily):
     """One potential family per row of a pass.  Its array methods take the
     square norms w of those rows and evaluate each distinct family once, on
-    its own rows; they are all that ``admissibility``, ``potential_gates``
-    and ``potential_jets`` read of a family, so a row gets the values of
-    its own family to the bit."""
+    its own rows; they are all that the pass reads of a family (its domain
+    and its derivatives), so a row gets the values of its own family to the
+    bit."""
 
     kind = "rows"
 
@@ -463,26 +472,18 @@ class _RowFamilies(PotentialFamily):
             groups.setdefault(family, []).append(row)
         self.groups = [(f, np.array(rows)) for f, rows in groups.items()]
 
-    def _each(self, method, w):
-        out = np.empty(w.shape, dtype=bool if method == "in_domain" else float)
+    def in_domain(self, w):
+        out = np.empty(w.shape, dtype=bool)
         for family, rows in self.groups:
-            out[rows] = getattr(family, method)(w[rows])
+            out[rows] = family.in_domain(w[rows])
         return out
 
-    def in_domain(self, w):
-        return self._each("in_domain", w)
-
-    def d1(self, w):
-        return self._each("d1", w)
-
-    def d2(self, w):
-        return self._each("d2", w)
-
-    def d3(self, w):
-        return self._each("d3", w)
-
-    def d4(self, w):
-        return self._each("d4", w)
+    def derivatives(self, w):
+        out = np.empty((4,) + w.shape)
+        for family, rows in self.groups:
+            for o, v in zip(out, family.derivatives(w[rows])):
+                o[rows] = v
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -597,19 +598,21 @@ def _spread(rows, values, count):
 
 def _decompose_pass(space, family, X, checked, fit):
     P = len(X)
-    adm = admissibility(space, family, space.square_norm(X.T))
     sieve = Sieve(P)
-    jet = point_jets(potential_metric(space, family, checked), X, sieve)
+    # the square norms and the family's derivatives, once for the pass
+    adm, *rule = _potential_rule(space, family, X, checked)
+    jet = gated_jets(potential_metric(space, family, checked), X, *rule,
+                     "closed-form", sieve)
     R = curvature_tensors(jet)
     keep = sieve.drop([curvature_gate(R)])
     jet, R = jet.rows(keep), R[keep]
     curved = sieve.running
-    xi, dxi, gates = radial_unit_jets(space, jet)
+    xi, dxi, gates = _radial_unit_jets(space, jet, adm.w[curved])
     keep = sieve.drop(gates)
     unit = sieve.running
     shape_error, fit_error = [None] * P, [None] * P
     record = dict(point=X, admissibility=adm, error=tuple(sieve.errors),
-                  curved=curved, jet=jet, R=R, unit=unit,
+                  curved=curved, jet=jet.first(), R=R, unit=unit,
                   xi=_spread(unit, xi[keep], P))
     if fit:
         ujet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]

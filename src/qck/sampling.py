@@ -1,7 +1,11 @@
 """Seeded point samplers on the flat backgrounds.
 
 Report builders and the command line driver share these so that a given seed
-always lands on the same evaluation points.
+always lands on the same evaluation points.  A point takes its draws from
+the generator in a fixed order: its radius (when the sampler draws it), the
+Gaussian block, then the phase of a time-like point; the coordinates of a
+block of points are then one array expression, so a point drawn in a block
+is the point drawn alone.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 import numpy as np
 
 from .ambient import AmbientSpace, PotentialFamily, admissibility
-from .core import complex_to_real
 from .errors import DomainError
 
 # scale of the Gaussian space-like block of a time-like sample point
@@ -20,34 +23,52 @@ SPREAD = 0.3
 MAX_TRIES = 200
 
 
-def timelike_point(space: AmbientSpace, r: float, rng=None,
-                   seed: int = 0) -> np.ndarray:
-    """Point at time-like radius ``r``: Gaussian spread ``SPREAD`` in the
-    space-like block, the last complex coordinate adjusted to hit the radius
-    exactly."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    w = (rng.normal(scale=SPREAD, size=space.n - 1)
-         + 1j * rng.normal(scale=SPREAD, size=space.n - 1))
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    zn = np.exp(1j * theta) * np.sqrt(r * r + float(np.sum(np.abs(w) ** 2)))
-    return complex_to_real(np.append(w, zn))
+def _coordinates(space: AmbientSpace, r, g, theta) -> np.ndarray:
+    """Points at radii r, (P,), from their Gaussian blocks g and the phases
+    theta of time-like points, in interleaved real coordinates (P, d).
+
+    A time-like point has the complex coordinates w = g[:m] + i g[m:],
+    m = n - 1, and z_n = e^(i theta) sqrt(r^2 + |w|^2), which hits the radius
+    exactly; a definite point is the direction g scaled to radius r."""
+    if not space.lorentz:
+        # the length of each row as a dot product, as np.linalg.norm takes it
+        length = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        return r[:, None] * g / length[:, None]
+    m = space.n - 1
+    w = g[:, :m] + 1j * g[:, m:]
+    zn = np.exp(1j * theta) * np.sqrt(r * r + np.sum(np.abs(w) ** 2, axis=1))
+    X = np.empty((len(r), space.dim))
+    X[:, 0:-2:2], X[:, 1:-2:2] = w.real, w.imag
+    X[:, -2], X[:, -1] = zn.real, zn.imag
+    return X
 
 
-def definite_point(space: AmbientSpace, r: float, rng=None,
-                   seed: int = 0) -> np.ndarray:
-    """Uniformly random direction scaled to radius ``r``."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    v = rng.normal(size=space.dim)
-    return r * v / float(np.linalg.norm(v))
+def _draw(space: AmbientSpace, rng, radii) -> np.ndarray:
+    """Points at the given radii, drawing each point's block and phase in
+    turn; a radius that is a pair (rmin, rmax) is drawn first, uniformly."""
+    count = len(radii)
+    r, theta = np.empty(count), np.empty(count)
+    g = np.empty((count, 2 * (space.n - 1) if space.lorentz else space.dim))
+    for i, radius in enumerate(radii):
+        r[i] = rng.uniform(*radius) if isinstance(radius, tuple) else radius
+        if space.lorentz:
+            g[i] = rng.normal(scale=SPREAD, size=g.shape[1])
+            theta[i] = rng.uniform(0.0, 2.0 * np.pi)
+        else:
+            g[i] = rng.normal(size=g.shape[1])
+    return _coordinates(space, r, g, theta)
 
 
 def point_at_radius(space: AmbientSpace, r: float, rng=None,
                     seed: int = 0) -> np.ndarray:
-    if space.lorentz:
-        return timelike_point(space, r, rng=rng, seed=seed)
-    return definite_point(space, r, rng=rng, seed=seed)
+    """Point at radius ``r`` from ``rng``, or from a generator seeded with
+    ``seed``: on the Lorentz background a Gaussian space-like block of
+    spread ``SPREAD`` and the last complex coordinate adjusted to hit the
+    time-like radius exactly, on the definite one a uniformly random
+    direction."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    return _draw(space, rng, [float(r)])[0]
 
 
 def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
@@ -76,12 +97,11 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
             raise DomainError(
                 f"could not draw {count} admissible points in [{rmin}, {rmax}] "
                 f"after {budget} tries")
-        block = [point_at_radius(space, rng.uniform(rmin, rmax), rng=rng)
-                 for _ in range(min(count - len(pts), budget - tries))]
-        tries += len(block)
+        size = min(count - len(pts), budget - tries)
+        block = _draw(space, rng, [(rmin, rmax)] * size)
+        tries += size
         if family is not None:
-            w = space.square_norm(np.array(block).T)
-            block = [x for x, ok in zip(block, admissibility(space, family, w).ok)
-                     if ok]
+            block = block[admissibility(space, family,
+                                        space.square_norm(block.T)).ok]
         pts.extend(block)
     return pts

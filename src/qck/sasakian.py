@@ -45,7 +45,7 @@ from .errors import (DomainError, NotSasakian, NotSpaceForm,
                      NumericalBreakdown, raise_first)
 from .qch import (QCDecomposition, _gdot, adapted_frames, frame_fit,
                   shape_arrays)
-from .sampling import definite_point, timelike_point
+from .sampling import point_at_radius
 
 ZERO_BAND = 1e-8
 ALPHA_GATE = 1e-5
@@ -488,7 +488,7 @@ def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
     if metric is None:
         metric = potential_metric(space, family)
     Z = np.array([_chartable_timelike_point(space, r, seed) if space.lorentz
-                  else definite_point(space, r, seed=seed) for r in radii])
+                  else point_at_radius(space, r, seed=seed) for r in radii])
     jet = point_jets(metric, Z)
     structure, spheres, F, signs = _induced_contacts(space, jet, orientation)
     R = curvature_tensors(jet)
@@ -526,7 +526,7 @@ def _chartable_timelike_point(space, r, seed):
     intrinsic cross-check can place the point in a chart."""
     floor = (r * math.sin(CHART_MARGIN)) ** 2
     for k in range(CHART_TRIES):
-        Z = timelike_point(space, r, seed=seed + 1000 * k)
+        Z = point_at_radius(space, r, seed=seed + 1000 * k)
         if Z[-1] ** 2 >= floor:
             return Z
     raise DomainError("could not draw a chart-compatible sphere point")

@@ -65,17 +65,18 @@ _AXES = (-4, -3, -2, -1)
 
 def tensor_scale(R):
     """Largest component of each tensor."""
-    return np.max(np.abs(R), axis=_AXES)
+    return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES))
 
 
 def curvature_symmetry_defect(R):
     """Max violation of the algebraic curvature identities (absolute) of
-    each tensor."""
-    d1 = np.max(np.abs(R + np.swapaxes(R, -4, -3)), axis=_AXES)
-    d2 = np.max(np.abs(R + np.swapaxes(R, -2, -1)), axis=_AXES)
-    d3 = np.max(np.abs(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1)),
-                axis=_AXES)
-    return np.maximum(np.maximum(d1, d2), d3)
+    each tensor: one buffer takes the defect of each identity in turn."""
+    buf = np.add(R, np.swapaxes(R, -4, -3))
+    defect = np.max(np.abs(buf, out=buf), axis=_AXES)
+    np.add(R, np.swapaxes(R, -2, -1), out=buf)
+    defect = np.maximum(defect, np.max(np.abs(buf, out=buf), axis=_AXES))
+    np.subtract(R, np.swapaxes(np.swapaxes(R, -4, -2), -3, -1), out=buf)
+    return np.maximum(defect, np.max(np.abs(buf, out=buf), axis=_AXES))
 
 
 def first_bianchi_defect(R):

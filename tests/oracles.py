@@ -25,7 +25,11 @@ the fit, the hypersphere contact structure and its Gauss cross-check.  And
 the dual fields written entry by entry, in lists of scalars: the graph
 chart, the pullback, the rotational metric and structure, and the Sasakian
 family with its Reeb and phi fields, the references for their array forms
-in ``qck.charts``, ``qck.rotational`` and ``qck.sasakian``.
+in ``qck.charts``, ``qck.rotational`` and ``qck.sasakian``.  And the
+curvature assembly from the derivatives of the Christoffel symbols of the
+second kind, the reference for ``curvature.curvature_tensors``, and the
+seeded samplers one point at a time, the references for the array
+expressions of ``qck.sampling``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from qck.ambient import (AdmissibilityReport, AmbientSpace,
                          DefiniteLogFamily, InverseFamily, LogFamily,
                          MetricField, PotentialFamily, UserSeries,
-                         _radial_projectors, radial_unit_jets)
+                         _radial_projectors, admissibility, radial_unit_jets)
 from qck.charts import GraphChart, pullback_metric
 from qck.core import apply_j0
 from qck.curvature import (CurvatureBundle, PointJet,
@@ -51,6 +55,7 @@ from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
 from qck.qch import (QCDecomposition, adapted_frames, bochner_of_tensor,
                      frame_fit, shape_arrays)
+from qck.sampling import SPREAD
 from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
 from qck.tensors import Tensor4
 
@@ -109,6 +114,15 @@ def gcos(x):
 
 
 # -- complex coordinates ----------------------------------------------------------
+
+
+def complex_to_real(z) -> np.ndarray:
+    """Interleave complex coordinates into (x1, y1, ..., xn, yn)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(2 * z.size)
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out
 
 
 def real_to_complex(x) -> np.ndarray:
@@ -552,9 +566,33 @@ def structure_covariant_defect(jet) -> float:
 
 def stacked(jet):
     """A one-point jet with a points axis of length 1."""
-    return PointJet(jet.point[None], jet.G[None], jet.dG[None],
-                    jet.d2G[None], jet.J[None], jet.dJ[None],
-                    jet.gamma[None], jet.Ginv[None], jet.method)
+    return jet.rows(None)
+
+
+def curvature_tensors_second_kind(jet):
+    """The curvature tensors at the points of a jet, assembled from the
+    derivatives of the Christoffel symbols of the second kind and lowered
+    by G at the end: the assembly that ``curvature.curvature_tensors``
+    replaced, kept as its oracle.  d_i gamma^m_jk comes from
+    d_i Ginv = -Ginv dG_i Ginv and the bracket of d2G."""
+    G, dG, d2G, gamma, Ginv = jet.G, jet.dG, jet.d2G, jet.gamma, jet.Ginv
+    P, d = G.shape[:2]
+
+    def bracket(T):
+        # d_j T_{lk} + d_k T_{lj} - d_l T_{jk} at [..., l, j, k]
+        return T.swapaxes(-3, -2) + np.moveaxis(T, -3, -1) - T
+
+    dGinv = -(Ginv[:, None] @ dG @ Ginv[:, None])
+    dgamma = 0.5 * (dGinv @ bracket(dG).reshape(P, 1, d, d * d)
+                    + Ginv[:, None] @ bracket(d2G).reshape(P, d, d, d * d))
+    dgamma = dgamma.reshape(P, d, d, d, d)
+    # sum_a gamma^m_{ia} gamma^a_{jk}, and the same with i and j swapped
+    quad = (gamma.reshape(P, d * d, d)
+            @ gamma.reshape(P, d, d * d)).reshape(P, d, d, d, d)
+    Rm = (dgamma.swapaxes(1, 2) - dgamma.transpose(0, 2, 3, 1, 4)
+          + quad - quad.swapaxes(2, 3))
+    # R_{ijkl} = g_{ml} Rm^m_{ijk}
+    return (Rm.reshape(P, d, d ** 3).swapaxes(1, 2) @ G).reshape(P, d, d, d, d)
 
 
 def point_jet(metric, x, method: str = "exact"):
@@ -979,3 +1017,34 @@ def metric_from_conformal_pair(space: AmbientSpace, pair: ConformalPair) -> Metr
         return out
 
     return MetricField(ev, d, name=f"conformal[{pair.source}]")
+
+
+# -- the seeded samplers one point at a time ------------------------------------
+
+
+def point_at_radius_looped(space: AmbientSpace, r: float, rng) -> np.ndarray:
+    """A point at radius r, its coordinates one point at a time: the
+    reference for the array expression of ``sampling.point_at_radius``."""
+    if not space.lorentz:
+        v = rng.normal(size=space.dim)
+        return r * v / float(np.linalg.norm(v))
+    w = (rng.normal(scale=SPREAD, size=space.n - 1)
+         + 1j * rng.normal(scale=SPREAD, size=space.n - 1))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    zn = np.exp(1j * theta) * np.sqrt(r * r + float(np.sum(np.abs(w) ** 2)))
+    return complex_to_real(np.append(w, zn))
+
+
+def radial_points_looped(space: AmbientSpace, count: int, rmin: float,
+                         rmax: float, rng, family=None) -> tuple:
+    """The sample of ``sampling.radial_points`` drawn one point at a time
+    from ``rng``, which it leaves after the last point kept: (points, the
+    number of points drawn)."""
+    pts, drawn = [], 0
+    while len(pts) < count:
+        x = point_at_radius_looped(space, rng.uniform(rmin, rmax), rng)
+        drawn += 1
+        w = float(space.square_norm(x))
+        if family is None or admissibility(space, family, w).ok:
+            pts.append(x)
+    return pts, drawn

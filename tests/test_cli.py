@@ -480,11 +480,11 @@ class TestMetricEvaluations:
         # off the jets.  17 points are one pass at n = 2 (256 rows) and
         # two at n = 4 (16 rows), the edges of the memory bound.
         passes, evaluations = [], []
-        jets = ambient.potential_jets
+        jets = ambient._closed_form_jets
 
-        def counted_jets(space, family, X):
+        def counted_jets(space, X, *values):
             passes.append(len(X))
-            return jets(space, family, X)
+            return jets(space, X, *values)
 
         init = ambient.MetricField.__init__
 
@@ -493,7 +493,7 @@ class TestMetricEvaluations:
             evaluate = field.fn
             field.fn = lambda x: evaluations.append(1) or evaluate(x)
 
-        monkeypatch.setattr(ambient, "potential_jets", counted_jets)
+        monkeypatch.setattr(ambient, "_closed_form_jets", counted_jets)
         monkeypatch.setattr(ambient.MetricField, "__init__", counted_init)
         count = 17
         code, out, _ = run_cli(capsys, [command, "--n", str(n), "--count",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from qck.ambient import (
     radial_frame,
 )
 from qck.charts import GraphChart, pullback_metric
-from qck.core import complex_to_real
 from qck.curvature import (
     covariant_derivative,
     fd_jets,
@@ -28,7 +29,9 @@ from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
 from qck.rotational import const_hsc_profile, rotation_metric
 from qck.sampling import point_at_radius
 from qck.sasakian import family_h1_metric
-from oracles import (curvature_bundle, point_jet, sectional,
+from qck.qch import adapted_frames, frame_fit
+from oracles import (POTENTIAL_CASES, complex_to_real, curvature_bundle,
+                     curvature_tensors_second_kind, point_jet, sectional,
                      ConformalPair, conformal_pair_from_family, generator,
                      metric_from_conformal_pair, radial_unit_field,
                      structure_covariant_defect)
@@ -263,6 +266,9 @@ class TestChristoffel:
         # nabla_k g_ij = d_k g_ij - gamma^a_{ki} g_aj - gamma^a_{kj} g_ia = 0
         nabla = dG - np.einsum("aki,aj->kij", gamma, G) - np.einsum("akj,ia->kij", gamma, G)
         assert np.max(np.abs(nabla)) < 1e-12
+        # the symbols of the first kind are those of the second lowered by G
+        assert np.allclose(jet.gamma1, np.einsum("la,ajk->ljk", G, gamma),
+                           atol=1e-12)
 
     def test_scale_invariance(self):
         g = potential_metric(L2, InverseFamily())
@@ -479,7 +485,8 @@ class TestDualBatches:
         for k, x in enumerate(X):
             want = point_jet(metric, x)
             got = jets.rows(k)
-            for name in ("point", "G", "dG", "d2G", "J", "dJ", "gamma", "Ginv"):
+            for name in ("point", "G", "dG", "d2G", "J", "dJ", "gamma1",
+                         "gamma", "Ginv"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_matrix_field_first_jet_rows(self):
@@ -511,7 +518,7 @@ class TestDualBatches:
         def no_derivatives(*args):
             raise AssertionError("the oracle reads G alone")
 
-        monkeypatch.setattr(ambient, "potential_jets", no_derivatives)
+        monkeypatch.setattr(ambient, "_closed_form_jets", no_derivatives)
         got = metric_second_jet_fd(metric, x)
         assert calls == {"matrices": 1, "matrix": 0}
         for g, w in zip(got, want):
@@ -550,7 +557,8 @@ class TestFDBatches:
             for got, want in zip(batch, metric_second_jet_fd(metric, x)):
                 assert np.array_equal(got[k], want)
             one = point_jet(metric, x, method="fd")
-            for name in ("G", "dG", "d2G", "J", "dJ", "gamma", "Ginv"):
+            for name in ("G", "dG", "d2G", "J", "dJ", "gamma1", "gamma",
+                         "Ginv"):
                 assert np.array_equal(getattr(jets.rows(k), name),
                                       getattr(one, name)), name
 
@@ -568,3 +576,71 @@ class TestFDBatches:
         fd_jets(metric, X)
         d = L2.dim
         assert seen == [5 * (1 + 4 * d + 4 * d * (d - 1))]
+
+
+def assembly_cases():
+    """(id, jet): closed-form, dual and finite-difference jets of every
+    potential family at four points, at n = 2..4 on its signature."""
+    cases = []
+    for signature, family, r in POTENTIAL_CASES:
+        for n in (2, 3, 4):
+            space = AmbientSpace(n, signature)
+            X = np.array([point_at_radius(space, r, seed=s) for s in range(4)])
+            metric = potential_metric(space, family)
+            name = f"{signature}-{family.describe()}-n{n}"
+            cases += [(f"{name}-closed-form", point_jets(metric, X)),
+                      (f"{name}-dual", point_jets(dual_field(metric), X)),
+                      (f"{name}-fd", fd_jets(metric, X))]
+    return cases
+
+
+ASSEMBLY_CASES = assembly_cases()
+
+
+class TestFirstKindAssembly:
+    """R from the second partials of g and the Christoffel symbols of both
+    kinds, against the assembly from the derivatives of the symbols of the
+    second kind that it replaced."""
+
+    @pytest.mark.parametrize("jet", [c[1] for c in ASSEMBLY_CASES],
+                             ids=[c[0] for c in ASSEMBLY_CASES])
+    def test_matches_the_second_kind_assembly(self, jet):
+        want = curvature_tensors_second_kind(jet)
+        got = curvature.curvature_tensors(jet)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_gate_fires_on_a_second_jet_off_symmetry(self):
+        # d2G[k, l, i, j] is symmetric in (k, l) and in (i, j); one entry
+        # pushed 1e-4 off breaks the symmetries of R, and the gate sees it
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        X = np.array([point_at_radius(L2, 2.0, seed=s) for s in range(2)])
+        jet = point_jets(metric, X)
+        d2G = jet.d2G.copy()
+        d2G[1, 0, 1, 2, 3] += 1e-4
+        bad, error = curvature.curvature_gate(curvature.curvature_tensors(
+            replace(jet, d2G=d2G)))
+        assert bad.tolist() == [False, True]
+        assert "symmetry defect" in str(error(1))
+        assert not curvature.curvature_gate(
+            curvature.curvature_tensors(jet))[0].any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_large_radius_fit(self, n):
+        # dlog(2, 1) has a = 2 and b = c = 0 at every radius; at r = 50 the
+        # second-kind assembly loses b to 1e-7 and the frame residual to
+        # 5e-8 in cancellation, which the first-kind one keeps near 2e-9
+        space = AmbientSpace(n, "definite")
+        X = np.array([point_at_radius(space, 50.0, seed=s) for s in range(4)])
+        jet = point_jets(potential_metric(space, DefiniteLogFamily(2.0, 1.0)),
+                         X)
+        xi, _, gates = ambient.radial_unit_jets(space, jet)
+        F, signs, frame_gates = adapted_frames(jet.G, jet.J, xi)
+        assert not any(bad.any() for bad, _ in gates + frame_gates)
+        bound = 1e-8
+        old = frame_fit(curvature_tensors_second_kind(jet), F, signs)
+        new = frame_fit(curvature.curvature_tensors(jet), F, signs)
+        for coeffs, residual in (old, new):
+            assert np.max(np.abs(coeffs[:, 0] - 2.0)) < 1e-12
+        assert max(np.max(np.abs(old[0][:, 1])), np.max(old[1])) > bound
+        assert np.max(np.abs(new[0][:, 1])) < bound
+        assert np.max(new[1]) < bound

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from qck import ambient, cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
-                         LogFamily, UserSeries, admissibility,
-                         potential_metric)
+                         LogFamily, UserSeries, potential_metric)
 from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
 from oracles import (curvature_bundle, decompose, extract_shape_data,
-                     point_jet, point_rows, radial_unit_jet)
+                     point_at_radius_looped, point_jet, point_rows,
+                     radial_points_looped, radial_unit_jet)
 
 L2 = AmbientSpace(2, "lorentz")
 D2 = AmbientSpace(2, "definite")
@@ -61,7 +61,7 @@ def same(a, b):
     assert (a.bundle is None) == (b.bundle is None)
     if a.bundle is not None:
         assert np.array_equal(a.bundle.R.a, b.bundle.R.a)
-        for key in ("G", "dG", "d2G", "gamma"):
+        for key in ("G", "dG", "J", "dJ", "Ginv"):
             assert np.array_equal(getattr(a.bundle.jet, key),
                                   getattr(b.bundle.jet, key))
     assert (a.xi is None) == (b.xi is None)
@@ -196,19 +196,50 @@ class TestPasses:
     @pytest.mark.parametrize("n,passes", [(2, [17]), (4, [16, 1])])
     def test_seventeen_rows(self, monkeypatch, n, passes):
         calls = []
-        jets = ambient.potential_jets
+        jets = ambient._closed_form_jets
 
-        def counted(space, family, X):
+        def counted(space, X, *values):
             calls.append(len(X))
-            return jets(space, family, X)
+            return jets(space, X, *values)
 
-        monkeypatch.setattr(ambient, "potential_jets", counted)
+        monkeypatch.setattr(ambient, "_closed_form_jets", counted)
         space = AmbientSpace(n, "lorentz")
         X = np.array(radial_points(space, 17, 1.1, 3.0, seed=n))
         rec = decompose_points(space, LogFamily(-1.0, 1.0), X)
         assert calls == passes
         assert rec.curved.tolist() == rec.unit.tolist() == list(range(17))
         assert len(rec.jet.G) == len(rec.R) == 17
+        # the record keeps what its readers take of a jet: G, dG, J, dJ
+        # and G^-1, and neither d2G nor the Christoffel symbols
+        assert rec.jet.d2G is rec.jet.gamma1 is rec.jet.gamma is None
+        assert len(rec.jet.dJ) == len(rec.jet.Ginv) == 17
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_one_evaluation_of_the_family_per_pass(self, monkeypatch,
+                                                   checked):
+        # the square norms and f', ..., f'''' of a pass are taken once, for
+        # the record's admissibility, the gates, the jets and the unit field
+        counts = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(AmbientSpace, "square_norm")
+        for name in ("d1", "d2", "_d3_d4"):
+            count(LogFamily, name)
+        count(ambient, "_reciprocal_d3_d4")
+        X = np.array(radial_points(L2, 5, 1.1, 3.0, seed=2))
+        counts.clear()
+        rec = decompose_points(L2, LogFamily(-1.0, 1.0), X, checked=checked)
+        assert rec.residual.shape == (5,)
+        assert counts == {"square_norm": 1, "d1": 1, "d2": 1, "_d3_d4": 1,
+                          "_reciprocal_d3_d4": 1}
 
     @pytest.mark.parametrize("family", [SERIES, []])
     def test_no_rows(self, family):
@@ -315,7 +346,9 @@ def test_batch_matches_one_point(n, case, radii, seed):
 
 
 class TestRadialPoints:
-    """The block sampler draws the sample of the point-by-point loop."""
+    """The block sampler draws the sample of the point-by-point loop
+    (``oracles.radial_points_looped``), and ``point_at_radius`` the point
+    of the one-point reference, to the bit."""
 
     # SHA-256 of the float64 bytes of the samples of seeds 0..9, by count,
     # drawn by the point-by-point sampler that preceded the block one
@@ -327,41 +360,54 @@ class TestRadialPoints:
     # rejects the fifth of the radii in [1, 3.5] that lie inside r0 = 1.5
     FAMILY = LogFamily(-2.0, 1.5)
 
-    @staticmethod
-    def looped(space, count, rmin, rmax, seed, family):
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < count:
-            x = point_at_radius(space, rng.uniform(rmin, rmax), rng=rng)
-            w = float(space.square_norm(x))
-            if family.in_domain(w) and admissibility(space, family, w).ok:
-                pts.append(x)
-        return pts
-
     @pytest.mark.parametrize("count", [1, 5, 10])
     def test_bit_for_bit_with_the_loop(self, count):
         digest = hashlib.sha256()
         for seed in range(10):
             got = radial_points(L2, count, 1.0, 3.5, seed=seed,
                                 family=self.FAMILY)
-            want = self.looped(L2, count, 1.0, 3.5, seed, self.FAMILY)
+            want, _ = radial_points_looped(L2, count, 1.0, 3.5,
+                                           np.random.default_rng(seed),
+                                           self.FAMILY)
             assert np.array_equal(np.array(got), np.array(want))
             digest.update(np.array(got).tobytes())
         assert digest.hexdigest() == self.DIGESTS[count]
 
+    @pytest.mark.parametrize("signature", ["lorentz", "definite"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equal_draws_over_seeds(self, n, signature):
+        space = AmbientSpace(n, signature)
+        for seed in range(40):
+            want, _ = radial_points_looped(space, 6, 0.5, 4.0,
+                                           np.random.default_rng(seed))
+            assert np.array_equal(
+                np.array(radial_points(space, 6, 0.5, 4.0, seed=seed)),
+                np.array(want))
+            rng, loop = (np.random.default_rng(seed) for _ in range(2))
+            assert np.array_equal(point_at_radius(space, 1.7, rng=rng),
+                                  point_at_radius_looped(space, 1.7, loop))
+            assert rng.bit_generator.state == loop.bit_generator.state
+
     def test_no_draw_after_the_last_point_kept(self, monkeypatch):
-        draws = []
-        point_at = sampling.point_at_radius
+        # the generator ends where the loop's ends, after the last point
+        # kept, and some points were drawn and rejected before it
+        generators = []
+        make = np.random.default_rng
 
-        def counted(*args, **kwargs):
-            x = point_at(*args, **kwargs)
-            draws.append(x)
-            return x
+        def kept(seed):
+            generators.append(make(seed))
+            return generators[-1]
 
-        monkeypatch.setattr(sampling, "point_at_radius", counted)
+        monkeypatch.setattr(sampling.np.random, "default_rng", kept)
         pts = radial_points(L2, 10, 1.0, 3.5, seed=3, family=self.FAMILY)
-        assert np.array_equal(draws[-1], pts[-1])
-        assert len(draws) > len(pts)
+        monkeypatch.undo()
+        loop = np.random.default_rng(3)
+        want, drawn = radial_points_looped(L2, 10, 1.0, 3.5, loop,
+                                           self.FAMILY)
+        assert np.array_equal(np.array(pts), np.array(want))
+        assert drawn > len(pts)
+        assert (generators[0].bit_generator.state
+                == loop.bit_generator.state)
 
     def test_budget_error_text(self):
         with pytest.raises(DomainError, match=r"could not draw 2 admissible "

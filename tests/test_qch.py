@@ -16,7 +16,7 @@ from qck.ambient import (
     radial_frame,
 )
 from qck.config import DEFAULT_TOLERANCES
-from qck.core import complex_to_real, hermitian_to_real, j0_matrix
+from qck.core import hermitian_to_real, j0_matrix
 from qck.curvature import CurvatureBundle
 from qck.duals import eval_with_partials
 from qck.errors import FrameError, ShapeUniformityError
@@ -32,7 +32,7 @@ from qck.qch import (
 )
 from qck.sampling import point_at_radius, radial_points
 from qck.tensors import Tensor4, tensor4_fit
-from oracles import (curvature_bundle, point_jet,
+from oracles import (complex_to_real, curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, decompose,
                      extract_shape_data, point_rows, radial_unit_jet,

@@ -19,7 +19,7 @@ from qck.sasakian import (alpha_sasakian_check, family_h1_metric,
                           family_h1_report, gauss_curvature_fn, phi_sectional,
                           space_form_model, space_form_model_defect,
                           sphere_phi_law, sphere_reports)
-from qck.sampling import point_at_radius, timelike_point
+from qck.sampling import point_at_radius
 from oracles import (POTENTIAL_CASES, alpha_check_looped, gauss_consistency,
                      gauss_curvature_closure, gauss_delta_looped,
                      induced_contact,
@@ -36,7 +36,7 @@ def disc_structure(r=2.0, seed=3, orientation="auto"):
     """The metric, and the structure and hypersphere data at one point of
     the disc's hypersphere of radius r."""
     metric = potential_metric(L2, DISC)
-    Z = timelike_point(L2, r, seed=seed)
+    Z = point_at_radius(L2, r, seed=seed)
     return (metric,) + induced_contact(L2, metric, Z, orientation=orientation)
 
 
@@ -124,7 +124,7 @@ class TestAlphaCheck:
         # on structures with a perturbed phi, where both defects are large
         space = AmbientSpace(n, "lorentz")
         jet = curvature.point_jets(potential_metric(space, DISC), np.array(
-            [timelike_point(space, r, seed=n) for r in (1.5, 2.0, 3.0)]))
+            [point_at_radius(space, r, seed=n) for r in (1.5, 2.0, 3.0)]))
         st_, sp, _, _ = sasakian._induced_contacts(space, jet, "auto")
         bad = dataclasses.replace(st_, phi=st_.phi + 0.01 * np.eye(2 * n))
         monkeypatch.setattr(sasakian, "ALPHA_GATE", 1.0)

@@ -19,19 +19,20 @@ MODULES = (ambient, curvature, qch, rotational, sasakian, verify)
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls by name, through every module that holds the name;
-    a point_jets call counts as "closed-form" or "dual" by its field."""
+    a gated_jets call, which every jet but the finite-difference one goes
+    through, counts as "closed-form" or "dual" by its method."""
     counts = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             key = name
-            if name == "point_jets":
-                key = "closed-form" if args[0].jets is not None else "dual"
+            if name == "gated_jets":
+                key = args[6]
             counts[key] = counts.get(key, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("point_jets", "bochner_of_tensor", "bochner_arrays",
+    for name in ("gated_jets", "bochner_of_tensor", "bochner_arrays",
                  "fd_jets", "curvature_tensors"):
         wrapper = counted(name, getattr(
             curvature if hasattr(curvature, name) else qch, name))
@@ -178,7 +179,7 @@ def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
     # criterion 3 decomposes its five n = 2 potentials in one pass and its
     # n = 3 one in another, with one Kahler defect call over each pass's
     # jets; criteria 4 and 5 put both of their potentials in one pass
-    counts = {"potential_jets": 0, "kahler_defect": 0}
+    counts = {"_closed_form_jets": 0, "kahler_defect": 0}
 
     def counted(name, module):
         fn = getattr(module, name)
@@ -189,10 +190,10 @@ def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted("potential_jets", ambient)
+    counted("_closed_form_jets", ambient)
     counted("kahler_defect", verify)
     run(number)
-    assert counts == {"potential_jets": passes, "kahler_defect": defects}
+    assert counts == {"_closed_form_jets": passes, "kahler_defect": defects}
 
 
 def test_potential_criteria_details_keep_their_values():
