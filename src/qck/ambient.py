@@ -15,15 +15,17 @@ lives in the test suite.  Family derivative methods are written with generic
 arithmetic only, so f'(w) and f''(w) inherit whatever dual payload w carries.
 
 Which path makes a jet: the metric field of ``potential_metric`` carries a
-closed-form rule over a points axis, ``potential_jets``.  With u = H x and
+closed-form rule over a points axis, ``_potential_rule``.  With u = H x and
 v = J0 u the second term is 2 f''(w) A, A = u u^T + v v^T, so the partials of
 G are polynomials in x times f' ... f'''' at w, and every family gives its
-derivatives up to f'''' in closed form on arrays of w, f''' and f'''' in the
-operation order of the order-2 dual of f''.  One call takes G, dG
-and d2G at many points at once, and ``curvature.point_jets`` makes a jet of
-them.  With ``order=0``
-the rule takes G alone (``potential_matrices``), which is all that
-``MetricField.matrices`` and the finite-difference oracle read.
+derivatives up to f'''' in closed form on arrays of w
+(``PotentialFamily.derivatives``, one evaluation for all four), f''' and
+f'''' in the operation order of the order-2 dual of f''.  One call takes
+the square norms and the derivatives once, and from them the admissibility
+report, the gates and G, dG and d2G at many points at once;
+``curvature.point_jets`` makes a jet of them, and ``qch.decompose_points``
+keeps the report too.  With ``order=0`` the rule takes G alone, which is
+all that ``MetricField.matrices`` and the finite-difference oracle read.
 ``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
@@ -35,7 +37,9 @@ pulled-back, rotational) has no rule and is differentiated by duals.
 The radial unit field xi = x / |x|_g of a metric, and with it the shape data
 of the radial distribution, depends on the metric only through G and dG at
 the point: ``radial_unit_jets`` reads both off the metric's jets, at every
-point of a batch, so the unit field costs no evaluation of its own.
+point of a batch, so the unit field costs no evaluation of its own.  It
+needs the square norms of the points too; a pass hands on those of its
+rule (``_radial_unit_jets``).
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 Everything is computed pointwise from a ``PointJet``: the metric values
 G_ij with their first partials dG[k, i, j] and second partials
 d2G[k, l, i, j], the complex structure J with its first partials, and the
-connection (Christoffel symbols and inverse metric), at each point of a
-points axis.  ``point_jets(metric, X)``, with the finite-difference oracle
-``fd_jets``, is the one place that evaluates a metric for this work, and
-the one place that computes its connection; ``curvature_tensors``,
-``kahler_defect``, ``covariant_derivative``, ``ambient.radial_unit_jets`` and
-``qch.shape_arrays`` all take the jet, so a pipeline builds it once.  A
+connection (the Christoffel symbols of both kinds and the inverse metric),
+at each point of a points axis.  ``point_jets(metric, X)``, with the
+finite-difference oracle ``fd_jets``, is the one place that evaluates a
+metric for this work; ``qch.decompose_points`` takes the closed-form rule
+of a potential metric itself, for the admissibility report that the rule
+gives too, and goes on through ``gated_jets`` as ``point_jets`` does.
+``_connection`` computes the connection of every jet.
+``curvature_tensors``, ``kahler_defect``, ``covariant_derivative``,
+``ambient.radial_unit_jets`` and ``qch.shape_arrays`` all take the jet, so
+a pipeline builds it once.  A
 ``CurvatureBundle`` holds one point's row of that jet and the curvature
 tensor R assembled from it; its invariants read G, G^-1 and J off the jet.
 The radial unit field and its partials follow from G and dG in closed
@@ -40,11 +44,20 @@ downstream assembly, as an independent oracle: its whole stencil is one
 rule where the field has one.
 
 Conventions.  Connection coefficients are the usual Christoffel symbols of
-the second kind.  The curvature tensor is
+the second kind, gamma^m_jk = g^ml gamma1_{l,jk}, with those of the first
+kind gamma1_{l,jk} = 1/2 (d_j g_lk + d_k g_lj - d_l g_jk).  The curvature
+tensor is
 
     R(X, Y, Z, U) = g((nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]) Z, U)
 
-so a space of constant sectional curvature K has
+and ``curvature_tensors`` assembles its components from the second partials
+of g and the symbols of both kinds,
+
+    R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
+             + gamma1_{m,jl} gamma^m_ik - gamma1_{m,il} gamma^m_jk,
+
+which needs no derivative of G^-1 or of the symbols.  So a space of
+constant sectional curvature K has
 R(X, Y, Y, X) = K (g(X,X) g(Y,Y) - g(X,Y)^2), and on the hyperbolic plane
 the Ricci form equals -g and the scalar curvature is -2.
 """
@@ -305,13 +318,10 @@ def fd_jets(metric, X) -> PointJet:
 def curvature_tensors(jet: PointJet):
     """The curvature tensors R[p, i, j, k, l], all indices down, at the
     points of a jet with a points axis, from the second partials of the
-    metric and the Christoffel symbols of both kinds:
-
-        R_ijkl = 1/2 (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il)
-                 + gamma1_{m,jl} gamma^m_ik - gamma1_{m,il} gamma^m_jk.
-
-    With X_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + gamma1_{m,jl} gamma^m_ik,
-    R is X less its (i, j) transpose.  The quadratic term is one matrix
+    metric and the Christoffel symbols of both kinds (see the module
+    docstring).  With
+    X_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) + gamma1_{m,jl} gamma^m_ik,
+    R is X less its (i, j) transpose; the quadratic term is one matrix
     product per point."""
     d2G, gamma1, gamma = jet.d2G, jet.gamma1, jet.gamma
     P, d = gamma.shape[:2]

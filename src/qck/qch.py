@@ -447,8 +447,8 @@ def bochner_flat(B: Tensor4) -> bool:
 # Curvature components that one pass of ``decompose_points`` holds, rows
 # times d^4: 256 rows at n = 2, 50 at n = 3 and 16 at n = 4.  A pass holds
 # about 0.3 MB of arrays per row at n = 4, so this bounds its working
-# memory; the record keeps the jet and R of each curved row, about 78 KB
-# per row at n = 4.
+# memory; the record keeps R and the first jet (``PointJet.first``) of each
+# curved row, about 42 KB per row at n = 4.
 PASS_COMPONENTS = 16 * 8 ** 4
 
 
@@ -497,8 +497,9 @@ class DecompositionRecord:
     radial direction) or None.
 
     By stage: ``curved`` holds the rows past the curvature gate, in order,
-    and ``jet`` and ``R`` (C, d, d, d, d) their jets and curvature tensors,
-    row for row; ``unit`` the rows of those with a radial unit field, whose
+    and ``jet`` and ``R`` (C, d, d, d, d) their first jets (G, dG, J, dJ
+    and G^-1, see ``PointJet.first``) and curvature tensors, row for row;
+    ``unit`` the rows of those with a radial unit field, whose
     ``xi`` (P, d) is nan on the other rows.
 
     With ``fit``: the shape data of each unit row, ``k``, ``p_star``, ``sq``
