@@ -44,19 +44,19 @@ def _coordinates(space: AmbientSpace, r, g, theta) -> np.ndarray:
 
 
 def _draw(space: AmbientSpace, rng, radii) -> np.ndarray:
-    """Points at the given radii, drawing each point's block and phase in
-    turn; a radius that is a pair (rmin, rmax) is drawn first, uniformly."""
-    count = len(radii)
-    r, theta = np.empty(count), np.empty(count)
-    g = np.empty((count, 2 * (space.n - 1) if space.lorentz else space.dim))
-    for i, radius in enumerate(radii):
-        r[i] = rng.uniform(*radius) if isinstance(radius, tuple) else radius
+    """Points at ``radii``, an iterable that may draw each radius from rng
+    as its point's first draw; each point then draws its Gaussian block and,
+    on the Lorentz background, its phase."""
+    size = 2 * (space.n - 1) if space.lorentz else space.dim
+    r, g, theta = [], [], []
+    for radius in radii:
+        r.append(radius)
         if space.lorentz:
-            g[i] = rng.normal(scale=SPREAD, size=g.shape[1])
-            theta[i] = rng.uniform(0.0, 2.0 * np.pi)
+            g.append(rng.normal(scale=SPREAD, size=size))
+            theta.append(rng.uniform(0.0, 2.0 * np.pi))
         else:
-            g[i] = rng.normal(size=g.shape[1])
-    return _coordinates(space, r, g, theta)
+            g.append(rng.normal(size=size))
+    return _coordinates(space, np.array(r), np.array(g), np.array(theta))
 
 
 def point_at_radius(space: AmbientSpace, r: float, rng=None,
@@ -98,7 +98,8 @@ def radial_points(space: AmbientSpace, count: int, rmin: float, rmax: float,
                 f"could not draw {count} admissible points in [{rmin}, {rmax}] "
                 f"after {budget} tries")
         size = min(count - len(pts), budget - tries)
-        block = _draw(space, rng, [(rmin, rmax)] * size)
+        block = _draw(space, rng, (rng.uniform(rmin, rmax)
+                                   for _ in range(size)))
         tries += size
         if family is not None:
             block = block[admissibility(space, family,
