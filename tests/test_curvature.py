@@ -213,6 +213,9 @@ class TestClosedFormJets:
         G, dG, d2G = jet.G, jet.dG, jet.d2G
         # the batched rule repeats the field's own operations for G
         assert np.array_equal(G, metric.matrix(x))
+        # and keeps the symmetries of d2G exactly
+        assert np.array_equal(d2G, d2G.swapaxes(0, 1))
+        assert np.array_equal(d2G, d2G.swapaxes(2, 3))
         for got, ref in zip((G, dG, d2G), dual_jet(metric, x)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
