@@ -4,6 +4,12 @@ Subcommands: check-potential, curvature, decompose, meridian {bochner,
 const-hsc}, sasaki, verify.  JSON reports carry "schema_version": 1; the
 meridian commands emit the 10-column CSV.  Exit codes: 0 all checks passed,
 1 a check or domain/type constraint failed, 2 usage or config error.
+
+A report is written as ``json.dumps(report, sort_keys=True, indent=2)``
+writes it, byte for byte, by ``_write``: with an indent the stdlib falls
+back to its pure-Python encoder, which makes several generator steps of
+every value.  The commands build their rows from the arrays of a
+``qch.DecompositionRecord``, one ``tolist`` per array.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -35,8 +42,81 @@ SPHERE_FLAGS = ("config", "space", "family", "a", "r0", "coeffs", "r",
                 "orientation")
 
 
+# float reprs that JSON spells otherwise, as the stdlib encoder writes them
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(obj, out: list, nl: str) -> None:
+    """Append to ``out`` the text that ``json.dumps(obj, sort_keys=True,
+    indent=2)`` gives ``obj`` at the line start ``nl`` (a newline and the
+    indent of obj's level), without the pure-Python encoder that the stdlib
+    runs for an indent: strings go through its C ``encode_basestring_ascii``,
+    and ints and floats through ``int.__repr__`` and ``float.__repr__``.
+    Types are tested in the stdlib's order and by ``isinstance``, so a
+    subclass such as ``np.float64`` is written as its base; a list of plain
+    floats is one ``join``.  What the stdlib cannot write raises TypeError,
+    and so does a key that is not a str, which the stdlib would coerce."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if set(map(type, obj)) == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            # no finite float's repr holds an "n"
+            if "n" not in text:
+                out += ("[", inner, text, nl, "]")
+                return
+        out += ("[", inner)
+        _write(obj[0], out, inner)
+        for value in obj[1:]:
+            out.append(sep)
+            _write(value, out, inner)
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not "
+                                f"{key.__class__.__name__}")
+            out += (head, _quote(key), ": ")
+            head = "," + inner
+            _write(obj[key], out, inner)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+def _report_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for a
+    report of dicts with str keys, lists, tuples, strings, numbers, bools
+    and None (see ``_write``)."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_report_text(obj))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -77,8 +157,8 @@ def _record(cfg: RunConfig, checked: bool = True, fit: bool = True):
     one entry per point tagged with its index and coordinates."""
     record = decompose_points(cfg.ambient(), cfg.family(), _points(cfg),
                               checked=checked, fit=fit)
-    return record, [{"index": i, "point": [float(c) for c in x]}
-                    for i, x in enumerate(record.point)]
+    return record, [{"index": i, "point": x}
+                    for i, x in enumerate(record.point.tolist())]
 
 
 def _error_text(exc: QckError) -> str:
@@ -92,27 +172,26 @@ def cmd_check_potential(args) -> int:
     cfg = _config_from_args(args)
     rec, entries = _record(cfg, checked=False)
     adm = rec.admissibility
-    # the least eigenvalue of G and the Kahler defect of every row past the
-    # curvature gate, in one call each
+    # the least eigenvalue of G, which the condition gate took, and the
+    # Kahler defect of every row past the curvature gate, in one call
     jet_values = dict(zip(rec.curved.tolist(), zip(
-        np.linalg.eigvalsh(rec.jet.G)[:, 0].tolist(),
-        kahler_defect(rec.jet).tolist())))
-    for i, entry in enumerate(entries):
-        entry.update(w=float(adm.w[i]), in_domain=bool(adm.in_domain[i]),
-                     admissible=bool(adm.ok[i]))
+        rec.jet.eigenvalues[:, 0].tolist(), kahler_defect(rec.jet).tolist())))
+    fits = rec.fit_entries()
+    for entry, w, in_domain, ok in zip(entries, adm.w.tolist(),
+                                       adm.in_domain.tolist(),
+                                       adm.ok.tolist()):
+        i = entry["index"]
+        entry.update(w=w, in_domain=in_domain, admissible=ok)
         if i in jet_values:
             entry["min_eigenvalue"], entry["kahler_defect"] = jet_values[i]
         if rec.error[i] is not None:
             entry["error"] = _error_text(rec.error[i])
             continue
-        checks = {"admissible": bool(adm.ok[i]),
-                  "positive": bool(entry["min_eigenvalue"] > 0),
-                  "kahler": bool(entry["kahler_defect"]
-                                 < cfg.tolerance("kahler"))}
+        checks = {"admissible": ok,
+                  "positive": entry["min_eigenvalue"] > 0,
+                  "kahler": entry["kahler_defect"] < cfg.tolerance("kahler")}
         failed = rec.shape_error[i] or rec.fit_error[i]
-        if failed is None:
-            entry["decomposition"] = rec.decomposition(i).to_json()
-        else:
+        if failed is not None:
             # The shape frame need not exist (the sign-flipped flat form
             # has an indefinite complement, say) but the curvature fit
             # against the three structural tensors is still well posed.
@@ -120,9 +199,8 @@ def cmd_check_potential(args) -> int:
             if rec.fit_error[i] is not None:
                 entry["error"] = _error_text(rec.fit_error[i])
                 continue
-            entry["decomposition"] = dict(zip(("a", "b", "c", "residual"),
-                                              rec.fit(i)))
-        checks["residual"] = bool(rec.residual[i] < cfg.tolerance("residual"))
+        entry["decomposition"] = fits[i]
+        checks["residual"] = fits[i]["residual"] < cfg.tolerance("residual")
         entry["checks"] = checks
     all_ok = all("error" not in e and all(e["checks"].values())
                  for e in entries)
@@ -162,12 +240,12 @@ def cmd_curvature(args) -> int:
 def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
     rec, entries = _record(cfg)
-    for i, entry in enumerate(entries):
+    for i, (entry, fit) in enumerate(zip(entries, rec.fit_entries())):
         error = rec.first_error(i)
         if error is not None:
             entry["error"] = _error_text(error)
         else:
-            entry["decomposition"] = rec.decomposition(i).to_json()
+            entry["decomposition"] = fit
     all_ok = all("error" not in e and e["decomposition"]["residual"]
                  < cfg.tolerance("residual") for e in entries)
     _emit({"schema_version": SCHEMA_VERSION, "command": "decompose",

@@ -23,7 +23,16 @@ The points axis.  A jet carries a leading axis over its points
 (``PointJet.rows`` takes points out of it), and the kernels
 (``_connection``, ``curvature_tensors``, ``kahler_defect``,
 ``covariant_derivative``) take it: each contraction is one matrix product per
-point.  A single point is a batch of one point, not a second code path.
+point.  A single point is a batch of one point, not a second code path.  A
+constant complex structure is one row broadcast over the points axis, J and
+dJ alike, and stays so through ``PointJet.rows``; ``kahler_defect`` skips
+the product of its zero dJ.
+
+One decomposition of G per point: the condition gate (``COND_LIMIT``)
+reads the ratio of the extreme |eigenvalues| of ``np.linalg.eigvalsh``,
+which for a symmetric G is its 2-norm condition number, and the jet keeps
+those eigenvalues (``PointJet.eigenvalues``), so that a report of the least
+one takes no second decomposition.
 Checks come as gates (see ``qck.errors``): a batch records the first
 failure of each point and goes on with the rest (``qch.decompose_points``
 drives it), or raises the first failure with ``errors.raise_first``.
@@ -161,10 +170,17 @@ def metric_second_jet_fd(metric, X):
             d2G.reshape(shape + (d,) * 4))
 
 
-def _cond_gate(G):
-    """G must be well enough conditioned to invert."""
-    return (np.linalg.cond(G) > COND_LIMIT, lambda j: DegenerateMetric(
-        f"metric condition number exceeds {COND_LIMIT:.1e}"))
+def _cond_gate(eigenvalues):
+    """G must be well enough conditioned to invert, by its eigenvalues
+    (``np.linalg.eigvalsh``): for a symmetric G the 2-norm condition number
+    is the ratio of the largest |eigenvalue| to the least, with no second
+    decomposition.  A singular G fails, the zero G and a G with a nan
+    entry, whose ratio is nan, included."""
+    size = np.abs(eigenvalues)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = size.max(axis=-1) / size.min(axis=-1)
+    return ~(cond <= COND_LIMIT), lambda j: DegenerateMetric(
+        f"metric condition number exceeds {COND_LIMIT:.1e}")
 
 
 def _connection(G, dG):
@@ -234,12 +250,15 @@ class PointJet:
     second partials dG[k, i, j] and d2G[k, l, i, j], the complex structure J
     with its first partials dJ[k, i, j], and the connection they fix: the
     Christoffel symbols of the first kind gamma1[l, j, k] and of the second
-    kind gamma[m, j, k], and the inverse metric Ginv.
+    kind gamma[m, j, k], the inverse metric Ginv, and the eigenvalues of G
+    in ascending order, which the condition gate read.
 
     ``point_jets`` makes the jets of many points at once; every field then
     carries a leading points axis, and ``rows`` takes points out of it.  A
     jet that only keeps the first jet of the metric, as the record of
-    ``qch.decompose_points`` does, has None in d2G, gamma1 and gamma."""
+    ``qch.decompose_points`` does, has None in d2G, gamma1 and gamma.  A
+    constant structure's J and dJ repeat one row as a broadcast view
+    (``structure_jet``), and ``rows`` keeps them so."""
 
     point: np.ndarray
     G: np.ndarray
@@ -250,19 +269,40 @@ class PointJet:
     gamma1: np.ndarray | None
     gamma: np.ndarray | None
     Ginv: np.ndarray
+    eigenvalues: np.ndarray
     method: str  # how the metric jet was taken: "closed-form" | "dual" | "fd"
 
     def rows(self, index) -> "PointJet":
         """The jet at the points ``index`` (a mask or an index array, or an
         integer for the jet of one point) of a jet with a points axis."""
-        return PointJet(*(None if a is None else a[index] for a in (
-            self.point, self.G, self.dG, self.d2G, self.J, self.dJ,
-            self.gamma1, self.gamma, self.Ginv)), self.method)
+        point = self.point[index]
+        return PointJet(point, *(
+            None if a is None else _take(a, index, point.shape[:-1])
+            for a in (self.G, self.dG, self.d2G, self.J, self.dJ, self.gamma1,
+                      self.gamma, self.Ginv, self.eigenvalues)), self.method)
 
     def first(self) -> "PointJet":
         """The jet without the second partials of the metric and the
         connection: what reading G, dG, J, dJ and Ginv needs."""
         return replace(self, d2G=None, gamma1=None, gamma=None)
+
+
+def _repeated_row(a):
+    """The one row that every row of ``a`` is, where ``a`` is a broadcast
+    view along its leading axis (stride 0, at least one row); else None."""
+    if a.ndim and a.shape[0] and a.strides[0] == 0:
+        return a[0]
+    return None
+
+
+def _take(a, index, lead):
+    """a[index], whose leading axes are ``lead``; a broadcast view of one
+    row stays one where an index array would copy it."""
+    if isinstance(index, np.ndarray):
+        row = _repeated_row(a)
+        if row is not None:
+            return np.broadcast_to(row, lead + row.shape)
+    return a[index]
 
 
 def point_jets(metric, X, sieve: Sieve | None = None) -> PointJet:
@@ -292,14 +332,16 @@ def gated_jets(metric, X, gates, G, dG, d2G, method: str,
     with np.errstate(all="ignore"):
         keep = sieve.drop(gates + [_finite_gate(G, d2G)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
-    keep = sieve.drop([_cond_gate(G)])
+    eigenvalues = np.linalg.eigvalsh(G)
+    keep = sieve.drop([_cond_gate(eigenvalues)])
     X, G, dG, d2G = X[keep], G[keep], dG[keep], d2G[keep]
     if raising:
         for error in filter(None, sieve.errors):
             raise error
     gamma1, gamma, Ginv = _connection(G, dG)
     J, dJ = structure_jet(metric, X)
-    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, method)
+    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv,
+                    eigenvalues[keep], method)
 
 
 def fd_jets(metric, X) -> PointJet:
@@ -309,10 +351,12 @@ def fd_jets(metric, X) -> PointJet:
     outside the field's domain, or past ``COND_LIMIT``, raises its error."""
     X = np.asarray(X, dtype=float)
     G, dG, d2G = metric_second_jet_fd(metric, X)
-    raise_first([_cond_gate(G)])
+    eigenvalues = np.linalg.eigvalsh(G)
+    raise_first([_cond_gate(eigenvalues)])
     gamma1, gamma, Ginv = _connection(G, dG)
     J, dJ = structure_jet(metric, X)
-    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, "fd")
+    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, eigenvalues,
+                    "fd")
 
 
 def curvature_tensors(jet: PointJet):
@@ -381,11 +425,13 @@ def kahler_defect(jet: PointJet):
 
     Omega(X, Y) = g(JX, Y); the metric is Kaehler at x exactly when dOmega
     vanishes there (for the integrable structures handled here), so this is
-    the closedness test in coordinate components.
+    the closedness test in coordinate components.  A constant structure,
+    whose dJ is zero, takes no dJ G product.
     """
     G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
-    dOm = (np.einsum("...kai,...aj->...kij", dJ, G)
-           + np.einsum("...ai,...kaj->...kij", J, dG))
+    dOm = np.einsum("...ai,...kaj->...kij", J, dG)
+    if dJ.any():
+        dOm += np.einsum("...kai,...aj->...kij", dJ, G)
     ext = (dOm - np.einsum("...ikj->...kij", dOm)
            + np.einsum("...jki->...kij", dOm))
     defect = np.max(np.abs(ext), axis=(-3, -2, -1))

@@ -49,8 +49,8 @@ from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       RadialFrame, _potential_rule, _radial_unit_jets,
                       potential_metric)
 from .core import j0_matrix
-from .curvature import (PointJet, covariant_derivative, curvature_gate,
-                        curvature_tensors, gated_jets)
+from .curvature import (PointJet, _repeated_row, covariant_derivative,
+                        curvature_gate, curvature_tensors, gated_jets)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
 from .tensors import Tensor4
@@ -87,7 +87,9 @@ def adapted_frames(G, J, xi):
     sqrt|g(w, w)|; a direction with |g(w, w)| below 1e-10 is skipped.  J u
     needs no projection: g is J-invariant and so is the span of the rows so
     far.  The signed normalisers complete the frame where the complement of
-    (xi, J xi) is indefinite.
+    (xi, J xi) is indefinite.  A direction that no point takes costs no
+    step, as J e_i past e_i does under a constant J, and the pairs are
+    reordered only where some point skipped a direction that others took.
 
     The gates: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1
     (either sign of the square norm is accepted so the flat indefinite form
@@ -121,6 +123,8 @@ def adapted_frames(G, J, xi):
         w = w - (Q @ w[:, :, None])[:, :, 0]
         nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
         take = (np.abs(nrm2) >= 1e-10) & (count < d)
+        if not take.any():
+            continue
         sign = np.where(take, np.sign(nrm2), 0.0)
         scale = np.where(take, np.sqrt(np.abs(nrm2)), 1.0)
         # u and J u, zero where the point takes no row here
@@ -131,15 +135,16 @@ def adapted_frames(G, J, xi):
         pair_signs.append(sign)
         count += 2 * take
     if pairs:
-        # each point's pairs in the order it took them, the empty ones last
         S = np.stack(pair_signs, axis=1)
-        order = np.argsort(S == 0.0, axis=1, kind="stable")
-        U = np.take_along_axis(np.stack(pairs, axis=1),
-                               order[:, :, None, None], axis=1)
+        U = np.stack(pairs, axis=1)
+        if not S.all():
+            # each point's pairs in the order it took them, the empty ones last
+            order = np.argsort(S == 0.0, axis=1, kind="stable")
+            U = np.take_along_axis(U, order[:, :, None, None], axis=1)
+            S = np.take_along_axis(S, order, axis=1)
         m = min(2 * len(pairs), d - 2)
         F[:, 2:2 + m] = U.reshape(P, -1, d)[:, :m]
-        signs[:, 2:2 + m] = np.repeat(np.take_along_axis(S, order, axis=1),
-                                      2, axis=1)[:, :m]
+        signs[:, 2:2 + m] = np.repeat(S, 2, axis=1)[:, :m]
     complete = (count != d, lambda j: FrameError(
         "could not complete a basis of the complement distribution"))
     return F, signs, [unit, complete]
@@ -448,7 +453,8 @@ def bochner_flat(B: Tensor4) -> bool:
 # times d^4: 256 rows at n = 2, 50 at n = 3 and 16 at n = 4.  A pass holds
 # about 0.3 MB of arrays per row at n = 4, so this bounds its working
 # memory; the record keeps R and the first jet (``PointJet.first``) of each
-# curved row, about 42 KB per row at n = 4.
+# curved row, about 38 KB per row at n = 4, with one J and dJ for all rows
+# of a constant structure.
 PASS_COMPONENTS = 16 * 8 ** 4
 
 
@@ -547,6 +553,29 @@ class DecompositionRecord:
             return None
         return QCDecomposition.of(*fit, float(self.k[row]))
 
+    def fit_entries(self) -> list:
+        """The JSON of every row's fit, from one ``tolist`` per array:
+        {a, b, c, residual} where the fit stands, and where the shape data
+        stands too, ``decomposition(row).to_json()``, with k, a + k^2 and
+        the class; None where the fit does not stand or was not taken."""
+        if self.residual is None:
+            return [None] * len(self.point)
+        out = []
+        for (a, b, c), residual, k, error, shape_error, fit_error in zip(
+                self.coeffs.tolist(), self.residual.tolist(),
+                self.k.tolist(), self.error, self.shape_error,
+                self.fit_error):
+            if error is not None or fit_error is not None:
+                out.append(None)
+                continue
+            entry = {"a": a, "b": b, "c": c, "residual": residual}
+            if shape_error is None:
+                a_plus_k2 = a + k ** 2
+                entry.update({"k": k, "a_plus_k2": a_plus_k2,
+                              "class": classify(a_plus_k2)})
+            out.append(entry)
+        return out
+
 
 def decompose_points(space: AmbientSpace,
                      family: PotentialFamily | Sequence[PotentialFamily], X,
@@ -591,7 +620,10 @@ def decompose_points(space: AmbientSpace,
 
 
 def _spread(rows, values, count):
-    """values of the given rows on all count rows, nan on the others."""
+    """values of the given rows on all count rows, nan on the others;
+    values itself where the rows are all count rows."""
+    if len(rows) == count:
+        return values
     out = np.full((count,) + values.shape[1:], np.nan)
     out[rows] = values
     return out
@@ -651,7 +683,9 @@ def _join(parts, count):
     """The record of the ``count`` rows of several passes, in order.  Each
     pass is copied into arrays sized for every row as it comes, so the join
     holds one pass beside the record, not every pass; the jet and R end at
-    the last row past the curvature gate."""
+    the last row past the curvature gate.  An array that repeats one row in
+    every pass, as a constant structure's J and dJ do, stays a broadcast
+    view of that row."""
     out, pieces = {}, {}
     rows = curved = 0
     for part in parts:
@@ -663,10 +697,24 @@ def _join(parts, count):
                 pieces.setdefault(path, []).append(value)
             elif isinstance(value, np.ndarray):
                 at = curved if path[0] in ("jet", "R") else rows
-                if path not in out:
-                    out[path] = np.empty((count,) + value.shape[1:],
-                                         value.dtype)
-                out[path][at:at + len(value)] = value
+                row = _repeated_row(value)
+                held = out.get(path)
+                if held is None:
+                    if row is not None:
+                        # held as the pass's view while every pass repeats it
+                        out[path] = value
+                        continue
+                    held = out[path] = np.empty((count,) + value.shape[1:],
+                                                value.dtype)
+                elif _repeated_row(held) is not None:
+                    if len(value) == 0 or (row is not None and row.tobytes()
+                                           == held[0].tobytes()):
+                        continue
+                    repeated = held[0]
+                    held = out[path] = np.empty((count,) + value.shape[1:],
+                                                value.dtype)
+                    held[:at] = repeated
+                held[at:at + len(value)] = value
             else:
                 out[path] = value  # None, or the method of the jet
         rows += len(part.point)
@@ -676,7 +724,11 @@ def _join(parts, count):
                      else np.concatenate(values))
     nested = {}
     for path, value in out.items():
-        if path[0] in ("jet", "R") and isinstance(value, np.ndarray):
+        stage = path[0] in ("jet", "R")
+        if isinstance(value, np.ndarray) and _repeated_row(value) is not None:
+            value = np.broadcast_to(value[0], (curved if stage else count,)
+                                    + value.shape[1:])
+        elif stage and isinstance(value, np.ndarray):
             value = value[:curved]
         if len(path) == 1:
             nested[path[0]] = value

@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qck import ambient, cli, curvature, qch
 from qck.cli import CSV_HEADER, main
@@ -600,3 +603,77 @@ class TestParser:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# -- the report writer -------------------------------------------------------
+
+def stdlib_text(obj):
+    """The oracle of ``cli._report_text``."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+FLOAT_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+               -2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1e16,
+               1e-7, 0.1]
+report_floats = st.floats() | st.sampled_from(FLOAT_EDGES)
+report_text = st.text(st.characters(codec=None), max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "é中\ud800", "\"\\/\n\t", "\U0001f600"])
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 63, max_value=2 ** 200).map(lambda v: -v),
+    report_floats, report_floats.map(np.float64), report_text,
+    st.sampled_from([True, 1, False, 0, 1.0, 0.0]))
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(report_floats, max_size=6)
+                   | st.dictionaries(report_text, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestReportWriter:
+    """``cli._report_text`` writes what ``json.dumps(obj, sort_keys=True,
+    indent=2)`` writes, byte for byte, and fails where it fails."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(report_values)
+    def test_matches_the_stdlib(self, obj):
+        assert cli._report_text(obj) == stdlib_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": np.int64(1)}, [np.float32(0.5)], {"a": {1, 2}}, b"x",
+        [1, object()]])
+    def test_unwritable_values_raise_as_the_stdlib(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_text(obj)
+        with pytest.raises(TypeError):
+            cli._report_text(obj)
+
+    @pytest.mark.parametrize("obj", [{1: 2}, {None: 1}, {1.5: 1},
+                                     {"a": {True: 0}}])
+    def test_keys_that_are_not_strings_raise(self, obj):
+        # the stdlib coerces them; no report has one
+        with pytest.raises(TypeError):
+            cli._report_text(obj)
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).parent / "golden").glob("*.json")),
+        ids=lambda p: p.name)
+    def test_golden_files(self, path):
+        obj = json.loads(path.read_text())
+        assert cli._report_text(obj) == stdlib_text(obj)
+
+    @pytest.mark.parametrize("argv", [
+        ["sasaki", "--r", "0.5"],
+        ["check-potential", "--n", "3", "--count", "4", "--seed", "5"],
+        ["decompose", "--space", "definite", "--family", "dlog", "--a", "2",
+         "--count", "3"],
+        ["curvature", "--family", "inverse", "--count", "2"],
+        ["verify", "--suite", "bochner", "--json"]])
+    def test_reports_are_what_the_stdlib_writes(self, capsys, argv):
+        # the QckError report first; the numbers read back exactly, so the
+        # text is the stdlib's text of the report
+        code, out, _ = run_cli(capsys, argv)
+        assert code in (0, 1)
+        assert out == stdlib_text(json.loads(out)) + "\n"

@@ -294,6 +294,90 @@ class TestChristoffel:
         assert sieve.errors[1] is None and len(jets.point) == 1
 
 
+class TestConditionGate:
+    """The condition gate reads the eigenvalues of G, which for a symmetric
+    G give the 2-norm condition number of ``np.linalg.cond``."""
+
+    @staticmethod
+    def spectrum_matrix(rng, d, cond, definite):
+        """A symmetric G of condition number ``cond`` in a random basis:
+        |eigenvalues| from 1 down to 1 / cond, of one sign or of both."""
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        lam = np.geomspace(1.0, 1.0 / cond, d)
+        if not definite:
+            lam *= rng.choice([-1.0, 1.0], size=d)
+            lam[0], lam[-1] = abs(lam[0]), -abs(lam[-1])
+        rng.shuffle(lam)
+        G = (Q * lam) @ Q.T
+        return (G + G.T) / 2.0
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_ratio_matches_cond(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(40):
+            A = rng.normal(size=(d, d))
+            for G in (A + A.T, A @ A.T + 0.1 * np.eye(d)):
+                bad, _ = curvature._cond_gate(np.linalg.eigvalsh(G)[None])
+                size = np.abs(np.linalg.eigvalsh(G))
+                ratio = size.max() / size.min()
+                assert abs(ratio / np.linalg.cond(G) - 1.0) < 1e-12
+                assert not bad[0]
+
+    def test_singular_zero_and_nan_metrics_fail(self):
+        G = np.array([np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros((4, 4)),
+                      np.eye(4), np.diag([1.0, 1.0, 1.0, np.nan])])
+        bad, error = curvature._cond_gate(np.linalg.eigvalsh(G))
+        assert bad.tolist() == [True, True, False, True]
+        assert np.isinf(np.linalg.cond(G[:2])).all()
+        assert isinstance(error(3), DegenerateMetric)
+
+    def test_fd_jet_of_a_nan_metric_is_degenerate(self):
+        # the finite-difference jet has no finiteness gate of its own; a
+        # nan G stops at the condition gate with a report, where the SVD
+        # of np.linalg.cond raised LinAlgError
+        metric = MetricField(lambda x: np.diag([1.0, np.nan]), 2)
+        with pytest.raises(DegenerateMetric):
+            fd_jets(metric, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_gate_sides_at_the_limit(self, d, definite):
+        # cond = COND_LIMIT (1 -+ 1e-3): rounding moves the computed ratio
+        # by about 3e-4 at most, so each side is decided
+        rng = np.random.default_rng(10 * d + definite)
+        metric = MetricField(lambda x: np.eye(d), d)
+        for factor, over in ((1.0 - 1e-3, False), (1.0 + 1e-3, True)):
+            G = np.stack([self.spectrum_matrix(
+                rng, d, curvature.COND_LIMIT * factor, definite)
+                for _ in range(4)])
+            assert ((np.linalg.cond(G) > curvature.COND_LIMIT) == over).all()
+            sieve = Sieve(len(G))
+            X = rng.normal(size=(len(G), d))
+            jets = curvature.gated_jets(
+                metric, X, [], G, np.zeros((4,) + (d,) * 3),
+                np.zeros((4,) + (d,) * 4), "closed-form", sieve)
+            assert [isinstance(e, DegenerateMetric)
+                    for e in sieve.errors] == [over] * len(G)
+            assert len(jets.point) == (0 if over else len(G))
+            for g in G:
+                constant = MetricField(lambda x, g=g: g, d)
+                if over:
+                    with pytest.raises(DegenerateMetric):
+                        fd_jets(constant, X[:1])
+                else:
+                    jet = fd_jets(constant, X[:1])
+                    assert jet.G[0].tobytes() == g.tobytes()
+
+    def test_jet_keeps_the_eigenvalues_of_its_rows(self):
+        g = potential_metric(L3, LogFamily(-1.0, 1.0))
+        X = np.array([timelike_point(L3, r, seed=3) for r in (1.5, 2.0, 2.5)])
+        jets = point_jets(g, X)
+        assert (jets.eigenvalues.tobytes()
+                == np.linalg.eigvalsh(jets.G).tobytes())
+        assert jets.rows(np.array([2, 0])).eigenvalues.tobytes() == \
+            jets.eigenvalues[[2, 0]].tobytes()
+
+
 class TestHalfPlaneOracle:
     """Hand-checked curvature of the hyperbolic plane pins the conventions."""
 
@@ -417,6 +501,22 @@ class TestKahlerDefect:
         g = metric_from_conformal_pair(L2, pair)
         x = complex_to_real([0, 2j])
         assert kahler_defect(point_jet(g, x)) > 1e-3
+
+    @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
+    def test_constant_structure_skips_no_term(self, signature, family, r):
+        # with dJ zero the dJ G term adds only zeros: the defect is the full
+        # expression's to the bit, at every n
+        for n in (2, 3, 4):
+            space = AmbientSpace(n, signature)
+            jets = point_jets(potential_metric(space, family), np.array(
+                [point_at_radius(space, r, seed=s) for s in range(4)]))
+            assert jets.dJ.strides[0] == 0 and not jets.dJ.any()
+            dOm = (np.einsum("...kai,...aj->...kij", jets.dJ, jets.G)
+                   + np.einsum("...ai,...kaj->...kij", jets.J, jets.dG))
+            ext = (dOm - np.einsum("...ikj->...kij", dOm)
+                   + np.einsum("...jki->...kij", dOm))
+            full = np.max(np.abs(ext), axis=(-3, -2, -1))
+            assert kahler_defect(jets).tobytes() == full.tobytes()
 
     def test_structure_covariant_defect_agrees(self):
         g = potential_metric(L2, LogFamily(-1.0, 1.0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +16,11 @@ from qck.ambient import (
     flat_metric,
     potential_metric,
     radial_frame,
+    radial_unit_jets,
 )
 from qck.config import DEFAULT_TOLERANCES
 from qck.core import hermitian_to_real, j0_matrix
-from qck.curvature import CurvatureBundle
+from qck.curvature import CurvatureBundle, point_jets
 from qck.duals import eval_with_partials
 from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
@@ -32,7 +35,8 @@ from qck.qch import (
 )
 from qck.sampling import point_at_radius, radial_points
 from qck.tensors import Tensor4, tensor4_fit
-from oracles import (complex_to_real, curvature_bundle, point_jet,
+from oracles import (POTENTIAL_CASES, adapted_frames_every_direction,
+                     complex_to_real, curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, decompose,
                      extract_shape_data, point_rows, radial_unit_jet,
@@ -429,6 +433,128 @@ def one_point(space, family, x):
                                       checked=False))[0]
     assert res.first_error is None
     return res
+
+
+def same_frames(got, want):
+    """Two ``adapted_frames`` results to the bit: F and signs byte for
+    byte, -0.0 apart from 0.0, and the same gate masks."""
+    (F, signs, gates), (F0, signs0, gates0) = got, want
+    assert F.tobytes() == F0.tobytes() and F.shape == F0.shape
+    assert signs.tobytes() == signs0.tobytes()
+    assert [bad.tolist() for bad, _ in gates] == \
+        [bad.tolist() for bad, _ in gates0]
+
+
+class TestFrameLoop:
+    """``adapted_frames`` steps only over the directions some point takes,
+    and reorders pairs only where points took different directions; the
+    loop over every direction stays in ``oracles`` as its reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
+    def test_matches_every_direction_loop(self, signature, family, r, n):
+        space = AmbientSpace(n, signature)
+        metric = potential_metric(space, family)
+        for seed in range(3):
+            X = np.array(radial_points(space, 8, 0.95 * r, 1.05 * r,
+                                       seed=seed))
+            jet = point_jets(metric, X)
+            xi, _, gates = radial_unit_jets(space, jet)
+            assert not any(np.any(bad) for bad, _ in gates)
+            same_frames(adapted_frames(jet.G, jet.J, xi),
+                        adapted_frames_every_direction(jet.G, jet.J, xi))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_points_taking_other_directions_reorder(self, n):
+        # a point on the x_1 axis has xi and J xi along e_1 and e_2, so it
+        # takes none of the first two directions that the others take
+        space = AmbientSpace(n, "definite")
+        X = np.array(radial_points(space, 5, 1.2, 1.6, seed=n))
+        X[2] = 0.0
+        X[2, 0] = 1.4
+        jet = point_jets(potential_metric(space, DefiniteLogFamily(2.0, 1.0)),
+                         X)
+        xi, _, _ = radial_unit_jets(space, jet)
+        got = adapted_frames(jet.G, jet.J, xi)
+        same_frames(got, adapted_frames_every_direction(jet.G, jet.J, xi))
+        F, signs, _ = got
+        assert np.all(signs == 1.0)
+        assert F[2, 2, :2].tolist() == [0.0, 0.0] and F[0, 2, 0] != 0.0
+
+    def test_incomplete_frames_match_in_value(self):
+        # where no frame completes, the loops leave the empty rows zero, of
+        # either sign; every other bit and the gates agree
+        G = np.diag([1.0, 1.0, 0.0, 0.0])[None]
+        xi = np.array([[1.0, 0.0, 0.0, 0.0]])
+        F, signs, gates = adapted_frames(G, j0_matrix(2)[None], xi)
+        F0, signs0, gates0 = adapted_frames_every_direction(
+            G, j0_matrix(2)[None], xi)
+        assert np.array_equal(F, F0) and signs.tobytes() == signs0.tobytes()
+        assert gates[1][0].tolist() == gates0[1][0].tolist() == [True]
+
+    def test_rotational_and_sasakian_frames_match(self, monkeypatch):
+        # every frame that the embedded rotational metrics, whose J varies
+        # from point to point, and the hypersphere reports ask for
+        from qck import rotational, sasakian
+        calls = []
+
+        def spy(G, J, xi):
+            calls.append(tuple(np.array(a) for a in (G, J, xi)))
+            return adapted_frames(G, J, xi)
+
+        monkeypatch.setattr(rotational, "adapted_frames", spy)
+        monkeypatch.setattr(sasakian, "adapted_frames", spy)
+        for n, profile in ((2, rotational.const_hsc_profile(
+                "III", -1.0, 3.0, 5.0)), (3, rotational.const_hsc_profile(
+                    "II", -1.0, 0.7, 2.8))):
+            rotational.embed_and_verify(profile, n=n, count=4, seed=3)
+        sasakian.sphere_reports(L3, DISC, [1.5, 2.5], seed=2)
+        sasakian.sphere_reports(D3, DefiniteLogFamily(2.0, 1.0), [0.7, 1.5],
+                                seed=2)
+        assert len(calls) == 4
+        assert any(len(J) > 1 and np.ptp(J, axis=0).max() > 1e-3
+                   for _, J, _ in calls)
+        for G, J, xi in calls:
+            same_frames(adapted_frames(G, J, xi),
+                        adapted_frames_every_direction(G, J, xi))
+
+
+class TestRecordMemory:
+    """A constant structure's J and dJ stay one row, broadcast, in a record:
+    through ``PointJet.rows`` and through the join of passes."""
+
+    @pytest.mark.parametrize("count", [5, 17])
+    def test_structure_stays_broadcast(self, count):
+        space = AmbientSpace(4, "lorentz")
+        assert qch.pass_rows(space.dim) == 16
+        X = np.array(radial_points(space, count, 1.2, 3.0, seed=count))
+        rec = decompose_points(space, DISC, X)
+        jet = rec.jet
+        assert len(jet.point) == count
+        assert jet.J.strides == (0, 64, 8)
+        assert jet.dJ.strides == (0, 0, 0, 0)
+        assert np.array_equal(jet.J, np.broadcast_to(j0_matrix(4), jet.J.shape))
+        assert not jet.dJ.any()
+        # the other fields keep a row each
+        assert jet.G.strides[0] == 512
+        for index in (np.array([3, 1]), np.arange(count) % 2 == 0):
+            rows = jet.rows(index)
+            assert rows.J.strides[0] == 0 and rows.dJ.strides[0] == 0
+            assert len(rows.J) == len(rows.point) == len(jet.point[index])
+
+    def test_join_copies_a_structure_that_differs(self):
+        # passes whose repeated rows differ are joined into one array
+        space = AmbientSpace(4, "lorentz")
+        X = np.array(radial_points(space, 17, 1.2, 3.0, seed=4))
+        first, last = (qch._decompose_pass(space, DISC, X[rows], True, True)
+                       for rows in (slice(0, 16), slice(16, 17)))
+        J = -last.jet.J
+        flipped = replace(last, jet=replace(last.jet, J=J))
+        joined = qch._join(iter([first, flipped]), 17)
+        assert joined.jet.J.strides[0] != 0
+        assert np.array_equal(joined.jet.J[:16], first.jet.J)
+        assert np.array_equal(joined.jet.J[16:], J)
+        assert joined.jet.dJ.strides[0] == 0
 
 
 class TestFrameFit:

@@ -129,3 +129,28 @@ def test_sweep_rows_of_all_families_equal_the_per_family_loop(
     assert tables == looped
     assert any("--" in row for rows in tables for row in rows)
     assert any("--" not in row for rows in tables for row in rows)
+
+
+STAGES = ["sampler", "rule", "gated_jets", "curvature_tensors",
+          "curvature_gate", "unit field", "adapted_frames", "shape_arrays",
+          "frame_fit", "kahler_defect", "argparse", "report writer",
+          "decompose_points (one pass)", "decompose command"]
+
+
+def test_stage_costs(monkeypatch, capsys):
+    # one repeat at two n: a row of positive microseconds per stage
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "stage_costs.py", "--repeats", "1",
+                   "--n", "2,3", "--rows", "4")
+    assert exc.value.code == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["n=2", "n=3"]
+    assert [line[:30].strip() for line in lines] == STAGES
+    for line in lines:
+        assert all(float(v) > 0.0 for v in line[30:].split())
+
+
+def test_stage_costs_rejects_empty_ops(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "stage_costs.py", "--rows", "0")
+    assert exc.value.code == 2
