@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Per-stage cost of one sweep op, in microseconds.
 
-Times each stage of a ``qck decompose`` or ``check-potential`` run over a
-few seeded points of the Lorentz disc model log(-1, 1), radii in [1.1, 3],
-at each n, as the minimum over repeats.  Each stage runs on the inputs the
-stage before it made: the sampler, the potential rule, ``gated_jets`` (the
-gates, the eigenvalues of G and the connection), ``curvature_tensors``,
-``curvature_gate``, the radial unit field, ``adapted_frames``,
-``shape_arrays``, ``frame_fit``, ``kahler_defect``, the argument parser and
-the report writer.  Two totals follow: one ``decompose_points`` pass, and
-the whole ``decompose`` command in process.  The benchmark under
-``perfbench/`` times whole commands; this is where an op's time goes.
+Times each stage of a ``qck decompose`` or ``check-potential`` run over
+``ROWS`` points of the Lorentz disc model log(-1, 1), radii in [1.1, 3]
+drawn with seed ``SEED``, at each n, as the minimum over repeats.  Each
+stage runs on the inputs the stage before it made: the sampler, the
+potential rule, ``gated_jets`` (the gates, the eigenvalues of G and the
+connection), ``curvature_tensors``, ``curvature_gate``, the radial unit
+field, ``adapted_frames``, ``shape_arrays``, ``frame_fit``,
+``kahler_defect``, the argument parser and the report writer.  Two totals
+follow: one ``decompose_points`` pass, and the whole ``decompose`` command
+in process.  The benchmark under ``perfbench/`` times whole commands; this
+is where an op's time goes.
 
-    PYTHONPATH=src python3 scripts/stage_costs.py [--n 2,3,4] [--rows 8] \
-        [--repeats 200] [--seed 9973]
+    PYTHONPATH=src python3 scripts/stage_costs.py [--n 2,3,4] [--repeats 200]
 """
 
 import argparse
@@ -36,6 +36,8 @@ from qck.sampling import radial_points
 FAMILY = LogFamily(-1.0, 1.0)
 FAMILY_FLAGS = ["--family", "log", "--a=-1", "--r0", "1"]
 WINDOW = (1.1, 3.0)
+ROWS = 8
+SEED = 9973
 
 
 def best_us(call, repeats: int) -> float:
@@ -48,18 +50,18 @@ def best_us(call, repeats: int) -> float:
     return best * 1e6
 
 
-def stage_costs(n: int, rows: int, seed: int, repeats: int) -> dict:
-    """{stage: microseconds} of one op over ``rows`` points at n."""
+def stage_costs(n: int, repeats: int) -> dict:
+    """{stage: microseconds} of one op over ``ROWS`` points at n."""
     space = AmbientSpace(n, "lorentz")
     metric = potential_metric(space, FAMILY, checked=False)
-    X = np.array(radial_points(space, rows, *WINDOW, seed=seed))
+    X = np.array(radial_points(space, ROWS, *WINDOW, seed=SEED))
     adm, *rule = _potential_rule(space, FAMILY, X, False)
     jet = gated_jets(metric, X, *rule, "closed-form")
     R = curvature_tensors(jet)
     xi, dxi, _ = _radial_unit_jets(space, jet, adm.w)
     F, signs, _ = adapted_frames(jet.G, jet.J, xi)
-    argv = ["decompose", "--n", str(n), *FAMILY_FLAGS, "--count", str(rows),
-            "--seed", str(seed), "--rmin", str(WINDOW[0]),
+    argv = ["decompose", "--n", str(n), *FAMILY_FLAGS, "--count", str(ROWS),
+            "--seed", str(SEED), "--rmin", str(WINDOW[0]),
             "--rmax", str(WINDOW[1])]
     sink = io.StringIO()
 
@@ -73,7 +75,7 @@ def stage_costs(n: int, rows: int, seed: int, repeats: int) -> dict:
         cli.main(argv)
     report = json.loads(sink.getvalue())
     stages = {
-        "sampler": lambda: radial_points(space, rows, *WINDOW, seed=seed),
+        "sampler": lambda: radial_points(space, ROWS, *WINDOW, seed=SEED),
         "rule": lambda: _potential_rule(space, FAMILY, X, False),
         "gated_jets": lambda: gated_jets(metric, X, *rule, "closed-form"),
         "curvature_tensors": lambda: curvature_tensors(jet),
@@ -96,16 +98,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", default="2,3,4",
                         help="complex dimensions, comma separated")
-    parser.add_argument("--rows", type=int, default=8,
-                        help="sample points per op")
     parser.add_argument("--repeats", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=9973)
     args = parser.parse_args(argv)
     ns = [int(v) for v in args.n.split(",")]
-    if args.rows < 1 or args.repeats < 1 or any(n < 2 for n in ns):
-        parser.error("--rows and --repeats must be positive and each n at "
-                     "least 2")
-    costs = [stage_costs(n, args.rows, args.seed, args.repeats) for n in ns]
+    if args.repeats < 1 or any(n < 2 for n in ns):
+        parser.error("--repeats must be positive and each n at least 2")
+    costs = [stage_costs(n, args.repeats) for n in ns]
     print(f"{'stage (us, min of ' + str(args.repeats) + ')':<30s}"
           + "".join(f"{'n=' + str(n):>10s}" for n in ns))
     for name in costs[0]:

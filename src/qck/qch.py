@@ -556,8 +556,8 @@ class DecompositionRecord:
     def fit_entries(self) -> list:
         """The JSON of every row's fit, from one ``tolist`` per array:
         {a, b, c, residual} where the fit stands, and where the shape data
-        stands too, ``decomposition(row).to_json()``, with k, a + k^2 and
-        the class; None where the fit does not stand or was not taken."""
+        stands too, ``QCDecomposition.of(...).to_json()``, with k, a + k^2
+        and the class; None where the fit does not stand or was not taken."""
         if self.residual is None:
             return [None] * len(self.point)
         out = []
@@ -568,12 +568,10 @@ class DecompositionRecord:
             if error is not None or fit_error is not None:
                 out.append(None)
                 continue
-            entry = {"a": a, "b": b, "c": c, "residual": residual}
-            if shape_error is None:
-                a_plus_k2 = a + k ** 2
-                entry.update({"k": k, "a_plus_k2": a_plus_k2,
-                              "class": classify(a_plus_k2)})
-            out.append(entry)
+            out.append(
+                {"a": a, "b": b, "c": c, "residual": residual}
+                if shape_error is not None
+                else QCDecomposition.of(a, b, c, residual, k).to_json())
         return out
 
 

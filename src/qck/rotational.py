@@ -591,10 +591,10 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
         if error is not None:
             raise error
     coeffs, residual = frame_fit(R, F, signs)
-    eigs = np.linalg.eigvalsh(jet.G).min(axis=1)
     pts = []
     for u0, fit, res, kk, eig, kd in zip(U, coeffs.tolist(), residual.tolist(),
-                                         k.tolist(), eigs.tolist(),
+                                         k.tolist(),
+                                         jet.eigenvalues[:, 0].tolist(),
                                          kahler_defect(jet).tolist()):
         dec = QCDecomposition.of(*fit, res, kk)
         closed = profile.coefficients_at(float(u0[0]))

@@ -138,19 +138,20 @@ STAGES = ["sampler", "rule", "gated_jets", "curvature_tensors",
 
 
 def test_stage_costs(monkeypatch, capsys):
-    # one repeat at two n: a row of positive microseconds per stage
+    # one repeat at one n: a row of positive microseconds per stage
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "stage_costs.py", "--repeats", "1",
-                   "--n", "2,3", "--rows", "4")
+                   "--n", "2")
     assert exc.value.code == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header.split()[-2:] == ["n=2", "n=3"]
+    assert header.split()[-1] == "n=2"
     assert [line[:30].strip() for line in lines] == STAGES
     for line in lines:
         assert all(float(v) > 0.0 for v in line[30:].split())
 
 
-def test_stage_costs_rejects_empty_ops(monkeypatch, capsys):
+@pytest.mark.parametrize("args", [["--repeats", "0"], ["--n", "1"]])
+def test_stage_costs_rejects_bad_args(monkeypatch, capsys, args):
     with pytest.raises(SystemExit) as exc:
-        run_script(monkeypatch, capsys, "stage_costs.py", "--rows", "0")
+        run_script(monkeypatch, capsys, "stage_costs.py", *args)
     assert exc.value.code == 2
