@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-stage cost of one sweep op, in microseconds.
+"""Per-stage cost of one sweep op and one Bochner op, in microseconds.
 
 Times each stage of a ``qck decompose`` or ``check-potential`` run over
 ``ROWS`` points of the Lorentz disc model log(-1, 1), radii in [1.1, 3]
@@ -10,8 +10,12 @@ connection), ``curvature_tensors``, ``curvature_gate``, the radial unit
 field, ``adapted_frames``, ``shape_arrays``, ``frame_fit``,
 ``kahler_defect``, the argument parser and the report writer.  Two totals
 follow: one ``decompose_points`` pass, and the whole ``decompose`` command
-in process.  The benchmark under ``perfbench/`` times whole commands; this
-is where an op's time goes.
+in process.  Then the float-path Bochner op at the first of those points,
+T = a pi + b phi + c psi fitted and mapped by the Bochner operator in
+coordinates with the coefficients ``COEFFS``: G, the radial frame, the
+basis, the combination, the fit, the Bochner tensor, and the whole op.  The
+benchmark under ``perfbench/`` times whole commands; this is where an op's
+time goes.
 
     PYTHONPATH=src python3 scripts/stage_costs.py [--n 2,3,4] [--repeats 200]
 """
@@ -27,17 +31,21 @@ import numpy as np
 
 from qck import cli
 from qck.ambient import (AmbientSpace, LogFamily, _potential_rule,
-                         _radial_unit_jets, potential_metric)
+                         _radial_unit_jets, potential_metric, radial_frame)
 from qck.curvature import (curvature_gate, curvature_tensors, gated_jets,
                            kahler_defect)
-from qck.qch import adapted_frames, decompose_points, frame_fit, shape_arrays
+from qck.qch import (adapted_frames, bochner_flat, bochner_of_tensor,
+                     build_basis_tensors, decompose_points, frame_fit,
+                     shape_arrays)
 from qck.sampling import radial_points
+from qck.tensors import tensor4_fit
 
 FAMILY = LogFamily(-1.0, 1.0)
 FAMILY_FLAGS = ["--family", "log", "--a=-1", "--r0", "1"]
 WINDOW = (1.1, 3.0)
 ROWS = 8
 SEED = 9973
+COEFFS = (0.7, -1.3, 0.9)
 
 
 def best_us(call, repeats: int) -> float:
@@ -48,6 +56,22 @@ def best_us(call, repeats: int) -> float:
         call()
         best = min(best, time.perf_counter() - start)
     return best * 1e6
+
+
+def combination(basis):
+    """T = a pi + b phi + c psi for the coefficients ``COEFFS``."""
+    a, b, c = COEFFS
+    return a * basis.pi + b * basis.phi + c * basis.psi
+
+
+def bochner_op(space, metric, x):
+    """The Bochner op at x: G and J, the radial frame, the basis, T, its
+    fit and its Bochner tensor, and whether that vanishes."""
+    G, J = metric.matrix(x), metric.structure_matrix(x)
+    basis = build_basis_tensors(G, J, radial_frame(space, x, metric))
+    T = combination(basis)
+    B = bochner_of_tensor(T, G, J)
+    return tensor4_fit(T, basis.fit_basis()), B, bochner_flat(B)
 
 
 def stage_costs(n: int, repeats: int) -> dict:
@@ -74,6 +98,11 @@ def stage_costs(n: int, repeats: int) -> dict:
     with contextlib.redirect_stdout(sink):
         cli.main(argv)
     report = json.loads(sink.getvalue())
+    x = X[0]
+    G, J = metric.matrix(x), metric.structure_matrix(x)
+    frame = radial_frame(space, x, metric)
+    basis = build_basis_tensors(G, J, frame)
+    T = combination(basis)
     stages = {
         "sampler": lambda: radial_points(space, ROWS, *WINDOW, seed=SEED),
         "rule": lambda: _potential_rule(space, FAMILY, X, False),
@@ -90,6 +119,13 @@ def stage_costs(n: int, repeats: int) -> dict:
         "decompose_points (one pass)": lambda: decompose_points(
             space, FAMILY, X, checked=False),
         "decompose command": lambda: run(lambda: cli.main(argv)),
+        "bochner op: G": lambda: metric.matrix(x),
+        "bochner op: radial frame": lambda: radial_frame(space, x, metric),
+        "bochner op: basis": lambda: build_basis_tensors(G, J, frame),
+        "bochner op: combination": lambda: combination(basis),
+        "bochner op: fit": lambda: tensor4_fit(T, basis.fit_basis()),
+        "bochner op: Bochner": lambda: bochner_of_tensor(T, G, J),
+        "bochner op (whole)": lambda: bochner_op(space, metric, x),
     }
     return {name: best_us(call, repeats) for name, call in stages.items()}
 

@@ -471,11 +471,9 @@ class MetricField:
         return self.fn(x)
 
     def matrix(self, x) -> np.ndarray:
-        """Float-path evaluation as a numpy array."""
-        out = self.fn([float(c) for c in x])
-        if isinstance(out, np.ndarray):
-            return out.astype(float)
-        return np.array([[value(e) for e in row] for row in out])
+        """Float-path evaluation as a new numpy array: on floats, ``fn``
+        gives floats or an array, which one conversion takes as they are."""
+        return np.array(self.fn([float(c) for c in x]), dtype=float)
 
     def matrices(self, X) -> np.ndarray:
         """Float-path evaluations at the rows of X, (P, d), as a (P, d, d)

@@ -81,7 +81,7 @@ from .duals import (MultiDual, _seeded_coordinates, coefficients,
                     eval_with_partials)
 from .errors import (DegenerateMetric, DomainError, NumericalBreakdown, Sieve,
                      raise_first)
-from .tensors import Tensor4, curvature_symmetry_defect, tensor_scale
+from .tensors import Tensor4, pair_symmetry_defect, tensor_scale
 
 # largest condition number of G whose connection ``point_jets`` computes
 COND_LIMIT = 1e12
@@ -384,9 +384,16 @@ def curvature_tensors(jet: PointJet):
 def curvature_gate(R):
     """The algebraic curvature identities hold exactly in exact arithmetic,
     so their violation, relative to max(1, |R|), is a direct error estimate;
-    past ``SYMMETRY_GATE`` the tensor is garbage."""
-    defect = curvature_symmetry_defect(R)
-    return (defect > SYMMETRY_GATE * np.maximum(1.0, tensor_scale(R)),
+    past ``SYMMETRY_GATE`` the tensor is garbage.
+
+    R comes from ``curvature_tensors``, X less its (i, j) transpose, whose
+    (i, j) antisymmetry holds to the bit; the gate checks the other two
+    identities (``tensors.pair_symmetry_defect``).  A tensor with a nan or
+    inf entry fails.
+    """
+    defect = pair_symmetry_defect(R)
+    scale = np.maximum(1.0, tensor_scale(R))
+    return (~(defect <= SYMMETRY_GATE * scale) | np.isinf(scale),
             lambda j: NumericalBreakdown(
                 f"curvature symmetry defect {defect[j]:.3e} exceeds the gate"))
 

@@ -16,8 +16,12 @@ have constant components, so pi, phi and psi are constants for each n and
 signature, built once with their pseudo-inverse; a fit (``frame_fit``) is R
 carried into the frame and one matrix product.  k is averaged over the
 frame's complement rows.  ``basis_arrays`` and ``build_basis_tensors`` build
-the tensors in coordinates, where ``tensors.tensor4_fit`` fits them; that
-path is the oracle of the frame fit.
+the tensors in coordinates, where ``tensors.tensor4_fit`` fits them by one
+QR factorisation; that path is the oracle of the frame fit.  In coordinates
+every term of pi, phi and psi is a weighted outer product of two of the
+matrices g, the fundamental 2-form and two of the radial covectors, so the
+tensors are two matrix products per point with constant tables of weights
+(``_weighted_products``).
 
 ``decompose_points`` is the one entry point for many sample points of
 potential metrics: it runs the jet, connection, curvature, unit field,
@@ -34,8 +38,8 @@ The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
 Kahler product K of a combination of its Ricci contraction and g, with no
 complex frame, over a points axis (``bochner_arrays``), with
-``bochner_of_tensor`` as its one-point form.  K builds phi too, from the
-radial projector.
+``bochner_of_tensor`` as its one-point form.  K is two products with weight
+tables as well, and builds phi, from the radial projector.
 """
 
 from __future__ import annotations
@@ -214,36 +218,55 @@ class BasisTensors:
         return [self.pi, self.phi, self.psi]
 
 
-def _outer_sum(pairs):
-    """sum over the pairs (A, B) of A[p, a, b] B[p, c, e], as T[p, a, b, c, e]:
-    one matrix product per point."""
-    A = np.stack([a for a, _ in pairs], axis=1)
-    B = np.stack([b for _, b in pairs], axis=1)
-    P, Q, d = A.shape[:3]
-    T = A.reshape(P, Q, d * d).swapaxes(1, 2) @ B.reshape(P, Q, d * d)
-    return T.reshape(P, d, d, d, d)
+# Each term of pi, phi, psi and of the Kahler product K is a weighted outer
+# product A_ab B_ce of two of four matrices L: (G, Om, P, W) in
+# ``basis_arrays`` and (G, Om, S, JS) in ``bochner_arrays``.  A table of
+# weights M (outputs, 4, 4) makes a block of terms the one product L^T M L
+# per point.  Crossed terms enter as A_jk B_il - A_ik B_jl at [i, j, k, l],
+# straight ones as A_ij B_kl; psi has no crossed term.
+_BASIS_CROSSED = np.zeros((2, 4, 4))
+_BASIS_CROSSED[0, [0, 1], [0, 1]] = 1.0 / 4.0  # pi: (G.G + Om.Om) / 4
+# phi is the Kahler product of P over 8, since J^T P = W
+_BASIS_CROSSED[1, [0, 1, 2, 3], [2, 3, 0, 1]] = 1.0 / 8.0
+_BASIS_STRAIGHT = np.zeros((3, 4, 4))
+_BASIS_STRAIGHT[0, 1, 1] = -1.0 / 2.0
+_BASIS_STRAIGHT[1, [1, 3], [3, 1]] = -1.0 / 4.0
+_BASIS_STRAIGHT[2, 3, 3] = -1.0  # psi = -W.W
+_KAHLER_CROSSED = np.zeros((1, 4, 4))
+_KAHLER_CROSSED[0, [0, 1, 2, 3], [2, 3, 0, 1]] = 1.0
+_KAHLER_STRAIGHT = np.zeros((1, 4, 4))
+_KAHLER_STRAIGHT[0, [1, 3], [3, 1]] = -2.0
+for _weights in (_BASIS_CROSSED, _BASIS_STRAIGHT, _KAHLER_CROSSED,
+                 _KAHLER_STRAIGHT):
+    _weights.flags.writeable = False
 
 
-def _antisym_cross(pairs):
-    """sum over the pairs of A_jk B_il - A_ik B_jl, at [p, i, j, k, l]."""
-    T = _outer_sum(pairs).transpose(0, 3, 1, 2, 4)
-    return T - T.swapaxes(1, 2)
+def _weighted_products(L, crossed, straight):
+    """The tensors (P, outputs, d, d, d, d) of the weight tables
+    ``crossed`` (c, 4, 4) and ``straight`` (outputs, 4, 4) on the four
+    matrices of each point, L (P, 4, d, d): the crossed block gives the
+    leading c outputs their crossed terms, and the straight block gives
+    every output its straight ones.
 
-
-def _kahler_product(G, Om, S, JS):
-    """The Kahler product of a J-invariant symmetric S with g at each point,
-    from G, Om = J^T G, S and JS = J^T S.
-
-    Its two halves, with G and Om on either side of S and JS, are only
-    antisymmetric in their first index pair; the full curvature symmetries
-    appear in the sum, where each supplies the pair transpose of the other.
+    The crossed block is antisymmetrised into the result, and the straight
+    one is then added there from the buffer of the crossed one; its
+    outputs past c are written in place.  So the result and one block of c
+    outputs are all the tensors held at once.
     """
-    # in place: one batch of tensors at d = 6 takes 10 KiB per point
-    K = _antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
-    twice = _outer_sum([(Om, JS), (JS, Om)])
-    twice *= 2.0
-    K -= twice
-    return K
+    P, _, d = L.shape[:3]
+    c = len(crossed)
+    L = L.reshape(P, 1, 4, d * d)
+    Lt = L.swapaxes(2, 3)
+    X = Lt @ (crossed @ L)
+    # X[p, o, j, k, i, l] = A_jk B_il, i moved in front of j
+    Y = X.reshape((P, c) + (d,) * 4).transpose(0, 1, 4, 2, 3, 5)
+    out = np.empty((P, len(straight)) + (d,) * 4)
+    np.subtract(Y, Y.swapaxes(2, 3), out=out[:, :c])
+    out[:, :c] += np.matmul(Lt, straight[:c] @ L, out=X).reshape(Y.shape)
+    if len(straight) > c:
+        np.matmul(Lt, straight[c:] @ L,
+                  out=out.reshape(P, -1, d * d, d * d)[:, c:])
+    return out
 
 
 def basis_arrays(G, J, xi):
@@ -251,32 +274,31 @@ def basis_arrays(G, J, xi):
     B[p] = (pi, phi, psi), (P, 3, d, d, d, d), built on the metric values
     G (P, d, d), the structure J and the unit vectors xi (P, d).
 
-    The gate: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1 (either
-    sign of the square norm is accepted so the flat indefinite form can be
-    probed too).
+    Every term is a weighted outer product of two of the matrices G,
+    Om = J^T G, P and W (``_weighted_products``).  The gate: |g(xi, xi)| and
+    |g(J xi, J xi)| within ``UNIT_TOL`` of 1 (either sign of the square norm
+    is accepted so the flat indefinite form can be probed too).  The inputs
+    are taken as contiguous copies, as in ``adapted_frames``.
     """
-    jxi = np.einsum("pij,pj->pi", J, xi)
-    sq = np.einsum("pi,pij,pj->p", xi, G, xi)
-    sqj = np.einsum("pi,pij,pj->p", jxi, G, jxi)
-    unit = ((np.abs(np.abs(sq) - 1.0) > UNIT_TOL)
-            | (np.abs(np.abs(sqj) - 1.0) > UNIT_TOL),
+    G, J, xi = (np.ascontiguousarray(a) for a in (G, J, xi))
+    P, d = xi.shape
+    V = np.empty((P, d, 2))  # the columns xi and J xi
+    V[:, :, 0] = xi
+    np.matmul(J, xi[:, :, None], out=V[:, :, 1:])
+    ET = G @ V  # the covectors E = g(xi, .) and T = g(J xi, .)
+    sq = np.einsum("pia,pia->pa", V, ET)
+    unit = (np.any(np.abs(np.abs(sq) - 1.0) > UNIT_TOL, axis=1),
             lambda j: FrameError(
                 f"frame is not unit in the supplied metric: "
-                f"g(xi,xi)={sq[j]:.6g}, g(Jxi,Jxi)={sqj[j]:.6g}"))
-
-    Om = np.einsum("pai,paj->pij", J, G)
-    E = np.einsum("pij,pj->pi", G, xi)
-    T = np.einsum("pij,pj->pi", G, jxi)
-    Pm = E[:, :, None] * E[:, None, :] + T[:, :, None] * T[:, None, :]
-    W = E[:, :, None] * T[:, None, :] - T[:, :, None] * E[:, None, :]
-
-    B = np.empty((len(xi), 3) + (xi.shape[1],) * 4)
-    B[:, 0] = (_antisym_cross([(G, G), (Om, Om)])
-               - 2.0 * _outer_sum([(Om, Om)])) / 4.0
-    # J^T P = W, so phi is the Kahler product of P
-    B[:, 1] = _kahler_product(G, Om, Pm, W) / 8.0
-    B[:, 2] = -_outer_sum([(W, W)])
-    return B, [unit]
+                f"g(xi,xi)={sq[j, 0]:.6g}, g(Jxi,Jxi)={sq[j, 1]:.6g}"))
+    # L = (G, Om = J^T G, P = E E^T + T T^T, W = E T^T - T E^T)
+    L = np.empty((P, 4, d, d))
+    L[:, 0] = G
+    np.matmul(J.swapaxes(1, 2), G, out=L[:, 1])
+    np.matmul(ET, ET.swapaxes(1, 2), out=L[:, 2])
+    X = ET[:, :, 0, None] * ET[:, None, :, 1]
+    np.subtract(X, X.swapaxes(1, 2), out=L[:, 3])
+    return _weighted_products(L, _BASIS_CROSSED, _BASIS_STRAIGHT), [unit]
 
 
 def build_basis_tensors(G, J, frame: RadialFrame) -> BasisTensors:
@@ -418,18 +440,28 @@ def bochner_arrays(T, G, J):
     1e-9; ValueError otherwise.
     """
     P, d = G.shape[:2]
-    if np.max(np.abs(J @ J + np.eye(d))) > 1e-9:
+    if np.abs(J @ J + np.eye(d)).max() > 1e-9:
         raise ValueError("J does not square to -identity")
+    # L = (G, Om = J^T G, S, JS = J^T S)
+    L = np.empty((P, 4, d, d))
+    L[:, 0], L[:, 2] = G, _ricci_form(T, G)
+    np.matmul(J.swapaxes(1, 2)[:, None], L[:, 0::2], out=L[:, 1::2])
+    K = _weighted_products(L, _KAHLER_CROSSED, _KAHLER_STRAIGHT)[:, 0]
+    return np.subtract(T, K, out=K)
+
+
+def _ricci_form(T, G):
+    """S = rho / (2 (n + 2)) - tau g / (8 (n + 1)(n + 2)) of each tensor T
+    (P, d, d, d, d) at the metric values G, the form whose Kahler product
+    is T less its Bochner tensor; its contractions are freed on return."""
+    P, d = G.shape[:2]
     Ginv = np.linalg.inv(G)
     # rho_jk = sum_il Ginv_il T_ijkl, and tau = sum_jk Ginv_jk rho_jk
     rho = (T.transpose(0, 2, 3, 1, 4).reshape(P, d * d, d * d)
            @ Ginv.reshape(P, d * d, 1)).reshape(P, d, d)
     tau = Ginv.reshape(P, 1, d * d) @ rho.reshape(P, d * d, 1)
     n = d / 2.0
-    S = rho / (2.0 * (n + 2.0)) - tau * G / (8.0 * (n + 1.0) * (n + 2.0))
-    JT = J.swapaxes(1, 2)
-    K = _kahler_product(G, JT @ G, S, JT @ S)
-    return np.subtract(T, K, out=K)
+    return rho / (2.0 * (n + 2.0)) - tau * G / (8.0 * (n + 1.0) * (n + 2.0))
 
 
 def bochner_of_tensor(T: Tensor4, G, J) -> Tensor4:

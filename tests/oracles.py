@@ -29,7 +29,11 @@ in ``qck.charts``, ``qck.rotational`` and ``qck.sasakian``.  And the
 curvature assembly from the derivatives of the Christoffel symbols of the
 second kind, the reference for ``curvature.curvature_tensors``, and the
 seeded samplers one point at a time, the references for the array
-expressions of ``qck.sampling``.
+expressions of ``qck.sampling``.  And the coordinate kernels as they stood
+before their weight tables and their one QR factorisation: pi, phi, psi and
+the Bochner tensor from stacks of outer products, the fit by ``lstsq`` gated
+on the condition of the Gram matrix, the float evaluation of a metric
+converted entry by entry, and the curvature gate over all three identities.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from qck.ambient import (AdmissibilityReport, AmbientSpace,
                          _radial_projectors, admissibility, radial_unit_jets)
 from qck.charts import GraphChart, pullback_metric
 from qck.core import apply_j0
-from qck.curvature import (CurvatureBundle, PointJet,
+from qck.curvature import (SYMMETRY_GATE, CurvatureBundle, PointJet,
                            covariant_derivative, curvature_gate,
                            curvature_tensors, fd_jets, kahler_defect,
                            point_jets)
@@ -57,7 +61,8 @@ from qck.qch import (UNIT_TOL, QCDecomposition, adapted_frames,
                      bochner_of_tensor, frame_fit, shape_arrays)
 from qck.sampling import SPREAD
 from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
-from qck.tensors import Tensor4
+from qck.tensors import (COND_LIMIT, Tensor4, curvature_symmetry_defect,
+                         tensor_scale)
 
 # Every potential family, with a radius in its admissible region for each n:
 # (signature, family, r).
@@ -1106,3 +1111,96 @@ def radial_points_looped(space: AmbientSpace, count: int, rmin: float,
         if family is None or admissibility(space, family, w).ok:
             pts.append(x)
     return pts, drawn
+
+
+# -- the coordinate kernels as sums of stacked outer products -------------------
+
+
+def outer_sum(pairs):
+    """sum over the pairs (A, B) of A[p, a, b] B[p, c, e], as T[p, a, b, c, e]:
+    one matrix product per point."""
+    A = np.stack([a for a, _ in pairs], axis=1)
+    B = np.stack([b for _, b in pairs], axis=1)
+    P, Q, d = A.shape[:3]
+    T = A.reshape(P, Q, d * d).swapaxes(1, 2) @ B.reshape(P, Q, d * d)
+    return T.reshape(P, d, d, d, d)
+
+
+def antisym_cross(pairs):
+    """sum over the pairs of A_jk B_il - A_ik B_jl, at [p, i, j, k, l]."""
+    T = outer_sum(pairs).transpose(0, 3, 1, 2, 4)
+    return T - T.swapaxes(1, 2)
+
+
+def kahler_product(G, Om, S, JS):
+    """The Kahler product of a J-invariant symmetric S with g at each point,
+    from G, Om = J^T G, S and JS = J^T S: its crossed terms less twice the
+    straight ones."""
+    K = antisym_cross([(G, S), (Om, JS), (S, G), (JS, Om)])
+    K -= 2.0 * outer_sum([(Om, JS), (JS, Om)])
+    return K
+
+
+def basis_arrays_stacked(G, J, xi):
+    """pi, phi and psi at each point, (P, 3, d, d, d, d), each term its own
+    stack of outer products: the reference for the weight tables of
+    ``qch.basis_arrays``."""
+    Om = np.einsum("pai,paj->pij", J, G)
+    E = np.einsum("pij,pj->pi", G, xi)
+    T = np.einsum("pij,pj->pi", G, np.einsum("pij,pj->pi", J, xi))
+    Pm = E[:, :, None] * E[:, None, :] + T[:, :, None] * T[:, None, :]
+    W = E[:, :, None] * T[:, None, :] - T[:, :, None] * E[:, None, :]
+    return np.stack([
+        (antisym_cross([(G, G), (Om, Om)]) - 2.0 * outer_sum([(Om, Om)]))
+        / 4.0,
+        kahler_product(G, Om, Pm, W) / 8.0,
+        -outer_sum([(W, W)])], axis=1)
+
+
+def bochner_arrays_stacked(T, G, J):
+    """The Bochner tensors of T at each point with the Kahler product of
+    ``kahler_product``: the reference for ``qch.bochner_arrays``."""
+    P, d = G.shape[:2]
+    Ginv = np.linalg.inv(G)
+    rho = (T.transpose(0, 2, 3, 1, 4).reshape(P, d * d, d * d)
+           @ Ginv.reshape(P, d * d, 1)).reshape(P, d, d)
+    tau = Ginv.reshape(P, 1, d * d) @ rho.reshape(P, d * d, 1)
+    n = d / 2.0
+    S = rho / (2.0 * (n + 2.0)) - tau * G / (8.0 * (n + 1.0) * (n + 2.0))
+    JT = J.swapaxes(1, 2)
+    return T - kahler_product(G, JT @ G, S, JT @ S)
+
+
+def fit_tensors_lstsq(targets, basis):
+    """Least-squares fits of targets (P, N) against each basis (P, m, N) by
+    ``np.linalg.lstsq`` one point at a time, gated on the condition of the
+    Gram matrix formed and taken by ``np.linalg.cond``: (coeffs, residual,
+    cond, bad), nan on the rows past ``tensors.COND_LIMIT``.  The
+    reference for the one factorisation of ``tensors.fit_tensors``."""
+    cond = np.linalg.cond(np.einsum("pmn,pqn->pmq", basis, basis))
+    bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    coeffs = np.full(basis.shape[:2], np.nan)
+    residual = np.full(len(targets), np.nan)
+    for p in np.flatnonzero(~bad):
+        B, t = basis[p], targets[p]
+        coeffs[p] = np.linalg.lstsq(B.T, t, rcond=None)[0]
+        misfit = t - coeffs[p] @ B
+        residual[p] = math.sqrt((misfit @ misfit) / max(1.0, t @ t))
+    return coeffs, residual, cond, bad
+
+
+def matrix_per_entry(metric: MetricField, x) -> np.ndarray:
+    """The float evaluation of a metric field converted entry by entry, as
+    ``MetricField.matrix`` took it before one conversion of the whole."""
+    out = metric.fn([float(c) for c in x])
+    if isinstance(out, np.ndarray):
+        return out.astype(float)
+    return np.array([[value(e) for e in row] for row in out])
+
+
+def curvature_gate_three_identities(R):
+    """The rows of R past the curvature gate when it checked all three
+    identities of ``tensors.curvature_symmetry_defect``, the (i, j)
+    antisymmetry included, and let a nan defect through."""
+    return curvature_symmetry_defect(R) > SYMMETRY_GATE * np.maximum(
+        1.0, tensor_scale(R))

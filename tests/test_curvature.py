@@ -31,6 +31,7 @@ from qck.sampling import point_at_radius
 from qck.sasakian import family_h1_metric
 from qck.qch import adapted_frames, frame_fit
 from oracles import (POTENTIAL_CASES, complex_to_real, curvature_bundle,
+                     curvature_gate_three_identities,
                      curvature_tensors_second_kind, point_jet, sectional,
                      ConformalPair, conformal_pair_from_family, generator,
                      metric_from_conformal_pair, radial_unit_field,
@@ -726,6 +727,43 @@ class TestFirstKindAssembly:
         assert "symmetry defect" in str(error(1))
         assert not curvature.curvature_gate(
             curvature.curvature_tensors(jet))[0].any()
+
+    @pytest.mark.parametrize("jet", [c[1] for c in ASSEMBLY_CASES],
+                             ids=[c[0] for c in ASSEMBLY_CASES])
+    def test_ij_antisymmetry_is_exact(self, jet):
+        # R is X less its (i, j) transpose, so the gate need not check the
+        # (i, j) antisymmetry, and it decides as the three-identity gate did
+        R = curvature.curvature_tensors(jet)
+        assert not np.any(R + R.swapaxes(1, 2))
+        assert np.array_equal(curvature.curvature_gate(R)[0],
+                              curvature_gate_three_identities(R))
+
+    def test_gate_decides_off_symmetry_as_with_three_identities(self):
+        # one entry of d2G pushed off its symmetries by 1e-12 to 1 of |d2G|
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        X = np.array([point_at_radius(L2, 2.0, seed=s) for s in range(9)])
+        jet = point_jets(metric, X)
+        d2G = jet.d2G.copy()
+        d2G[:, 0, 1, 2, 3] += np.max(np.abs(d2G)) * np.logspace(-12, 0, 9)
+        R = curvature.curvature_tensors(replace(jet, d2G=d2G))
+        bad = curvature.curvature_gate(R)[0]
+        assert np.array_equal(bad, curvature_gate_three_identities(R))
+        assert 0 < bad.sum() < 9
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_gate_fails_a_tensor_that_is_not_finite(self, entry):
+        # a nan defect is not below the gate, and neither is anything
+        # against the infinite scale of an infinite entry
+        metric = potential_metric(L2, LogFamily(-1.0, 1.0))
+        X = np.array([point_at_radius(L2, 2.0, seed=s) for s in range(3)])
+        R = curvature.curvature_tensors(point_jets(metric, X))
+        R[1, 0, 1, 2, 3] = entry
+        R[1, 1, 0, 2, 3] = -entry
+        bad, error = curvature.curvature_gate(R)
+        assert bad.tolist() == [False, True, False]
+        with np.errstate(invalid="ignore"):
+            assert not curvature_gate_three_identities(R)[1]
+        assert "symmetry defect" in str(error(1))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_large_radius_fit(self, n):

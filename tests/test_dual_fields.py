@@ -4,20 +4,24 @@ The rotational metric and structure, the Sasakian family metric with its
 Reeb and phi fields, and pullbacks through a graph chart are written with
 the component-axis operations of ``qck.duals``.  Their operations and
 summation orders are those of the loops in ``tests/oracles.py``, so every
-jet and every float evaluation equals the oracle's to the bit.
+jet and every float evaluation equals the oracle's to the bit.  And
+``MetricField.matrix`` of every kind of field, potential and flat ones
+too, is the conversion of its float evaluation entry by entry.
 """
 
 import numpy as np
 import pytest
 
-from qck.ambient import AmbientSpace, LogFamily, potential_metric
+from qck.ambient import (AmbientSpace, DefiniteLogFamily, LogFamily,
+                         flat_metric, potential_metric)
 from qck.charts import GraphChart, pullback_metric
 from qck.curvature import point_jets
 from qck.duals import eval_with_partials
 from qck.rotational import bochner_meridian, const_hsc_profile, rotation_metric
+from qck.sampling import radial_points
 from qck.sasakian import family_h1_metric
-from oracles import (family_h1_metric_looped, pullback_metric_looped,
-                     rotation_metric_looped)
+from oracles import (family_h1_metric_looped, matrix_per_entry,
+                     pullback_metric_looped, rotation_metric_looped)
 
 PROFILES = {
     "I": lambda: bochner_meridian(0.1, -0.3, 0.5, 1.2, "I"),
@@ -154,3 +158,47 @@ class TestPullback:
             G = metric.matrix(u)
             assert np.array_equal(G, looped.matrix(u))
             assert np.array_equal(G, G.T)
+
+
+def field_cases():
+    """(id, metric, points): every kind of metric field in ``qck``, with
+    three points of its chart."""
+    cases = []
+    for signature, family, window in (
+            ("lorentz", LogFamily(-1.0, 1.0), (1.1, 3.0)),
+            ("definite", DefiniteLogFamily(2.0, 1.0), (0.4, 2.0))):
+        for n in (2, 3):
+            space = AmbientSpace(n, signature)
+            X = np.array(radial_points(space, 3, *window, seed=n))
+            cases += [(f"potential-{signature}-n{n}",
+                       potential_metric(space, family), X),
+                      (f"flat-{signature}-n{n}", flat_metric(space), X)]
+    for tag in sorted(PROFILES):
+        profile = PROFILES[tag]()
+        cases.append((f"rotational-{tag}", rotation_metric(profile, 2)[0],
+                      rotation_points(profile, 2, seed=1)[:3]))
+    for q in (1.0, 2.0):
+        cases.append((f"family-h1-q{q}", family_h1_metric(2, q)[0],
+                      chart_points(2, seed=int(q))))
+    for name in ("sphere", "lorentz", "potential"):
+        chart, ambient = pullback_case(name, 2)
+        cases.append((f"pullback-{name}", pullback_metric(chart, ambient),
+                      chart_points(2, seed=3)))
+    return cases
+
+
+FIELD_CASES = field_cases()
+
+
+@pytest.mark.parametrize("metric,X", [c[1:] for c in FIELD_CASES],
+                         ids=[c[0] for c in FIELD_CASES])
+def test_matrix_is_the_entry_by_entry_conversion(metric, X):
+    # one conversion of the float evaluation gives the bits that a
+    # conversion of each entry gave, in a new float array
+    for x in X:
+        G = metric.matrix(x)
+        want = matrix_per_entry(metric, x)
+        assert G.dtype == want.dtype == np.float64
+        assert G.shape == want.shape == (metric.dim, metric.dim)
+        assert G.tobytes() == want.tobytes()
+        assert not np.shares_memory(G, metric.matrix(x))

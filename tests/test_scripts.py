@@ -134,11 +134,15 @@ def test_sweep_rows_of_all_families_equal_the_per_family_loop(
 STAGES = ["sampler", "rule", "gated_jets", "curvature_tensors",
           "curvature_gate", "unit field", "adapted_frames", "shape_arrays",
           "frame_fit", "kahler_defect", "argparse", "report writer",
-          "decompose_points (one pass)", "decompose command"]
+          "decompose_points (one pass)", "decompose command",
+          "bochner op: G", "bochner op: radial frame", "bochner op: basis",
+          "bochner op: combination", "bochner op: fit", "bochner op: Bochner",
+          "bochner op (whole)"]
 
 
 def test_stage_costs(monkeypatch, capsys):
-    # one repeat at one n: a row of positive microseconds per stage
+    # one repeat at one n: a row of positive microseconds per stage, the
+    # sweep op's and then the Bochner op's
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "stage_costs.py", "--repeats", "1",
                    "--n", "2")
