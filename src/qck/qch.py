@@ -229,9 +229,10 @@ _BASIS_CROSSED[0, [0, 1], [0, 1]] = 1.0 / 4.0  # pi: (G.G + Om.Om) / 4
 # phi is the Kahler product of P over 8, since J^T P = W
 _BASIS_CROSSED[1, [0, 1, 2, 3], [2, 3, 0, 1]] = 1.0 / 8.0
 _BASIS_STRAIGHT = np.zeros((3, 4, 4))
-_BASIS_STRAIGHT[0, 1, 1] = -1.0 / 2.0
-_BASIS_STRAIGHT[1, [1, 3], [3, 1]] = -1.0 / 4.0
-_BASIS_STRAIGHT[2, 3, 3] = -1.0  # psi = -W.W
+_BASIS_STRAIGHT[0, 1, 1] = -1.0 / 2.0  # pi: -Om.Om / 2
+_BASIS_STRAIGHT[1, [1, 3], [3, 1]] = -1.0 / 4.0  # phi: -(Om.W + W.Om) / 4
+_BASIS_STRAIGHT[2, 3, 3] = -1.0  # psi: -W.W
+# K: G.S + Om.JS + S.G + JS.Om crossed, and -2 (Om.JS + JS.Om) straight
 _KAHLER_CROSSED = np.zeros((1, 4, 4))
 _KAHLER_CROSSED[0, [0, 1, 2, 3], [2, 3, 0, 1]] = 1.0
 _KAHLER_STRAIGHT = np.zeros((1, 4, 4))

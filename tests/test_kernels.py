@@ -129,6 +129,19 @@ class TestBasisAndBochner:
             assert np.linalg.pinv(want).tobytes() == pinv.tobytes()
             qch._FRAME_BASES.clear()
 
+    @pytest.mark.parametrize("signature", ["definite", "lorentz"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basis_rows_do_not_depend_on_the_batch_or_layout(self, n,
+                                                               signature):
+        G, J, xi = metric_points(n, signature, 6, np.random.default_rng(n),
+                                 True)
+        B = basis_arrays(G, J, xi)[0]
+        for p in range(6):
+            one = basis_arrays(G[p:p + 1], J[p:p + 1], xi[p:p + 1])[0]
+            assert np.array_equal(B[p], one[0])
+        for to in LAYOUTS.values():
+            assert np.array_equal(basis_arrays(to(G), to(J), to(xi))[0], B)
+
 
 def conditioned_basis(rng, P, N, cond):
     """Bases (P, 3, N) whose Gram matrices have the conditions ``cond``
@@ -221,26 +234,3 @@ class TestFit:
             got = fit_tensors(to(rows(t, basis)))[:2]
             assert all(np.array_equal(a, b) for a, b in zip(got, whole))
 
-
-class TestBatchAndLayout:
-    @pytest.mark.parametrize("signature", ["definite", "lorentz"])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_basis_rows(self, n, signature):
-        G, J, xi = metric_points(n, signature, 6, np.random.default_rng(n),
-                                 True)
-        B = basis_arrays(G, J, xi)[0]
-        for p in range(6):
-            one = basis_arrays(G[p:p + 1], J[p:p + 1], xi[p:p + 1])[0]
-            assert np.array_equal(B[p], one[0])
-        for to in LAYOUTS.values():
-            assert np.array_equal(basis_arrays(to(G), to(J), to(xi))[0], B)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_bochner_rows(self, n):
-        rng = np.random.default_rng(n)
-        G, J, _ = metric_points(n, "lorentz", 6, rng, True)
-        T = rng.normal(size=(6,) + (2 * n,) * 4)
-        B = bochner_arrays(T, G, J)
-        for p in range(6):
-            one = bochner_arrays(T[p:p + 1], G[p:p + 1], J[p:p + 1])
-            assert np.array_equal(B[p], one[0])
