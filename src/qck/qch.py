@@ -164,11 +164,12 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     The sign of g(xi, xi) picks the "riemannian" or the "lorentz" sign
     conventions.  k is averaged over the complement rows of the frame; the
     per-direction spread is itself the test that the field has the required
-    shape.  The gates, in order: g(xi, xi) = +-1, a complement distribution
-    whose frame rows F[:, 2:] are all space-like, and a spread of the normal
-    curvature within ``SPREAD_GATE``, past which ShapeUniformityError stands
-    for an average of unlike things.  The arrays are taken as contiguous
-    copies, as in ``adapted_frames``.
+    shape.  The gates, in order: g(xi, xi) = +-1 within ``UNIT_TOL``, the
+    test of ``adapted_frames``; a complement distribution whose frame rows
+    F[:, 2:] are all space-like; and a spread of the normal curvature
+    within ``SPREAD_GATE``, past which ShapeUniformityError stands for an
+    average of unlike things.  The arrays are taken as contiguous copies,
+    as in ``adapted_frames``.
     """
     F, signs, dxi, G = (np.ascontiguousarray(a)
                         for a in (F, signs, dxi, jet.G))
@@ -177,7 +178,7 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     d = xi.shape[1]
     sq = _gdot(G, xi, xi)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
-    unit = (np.abs(sq - sq_sign) > 1e-8, lambda j: FrameError(
+    unit = (np.abs(sq - sq_sign) > UNIT_TOL, lambda j: FrameError(
         f"field is not unit: g(xi, xi) = {sq[j]:.12g}"))
     complete = (np.any(signs[:, 2:] <= 0.0, axis=1), lambda j: FrameError(
         "could not complete a basis of the complement distribution"))

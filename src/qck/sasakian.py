@@ -36,7 +36,8 @@ import numpy as np
 
 from .ambient import (AmbientSpace, MetricField, potential_metric,
                       radial_unit_jets)
-from .charts import GraphChart, pullback_metric, pulled_back, tangent_params
+from .charts import (MARGIN, GraphChart, pullback_metric, pulled_back,
+                     tangent_params)
 from .core import apply_j0, j0_matrix
 from .curvature import (PointJet, covariant_derivative, curvature_gate,
                         curvature_tensors, point_jets)
@@ -49,8 +50,6 @@ from .sampling import point_at_radius
 
 ZERO_BAND = 1e-8
 ALPHA_GATE = 1e-5
-# polar angle that a sphere sample keeps from the graph chart equator
-CHART_MARGIN = 0.25
 # seeded draws of such a sample before giving up
 CHART_TRIES = 64
 # seeded planes that the Gauss cross-check draws for every row, of which it
@@ -522,9 +521,10 @@ def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
 
 
 def _chartable_timelike_point(space, r, seed):
-    """Time-like sample kept clear of the graph chart equator, so the
-    intrinsic cross-check can place the point in a chart."""
-    floor = (r * math.sin(CHART_MARGIN)) ** 2
+    """Time-like sample kept clear of the graph chart equator by the chart's
+    own ``charts.MARGIN``, so the intrinsic cross-check can place the point
+    in a chart."""
+    floor = (r * math.sin(MARGIN)) ** 2
     for k in range(CHART_TRIES):
         Z = point_at_radius(space, r, seed=seed + 1000 * k)
         if Z[-1] ** 2 >= floor:
