@@ -24,13 +24,12 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .config import RunConfig, apply_overrides, check_seed, load_config
-from .curvature import CurvatureBundle, kahler_defect
+from .curvature import INVARIANTS
 from .errors import QckError
 from .qch import decompose_points
 from .rotational import bochner_meridian, const_hsc_profile
 from .sampling import radial_points
 from .sasakian import family_h1_report, sphere_reports
-from .tensors import Tensor4
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -172,18 +171,18 @@ def cmd_check_potential(args) -> int:
     cfg = _config_from_args(args)
     rec, entries = _record(cfg, checked=False)
     adm = rec.admissibility
-    # the least eigenvalue of G, which the condition gate took, and the
-    # Kahler defect of every row past the curvature gate, in one call
-    jet_values = dict(zip(rec.curved.tolist(), zip(
-        rec.jet.eigenvalues[:, 0].tolist(), kahler_defect(rec.jet).tolist())))
+    curved = set(rec.curved.tolist())
     fits = rec.fit_entries()
-    for entry, w, in_domain, ok in zip(entries, adm.w.tolist(),
-                                       adm.in_domain.tolist(),
-                                       adm.ok.tolist()):
+    for entry, w, in_domain, ok, eigenvalue, defect in zip(
+            entries, adm.w.tolist(), adm.in_domain.tolist(), adm.ok.tolist(),
+            rec.min_eigenvalue.tolist(), rec.kahler_defect.tolist()):
         i = entry["index"]
         entry.update(w=w, in_domain=in_domain, admissible=ok)
-        if i in jet_values:
-            entry["min_eigenvalue"], entry["kahler_defect"] = jet_values[i]
+        if i in curved:
+            # the least eigenvalue of G and the Kahler defect of every row
+            # past the curvature gate
+            entry["min_eigenvalue"], entry["kahler_defect"] = (eigenvalue,
+                                                               defect)
         if rec.error[i] is not None:
             entry["error"] = _error_text(rec.error[i])
             continue
@@ -212,22 +211,12 @@ def cmd_check_potential(args) -> int:
 def cmd_curvature(args) -> int:
     cfg = _config_from_args(args)
     rec, entries = _record(cfg, fit=False)
-    curved = {i: r for r, i in enumerate(rec.curved.tolist())}
-    for i, entry in enumerate(entries):
-        if rec.error[i] is not None:
-            entry["error"] = _error_text(rec.error[i])
-            continue
-        r = curved[i]
-        bundle = CurvatureBundle(rec.jet.rows(r), Tensor4(rec.R[r]))
-        xi = rec.xi[i]
-        scale = max(1.0, bundle.R.scale())
-        entry.update({
-            "tau": bundle.scalar_curvature(),
-            "sigma_radial": bundle.sigma_radial(xi),
-            "kappa_radial": bundle.kappa_radial(xi),
-            "hsc_radial": bundle.hsc(xi),
-            "symmetry_defect": bundle.R.curvature_symmetry_defect() / scale,
-            "bianchi_defect": bundle.R.first_bianchi_defect() / scale})
+    for entry, error, values in zip(entries, rec.error,
+                                    rec.invariants.tolist()):
+        if error is not None:
+            entry["error"] = _error_text(error)
+        else:
+            entry.update(zip(INVARIANTS, values))
     report = {"schema_version": SCHEMA_VERSION, "command": "curvature",
               "config": cfg.to_json(), "points": entries}
     all_ok = all("error" not in e for e in entries)

@@ -12,9 +12,9 @@ gives too, and goes on through ``gated_jets`` as ``point_jets`` does.
 ``_connection`` computes the connection of every jet.
 ``curvature_tensors``, ``kahler_defect``, ``covariant_derivative``,
 ``ambient.radial_unit_jets`` and ``qch.shape_arrays`` all take the jet, so
-a pipeline builds it once.  A
-``CurvatureBundle`` holds one point's row of that jet and the curvature
-tensor R assembled from it; its invariants read G, G^-1 and J off the jet.
+a pipeline builds it once.  ``curvature_invariants`` reads G, G^-1 and J
+off the jet for the invariants of the tensors R assembled from it, and
+``holomorphic_curvatures`` for the holomorphic sectional curvatures.
 The radial unit field and its partials follow from G and dG in closed
 form, so they cost no further evaluation; ``duals.eval_with_partials``
 differentiates other fields by duals.
@@ -73,7 +73,7 @@ the Ricci form equals -g and the scalar curvature is -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,8 @@ from .duals import (MultiDual, _seeded_coordinates, coefficients,
                     eval_with_partials)
 from .errors import (DegenerateMetric, DomainError, NumericalBreakdown, Sieve,
                      raise_first)
-from .tensors import Tensor4, pair_symmetry_defect, tensor_scale
+from .tensors import (curvature_symmetry_defect, first_bianchi_defect,
+                      pair_symmetry_defect, tensor_scale)
 
 # largest condition number of G whose connection ``point_jets`` computes
 COND_LIMIT = 1e12
@@ -199,39 +200,6 @@ def _connection(G, dG):
     return gamma1, gamma, Ginv
 
 
-@dataclass
-class CurvatureBundle:
-    """Curvature tensor of a metric field at the point of ``jet``, whose
-    metric, inverse metric and complex structure the invariants use."""
-
-    jet: PointJet
-    R: Tensor4  # R[i, j, k, l], all indices down
-
-    def ricci(self) -> np.ndarray:
-        return np.einsum("il,ijkl->jk", self.jet.Ginv, self.R.a)
-
-    def scalar_curvature(self) -> float:
-        return float(np.einsum("jk,jk->", self.jet.Ginv, self.ricci()))
-
-    def hsc(self, X) -> float:
-        """Holomorphic sectional curvature of the section (X, JX): the
-        one-point case of ``holomorphic_curvatures``."""
-        return float(holomorphic_curvatures(
-            self.R.a[None], self.jet.G[None], self.jet.J[None],
-            np.asarray(X, float)[None, None])[0, 0])
-
-    def sigma_radial(self, xi) -> float:
-        """Negated Ricci value on a radial unit direction."""
-        xi = np.asarray(xi, float)
-        return float(-xi @ self.ricci() @ xi)
-
-    def kappa_radial(self, xi) -> float:
-        """Curvature value on the radial holomorphic section."""
-        xi = np.asarray(xi, float)
-        jxi = self.jet.J @ xi
-        return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
-
-
 def holomorphic_curvatures(R, G, J, X):
     """Holomorphic sectional curvatures R(X, JX, JX, X) / g(X, X)^2 of the
     directions X (P, S, d) at each point of the curvature tensors R, metric
@@ -242,6 +210,34 @@ def holomorphic_curvatures(R, G, J, X):
         "null direction has no holomorphic curvature"))])
     num = np.einsum("pijkl,psi,psj,psk,psl->ps", R, X, JX, JX, X)
     return num / (gXX * gXX)
+
+
+# the columns of ``curvature_invariants``, by the names of the curvature report
+INVARIANTS = ("tau", "sigma_radial", "kappa_radial", "hsc_radial",
+              "symmetry_defect", "bianchi_defect")
+
+
+def curvature_invariants(jet: PointJet, R, xi):
+    """Invariants of the curvature tensors R (P, d, d, d, d) at the points
+    of a jet, on the unit directions xi (P, d): (P, 6), columns named by
+    ``INVARIANTS``.  They are the scalar curvature tau, the negated Ricci
+    value sigma on xi, kappa = R(xi, J xi, J xi, xi), the holomorphic
+    sectional curvature of xi (``holomorphic_curvatures``), and the defects
+    of the curvature symmetries and of the first Bianchi identity,
+    relative to max(1, |R|).  Each row takes the operations of its point
+    alone, so that a row's values do not depend on the batch around it.
+    DomainError for a null xi."""
+    Ginv, J = jet.Ginv, jet.J
+    ricci = np.einsum("pil,pijkl->pjk", Ginv, R)
+    jxi = (J @ xi[:, :, None])[:, :, 0]
+    scale = np.maximum(1.0, tensor_scale(R))
+    return np.stack([
+        np.einsum("pjk,pjk->p", Ginv, ricci),
+        (-xi[:, None] @ ricci @ xi[:, :, None])[:, 0, 0],
+        np.einsum("pijkl,pi,pj,pk,pl->p", R, xi, jxi, jxi, xi),
+        holomorphic_curvatures(R, jet.G, J, xi[:, None])[:, 0],
+        curvature_symmetry_defect(R) / scale,
+        first_bianchi_defect(R) / scale], axis=1)
 
 
 @dataclass(frozen=True)
@@ -255,19 +251,17 @@ class PointJet:
 
     ``point_jets`` makes the jets of many points at once; every field then
     carries a leading points axis, and ``rows`` takes points out of it.  A
-    jet that only keeps the first jet of the metric, as the record of
-    ``qch.decompose_points`` does, has None in d2G, gamma1 and gamma.  A
     constant structure's J and dJ repeat one row as a broadcast view
     (``structure_jet``), and ``rows`` keeps them so."""
 
     point: np.ndarray
     G: np.ndarray
     dG: np.ndarray
-    d2G: np.ndarray | None
+    d2G: np.ndarray
     J: np.ndarray
     dJ: np.ndarray
-    gamma1: np.ndarray | None
-    gamma: np.ndarray | None
+    gamma1: np.ndarray
+    gamma: np.ndarray
     Ginv: np.ndarray
     eigenvalues: np.ndarray
     method: str  # how the metric jet was taken: "closed-form" | "dual" | "fd"
@@ -277,31 +271,18 @@ class PointJet:
         integer for the jet of one point) of a jet with a points axis."""
         point = self.point[index]
         return PointJet(point, *(
-            None if a is None else _take(a, index, point.shape[:-1])
+            _take(a, index, point.shape[:-1])
             for a in (self.G, self.dG, self.d2G, self.J, self.dJ, self.gamma1,
                       self.gamma, self.Ginv, self.eigenvalues)), self.method)
-
-    def first(self) -> "PointJet":
-        """The jet without the second partials of the metric and the
-        connection: what reading G, dG, J, dJ and Ginv needs."""
-        return replace(self, d2G=None, gamma1=None, gamma=None)
-
-
-def _repeated_row(a):
-    """The one row that every row of ``a`` is, where ``a`` is a broadcast
-    view along its leading axis (stride 0, at least one row); else None."""
-    if a.ndim and a.shape[0] and a.strides[0] == 0:
-        return a[0]
-    return None
 
 
 def _take(a, index, lead):
     """a[index], whose leading axes are ``lead``; a broadcast view of one
-    row stays one where an index array would copy it."""
-    if isinstance(index, np.ndarray):
-        row = _repeated_row(a)
-        if row is not None:
-            return np.broadcast_to(row, lead + row.shape)
+    row (stride 0 along its leading axis) stays one where an index array
+    would copy it."""
+    if isinstance(index, np.ndarray) and a.ndim and a.shape[0] \
+            and a.strides[0] == 0:
+        return np.broadcast_to(a[0], lead + a.shape[1:])
     return a[index]
 
 

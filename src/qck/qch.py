@@ -30,9 +30,12 @@ frame, shape data and fit over a points axis, as many points per pass as
 there.  The potential may differ from row to row: a family enters a pass
 only through its domain and its derivatives f', ..., f'''' at the rows'
 square norms, so the rows of several families share one pass.  It returns
-one ``DecompositionRecord`` of arrays over the rows.  The frame, shape data
-and fit kernels (``adapted_frames``, ``shape_arrays``, ``frame_fit``) take
-the points axis, and so do the hypersphere reports of ``qck.sasakian``.
+one ``DecompositionRecord`` of arrays over the rows: the values that its
+readers take of a row, each taken inside the pass, and no jet or
+curvature tensor, so that the record of many passes is their
+concatenation.  The frame, shape data and fit kernels (``adapted_frames``,
+``shape_arrays``, ``frame_fit``) take the points axis, and so do the
+hypersphere reports of ``qck.sasakian``.
 
 The Bochner operator lives here as well since its kernel test consumes the
 same decomposition.  It is Tachibana's real form: the tensor less one
@@ -45,7 +48,8 @@ tables as well, and builds phi, from the radial projector.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -53,8 +57,9 @@ from .ambient import (AdmissibilityReport, AmbientSpace, PotentialFamily,
                       RadialFrame, _potential_rule, _radial_unit_jets,
                       potential_metric)
 from .core import j0_matrix
-from .curvature import (PointJet, _repeated_row, covariant_derivative,
-                        curvature_gate, curvature_tensors, gated_jets)
+from .curvature import (PointJet, covariant_derivative, curvature_gate,
+                        curvature_invariants, curvature_tensors, gated_jets,
+                        kahler_defect)
 from .errors import (FrameError, QckError, ShapeUniformityError, Sieve,
                      raise_first)
 from .tensors import Tensor4
@@ -88,12 +93,14 @@ def adapted_frames(G, J, xi):
 
     The u come from Gram-Schmidt over the coordinate directions in order,
     each direction projected off the rows so far twice and normalised by
-    sqrt|g(w, w)|; a direction with |g(w, w)| below 1e-10 is skipped.  J u
-    needs no projection: g is J-invariant and so is the span of the rows so
-    far.  The signed normalisers complete the frame where the complement of
-    (xi, J xi) is indefinite.  A direction that no point takes costs no
-    step, as J e_i past e_i does under a constant J, and the pairs are
-    reordered only where some point skipped a direction that others took.
+    sqrt|g(w, w)|; a direction with |g(w, w)| below 1e-10 of the largest
+    |G| component of its point is skipped, so that the test means the same
+    at every scale of the metric.  J u needs no projection: g is J-invariant
+    and so is the span of the rows so far.  The signed normalisers complete
+    the frame where the complement of (xi, J xi) is indefinite.  A
+    direction that no point takes costs no step, as J e_i past e_i does
+    under a constant J, and the pairs are reordered only where some point
+    skipped a direction that others took.
 
     The gates: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1
     (either sign of the square norm is accepted so the flat indefinite form
@@ -117,6 +124,8 @@ def adapted_frames(G, J, xi):
     # the g-orthogonal projector onto the span of the rows so far
     Q = (F[:, :2].swapaxes(1, 2) * signs[:, None, :2]) @ GF
     count = np.full(P, 2)
+    # the least |g(w, w)| of a direction taken, relative to the point's scale
+    floor = 1e-10 * np.abs(G).max(axis=(1, 2))
     pairs, pair_signs = [], []
     for i in range(d):
         if np.all(count == d):
@@ -126,7 +135,7 @@ def adapted_frames(G, J, xi):
         w[:, i] += 1.0
         w = w - (Q @ w[:, :, None])[:, :, 0]
         nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
-        take = (np.abs(nrm2) >= 1e-10) & (count < d)
+        take = (np.abs(nrm2) >= floor) & (count < d)
         if not take.any():
             continue
         sign = np.where(take, np.sign(nrm2), 0.0)
@@ -486,9 +495,8 @@ def bochner_flat(B: Tensor4) -> bool:
 # Curvature components that one pass of ``decompose_points`` holds, rows
 # times d^4: 256 rows at n = 2, 50 at n = 3 and 16 at n = 4.  A pass holds
 # about 0.3 MB of arrays per row at n = 4, so this bounds its working
-# memory; the record keeps R and the first jet (``PointJet.first``) of each
-# curved row, about 38 KB per row at n = 4, with one J and dJ for all rows
-# of a constant structure.
+# memory; the record keeps no tensor, only the values its readers take at
+# each row, about 0.3 KB per row at n = 4.
 PASS_COMPONENTS = 16 * 8 ** 4
 
 
@@ -528,7 +536,9 @@ class _RowFamilies(PotentialFamily):
 
 @dataclass(frozen=True)
 class DecompositionRecord:
-    """What ``decompose_points`` found at the P rows of X, as arrays.
+    """What ``decompose_points`` found at the P rows of X, as arrays over
+    the rows: each array is nan where its stage failed or was not reached,
+    and each error tuple holds None there.
 
     Per row: ``point`` (P, d); ``admissibility``, whose fields are arrays
     (P,); ``error``, the first gate the row failed up to its radial unit
@@ -537,25 +547,25 @@ class DecompositionRecord:
     radial direction) or None.
 
     By stage: ``curved`` holds the rows past the curvature gate, in order,
-    and ``jet`` and ``R`` (C, d, d, d, d) their first jets (G, dG, J, dJ
-    and G^-1, see ``PointJet.first``) and curvature tensors, row for row;
-    ``unit`` the rows of those with a radial unit field, whose
-    ``xi`` (P, d) is nan on the other rows.
+    whose ``min_eigenvalue``, the least eigenvalue of G, and
+    ``kahler_defect`` (``curvature.kahler_defect``) are arrays (P,); and
+    ``unit`` the rows of those with a radial unit field ``xi`` (P, d).
 
     With ``fit``: the shape data of each unit row, ``k``, ``p_star``, ``sq``
     = g(xi, xi), ``spread`` and ``model_defect`` (P,), or ``shape_error``;
     and the fit on the frame of its xi, ``coeffs`` (P, 3) = (a, b, c) and
-    ``residual`` (P,), or ``fit_error``.  Each array is nan where its
-    stage failed or was not reached, and each error tuple holds None there.
-    Without ``fit`` these arrays are None.
+    ``residual`` (P,), or ``fit_error``.  Without ``fit``: the curvature
+    invariants of each unit row on its xi, ``invariants`` (P, 6), whose
+    columns ``curvature.INVARIANTS`` names.  The arrays of the stage not
+    taken are None.
     """
 
     point: np.ndarray
     admissibility: AdmissibilityReport
     error: tuple
     curved: np.ndarray
-    jet: PointJet
-    R: np.ndarray
+    min_eigenvalue: np.ndarray
+    kahler_defect: np.ndarray
     unit: np.ndarray
     xi: np.ndarray
     shape_error: tuple
@@ -567,6 +577,7 @@ class DecompositionRecord:
     model_defect: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     residual: np.ndarray | None = None
+    invariants: np.ndarray | None = None
 
     def first_error(self, row: int) -> QckError | None:
         """The first error of a row, whatever the stage."""
@@ -622,7 +633,9 @@ def decompose_points(space: AmbientSpace,
     rows of several families in one pass.  A row that fails a gate gets the
     error the one-point functions raise there, and the rest of its pass goes
     on; a row's values do not depend on the rows around it.  ``checked`` is
-    ``potential_metric``'s; ``fit=False`` stops after the unit field.
+    ``potential_metric``'s.  ``fit=False`` takes the curvature invariants
+    of each row with a unit field (``curvature.curvature_invariants``) in
+    place of the shape data and the fit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != space.dim:
@@ -648,7 +661,7 @@ def decompose_points(space: AmbientSpace,
 
     if len(X) <= size:
         return next(passes())
-    return _join(passes(), len(X))
+    return _join(passes())
 
 
 def _spread(rows, values, count):
@@ -675,12 +688,17 @@ def _decompose_pass(space, family, X, checked, fit):
     xi, dxi, gates = _radial_unit_jets(space, jet, adm.w[curved])
     keep = sieve.drop(gates)
     unit = sieve.running
+    ujet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
     shape_error, fit_error = [None] * P, [None] * P
     record = dict(point=X, admissibility=adm, error=tuple(sieve.errors),
-                  curved=curved, jet=jet.first(), R=R, unit=unit,
-                  xi=_spread(unit, xi[keep], P))
-    if fit:
-        ujet, R, xi, dxi = jet.rows(keep), R[keep], xi[keep], dxi[keep]
+                  curved=curved, unit=unit,
+                  min_eigenvalue=_spread(curved, jet.eigenvalues[:, 0], P),
+                  kahler_defect=_spread(curved, kahler_defect(jet), P),
+                  xi=_spread(unit, xi, P))
+    if not fit:
+        record["invariants"] = _spread(
+            unit, curvature_invariants(ujet, R, xi), P)
+    else:
         F, signs, frame_gates = adapted_frames(ujet.G, ujet.J, xi)
         *shape, gates = shape_arrays(ujet, F, signs, dxi)
         shape_sieve = Sieve(len(xi))
@@ -702,70 +720,25 @@ def _decompose_pass(space, family, X, checked, fit):
                                fit_error=tuple(fit_error), **record)
 
 
-def _leaves(record, path=()):
-    """(path, value) of each field of a record and of the records in it."""
-    if not is_dataclass(record):
-        yield path, record
-        return
-    for f in fields(record):
-        yield from _leaves(getattr(record, f.name), path + (f.name,))
+def _join(parts):
+    """The record of the rows of several passes, in order: each field
+    concatenated over the passes, with the stage rows ``curved`` and
+    ``unit`` of a pass counted from its first row."""
+    parts = list(parts)
+    starts = np.cumsum([0] + [len(part.point) for part in parts])
 
+    def joined(name, values):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], tuple):
+            return tuple(chain.from_iterable(values))
+        if name in ("curved", "unit"):
+            values = [rows + start for rows, start in zip(values, starts)]
+        return np.concatenate(values)
 
-def _join(parts, count):
-    """The record of the ``count`` rows of several passes, in order.  Each
-    pass is copied into arrays sized for every row as it comes, so the join
-    holds one pass beside the record, not every pass; the jet and R end at
-    the last row past the curvature gate.  An array that repeats one row in
-    every pass, as a constant structure's J and dJ do, stays a broadcast
-    view of that row."""
-    out, pieces = {}, {}
-    rows = curved = 0
-    for part in parts:
-        for path, value in _leaves(part):
-            if path in (("curved",), ("unit",)):
-                # the stage rows of a pass count from its first row
-                pieces.setdefault(path, []).append(value + rows)
-            elif isinstance(value, tuple):
-                pieces.setdefault(path, []).append(value)
-            elif isinstance(value, np.ndarray):
-                at = curved if path[0] in ("jet", "R") else rows
-                row = _repeated_row(value)
-                held = out.get(path)
-                if held is None:
-                    if row is not None:
-                        # held as the pass's view while every pass repeats it
-                        out[path] = value
-                        continue
-                    held = out[path] = np.empty((count,) + value.shape[1:],
-                                                value.dtype)
-                elif _repeated_row(held) is not None:
-                    if len(value) == 0 or (row is not None and row.tobytes()
-                                           == held[0].tobytes()):
-                        continue
-                    repeated = held[0]
-                    held = out[path] = np.empty((count,) + value.shape[1:],
-                                                value.dtype)
-                    held[:at] = repeated
-                held[at:at + len(value)] = value
-            else:
-                out[path] = value  # None, or the method of the jet
-        rows += len(part.point)
-        curved += len(part.curved)
-    for path, values in pieces.items():
-        out[path] = (sum(values, ()) if isinstance(values[0], tuple)
-                     else np.concatenate(values))
-    nested = {}
-    for path, value in out.items():
-        stage = path[0] in ("jet", "R")
-        if isinstance(value, np.ndarray) and _repeated_row(value) is not None:
-            value = np.broadcast_to(value[0], (curved if stage else count,)
-                                    + value.shape[1:])
-        elif stage and isinstance(value, np.ndarray):
-            value = value[:curved]
-        if len(path) == 1:
-            nested[path[0]] = value
-        else:
-            nested.setdefault(path[0], {})[path[1]] = value
-    return DecompositionRecord(**dict(
-        nested, admissibility=AdmissibilityReport(**nested["admissibility"]),
-        jet=PointJet(**nested["jet"])))
+    out = {f.name: joined(f.name, [getattr(part, f.name) for part in parts])
+           for f in fields(DecompositionRecord) if f.name != "admissibility"}
+    return DecompositionRecord(admissibility=AdmissibilityReport(**{
+        f.name: np.concatenate([getattr(part.admissibility, f.name)
+                                for part in parts])
+        for f in fields(AdmissibilityReport)}), **out)

@@ -8,17 +8,18 @@ wall-clock budget and fail when they blow it.
 The criteria on sample points make one batched call per stage over their
 points, trials or radii rather than one per point: ``qch.decompose_points``
 for the potential criteria, one call per space over the points of all its
-potentials (with ``curvature.kahler_defect`` over the jets of that call),
-``qch.bochner_arrays`` for the Bochner tensors
-of the disc model and of the operator identity,
-``sasakian.sphere_reports`` for the hypersphere radii,
+potentials, whose record carries the Kahler defect of each row;
+``qch.bochner_arrays`` for the Bochner tensors of the disc model and of the
+operator identity; ``sasakian.sphere_reports`` for the hypersphere radii;
 ``curvature.point_jets`` with ``curvature.curvature_tensors`` for the two
-points of each flat baseline, and ``curvature.point_jets`` with
-``curvature.fd_jets`` for the exact and finite-difference jets of the
-hygiene check.  Seeded draws stay in the order of the one-point code, so
-each detail keeps its meaning.  The intrinsic Sasakian family makes one
-report per q, each through the checks of ``sasakian.sphere_reports`` at a
-batch of one point.
+points of each flat baseline, read by ``curvature.curvature_invariants``,
+and for the ten points of the disc model, whose R, G and J the record does
+not keep; and ``curvature.point_jets`` with ``curvature.fd_jets`` for the
+exact and finite-difference jets of the hygiene check.  The radial law
+reads G at its rows from ``MetricField.matrices``.  Seeded draws stay in
+the order of the one-point code, so each detail keeps its meaning.  The
+intrinsic Sasakian family makes one report per q, each through the checks
+of ``sasakian.sphere_reports`` at a batch of one point.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric)
 from .core import j0_matrix
-from .curvature import (CurvatureBundle, curvature_gate, curvature_tensors,
-                        fd_jets, holomorphic_curvatures, kahler_defect,
+from .curvature import (curvature_gate, curvature_invariants,
+                        curvature_tensors, fd_jets, holomorphic_curvatures,
                         point_jets)
 from .errors import raise_first
 from .qch import (BOCHNER_FLAT_TOL, _frame_basis, bochner_arrays,
@@ -42,7 +43,7 @@ from .rotational import (BochnerFamily, ConstHSC, const_hsc_profile,
                          embed_and_verify, qc_coefficients)
 from .sampling import point_at_radius, radial_points
 from .sasakian import family_h1_report, sphere_reports
-from .tensors import (Tensor4, curvature_symmetry_defect, first_bianchi_defect,
+from .tensors import (curvature_symmetry_defect, first_bianchi_defect,
                       tensor_scale)
 
 
@@ -65,8 +66,8 @@ class CriterionResult:
 
 def _decompose_points(space, family, X):
     """``qch.decompose_points`` for sample points that must all decompose:
-    the first row that fails raises its error, so the record's jets and
-    tensors are those of its rows, in order."""
+    the first row that fails raises its error, so every array of the
+    record has a value at every row."""
     record = decompose_points(space, family, X)
     for row in range(len(X)):
         if record.first_error(row) is not None:
@@ -88,15 +89,12 @@ def _crit_flat_baselines():
         jet = point_jets(flat_metric(space), X)
         R = curvature_tensors(jet)
         raise_first([curvature_gate(R)])
-        for p, x in enumerate(X):
-            bundle = CurvatureBundle(jet.rows(p), Tensor4(R[p]))
-            r = abs(float(space.square_norm(x))) ** 0.5
-            u = x / r
-            vals = {"curvature": bundle.R.scale(),
-                    "tau": abs(bundle.scalar_curvature()),
-                    "sigma": abs(bundle.sigma_radial(u)),
-                    "kappa": abs(bundle.kappa_radial(u))}
-            for name, v in vals.items():
+        U = np.array([x / abs(float(space.square_norm(x))) ** 0.5 for x in X])
+        # the largest component of R, and |tau|, |sigma| and |kappa| on u
+        vals = np.column_stack([tensor_scale(R), np.abs(
+            curvature_invariants(jet, R, U)[:, :3])])
+        for row in vals.tolist():
+            for name, v in zip(("curvature", "tau", "sigma", "kappa"), row):
                 worst = max(worst, v)
                 if v >= 1e-10:
                     failures.append(
@@ -107,9 +105,12 @@ def _crit_flat_baselines():
 def _crit_disc_model():
     space = AmbientSpace(2, "lorentz")
     family = LogFamily(-1.0, 1.0)
-    pts = radial_points(space, 10, 1.1, 3.0, seed=5, family=family)
+    pts = np.array(radial_points(space, 10, 1.1, 3.0, seed=5, family=family))
     rec = _decompose_points(space, family, pts)
-    R, G, J = rec.R, rec.jet.G, rec.jet.J
+    # the record keeps no tensor: R, G and J from a jet of the ten points
+    jet = point_jets(potential_metric(space, family), pts)
+    R, G, J = curvature_tensors(jet), jet.G, jet.J
+    raise_first([curvature_gate(R)])
     # 20 seeded directions per point, unit in g
     X = np.stack([np.random.default_rng(1000 + i).normal(size=(20, 4))
                   for i in range(len(pts))])
@@ -155,7 +156,7 @@ def _crit_negative_class():
                                  family=family)
         rec = _decompose_points(space, families, np.array(pts))
         for i, (family, kd) in enumerate(zip(families,
-                                             kahler_defect(rec.jet).tolist())):
+                                             rec.kahler_defect.tolist())):
             dec = rec.decomposition(i)
             worst["kahler"] = max(worst["kahler"], kd)
             worst["residual"] = max(worst["residual"], dec.residual)
@@ -208,6 +209,9 @@ def _crit_radial_law():
     X = np.concatenate([radii, radii + h, radii - h])[:, None] * u
     rec = _decompose_points(space, [f for f in families for _ in X],
                             np.concatenate([X] * len(families)))
+    # G at the same rows, which the jets of the pass took to the bit
+    G = np.concatenate([potential_metric(space, f).matrices(X)
+                        for f in families])
     rows = np.arange(len(families) * len(X)).reshape(len(families), 3, -1)
     failures = []
     worst = 0.0
@@ -216,7 +220,7 @@ def _crit_radial_law():
             da_dr = ((rec.decomposition(hi).a - rec.decomposition(lo).a)
                      / (2.0 * step))
             dec = rec.decomposition(mid)
-            eta_dr = float(rec.xi[mid] @ rec.jet.G[mid] @ u)
+            eta_dr = float(rec.xi[mid] @ G[mid] @ u)
             rhs = 0.5 * dec.k * dec.b * eta_dr
             err = abs(da_dr - rhs) / max(1.0, abs(da_dr), abs(rhs))
             worst = max(worst, err)

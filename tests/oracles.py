@@ -20,8 +20,10 @@ the conformal-pair metrics, a rotationally symmetric Hermitian family that
 is not built from a potential: an independent non-potential metric for the
 curvature and Kahler tests.  And the one-point forms of batched kernels
 that no command calls any more: the metric jet and its curvature bundle,
-the sectional curvature of a plane, the radial unit field, the shape data,
-the fit, the hypersphere contact structure and its Gauss cross-check.  And
+whose invariants one point at a time are the oracle of
+``curvature.curvature_invariants``, the sectional curvature of a plane,
+the radial unit field, the shape data, the fit, the hypersphere contact
+structure and its Gauss cross-check.  And
 the dual fields written entry by entry, in lists of scalars: the graph
 chart, the pullback, the rotational metric and structure, and the Sasakian
 family with its Reeb and phi fields, the references for their array forms
@@ -50,10 +52,9 @@ from qck.ambient import (AdmissibilityReport, AmbientSpace,
                          _radial_projectors, admissibility, radial_unit_jets)
 from qck.charts import GraphChart, pullback_metric
 from qck.core import apply_j0
-from qck.curvature import (SYMMETRY_GATE, CurvatureBundle, PointJet,
-                           covariant_derivative, curvature_gate,
-                           curvature_tensors, fd_jets, kahler_defect,
-                           point_jets)
+from qck.curvature import (SYMMETRY_GATE, PointJet, covariant_derivative,
+                           curvature_gate, curvature_tensors, fd_jets,
+                           holomorphic_curvatures, kahler_defect, point_jets)
 from qck.duals import MultiDual, _series, coefficients, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
@@ -573,7 +574,8 @@ def adapted_frames_every_direction(G, J, xi):
     """``qch.adapted_frames`` as its loop stood before it skipped a
     direction that no point takes: every coordinate direction is one step,
     an empty pair included, and every point's pairs are reordered, the
-    empty ones last.  The reference that the leaner loop keeps to the bit."""
+    empty ones last, with the same relative threshold.  The reference that
+    the leaner loop keeps to the bit."""
     G, J, xi = (np.ascontiguousarray(a) for a in (G, J, xi))
     P, d = xi.shape
     F = np.zeros((P, d, d))
@@ -590,6 +592,7 @@ def adapted_frames_every_direction(G, J, xi):
     # the g-orthogonal projector onto the span of the rows so far
     Q = (F[:, :2].swapaxes(1, 2) * signs[:, None, :2]) @ GF
     count = np.full(P, 2)
+    floor = 1e-10 * np.abs(G).max(axis=(1, 2))
     pairs, pair_signs = [], []
     for i in range(d):
         if np.all(count == d):
@@ -599,7 +602,7 @@ def adapted_frames_every_direction(G, J, xi):
         w[:, i] += 1.0
         w = w - (Q @ w[:, :, None])[:, :, 0]
         nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
-        take = (np.abs(nrm2) >= 1e-10) & (count < d)
+        take = (np.abs(nrm2) >= floor) & (count < d)
         sign = np.where(take, np.sign(nrm2), 0.0)
         scale = np.where(take, np.sqrt(np.abs(nrm2)), 1.0)
         # u and J u, zero where the point takes no row here
@@ -669,6 +672,50 @@ def point_jet(metric, x, method: str = "exact"):
     if method != "exact":
         raise ValueError(f"unknown jet method {method!r}")
     return point_jets(metric, X).rows(0)
+
+
+@dataclass
+class CurvatureBundle:
+    """Curvature tensor of a metric field at the point of a one-point
+    ``jet``, whose metric, inverse metric and complex structure the
+    invariants use: the invariants one point at a time, the oracle of
+    ``curvature.curvature_invariants``."""
+
+    jet: PointJet
+    R: Tensor4  # R[i, j, k, l], all indices down
+
+    def ricci(self) -> np.ndarray:
+        return np.einsum("il,ijkl->jk", self.jet.Ginv, self.R.a)
+
+    def scalar_curvature(self) -> float:
+        return float(np.einsum("jk,jk->", self.jet.Ginv, self.ricci()))
+
+    def hsc(self, X) -> float:
+        """Holomorphic sectional curvature of the section (X, JX): the
+        one-point case of ``holomorphic_curvatures``."""
+        return float(holomorphic_curvatures(
+            self.R.a[None], self.jet.G[None], self.jet.J[None],
+            np.asarray(X, float)[None, None])[0, 0])
+
+    def sigma_radial(self, xi) -> float:
+        """Negated Ricci value on a radial unit direction."""
+        xi = np.asarray(xi, float)
+        return float(-xi @ self.ricci() @ xi)
+
+    def kappa_radial(self, xi) -> float:
+        """Curvature value on the radial holomorphic section."""
+        xi = np.asarray(xi, float)
+        jxi = self.jet.J @ xi
+        return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
+
+    def invariants(self, xi) -> list:
+        """The row of ``curvature.curvature_invariants`` at this point on
+        the unit direction xi, taken one invariant at a time."""
+        scale = max(1.0, self.R.scale())
+        return [self.scalar_curvature(), self.sigma_radial(xi),
+                self.kappa_radial(xi), self.hsc(xi),
+                self.R.curvature_symmetry_defect() / scale,
+                self.R.first_bianchi_defect() / scale]
 
 
 def curvature_bundle(jet):
@@ -749,15 +796,19 @@ def decompose(bundle, shape: ShapeData) -> QCDecomposition:
 @dataclass(frozen=True)
 class PointRow:
     """One row of a ``qch.DecompositionRecord``, point by point: its
-    admissibility as scalars, the error up to its unit field, its curvature
-    bundle past the curvature gate, its unit field, and its shape data and
-    fit where they stand, each with its own error."""
+    admissibility as scalars, the error up to its unit field, whether it
+    passed the curvature gate with the least eigenvalue of G and the Kahler
+    defect there, its unit field, its curvature invariants, and its shape
+    data and fit where they stand, each with its own error."""
 
     point: np.ndarray
     admissibility: AdmissibilityReport
     error: QckError | None
-    bundle: CurvatureBundle | None
+    curved: bool
+    min_eigenvalue: float | None
+    kahler_defect: float | None
     xi: np.ndarray | None
+    invariants: list | None
     shape: ShapeData | None
     shape_error: QckError | None
     fit: tuple | None
@@ -769,11 +820,10 @@ class PointRow:
 def point_rows(record) -> list:
     """The rows of a ``qch.DecompositionRecord``, in order."""
     adm = record.admissibility
-    curved = {row: r for r, row in enumerate(record.curved.tolist())}
+    curved = set(record.curved.tolist())
     unit = set(record.unit.tolist())
     out = []
     for i, x in enumerate(record.point):
-        r = curved.get(i)
         shape = None
         if record.k is not None and i in unit \
                 and record.shape_error[i] is None:
@@ -787,9 +837,15 @@ def point_rows(record) -> list:
                                              "f_prime_plus_wf2",
                                              "in_domain", "ok"))),
             error=record.error[i],
-            bundle=None if r is None else CurvatureBundle(
-                record.jet.rows(r), Tensor4(record.R[r])),
+            curved=i in curved,
+            min_eigenvalue=(float(record.min_eigenvalue[i]) if i in curved
+                            else None),
+            kahler_defect=(float(record.kahler_defect[i]) if i in curved
+                           else None),
             xi=record.xi[i] if i in unit else None,
+            invariants=(record.invariants[i].tolist()
+                        if record.invariants is not None and i in unit
+                        else None),
             shape=shape, shape_error=record.shape_error[i],
             fit=record.fit(i), fit_error=record.fit_error[i],
             first_error=record.first_error(i),

@@ -1,9 +1,11 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qck import ambient, curvature
+from qck import ambient, cli, curvature
 from qck.ambient import (
     AmbientSpace,
     DefiniteLogFamily,
@@ -17,6 +19,7 @@ from qck.ambient import (
 from qck.charts import GraphChart, pullback_metric
 from qck.curvature import (
     covariant_derivative,
+    curvature_invariants,
     fd_jets,
     kahler_defect,
     metric_second_jet_fd,
@@ -29,8 +32,10 @@ from qck.errors import (AdmissibilityError, DegenerateMetric, DomainError,
 from qck.rotational import const_hsc_profile, rotation_metric
 from qck.sampling import point_at_radius
 from qck.sasakian import family_h1_metric
-from qck.qch import adapted_frames, frame_fit
-from oracles import (POTENTIAL_CASES, complex_to_real, curvature_bundle,
+from qck.qch import adapted_frames, decompose_points, frame_fit
+from qck.tensors import Tensor4
+from oracles import (POTENTIAL_CASES, CurvatureBundle, complex_to_real,
+                     curvature_bundle,
                      curvature_gate_three_identities,
                      curvature_tensors_second_kind, point_jet, sectional,
                      ConformalPair, conformal_pair_from_family, generator,
@@ -415,6 +420,57 @@ class TestFlatBaselines:
         fr = radial_frame(L3, x)
         assert abs(b.sigma_radial(fr.xi)) < 1e-12
         assert abs(b.kappa_radial(fr.xi)) < 1e-12
+
+
+def golden_point_sets():
+    """(space, family, X) of each ``curvature`` case of the golden reports."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "regen_golden", root / "scripts" / "regen_golden.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    out = []
+    for argv in regen.CASES["curvature"]:
+        cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+        out.append((cfg.ambient(), cfg.family(), cli._points(cfg)))
+    return out
+
+
+def same_bits(got, want):
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestInvariants:
+    """``curvature_invariants`` over a points axis against the invariants
+    of ``oracles.CurvatureBundle``, one point at a time, to the bit."""
+
+    @pytest.mark.parametrize("space,family,X", golden_point_sets())
+    def test_golden_point_sets(self, space, family, X):
+        rec = decompose_points(space, family, X, fit=False)
+        metric = potential_metric(space, family)
+        assert rec.unit.size
+        for i in rec.unit.tolist():
+            bundle = curvature_bundle(point_jet(metric, X[i]))
+            same_bits(rec.invariants[i], bundle.invariants(rec.xi[i]))
+
+    @pytest.mark.parametrize("space", [L3, D2, AmbientSpace(3, "definite")])
+    def test_flat_points(self, space):
+        # the two points of each space of the flat-baselines criterion
+        X = np.array([point_at_radius(space, 1.7, seed=seed)
+                      for seed in (0, 1)])
+        U = np.array([x / abs(float(space.square_norm(x))) ** 0.5 for x in X])
+        jet = point_jets(flat_metric(space), X)
+        R = curvature.curvature_tensors(jet)
+        got = curvature_invariants(jet, R, U)
+        for p in range(len(X)):
+            bundle = CurvatureBundle(jet.rows(p), Tensor4(R[p]))
+            same_bits(got[p], bundle.invariants(U[p]))
+
+    def test_null_direction(self):
+        jet = point_jets(flat_metric(L2), np.ones((1, 4)))
+        with pytest.raises(DomainError, match="null direction"):
+            curvature_invariants(jet, curvature.curvature_tensors(jet),
+                                 np.array([[1.0, 0.0, 1.0, 0.0]]))
 
 
 class TestDiscModel:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from qck import ambient, cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, potential_metric)
+from qck.curvature import kahler_defect
 from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
@@ -58,12 +59,8 @@ def same(a, b):
     for name in ("error", "shape_error", "fit_error"):
         assert describe(getattr(a, name)) == describe(getattr(b, name))
     assert a.fit == b.fit
-    assert (a.bundle is None) == (b.bundle is None)
-    if a.bundle is not None:
-        assert np.array_equal(a.bundle.R.a, b.bundle.R.a)
-        for key in ("G", "dG", "J", "dJ", "Ginv"):
-            assert np.array_equal(getattr(a.bundle.jet, key),
-                                  getattr(b.bundle.jet, key))
+    assert (a.curved, a.min_eigenvalue, a.kahler_defect, a.invariants) == \
+        (b.curved, b.min_eigenvalue, b.kahler_defect, b.invariants)
     assert (a.xi is None) == (b.xi is None)
     if a.xi is not None:
         assert np.array_equal(a.xi, b.xi)
@@ -99,13 +96,16 @@ class TestParity:
         else:
             assert errors[2] == ("DomainError: square norm 4 has no radius on "
                                  "the lorentz background")
-            # past the curvature gate: the entry keeps its bundle, then
-            # fails on its unit field
+            # past the curvature gate: the entry keeps the values taken
+            # there, then fails on its unit field
             assert errors[3] == ("FrameError: radial direction has "
                                  "non-positive square norm -1.200e+00")
             assert not batch[3].admissibility.ok
-            assert batch[3].bundle is not None and batch[3].xi is None
-            assert np.linalg.eigvalsh(batch[3].bundle.jet.G)[0] < 0
+            assert batch[3].curved and batch[3].xi is None
+            jet = point_jet(potential_metric(L2, SERIES, checked=False),
+                            batch[3].point)
+            assert batch[3].min_eigenvalue == np.linalg.eigvalsh(jet.G)[0] < 0
+            assert batch[3].kahler_defect == kahler_defect(jet)
 
     def test_shape_error_keeps_its_fit(self):
         # inadmissible series points: one has no space-like complement
@@ -137,18 +137,22 @@ class TestParity:
     def test_one_point_functions_agree(self, space, family, X):
         # the library's one-point chain raises where the batch records
         metric = potential_metric(space, family)
-        for res in rows_of(space, family, X):
+        for res, bare in zip(rows_of(space, family, X),
+                             rows_of(space, family, X, fit=False)):
             try:
                 jet = point_jet(metric, res.point)
                 bundle = curvature_bundle(jet)
-                shape = extract_shape_data(jet, *radial_unit_jet(space, jet))
+                xi, dxi = radial_unit_jet(space, jet)
+                shape = extract_shape_data(jet, xi, dxi)
                 dec = decompose(bundle, shape)
             except QckError as exc:
                 assert describe(exc) == describe(res.first_error)
                 continue
             assert res.first_error is None
             assert dec == res.decomposition
-            assert np.array_equal(bundle.R.a, res.bundle.R.a)
+            assert res.min_eigenvalue == jet.eigenvalues[0]
+            assert res.kahler_defect == kahler_defect(jet)
+            assert bare.invariants == bundle.invariants(xi)
 
 
 def test_sieve_records_the_first_failure_and_narrows_only_past_one():
@@ -208,11 +212,12 @@ class TestPasses:
         rec = decompose_points(space, LogFamily(-1.0, 1.0), X)
         assert calls == passes
         assert rec.curved.tolist() == rec.unit.tolist() == list(range(17))
-        assert len(rec.jet.G) == len(rec.R) == 17
-        # the record keeps what its readers take of a jet: G, dG, J, dJ
-        # and G^-1, and neither d2G nor the Christoffel symbols
-        assert rec.jet.d2G is rec.jet.gamma1 is rec.jet.gamma is None
-        assert len(rec.jet.dJ) == len(rec.jet.Ginv) == 17
+        # the record keeps what its readers take of a row, and no tensor:
+        # every array has a row per point and at most a d or 3 axis more
+        arrays = [a for a in vars(rec).values() if isinstance(a, np.ndarray)]
+        arrays += list(vars(rec.admissibility).values())
+        for a in arrays:
+            assert len(a) == 17 and a.shape[1:] in ((), (3,), (2 * n,))
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_one_evaluation_of_the_family_per_pass(self, monkeypatch,
@@ -245,7 +250,8 @@ class TestPasses:
     def test_no_rows(self, family):
         rec = decompose_points(L2, family, np.zeros((0, 4)))
         assert rec.error == rec.shape_error == rec.fit_error == ()
-        assert rec.curved.size == rec.unit.size == len(rec.R) == 0
+        assert rec.curved.size == rec.unit.size == 0
+        assert rec.kahler_defect.shape == rec.min_eigenvalue.shape == (0,)
         assert rec.coeffs.shape == (0, 3) and rec.xi.shape == (0, 4)
 
 
@@ -337,9 +343,9 @@ def test_batch_matches_one_point(n, case, radii, seed):
         for name in ("error", "shape_error", "fit_error"):
             assert describe(getattr(got, name)) == describe(getattr(want, name))
         assert close(got.fit, want.fit)
-        assert (got.bundle is None) == (want.bundle is None)
-        if want.bundle is not None:
-            assert close(got.bundle.R.a.ravel(), want.bundle.R.a.ravel())
+        assert got.curved == want.curved
+        assert close(got.min_eigenvalue, want.min_eigenvalue)
+        assert close(got.kahler_defect, want.kahler_defect)
         if want.shape is not None:
             assert close((got.shape.k, got.shape.p_star),
                          (want.shape.k, want.shape.p_star))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from qck.ambient import (
 )
 from qck.config import DEFAULT_TOLERANCES
 from qck.core import hermitian_to_real, j0_matrix
-from qck.curvature import CurvatureBundle, point_jets
+from qck.curvature import point_jets
 from qck.duals import eval_with_partials
 from qck.errors import FrameError, ShapeUniformityError
 from qck.qch import (
@@ -35,7 +35,8 @@ from qck.qch import (
 )
 from qck.sampling import point_at_radius, radial_points
 from qck.tensors import Tensor4, tensor4_fit
-from oracles import (POTENTIAL_CASES, adapted_frames_every_direction,
+from oracles import (POTENTIAL_CASES, CurvatureBundle,
+                     adapted_frames_every_direction,
                      complex_to_real, curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, decompose,
@@ -429,10 +430,13 @@ def in_span_residual_bound(T, F):
 
 
 def one_point(space, family, x):
+    """The record row of the point x and the curvature bundle of its
+    one-point jet, which the record does not keep."""
     res = point_rows(decompose_points(space, family, np.asarray(x)[None],
                                       checked=False))[0]
     assert res.first_error is None
-    return res
+    jet = point_jet(potential_metric(space, family, checked=False), x)
+    return res, curvature_bundle(jet)
 
 
 def same_frames(got, want):
@@ -520,16 +524,31 @@ class TestFrameLoop:
 
 
 class TestRecordMemory:
-    """A constant structure's J and dJ stay one row, broadcast, in a record:
-    through ``PointJet.rows`` and through the join of passes."""
+    """The record of many passes holds a few values per row, so a call's
+    peak is that of one pass; a constant structure's J and dJ stay one
+    row, broadcast, through ``PointJet.rows``."""
+
+    def test_peak_of_many_passes_is_that_of_one(self):
+        space = AmbientSpace(4, "lorentz")
+        size = qch.pass_rows(space.dim)
+
+        def peak(count):
+            X = np.array(radial_points(space, count, 1.2, 3.0, seed=count))
+            tracemalloc.start()
+            try:
+                decompose_points(space, DISC, X)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(size)  # the frame bases and caches of a first call
+        assert peak(10 * size) <= 1.5 * peak(size)
 
     @pytest.mark.parametrize("count", [5, 17])
     def test_structure_stays_broadcast(self, count):
         space = AmbientSpace(4, "lorentz")
-        assert qch.pass_rows(space.dim) == 16
         X = np.array(radial_points(space, count, 1.2, 3.0, seed=count))
-        rec = decompose_points(space, DISC, X)
-        jet = rec.jet
+        jet = point_jets(potential_metric(space, DISC), X)
         assert len(jet.point) == count
         assert jet.J.strides == (0, 64, 8)
         assert jet.dJ.strides == (0, 0, 0, 0)
@@ -542,20 +561,6 @@ class TestRecordMemory:
             assert rows.J.strides[0] == 0 and rows.dJ.strides[0] == 0
             assert len(rows.J) == len(rows.point) == len(jet.point[index])
 
-    def test_join_copies_a_structure_that_differs(self):
-        # passes whose repeated rows differ are joined into one array
-        space = AmbientSpace(4, "lorentz")
-        X = np.array(radial_points(space, 17, 1.2, 3.0, seed=4))
-        first, last = (qch._decompose_pass(space, DISC, X[rows], True, True)
-                       for rows in (slice(0, 16), slice(16, 17)))
-        J = -last.jet.J
-        flipped = replace(last, jet=replace(last.jet, J=J))
-        joined = qch._join(iter([first, flipped]), 17)
-        assert joined.jet.J.strides[0] != 0
-        assert np.array_equal(joined.jet.J[:16], first.jet.J)
-        assert np.array_equal(joined.jet.J[16:], J)
-        assert joined.jet.dJ.strides[0] == 0
-
 
 class TestFrameFit:
     """The fit in the J-adapted frame against the coordinate least-squares
@@ -564,8 +569,8 @@ class TestFrameFit:
     def test_frame_is_adapted_and_orthonormal(self):
         for space, family in ((L3, DISC), (D3, DefiniteLogFamily(2.0, 1.0))):
             x = point_at_radius(space, 2.5, seed=4)
-            res = one_point(space, family, x)
-            G, J = res.bundle.jet.G, res.bundle.jet.J
+            res, bundle = one_point(space, family, x)
+            G, J = bundle.jet.G, bundle.jet.J
             F, signs, gates = adapted_frames(G[None], J[None], res.xi[None])
             F = F[0]
             assert not any(np.any(bad) for bad, _ in gates)
@@ -595,10 +600,9 @@ class TestFrameFit:
     def test_matches_coordinate_fit(self, n, case, r, seed):
         signature, family = case
         space = AmbientSpace(n, signature)
-        res = one_point(space, family,
-                        point_at_radius(space, r,
-                                        rng=np.random.default_rng(seed)))
-        jet, R = res.bundle.jet, res.bundle.R
+        res, bundle = one_point(space, family, point_at_radius(
+            space, r, rng=np.random.default_rng(seed)))
+        jet, R = bundle.jet, bundle.R
         basis = build_basis_tensors(jet.G, jet.J, res.shape)
         ref, _ = tensor4_fit(R, basis.fit_basis())
         # the two fits weigh the part of R off the span differently, so
@@ -625,9 +629,9 @@ class TestFrameFit:
         # frame ones, a tensor pushed off the span by 1e-10 of its frame
         # norm is past the rounding bound
         space = AmbientSpace(2, "lorentz")
-        res = one_point(space, DISC, point_at_radius(
+        res, bundle = one_point(space, DISC, point_at_radius(
             space, 1.1, rng=np.random.default_rng(13)))
-        jet = res.bundle.jet
+        jet = bundle.jet
         basis = build_basis_tensors(jet.G, jet.J, res.shape)
         abc = np.random.default_rng(13).uniform(-2.0, 2.0, size=3)
         T = abc[0] * basis.pi + abc[1] * basis.phi + abc[2] * basis.psi
@@ -652,8 +656,9 @@ class TestFrameFit:
         rng = np.random.default_rng(n)
         d = space.dim
         for r in (1.5, 3.0, 10.0, 50.0):
-            res = one_point(space, DISC, point_at_radius(space, r, rng=rng))
-            jet, R = res.bundle.jet, res.bundle.R
+            res, bundle = one_point(space, DISC,
+                                    point_at_radius(space, r, rng=rng))
+            jet, R = bundle.jet, bundle.R
             assert res.fit[3] < RESIDUAL_GATE
             F, signs, _ = adapted_frames(jet.G[None], jet.J[None],
                                          res.xi[None])
@@ -690,8 +695,8 @@ class TestFrameFit:
         monkeypatch.setattr(np.linalg, "lstsq", banned)
         assert [res.fit for res in
                 point_rows(decompose_points(L3, DISC, X))] == first
-        res = one_point(L3, DISC, X[0])
-        assert decompose(res.bundle, res.shape).a == first[0][0]
+        res, bundle = one_point(L3, DISC, X[0])
+        assert decompose(bundle, res.shape).a == first[0][0]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_disc_far_out(self, n):
@@ -705,6 +710,26 @@ class TestFrameFit:
             assert abs(dec.a + 1.0) < 1e-6
             assert abs(dec.b) < 1e-6 and abs(dec.c) < 1e-6
             assert dec.residual < RESIDUAL_GATE
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_frames_at_r_1000(self, n):
+        # the inverse family's G has |eigenvalues| near 2 / r^4, 2e-12 here:
+        # the frame's skip test is relative to G, so every point still gets
+        # a frame.  The inverse family fits (a, b, c) = (-4, 8, -4) r^2, and
+        # the disc a = -1; its c is left to the cancellation in its jet.
+        space = AmbientSpace(n, "lorentz")
+        X = np.array(radial_points(space, 4, 1000.0, 1000.0, seed=n))
+        rec = decompose_points(space, InverseFamily(), X)
+        for i in range(len(X)):
+            assert rec.first_error(i) is None
+        assert np.allclose(rec.coeffs / 1000.0 ** 2, [-4.0, 8.0, -4.0],
+                           rtol=1e-9, atol=0.0)
+        assert np.all(rec.residual < 1e-13)
+        rec = decompose_points(space, DISC, X)
+        for i in range(len(X)):
+            assert rec.first_error(i) is None
+        assert np.all(np.abs(rec.coeffs[:, 0] + 1.0) < 1e-9)
+        assert np.all(rec.residual < RESIDUAL_GATE)
 
 
 class TestAngleProfile:

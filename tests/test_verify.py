@@ -58,8 +58,10 @@ def test_flat_baselines(calls):
 
 def test_disc_model(calls):
     run(2)
-    # the ten points decompose in one pass; their Bochner tensors are one call
-    assert calls == {"closed-form": 1, "curvature_tensors": 1,
+    # the ten points decompose in one pass, and one more jet of them gives
+    # the R, G and J that the record does not keep; their Bochner tensors
+    # are one call
+    assert calls == {"closed-form": 2, "curvature_tensors": 2,
                      "bochner_arrays": 1}
 
 
@@ -173,12 +175,13 @@ class TestSphereReports:
 
 
 @pytest.mark.parametrize("number,passes,defects", [
-    (2, 1, 0), (3, 2, 2), (4, 1, 0), (5, 1, 0)])
+    (2, 2, 1), (3, 2, 2), (4, 1, 1), (5, 1, 1)])
 def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
                                                    passes, defects):
     # criterion 3 decomposes its five n = 2 potentials in one pass and its
-    # n = 3 one in another, with one Kahler defect call over each pass's
-    # jets; criteria 4 and 5 put both of their potentials in one pass
+    # n = 3 one in another, and criteria 4 and 5 put both of their
+    # potentials in one pass; each pass takes one Kahler defect call over
+    # its jets.  Criterion 2 takes one more jet, of its ten points.
     counts = {"_closed_form_jets": 0, "kahler_defect": 0}
 
     def counted(name, module):
@@ -191,7 +194,7 @@ def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
         monkeypatch.setattr(module, name, wrapper)
 
     counted("_closed_form_jets", ambient)
-    counted("kahler_defect", verify)
+    counted("kahler_defect", qch)
     run(number)
     assert counts == {"_closed_form_jets": passes, "kahler_defect": defects}
 
