@@ -33,7 +33,7 @@ import numpy as np
 from .ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                       LogFamily, flat_metric, potential_metric)
 from .core import j0_matrix
-from .curvature import (curvature_gate, curvature_invariants,
+from .curvature import (INVARIANTS, curvature_gate, curvature_invariants,
                         curvature_tensors, fd_jets, holomorphic_curvatures,
                         point_jets)
 from .errors import raise_first
@@ -90,11 +90,12 @@ def _crit_flat_baselines():
         R = curvature_tensors(jet)
         raise_first([curvature_gate(R)])
         U = np.array([x / abs(float(space.square_norm(x))) ** 0.5 for x in X])
-        # the largest component of R, and |tau|, |sigma| and |kappa| on u
+        # the largest component of R, and every invariant of the curvature
+        # report on u, each of which vanishes on a flat metric
         vals = np.column_stack([tensor_scale(R), np.abs(
-            curvature_invariants(jet, R, U)[:, :3])])
+            curvature_invariants(jet, R, U))])
         for row in vals.tolist():
-            for name, v in zip(("curvature", "tau", "sigma", "kappa"), row):
+            for name, v in zip(("curvature",) + INVARIANTS, row):
                 worst = max(worst, v)
                 if v >= 1e-10:
                     failures.append(
