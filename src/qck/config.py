@@ -39,6 +39,13 @@ def worker_count() -> int:
     return max(1, min(requested, 32))
 
 
+def _integer(name: str, value) -> int:
+    """An int or integral float of a config field; else a config error."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int) -> int:
     """A sampling seed: numpy's generators take none below 0."""
     if seed < 0:
@@ -73,7 +80,8 @@ class PointSpec:
         unknown = set(obj) - {"count", "seed", "rmin", "rmax"}
         if unknown:
             raise ValueError(f"unknown point sampler fields {sorted(unknown)}")
-        return cls(count=int(obj.get("count", 10)), seed=int(obj.get("seed", 0)),
+        return cls(count=_integer("count", obj.get("count", 10)),
+                   seed=_integer("seed", obj.get("seed", 0)),
                    rmin=float(obj.get("rmin", 1.1)),
                    rmax=float(obj.get("rmax", 3.0)))
 
@@ -87,7 +95,8 @@ class PointSpec:
                 "rmin": self.rmin, "rmax": self.rmax}
         base.update({k: v for k, v in overrides.items() if v is not None})
         # any sampler flag replaces an explicit list from the file
-        return PointSpec(count=int(base["count"]), seed=int(base["seed"]),
+        return PointSpec(count=_integer("count", base["count"]),
+                         seed=_integer("seed", base["seed"]),
                          rmin=float(base["rmin"]), rmax=float(base["rmax"]))
 
     def to_json(self):
@@ -144,7 +153,7 @@ def load_config(path: str | None = None) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config fields {sorted(unknown)}")
     return RunConfig(
-        n=int(data.get("n", 2)),
+        n=_integer("n", data.get("n", 2)),
         space=str(data.get("space", "lorentz")),
         potential=dict(data.get("potential", DEFAULT_POTENTIAL)),
         points=PointSpec.from_json(data.get("points")),

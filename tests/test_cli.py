@@ -365,6 +365,34 @@ class TestUsageAndConfig:
         assert out == ""
         assert "seed must be a non-negative integer, got -1" in err
 
+    @pytest.mark.parametrize("config,message", [
+        ({"n": 2.7}, "n must be an integer, got 2.7"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"points": {"count": 2.9}}, "count must be an integer, got 2.9"),
+        ({"points": {"count": False}}, "count must be an integer, got False"),
+        ({"points": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+        ({"points": {"seed": True}}, "seed must be an integer, got True"),
+    ])
+    def test_non_integral_config_value_is_usage_error(self, capsys, tmp_path,
+                                                      config, message):
+        # a fraction or a bool was truncated to an int, and the run went on
+        cfgfile = tmp_path / "frac.json"
+        cfgfile.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, ["decompose", "--config",
+                                          str(cfgfile)])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_integral_float_config_value_is_an_integer(self, capsys, tmp_path):
+        cfgfile = tmp_path / "whole.json"
+        cfgfile.write_text(json.dumps({"n": 2.0, "points": {"count": 2.0}}))
+        code, out, _ = run_cli(capsys, ["decompose", "--config", str(cfgfile)])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["n"] == 2 and config["points"]["count"] == 2
+        assert type(config["n"]) is int
+
     def test_unknown_config_field(self, capsys, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps({"widget": 3}))
