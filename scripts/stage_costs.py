@@ -7,10 +7,10 @@ drawn with seed ``SEED``, at each n, as the minimum over repeats.  Each
 stage runs on the inputs the stage before it made: the sampler, the
 potential rule, ``gated_jets`` (the gates, the eigenvalues of G and the
 connection), ``curvature_tensors``, ``curvature_gate``, the radial unit
-field, ``adapted_frames``, ``shape_arrays``, ``frame_fit``,
-``kahler_defect``, the argument parser and the report writer.  Two totals
-follow: one ``decompose_points`` pass, and the whole ``decompose`` command
-in process.  Then the float-path Bochner op at the first of those points,
+field, ``adapted_frames``, ``shape_arrays`` (k, its spread and the gates),
+``frame_fit``, ``kahler_defect``, the argument parser and the report writer.
+Three totals follow: one ``decompose_points`` pass, and the whole
+``decompose`` and ``check-potential`` commands in process.  Then the float-path Bochner op at the first of those points,
 T = a pi + b phi + c psi fitted and mapped by the Bochner operator in
 coordinates with the coefficients ``COEFFS``: G, the radial frame, the
 basis, the combination, the fit, the Bochner tensor, and the whole op.  The
@@ -87,6 +87,7 @@ def stage_costs(n: int, repeats: int) -> dict:
     argv = ["decompose", "--n", str(n), *FAMILY_FLAGS, "--count", str(ROWS),
             "--seed", str(SEED), "--rmin", str(WINDOW[0]),
             "--rmax", str(WINDOW[1])]
+    check_argv = ["check-potential", *argv[1:]]
     sink = io.StringIO()
 
     def run(call):
@@ -119,6 +120,8 @@ def stage_costs(n: int, repeats: int) -> dict:
         "decompose_points (one pass)": lambda: decompose_points(
             space, FAMILY, X, checked=False),
         "decompose command": lambda: run(lambda: cli.main(argv)),
+        "check-potential command": lambda: run(
+            lambda: cli.main(check_argv)),
         "bochner op: G": lambda: metric.matrix(x),
         "bochner op: radial frame": lambda: radial_frame(space, x, metric),
         "bochner op: basis": lambda: build_basis_tensors(G, J, frame),

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import apply_j0, hermitian_to_real, j0_matrix
+from .core import apply_j0, constant_structure, hermitian_to_real, j0_matrix
 from .duals import glog, gsqrt, value
 from .errors import AdmissibilityError, DomainError, FrameError, raise_first
 
@@ -489,10 +489,7 @@ class MetricField:
 
     def structure_matrix(self, x) -> np.ndarray:
         if self.complex_structure is None:
-            if self.dim % 2:
-                # odd-dimensional charts carry no registered structure
-                return np.zeros((self.dim, self.dim))
-            return j0_matrix(self.dim // 2)
+            return constant_structure(self.dim)[0]
         out = self.complex_structure([float(c) for c in x])
         return np.array([[value(e) for e in row] for row in out])
 
@@ -560,7 +557,11 @@ def _potential_rule(space: AmbientSpace, family: PotentialFamily, X,
         f = family.derivatives(w) if order else (family.d1(w), family.d2(w))
         rep = _admissibility(space, family, w, f[0], f[1])
         gates = _potential_gates(space, family, w, rep if checked else None)
-        f = [np.broadcast_to(v, w.shape)[:, None, None] for v in f]
+        # the derivatives as the rows of one array, a constant one included
+        rows = np.empty((len(f),) + w.shape)
+        for row, v in zip(rows, f):
+            row[...] = v
+        f = rows[:, :, None, None]
         if order == 0:
             G = _matrices(space, space.flat_real(), X, w, *f)
             return rep, gates, G, None, None
@@ -722,12 +723,13 @@ def _radial_unit_jets(space, jet, w, sign=1.0):
     with np.errstate(all="ignore"):
         r = np.sqrt(-w if space.lorentz else w)
         u = X / r[:, None]
-        nrm2 = np.einsum("pi,pij,pj->p", u, G, u)
+        # as ``radial_frame`` takes it, so that xi is its xi to the bit
+        nrm2 = (u[:, None] @ G @ u[:, :, None])[:, 0, 0]
         length = np.sqrt(nrm2)
         xi = sign * (u / length[:, None])
-        N = np.einsum("pi,pij,pj->p", X, G, X)
-        dN = (2.0 * np.einsum("pij,pj->pi", G, X)
-              + np.einsum("pa,pkab,pb->pk", X, dG, X))
+        GX = (G @ X[:, :, None])[:, :, 0]
+        N = np.sum(X * GX, axis=1)
+        dN = 2.0 * GX + (X[:, None, None] @ dG @ X[:, None, :, None])[:, :, 0, 0]
         dxi = (sign / (r * length))[:, None, None] * (
             np.eye(X.shape[1]) - dN[:, :, None] * X[:, None, :]
             / (2.0 * N)[:, None, None])

@@ -45,29 +45,32 @@ SPHERE_FLAGS = ("config", "space", "family", "a", "r0", "coeffs", "r",
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# the text of a value whose exact type is one of these, by that type
+_SCALAR_TEXT = {str: _quote, float: _float_text, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda value: "null"}
+
+
 def _write(obj, out: list, nl: str) -> None:
     """Append to ``out`` the text that ``json.dumps(obj, sort_keys=True,
     indent=2)`` gives ``obj`` at the line start ``nl`` (a newline and the
     indent of obj's level), without the pure-Python encoder that the stdlib
     runs for an indent: strings go through its C ``encode_basestring_ascii``,
     and ints and floats through ``int.__repr__`` and ``float.__repr__``.
-    Types are tested in the stdlib's order and by ``isinstance``, so a
-    subclass such as ``np.float64`` is written as its base; a list of plain
-    floats is one ``join``.  What the stdlib cannot write raises TypeError,
-    and so does a key that is not a str, which the stdlib would coerce."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_FLOAT_WORDS.get(text, text))
+    A value whose exact type is str, float, int, bool or None takes its
+    text from ``_SCALAR_TEXT``, in a dict's loop without a call of its own;
+    a subclass of str, int or float, such as ``np.float64``, is written as
+    its base, tested in the stdlib's order.  A list of plain floats is one
+    ``join``.  What the stdlib cannot write raises TypeError, and so does a
+    key that is not a str, which the stdlib would coerce."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -96,11 +99,20 @@ def _write(obj, out: list, nl: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not "
                                 f"{key.__class__.__name__}")
-            out += (head, _quote(key), ": ")
+            value = obj[key]
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                out += (head, _quote(key), ": ")
+                _write(value, out, inner)
+            else:
+                out += (head, _quote(key), ": ", text(value))
             head = "," + inner
-            _write(obj[key], out, inner)
         out.append(nl + "}")
     else:
+        for base in (str, int, float):
+            if isinstance(obj, base):
+                out.append(_SCALAR_TEXT[base](obj))
+                return
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         f"is not JSON serializable")
 

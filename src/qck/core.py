@@ -27,6 +27,16 @@ def j0_matrix(n: int) -> np.ndarray:
     return J
 
 
+@functools.lru_cache(maxsize=256)
+def constant_structure(d: int, lead: tuple = ()):
+    """J and its zero partials dJ of the constant structure of a chart of
+    dimension d (zero where d is odd), as read-only broadcast views over the
+    points axes ``lead``, one pair per (d, lead) that every caller shares."""
+    J = j0_matrix(d // 2) if d % 2 == 0 else np.zeros((d, d))
+    return (np.broadcast_to(J, lead + (d, d)),
+            np.broadcast_to(0.0, lead + (d, d, d)))
+
+
 def apply_j0(x):
     """Apply the standard complex structure to a vector of generic scalars,
     a list, or along the first axis of a float array or a MultiDual with

@@ -20,13 +20,12 @@ form, so they cost no further evaluation; ``duals.eval_with_partials``
 differentiates other fields by duals.
 
 The points axis.  A jet carries a leading axis over its points
-(``PointJet.rows`` takes points out of it), and the kernels
-(``_connection``, ``curvature_tensors``, ``kahler_defect``,
-``covariant_derivative``) take it: each contraction is one matrix product per
-point.  A single point is a batch of one point, not a second code path.  A
-constant complex structure is one row broadcast over the points axis, J and
-dJ alike, and stays so through ``PointJet.rows``; ``kahler_defect`` skips
-the product of its zero dJ.
+(``PointJet.rows`` takes points out of it), and the kernels take it: each
+contraction is a matrix or broadcast product per point, with no einsum.
+A single point is a batch of one point, not a second code path.  A
+constant complex structure is one shared row broadcast over the points axis
+(``core.constant_structure``), J and dJ alike, and stays so through
+``PointJet.rows``; ``kahler_defect`` skips the product of its zero dJ.
 
 One decomposition of G per point: the condition gate (``COND_LIMIT``)
 reads the ratio of the extreme |eigenvalues| of ``np.linalg.eigvalsh``,
@@ -77,6 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import constant_structure
 from .duals import (MultiDual, _seeded_coordinates, coefficients,
                     eval_with_partials)
 from .errors import (DegenerateMetric, DomainError, NumericalBreakdown, Sieve,
@@ -205,11 +205,19 @@ def holomorphic_curvatures(R, G, J, X):
     directions X (P, S, d) at each point of the curvature tensors R, metric
     values G and structures J: (P, S).  DomainError for a null direction."""
     JX = X @ J.swapaxes(1, 2)
-    gXX = np.einsum("psi,pij,psj->ps", X, G, X)
+    gXX = np.sum((X @ G) * X, axis=2)
     raise_first([(np.abs(gXX) < 1e-14, lambda j: DomainError(
         "null direction has no holomorphic curvature"))])
-    num = np.einsum("pijkl,psi,psj,psk,psl->ps", R, X, JX, JX, X)
-    return num / (gXX * gXX)
+    return _quartic(R, X, JX) / (gXX * gXX)
+
+
+def _quartic(R, X, Y):
+    """R(X, Y, Y, X) of the tensors R (P, d, d, d, d) on the directions X
+    and Y (P, S, d): (P, S), an index contracted per matrix product."""
+    P, S, d = X.shape
+    T = (X @ R.reshape(P, d, d ** 3)).reshape(P, S, d, d * d)
+    T = (Y[:, :, None] @ T).reshape(P, S, d, d)
+    return (Y[:, :, None] @ T @ X[:, :, :, None])[:, :, 0, 0]
 
 
 # the columns of ``curvature_invariants``, by the names of the curvature report
@@ -228,14 +236,17 @@ def curvature_invariants(jet: PointJet, R, xi):
     alone, so that a row's values do not depend on the batch around it.
     DomainError for a null xi."""
     Ginv, J = jet.Ginv, jet.J
-    ricci = np.einsum("pil,pijkl->pjk", Ginv, R)
-    jxi = (J @ xi[:, :, None])[:, :, 0]
+    P, d = xi.shape
+    # rho_jk = sum_il Ginv_il R_ijkl: l by one product per (p, i), then i
+    ricci = (R.reshape(P, d, d * d, d) @ Ginv[:, :, :, None]).sum(axis=1)
+    ricci = ricci.reshape(P, d, d)
+    X = xi[:, None]
     scale = np.maximum(1.0, tensor_scale(R))
     return np.stack([
-        np.einsum("pjk,pjk->p", Ginv, ricci),
-        (-xi[:, None] @ ricci @ xi[:, :, None])[:, 0, 0],
-        np.einsum("pijkl,pi,pj,pk,pl->p", R, xi, jxi, jxi, xi),
-        holomorphic_curvatures(R, jet.G, J, xi[:, None])[:, 0],
+        (Ginv * ricci).sum(axis=(1, 2)),
+        (-X @ ricci @ xi[:, :, None])[:, 0, 0],
+        _quartic(R, X, X @ J.swapaxes(1, 2))[:, 0],
+        holomorphic_curvatures(R, jet.G, J, X)[:, 0],
         curvature_symmetry_defect(R) / scale,
         first_bianchi_defect(R) / scale], axis=1)
 
@@ -268,7 +279,10 @@ class PointJet:
 
     def rows(self, index) -> "PointJet":
         """The jet at the points ``index`` (a mask or an index array, or an
-        integer for the jet of one point) of a jet with a points axis."""
+        integer for the jet of one point) of a jet with a points axis; the
+        whole slice (``errors.Sieve.drop`` of no drop) is the jet itself."""
+        if isinstance(index, slice) and index == slice(None):
+            return self
         point = self.point[index]
         return PointJet(point, *(
             _take(a, index, point.shape[:-1])
@@ -388,9 +402,11 @@ def covariant_derivative(jet: PointJet, V, dV):
     at each point, if any.  The symbols and V are taken as contiguous
     copies, so that D does not depend on their memory layout."""
     gamma, V = np.ascontiguousarray(jet.gamma), np.ascontiguousarray(V)
+    d = V.shape[-1]
     fields = V.ndim - 1 - (gamma.ndim - 3)
-    gamma = gamma.reshape(gamma.shape[:-3] + (1,) * fields + gamma.shape[-3:])
-    return dV + np.einsum("...mia,...a->...im", gamma, V)
+    gamma = gamma.reshape(gamma.shape[:-3] + (1,) * fields + (d * d, d))
+    # gamma^m_ia V^a over the rows (m, i), moved to [i, m]
+    return dV + (gamma @ V[..., None]).reshape(V.shape + (d,)).swapaxes(-1, -2)
 
 
 def structure_jet(metric, X):
@@ -399,11 +415,8 @@ def structure_jet(metric, X):
     evaluation of a varying structure at all points, and none of the
     constant one."""
     X = np.asarray(X, dtype=float)
-    d = metric.dim
-    lead = X.shape[:-1]
     if metric.complex_structure is None:
-        return (np.broadcast_to(metric.structure_matrix(None), lead + (d, d)),
-                np.broadcast_to(0.0, lead + (d, d, d)))
+        return constant_structure(metric.dim, X.shape[:-1])
     return eval_with_partials(metric.complex_structure, X)
 
 
@@ -417,11 +430,12 @@ def kahler_defect(jet: PointJet):
     whose dJ is zero, takes no dJ G product.
     """
     G, dG, J, dJ = jet.G, jet.dG, jet.J, jet.dJ
-    dOm = np.einsum("...ai,...kaj->...kij", J, dG)
+    dOm = J.swapaxes(-1, -2)[..., None, :, :] @ dG
     if dJ.any():
-        dOm += np.einsum("...kai,...aj->...kij", dJ, G)
-    ext = (dOm - np.einsum("...ikj->...kij", dOm)
-           + np.einsum("...jki->...kij", dOm))
-    defect = np.max(np.abs(ext), axis=(-3, -2, -1))
+        dOm += dJ.swapaxes(-1, -2) @ G[..., None, :, :]
+    # dOm[k, i, j] less its [i, k, j] plus its [j, k, i]
+    ext = dOm - dOm.swapaxes(-3, -2)
+    ext += np.moveaxis(dOm, -3, -1)
+    defect = np.abs(ext, out=ext).max(axis=(-3, -2, -1))
     return float(defect) if defect.ndim == 0 else defect
 

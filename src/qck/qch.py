@@ -6,9 +6,9 @@ The basis tensors are algebraic combinations of the metric, the fundamental
 against {pi, phi, psi} by least squares; the fit residual is the falsifiable
 measure of whether the metric actually has quasi-constant holomorphic
 sectional curvatures, and the sign of a + k^2 classifies it.  The shape data
-(k, p*) come from the covariant derivative of the radial unit field, whose
-values and partials at each point ``ambient.radial_unit_jets`` reads off
-the metric's jet, so nothing here evaluates a metric.
+(k and its spread) come from the covariant derivative of the radial unit
+field, whose values and partials at each point ``ambient.radial_unit_jets``
+reads off the metric's jet, so nothing here evaluates a metric.
 
 Both run in one J-adapted G-orthonormal frame per point
 (``adapted_frames``): rows xi, J xi, u_1, J u_1, ....  There G, J and xi
@@ -74,12 +74,6 @@ UNIT_TOL = 1e-8
 
 
 # -- shape data of the radial distribution -------------------------------------
-
-
-def _gdot(G, u, v):
-    """g(u, v) at each point of G (P, d, d), for the vectors on the last
-    axis of u and v (P, ..., d)."""
-    return np.einsum("p...i,pij,p...j->p...", u, G, v)
 
 
 def adapted_frames(G, J, xi):
@@ -167,8 +161,8 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     """Shape data of unit vector fields at the points of a jet with a points
     axis, from their J-adapted frames F (P, d, d) and square norms signs
     (``adapted_frames``), whose first row is the field xi, and the partials
-    dxi (P, d, d) of xi: (k, p_star, sq, spread, model_defect, gates), each
-    an array over the points, with sq = g(xi, xi).
+    dxi (P, d, d) of xi: (k, spread, gates), k and spread arrays over the
+    points.
 
     The sign of g(xi, xi) picks the "riemannian" or the "lorentz" sign
     conventions.  k is averaged over the complement rows of the frame; the
@@ -182,37 +176,23 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     """
     F, signs, dxi, G = (np.ascontiguousarray(a)
                         for a in (F, signs, dxi, jet.G))
-    xi, jxi = F[:, 0], F[:, 1]
+    xi = F[:, 0]
     D = covariant_derivative(jet, xi, dxi)
-    d = xi.shape[1]
-    sq = _gdot(G, xi, xi)
+    sq = np.sum((xi[:, None] @ G)[:, 0] * xi, axis=1)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
     unit = (np.abs(sq - sq_sign) > UNIT_TOL, lambda j: FrameError(
         f"field is not unit: g(xi, xi) = {sq[j]:.12g}"))
-    complete = (np.any(signs[:, 2:] <= 0.0, axis=1), lambda j: FrameError(
+    complete = ((signs[:, 2:] <= 0.0).any(axis=1), lambda j: FrameError(
         "could not complete a basis of the complement distribution"))
     # nabla_u xi for each complement row u; k along u is 2 g(u, nabla_u xi),
     # with the sign of g(xi, xi)
     basis = F[:, 2:]
-    nab = np.einsum("psi,pim->psm", basis, D)
-    k_dirs = 2.0 * sq_sign[:, None] * np.einsum("psi,pij,psj->ps", basis, G, nab)
-    k = np.mean(k_dirs, axis=1)
-    spread = np.max(np.abs(k_dirs - k[:, None]), axis=1)
+    k_dirs = 2.0 * sq_sign[:, None] * np.sum((basis @ G) * (basis @ D), axis=2)
+    k = k_dirs.sum(axis=1) / basis.shape[1]
+    spread = np.abs(k_dirs - k[:, None]).max(axis=1)
     uniform = (spread > SPREAD_GATE, lambda j: ShapeUniformityError(
         f"normal curvature spread {spread[j]:.3e} exceeds {SPREAD_GATE:.1e}"))
-
-    nab_j = np.einsum("pi,pim->pm", jxi, D)
-    p_star = -_gdot(G, jxi, nab_j)
-
-    eta = np.einsum("pij,pj->pi", G, xi)
-    eta_t = np.einsum("pij,pj->pi", G, jxi)
-    outer_t = eta_t[:, :, None] * jxi[:, None, :]
-    radial = eta[:, :, None] * xi[:, None, :] + outer_t
-    s3 = sq_sign[:, None, None]
-    model = (0.5 * s3 * k[:, None, None] * (np.eye(d) - s3 * radial)
-             - p_star[:, None, None] * outer_t)
-    model_defect = np.max(np.abs(D - model), axis=(1, 2))
-    return k, p_star, sq, spread, model_defect, [unit, complete, uniform]
+    return k, spread, [unit, complete, uniform]
 
 
 # -- structural basis tensors ---------------------------------------------------
@@ -551,8 +531,8 @@ class DecompositionRecord:
     ``kahler_defect`` (``curvature.kahler_defect``) are arrays (P,); and
     ``unit`` the rows of those with a radial unit field ``xi`` (P, d).
 
-    With ``fit``: the shape data of each unit row, ``k``, ``p_star``, ``sq``
-    = g(xi, xi), ``spread`` and ``model_defect`` (P,), or ``shape_error``;
+    With ``fit``: the shape data of each unit row, ``k`` and ``spread``
+    (P,) (``shape_arrays``), or ``shape_error``;
     and the fit on the frame of its xi, ``coeffs`` (P, 3) = (a, b, c) and
     ``residual`` (P,), or ``fit_error``.  Without ``fit``: the curvature
     invariants of each unit row on its xi, ``invariants`` (P, 6), whose
@@ -571,10 +551,7 @@ class DecompositionRecord:
     shape_error: tuple
     fit_error: tuple
     k: np.ndarray | None = None
-    p_star: np.ndarray | None = None
-    sq: np.ndarray | None = None
     spread: np.ndarray | None = None
-    model_defect: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     residual: np.ndarray | None = None
     invariants: np.ndarray | None = None
@@ -700,7 +677,7 @@ def _decompose_pass(space, family, X, checked, fit):
             unit, curvature_invariants(ujet, R, xi), P)
     else:
         F, signs, frame_gates = adapted_frames(ujet.G, ujet.J, xi)
-        *shape, gates = shape_arrays(ujet, F, signs, dxi)
+        k, spread, gates = shape_arrays(ujet, F, signs, dxi)
         shape_sieve = Sieve(len(xi))
         shape_sieve.drop(gates)
         fit_sieve = Sieve(len(xi))
@@ -711,9 +688,8 @@ def _decompose_pass(space, family, X, checked, fit):
             for row, error in zip(unit.tolist(), stage.errors):
                 errors[row] = error
         shaped, fitted = unit[shape_sieve.running], unit[fit_sieve.running]
-        record.update(zip(("k", "p_star", "sq", "spread", "model_defect"),
-                          (_spread(shaped, a[shape_sieve.running], P)
-                           for a in shape)))
+        record.update(k=_spread(shaped, k[shape_sieve.running], P),
+                      spread=_spread(shaped, spread[shape_sieve.running], P))
         record.update(coeffs=_spread(fitted, coeffs, P),
                       residual=_spread(fitted, residual, P))
     return DecompositionRecord(shape_error=tuple(shape_error),

@@ -585,7 +585,7 @@ def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,
     jet, R = jet.rows(keep), R[keep]
     xi, dxi = eval_with_partials(xi_field, jet.point)
     F, signs, frame_gates = adapted_frames(jet.G, jet.J, xi)
-    k, *_, shape_gates = shape_arrays(jet, F, signs, dxi)
+    k, _, shape_gates = shape_arrays(jet, F, signs, dxi)
     sieve.drop(shape_gates + frame_gates)
     for error in sieve.errors:
         if error is not None:

@@ -44,8 +44,7 @@ from .curvature import (PointJet, covariant_derivative, curvature_gate,
 from .duals import concat, contract, eval_with_partials, weigh
 from .errors import (DomainError, NotSasakian, NotSpaceForm,
                      NumericalBreakdown, raise_first)
-from .qch import (QCDecomposition, _gdot, adapted_frames, frame_fit,
-                  shape_arrays)
+from .qch import QCDecomposition, adapted_frames, frame_fit, shape_arrays
 from .sampling import point_at_radius
 
 ZERO_BAND = 1e-8
@@ -120,7 +119,7 @@ def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
     both = jet.rows(np.tile(np.arange(P), len(tags)))
     with np.errstate(all="ignore"):
         F, signs, frame_gates = adapted_frames(both.G, both.J, xi)
-        k, *_, shape_gates = shape_arrays(both, F, signs, dxi)
+        k, _, shape_gates = shape_arrays(both, F, signs, dxi)
     # the orientation of each point, as an index into tags
     pick = np.zeros(P, dtype=int)
     for t in range(len(tags)):
@@ -147,6 +146,12 @@ def _induced_contacts(space: AmbientSpace, jet: PointJet, orientation: str):
         identity_defect=_identity_defects(G, phi, xit, eta_t, basis))
     return (AlmostContact(jet, xit, eta_t, phi, basis, tangential), spheres,
             F, signs)
+
+
+def _gdot(G, u, v):
+    """g(u, v) at each point of G (P, d, d), for the vectors on the last
+    axis of u and v (P, ..., d)."""
+    return np.einsum("p...i,pij,p...j->p...", u, G, v)
 
 
 def _gnorm(G, V):

@@ -22,8 +22,9 @@ curvature and Kahler tests.  And the one-point forms of batched kernels
 that no command calls any more: the metric jet and its curvature bundle,
 whose invariants one point at a time are the oracle of
 ``curvature.curvature_invariants``, the sectional curvature of a plane,
-the radial unit field, the shape data, the fit, the hypersphere contact
-structure and its Gauss cross-check.  And
+the radial unit field, the shape data, with the structure coefficient p*
+and the model defect of nabla xi that no command reads (``shape_oracle``),
+the fit, the hypersphere contact structure and its Gauss cross-check.  And
 the dual fields written entry by entry, in lists of scalars: the graph
 chart, the pullback, the rotational metric and structure, and the Sasakian
 family with its Reeb and phi fields, the references for their array forms
@@ -685,10 +686,13 @@ class CurvatureBundle:
     R: Tensor4  # R[i, j, k, l], all indices down
 
     def ricci(self) -> np.ndarray:
-        return np.einsum("il,ijkl->jk", self.jet.Ginv, self.R.a)
+        """rho_jk = sum_il Ginv_il R_ijkl, l by a matrix product per i."""
+        d = self.R.dim
+        return (self.R.a.reshape(d, d * d, d)
+                @ self.jet.Ginv[:, :, None]).sum(axis=0).reshape(d, d)
 
     def scalar_curvature(self) -> float:
-        return float(np.einsum("jk,jk->", self.jet.Ginv, self.ricci()))
+        return float((self.jet.Ginv * self.ricci()).sum())
 
     def hsc(self, X) -> float:
         """Holomorphic sectional curvature of the section (X, JX): the
@@ -704,9 +708,11 @@ class CurvatureBundle:
 
     def kappa_radial(self, xi) -> float:
         """Curvature value on the radial holomorphic section."""
-        xi = np.asarray(xi, float)
-        jxi = self.jet.J @ xi
-        return float(np.einsum("ijkl,i,j,k,l->", self.R.a, xi, jxi, jxi, xi))
+        xi = np.asarray(xi, float)[None]
+        jxi = xi @ self.jet.J.T
+        d = self.R.dim
+        T = (xi @ self.R.a.reshape(d, d ** 3)).reshape(d, d * d)
+        return float((jxi @ (jxi @ T).reshape(d, d) @ xi.T)[0, 0])
 
     def invariants(self, xi) -> list:
         """The row of ``curvature.curvature_invariants`` at this point on
@@ -750,39 +756,74 @@ def radial_unit_jet(space, jet, orientation: str = "outward"):
 
 
 @dataclass(frozen=True)
-class ShapeData:
-    """Shape coefficients of a unit radial field at one point: the common
-    normal curvature k of the directions orthogonal to the (xi, J xi)
-    plane, and the structure coefficient p_star of the J xi direction."""
+class RowShape:
+    """Shape data of a unit radial field at one point as a
+    ``qch.DecompositionRecord`` keeps it: the common normal curvature k of
+    the directions orthogonal to the (xi, J xi) plane, its spread over those
+    directions, and the field xi."""
 
     k: float
-    p_star: float
     xi: np.ndarray
-    variant: str  # "riemannian" | "lorentz"
     spread: float
+
+
+@dataclass(frozen=True)
+class ShapeData(RowShape):
+    """``RowShape`` with what no command reads, from ``shape_oracle``: the
+    structure coefficient p_star of the J xi direction, the sign variant
+    of g(xi, xi), and the defect of D against its model form."""
+
+    p_star: float
+    variant: str  # "riemannian" | "lorentz"
     model_defect: float
 
 
-def shape_data(xi, k, p_star, sq, spread, model_defect) -> ShapeData:
-    return ShapeData(k=float(k), p_star=float(p_star), xi=xi,
-                     variant="lorentz" if sq < 0.0 else "riemannian",
-                     spread=float(spread), model_defect=float(model_defect))
+def shape_oracle(jet, F, dxi, k):
+    """(p_star, sq, model_defect) at the points of a jet with a points axis,
+    from the J-adapted frames F of unit fields xi = F[:, 0], the partials
+    dxi of xi and their k (``qch.shape_arrays``), with sq = g(xi, xi).
+
+    With D = nabla xi (``curvature.covariant_derivative``), p* =
+    -g(J xi, nabla_{J xi} xi); the model form of D is
+    s k / 2 (I - s (xi eta + J xi eta_t)) - p* J xi eta_t, with s the sign
+    of sq and eta, eta_t the covectors g(xi, .) and g(J xi, .), and the
+    defect is the largest entry of D less its model."""
+    G = jet.G
+    xi, jxi = F[:, 0], F[:, 1]
+    D = covariant_derivative(jet, xi, dxi)
+    d = xi.shape[1]
+    sq = np.einsum("pi,pij,pj->p", xi, G, xi)
+    s3 = np.where(sq < 0.0, -1.0, 1.0)[:, None, None]
+    nab_j = np.einsum("pi,pim->pm", jxi, D)
+    p_star = -np.einsum("pi,pij,pj->p", jxi, G, nab_j)
+    eta = np.einsum("pij,pj->pi", G, xi)
+    eta_t = np.einsum("pij,pj->pi", G, jxi)
+    outer_t = eta_t[:, :, None] * jxi[:, None, :]
+    radial = eta[:, :, None] * xi[:, None, :] + outer_t
+    model = (0.5 * s3 * k[:, None, None] * (np.eye(d) - s3 * radial)
+             - p_star[:, None, None] * outer_t)
+    return p_star, sq, np.max(np.abs(D - model), axis=(1, 2))
 
 
 def extract_shape_data(jet, xi, dxi) -> ShapeData:
-    """Shape data (k, p_star) of a unit vector field with values xi and
-    partials dxi at the point of ``jet``: the one-point case of
-    ``qch.adapted_frames`` and ``qch.shape_arrays``, raising the first
-    failing gate of the shape data."""
+    """Shape data of a unit vector field with values xi and partials dxi at
+    the point of ``jet``: the one-point case of ``qch.adapted_frames`` and
+    ``qch.shape_arrays``, raising the first failing gate of the shape data,
+    with p_star and the model defect of ``shape_oracle``."""
     xi = np.asarray(xi, float)
     jet = stacked(jet)
+    dxi = np.asarray(dxi, float)[None]
     F, signs, _ = adapted_frames(jet.G, jet.J, xi[None])
-    *shape, gates = shape_arrays(jet, F, signs, np.asarray(dxi, float)[None])
+    k, spread, gates = shape_arrays(jet, F, signs, dxi)
     raise_first(gates)
-    return shape_data(xi, *(a[0] for a in shape))
+    p_star, sq, model_defect = shape_oracle(jet, F, dxi, k)
+    return ShapeData(k=float(k[0]), xi=xi, spread=float(spread[0]),
+                     p_star=float(p_star[0]),
+                     variant="lorentz" if sq[0] < 0.0 else "riemannian",
+                     model_defect=float(model_defect[0]))
 
 
-def decompose(bundle, shape: ShapeData) -> QCDecomposition:
+def decompose(bundle, shape: RowShape) -> QCDecomposition:
     """The fit of the bundle's curvature in the J-adapted frame of the unit
     vector of ``shape``, classified with its k: the one-point case of
     ``qch.adapted_frames`` and ``qch.frame_fit``."""
@@ -809,7 +850,7 @@ class PointRow:
     kahler_defect: float | None
     xi: np.ndarray | None
     invariants: list | None
-    shape: ShapeData | None
+    shape: RowShape | None
     shape_error: QckError | None
     fit: tuple | None
     fit_error: QckError | None
@@ -827,9 +868,8 @@ def point_rows(record) -> list:
         shape = None
         if record.k is not None and i in unit \
                 and record.shape_error[i] is None:
-            shape = shape_data(record.xi[i], *(a[i] for a in (
-                record.k, record.p_star, record.sq, record.spread,
-                record.model_defect)))
+            shape = RowShape(k=float(record.k[i]), xi=record.xi[i],
+                             spread=float(record.spread[i]))
         out.append(PointRow(
             point=x,
             admissibility=AdmissibilityReport(*(

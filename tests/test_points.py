@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from qck import ambient, cli, qch, sampling
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, InverseFamily,
                          LogFamily, UserSeries, potential_metric)
-from qck.curvature import kahler_defect
+from qck.curvature import kahler_defect, point_jets
 from qck.errors import DomainError, QckError, Sieve
 from qck.qch import decompose_points
 from qck.sampling import point_at_radius, radial_points
@@ -43,7 +43,7 @@ LORENTZ_MIX = np.array([[0.3, 0.1, 1.2, 1.55], [0.0, 0.0, 0.0, 0.0],
 # a definite point on a coordinate axis skips the first two coordinate
 # directions of its complement basis, next to a generic one
 DEFINITE_MIX = np.array([[1.3, 0.0, 0.0, 0.0], [0.4, -0.7, 0.2, 0.5]])
-SHAPE_FIELDS = ("k", "p_star", "variant", "spread", "model_defect")
+SHAPE_FIELDS = ("k", "spread")
 
 
 def describe(exc):
@@ -149,6 +149,7 @@ class TestParity:
                 assert describe(exc) == describe(res.first_error)
                 continue
             assert res.first_error is None
+            assert (shape.k, shape.spread) == (res.shape.k, res.shape.spread)
             assert dec == res.decomposition
             assert res.min_eigenvalue == jet.eigenvalues[0]
             assert res.kahler_defect == kahler_defect(jet)
@@ -245,6 +246,33 @@ class TestPasses:
         assert rec.residual.shape == (5,)
         assert counts == {"square_norm": 1, "d1": 1, "d2": 1, "_d3_d4": 1,
                           "_reciprocal_d3_d4": 1}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("fit", [True, False])
+    def test_a_pass_makes_no_einsum_call(self, monkeypatch, n, fit):
+        # every contraction of the pass is a matrix or broadcast product; a
+        # first pass builds the constants of the space and the frame bases
+        space = AmbientSpace(n, "lorentz")
+        X = np.array(radial_points(space, 8, 1.1, 3.0, seed=n))
+        rec = decompose_points(space, LogFamily(-1.0, 1.0), X, fit=fit)
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        again = decompose_points(space, LogFamily(-1.0, 1.0), X, fit=fit)
+        assert calls == []
+        assert np.array_equal(again.xi, rec.xi)
+
+    def test_rows_of_the_whole_slice_is_the_jet(self):
+        # what ``Sieve.drop`` gives when no row dropped out: no new jet
+        X = np.array(radial_points(L2, 3, 1.1, 3.0, seed=1))
+        jet = point_jets(potential_metric(L2, LogFamily(-1.0, 1.0)), X)
+        assert jet.rows(slice(None)) is jet
+        assert jet.rows(np.ones(3, dtype=bool)) is not jet
 
     @pytest.mark.parametrize("family", [SERIES, []])
     def test_no_rows(self, family):
@@ -347,8 +375,8 @@ def test_batch_matches_one_point(n, case, radii, seed):
         assert close(got.min_eigenvalue, want.min_eigenvalue)
         assert close(got.kahler_defect, want.kahler_defect)
         if want.shape is not None:
-            assert close((got.shape.k, got.shape.p_star),
-                         (want.shape.k, want.shape.p_star))
+            assert close((got.shape.k, got.shape.spread),
+                         (want.shape.k, want.shape.spread))
 
 
 class TestRadialPoints:
