@@ -10,12 +10,12 @@ connection), ``curvature_tensors``, ``curvature_gate``, the radial unit
 field, ``adapted_frames``, ``shape_arrays`` (k, its spread and the gates),
 ``frame_fit``, ``kahler_defect``, the argument parser and the report writer.
 Three totals follow: one ``decompose_points`` pass, and the whole
-``decompose`` and ``check-potential`` commands in process.  Then the float-path Bochner op at the first of those points,
-T = a pi + b phi + c psi fitted and mapped by the Bochner operator in
-coordinates with the coefficients ``COEFFS``: G, the radial frame, the
-basis, the combination, the fit, the Bochner tensor, and the whole op.  The
-benchmark under ``perfbench/`` times whole commands; this is where an op's
-time goes.
+``decompose`` and ``check-potential`` commands in process.  Then the
+float-path Bochner op at the first of those points, T = a pi + b phi +
+c psi fitted and mapped by the Bochner operator in coordinates with the
+coefficients ``COEFFS``: G, the radial frame, the basis, the combination,
+the fit, the Bochner tensor, and the whole op.  The benchmark under
+``perfbench/`` times whole commands; this is where an op's time goes.
 
     PYTHONPATH=src python3 scripts/stage_costs.py [--n 2,3,4] [--repeats 200]
 """

@@ -728,7 +728,7 @@ def _radial_unit_jets(space, jet, w, sign=1.0):
         length = np.sqrt(nrm2)
         xi = sign * (u / length[:, None])
         GX = (G @ X[:, :, None])[:, :, 0]
-        N = np.sum(X * GX, axis=1)
+        N = (X * GX).sum(axis=1)
         dN = 2.0 * GX + (X[:, None, None] @ dG @ X[:, None, :, None])[:, :, 0, 0]
         dxi = (sign / (r * length))[:, None, None] * (
             np.eye(X.shape[1]) - dN[:, :, None] * X[:, None, :]

@@ -192,7 +192,7 @@ def _connection(G, dG):
     Ginv = np.linalg.inv(G)
     # gamma1_{l,jk} = 1/2 (d_j G_{lk} + d_k G_{lj} - d_l G_{jk}), from the
     # partials dG[p, l, j, k]
-    gamma1 = dG.swapaxes(-3, -2) + np.moveaxis(dG, -3, -1)
+    gamma1 = dG.swapaxes(-3, -2) + dG.transpose(0, 2, 3, 1)
     gamma1 -= dG
     gamma1 *= 0.5
     # gamma^m_{jk} = g^{ml} gamma1_{l,jk}
@@ -205,7 +205,7 @@ def holomorphic_curvatures(R, G, J, X):
     directions X (P, S, d) at each point of the curvature tensors R, metric
     values G and structures J: (P, S).  DomainError for a null direction."""
     JX = X @ J.swapaxes(1, 2)
-    gXX = np.sum((X @ G) * X, axis=2)
+    gXX = ((X @ G) * X).sum(axis=2)
     raise_first([(np.abs(gXX) < 1e-14, lambda j: DomainError(
         "null direction has no holomorphic curvature"))])
     return _quartic(R, X, JX) / (gXX * gXX)
@@ -280,7 +280,7 @@ class PointJet:
     def rows(self, index) -> "PointJet":
         """The jet at the points ``index`` (a mask or an index array, or an
         integer for the jet of one point) of a jet with a points axis; the
-        whole slice (``errors.Sieve.drop`` of no drop) is the jet itself."""
+        jet itself for the whole slice, which ``Sieve.drop`` gives."""
         if isinstance(index, slice) and index == slice(None):
             return self
         point = self.point[index]
@@ -435,7 +435,7 @@ def kahler_defect(jet: PointJet):
         dOm += dJ.swapaxes(-1, -2) @ G[..., None, :, :]
     # dOm[k, i, j] less its [i, k, j] plus its [j, k, i]
     ext = dOm - dOm.swapaxes(-3, -2)
-    ext += np.moveaxis(dOm, -3, -1)
+    ext += dOm.swapaxes(-3, -2).swapaxes(-2, -1)
     defect = np.abs(ext, out=ext).max(axis=(-3, -2, -1))
     return float(defect) if defect.ndim == 0 else defect
 

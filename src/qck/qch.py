@@ -108,8 +108,8 @@ def adapted_frames(G, J, xi):
     F[:, 0] = xi
     F[:, 1] = (J @ xi[:, :, None])[:, :, 0]
     GF = F[:, :2] @ G  # g(f, .) of xi and J xi
-    sq = np.sum(GF * F[:, :2], axis=2)
-    unit = (np.any(np.abs(np.abs(sq) - 1.0) > UNIT_TOL, axis=1),
+    sq = (GF * F[:, :2]).sum(axis=2)
+    unit = ((np.abs(np.abs(sq) - 1.0) > UNIT_TOL).any(axis=1),
             lambda j: FrameError(
                 f"frame is not unit in the supplied metric: "
                 f"g(xi,xi)={sq[j, 0]:.6g}, g(Jxi,Jxi)={sq[j, 1]:.6g}"))
@@ -122,13 +122,13 @@ def adapted_frames(G, J, xi):
     floor = 1e-10 * np.abs(G).max(axis=(1, 2))
     pairs, pair_signs = [], []
     for i in range(d):
-        if np.all(count == d):
+        if (count == d).all():
             break
         # e_i less its components along the rows so far, twice over
         w = -Q[:, :, i]
         w[:, i] += 1.0
         w = w - (Q @ w[:, :, None])[:, :, 0]
-        nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
+        nrm2 = (w * (G @ w[:, :, None])[:, :, 0]).sum(axis=1)
         take = (np.abs(nrm2) >= floor) & (count < d)
         if not take.any():
             continue
@@ -142,8 +142,8 @@ def adapted_frames(G, J, xi):
         pair_signs.append(sign)
         count += 2 * take
     if pairs:
-        S = np.stack(pair_signs, axis=1)
-        U = np.stack(pairs, axis=1)
+        S = np.array(pair_signs).T
+        U = np.array(pairs).swapaxes(0, 1)
         if not S.all():
             # each point's pairs in the order it took them, the empty ones last
             order = np.argsort(S == 0.0, axis=1, kind="stable")
@@ -178,7 +178,7 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
                         for a in (F, signs, dxi, jet.G))
     xi = F[:, 0]
     D = covariant_derivative(jet, xi, dxi)
-    sq = np.sum((xi[:, None] @ G)[:, 0] * xi, axis=1)
+    sq = ((xi[:, None] @ G)[:, 0] * xi).sum(axis=1)
     sq_sign = np.where(sq < 0.0, -1.0, 1.0)
     unit = (np.abs(sq - sq_sign) > UNIT_TOL, lambda j: FrameError(
         f"field is not unit: g(xi, xi) = {sq[j]:.12g}"))
@@ -187,7 +187,7 @@ def shape_arrays(jet: PointJet, F, signs, dxi):
     # nabla_u xi for each complement row u; k along u is 2 g(u, nabla_u xi),
     # with the sign of g(xi, xi)
     basis = F[:, 2:]
-    k_dirs = 2.0 * sq_sign[:, None] * np.sum((basis @ G) * (basis @ D), axis=2)
+    k_dirs = 2.0 * sq_sign[:, None] * ((basis @ G) * (basis @ D)).sum(axis=2)
     k = k_dirs.sum(axis=1) / basis.shape[1]
     spread = np.abs(k_dirs - k[:, None]).max(axis=1)
     uniform = (spread > SPREAD_GATE, lambda j: ShapeUniformityError(

@@ -66,7 +66,7 @@ _AXES = (-4, -3, -2, -1)
 
 def tensor_scale(R):
     """Largest component of each tensor."""
-    return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES))
+    return np.maximum(R.max(axis=_AXES), -R.min(axis=_AXES))
 
 
 def curvature_symmetry_defect(R):
@@ -74,7 +74,7 @@ def curvature_symmetry_defect(R):
     each tensor: the (i, j) antisymmetry and the two identities of
     ``pair_symmetry_defect``."""
     buf = np.add(R, np.swapaxes(R, -4, -3))
-    return np.maximum(np.max(np.abs(buf, out=buf), axis=_AXES),
+    return np.maximum(np.abs(buf, out=buf).max(axis=_AXES),
                       pair_symmetry_defect(R))
 
 
@@ -83,16 +83,16 @@ def pair_symmetry_defect(R):
     symmetry of each tensor: one buffer takes the defect of each identity
     in turn."""
     buf = np.add(R, np.swapaxes(R, -2, -1))
-    defect = np.max(np.abs(buf, out=buf), axis=_AXES)
+    defect = np.abs(buf, out=buf).max(axis=_AXES)
     np.subtract(R, np.swapaxes(np.swapaxes(R, -4, -2), -3, -1), out=buf)
-    return np.maximum(defect, np.max(np.abs(buf, out=buf), axis=_AXES))
+    return np.maximum(defect, np.abs(buf, out=buf).max(axis=_AXES))
 
 
 def first_bianchi_defect(R):
     """Max violation of the first Bianchi identity (absolute) of each
     tensor: the cyclic sum over its first three indices."""
     cyc = R + np.moveaxis(R, -4, -2) + np.moveaxis(R, -2, -4)
-    return np.max(np.abs(cyc), axis=_AXES)
+    return np.abs(cyc, out=cyc).max(axis=_AXES)
 
 
 def fit_tensors(A):

@@ -135,7 +135,8 @@ STAGES = ["sampler", "rule", "gated_jets", "curvature_tensors",
           "curvature_gate", "unit field", "adapted_frames", "shape_arrays",
           "frame_fit", "kahler_defect", "argparse", "report writer",
           "decompose_points (one pass)", "decompose command",
-          "check-potential command", "bochner op: G", "bochner op: radial frame", "bochner op: basis",
+          "check-potential command", "bochner op: G",
+          "bochner op: radial frame", "bochner op: basis",
           "bochner op: combination", "bochner op: fit", "bochner op: Bochner",
           "bochner op (whole)"]
 
