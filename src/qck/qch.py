@@ -85,16 +85,15 @@ def adapted_frames(G, J, xi):
     ``core.j0_matrix`` and xi those of the first basis vector, so the
     structural tensors are constants there.
 
-    The u come from Gram-Schmidt over the coordinate directions in order,
-    each direction projected off the rows so far twice and normalised by
-    sqrt|g(w, w)|; a direction with |g(w, w)| below 1e-10 of the largest
-    |G| component of its point is skipped, so that the test means the same
-    at every scale of the metric.  J u needs no projection: g is J-invariant
-    and so is the span of the rows so far.  The signed normalisers complete
-    the frame where the complement of (xi, J xi) is indefinite.  A
-    direction that no point takes costs no step, as J e_i past e_i does
-    under a constant J, and the pairs are reordered only where some point
-    skipped a direction that others took.
+    The u come from n - 1 pivoted Gram-Schmidt steps.  Each step projects
+    every coordinate direction off the rows so far, twice over, and takes at
+    each point the direction of largest |g(w, w)|, normalised by
+    sqrt|g(w, w)|.  A point whose largest |g(w, w)| is below 1e-10 of its
+    largest |G| component gets empty rows there, so that the test means the
+    same at every scale of the metric.  J u needs no projection: g is
+    J-invariant and so is the span of the rows so far.  The signed
+    normalisers complete the frame where the complement of (xi, J xi) is
+    indefinite.
 
     The gates: |g(xi, xi)| and |g(J xi, J xi)| within ``UNIT_TOL`` of 1
     (either sign of the square norm is accepted so the flat indefinite form
@@ -117,42 +116,27 @@ def adapted_frames(G, J, xi):
     signs[:, :2] = np.where(sq < 0.0, -1.0, 1.0)
     # the g-orthogonal projector onto the span of the rows so far
     Q = (F[:, :2].swapaxes(1, 2) * signs[:, None, :2]) @ GF
-    count = np.full(P, 2)
     # the least |g(w, w)| of a direction taken, relative to the point's scale
     floor = 1e-10 * np.abs(G).max(axis=(1, 2))
-    pairs, pair_signs = [], []
-    for i in range(d):
-        if (count == d).all():
-            break
-        # e_i less its components along the rows so far, twice over
-        w = -Q[:, :, i]
-        w[:, i] += 1.0
-        w = w - (Q @ w[:, :, None])[:, :, 0]
-        nrm2 = (w * (G @ w[:, :, None])[:, :, 0]).sum(axis=1)
-        take = (np.abs(nrm2) >= floor) & (count < d)
-        if not take.any():
-            continue
+    rows = np.arange(P)
+    for s in range(2, d, 2):
+        # every e_i less its components along the rows so far, twice over
+        W = np.eye(d) - Q
+        W = W - Q @ W
+        nrm2 = (W * (G @ W)).sum(axis=1)
+        pick = np.abs(nrm2).argmax(axis=1)
+        w = W[rows, :, pick]
+        nrm2 = nrm2[rows, pick]
+        take = np.abs(nrm2) >= floor
         sign = np.where(take, np.sign(nrm2), 0.0)
         scale = np.where(take, np.sqrt(np.abs(nrm2)), 1.0)
         # u and J u, zero where the point takes no row here
         U = np.stack([w, (J @ w[:, :, None])[:, :, 0]], axis=1) * (
             np.abs(sign) / scale)[:, None, None]
         Q += (U.swapaxes(1, 2) * sign[:, None, None]) @ (U @ G)
-        pairs.append(U)
-        pair_signs.append(sign)
-        count += 2 * take
-    if pairs:
-        S = np.array(pair_signs).T
-        U = np.array(pairs).swapaxes(0, 1)
-        if not S.all():
-            # each point's pairs in the order it took them, the empty ones last
-            order = np.argsort(S == 0.0, axis=1, kind="stable")
-            U = np.take_along_axis(U, order[:, :, None, None], axis=1)
-            S = np.take_along_axis(S, order, axis=1)
-        m = min(2 * len(pairs), d - 2)
-        F[:, 2:2 + m] = U.reshape(P, -1, d)[:, :m]
-        signs[:, 2:2 + m] = np.repeat(S, 2, axis=1)[:, :m]
-    complete = (count != d, lambda j: FrameError(
+        F[:, s:s + 2] = U
+        signs[:, s:s + 2] = sign[:, None]
+    complete = ((signs == 0.0).any(axis=1), lambda j: FrameError(
         "could not complete a basis of the complement distribution"))
     return F, signs, [unit, complete]
 

@@ -59,7 +59,7 @@ from qck.curvature import (SYMMETRY_GATE, PointJet, covariant_derivative,
 from qck.duals import MultiDual, _series, coefficients, glog, gsqrt, value
 from qck.errors import (DomainError, FrameError, NumericalBreakdown, QckError,
                         raise_first)
-from qck.qch import (UNIT_TOL, QCDecomposition, adapted_frames,
+from qck.qch import (QCDecomposition, adapted_frames,
                      bochner_of_tensor, frame_fit, shape_arrays)
 from qck.sampling import SPREAD
 from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
@@ -566,66 +566,6 @@ def structure_covariant_defect(jet) -> float:
     # (nabla_k J)^i_j = d_k J^i_j + gamma^i_{ka} J^a_j - gamma^a_{kj} J^i_a
     nj = dJ + np.einsum("ika,aj->kij", gamma, J) - np.einsum("akj,ia->kij", gamma, J)
     return float(np.max(np.abs(nj)))
-
-
-# -- the frame loop over every coordinate direction ---------------------------
-
-
-def adapted_frames_every_direction(G, J, xi):
-    """``qch.adapted_frames`` as its loop stood before it skipped a
-    direction that no point takes: every coordinate direction is one step,
-    an empty pair included, and every point's pairs are reordered, the
-    empty ones last, with the same relative threshold.  The reference that
-    the leaner loop keeps to the bit."""
-    G, J, xi = (np.ascontiguousarray(a) for a in (G, J, xi))
-    P, d = xi.shape
-    F = np.zeros((P, d, d))
-    F[:, 0] = xi
-    F[:, 1] = (J @ xi[:, :, None])[:, :, 0]
-    GF = F[:, :2] @ G  # g(f, .) of xi and J xi
-    sq = np.sum(GF * F[:, :2], axis=2)
-    unit = (np.any(np.abs(np.abs(sq) - 1.0) > UNIT_TOL, axis=1),
-            lambda j: FrameError(
-                f"frame is not unit in the supplied metric: "
-                f"g(xi,xi)={sq[j, 0]:.6g}, g(Jxi,Jxi)={sq[j, 1]:.6g}"))
-    signs = np.zeros((P, d))
-    signs[:, :2] = np.where(sq < 0.0, -1.0, 1.0)
-    # the g-orthogonal projector onto the span of the rows so far
-    Q = (F[:, :2].swapaxes(1, 2) * signs[:, None, :2]) @ GF
-    count = np.full(P, 2)
-    floor = 1e-10 * np.abs(G).max(axis=(1, 2))
-    pairs, pair_signs = [], []
-    for i in range(d):
-        if np.all(count == d):
-            break
-        # e_i less its components along the rows so far, twice over
-        w = -Q[:, :, i]
-        w[:, i] += 1.0
-        w = w - (Q @ w[:, :, None])[:, :, 0]
-        nrm2 = np.sum(w * (G @ w[:, :, None])[:, :, 0], axis=1)
-        take = (np.abs(nrm2) >= floor) & (count < d)
-        sign = np.where(take, np.sign(nrm2), 0.0)
-        scale = np.where(take, np.sqrt(np.abs(nrm2)), 1.0)
-        # u and J u, zero where the point takes no row here
-        U = np.stack([w, (J @ w[:, :, None])[:, :, 0]], axis=1) * (
-            np.abs(sign) / scale)[:, None, None]
-        Q += (U.swapaxes(1, 2) * sign[:, None, None]) @ (U @ G)
-        pairs.append(U)
-        pair_signs.append(sign)
-        count += 2 * take
-    if pairs:
-        # each point's pairs in the order it took them, the empty ones last
-        S = np.stack(pair_signs, axis=1)
-        order = np.argsort(S == 0.0, axis=1, kind="stable")
-        U = np.take_along_axis(np.stack(pairs, axis=1),
-                               order[:, :, None, None], axis=1)
-        m = min(2 * len(pairs), d - 2)
-        F[:, 2:2 + m] = U.reshape(P, -1, d)[:, :m]
-        signs[:, 2:2 + m] = np.repeat(np.take_along_axis(S, order, axis=1),
-                                      2, axis=1)[:, :m]
-    complete = (count != d, lambda j: FrameError(
-        "could not complete a basis of the complement distribution"))
-    return F, signs, [unit, complete]
 
 
 # -- one-point forms of batched kernels that only the tests call -------------

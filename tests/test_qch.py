@@ -36,7 +36,6 @@ from qck.qch import (
 from qck.sampling import point_at_radius, radial_points
 from qck.tensors import Tensor4, tensor4_fit
 from oracles import (POTENTIAL_CASES, CurvatureBundle,
-                     adapted_frames_every_direction,
                      complex_to_real, curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
                      bochner_tensor, complex_bochner, decompose,
@@ -439,24 +438,40 @@ def one_point(space, family, x):
     return res, curvature_bundle(jet)
 
 
-def same_frames(got, want):
-    """Two ``adapted_frames`` results to the bit: F and signs byte for
-    byte, -0.0 apart from 0.0, and the same gate masks."""
-    (F, signs, gates), (F0, signs0, gates0) = got, want
-    assert F.tobytes() == F0.tobytes() and F.shape == F0.shape
-    assert signs.tobytes() == signs0.tobytes()
-    assert [bad.tolist() for bad, _ in gates] == \
-        [bad.tolist() for bad, _ in gates0]
+def check_frames(G, J, xi):
+    """What a pivoted frame must satisfy at every point: F G F^T =
+    diag(signs) within rounding, row 2k + 1 equal to J row 2k (exactly
+    where J is the constant ``j0_matrix``, whose products only move and
+    negate entries), every row equal to the frame of its point alone to the
+    bit, and the gates passed.  Returns F and signs."""
+    G, J, xi = np.asarray(G), np.asarray(J), np.asarray(xi)
+    F, signs, gates = adapted_frames(G, J, xi)
+    assert not any(np.any(bad) for bad, _ in gates)
+    d = xi.shape[1]
+    E = F @ G @ F.swapaxes(1, 2) - signs[:, :, None] * np.eye(d)
+    scale = (np.abs(F).max(axis=(1, 2)) ** 2 * np.abs(G).max(axis=(1, 2)))
+    assert np.all(np.abs(E).max(axis=(1, 2)) <= 1e-14 * np.maximum(1.0, scale))
+    J = np.broadcast_to(J, G.shape)
+    JF = F[:, ::2] @ J.swapaxes(1, 2)
+    if np.all(J == j0_matrix(d // 2)):
+        assert np.array_equal(F[:, 1::2], JF)
+    else:
+        assert np.allclose(F[:, 1::2], JF, rtol=0.0, atol=1e-14)
+    for j in range(len(xi)):
+        F1, signs1, _ = adapted_frames(G[j:j + 1], J[j:j + 1], xi[j:j + 1])
+        assert F1.tobytes() == F[j:j + 1].tobytes()
+        assert signs1.tobytes() == signs[j:j + 1].tobytes()
+    return F, signs
 
 
 class TestFrameLoop:
-    """``adapted_frames`` steps only over the directions some point takes,
-    and reorders pairs only where points took different directions; the
-    loop over every direction stays in ``oracles`` as its reference."""
+    """``adapted_frames`` takes n - 1 pivoted steps: its frames are
+    G-orthonormal and J-paired, and each row is the frame of its point
+    alone, to the bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("signature,family,r", POTENTIAL_CASES)
-    def test_matches_every_direction_loop(self, signature, family, r, n):
+    def test_orthonormal_paired_and_pointwise(self, signature, family, r, n):
         space = AmbientSpace(n, signature)
         metric = potential_metric(space, family)
         for seed in range(3):
@@ -465,13 +480,12 @@ class TestFrameLoop:
             jet = point_jets(metric, X)
             xi, _, gates = radial_unit_jets(space, jet)
             assert not any(np.any(bad) for bad, _ in gates)
-            same_frames(adapted_frames(jet.G, jet.J, xi),
-                        adapted_frames_every_direction(jet.G, jet.J, xi))
+            check_frames(jet.G, jet.J, xi)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_points_taking_other_directions_reorder(self, n):
+    def test_point_on_an_axis_is_its_own_frame(self, n):
         # a point on the x_1 axis has xi and J xi along e_1 and e_2, so it
-        # takes none of the first two directions that the others take
+        # pivots on other directions than the points beside it
         space = AmbientSpace(n, "definite")
         X = np.array(radial_points(space, 5, 1.2, 1.6, seed=n))
         X[2] = 0.0
@@ -479,24 +493,24 @@ class TestFrameLoop:
         jet = point_jets(potential_metric(space, DefiniteLogFamily(2.0, 1.0)),
                          X)
         xi, _, _ = radial_unit_jets(space, jet)
-        got = adapted_frames(jet.G, jet.J, xi)
-        same_frames(got, adapted_frames_every_direction(jet.G, jet.J, xi))
-        F, signs, _ = got
+        F, signs = check_frames(jet.G, jet.J, xi)
         assert np.all(signs == 1.0)
-        assert F[2, 2, :2].tolist() == [0.0, 0.0] and F[0, 2, 0] != 0.0
+        assert F[2, 2:, :2].tolist() == [[0.0, 0.0]] * (2 * n - 2)
 
-    def test_incomplete_frames_match_in_value(self):
-        # where no frame completes, the loops leave the empty rows zero, of
-        # either sign; every other bit and the gates agree
-        G = np.diag([1.0, 1.0, 0.0, 0.0])[None]
-        xi = np.array([[1.0, 0.0, 0.0, 0.0]])
+    def test_incomplete_frames_fail_complete(self):
+        # a point whose complement is null gets empty rows of sign 0 and
+        # fails the gate; the point beside it completes
+        G = np.stack([np.diag([1.0, 1.0, 0.0, 0.0]), np.eye(4)])
+        xi = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
         F, signs, gates = adapted_frames(G, j0_matrix(2)[None], xi)
-        F0, signs0, gates0 = adapted_frames_every_direction(
-            G, j0_matrix(2)[None], xi)
-        assert np.array_equal(F, F0) and signs.tobytes() == signs0.tobytes()
-        assert gates[1][0].tolist() == gates0[1][0].tolist() == [True]
+        assert signs.tolist() == [[1.0, 1.0, 0.0, 0.0], [1.0] * 4]
+        assert not F[0, 2:].any()
+        assert [bad.tolist() for bad, _ in gates] == [[False, False],
+                                                      [True, False]]
+        with pytest.raises(FrameError, match="complement distribution"):
+            raise gates[1][1](0)
 
-    def test_rotational_and_sasakian_frames_match(self, monkeypatch):
+    def test_rotational_and_sasakian_frames(self, monkeypatch):
         # every frame that the embedded rotational metrics, whose J varies
         # from point to point, and the hypersphere reports ask for
         from qck import rotational, sasakian
@@ -519,8 +533,7 @@ class TestFrameLoop:
         assert any(len(J) > 1 and np.ptp(J, axis=0).max() > 1e-3
                    for _, J, _ in calls)
         for G, J, xi in calls:
-            same_frames(adapted_frames(G, J, xi),
-                        adapted_frames_every_direction(G, J, xi))
+            check_frames(G, J, xi)
 
 
 class TestRecordMemory:

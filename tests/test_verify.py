@@ -204,7 +204,7 @@ def test_potential_criteria_details_keep_their_values():
     # per potential to the bit
     assert run(3) == {"max_a_plus_k2": -0.12282996967259274,
                       "max_kahler_defect": 5.684341886080802e-14,
-                      "max_residual": 5.738974460780458e-15}
-    assert run(4) == {"max_residual": 2.206678939928296e-15,
+                      "max_residual": 5.7318289584298655e-15}
+    assert run(4) == {"max_residual": 2.086247010714314e-15,
                       "min_a_plus_k2": 1.5978245547610315}
     assert run(5) == {"max_relative_error": 1.2940508021230037e-13}
