@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import apply_j0, constant_structure, hermitian_to_real, j0_matrix
-from .duals import glog, gsqrt, value
+from .duals import gsqrt, value
 from .errors import AdmissibilityError, DomainError, FrameError, raise_first
 
 
@@ -137,12 +137,10 @@ def _reciprocal_d3_d4(c, s, ds, d2s):
 
 
 class PotentialFamily:
-    """Radial potential profile f(w) with derivatives in generic arithmetic."""
+    """Radial potential profile f(w), by its derivatives in generic
+    arithmetic: the metric reads f', ..., f and never f itself."""
 
     kind = "abstract"
-
-    def __call__(self, w):
-        raise NotImplementedError
 
     def d1(self, w):
         raise NotImplementedError
@@ -159,9 +157,6 @@ class PotentialFamily:
         return (self.d1(w), self.d2(w), *self._d3_d4(w))
 
     def in_domain(self, w: float) -> bool:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -194,9 +189,6 @@ class LogFamily(PotentialFamily):
         if not self.r0 > 0:
             raise ValueError("log family requires r0 > 0")
 
-    def __call__(self, w):
-        return (2.0 / self.a) * glog(-w - self.r0**2)
-
     def d1(self, w):
         return (-2.0 / self.a) / (-w - self.r0**2)
 
@@ -209,9 +201,6 @@ class LogFamily(PotentialFamily):
 
     def in_domain(self, w):
         return w < -self.r0**2
-
-    def to_json(self):
-        return {"kind": "log", "a": self.a, "r0": self.r0}
 
     def describe(self):
         return f"log(a={self.a}, r0={self.r0})"
@@ -236,9 +225,6 @@ class DefiniteLogFamily(PotentialFamily):
         if not self.r0 > 0:
             raise ValueError("definite log family requires r0 > 0")
 
-    def __call__(self, w):
-        return (2.0 / self.a) * glog(w + self.r0**2)
-
     def d1(self, w):
         return (2.0 / self.a) / (w + self.r0**2)
 
@@ -252,9 +238,6 @@ class DefiniteLogFamily(PotentialFamily):
     def in_domain(self, w):
         return w > -self.r0**2
 
-    def to_json(self):
-        return {"kind": "dlog", "a": self.a, "r0": self.r0}
-
     def describe(self):
         return f"dlog(a={self.a}, r0={self.r0})"
 
@@ -264,9 +247,6 @@ class InverseFamily(PotentialFamily):
     """f(w) = -1/w on w < 0."""
 
     kind = "inverse"
-
-    def __call__(self, w):
-        return -1.0 / w
 
     def d1(self, w):
         return 1.0 / (w * w)
@@ -281,9 +261,6 @@ class InverseFamily(PotentialFamily):
     def in_domain(self, w):
         return w < 0
 
-    def to_json(self):
-        return {"kind": "inverse"}
-
 
 @dataclass(frozen=True)
 class UserSeries(PotentialFamily):
@@ -294,12 +271,6 @@ class UserSeries(PotentialFamily):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def __call__(self, w):
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * w + c
-        return out
 
     def _derivative(self, order, w):
         """The order-th derivative by Horner's rule on k!/(k-order)! c_k."""
@@ -331,9 +302,6 @@ class UserSeries(PotentialFamily):
 
     def in_domain(self, w):
         return w != 0.0
-
-    def to_json(self):
-        return {"kind": "series", "coeffs": list(self.coeffs)}
 
     def describe(self):
         return f"series{list(self.coeffs)}"

@@ -103,20 +103,12 @@ class GraphChart:
     def _jac(self, u, x_d):
         return concat([np.eye(self.nparams), (weigh(self._signs, u) / x_d)[None]])
 
-    def fn(self, u):
-        """The ambient point (u, x_d) of the parameters u, a list or an
-        array of floats or duals, as an array of its d coordinates."""
-        u = stack(u)
-        return self._map(u, self._solved(u))
-
-    def jac(self, u):
-        """Closed-form d x (d-1) Jacobian of ``fn``, as an array: the
-        identity over the row d x_d / d u_i = +-u_i / x_d."""
-        u = stack(u)
-        return self._jac(u, self._solved(u))
-
     def fn_jac(self, u):
-        """``fn`` and ``jac`` at u, from one solved coordinate."""
+        """The ambient point (u, x_d) of the parameters u, a list or an
+        array of floats or duals, as an array of its d coordinates, and its
+        closed-form d x (d-1) Jacobian: the identity over the row
+        d x_d / d u_i = +-u_i / x_d.  Both come from one solved
+        coordinate."""
         u = stack(u)
         x_d = self._solved(u)
         return self._map(u, x_d), self._jac(u, x_d)
@@ -143,21 +135,17 @@ def pulled_back(G, jac):
     return contract(jac[:, ps], gj[:, qs])[mirror]
 
 
-def pullback_metric(chart, ambient) -> MetricField:
-    """Induced metric of a chart inside an ambient metric.
+def pullback_metric(chart, ambient: MetricField) -> MetricField:
+    """Induced metric of a chart inside an ambient metric field, evaluated
+    at the chart image.
 
-    ``ambient`` is either a constant matrix or a MetricField evaluated at the
-    chart image.  The result is a MetricField over the chart parameters with
-    no registered complex structure (the parameter space is odd-dimensional),
+    The result is a MetricField over the chart parameters with no
+    registered complex structure (the parameter space is odd-dimensional),
     whose evaluation is ``pulled_back`` with the chart's Jacobian, on floats
     or on duals with component axes.
     """
-    constant = not isinstance(ambient, MetricField)
-    Gconst = np.asarray(ambient, float) if constant else None
 
     def ev(u):
-        if constant:
-            return pulled_back(Gconst, chart.jac(u))
         x, jac = chart.fn_jac(u)
         return pulled_back(stack(ambient(x)), jac)
 

@@ -46,8 +46,9 @@ The dual payloads take a points axis too, so ``point_jets`` differentiates a
 dual field at every point of a batch in that one evaluation, and a varying
 complex structure in one more, on first-order duals: ``_second_jets`` and
 ``duals.eval_with_partials`` are the one kernel of each order.
-``fd_jets`` takes the jet by finite differences instead, with the same
-downstream assembly, as an independent oracle: its whole stencil is one
+``fd_jets`` takes the jet by finite differences instead, as an independent
+oracle, and goes on through ``gated_jets`` as the other paths do, gates
+included: its whole stencil is one
 ``MetricField.matrices`` call, which reads G alone, from the closed-form
 rule where the field has one.
 
@@ -342,16 +343,11 @@ def gated_jets(metric, X, gates, G, dG, d2G, method: str,
 def fd_jets(metric, X) -> PointJet:
     """The finite-difference oracle's jets, with a points axis, at the rows
     of X, (P, d): ``metric_second_jet_fd`` at all rows in one stencil, and
-    the structure and connection as ``point_jets`` takes them.  A row
-    outside the field's domain, or past ``COND_LIMIT``, raises its error."""
+    the gates, structure and connection of ``gated_jets``.  A row outside
+    the field's domain, with a non-finite jet or past ``COND_LIMIT``,
+    raises its error."""
     X = np.asarray(X, dtype=float)
-    G, dG, d2G = metric_second_jet_fd(metric, X)
-    eigenvalues = np.linalg.eigvalsh(G)
-    raise_first([_cond_gate(eigenvalues)])
-    gamma1, gamma, Ginv = _connection(G, dG)
-    J, dJ = structure_jet(metric, X)
-    return PointJet(X, G, dG, d2G, J, dJ, gamma1, gamma, Ginv, eigenvalues,
-                    "fd")
+    return gated_jets(metric, X, [], *metric_second_jet_fd(metric, X), "fd")
 
 
 def curvature_tensors(jet: PointJet):

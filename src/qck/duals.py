@@ -101,27 +101,11 @@ class MultiDual:
         self.c = np.asarray(coeffs, dtype=float)  # shape (..., 2**m, P)
         self.m = m
 
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def constant(value: float, m: int) -> "MultiDual":
-        c = np.zeros((1 << m, 1))
-        c[0] = value
-        return MultiDual(c, m)
-
     @property
     def value(self):
         """The value part: a float, or an array over the leading axes."""
         v = self.c[..., 0, 0]
         return float(v) if v.ndim == 0 else v.copy()
-
-    def coeff(self, mask: int):
-        """Coefficient of a subset mask in the first direction column."""
-        v = self.c[..., mask, 0]
-        return float(v) if v.ndim == 0 else v.copy()
-
-    def __repr__(self):
-        return f"MultiDual(m={self.m}, c={self.c!r})"
 
     def __getitem__(self, key) -> "MultiDual":
         """The entries ``key`` of the component axes, which lead the
@@ -192,26 +176,13 @@ class MultiDual:
         return self.apply_series(_series(self, _reciprocal_ders))
 
     def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            p = int(p)
-            if p == 0:
-                return MultiDual.constant(1.0, self.m)
-            if p < 0:
-                return (self ** (-p))._inverse()
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-
-        def power_ders(v, m):
-            ders = []
-            fac = 1.0
-            for k in range(m + 1):
-                ders.append(fac * v ** (p - k))
-                fac *= p - k
-            return ders
-
-        return self.apply_series(_series(self, power_ders))
+        """A positive integer power, as repeated products."""
+        if not (isinstance(p, int) and p >= 1):
+            raise ValueError(f"dual power needs a positive integer, got {p!r}")
+        out = self
+        for _ in range(p - 1):
+            out = out * self
+        return out
 
     # -- analytic functions -------------------------------------------------
 
@@ -229,23 +200,6 @@ class MultiDual:
         for k in range(self.m - 1, 0, -1):
             out = (out + ders[k] / math.factorial(k)) * nil
         return out + ders[0]
-
-    # -- comparisons on the value part --------------------------------------
-
-    def _cmp_val(self, other):
-        return other.value if isinstance(other, MultiDual) else float(other)
-
-    def __lt__(self, other):
-        return self.value < self._cmp_val(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_val(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_val(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_val(other)
 
 
 def _series(x: MultiDual, ders_at):

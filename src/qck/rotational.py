@@ -135,11 +135,6 @@ class CoefficientTriple:
     def a_plus_k2(self) -> float:
         return self.a + self.k * self.k
 
-    def to_json(self) -> dict:
-        return {"rotation_type": self.rotation_type, "t": self.t,
-                "a": self.a, "b": self.b, "c": self.c, "k": self.k,
-                "a_plus_k2": self.a_plus_k2}
-
 
 def qc_coefficients(rotation_type: str, t: float, tp: float, tpp: float = 0.0,
                     tppp: float = 0.0) -> CoefficientTriple:
@@ -517,14 +512,6 @@ class EmbedPoint:
     min_eigenvalue: float
     kahler_defect: float
 
-    def to_json(self) -> dict:
-        return {"t": self.t, "fitted": self.fitted.to_json(),
-                "closed": self.closed.to_json(),
-                "coefficient_delta": self.coefficient_delta,
-                "k_delta": self.k_delta,
-                "min_eigenvalue": self.min_eigenvalue,
-                "kahler_defect": self.kahler_defect}
-
 
 @dataclass(frozen=True)
 class EmbedVerification:
@@ -547,14 +534,6 @@ class EmbedVerification:
     @property
     def min_eigenvalue(self) -> float:
         return min(p.min_eigenvalue for p in self.points)
-
-    def to_json(self) -> dict:
-        return {"rotation_type": self.rotation_type, "n": self.n,
-                "max_coefficient_delta": self.max_coefficient_delta,
-                "max_k_delta": self.max_k_delta,
-                "max_kahler_defect": self.max_kahler_defect,
-                "min_eigenvalue": self.min_eigenvalue,
-                "points": [p.to_json() for p in self.points]}
 
 
 def embed_and_verify(profile: MeridianProfile, n: int = 2, count: int = 6,

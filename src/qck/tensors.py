@@ -35,19 +35,8 @@ class Tensor4:
         if self.a.ndim != 4 or len(set(self.a.shape)) != 1:
             raise ValueError("Tensor4 expects a (d, d, d, d) array")
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
     def scale(self) -> float:
         return float(tensor_scale(self.a))
-
-    def curvature_symmetry_defect(self) -> float:
-        """Max violation of the algebraic curvature identities (absolute)."""
-        return float(curvature_symmetry_defect(self.a))
-
-    def first_bianchi_defect(self) -> float:
-        return float(first_bianchi_defect(self.a))
 
     def __add__(self, other):
         return Tensor4(self.a + other.a)

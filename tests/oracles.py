@@ -64,7 +64,7 @@ from qck.qch import (QCDecomposition, adapted_frames,
 from qck.sampling import SPREAD
 from qck.sasakian import _gauss_delta, _induced_contacts, _sphere_chart
 from qck.tensors import (COND_LIMIT, Tensor4, curvature_symmetry_defect,
-                         tensor_scale)
+                         first_bianchi_defect, tensor_scale)
 
 # Every potential family, with a radius in its admissible region for each n:
 # (signature, family, r).
@@ -96,6 +96,20 @@ def generator(slot: int, m: int) -> MultiDual:
     return MultiDual(c, m)
 
 
+def dual_constant(v: float, m: int) -> MultiDual:
+    """The constant v as a MultiDual with m generators."""
+    c = np.zeros((1 << m, 1))
+    c[0] = v
+    return MultiDual(c, m)
+
+
+def dual_coeff(x: MultiDual, mask: int):
+    """The coefficient of a subset mask in the first direction column of x:
+    a float, or an array over its leading axes."""
+    v = x.c[..., mask, 0]
+    return float(v) if v.ndim == 0 else v.copy()
+
+
 def gexp(x):
     if not isinstance(x, MultiDual):
         return math.exp(x)
@@ -118,6 +132,22 @@ def gcos(x):
     if not isinstance(x, MultiDual):
         return math.cos(x)
     return x.apply_series(_series(x, lambda v, m: _cyclic_ders(v, m, 1)))
+
+
+def potential_value(family: PotentialFamily, w):
+    """f(w) of a potential family, in generic arithmetic: the profile whose
+    derivatives the family's ``d1`` and ``d2`` must be, and the potential
+    of the Hessian-by-duals metric."""
+    if isinstance(family, LogFamily):
+        return (2.0 / family.a) * glog(-w - family.r0**2)
+    if isinstance(family, DefiniteLogFamily):
+        return (2.0 / family.a) * glog(w + family.r0**2)
+    if isinstance(family, InverseFamily):
+        return -1.0 / w
+    out = 0.0
+    for c in reversed(family.coeffs):
+        out = out * w + c
+    return out
 
 
 # -- complex coordinates ----------------------------------------------------------
@@ -273,7 +303,7 @@ def differentiate(field, p, multi_index) -> float:
     for slot, j in enumerate(idx):
         coords[j] = coords[j] + generator(slot, m)
     out = field(coords)
-    d = out.coeff((1 << m) - 1) if isinstance(out, MultiDual) else 0.0
+    d = dual_coeff(out, (1 << m) - 1) if isinstance(out, MultiDual) else 0.0
     if not math.isfinite(d):
         raise NumericalBreakdown(f"non-finite derivative {idx} at {list(p)}")
     return d
@@ -627,7 +657,7 @@ class CurvatureBundle:
 
     def ricci(self) -> np.ndarray:
         """rho_jk = sum_il Ginv_il R_ijkl, l by a matrix product per i."""
-        d = self.R.dim
+        d = len(self.R.a)
         return (self.R.a.reshape(d, d * d, d)
                 @ self.jet.Ginv[:, :, None]).sum(axis=0).reshape(d, d)
 
@@ -650,7 +680,7 @@ class CurvatureBundle:
         """Curvature value on the radial holomorphic section."""
         xi = np.asarray(xi, float)[None]
         jxi = xi @ self.jet.J.T
-        d = self.R.dim
+        d = len(self.R.a)
         T = (xi @ self.R.a.reshape(d, d ** 3)).reshape(d, d * d)
         return float((jxi @ (jxi @ T).reshape(d, d) @ xi.T)[0, 0])
 
@@ -660,8 +690,8 @@ class CurvatureBundle:
         scale = max(1.0, self.R.scale())
         return [self.scalar_curvature(), self.sigma_radial(xi),
                 self.kappa_radial(xi), self.hsc(xi),
-                self.R.curvature_symmetry_defect() / scale,
-                self.R.first_bianchi_defect() / scale]
+                curvature_symmetry_defect(self.R.a) / scale,
+                first_bianchi_defect(self.R.a) / scale]
 
 
 def curvature_bundle(jet):
@@ -856,14 +886,22 @@ def gauss_consistency(space, metric, structure, spheres, K,
 # -- the dual fields entry by entry -----------------------------------------------
 
 
+def constant_field(C) -> MetricField:
+    """The metric field of the constant matrix C."""
+    C = np.asarray(C, dtype=float)
+    return MetricField(lambda x: C, len(C), name="constant")
+
+
 def chart_fn_looped(chart, u):
-    """``GraphChart.fn`` as a list, its radicand summed entry by entry."""
+    """The map of ``GraphChart.fn_jac`` as a list, its radicand summed
+    entry by entry."""
     chart.guard([value(c) for c in u])
     return list(u) + [chart.sign * gsqrt(_radicand_looped(chart, u))]
 
 
 def chart_jac_looped(chart, u):
-    """``GraphChart.jac`` as a list of rows of scalars."""
+    """The Jacobian of ``GraphChart.fn_jac`` as a list of rows of
+    scalars."""
     chart.guard([value(c) for c in u])
     w = chart.sign * gsqrt(_radicand_looped(chart, u))
     k = len(u) - 1 if chart.lorentz else 0
@@ -886,23 +924,18 @@ def _radicand_looped(chart, u):
 def pullback_metric_looped(chart, ambient) -> MetricField:
     """``charts.pullback_metric`` with J^T G J summed entry by entry, the
     entries p <= q mirrored."""
-    constant = not isinstance(ambient, MetricField)
-    Gconst = np.asarray(ambient, float) if constant else None
     d, m = chart.ambient_dim, chart.nparams
 
     def ev(u):
         jc = chart_jac_looped(chart, u)
-        rows = Gconst if constant else ambient(chart_fn_looped(chart, u))
+        rows = ambient(chart_fn_looped(chart, u))
         gj = []
         for i in range(d):
             col = []
             for q in range(m):
                 acc = 0.0
                 for a in range(d):
-                    gia = rows[i][a]
-                    if constant and gia == 0.0:
-                        continue
-                    acc = acc + gia * jc[a][q]
+                    acc = acc + rows[i][a] * jc[a][q]
                 col.append(acc)
             gj.append(col)
         out = [[0.0] * m for _ in range(m)]
@@ -1008,7 +1041,7 @@ def family_h1_metric_looped(n: int, q: float):
     d = space.dim
     chart = GraphChart(1.0, d, lorentz=True)
     m = chart.nparams
-    hbar = pullback_metric_looped(chart, H)
+    hbar = pullback_metric_looped(chart, constant_field(H))
 
     def eta_chart(u):
         jn = apply_j0(chart_fn_looped(chart, u))

@@ -20,7 +20,7 @@ from qck.duals import eval_with_partials
 from qck.rotational import bochner_meridian, const_hsc_profile, rotation_metric
 from qck.sampling import radial_points
 from qck.sasakian import family_h1_metric
-from oracles import (family_h1_metric_looped, matrix_per_entry,
+from oracles import (constant_field, family_h1_metric_looped, matrix_per_entry,
                      pullback_metric_looped, rotation_metric_looped)
 
 PROFILES = {
@@ -46,8 +46,9 @@ def pullback_case(name, n):
     constant forms, and a hypersphere in a potential metric."""
     space = AmbientSpace(n, "lorentz")
     return {
-        "sphere": (GraphChart(1.5, 2 * n), np.eye(2 * n)),
-        "lorentz": (GraphChart(2.0, 2 * n, lorentz=True), space.flat_real()),
+        "sphere": (GraphChart(1.5, 2 * n), constant_field(np.eye(2 * n))),
+        "lorentz": (GraphChart(2.0, 2 * n, lorentz=True),
+                    constant_field(space.flat_real())),
         "potential": (GraphChart(2.0, 2 * n, lorentz=True, sign=-1.0),
                       potential_metric(space, LogFamily(-1.0, 1.0))),
     }[name]

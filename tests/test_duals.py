@@ -19,7 +19,7 @@ from qck.duals import (
     value,
     weigh,
 )
-from oracles import gcos, generator, gexp, gsin
+from oracles import dual_coeff, dual_constant, gcos, generator, gexp, gsin
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 nonzero = st.floats(min_value=0.25, max_value=10.0).map(lambda v: v)
@@ -27,7 +27,7 @@ nonzero = st.floats(min_value=0.25, max_value=10.0).map(lambda v: v)
 
 def d1(f, x):
     g = x + generator(0, 1)
-    return f(g).coeff(1)
+    return dual_coeff(f(g), 1)
 
 
 def fd(f, x, h=1e-5):
@@ -37,8 +37,8 @@ def fd(f, x, h=1e-5):
 class TestArithmetic:
     @given(finite, finite)
     def test_add_mul_match_floats(self, a, b):
-        ga = MultiDual.constant(a, 2)
-        gb = MultiDual.constant(b, 2)
+        ga = dual_constant(a, 2)
+        gb = dual_constant(b, 2)
         assert value(ga + gb) == pytest.approx(a + b)
         assert value(ga * gb) == pytest.approx(a * b)
         assert value(ga - gb) == pytest.approx(a - b)
@@ -59,18 +59,17 @@ class TestArithmetic:
         x = 3.0 + generator(0, 1)
         y = 1.0 / x
         assert value(y) == pytest.approx(1 / 3)
-        assert y.coeff(1) == pytest.approx(-1 / 9)
+        assert dual_coeff(y, 1) == pytest.approx(-1 / 9)
 
     @given(st.floats(min_value=0.5, max_value=4.0), st.integers(min_value=2, max_value=5))
     def test_integer_powers(self, x, k):
         got = d1(lambda t: t**k, x)
         assert got == pytest.approx(k * x ** (k - 1), rel=1e-12)
 
-    def test_fractional_power(self):
-        x = 4.0 + generator(0, 1)
-        y = x**0.5
-        assert value(y) == pytest.approx(2.0)
-        assert y.coeff(1) == pytest.approx(0.25)
+    @pytest.mark.parametrize("p", [0, -2, 0.5, 2.0])
+    def test_powers_other_than_positive_integers_fail(self, p):
+        with pytest.raises(ValueError, match="positive integer"):
+            (4.0 + generator(0, 1)) ** p
 
 
 class TestHigherOrder:
@@ -79,7 +78,7 @@ class TestHigherOrder:
         # coefficient d^2/dxdy exp(x*y) at x=y: here a pure second partial
         x = 1.5 + generator(0, 2) + generator(1, 2)
         y = gexp(x)
-        full = y.coeff(3)
+        full = dual_coeff(y, 3)
         assert full == pytest.approx(math.exp(1.5), rel=1e-12)
 
     def test_mixed_partial(self):
@@ -87,7 +86,7 @@ class TestHigherOrder:
         a = 2.0 + generator(0, 2)
         b = 3.0 + generator(1, 2)
         f = a * a * b * b * b
-        assert f.coeff(3) == pytest.approx(6 * 2.0 * 9.0)
+        assert dual_coeff(f, 3) == pytest.approx(6 * 2.0 * 9.0)
 
     def test_third_mixed_partial(self):
         # f = sin(x+y+z), mixed third partial is -cos(x+y+z), here at 0.3
@@ -95,12 +94,12 @@ class TestHigherOrder:
         s = s + generator(1, 3)
         s = s + generator(2, 3)
         f = gsin(s)
-        assert f.coeff(7) == pytest.approx(-math.cos(0.3), abs=1e-12)
+        assert dual_coeff(f, 7) == pytest.approx(-math.cos(0.3), abs=1e-12)
 
     @given(st.floats(min_value=-1.2, max_value=1.2))
     def test_atan_second(self, x):
         g = x + generator(0, 2) + generator(1, 2)
-        got = gatan(g).coeff(3)
+        got = dual_coeff(gatan(g), 3)
         want = -2 * x / (1 + x * x) ** 2
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -172,8 +171,6 @@ class TestPointsAxis:
             "mul per point": lambda a, b, s: s * a,
             "div per point": lambda a, b, s: a / s,
             "int power": lambda a, b, s: a ** 3,
-            "negative power": lambda a, b, s: a ** -2,
-            "float power": lambda a, b, s: a ** 1.5,
             "gsqrt": lambda a, b, s: gsqrt(a),
             "glog": lambda a, b, s: glog(a),
             "gatan": lambda a, b, s: gatan(a - 2.0),
@@ -188,7 +185,7 @@ class TestPointsAxis:
     def test_constants_broadcast_over_points(self):
         rng = np.random.default_rng(3)
         x = MultiDual(_payload(rng, (4,), 2, 3), 2)
-        one = MultiDual.constant(1.0, 2)
+        one = dual_constant(1.0, 2)
         for got, want in ((x * one, x.c), (one * x, x.c), (x + one - one, x.c)):
             assert np.array_equal(got.c, want)
         assert x.value.shape == (4,)
@@ -207,7 +204,7 @@ class TestPointsAxis:
     def test_coefficients_keep_the_leading_axes(self):
         rng = np.random.default_rng(5)
         x = MultiDual(_payload(rng, (3,), 1, 2), 1)
-        out = coefficients([[x, 2.0], [x * x, MultiDual.constant(1.5, 1)]], 1, 2)
+        out = coefficients([[x, 2.0], [x * x, dual_constant(1.5, 1)]], 1, 2)
         assert out.shape == (3, 2, 2, 2, 2)
         assert np.array_equal(out[:, 0, 0], x.c)
         assert np.array_equal(out[:, 1, 0], (x * x).c)
@@ -276,7 +273,7 @@ class TestComponentAxes:
         x = MultiDual(np.ones((2, 3, 2, 1)), 1)
         assert stack(x) is x
         with pytest.raises(ValueError, match="generator count"):
-            stack([x[0], MultiDual.constant(1.0, 2)])
+            stack([x[0], dual_constant(1.0, 2)])
 
     def test_concat_equals_the_stacked_entries(self):
         rng = np.random.default_rng(11)

@@ -34,7 +34,8 @@ from qck.qch import (
     decompose_points,
 )
 from qck.sampling import point_at_radius, radial_points
-from qck.tensors import Tensor4, tensor4_fit
+from qck.tensors import (Tensor4, curvature_symmetry_defect,
+                         first_bianchi_defect, tensor4_fit)
 from oracles import (POTENTIAL_CASES, CurvatureBundle,
                      complex_to_real, curvature_bundle, point_jet,
                      ConformalPair, NotKahler, adapted_complex_frame,
@@ -187,8 +188,8 @@ class TestBasisTensors:
     def test_curvature_symmetries_exact(self):
         basis, *_ = standard_basis(D3, definite_point(D3, 2.0, seed=1))
         for t in (basis.pi, basis.phi, basis.psi):
-            assert t.curvature_symmetry_defect() < 1e-13
-            assert t.first_bianchi_defect() < 1e-13
+            assert curvature_symmetry_defect(t.a) < 1e-13
+            assert first_bianchi_defect(t.a) < 1e-13
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -230,7 +231,7 @@ class TestBasisTensors:
         J = j0_matrix(2)
         fr = radial_frame(L2, x)
         basis = build_basis_tensors(G, J, fr)
-        assert basis.pi.curvature_symmetry_defect() < 1e-12
+        assert curvature_symmetry_defect(basis.pi.a) < 1e-12
 
 
 class TestShapeData:
@@ -689,7 +690,7 @@ class TestFrameFit:
             E *= 1e-5 * size / np.linalg.norm(E)
             E = Tensor4(frame_components(E.reshape((d,) * 4),
                                          np.linalg.inv(F).T))
-            assert E.curvature_symmetry_defect() < 1e-12 * E.scale()
+            assert curvature_symmetry_defect(E.a) < 1e-12 * E.scale()
             dec = decompose(CurvatureBundle(jet, R + E), res.shape)
             assert dec.residual > RESIDUAL_GATE
             assert abs(dec.a + 1.0) < 1e-4
@@ -875,7 +876,7 @@ class TestBochner:
         Ginv = np.linalg.inv(self.G)
         ricci = np.einsum("il,ijkl->jk", Ginv, B.a)
         assert np.max(np.abs(ricci)) < 1e-10
-        assert B.curvature_symmetry_defect() < 1e-11
+        assert curvature_symmetry_defect(B.a) < 1e-11
 
     def test_holomorphic_roundtrip(self):
         for t in (self.basis.pi, self.basis.phi, self.basis.psi):
@@ -889,7 +890,7 @@ class TestBochner:
     def test_real_form_matches_complex_frame(self, n, signature, seed):
         T, G, J = kahler_curvature(n, signature, seed)
         Jt = np.einsum("ai,bj,ck,dl,abcd->ijkl", J, J, J, J, T.a)
-        assert T.curvature_symmetry_defect() < 1e-12 * T.scale()
+        assert curvature_symmetry_defect(T.a) < 1e-12 * T.scale()
         assert np.max(np.abs(Jt - T.a)) < 1e-12 * T.scale()
         B = bochner_of_tensor(T, G, J)
         scale = max(1.0, B.scale())

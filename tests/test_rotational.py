@@ -114,11 +114,10 @@ class TestCoefficients:
         assert co.a == 0.0 and co.b == 0.0 and co.c == 0.0
         assert abs(co.k - 1.0) < 1e-15
 
-    def test_json_round_trip(self):
+    def test_a_plus_k2(self):
         co = qc_coefficients("III", 3.0, -1.25, 1.875, -3.59375)
-        d = co.to_json()
-        assert d["rotation_type"] == "III"
-        assert d["a_plus_k2"] == co.a + co.k ** 2
+        assert co.rotation_type == "III"
+        assert co.a_plus_k2 == co.a + co.k ** 2
 
     @settings(max_examples=25, deadline=None)
     @given(c1=st.floats(0.0, 1.0), c2=st.floats(0.0, 1.0),
@@ -429,13 +428,12 @@ class TestEmbedding:
         rep = embed_and_verify(prof, n=2, count=2, seed=3)
         assert rep.max_coefficient_delta < 1e-6
 
-    def test_report_json(self):
+    def test_report_fields(self):
         prof = const_hsc_profile("II", -1.0, 0.7, 2.8)
         rep = embed_and_verify(prof, n=2, count=2, seed=1)
-        d = rep.to_json()
-        assert d["rotation_type"] == "II"
-        assert len(d["points"]) == 2
-        assert d["points"][0]["fitted"]["class"] == "positive"
+        assert rep.rotation_type == "II"
+        assert len(rep.points) == 2
+        assert rep.points[0].fitted.klass == "positive"
 
 
 # Chart points of ``embed_and_verify(profile, n=2, count=6, seed)`` with

@@ -19,8 +19,8 @@ MODULES = (ambient, curvature, qch, rotational, sasakian, verify)
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of calls by name, through every module that holds the name;
-    a gated_jets call, which every jet but the finite-difference one goes
-    through, counts as "closed-form" or "dual" by its method."""
+    a gated_jets call, which every jet goes through, counts as
+    "closed-form", "dual" or "fd" by its method."""
     counts = {}
 
     def counted(name, fn):
@@ -33,7 +33,7 @@ def calls(monkeypatch):
         return wrapper
 
     for name in ("gated_jets", "bochner_of_tensor", "bochner_arrays",
-                 "fd_jets", "curvature_tensors"):
+                 "curvature_tensors"):
         wrapper = counted(name, getattr(
             curvature if hasattr(curvature, name) else qch, name))
         for module in MODULES:
@@ -81,7 +81,7 @@ def test_numerical_hygiene(calls):
     run(11)
     # the exact jets of the five points, and the finite-difference stencils
     # of all five in one read of G
-    assert calls == {"closed-form": 1, "fd_jets": 1, "matrices": 1,
+    assert calls == {"closed-form": 1, "fd": 1, "matrices": 1,
                      "curvature_tensors": 2}
 
 
