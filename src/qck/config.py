@@ -10,7 +10,6 @@ Identical config plus seed gives identical output.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .ambient import AmbientSpace, PotentialFamily, family_from_json
@@ -24,19 +23,10 @@ DEFAULT_POTENTIAL = {"kind": "log", "a": -1.0, "r0": 1.0}
 
 
 def worker_count() -> int:
-    """The QCK_THREADS setting: 1 unless it asks for more (capped at 32).
-    No command reads it: ``qch.decompose_points`` runs the points of one
-    potential or of several in passes over a points axis, in one thread,
-    each pass sized by memory.  The benchmark's run metadata still reports
-    it."""
-    raw = os.environ.get("QCK_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"QCK_THREADS must be an integer, got {raw!r}")
-    return max(1, min(requested, 32))
+    """1: ``qch.decompose_points`` runs the points of one potential or of
+    several in passes over a points axis, in one thread, each pass sized by
+    memory.  The benchmark's run metadata reports it."""
+    return 1
 
 
 def _integer(name: str, value) -> int:

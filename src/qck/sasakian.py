@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import (AmbientSpace, MetricField, potential_metric,
-                      radial_unit_jets)
+from .ambient import (AmbientSpace, MetricField, PotentialFamily,
+                      potential_metric, radial_unit_jets)
 from .charts import (MARGIN, GraphChart, pullback_metric, pulled_back,
                      tangent_params)
 from .core import apply_j0, j0_matrix
@@ -473,24 +473,22 @@ def _reports(structure: AlmostContact, check: AlphaCheck, K, seed: int,
             for row in zip(*columns.values())]
 
 
-def sphere_reports(space: AmbientSpace, family, radii, seed: int = 0,
-                   orientation: str = "auto",
-                   metric: MetricField | None = None) -> list:
+def sphere_reports(space: AmbientSpace, family: PotentialFamily, radii,
+                   seed: int = 0, orientation: str = "auto") -> list:
     """Full alpha-Sasakian verification of the hypersphere of each of
-    ``radii``, with the chart cross-check of the Gauss equation on the
-    Lorentz signature: one report per radius, the same as that radius
-    alone gets.
+    ``radii`` in the metric of ``family``, with the chart cross-check of
+    the Gauss equation on the Lorentz signature: one report per radius, the
+    same as that radius alone gets.
 
-    ``family`` may be None together with an explicit ``metric`` (the flat
-    field gives the classical round-sphere structures).  Each radius draws
-    its sample point Z with ``seed``.  One jet of the metric at all points
+    f = w / 2 on the definite space gives the flat metric, and with it the
+    classical round-sphere structures.  Each radius draws its sample point
+    Z with ``seed``.  One jet of the metric at all points
     Z gives the unit normals, shape data, J-adapted frames, structures and
     the ambient fit; one jet of the pulled-back metric, on a chart whose
     radius and sheet vary by row, gives the intrinsic curvature at every
     chart point.  Each check is then one call over all points.
     """
-    if metric is None:
-        metric = potential_metric(space, family)
+    metric = potential_metric(space, family)
     Z = np.array([_chartable_timelike_point(space, r, seed) if space.lorentz
                   else point_at_radius(space, r, seed=seed) for r in radii])
     jet = point_jets(metric, Z)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from qck import ambient, cli, curvature, qch
 from qck.cli import CSV_HEADER, main
-from qck.config import worker_count
 
 
 def run_cli(capsys, argv):
@@ -468,15 +467,6 @@ class TestUsageAndConfig:
         assert rep["config"]["tolerances"] == {"residual": 0.0}
         assert all("error" not in p for p in rep["points"])
 
-    def test_thread_env_changes_no_command(self, capsys, monkeypatch):
-        # the batched pipeline decides the fan-out; QCK_THREADS is not read
-        argv = ["check-potential", "--count", "2"]
-        monkeypatch.delenv("QCK_THREADS", raising=False)
-        base = run_cli(capsys, argv)
-        monkeypatch.setenv("QCK_THREADS", "lots")
-        assert run_cli(capsys, argv) == base
-        assert base[0] == 0
-
 
 class TestDeterminism:
     def test_repeat_runs_are_identical(self, capsys):
@@ -485,20 +475,6 @@ class TestDeterminism:
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
-
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        argv = ["decompose", "--count", "4", "--seed", "6"]
-        monkeypatch.setenv("QCK_THREADS", "1")
-        _, base, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("QCK_THREADS", "2")
-        _, pooled, _ = run_cli(capsys, argv)
-        assert pooled == base
-
-    def test_serial_by_default(self, monkeypatch):
-        monkeypatch.delenv("QCK_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("QCK_THREADS", "3")
-        assert worker_count() == 3
 
 
 class TestMetricEvaluations:

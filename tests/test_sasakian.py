@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qck import ambient, curvature, sasakian
 from qck.ambient import (AmbientSpace, DefiniteLogFamily, LogFamily,
-                         flat_metric, potential_metric)
+                         UserSeries, flat_metric, potential_metric)
 from qck.charts import GraphChart, pullback_metric
 from qck.core import j0_matrix
 from qck.curvature import covariant_derivative, curvature_tensors
@@ -51,6 +51,10 @@ def gauss_K(structure, spheres):
 def sphere_report(space, family, r, **kwargs):
     """The report of the one radius r."""
     return sphere_reports(space, family, [r], **kwargs)[0]
+
+
+# f = w / 2 on the definite space: the flat metric G = H
+FLAT = UserSeries((0.0, 0.5))
 
 
 class TestInducedContact:
@@ -265,13 +269,13 @@ class TestSphereReport:
         assert rep.gauss_delta < 1e-8
 
     def test_classical_round_sphere(self):
-        rep = sphere_report(D2, None, 1.0, seed=1, metric=flat_metric(D2))
+        rep = sphere_report(D2, FLAT, 1.0, seed=1)
         assert abs(rep.alpha - 1.0) < 1e-12
         assert abs(rep.c - 1.0) < 1e-12
         assert rep.type_tag == "I"
 
     def test_round_sphere_radius_two(self):
-        rep = sphere_report(D2, None, 2.0, seed=1, metric=flat_metric(D2))
+        rep = sphere_report(D2, FLAT, 2.0, seed=1)
         assert abs(rep.alpha - 0.5) < 1e-12
         assert abs(rep.c - 0.25) < 1e-12
         assert abs(rep.c_plus_3a2 - rep.decomposition.a_plus_k2) < 1e-12

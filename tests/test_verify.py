@@ -111,15 +111,15 @@ class TestSphereReports:
             assert rep.to_json() == one.to_json()
 
     def test_definite_radii(self):
+        # f = w / 2 gives the flat metric G = H
         space = ambient.AmbientSpace(2, "definite")
-        metric = ambient.flat_metric(space)
-        reports = sasakian.sphere_reports(space, None, (1.0, 2.0), seed=1,
-                                          metric=metric)
+        flat = ambient.UserSeries((0.0, 0.5))
+        reports = sasakian.sphere_reports(space, flat, (1.0, 2.0), seed=1)
         for r, rep in zip((1.0, 2.0), reports):
             assert rep.gauss_delta is None
             assert abs(rep.alpha - 1.0 / r) < 1e-12
             assert rep.to_json() == sasakian.sphere_reports(
-                space, None, [r], seed=1, metric=metric)[0].to_json()
+                space, flat, [r], seed=1)[0].to_json()
 
     def test_tangent_basis_is_the_adapted_frame(self):
         # rows 2.. of the J-adapted frame span the complement of (xi, J xi)
