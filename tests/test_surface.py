@@ -4,8 +4,10 @@ A module-level public ``def`` or ``class`` of the package, and a public
 method or property of a class of the package, must be used by the package
 itself, by ``scripts/`` or by the benchmark under ``perfbench/`` (its own
 tests excluded), or be a console script of ``pyproject.toml``.  A use is a
-name or attribute reference outside the definition's own body; an import
-alone does not count.  Code that only the tests reach belongs in the tests.
+name or attribute reference outside the definition's own body, and for a
+method an attribute reference alone, so that a local name or a module
+function that shares its name does not count; an import alone does not
+count.  Code that only the tests reach belongs in the tests.
 """
 
 import ast
@@ -31,19 +33,20 @@ def _console_scripts():
 
 
 def _uses(tree, skip):
-    """Names referenced in ``tree`` outside the nodes in ``skip``."""
-    out = set()
+    """Names referenced in ``tree`` outside the nodes in ``skip``: (bare
+    names and attributes, attributes alone)."""
+    names, attrs = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names | attrs, attrs
 
 
 def unreached_names():
@@ -65,15 +68,18 @@ def unreached_names():
                         classes[method] = node
     # Uses outside any definition body are shared; uses inside a body count
     # for every name but that body's own, and a method's own class body.
+    # A method counts its attribute uses only (index 1 of ``_uses``).
     bodies = set(defs)
-    shared = set().union(*(_uses(tree, bodies) for tree in trees.values()))
+    shared = [set().union(*kind) for kind in
+              zip(*(_uses(tree, bodies) for tree in trees.values()))]
     inside = {node: _uses(node, set()) for node in defs}
-    reached = shared | _console_scripts()
+    console = _console_scripts()
     out = []
     for node, owner in defs.items():
-        if node.name in reached:
+        kind = 1 if node in classes else 0
+        if node.name in shared[kind] | console:
             continue
-        if any(node.name in names for other, names in inside.items()
+        if any(node.name in uses[kind] for other, uses in inside.items()
                if other is not node and other is not classes.get(node)):
             continue
         out.append(f"{owner}.{node.name}")
