@@ -6,7 +6,8 @@ parameters.  The signature of h is data of the chart, as in
 ``AmbientSpace.square_norm``: the definite h = diag(1, ..., 1) with the round
 sphere h(x, x) = radius^2, or the Lorentz h = diag(1, ..., 1, -1, -1) with
 the hypersphere h(x, x) = -radius^2.  The chart map and its closed-form
-Jacobian are array expressions on floats or on duals with component axes
+Jacobian (``GraphChart.fn_jac``, both from one solved coordinate) are array
+expressions on floats or on duals with component axes
 (``qck.duals``), so a pulled-back metric, J^T G J, goes through the
 dual-number jet machinery in a few array operations without nesting
 derivatives.

@@ -47,7 +47,10 @@ Higher orders appear only in the tests.  The implementation is generic in
 ``m``, P and the leading axes.
 
 The module also provides scalar-generic helpers (``gsqrt``, ``glog``, ...)
-so that the same evaluator code runs on floats and on dual numbers.
+so that the same evaluator code runs on floats and on dual numbers.  A
+MultiDual has the ring operations, positive integer powers and the
+analytic functions of the helpers; nothing compares duals, and a constant
+enters as a float.
 """
 
 from __future__ import annotations

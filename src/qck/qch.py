@@ -11,7 +11,8 @@ field, whose values and partials at each point ``ambient.radial_unit_jets``
 reads off the metric's jet, so nothing here evaluates a metric.
 
 Both run in one J-adapted G-orthonormal frame per point
-(``adapted_frames``): rows xi, J xi, u_1, J u_1, ....  There G, J and xi
+(``adapted_frames``): rows xi, J xi, u_1, J u_1, ..., each u from one
+pivoted Gram-Schmidt step, n - 1 steps in all.  There G, J and xi
 have constant components, so pi, phi and psi are constants for each n and
 signature, built once with their pseudo-inverse; a fit (``frame_fit``) is R
 carried into the frame and one matrix product.  k is averaged over the

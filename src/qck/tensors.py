@@ -4,8 +4,10 @@ against a small tensor basis.
 Dimension stays small (2n <= 8 here), so everything is stored densely and
 contracted with einsum; no sparsity or index symmetry compression is worth
 its complexity at this scale.  The array functions take any leading axes,
-one tensor per point of a batch; ``Tensor4`` and ``tensor4_fit`` are their
-one-point forms.  The fit solves in coordinates, by one QR factorisation
+one tensor per point of a batch; ``Tensor4``, a (d, d, d, d) array with
+the linear operations, and ``tensor4_fit`` are their one-point forms, and
+the symmetry defects of one tensor are the array functions of its array.
+The fit solves in coordinates, by one QR factorisation
 of the basis and the target per point, without forming the basis Gram
 matrix, whose condition it gates on and which scales with the metric there;
 ``qch.frame_fit`` fits in an orthonormal frame instead, and this fit stays
