@@ -138,7 +138,7 @@ def _reciprocal_d3_d4(c, s, ds, d2s):
 
 class PotentialFamily:
     """Radial potential profile f(w), by its derivatives in generic
-    arithmetic: the metric reads f', ..., f and never f itself."""
+    arithmetic: the metric reads f' to f'''' and never f itself."""
 
     kind = "abstract"
 
