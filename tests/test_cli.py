@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qck import ambient, cli, curvature, qch
 from qck.cli import CSV_HEADER, main
+from qck.config import worker_count
 
 
 def run_cli(capsys, argv):
@@ -469,6 +470,10 @@ class TestUsageAndConfig:
 
 
 class TestDeterminism:
+    def test_one_worker(self):
+        # the benchmark's run metadata reports it; every pass is one thread
+        assert worker_count() == 1
+
     def test_repeat_runs_are_identical(self, capsys):
         argv = ["check-potential", "--count", "3", "--seed", "9"]
         code1, out1, _ = run_cli(capsys, argv)
