@@ -14,8 +14,12 @@ Three totals follow: one ``decompose_points`` pass, and the whole
 float-path Bochner op at the first of those points, T = a pi + b phi +
 c psi fitted and mapped by the Bochner operator in coordinates with the
 coefficients ``COEFFS``: G, the radial frame, the basis, the combination,
-the fit, the Bochner tensor, and the whole op.  The benchmark under
-``perfbench/`` times whole commands; this is where an op's time goes.
+the fit, the Bochner tensor, and the whole op.  Last, the dual jet of the
+pulled-back metric that ``qck verify`` criterion 7 takes: the same metric on
+the graph charts of the hyperspheres of radii ``SPHERE_RADII`` through its
+seeded points, where the field's own evaluation runs on order-2 duals.  The
+benchmark under ``perfbench/`` times whole commands; this is where an op's
+time goes.
 
     PYTHONPATH=src python3 scripts/stage_costs.py [--n 2,3,4] [--repeats 200]
 """
@@ -32,12 +36,14 @@ import numpy as np
 from qck import cli
 from qck.ambient import (AmbientSpace, LogFamily, _potential_rule,
                          _radial_unit_jets, potential_metric, radial_frame)
+from qck.charts import pullback_metric
 from qck.curvature import (curvature_gate, curvature_tensors, gated_jets,
-                           kahler_defect)
+                           kahler_defect, point_jets)
 from qck.qch import (adapted_frames, bochner_flat, bochner_of_tensor,
                      build_basis_tensors, decompose_points, frame_fit,
                      shape_arrays)
 from qck.sampling import radial_points
+from qck.sasakian import _chartable_timelike_point, _sphere_chart
 from qck.tensors import tensor4_fit
 
 FAMILY = LogFamily(-1.0, 1.0)
@@ -46,6 +52,9 @@ WINDOW = (1.1, 3.0)
 ROWS = 8
 SEED = 9973
 COEFFS = (0.7, -1.3, 0.9)
+# the hypersphere radii and sample seed of ``qck verify`` criterion 7
+SPHERE_RADII = (1.5, 2.0, 3.0)
+SPHERE_SEED = 2
 
 
 def best_us(call, repeats: int) -> float:
@@ -104,6 +113,10 @@ def stage_costs(n: int, repeats: int) -> dict:
     frame = radial_frame(space, x, metric)
     basis = build_basis_tensors(G, J, frame)
     T = combination(basis)
+    Z = np.array([_chartable_timelike_point(space, r, SPHERE_SEED)
+                  for r in SPHERE_RADII])
+    chart, U = _sphere_chart(space, Z, np.array(SPHERE_RADII))
+    pulled = pullback_metric(chart, potential_metric(space, FAMILY))
     stages = {
         "sampler": lambda: radial_points(space, ROWS, *WINDOW, seed=SEED),
         "rule": lambda: _potential_rule(space, FAMILY, X, False),
@@ -129,6 +142,7 @@ def stage_costs(n: int, repeats: int) -> dict:
         "bochner op: fit": lambda: tensor4_fit(T, basis.fit_basis()),
         "bochner op: Bochner": lambda: bochner_of_tensor(T, G, J),
         "bochner op (whole)": lambda: bochner_op(space, metric, x),
+        "pullback jet": lambda: point_jets(pulled, U),
     }
     return {name: best_us(call, repeats) for name, call in stages.items()}
 

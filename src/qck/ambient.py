@@ -6,26 +6,28 @@ w = <Z, Z> (negative on the time-like region of the Lorentz background,
 positive on the punctured definite background).  The generated metric is the
 complex Hessian of f(w), evaluated here in closed form:
 
-    G = 2 f'(w) H + 2 r^2 f''(w) (eta (x) eta + jeta (x) jeta)
+    G = 2 f'(w) H + 2 f''(w) A,    A = u u^T + v v^T,
 
-with H the flat form, r the distance, eta the radial unit covector of H and
-jeta its rotation by the complex structure.  The closed form keeps the
-evaluator cheap under dual numbers; an independent Hessian-by-duals oracle
-lives in the test suite.  Family derivative methods are written with generic
-arithmetic only, so f'(w) and f''(w) inherit whatever dual payload w carries.
+with H the flat form, u = H x the flat covector of the point and v = J0 u
+its rotation by the complex structure.  The field's evaluation writes this
+once on component axes, so that the same lines run on a float point and on
+duals; an independent Hessian-by-duals oracle lives in the test suite.
+Family derivative methods are written with generic arithmetic only, so
+f'(w) and f''(w) inherit whatever dual payload w carries.
 
 Which path makes a jet: the metric field of ``potential_metric`` carries a
-closed-form rule over a points axis, ``_potential_rule``.  With u = H x and
-v = J0 u the second term is 2 f''(w) A, A = u u^T + v v^T, so the partials of
-G are polynomials in x times f' ... f'''' at w, and every family gives its
-derivatives up to f'''' in closed form on arrays of w
-(``PotentialFamily.derivatives``, one evaluation for all four), f''' and
-f'''' in the operation order of the order-2 dual of f''.  One call takes
+closed-form rule over a points axis, ``_potential_rule``.  A is quadratic
+in x, so the partials of G are polynomials in x times f' ... f'''' at w,
+and every family gives its derivatives up to f'''' in closed form on arrays
+of w (``PotentialFamily.derivatives``, one evaluation for all four), f'''
+and f'''' in the operation order of the order-2 dual of f''.  One call takes
 the square norms and the derivatives once, and from them the admissibility
 report, the gates and G, dG and d2G at many points at once;
 ``curvature.point_jets`` makes a jet of them, and ``qch.decompose_points``
-keeps the report too.  With ``order=0`` the rule takes G alone, which is
-all that ``MetricField.matrices`` and the finite-difference oracle read.
+keeps the report too.  Its G is the field's own expression on the rows of
+points, entry for entry, so it is the field's evaluation to the bit.  With
+``order=0`` the rule takes G alone, which is all that
+``MetricField.matrices`` and the finite-difference oracle read.
 ``potential_gates``
 holds the per-point checks the field's own evaluation raises (the family's
 domain, admissibility, a radius), so a point fails with the same text alone
@@ -52,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import apply_j0, constant_structure, hermitian_to_real, j0_matrix
-from .duals import gsqrt, value
+from .duals import gsqrt, stack, value, weigh
 from .errors import AdmissibilityError, DomainError, FrameError, raise_first
 
 
@@ -415,8 +417,8 @@ def _passes_gates(space: AmbientSpace, family: PotentialFamily, w,
 class MetricField:
     """Pointwise metric evaluator over generic scalars.
 
-    ``fn`` maps a coordinate list to a dim x dim list-of-lists (a numpy array
-    on the all-float path is fine too).  ``complex_structure`` is either None,
+    ``fn`` maps a coordinate list to a dim x dim matrix: a list of lists of
+    scalars, a float array, or one MultiDual with two component axes.  ``complex_structure`` is either None,
     meaning the constant standard structure, or a generic-scalar field
     x -> matrix for metrics whose structure varies over the chart.
     ``jets`` is either None, meaning the field is differentiated by duals, or
@@ -467,46 +469,17 @@ def flat_metric(space: AmbientSpace) -> MetricField:
     return MetricField(lambda x: G, space.dim, name=f"flat-{space.signature}")
 
 
-def _radial_projectors(space: AmbientSpace, x, r):
-    """Radial unit covector of the flat form and its structure rotation."""
-    H = space.flat_real()
-    d = space.dim
-    eta = [H[i, i] * x[i] / r for i in range(d)]  # H is diagonal
-    jeta = apply_j0(eta)
-    return eta, jeta
-
-
-def _rotate(X):
-    """The standard complex structure on the rows of X: (x, y) -> (-y, x)."""
-    out = np.empty_like(X)
-    out[..., 0::2] = -X[..., 1::2]
-    out[..., 1::2] = X[..., 0::2]
-    return out
-
-
-def _matrices(space: AmbientSpace, H, X, w, f1, f2):
-    """G at the rows of X from the flat form H, and the square norms w and
-    f', f'' at the rows."""
-    r2 = -w if space.lorentz else w
-    eta = np.diag(H) * X / np.sqrt(r2)[:, None]
-    jeta = _rotate(eta)
-    G = (2.0 * r2[:, None, None] * f2) * (eta[:, :, None] * eta[:, None, :]
-                                          + jeta[:, :, None] * jeta[:, None, :])
-    G += (2.0 * f1) * H
-    return G
-
-
 @functools.cache
 def _jet_constants(space: AmbientSpace):
-    """The constants of a space that ``_closed_form_jets`` reads: h = diag(H),
-    M = J0 H, and the second partials d2A[k, l, i, j] of A (see there),
-    which do not depend on the point.  Built once per space, read-only."""
+    """The constants of a space that ``_closed_form_jets`` reads: M = J0 H,
+    and the second partials d2A[k, l, i, j] of A (see there), which do not
+    depend on the point.  Built once per space, read-only."""
     H = space.flat_real()
     M = j0_matrix(space.n) @ H
     cross = np.einsum("ik,jl->klij", H, H) + np.einsum("ik,jl->klij", M, M)
     d2A = cross + cross.transpose(1, 0, 2, 3)
     M.flags.writeable = d2A.flags.writeable = False
-    return np.diag(H), M, d2A
+    return M, d2A
 
 
 def _potential_rule(space: AmbientSpace, family: PotentialFamily, X,
@@ -517,8 +490,9 @@ def _potential_rule(space: AmbientSpace, family: PotentialFamily, X,
     ``potential_gates``.  With ``order=0`` it takes G alone, and dG and d2G
     are None.  The square norms and the family's derivatives are taken once,
     and nothing is checked: a row that fails a gate gets meaningless values.
-    G repeats the operations of the field's own evaluation entry by entry,
-    so it is that evaluation to the bit.
+    G = 2 f' H + 2 f'' A, with A = u u^T + v v^T for u = H x and v = J0 u,
+    takes at each row the operations of the field's own evaluation entry
+    for entry, so it is that evaluation to the bit.
     """
     w = space.square_norm(X.T)
     with np.errstate(all="ignore"):
@@ -527,27 +501,28 @@ def _potential_rule(space: AmbientSpace, family: PotentialFamily, X,
         gates = _potential_gates(space, family, w, rep if checked else None)
         # the derivatives as the rows of one array, a constant one included
         rows = np.empty((len(f),) + w.shape)
-        for row, v in zip(rows, f):
-            row[...] = v
+        for row, der in zip(rows, f):
+            row[...] = der
         f = rows[:, :, None, None]
+        H = space.flat_real()
+        u = np.diag(H) * X
+        v = apply_j0(u.T).T
+        A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
+        G = (2.0 * f[0]) * H + (2.0 * f[1]) * A
         if order == 0:
-            G = _matrices(space, space.flat_real(), X, w, *f)
             return rep, gates, G, None, None
-        return (rep, gates, *_closed_form_jets(space, X, w, *f))
+        return (rep, gates, G, *_closed_form_jets(space, u, v, A, *f[1:]))
 
 
-def _closed_form_jets(space: AmbientSpace, X, w, f1, f2, f3, f4):
-    """G, dG and d2G at the rows of X, (P, d), from their square norms w
-    and f', ..., f'''' there, each (P, 1, 1); see the module docstring."""
+def _closed_form_jets(space: AmbientSpace, u, v, A, f2, f3, f4):
+    """dG and d2G at the rows of points with u = H x and v = J0 u, (P, d),
+    and A = u u^T + v v^T, from f'', f''' and f'''' there, each (P, 1, 1);
+    see the module docstring."""
     H = space.flat_real()
-    h, M, d2A = _jet_constants(space)
-    G = _matrices(space, H, X, w, f1, f2)
-    # With u = H x and v = J0 u, G = 2 f' H + 2 f'' A for A = u u^T + v v^T;
-    # d_k u = h_k and d_k v = m_k = J0 h_k, and w_k = 2 u_k, w_kl = 2 H_kl.
-    P, d = X.shape
-    u = h * X
-    v = _rotate(u)
-    A = u[:, :, None] * u[:, None, :] + v[:, :, None] * v[:, None, :]
+    M, d2A = _jet_constants(space)
+    # G = 2 f' H + 2 f'' A; d_k u = h_k and d_k v = m_k = J0 h_k, for h_k
+    # the columns of H, and w_k = 2 u_k, w_kl = 2 H_kl.
+    P, d = u.shape
     half = (H.T[:, :, None] * u[:, None, None, :]
             + M.T[:, :, None] * v[:, None, None, :])
     dA = half + half.swapaxes(-1, -2)
@@ -573,7 +548,7 @@ def _closed_form_jets(space: AmbientSpace, X, w, f1, f2, f3, f4):
     acc += np.multiply(c1.reshape(P, d * d, 1), H.reshape(1, 1, d * d),
                        out=buf)
     acc += np.multiply(2.0 * f2, d2A.reshape(1, d * d, d * d), out=buf)
-    return G, dG, d2G
+    return dG, d2G
 
 
 def potential_metric(space: AmbientSpace, family: PotentialFamily,
@@ -585,37 +560,29 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
     generators pass checked=False and surface the failure in their output
     instead.  The field's ``jets`` rule is ``_potential_rule`` less its
     admissibility report.
+
+    The evaluation is G = 2 f'(w) H + 2 f''(w) (u u^T + v v^T), u = H x and
+    v = J0 u, on component axes: a float point gives a float array and a
+    point of duals one MultiDual with the two matrix axes first.
     """
     H = space.flat_real()
-    d = space.dim
+    h = np.diag(H)
 
     def ev(x):
         w = space.square_norm(x)
         if not _passes_gates(space, family, value(w), checked):
             raise_first(potential_gates(space, family,
                                         np.atleast_1d(value(w)), checked))
-        r2 = -w if space.lorentz else w
-        r = gsqrt(r2)
-        fp = family.d1(w)
-        fpp = family.d2(w)
-        eta, jeta = _radial_projectors(space, x, r)
-        c1 = 2.0 * fp
-        c2 = 2.0 * r2 * fpp
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                e = c2 * (eta[i] * eta[j] + jeta[i] * jeta[j])
-                if i == j:
-                    e = e + c1 * H[i, i]
-                row.append(e)
-            out.append(row)
-        return out
+        f1, f2 = family.d1(w), family.d2(w)
+        u = weigh(h, stack(x))
+        v = apply_j0(u)
+        return (weigh(H, stack([[2.0 * f1]]))
+                + (2.0 * f2) * (u[:, None] * u + v[:, None] * v))
 
     def jets(X, order=2):
         return _potential_rule(space, family, X, checked, order)[1:]
 
-    return MetricField(ev, d, name=f"potential[{family.describe()}]-{space.signature}",
+    return MetricField(ev, space.dim, name=f"potential[{family.describe()}]-{space.signature}",
                        jets=jets)
 
 

@@ -38,14 +38,9 @@ def constant_structure(d: int, lead: tuple = ()):
 
 
 def apply_j0(x):
-    """Apply the standard complex structure to a vector of generic scalars,
-    a list, or along the first axis of a float array or a MultiDual with
-    component axes (``qck.duals``), e.g. to every column of a matrix."""
-    if isinstance(x, list):
-        out = list(x)
-        for a in range(len(out) // 2):
-            out[2 * a], out[2 * a + 1] = -x[2 * a + 1], x[2 * a]
-        return out
+    """Apply the standard complex structure along the first axis of a float
+    array or of a MultiDual with component axes (``qck.duals``), e.g. to a
+    vector or to every column of a matrix."""
     pairs, signs = _j0_pairs((x.c if isinstance(x, MultiDual) else x).shape[0])
     return weigh(signs, x[pairs])
 

@@ -207,12 +207,10 @@ class MultiDual:
 
 def _series(x: MultiDual, ders_at):
     """The derivative series ``ders_at(v, m)`` (a list of floats f, f', ...)
-    at the value part v of x: that list at one point, or, with leading axes,
-    one array over the points per order, taken point by point with the same
-    float function."""
-    v = x.value
-    if isinstance(v, float):
-        return ders_at(v, x.m)
+    at the value part v of x, as one array over the points of x's leading
+    axes per order (0-d where it has none), taken point by point with the
+    same float function."""
+    v = np.asarray(x.value)
     rows = np.array([ders_at(t, x.m) for t in v.ravel().tolist()])
     return [col.reshape(v.shape) for col in rows.reshape(-1, x.m + 1).T]
 

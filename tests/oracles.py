@@ -2,7 +2,8 @@
 
 Dual-number seeds and the elementary functions only the tests use, with
 scalar fields with exact dual-number partials and a finite-difference
-oracle for them.  The coordinate holomorphic frame of the flat structure,
+oracle for them.  The complex structure on lists of scalars, which the
+looped oracles take.  The coordinate holomorphic frame of the flat structure,
 the frame adapted to any complex structure, holomorphic components and the
 Bochner tensor computed in them: the complex-frame reference for the
 real-form ``qch.bochner_of_tensor``.  The radial unit field, and the fields
@@ -50,9 +51,8 @@ import numpy as np
 from qck.ambient import (AdmissibilityReport, AmbientSpace,
                          DefiniteLogFamily, InverseFamily, LogFamily,
                          MetricField, PotentialFamily, UserSeries,
-                         _radial_projectors, admissibility, radial_unit_jets)
+                         admissibility, radial_unit_jets)
 from qck.charts import GraphChart, pullback_metric
-from qck.core import apply_j0
 from qck.curvature import (SYMMETRY_GATE, PointJet, covariant_derivative,
                            curvature_gate, curvature_tensors, fd_jets,
                            holomorphic_curvatures, kahler_defect, point_jets)
@@ -167,6 +167,16 @@ def real_to_complex(x) -> np.ndarray:
     if x.size % 2:
         raise ValueError("real coordinate vector must have even length")
     return x[0::2] + 1j * x[1::2]
+
+
+def apply_j0_looped(x) -> list:
+    """The standard complex structure on a list of generic scalars,
+    (x, y) -> (-y, x) pair by pair: the looped oracles' own, where
+    ``core.apply_j0`` takes float arrays and duals with component axes."""
+    out = list(x)
+    for a in range(len(out) // 2):
+        out[2 * a], out[2 * a + 1] = -x[2 * a + 1], x[2 * a]
+    return out
 
 
 def dz_basis(n: int) -> np.ndarray:
@@ -397,10 +407,10 @@ def sphere_phi_fields(space, metric, orientation):
         def phiy_field(x):
             g, xf, v = tangential(x, y)
             d = len(v)
-            jxf = apply_j0(xf)
+            jxf = apply_j0_looped(xf)
             gv = [sum(g[i][j] * v[j] for j in range(d)) for i in range(d)]
             coef = sum(gv[i] * jxf[i] for i in range(d))
-            jv = apply_j0(v)
+            jv = apply_j0_looped(v)
             return [jv[i] + coef * xf[i] for i in range(d)]
 
         return phiy_field, lambda x: tangential(x, y)[2]
@@ -985,7 +995,7 @@ def rotation_metric_looped(profile, n: int = 2) -> MetricField:
         nv, tp, dqdt, cols = pieces(u)
         gb = [[amb_inner(cols[p], cols[s]) for s in range(m)] for p in range(m)]
         eb = [tp * gb[p][0] for p in range(m)]
-        jn = apply_j0(nv)
+        jn = apply_j0_looped(nv)
         et = [sum(cols[p][i] * hs[i] * jn[i] for i in range(dsph))
               for p in range(m)]
         w = (tp - 1.0) if tag in ("I", "II") else (1.0 - tp)
@@ -994,7 +1004,7 @@ def rotation_metric_looped(profile, n: int = 2) -> MetricField:
 
     def structure_fn(u):
         nv, tp, dqdt, cols = pieces(u)
-        jn = apply_j0(nv)
+        jn = apply_j0_looped(nv)
         qp = dqdt * tp
         xib = [tp * c for c in nv] + [qp]
         xit = list(jn) + [0.0]
@@ -1004,7 +1014,7 @@ def rotation_metric_looped(profile, n: int = 2) -> MetricField:
             acf = esign * amb_inner(W, xib)
             bcf = esign * amb_inner(W, xit)
             wd = [W[i] - acf * xib[i] - bcf * xit[i] for i in range(dsph)]
-            jwd = apply_j0(wd)
+            jwd = apply_j0_looped(wd)
             img = [acf * xit[i] - bcf * xib[i] + jwd[i] for i in range(dsph)]
             img.append(-bcf * qp)
             images.append(img)
@@ -1044,7 +1054,7 @@ def family_h1_metric_looped(n: int, q: float):
     hbar = pullback_metric_looped(chart, constant_field(H))
 
     def eta_chart(u):
-        jn = apply_j0(chart_fn_looped(chart, u))
+        jn = apply_j0_looped(chart_fn_looped(chart, u))
         jc = chart_jac_looped(chart, u)
         return [sum(jc[i][p] * H[i, i] * jn[i] for i in range(d))
                 for p in range(m)]
@@ -1057,18 +1067,18 @@ def family_h1_metric_looped(n: int, q: float):
                 for p in range(m)]
 
     def reeb_field(u):
-        jn = apply_j0(chart_fn_looped(chart, u))
+        jn = apply_j0_looped(chart_fn_looped(chart, u))
         return [-jn[p] / (q * q) for p in range(m)]
 
     def phi_matrix(u):
         nv = chart_fn_looped(chart, u)
-        jn = apply_j0(nv)
+        jn = apply_j0_looped(nv)
         jc = chart_jac_looped(chart, u)
         cols = []
         for p in range(m):
             W = [jc[i][p] for i in range(d)]
             coef = -sum(W[i] * H[i, i] * jn[i] for i in range(d))
-            jw = apply_j0(W)
+            jw = apply_j0_looped(W)
             cols.append([jw[i] + coef * nv[i] for i in range(d)][:m])
         return [[cols[s][p] for s in range(m)] for p in range(m)]
 
@@ -1136,7 +1146,8 @@ def metric_from_conformal_pair(space: AmbientSpace, pair: ConformalPair) -> Metr
         r = space.radius(x)
         s1 = gexp(-2.0 * pair.u(r))
         s2 = gexp(-2.0 * pair.v(r)) + 1.0
-        eta, jeta = _radial_projectors(space, x, r)
+        eta = [H[i, i] * x[i] / r for i in range(d)]  # H is diagonal
+        jeta = apply_j0_looped(eta)
         out = []
         for i in range(d):
             row = []

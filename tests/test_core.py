@@ -6,8 +6,8 @@ from qck.core import (
     hermitian_to_real,
     j0_matrix,
 )
-from oracles import (adapted_complex_frame, complex_to_real, dz_basis,
-                     holomorphic_coefficients, real_to_complex)
+from oracles import (adapted_complex_frame, apply_j0_looped, complex_to_real,
+                     dz_basis, holomorphic_coefficients, real_to_complex)
 
 
 def test_complex_real_roundtrip():
@@ -36,8 +36,10 @@ def test_apply_j0_is_multiplication_by_i():
 
 
 def test_apply_j0_generic_list():
-    out = apply_j0([1.0, 2.0, 3.0, 4.0])
+    # the looped oracles' list form, and the array form it stands in for
+    out = apply_j0_looped([1.0, 2.0, 3.0, 4.0])
     assert out == [-2.0, 1.0, -4.0, 3.0]
+    assert apply_j0(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == out
 
 
 def test_hermitian_to_real_flat_lorentz():

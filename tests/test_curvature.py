@@ -223,11 +223,30 @@ class TestClosedFormJets:
         # and keeps the symmetries of d2G exactly
         assert np.array_equal(d2G, d2G.swapaxes(0, 1))
         assert np.array_equal(d2G, d2G.swapaxes(2, 3))
-        for got, ref in zip((G, dG, d2G), dual_jet(metric, x)):
+        dual = dual_jet(metric, x)
+        # the field's evaluation on duals rounds its value row as on floats
+        assert np.array_equal(dual[0], G)
+        for got, ref in zip((G, dG, d2G), dual):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         Gf, dGf, d2Gf = metric_second_jet_fd(metric, x)
         for got, ref, tol in ((G, Gf, 1e-12), (dG, dGf, 1e-8), (d2G, d2Gf, 1e-7)):
             assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+    def test_dual_evaluation_products_do_not_grow_with_n(self, monkeypatch):
+        # the field's evaluation on order-2 duals takes a few products over
+        # whole matrices; past the d products of the square norm their
+        # count does not grow with n
+        mul, calls = MultiDual.__mul__, []
+        monkeypatch.setattr(MultiDual, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        extra = []
+        for n in (2, 3, 4):
+            space = AmbientSpace(n, "lorentz")
+            X = np.array([point_at_radius(space, 2.0, seed=s) for s in (1, 2)])
+            calls.clear()
+            curvature._second_jets(potential_metric(space, LogFamily(-1.0, 1.0)), X)
+            extra.append(len(calls) - space.dim)
+        assert max(extra) <= extra[0]
 
     def test_point_jet_takes_the_rule_where_there_is_one(self):
         x = point_at_radius(L2, 2.0, seed=1)

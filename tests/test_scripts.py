@@ -138,12 +138,12 @@ STAGES = ["sampler", "rule", "gated_jets", "curvature_tensors",
           "check-potential command", "bochner op: G",
           "bochner op: radial frame", "bochner op: basis",
           "bochner op: combination", "bochner op: fit", "bochner op: Bochner",
-          "bochner op (whole)"]
+          "bochner op (whole)", "pullback jet"]
 
 
 def test_stage_costs(monkeypatch, capsys):
     # one repeat at one n: a row of positive microseconds per stage, the
-    # sweep op's and then the Bochner op's
+    # sweep op's, the Bochner op's and the pullback jet's
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, capsys, "stage_costs.py", "--repeats", "1",
                    "--n", "2")

@@ -87,9 +87,9 @@ def test_numerical_hygiene(calls):
 
 def test_numerical_hygiene_details_keep_their_values():
     # the batched jets are the one-point jets to the bit
-    assert run(11) == {"max_bianchi_defect": 1.1929754110788605e-16,
-                       "max_path_drift": 7.401515809708051e-10,
-                       "max_symmetry_defect": 1.9098984405129389e-16}
+    assert run(11) == {"max_bianchi_defect": 1.7894631166182908e-16,
+                       "max_path_drift": 6.047344430770707e-10,
+                       "max_symmetry_defect": 2.9824385276971513e-16}
 
 
 class TestSphereReports:
@@ -202,9 +202,9 @@ def test_potential_criteria_make_one_pass_per_space(monkeypatch, number,
 def test_potential_criteria_details_keep_their_values():
     # rows of several potentials in one pass give the values of one pass
     # per potential to the bit
-    assert run(3) == {"max_a_plus_k2": -0.12282996967259274,
+    assert run(3) == {"max_a_plus_k2": -0.12282996967259219,
                       "max_kahler_defect": 5.684341886080802e-14,
-                      "max_residual": 5.7318289584298655e-15}
-    assert run(4) == {"max_residual": 2.086247010714314e-15,
-                      "min_a_plus_k2": 1.5978245547610315}
+                      "max_residual": 5.145095368737773e-15}
+    assert run(4) == {"max_residual": 1.6012669009157928e-15,
+                      "min_a_plus_k2": 1.5978245547610308}
     assert run(5) == {"max_relative_error": 1.2940508021230037e-13}
