@@ -576,7 +576,9 @@ def potential_metric(space: AmbientSpace, family: PotentialFamily,
         f1, f2 = family.d1(w), family.d2(w)
         u = weigh(h, stack(x))
         v = apply_j0(u)
-        return (weigh(H, stack([[2.0 * f1]]))
+        # + 0 w: an f' that a family returns as a float constant takes the
+        # points axes of w, which a float (d, d) term would not broadcast to
+        return (weigh(H, stack([[2.0 * f1 + 0.0 * w]]))
                 + (2.0 * f2) * (u[:, None] * u + v[:, None] * v))
 
     def jets(X, order=2):

@@ -11,6 +11,7 @@ from qck.ambient import (
     DefiniteLogFamily,
     InverseFamily,
     LogFamily,
+    PotentialFamily,
     UserSeries,
     flat_metric,
     potential_metric,
@@ -247,6 +248,31 @@ class TestClosedFormJets:
             curvature._second_jets(potential_metric(space, LogFamily(-1.0, 1.0)), X)
             extra.append(len(calls) - space.dim)
         assert max(extra) <= extra[0]
+
+    def test_constant_derivatives_on_duals(self):
+        # f = w / 2 with f' and f'' as float constants: on duals with a
+        # points axis the field gives the flat form, as the rule does
+        class HalfSquareNorm(PotentialFamily):
+            kind = "half"
+
+            def d1(self, w):
+                return 0.5
+
+            def d2(self, w):
+                return 0.0
+
+            def _d3_d4(self, w):
+                return 0.0, 0.0
+
+            def in_domain(self, w):
+                return w > 0.0
+
+        metric = potential_metric(D2, HalfSquareNorm())
+        X = np.array([point_at_radius(D2, r, seed=1) for r in (0.5, 1.0, 2.0)])
+        jet = point_jets(dual_field(metric), X)
+        assert np.array_equal(jet.G, point_jets(metric, X).G)
+        assert np.array_equal(jet.G, np.broadcast_to(D2.flat_real(), jet.G.shape))
+        assert not jet.dG.any() and not jet.d2G.any()
 
     def test_point_jet_takes_the_rule_where_there_is_one(self):
         x = point_at_radius(L2, 2.0, seed=1)
